@@ -39,7 +39,7 @@ from .features import (
 )
 from .model import Dataset, ObjectiveSpec, as_signed_labels
 from .optimizer import solve_erm
-from .privacy import dp_micro_check, elastic_release_scale, laplace_sample
+from .privacy import dp_micro_check, elastic_release_scale, laplace_sample, perturb
 from .rng import derive_rng, float_key
 from .stability import beta_elastic_net, sensitivity_via_strong_convexity
 
@@ -240,12 +240,6 @@ def cell_noise_scale(cfg: SweepConfig, lam: float, epsilon: float, n_train: int,
     return scale, cert.beta, sens_l2
 
 
-def _noisy_models(W: np.ndarray, scale: float, rng) -> np.ndarray:
-    if scale <= 0:
-        return W
-    return W + laplace_sample(scale, W.size, rng).reshape(W.shape)
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -261,8 +255,13 @@ def _write_rows(path: Path, columns: list, rows: list) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_meta(path: Path, command: str, cfg: SweepConfig, columns: list,
-                extra: dict | None = None) -> None:
+def _write_outputs(out_dir, command: str, cfg: SweepConfig, columns: list, rows: list,
+                   extra: dict | None = None) -> Path:
+    """Write ``<command>.csv`` and its ``<command>.meta.json`` sidecar; return the CSV path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{command}.csv"
+    _write_rows(csv_path, columns, rows)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -270,126 +269,105 @@ def _write_meta(path: Path, command: str, cfg: SweepConfig, columns: list,
         "config": cfg.to_dict(),
     }
     meta.update(extra or {})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out_dir / f"{command}.meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return csv_path
 
 
-def _run_grid(cfg: SweepConfig, lambdas, epsilons) -> list:
+def _std(values: list) -> float:
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
+def _cells(cfg: SweepConfig, epsilons, stream: int):
+    """Yield ``(lam, eps, scale, beta, sens, classes, runs)`` per lambda x epsilon cell.
+
+    ``runs`` holds one ``(train, test, W, noisy W)`` tuple per split. Models
+    are trained once per (lambda, split) and shared by every epsilon. All
+    splits have the same training size, so one noise scale serves the
+    whole cell. Split r draws its noise from the stream keyed (master seed,
+    ``stream``, lambda bits, epsilon bits, r).
+    """
     S = build_dataset(cfg)
     splits = split(S, cfg.split)
     classes = np.unique(S.labels)
     cache: dict = {}
-    rows = []
-    for lam in lambdas:
+    for lam in cfg.lambda_grid:
         for eps in epsilons:
-            accs = []
-            scale = beta = sens = 0.0
+            scale, beta, sens = cell_noise_scale(cfg, lam, eps, splits[0][0].n, S.d)
+            runs = []
             for r, (train, test) in enumerate(splits):
-                key = (lam, r)
-                if key not in cache:
-                    cache[key] = train_models(cfg, lam, train, classes)
-                W = cache[key]
-                scale, beta, sens = cell_noise_scale(cfg, lam, eps, train.n, S.d)
-                rng = derive_rng(cfg.master_seed, 31, float_key(lam), float_key(eps), r)
-                acc = accuracy(_noisy_models(W, scale, rng), classes, test)
-                accs.append(acc)
-                rows.append([lam, eps, cfg.noise_mode, scale, beta, sens, r, acc, None])
-            mean = float(np.mean(accs))
-            std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-            rows.append([lam, eps, cfg.noise_mode, scale, beta, sens, -1, mean, std])
+                if (lam, r) not in cache:
+                    cache[lam, r] = train_models(cfg, lam, train, classes)
+                W = cache[lam, r]
+                rng = derive_rng(cfg.master_seed, stream, float_key(lam), float_key(eps), r)
+                runs.append((train, test, W, perturb(W, scale, rng)))
+            yield lam, eps, scale, beta, sens, classes, runs
+
+
+def _accuracy_rows(cfg: SweepConfig, epsilons) -> list:
+    rows = []
+    for lam, eps, scale, beta, sens, classes, runs in _cells(cfg, epsilons, 31):
+        cell = [lam, eps, cfg.noise_mode, scale, beta, sens]
+        accs = [accuracy(noisy, classes, test) for _, test, _, noisy in runs]
+        rows += [cell + [r, acc, None] for r, acc in enumerate(accs)]
+        rows.append(cell + [-1, float(np.mean(accs)), _std(accs)])
     return rows
 
 
 def cmd_train(cfg: SweepConfig, out_dir) -> Path:
     """Lambda curve at one privacy setting (the first epsilon of the grid)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _run_grid(cfg, cfg.lambda_grid, (cfg.epsilon_grid[0],))
-    csv_path = out_dir / "train.csv"
-    _write_rows(csv_path, SWEEP_COLUMNS, rows)
-    _write_meta(out_dir / "train.meta.json", "train", cfg, SWEEP_COLUMNS)
-    return csv_path
+    return _write_outputs(out_dir, "train", cfg, SWEEP_COLUMNS,
+                          _accuracy_rows(cfg, cfg.epsilon_grid[:1]))
 
 
 def cmd_sweep(cfg: SweepConfig, out_dir) -> Path:
     """Full lambda x epsilon grid."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _run_grid(cfg, cfg.lambda_grid, cfg.epsilon_grid)
-    csv_path = out_dir / "sweep.csv"
-    _write_rows(csv_path, SWEEP_COLUMNS, rows)
-    _write_meta(out_dir / "sweep.meta.json", "sweep", cfg, SWEEP_COLUMNS)
-    return csv_path
+    return _write_outputs(out_dir, "sweep", cfg, SWEEP_COLUMNS,
+                          _accuracy_rows(cfg, cfg.epsilon_grid))
 
 
 def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     """Feature-selection agreement between private and non-private models."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    S = build_dataset(cfg)
-    splits = split(S, cfg.split)
-    classes = np.unique(S.labels)
     src = "private_dynamic_T" if cfg.threshold_mode == "dynamic" else "private_static_T"
-
-    cache: dict = {}
     rows, flip_rows = [], []
-    for lam in cfg.lambda_grid:
-        for eps in cfg.epsilon_grid:
-            f1s, obs_rates, pred_rates = [], [], []
-            n_feat = None
-            obs_by_feat = pred_by_feat = absw_sum = None
-            scale = 0.0
-            T = 0.0
-            for r, (train, _) in enumerate(splits):
-                key = (lam, r)
-                if key not in cache:
-                    cache[key] = train_models(cfg, lam, train, classes)
-                w_flat = cache[key].ravel()
-                if n_feat is None:
-                    n_feat = w_flat.size
-                    obs_by_feat = np.zeros(n_feat)
-                    pred_by_feat = np.zeros(n_feat)
-                    absw_sum = np.zeros(n_feat)
-                scale, _, _ = cell_noise_scale(cfg, lam, eps, train.n, S.d)
-                rng = derive_rng(cfg.master_seed, 41, float_key(lam), float_key(eps), r)
-                noisy = w_flat + (laplace_sample(scale, n_feat, rng) if scale > 0 else 0.0)
-                T = (dynamic_threshold(scale, cfg.threshold_k)
-                     if cfg.threshold_mode == "dynamic" else cfg.static_T)
-                dec_np = select_features(w_flat, 0.0)
-                dec_priv = select_features(noisy, T, source=src)
-                f1s.append(f1_similarity(dec_np, dec_priv))
-                flips = (dec_np.decisions != dec_priv.decisions).astype(float)
-                if T > 0 and scale > 0:
-                    pred = np.array([
-                        flip_probability(T, wi, eps, lam, cfg.eta, train.n,
-                                         cfg.L, cfg.dataset.kappa)
-                        for wi in w_flat
-                    ])
-                else:
-                    pred = np.zeros(n_feat)
-                obs_rates.append(float(flips.mean()))
-                pred_rates.append(float(pred.mean()))
-                obs_by_feat += flips
-                pred_by_feat += pred
-                absw_sum += np.abs(w_flat)
-                rows.append([lam, eps, cfg.noise_mode, scale, cfg.threshold_mode, T, r,
-                             f1s[-1], obs_rates[-1], pred_rates[-1], None])
-            reps = len(splits)
-            std = float(np.std(f1s, ddof=1)) if reps > 1 else 0.0
-            rows.append([lam, eps, cfg.noise_mode, scale, cfg.threshold_mode, T, -1,
-                         float(np.mean(f1s)), float(np.mean(obs_rates)),
-                         float(np.mean(pred_rates)), std])
-            for j in range(n_feat):
-                flip_rows.append([lam, eps, j, absw_sum[j] / reps,
-                                  pred_by_feat[j] / reps, obs_by_feat[j] / reps])
+    for lam, eps, scale, _, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
+        T = (dynamic_threshold(scale, cfg.threshold_k)
+             if cfg.threshold_mode == "dynamic" else cfg.static_T)
+        cell = [lam, eps, cfg.noise_mode, scale, cfg.threshold_mode, T]
+        f1s, obs_rates, pred_rates, flips_by_rep, pred_by_rep = [], [], [], [], []
+        for r, (train, _, W, noisy) in enumerate(runs):
+            w_flat = W.ravel()
+            dec_np = select_features(w_flat, 0.0)
+            dec_priv = select_features(noisy.ravel(), T, source=src)
+            f1s.append(f1_similarity(dec_np, dec_priv))
+            flips = (dec_np.decisions != dec_priv.decisions).astype(float)
+            if T > 0 and scale > 0:
+                pred = np.array([
+                    flip_probability(T, wi, eps, lam, cfg.eta, train.n,
+                                     cfg.L, cfg.dataset.kappa)
+                    for wi in w_flat
+                ])
+            else:
+                pred = np.zeros(w_flat.size)
+            obs_rates.append(float(flips.mean()))
+            pred_rates.append(float(pred.mean()))
+            flips_by_rep.append(flips)
+            pred_by_rep.append(pred)
+            rows.append(cell + [r, f1s[-1], obs_rates[-1], pred_rates[-1], None])
+        rows.append(cell + [-1, float(np.mean(f1s)), float(np.mean(obs_rates)),
+                            float(np.mean(pred_rates)), _std(f1s)])
+        reps = len(runs)
+        absw = sum(np.abs(W.ravel()) for _, _, W, _ in runs) / reps
+        pred_mean = sum(pred_by_rep) / reps
+        obs_mean = sum(flips_by_rep) / reps
+        for j in range(absw.size):
+            flip_rows.append([lam, eps, j, absw[j], pred_mean[j], obs_mean[j]])
 
-    csv_path = out_dir / "select.csv"
-    _write_rows(csv_path, SELECT_COLUMNS, rows)
-    _write_rows(out_dir / "select_flips.csv", SELECT_FLIP_COLUMNS, flip_rows)
-    _write_meta(out_dir / "select.meta.json", "select", cfg, SELECT_COLUMNS,
-                extra={"flip_columns": SELECT_FLIP_COLUMNS})
-    return csv_path
+    path = _write_outputs(out_dir, "select", cfg, SELECT_COLUMNS, rows,
+                          extra={"flip_columns": SELECT_FLIP_COLUMNS})
+    _write_rows(path.parent / "select_flips.csv", SELECT_FLIP_COLUMNS, flip_rows)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +383,7 @@ def _oracle_fixture(lam: float, n: int = 50, d: int = 5, seed: int = 5) -> tuple
 
 
 def _dp_checks(samples: int, seed: int) -> list:
-    """(name, DpCheckReport, expected_pass) triples for the dp suite.
+    """(name, OracleReport, expected_pass) triples for the dp suite.
 
     The bounded-mean release has exact sensitivity 1/n (the worst neighbor
     swaps a 0 for a 1). The checked pair realizes 80% of it, so a
@@ -502,17 +480,8 @@ def cmd_verify(suite: str, out_path=None, trials: int = 200, probes: int = 50,
         line = "PASS" if ok else "FAIL"
         expectation = "" if expected else " (expected failure)"
         print(f"[{line}] {name}{expectation}: {report.summary()}")
-        entry = {"name": name, "expected_pass": expected, "ok": ok}
-        if hasattr(report, "to_dict"):
-            entry["report"] = report.to_dict()
-        else:
-            entry["report"] = {
-                "max_ratio": report.max_ratio, "threshold": report.threshold,
-                "passed": report.passed,
-                "bins_checked": report.bins_checked,
-                "confident_violations": report.confident_violations,
-            }
-        payload.append(entry)
+        payload.append({"name": name, "expected_pass": expected, "ok": ok,
+                        "report": report.to_dict()})
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump({"schema_version": SCHEMA_VERSION, "suite": suite,

@@ -195,6 +195,7 @@ def _softplus(z):
 
 
 def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example losses; a (d, k) ``w`` with (n, 1) ``y`` gives one column per model."""
     z = X @ w
     if spec.loss_kind == "logistic":
         return _softplus(-y * z)

@@ -1,5 +1,8 @@
 """Laplace mechanism and the two stability-calibrated release algorithms.
 
+``perturb`` is the one place Laplace noise is added to model weights;
+``output_perturb`` and ``private_elastic_net`` release through it.
+
 ``output_perturb`` adds independent per-coordinate Laplace noise to trained
 weights. Two calibrations exist:
 
@@ -20,13 +23,13 @@ which calibration produced a figure.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
-proof.
+proof. It returns the ``OracleReport`` every empirical check returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +41,45 @@ from .stability import SensitivityBound, beta_elastic_net, sensitivity_via_stron
 __all__ = [
     "PrivateRelease",
     "laplace_sample",
+    "perturb",
     "output_perturb",
     "private_elastic_net",
-    "DpCheckReport",
+    "OracleReport",
     "dp_micro_check",
     "wilson_interval",
 ]
+
+
+@dataclass
+class OracleReport:
+    """Bound vs. observed value, with the margin and pass verdict."""
+
+    name: str
+    bound_value: float
+    empirical_value: float
+    trials: int
+    margin: float
+    passed: bool
+    details: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "bound_value": self.bound_value,
+            "empirical_value": self.empirical_value,
+            "trials": self.trials,
+            "margin": self.margin,
+            "passed": bool(self.passed),
+            "details": self.details,
+        }
+
+    def summary(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        return (
+            f"{self.name} [{status}]: empirical {self.empirical_value:.6g} vs "
+            f"bound {self.bound_value:.6g} (margin {self.margin:.3g}, "
+            f"{self.trials} trials)"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,6 +115,18 @@ def laplace_sample(scale_b: float, count: int, rng) -> np.ndarray:
     return -scale_b * np.sign(u) * np.log1p(-2.0 * mag)
 
 
+def perturb(W: np.ndarray, scale_b: float, rng) -> np.ndarray:
+    """A fresh copy of W plus i.i.d. Laplace(0, scale_b) noise on every entry.
+
+    Draws ``W.size`` values in row-major order; ``scale_b == 0`` draws
+    nothing and returns an exact copy.
+    """
+    W = np.asarray(W, dtype=float)
+    if scale_b == 0:
+        return W.copy()
+    return W + laplace_sample(scale_b, W.size, rng).reshape(W.shape)
+
+
 def output_perturb(w: np.ndarray, sensitivity: SensitivityBound, epsilon: float,
                    rng=None, seed: int | None = None, verbatim: bool = False) -> PrivateRelease:
     """Add i.i.d. per-coordinate Laplace noise calibrated to a sensitivity bound.
@@ -91,14 +139,9 @@ def output_perturb(w: np.ndarray, sensitivity: SensitivityBound, epsilon: float,
     sens = sensitivity.l2_value if verbatim else sensitivity.l1_value
     if not math.isfinite(sens):
         raise ValueError(f"sensitivity must be finite, got {sens}")
-    w = np.asarray(w, dtype=float)
     scale = sens / epsilon
-    if scale > 0:
-        noise = laplace_sample(scale, w.shape[0], as_rng(rng if rng is not None else seed))
-    else:
-        noise = np.zeros_like(w)
     return PrivateRelease(
-        noisy_weights=w + noise,
+        noisy_weights=perturb(w, scale, rng if rng is not None else seed),
         epsilon=epsilon,
         sensitivity_used=sens,
         noise_scale=scale,
@@ -140,12 +183,8 @@ def private_elastic_net(S: Dataset, lam: float, gamma: float, eta: float, epsilo
                          kappa=kappa, lipschitz_L=L)
     report = solve_erm(spec, S, tolerance)
     sens, scale = elastic_release_scale(L, kappa, S.n, lam, gamma, epsilon, d=S.d, mode=mode)
-    if scale > 0:
-        noise = laplace_sample(scale, S.d, as_rng(rng if rng is not None else seed))
-    else:
-        noise = np.zeros(S.d)
     return PrivateRelease(
-        noisy_weights=report.weights + noise,
+        noisy_weights=perturb(report.weights, scale, rng if rng is not None else seed),
         epsilon=epsilon,
         sensitivity_used=sens,
         noise_scale=scale,
@@ -165,34 +204,10 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass
-class DpCheckReport:
-    """Outcome of the histogram likelihood-ratio test."""
-
-    epsilon: float
-    max_ratio: float
-    threshold: float
-    passed: bool
-    slack: float
-    bins_checked: int
-    bins_inconclusive: int
-    confident_violations: int
-    bin_table: list
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"dp micro-check [{status}]: max ratio {self.max_ratio:.4f} vs "
-            f"threshold {self.threshold:.4f} "
-            f"({self.bins_checked} bins, {self.bins_inconclusive} inconclusive, "
-            f"{self.confident_violations} confident violations)"
-        )
-
-
 def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
                    bins: int = 20, samples: int = 1_000_000, seed: int = 0,
                    slack: float = 0.05, range_scales: float = 4.0,
-                   min_count: int = 25) -> DpCheckReport:
+                   min_count: int = 25) -> OracleReport:
     """Empirical test of the DP inequality on a 1-D release.
 
     ``release_fn(dataset, rng, size)`` must return ``size`` independent
@@ -201,8 +216,12 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     passes when every adequately-populated bin has a frequency ratio at
     most exp(epsilon) * (1 + slack). Bins with fewer than ``min_count``
     samples on either side are reported as inconclusive, not failed.
-    ``confident_violations`` counts bins whose Wilson-interval ratio lower
-    bound already exceeds exp(epsilon).
+
+    The report's bound is that threshold, its empirical value the largest
+    bin ratio, and its trials the sample count per dataset. ``details``
+    counts the bins checked and inconclusive, and ``confident_violations``
+    the bins whose Wilson-interval ratio lower bound already exceeds
+    exp(epsilon).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -241,15 +260,14 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
             confident += 1
         table.append({"bin": i, "count_a": ca, "count_b": cb, "ratio": ratio,
                       "ratio_lower": ratio_lower})
-    passed = checked > 0 and max_ratio <= threshold
-    return DpCheckReport(
-        epsilon=epsilon,
-        max_ratio=max_ratio,
-        threshold=threshold,
-        passed=passed,
-        slack=slack,
-        bins_checked=checked,
-        bins_inconclusive=inconclusive,
-        confident_violations=confident,
-        bin_table=table,
+    return OracleReport(
+        name="dp_micro_check",
+        bound_value=threshold,
+        empirical_value=max_ratio,
+        trials=samples,
+        margin=threshold - max_ratio,
+        passed=checked > 0 and max_ratio <= threshold,
+        details={"epsilon": epsilon, "slack": slack, "bins_checked": checked,
+                 "bins_inconclusive": inconclusive,
+                 "confident_violations": confident, "bin_table": table},
     )

@@ -12,13 +12,14 @@ reproducible from (inputs, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .features import flip_probability, lemma_noise_scale
 from .model import (
     Dataset,
     ObjectiveSpec,
+    _loss_values,
     gradient,
     per_example_grad,
     per_example_loss,
@@ -26,7 +27,7 @@ from .model import (
     strong_convexity_constant,
 )
 from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
-from .privacy import laplace_sample
+from .privacy import OracleReport, laplace_sample
 from .rng import derive_rng
 from .stability import (
     StabilityCert,
@@ -36,7 +37,6 @@ from .stability import (
     sensitivity_l2_direct,
     sensitivity_via_strong_convexity,
 )
-from .features import lemma_noise_scale
 
 __all__ = [
     "OracleReport",
@@ -49,38 +49,6 @@ __all__ = [
     "flip_rate_check",
     "empirical_sgd_stability",
 ]
-
-
-@dataclass
-class OracleReport:
-    """Bound vs. observed value, with the margin and pass verdict."""
-
-    name: str
-    bound_value: float
-    empirical_value: float
-    trials: int
-    margin: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound_value": self.bound_value,
-            "empirical_value": self.empirical_value,
-            "trials": self.trials,
-            "margin": self.margin,
-            "passed": bool(self.passed),
-            "details": self.details,
-        }
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"{self.name} [{status}]: empirical {self.empirical_value:.6g} vs "
-            f"bound {self.bound_value:.6g} (margin {self.margin:.3g}, "
-            f"{self.trials} trials)"
-        )
 
 
 def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
@@ -237,17 +205,6 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     )
 
 
-def _mean_losses(spec: ObjectiveSpec, W: np.ndarray, S: Dataset) -> np.ndarray:
-    """Mean per-example loss over S for each weight row of W (no penalty)."""
-    Z = S.features @ W.T  # (n, k)
-    if spec.loss_kind == "logistic":
-        m = -S.labels[:, None] * Z
-        vals = np.log1p(np.exp(-np.abs(m))) + np.maximum(m, 0.0)
-    else:
-        vals = (Z - S.labels[:, None]) ** 2
-    return vals.mean(axis=0)
-
-
 def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
                             draws: int = 10_000, seed: int = 0,
                             tolerance: float = 1e-9) -> OracleReport:
@@ -266,8 +223,9 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
 
     rng = derive_rng(seed, 23)
     noise = laplace_sample(scale, draws * S.d, rng).reshape(draws, S.d)
-    L_base = float(_mean_losses(spec, base.weights[None, :], S)[0])
-    L_priv = _mean_losses(spec, base.weights[None, :] + noise, S)
+    W, y = base.weights[None, :], S.labels[:, None]
+    L_base = float(_loss_values(spec, W.T, S.features, y).mean(axis=0)[0])
+    L_priv = _loss_values(spec, (W + noise).T, S.features, y).mean(axis=0)
     gaps = np.abs(L_priv - L_base)
     emp_mean = float(gaps.mean())
     se = float(gaps.std(ddof=1) / math.sqrt(draws))
@@ -352,8 +310,6 @@ def flip_rate_check(T: float, w_i: float, epsilon: float, lam: float, eta: float
     exactly in distribution; for 0 < |w_i| the formula ignores sign-crossing
     events and the report quantifies the discrepancy instead of hiding it.
     """
-    from .features import flip_probability  # local import avoids cycle at import time
-
     predicted = flip_probability(T, w_i, epsilon, lam, eta, n, L, kappa)
     b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
     r = laplace_sample(b, draws, derive_rng(seed, 25))

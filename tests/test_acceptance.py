@@ -102,9 +102,10 @@ def test_criterion_4_dp_micro_check():
     erm = results["dp_erm_release"]
     ok = calibrated.passed and (not control.passed) and erm.passed
     report("criterion 4: DP micro-check", ok,
-           f"calibrated max ratio {calibrated.max_ratio:.3f} <= {calibrated.threshold:.3f}; "
-           f"half-noise control ratio {control.max_ratio:.3f} flagged; "
-           f"strong-convexity-calibrated ERM release ratio {erm.max_ratio:.3f}")
+           f"calibrated max ratio {calibrated.empirical_value:.3f} <= "
+           f"{calibrated.bound_value:.3f}; "
+           f"half-noise control ratio {control.empirical_value:.3f} flagged; "
+           f"strong-convexity-calibrated ERM release ratio {erm.empirical_value:.3f}")
 
 
 def test_criterion_5_privacy_enhancement_identity():

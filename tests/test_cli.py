@@ -69,8 +69,10 @@ class TestConfig:
 
 
 class TestSweep:
-    def test_schema_and_noise_scale_formula(self, tmp_path):
-        cfg = tiny_config()
+    @pytest.mark.parametrize("scale_mode", ["verbatim", "derived"])
+    def test_schema_and_noise_scale_formula(self, tmp_path, scale_mode):
+        cfg = tiny_config(scale_mode=scale_mode)
+        d = cfg.dataset.reduce_to
         path = cmd_sweep(cfg, tmp_path)
         rows = read_rows(path)
         assert list(rows[0].keys()) == [
@@ -82,12 +84,13 @@ class TestSweep:
             lam, eps = float(row["lambda"]), float(row["epsilon"])
             beta = 2.0 * cfg.L**2 * 1.0 / (n_train * lam * cfg.gamma)
             assert float(row["beta"]) == pytest.approx(beta, rel=1e-12)
-            # stability-optimal scale reproduces the release formula per cell
-            expect = math.sqrt(2 * beta / (lam * cfg.gamma)) / eps
+            sens_l2 = math.sqrt(2 * beta / (2 * lam * cfg.gamma))
+            # stability-optimal scale reproduces the release formula per cell;
+            # derived is the strong-convexity sensitivity converted to L1
+            expect = (math.sqrt(2 * beta / (lam * cfg.gamma)) / eps if scale_mode == "verbatim"
+                      else math.sqrt(d) * sens_l2 / eps)
             assert float(row["noise_scale"]) == pytest.approx(expect, rel=1e-12)
-            assert float(row["sensitivity_l2"]) == pytest.approx(
-                math.sqrt(2 * beta / (2 * lam * cfg.gamma)), rel=1e-12
-            )
+            assert float(row["sensitivity_l2"]) == pytest.approx(sens_l2, rel=1e-12)
         # per-repeat rows plus one aggregate row per cell
         assert len(rows) == 2 * 2 * (3 + 1)
         agg = [r for r in rows if r["repeat"] == "-1"]
@@ -106,15 +109,16 @@ class TestSweep:
         assert (tmp_path / "a/sweep.meta.json").read_bytes() == \
             (tmp_path / "b/sweep.meta.json").read_bytes()
 
-    def test_cell_isolation(self, tmp_path):
-        full = read_rows(cmd_sweep(tiny_config(), tmp_path / "full"))
-        single = read_rows(cmd_sweep(tiny_config(lambda_grid=(0.2,), epsilon_grid=(4.0,)),
-                                     tmp_path / "single"))
-        pick = {(r["lambda"], r["epsilon"], r["repeat"]): r["test_accuracy"]
+    @pytest.mark.parametrize("command", [cmd_sweep, cmd_select], ids=["sweep", "select"])
+    def test_cell_isolation(self, tmp_path, command):
+        full = read_rows(command(tiny_config(), tmp_path / "full"))
+        single = read_rows(command(tiny_config(lambda_grid=(0.2,), epsilon_grid=(4.0,)),
+                                   tmp_path / "single"))
+        pick = {(r["lambda"], r["epsilon"], r["repeat"]): r
                 for r in full if r["lambda"] == "0.2" and r["epsilon"] == "4.0"}
+        assert len(single) == len(pick)
         for r in single:
-            key = (r["lambda"], r["epsilon"], r["repeat"])
-            assert r["test_accuracy"] == pick[key]
+            assert r == pick[(r["lambda"], r["epsilon"], r["repeat"])]
 
     def test_meta_is_schema_versioned(self, tmp_path):
         cmd_sweep(tiny_config(), tmp_path)
@@ -214,6 +218,17 @@ class TestVerifyCommand:
         assert cmd_verify("dp", samples=150_000) == 0
         out = capsys.readouterr().out
         assert "expected failure" in out
+
+    def test_every_report_has_the_oracle_shape(self, tmp_path, capsys):
+        from stabledp.verify import OracleReport
+
+        out = tmp_path / "dp.json"
+        cmd_verify("dp", out_path=out, samples=20_000)
+        keys = set(OracleReport("x", 0.0, 0.0, 0, 0.0, True).to_dict())
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 3
+        for check in checks:
+            assert set(check["report"]) == keys, check["name"]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):

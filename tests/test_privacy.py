@@ -12,6 +12,7 @@ from stabledp.privacy import (
     elastic_release_scale,
     laplace_sample,
     output_perturb,
+    perturb,
     private_elastic_net,
     wilson_interval,
 )
@@ -165,6 +166,22 @@ def _bounded_mean_release(scale):
     return fn
 
 
+class TestPerturb:
+    def test_adds_laplace_draws_in_row_major_order(self):
+        W = np.arange(6.0).reshape(2, 3)
+        out = perturb(W, 0.5, derive_rng(9))
+        assert out.shape == W.shape
+        assert np.array_equal(out, W + laplace_sample(0.5, 6, derive_rng(9)).reshape(2, 3))
+        assert np.array_equal(W, np.arange(6.0).reshape(2, 3))
+
+    def test_zero_scale_copies_and_draws_nothing(self):
+        W = np.arange(3.0)
+        rng = derive_rng(9)
+        out = perturb(W, 0.0, rng)
+        assert out is not W and np.array_equal(out, W)
+        assert rng.random() == derive_rng(9).random()
+
+
 class TestDpMicroCheck:
     def datasets(self, n=40):
         vals = np.linspace(0.0, 1.0, n)
@@ -176,7 +193,7 @@ class TestDpMicroCheck:
         S, _ = self.datasets()
         rep = dp_micro_check(_bounded_mean_release(0.025), S, S, epsilon=1.0,
                              samples=200_000, seed=0)
-        assert rep.max_ratio < 1.1
+        assert rep.empirical_value < 1.1
         assert rep.passed
 
     def test_calibrated_release_passes(self):
@@ -190,13 +207,13 @@ class TestDpMicroCheck:
         rep = dp_micro_check(_bounded_mean_release(1 / 40 / 2.0), S, Sp, epsilon=1.0,
                              samples=400_000, seed=2)
         assert not rep.passed, rep.summary()
-        assert rep.confident_violations >= 1
+        assert rep.details["confident_violations"] >= 1
 
     def test_low_sample_bins_inconclusive_not_failed(self):
         S, Sp = self.datasets()
         rep = dp_micro_check(_bounded_mean_release(0.025), S, Sp, epsilon=1.0,
                              samples=2_000, seed=3, min_count=500)
-        assert rep.bins_inconclusive > 0
+        assert rep.details["bins_inconclusive"] > 0
 
 
 class TestWilsonInterval:
