@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +40,7 @@ from .features import (
 )
 from .model import Dataset, ObjectiveSpec, as_signed_labels
 from .optimizer import solve_erm
-from .privacy import dp_micro_check, elastic_release_scale, laplace_sample, perturb
+from .privacy import dp_micro_check, elastic_release_scale, laplace_sample, output_perturb, perturb
 from .rng import derive_rng, float_key
 from .stability import beta_elastic_net, sensitivity_via_strong_convexity
 
@@ -110,25 +111,27 @@ class SweepConfig:
             raise ConfigError("lambda_grid: must be nonempty")
         if not self.epsilon_grid:
             raise ConfigError("epsilon_grid: must be nonempty")
-        for i, v in enumerate(self.lambda_grid):
-            if v <= 0:
-                raise ConfigError(f"lambda_grid[{i}]: must be > 0, got {v}")
-        for i, v in enumerate(self.epsilon_grid):
-            if v <= 0:
-                raise ConfigError(f"epsilon_grid[{i}]: must be > 0, got {v}")
+        # every comparison with NaN is false, so each guard tests the valid range
+        for key in ("lambda_grid", "epsilon_grid"):
+            for i, v in enumerate(getattr(self, key)):
+                if not 0 < v < math.inf:
+                    raise ConfigError(f"{key}[{i}]: must be finite and > 0, got {v}")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"noise_mode: must be one of {NOISE_MODES}")
-        if self.noise_mode == "fixed_scale" and (self.fixed_scale_b is None
-                                                 or self.fixed_scale_b <= 0):
-            raise ConfigError("fixed_scale_b: must be > 0 in fixed_scale mode")
+        b = self.fixed_scale_b
+        if (b is not None and not math.isfinite(b)) or (
+                self.noise_mode == "fixed_scale" and (b is None or b <= 0)):
+            raise ConfigError(f"fixed_scale_b: must be finite, > 0 in fixed_scale mode; got {b}")
         if self.scale_mode not in SCALE_MODES:
             raise ConfigError(f"scale_mode: must be one of {SCALE_MODES}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(f"threshold_mode: must be one of {THRESHOLD_MODES}")
         if not 0 < self.gamma <= 1:
             raise ConfigError(f"gamma: must be in (0, 1], got {self.gamma}")
-        if self.eta < 0:
-            raise ConfigError(f"eta: must be >= 0, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise ConfigError(f"eta: must be finite and >= 0, got {self.eta}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigError(f"tolerance: must be finite and > 0, got {self.tolerance}")
 
     @property
     def L(self) -> float:
@@ -413,14 +416,13 @@ def _dp_checks(samples: int, seed: int) -> list:
 
     spec, S_erm = _oracle_fixture(0.5)
     rng = derive_rng(seed, 55)
-    Sp_erm = S_erm.replace_record(int(rng.integers(S_erm.n)),
-                                  *verify_mod._fresh_record(spec, S_erm.d, rng))
+    Sp_erm = verify_mod._neighbor(spec, S_erm, rng)
     cert = verify_mod.spec_cert(spec, S_erm.n)
     sens = sensitivity_via_strong_convexity(cert, d=S_erm.d)
 
     def erm_release(ds: Dataset, rng_, size):
         w = solve_erm(spec, ds, 1e-9).weights
-        return w[0] + laplace_sample(sens.l1_value / 1.0, size, rng_)
+        return output_perturb(np.broadcast_to(w[0], size), sens, 1.0, rng=rng_).noisy_weights
 
     checks.append(("dp_erm_release", dp_micro_check(
         erm_release, S_erm, Sp_erm, 1.0, samples=samples, seed=seed + 2), True))

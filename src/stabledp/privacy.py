@@ -1,7 +1,8 @@
 """Laplace mechanism and the two stability-calibrated release algorithms.
 
 ``perturb`` is the one place Laplace noise is added to model weights;
-``output_perturb`` and ``private_elastic_net`` release through it.
+``output_perturb``, ``private_elastic_net``, the CLI and the ``verify``
+oracles release through it.
 
 ``output_perturb`` adds independent per-coordinate Laplace noise to trained
 weights. Two calibrations exist:
@@ -106,8 +107,8 @@ def laplace_sample(scale_b: float, count: int, rng) -> np.ndarray:
     Mean 0, variance 2 b^2. The uniform stream comes from the supplied
     generator (or seed), so draws are reproducible.
     """
-    if scale_b <= 0:
-        raise ValueError(f"scale_b must be > 0, got {scale_b}")
+    if not 0 < scale_b < math.inf:
+        raise ValueError(f"scale_b must be finite and > 0, got {scale_b}")
     rng = as_rng(rng)
     u = rng.random(count) - 0.5  # in [-0.5, 0.5)
     # guard the measure-zero u = -0.5 endpoint so log1p never sees -1

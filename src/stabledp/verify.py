@@ -27,7 +27,7 @@ from .model import (
     strong_convexity_constant,
 )
 from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
-from .privacy import OracleReport, laplace_sample
+from .privacy import OracleReport, perturb
 from .rng import derive_rng
 from .stability import (
     StabilityCert,
@@ -73,15 +73,44 @@ def _fresh_record(spec: ObjectiveSpec, d: int, rng: np.random.Generator):
     return x, y
 
 
+def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
+    """k fresh records drawn one at a time, stacked as (X, y)."""
+    rows = [_fresh_record(spec, d, rng) for _ in range(k)]
+    return np.array([x for x, _ in rows]).reshape(k, d), np.array([y for _, y in rows])
+
+
 def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Dataset:
     """Neighboring dataset: one uniformly chosen record replaced by a fresh one.
 
     The neighbor relation is symmetric; replacing the fresh record back
     recovers S, so each sampled pair covers both replacement directions.
     """
-    i = int(rng.integers(S.n))
-    x, y = _fresh_record(spec, S.d, rng)
-    return S.replace_record(i, x, y)
+    return S.replace_record(int(rng.integers(S.n)), *_fresh_record(spec, S.d, rng))
+
+
+def _retrained(train, datasets):
+    """Lazily yield ``train(S')`` for each S' in ``datasets``; None where it fails to converge.
+
+    Lazy, so neighbors drawn from a generator interleave with the caller's probe draws.
+    """
+    for Sp in datasets:
+        try:
+            yield train(Sp)
+        except ConvergenceError:
+            yield None
+
+
+def _max_loss_gap(spec: ObjectiveSpec, w_a: np.ndarray, w_b: np.ndarray,
+                  X: np.ndarray, y: np.ndarray) -> float:
+    """max_i |loss(w_a; x_i, y_i) - loss(w_b; x_i, y_i)| over the rows of X, in one batch.
+
+    Labels are checked as :func:`per_example_loss` checks them; no rows give 0.
+    """
+    y = np.asarray(y, dtype=float)
+    if spec.loss_kind == "logistic" and not np.all((y == -1.0) | (y == 1.0)):
+        raise ValueError(f"logistic loss needs y in {{-1, +1}}, got {np.unique(y)}")
+    losses = _loss_values(spec, np.column_stack([w_a, w_b]), X, y[:, None])
+    return float(np.max(np.abs(losses[:, 0] - losses[:, 1]), initial=0.0))
 
 
 def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
@@ -100,41 +129,31 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     This is a heuristic, not a worst-case search.
     """
     rng = derive_rng(seed, 21)
-    base = solve_erm(spec, S, tolerance)
+    base = solve_erm(spec, S, tolerance).weights
     cert = spec_cert(spec, S.n)
     sc_bound = sensitivity_via_strong_convexity(cert, d=S.d).l2_value
     direct = (sensitivity_l2_direct(spec.L, spec.kappa, S.n,
                                     strong_convexity_constant(spec), d=S.d).l2_value
               if spec.penalty == "l2" else None)
 
-    worst = 0.0
-    failures = 0
-    for _ in range(trials):
-        Sp = _neighbor(spec, S, rng)
-        try:
-            other = solve_erm(spec, Sp, tolerance)
-        except ConvergenceError:
-            failures += 1
-            continue
-        worst = max(worst, float(np.linalg.norm(base.weights - other.weights)))
+    def distances(datasets):
+        return [None if w is None else float(np.linalg.norm(base - w))
+                for w in _retrained(lambda D: solve_erm(spec, D, tolerance).weights,
+                                    datasets)]
+
+    found = distances(_neighbor(spec, S, rng) for _ in range(trials))
+    worst = max((v for v in found if v is not None), default=0.0)
 
     greedy_worst = None
     if greedy:
-        greedy_worst = 0.0
-        w_norm = float(np.linalg.norm(base.weights))
-        direction = base.weights / w_norm if w_norm > 0 else np.eye(S.d)[0]
-        x_adv = spec.kappa * direction
-        for i in range(S.n):
-            for y_adv in (-1.0, 1.0):
-                try:
-                    other = solve_erm(spec, S.replace_record(i, x_adv, y_adv), tolerance)
-                except ConvergenceError:
-                    failures += 1
-                    continue
-                greedy_worst = max(
-                    greedy_worst, float(np.linalg.norm(base.weights - other.weights))
-                )
+        w_norm = float(np.linalg.norm(base))
+        x_adv = spec.kappa * (base / w_norm if w_norm > 0 else np.eye(S.d)[0])
+        adversarial = distances(S.replace_record(i, x_adv, y_adv)
+                                for i in range(S.n) for y_adv in (-1.0, 1.0))
+        greedy_worst = max((v for v in adversarial if v is not None), default=0.0)
         worst = max(worst, greedy_worst)
+        found += adversarial
+    failures = found.count(None)
 
     bound = sc_bound if direct is None else min(sc_bound, direct)
     passed = worst <= bound and failures <= max(1, trials) * 0.01
@@ -164,29 +183,20 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     separately; the verdict uses the larger of the two.
     """
     rng = derive_rng(seed, 22)
-    base = solve_erm(spec, S, tolerance)
+    base = solve_erm(spec, S, tolerance).weights
     beta = spec_cert(spec, S.n).beta
 
     worst_in = worst_fresh = 0.0
     failures = 0
-    for _ in range(trials):
-        Sp = _neighbor(spec, S, rng)
-        try:
-            other = solve_erm(spec, Sp, tolerance)
-        except ConvergenceError:
+    for w in _retrained(lambda D: solve_erm(spec, D, tolerance).weights,
+                        (_neighbor(spec, S, rng) for _ in range(trials))):
+        if w is None:
             failures += 1
             continue
-        probe_idx = rng.choice(S.n, size=min(probes, S.n), replace=False)
-        for i in probe_idx:
-            x, y = S.features[i], float(S.labels[i])
-            diff = abs(per_example_loss(spec, base.weights, x, y)
-                       - per_example_loss(spec, other.weights, x, y))
-            worst_in = max(worst_in, diff)
-        for _ in range(probes):
-            x, y = _fresh_record(spec, S.d, rng)
-            diff = abs(per_example_loss(spec, base.weights, x, y)
-                       - per_example_loss(spec, other.weights, x, y))
-            worst_fresh = max(worst_fresh, diff)
+        idx = rng.choice(S.n, size=min(probes, S.n), replace=False)
+        worst_in = max(worst_in, _max_loss_gap(spec, base, w, S.features[idx], S.labels[idx]))
+        worst_fresh = max(worst_fresh,
+                          _max_loss_gap(spec, base, w, *_fresh_rows(spec, S.d, probes, rng)))
 
     worst = max(worst_in, worst_fresh)
     passed = worst <= beta and failures <= max(1, trials) * 0.01
@@ -222,10 +232,10 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
     bound = privacy_error_bound(spec.L, S.d, epsilon, cert)
 
     rng = derive_rng(seed, 23)
-    noise = laplace_sample(scale, draws * S.d, rng).reshape(draws, S.d)
     W, y = base.weights[None, :], S.labels[:, None]
+    W_priv = perturb(np.broadcast_to(W, (draws, S.d)), scale, rng)
     L_base = float(_loss_values(spec, W.T, S.features, y).mean(axis=0)[0])
-    L_priv = _loss_values(spec, (W + noise).T, S.features, y).mean(axis=0)
+    L_priv = _loss_values(spec, W_priv.T, S.features, y).mean(axis=0)
     gaps = np.abs(L_priv - L_base)
     emp_mean = float(gaps.mean())
     se = float(gaps.std(ddof=1) / math.sqrt(draws))
@@ -254,6 +264,16 @@ def privacy_error_scaling(spec: ObjectiveSpec, S: Dataset, epsilons,
     return {"epsilons": list(epsilons), "means": means, "slope": slope}
 
 
+def _central_difference(f, w: np.ndarray, h: float) -> np.ndarray:
+    """Central finite-difference gradient of the scalar function f at w."""
+    g = np.empty(w.shape[0])
+    for j in range(w.shape[0]):
+        e = np.zeros(w.shape[0])
+        e[j] = h
+        g[j] = (f(w + e) - f(w - e)) / (2 * h)
+    return g
+
+
 def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100, seed: int = 0,
                    h: float = 1e-6, d: int = 5, tol: float = 1e-5) -> OracleReport:
     """Analytic gradients vs. central finite differences on random fixtures.
@@ -267,28 +287,12 @@ def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100, seed: int = 0,
     for _ in range(n_fixtures):
         w = rng.standard_normal(d)
         x, y = _fresh_record(spec, d, rng)
-        ga = per_example_grad(spec, w, x, y)
-        gf = np.empty(d)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            gf[j] = (per_example_loss(spec, w + e, x, y)
-                     - per_example_loss(spec, w - e, x, y)) / (2 * h)
-        rel = float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8))
-        worst = max(worst, rel)
-
-        n_small = int(rng.integers(3, 8))
-        rows = [_fresh_record(spec, d, rng) for _ in range(n_small)]
-        Sf = Dataset(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
-        ga = gradient(spec, w, Sf)
-        gf = np.empty(d)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            gf[j] = (smooth_objective(spec, w + e, Sf)
-                     - smooth_objective(spec, w - e, Sf)) / (2 * h)
-        rel = float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8))
-        worst = max(worst, rel)
+        Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
+        for ga, f in ((per_example_grad(spec, w, x, y),
+                       lambda v: per_example_loss(spec, v, x, y)),
+                      (gradient(spec, w, Sf), lambda v: smooth_objective(spec, v, Sf))):
+            gf = _central_difference(f, w, h)
+            worst = max(worst, float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8)))
     return OracleReport(
         name="gradients",
         bound_value=tol,
@@ -312,14 +316,8 @@ def flip_rate_check(T: float, w_i: float, epsilon: float, lam: float, eta: float
     """
     predicted = flip_probability(T, w_i, epsilon, lam, eta, n, L, kappa)
     b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
-    r = laplace_sample(b, draws, derive_rng(seed, 25))
-    noisy = w_i + r
-    if w_i == 0:
-        flips = np.abs(noisy) > T
-    else:
-        non_private_keep = abs(w_i) > 0
-        private_keep = np.abs(noisy) > T
-        flips = private_keep != non_private_keep
+    noisy = perturb(np.broadcast_to(w_i, draws), b, derive_rng(seed, 25))
+    flips = (np.abs(noisy) > T) != (w_i != 0)
     observed = float(np.mean(flips))
     se = math.sqrt(max(predicted * (1 - predicted), 1e-12) / draws)
     gap = abs(observed - predicted)
@@ -348,16 +346,12 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     meant for directional comparisons across knob settings.
     """
     rng = derive_rng(seed, 26)
-    base = sgd_run(spec, S, cfg)
+    base = sgd_run(spec, S, cfg).weights
     worst = 0.0
-    for _ in range(trials):
-        Sp = _neighbor(spec, S, rng)
-        other = sgd_run(spec, Sp, cfg)
-        for _ in range(probes):
-            x, y = _fresh_record(spec, S.d, rng)
-            diff = abs(per_example_loss(spec, base.weights, x, y)
-                       - per_example_loss(spec, other.weights, x, y))
-            worst = max(worst, diff)
+    # sgd_run runs a fixed number of steps and never raises ConvergenceError
+    for w in _retrained(lambda D: sgd_run(spec, D, cfg).weights,
+                        (_neighbor(spec, S, rng) for _ in range(trials))):
+        worst = max(worst, _max_loss_gap(spec, base, w, *_fresh_rows(spec, S.d, probes, rng)))
     return OracleReport(
         name="sgd_stability",
         bound_value=worst,

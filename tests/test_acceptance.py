@@ -247,11 +247,12 @@ def test_criterion_12_determinism(tmp_path):
         meta2 = p2.with_name(p2.stem + ".meta.json")
         if meta1.read_bytes() != meta2.read_bytes():
             mismatches.append(name + ".meta")
-    r1, r2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    cmd_verify("gradients", out_path=r1)
-    cmd_verify("gradients", out_path=r2)
-    if r1.read_bytes() != r2.read_bytes():
-        mismatches.append("verify")
+    for suite in ("gradients", "sensitivity", "stability"):
+        r1, r2 = tmp_path / f"{suite}_1.json", tmp_path / f"{suite}_2.json"
+        cmd_verify(suite, out_path=r1, trials=5, probes=5)
+        cmd_verify(suite, out_path=r2, trials=5, probes=5)
+        if r1.read_bytes() != r2.read_bytes():
+            mismatches.append(f"verify {suite}")
     report("criterion 12: byte-identical reruns", not mismatches,
-           "sweep/train/select CSVs + metadata + verify report" +
+           "sweep/train/select CSVs + metadata + verify gradients/sensitivity/stability" +
            (f"; mismatches: {mismatches}" if mismatches else ""))

@@ -53,6 +53,16 @@ class TestConfig:
             SweepConfig(epsilon_grid=(-1.0,))
         with pytest.raises(ConfigError, match="fixed_scale_b"):
             SweepConfig(noise_mode="fixed_scale")
+        # NaN fails every `<= 0` test, so non-finite values need their own guard
+        for field, value, path in (("lambda_grid", (0.1, math.nan), r"lambda_grid\[1\]"),
+                                   ("epsilon_grid", (math.nan,), r"epsilon_grid\[0\]"),
+                                   ("epsilon_grid", (math.inf,), r"epsilon_grid\[0\]"),
+                                   ("fixed_scale_b", math.nan, "fixed_scale_b"),
+                                   ("eta", math.nan, "eta"),
+                                   ("tolerance", math.inf, "tolerance"),
+                                   ("tolerance", 0.0, "tolerance")):
+            with pytest.raises(ConfigError, match=path):
+                SweepConfig(**{"noise_mode": "fixed_scale", "fixed_scale_b": 1.0, field: value})
         with pytest.raises(ConfigError, match="dataset"):
             config_from_dict({"dataset": {"bogus_field": 1}})
         with pytest.raises(ConfigError, match="split"):

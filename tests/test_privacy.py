@@ -41,7 +41,7 @@ class TestLaplaceSample:
         )
 
     def test_nonpositive_scale_rejected(self):
-        for b in (0.0, -1.0):
+        for b in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 laplace_sample(b, 10, derive_rng(0))
 

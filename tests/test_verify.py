@@ -1,9 +1,12 @@
 import pytest
 
 from stabledp.data_io import synth_classification
-from stabledp.model import ObjectiveSpec, per_example_loss
-from stabledp.optimizer import SgdConfig, solve_erm
+from stabledp.model import Dataset, ObjectiveSpec, per_example_loss
+from stabledp.optimizer import SgdConfig, sgd_run, solve_erm
+from stabledp.rng import derive_rng
 from stabledp.verify import (
+    _fresh_record,
+    _neighbor,
     empirical_privacy_error,
     empirical_sensitivity,
     empirical_sgd_stability,
@@ -81,6 +84,59 @@ class TestEmpiricalStability:
         big = empirical_stability(spec, S_big, trials=40, probes=20, seed=2)
         ratio = big.empirical_value / small.empirical_value
         assert 0.3 <= ratio <= 0.8
+
+
+class TestBatchedProbesMatchScalarLoop:
+    """The oracles score probes in one batch; scalar per_example_loss is the reference."""
+
+    SPECS = [ObjectiveSpec(kind, 0.5, penalty="l2", kappa=1.0, lipschitz_L=1.0)
+             for kind in ("logistic", "squared")]
+
+    @staticmethod
+    def gap(spec, w_a, w_b, x, y):
+        return abs(per_example_loss(spec, w_a, x, y) - per_example_loss(spec, w_b, x, y))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
+    def test_stability(self, spec):
+        _, S = fixture()
+        trials, probes, seed = 5, 7, 4
+        rng = derive_rng(seed, 22)
+        base = solve_erm(spec, S, 1e-9).weights
+        worst_in = worst_fresh = 0.0
+        for _ in range(trials):
+            other = solve_erm(spec, _neighbor(spec, S, rng), 1e-9).weights
+            for i in rng.choice(S.n, size=min(probes, S.n), replace=False):
+                worst_in = max(worst_in, self.gap(spec, base, other, S.features[i],
+                                                  float(S.labels[i])))
+            for _ in range(probes):
+                worst_fresh = max(worst_fresh,
+                                  self.gap(spec, base, other, *_fresh_record(spec, S.d, rng)))
+        rep = empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
+        assert worst_in > 0 and worst_fresh > 0
+        assert rep.details["in_sample_max"] == pytest.approx(worst_in, rel=1e-12)
+        assert rep.details["fresh_point_max"] == pytest.approx(worst_fresh, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
+    def test_sgd_stability(self, spec):
+        _, S = fixture()
+        cfg = SgdConfig(steps_T=30, step_size=0.1, batch_size_b=5, seed=2)
+        trials, probes, seed = 3, 5, 6
+        rng = derive_rng(seed, 26)
+        base = sgd_run(spec, S, cfg).weights
+        worst = 0.0
+        for _ in range(trials):
+            other = sgd_run(spec, _neighbor(spec, S, rng), cfg).weights
+            for _ in range(probes):
+                worst = max(worst, self.gap(spec, base, other, *_fresh_record(spec, S.d, rng)))
+        rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
+        assert worst > 0
+        assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
+
+    def test_logistic_rejects_zero_one_labels(self):
+        spec, S = fixture()
+        S01 = Dataset(S.features, (S.labels > 0).astype(float))
+        with pytest.raises(ValueError, match="logistic loss needs y"):
+            empirical_stability(spec, S01, trials=2, probes=3, seed=0)
 
 
 class TestEmpiricalPrivacyError:
