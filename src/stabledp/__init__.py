@@ -12,8 +12,8 @@ that empirically stress every bound.
 
 from .model import Dataset, ObjectiveSpec
 from .optimizer import SgdConfig, SolveReport, solve_erm, sgd_run
-from .privacy import PrivateRelease, output_perturb, private_elastic_net
-from .stability import SensitivityBound, StabilityCert
+from .privacy import PrivateRelease, calibrate, release
+from .stability import StabilityCert, spec_cert
 
 __all__ = [
     "Dataset",
@@ -23,10 +23,10 @@ __all__ = [
     "solve_erm",
     "sgd_run",
     "PrivateRelease",
-    "output_perturb",
-    "private_elastic_net",
+    "calibrate",
+    "release",
     "StabilityCert",
-    "SensitivityBound",
+    "spec_cert",
 ]
 
 __version__ = "0.1.0"

@@ -38,11 +38,11 @@ from .features import (
     flip_probability,
     select_features,
 )
-from .model import Dataset, ObjectiveSpec, as_signed_labels
+from .model import LOSS_KINDS, Dataset, ObjectiveSpec, as_signed_labels
 from .optimizer import solve_erm
-from .privacy import dp_micro_check, elastic_release_scale, laplace_sample, output_perturb, perturb
+from .privacy import calibrate, dp_micro_check, laplace_sample, perturb
 from .rng import derive_rng, float_key
-from .stability import beta_elastic_net, sensitivity_via_strong_convexity
+from .stability import sensitivity_via_strong_convexity, spec_cert
 
 SCHEMA_VERSION = 1
 
@@ -84,6 +84,15 @@ class DatasetConfig:
     seed: int = 7
     reduce_to: int | None = 32
     kappa: float = 1.0
+
+    def __post_init__(self):
+        for key, low in (("n", 1), ("d", 1), ("classes", 2)):
+            if not getattr(self, key) >= low:
+                raise ConfigError(f"dataset.{key}: must be >= {low}, got {getattr(self, key)}")
+        if self.reduce_to is not None and not 1 <= self.reduce_to:
+            raise ConfigError(f"dataset.reduce_to: must be null or >= 1, got {self.reduce_to}")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError(f"dataset.kappa: must be finite and > 0, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,17 @@ class SweepConfig:
             raise ConfigError(f"eta: must be finite and >= 0, got {self.eta}")
         if not 0 < self.tolerance < math.inf:
             raise ConfigError(f"tolerance: must be finite and > 0, got {self.tolerance}")
+        if self.loss_kind not in LOSS_KINDS:
+            raise ConfigError(f"loss_kind: must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+        if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
+            raise ConfigError(
+                f"lipschitz_L: must be null or finite and > 0, got {self.lipschitz_L}")
+        if not self.max_iters >= 1:
+            raise ConfigError(f"max_iters: must be >= 1, got {self.max_iters}")
+        if not 0 < self.threshold_k < math.inf:
+            raise ConfigError(f"threshold_k: must be finite and > 0, got {self.threshold_k}")
+        if not 0 <= self.static_T < math.inf:
+            raise ConfigError(f"static_T: must be finite and >= 0, got {self.static_T}")
 
     @property
     def L(self) -> float:
@@ -206,16 +226,11 @@ def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
 def train_models(cfg: SweepConfig, lam: float, train: Dataset, classes: np.ndarray) -> np.ndarray:
     """One-vs-rest weights, one row per model (a single row for binary labels)."""
     spec = _objective(cfg, lam)
-    if classes.size == 2:
-        y = as_signed_labels(train.labels, positive=classes[1])
-        w = solve_erm(spec, Dataset(train.features, y), cfg.tolerance, cfg.max_iters).weights
-        return w[None, :]
-    rows = []
-    for c in classes:
-        y = as_signed_labels(train.labels, positive=c)
-        rows.append(solve_erm(spec, Dataset(train.features, y), cfg.tolerance,
-                              cfg.max_iters).weights)
-    return np.stack(rows)
+    return np.stack([
+        solve_erm(spec, Dataset(train.features, as_signed_labels(train.labels, positive=c)),
+                  cfg.tolerance, cfg.max_iters).weights
+        for c in (classes[1:] if classes.size == 2 else classes)
+    ])
 
 
 def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -231,16 +246,14 @@ def accuracy(W: np.ndarray, classes: np.ndarray, S: Dataset) -> float:
 def cell_noise_scale(cfg: SweepConfig, lam: float, epsilon: float, n_train: int,
                      d: int) -> tuple:
     """(noise scale used, closed-form beta, strong-convexity L2 sensitivity) for one cell."""
-    cert = beta_elastic_net(cfg.L, cfg.dataset.kappa, n_train, lam, cfg.gamma)
-    sens_l2 = sensitivity_via_strong_convexity(cert, d=d).l2_value
+    cert = spec_cert(_objective(cfg, lam), n_train)
     if cfg.noise_mode == "stability_optimal":
-        _, scale = elastic_release_scale(cfg.L, cfg.dataset.kappa, n_train, lam,
-                                         cfg.gamma, epsilon, d=d, mode=cfg.scale_mode)
+        _, scale = calibrate(cert, d, epsilon, cfg.scale_mode)
     elif cfg.noise_mode == "fixed_scale":
         scale = float(cfg.fixed_scale_b)
     else:
         scale = 0.0
-    return scale, cert.beta, sens_l2
+    return scale, cert.beta, sensitivity_via_strong_convexity(cert)
 
 
 def _fmt(v) -> str:
@@ -417,12 +430,11 @@ def _dp_checks(samples: int, seed: int) -> list:
     spec, S_erm = _oracle_fixture(0.5)
     rng = derive_rng(seed, 55)
     Sp_erm = verify_mod._neighbor(spec, S_erm, rng)
-    cert = verify_mod.spec_cert(spec, S_erm.n)
-    sens = sensitivity_via_strong_convexity(cert, d=S_erm.d)
+    _, scale = calibrate(spec_cert(spec, S_erm.n), S_erm.d, 1.0, "derived")
 
     def erm_release(ds: Dataset, rng_, size):
         w = solve_erm(spec, ds, 1e-9).weights
-        return output_perturb(np.broadcast_to(w[0], size), sens, 1.0, rng=rng_).noisy_weights
+        return perturb(np.broadcast_to(w[0], size), scale, rng_)
 
     checks.append(("dp_erm_release", dp_micro_check(
         erm_release, S_erm, Sp_erm, 1.0, samples=samples, seed=seed + 2), True))

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "FeatureDecision",
     "select_features",
-    "threshold_weights",
     "dynamic_threshold",
     "lemma_noise_scale",
     "flip_probability",
@@ -65,18 +64,12 @@ def select_features(w: np.ndarray, T: float, source: str = "non_private") -> Fea
                            threshold_T=float(T), source=source)
 
 
-def threshold_weights(w: np.ndarray, T: float) -> np.ndarray:
-    """Zero out weights with |w_i| <= T (hard threshold, no shrinkage)."""
-    w = np.asarray(w, dtype=float)
-    return np.where(np.abs(w) > T, w, 0.0)
-
-
 def dynamic_threshold(noise_scale_b: float, multiplier_k: float = 1.0) -> float:
     """Threshold at k standard deviations of Laplace(b) noise: k * sqrt(2) * b."""
-    if noise_scale_b < 0:
-        raise ValueError(f"noise_scale_b must be >= 0, got {noise_scale_b}")
-    if multiplier_k <= 0:
-        raise ValueError(f"multiplier_k must be > 0, got {multiplier_k}")
+    if not 0 <= noise_scale_b < math.inf:
+        raise ValueError(f"noise_scale_b must be finite and >= 0, got {noise_scale_b}")
+    if not 0 < multiplier_k < math.inf:
+        raise ValueError(f"multiplier_k must be finite and > 0, got {multiplier_k}")
     return multiplier_k * math.sqrt(2.0) * noise_scale_b
 
 
@@ -85,8 +78,8 @@ def lemma_noise_scale(epsilon: float, lam: float, eta: float, n: int,
     """Per-coordinate noise scale implied by the flip-probability formula."""
     for name, v in (("epsilon", epsilon), ("lam", lam), ("eta", eta),
                     ("n", n), ("L", L), ("kappa", kappa)):
-        if v <= 0:
-            raise ValueError(f"{name} must be > 0, got {v}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
     return 2.0 * L * math.sqrt(kappa) / (epsilon * lam * eta * math.sqrt(n))
 
 

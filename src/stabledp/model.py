@@ -20,6 +20,7 @@ Weight vectors are plain 1-D float64 ``numpy`` arrays throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,20 +128,21 @@ class ObjectiveSpec:
             raise ValueError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
         if self.l2_form not in L2_FORMS:
             raise ValueError(f"l2_form must be one of {L2_FORMS}, got {self.l2_form!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        # every comparison with NaN is false, so each guard tests the valid range
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if self.eta is None and self.penalty == "elastic":
             object.__setattr__(self, "eta", 1.0 - self.gamma)
-        if self.eta is not None and self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if self.eta is not None and not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.lipschitz_L is None and self.loss_kind == "logistic":
             object.__setattr__(self, "lipschitz_L", self.kappa)
-        if self.lipschitz_L is not None and self.lipschitz_L <= 0:
-            raise ValueError(f"lipschitz_L must be > 0, got {self.lipschitz_L}")
+        if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
+            raise ValueError(f"lipschitz_L must be finite and > 0, got {self.lipschitz_L}")
 
     @property
     def l2_coefficient(self) -> float:

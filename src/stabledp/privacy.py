@@ -1,26 +1,24 @@
-"""Laplace mechanism and the two stability-calibrated release algorithms.
+"""Laplace mechanism, the one calibration and the one release path.
+
+``calibrate`` is the only code that turns a stability certificate into a
+per-coordinate Laplace scale. Two calibrations exist, and every release
+records which one it used:
+
+* ``"derived"``:  sqrt(d) * sqrt(2 beta / lambda_sc), the strong-convexity
+                  L2 sensitivity converted to an L1 bound. This is the
+                  calibration under which epsilon-DP of the d-dimensional
+                  release is provable.
+* ``"verbatim"``: sqrt(4 beta / lambda_sc), which for an elastic-net
+                  certificate (lambda_sc = 2 lam gamma) is the classical
+                  recipe sqrt(2 beta / (lam gamma)) of Chaudhuri, Monteleoni
+                  & Sarwate (2011) as written. It is defined for elastic-net
+                  certificates only, and in d > 1 it adds less noise than
+                  the provable calibration.
 
 ``perturb`` is the one place Laplace noise is added to model weights;
-``output_perturb``, ``private_elastic_net``, the CLI and the ``verify``
-oracles release through it.
-
-``output_perturb`` adds independent per-coordinate Laplace noise to trained
-weights. Two calibrations exist:
-
-* default:    per-coordinate scale = L1 sensitivity / epsilon, where the L1
-              bound is sqrt(d) times the L2 bound. This is the calibration
-              under which epsilon-DP of the d-dimensional release is
-              provable.
-* verbatim:   per-coordinate scale = L2 sensitivity / epsilon. This
-              reproduces the classical release recipes literally; in d > 1
-              it adds less noise than the provable calibration.
-
-``private_elastic_net`` trains the elastic-net objective and releases with
-scale sqrt(2 beta / (lam gamma)) / epsilon (mode "verbatim", the classical
-recipe) or the strong-convexity sensitivity sqrt(2 beta / lambda_sc) with
-lambda_sc = 2 lam gamma, converted to L1 (mode "derived"). The two differ
-by a constant factor; both are exposed so experiments can state exactly
-which calibration produced a figure.
+``release``, the CLI and the ``verify`` oracles all go through it.
+``release`` trains an objective, certifies it with ``stability.spec_cert``,
+calibrates, and perturbs.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
@@ -37,18 +35,20 @@ import numpy as np
 from .model import Dataset, ObjectiveSpec
 from .optimizer import solve_erm
 from .rng import as_rng, derive_rng
-from .stability import SensitivityBound, beta_elastic_net, sensitivity_via_strong_convexity
+from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
 
 __all__ = [
     "PrivateRelease",
     "laplace_sample",
     "perturb",
-    "output_perturb",
-    "private_elastic_net",
+    "calibrate",
+    "release",
     "OracleReport",
     "dp_micro_check",
     "wilson_interval",
 ]
+
+CALIBRATIONS = ("verbatim", "derived")
 
 
 @dataclass
@@ -85,20 +85,21 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class PrivateRelease:
-    """Perturbed weights plus the (epsilon, sensitivity, scale) that made them."""
+    """Perturbed weights plus the (epsilon, sensitivity, scale, calibration) that made them."""
 
     noisy_weights: np.ndarray
     epsilon: float
     sensitivity_used: float
     noise_scale: float
-    mechanism: str = "laplace_per_coordinate"
-    seed: int | None = None
+    calibration: str
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.noise_scale != self.sensitivity_used / self.epsilon:
             raise ValueError("noise_scale must equal sensitivity_used / epsilon")
+        if self.calibration not in CALIBRATIONS:
+            raise ValueError(f"calibration must be one of {CALIBRATIONS}")
 
 
 def laplace_sample(scale_b: float, count: int, rng) -> np.ndarray:
@@ -128,68 +129,51 @@ def perturb(W: np.ndarray, scale_b: float, rng) -> np.ndarray:
     return W + laplace_sample(scale_b, W.size, rng).reshape(W.shape)
 
 
-def output_perturb(w: np.ndarray, sensitivity: SensitivityBound, epsilon: float,
-                   rng=None, seed: int | None = None, verbatim: bool = False) -> PrivateRelease:
-    """Add i.i.d. per-coordinate Laplace noise calibrated to a sensitivity bound.
+def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> tuple:
+    """(sensitivity used, per-coordinate Laplace scale) for a d-dimensional release.
 
-    Uses the L1 value of the bound by default; ``verbatim=True`` uses the
-    L2 value as the per-coordinate scale instead (see module docstring).
+    See the module docstring for the two calibrations; ``"verbatim"``
+    raises ValueError unless the certificate comes from the elastic-net
+    formula.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    sens = sensitivity.l2_value if verbatim else sensitivity.l1_value
-    if not math.isfinite(sens):
-        raise ValueError(f"sensitivity must be finite, got {sens}")
-    scale = sens / epsilon
-    return PrivateRelease(
-        noisy_weights=perturb(w, scale, rng if rng is not None else seed),
-        epsilon=epsilon,
-        sensitivity_used=sens,
-        noise_scale=scale,
-        seed=seed,
-    )
-
-
-def elastic_release_scale(L: float, kappa: float, n: int, lam: float, gamma: float,
-                          epsilon: float, d: int = 1, mode: str = "verbatim") -> tuple:
-    """(sensitivity value, per-coordinate noise scale) for the elastic-net release."""
-    cert = beta_elastic_net(L, kappa, n, lam, gamma)
-    if mode == "verbatim":
-        sens = math.sqrt(2.0 * cert.beta / (lam * gamma))
-    elif mode == "derived":
-        sens = sensitivity_via_strong_convexity(cert, d=d).l1_value
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not d >= 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if calibration == "derived":
+        sens = math.sqrt(d) * sensitivity_via_strong_convexity(cert)
+    elif calibration == "verbatim":
+        if cert.provenance != "elastic_net":
+            raise ValueError(
+                f"the verbatim calibration is stated for elastic-net certificates, "
+                f"got {cert.provenance!r}")
+        sens = math.sqrt(4.0 * cert.beta / cert.lambda_sc)
     else:
-        raise ValueError(f"mode must be 'verbatim' or 'derived', got {mode!r}")
+        raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
     return sens, sens / epsilon
 
 
-def private_elastic_net(S: Dataset, lam: float, gamma: float, eta: float, epsilon: float,
-                        L: float, kappa: float, loss_kind: str = "logistic",
-                        rng=None, seed: int | None = None, tolerance: float = 1e-8,
-                        mode: str = "verbatim") -> PrivateRelease:
-    """Train the elastic-net objective, then release with calibrated noise.
+def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str, rng,
+            tolerance: float = 1e-8) -> PrivateRelease:
+    """Train ``spec`` on S, then release its weights with calibrated Laplace noise.
 
-    Requires every feature row to satisfy the declared kappa bound (the
-    stability constant is meaningless otherwise). Solver failures
-    propagate unchanged.
+    Requires every feature row to satisfy the spec's kappa bound (the
+    stability constant is meaningless otherwise). The scale is calibrated
+    before the solve, so a bad calibration fails without training. Solver
+    failures (``ConvergenceError``) propagate unchanged.
     """
-    if lam <= 0 or gamma <= 0 or epsilon <= 0:
-        raise ValueError("lam, gamma, and epsilon must all be > 0")
     max_norm = S.max_row_norm()
-    if max_norm > kappa * (1.0 + 1e-9):
+    if max_norm > spec.kappa * (1.0 + 1e-9):
         raise ValueError(
-            f"feature rows violate the kappa bound: max norm {max_norm:.6g} > kappa={kappa}"
+            f"feature rows violate the kappa bound: max norm {max_norm:.6g} > kappa={spec.kappa}"
         )
-    spec = ObjectiveSpec(loss_kind, lam, penalty="elastic", gamma=gamma, eta=eta,
-                         kappa=kappa, lipschitz_L=L)
-    report = solve_erm(spec, S, tolerance)
-    sens, scale = elastic_release_scale(L, kappa, S.n, lam, gamma, epsilon, d=S.d, mode=mode)
+    sens, scale = calibrate(spec_cert(spec, S.n), S.d, epsilon, calibration)
     return PrivateRelease(
-        noisy_weights=perturb(report.weights, scale, rng if rng is not None else seed),
+        noisy_weights=perturb(solve_erm(spec, S, tolerance).weights, scale, rng),
         epsilon=epsilon,
         sensitivity_used=sens,
         noise_scale=scale,
-        seed=seed,
+        calibration=calibration,
     )
 
 

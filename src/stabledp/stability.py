@@ -9,13 +9,18 @@ Note the asymmetry: the elastic-net constant scales with kappa, the L2
 constant with kappa^2. Both are implemented exactly as stated by their
 sources; the asymmetry is surfaced here rather than silently normalized.
 
-Sensitivity bounds on the trained weights come in three flavors: a direct
-bound for L2-penalized ERM (``sensitivity_l2_direct``), a conversion from any
-stability constant for Lipschitz losses (``sensitivity_via_lipschitz``), and the
-strong-convexity conversion sqrt(2 beta / lambda_sc) (``sensitivity_via_strong_convexity``)
-which is the one output perturbation calibrates against. The ``lambda_sc``
-paired with a beta is always the strong-convexity constant of the full
-objective, not the raw regularization weight.
+``spec_cert`` picks the constant that matches an ``ObjectiveSpec``.
+
+Sensitivity bounds on the trained weights are plain floats, the L2 distance
+||w_S - w_S'|| can reach over neighboring datasets. They come in three
+flavors: a direct bound for L2-penalized ERM (``sensitivity_l2_direct``), a
+conversion from any stability constant for Lipschitz losses
+(``sensitivity_via_lipschitz``), and the strong-convexity conversion
+sqrt(2 beta / lambda_sc) (``sensitivity_via_strong_convexity``) which is the
+one output perturbation calibrates against. The ``lambda_sc`` paired with a
+beta is always the strong-convexity constant of the full objective, not the
+raw regularization weight. This module states how far weights can move;
+turning that into a Laplace scale is ``privacy.calibrate``'s job.
 
 Relative scalings for optimizer knobs (steps, step size, batch size,
 dropout rate, clipping bound) are big-O rows without constants, so
@@ -40,10 +45,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import ObjectiveSpec, strong_convexity_constant
+
 __all__ = [
     "StabilityCert",
-    "SensitivityBound",
     "user_cert",
+    "spec_cert",
     "beta_l2_erm",
     "beta_elastic_net",
     "sensitivity_l2_direct",
@@ -74,38 +81,19 @@ class StabilityCert:
     scaling_factors: tuple = ()
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.lambda_sc <= 0:
-            raise ValueError(f"lambda_sc must be > 0, got {self.lambda_sc}")
+        # every comparison with NaN is false, so each guard tests the valid range
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0 < self.lambda_sc < math.inf:
+            raise ValueError(f"lambda_sc must be finite and > 0, got {self.lambda_sc}")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
 
 
-@dataclass(frozen=True)
-class SensitivityBound:
-    """L2 (and derived L1) bound on ||w_S - w_S'|| over neighboring datasets."""
-
-    l2_value: float
-    l1_value: float
-    method: str
-    d: int
-
-    def __post_init__(self):
-        if self.l2_value < 0:
-            raise ValueError(f"l2_value must be >= 0, got {self.l2_value}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-
-
-def _bound(l2: float, method: str, d: int) -> SensitivityBound:
-    return SensitivityBound(l2_value=l2, l1_value=math.sqrt(d) * l2, method=method, d=int(d))
-
-
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def user_cert(beta: float, lambda_sc: float) -> StabilityCert:
@@ -143,23 +131,36 @@ def beta_elastic_net(L: float, kappa: float, n: int, lam: float, gamma: float,
                          provenance="elastic_net")
 
 
-def sensitivity_l2_direct(L: float, kappa: float, n: int, lam: float, d: int = 1) -> SensitivityBound:
+def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
+    """Closed-form stability certificate matching an objective spec.
+
+    L2 mode uses the strong-convexity constant as the formula's lambda so
+    the certificate is convention-independent; elastic mode uses the raw
+    (lam, gamma) pair its formula is stated in.
+    """
+    L = spec.L
+    if spec.penalty == "elastic":
+        return beta_elastic_net(L, spec.kappa, n, spec.lam, spec.gamma)
+    return beta_l2_erm(L, spec.kappa, n, strong_convexity_constant(spec))
+
+
+def sensitivity_l2_direct(L: float, kappa: float, n: int, lam: float) -> float:
     """Direct L2-ERM weight sensitivity: 4 L kappa / (n lam)."""
     _require_positive(L=L, kappa=kappa, n=n, lam=lam)
-    return _bound(4.0 * L * kappa / (n * lam), "l2_direct", d)
+    return 4.0 * L * kappa / (n * lam)
 
 
-def sensitivity_via_lipschitz(beta: float, L: float, kappa: float, d: int = 1) -> SensitivityBound:
+def sensitivity_via_lipschitz(beta: float, L: float, kappa: float) -> float:
     """Stability-to-sensitivity conversion for Lipschitz losses: 2 beta / (L kappa)."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     _require_positive(L=L, kappa=kappa)
-    return _bound(2.0 * beta / (L * kappa), "lipschitz", d)
+    return 2.0 * beta / (L * kappa)
 
 
-def sensitivity_via_strong_convexity(cert: StabilityCert, d: int = 1) -> SensitivityBound:
+def sensitivity_via_strong_convexity(cert: StabilityCert) -> float:
     """Strong-convexity conversion: ||w_S - w_S'|| <= sqrt(2 beta / lambda_sc)."""
-    return _bound(math.sqrt(2.0 * cert.beta / cert.lambda_sc), "strong_convexity", d)
+    return math.sqrt(2.0 * cert.beta / cert.lambda_sc)
 
 
 def privacy_enhancement(epsilon: float, beta1: float, beta2: float) -> float:
@@ -201,8 +202,9 @@ def stability_knob_scaling(base_cert: StabilityCert, knob: str, old_value: float
     elif knob == "batch":
         mult = old_value / new_value
     else:  # clip
-        if lipschitz_L is None or lipschitz_L <= 0:
-            raise ValueError("clip scaling needs a positive lipschitz_L")
+        if lipschitz_L is None or not 0 < lipschitz_L < math.inf:
+            raise ValueError(
+                f"clip scaling needs a finite, positive lipschitz_L, got {lipschitz_L}")
         mult = min(new_value, lipschitz_L) / min(old_value, lipschitz_L)
     return StabilityCert(
         beta=base_cert.beta * mult,

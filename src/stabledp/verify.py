@@ -30,17 +30,14 @@ from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from .privacy import OracleReport, perturb
 from .rng import derive_rng
 from .stability import (
-    StabilityCert,
-    beta_elastic_net,
-    beta_l2_erm,
     privacy_error_bound,
     sensitivity_l2_direct,
     sensitivity_via_strong_convexity,
+    spec_cert,
 )
 
 __all__ = [
     "OracleReport",
-    "spec_cert",
     "empirical_sensitivity",
     "empirical_stability",
     "empirical_privacy_error",
@@ -49,19 +46,6 @@ __all__ = [
     "flip_rate_check",
     "empirical_sgd_stability",
 ]
-
-
-def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
-    """Closed-form stability certificate matching an objective spec.
-
-    L2 mode uses the strong-convexity constant as the formula's lambda so
-    the certificate is convention-independent; elastic mode uses the raw
-    (lam, gamma) pair its formula is stated in.
-    """
-    L = spec.L
-    if spec.penalty == "elastic":
-        return beta_elastic_net(L, spec.kappa, n, spec.lam, spec.gamma)
-    return beta_l2_erm(L, spec.kappa, n, strong_convexity_constant(spec))
 
 
 def _fresh_record(spec: ObjectiveSpec, d: int, rng: np.random.Generator):
@@ -131,9 +115,8 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     rng = derive_rng(seed, 21)
     base = solve_erm(spec, S, tolerance).weights
     cert = spec_cert(spec, S.n)
-    sc_bound = sensitivity_via_strong_convexity(cert, d=S.d).l2_value
-    direct = (sensitivity_l2_direct(spec.L, spec.kappa, S.n,
-                                    strong_convexity_constant(spec), d=S.d).l2_value
+    sc_bound = sensitivity_via_strong_convexity(cert)
+    direct = (sensitivity_l2_direct(spec.L, spec.kappa, S.n, strong_convexity_constant(spec))
               if spec.penalty == "l2" else None)
 
     def distances(datasets):
@@ -227,8 +210,7 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
     """
     base = solve_erm(spec, S, tolerance)
     cert = spec_cert(spec, S.n)
-    lam_sc = strong_convexity_constant(spec)
-    scale = math.sqrt(2.0 * cert.beta / lam_sc) / epsilon
+    scale = sensitivity_via_strong_convexity(cert) / epsilon
     bound = privacy_error_bound(spec.L, S.d, epsilon, cert)
 
     rng = derive_rng(seed, 23)

@@ -63,6 +63,18 @@ class TestConfig:
                                    ("tolerance", 0.0, "tolerance")):
             with pytest.raises(ConfigError, match=path):
                 SweepConfig(**{"noise_mode": "fixed_scale", "fixed_scale_b": 1.0, field: value})
+        # fields that used to pass and then die in training or release with a traceback
+        for raw, path in (({"dataset": {"kappa": -1.0}}, "dataset.kappa"),
+                          ({"dataset": {"kappa": math.nan}}, "dataset.kappa"),
+                          ({"dataset": {"n": 0}}, "dataset.n"),
+                          ({"dataset": {"reduce_to": 0}}, "dataset.reduce_to"),
+                          ({"loss_kind": "hinge"}, "loss_kind"),
+                          ({"lipschitz_L": -2.0}, "lipschitz_L"),
+                          ({"max_iters": 0}, "max_iters"),
+                          ({"threshold_k": -1.0}, "threshold_k"),
+                          ({"static_T": math.nan}, "static_T")):
+            with pytest.raises(ConfigError, match=path):
+                config_from_dict(raw)
         with pytest.raises(ConfigError, match="dataset"):
             config_from_dict({"dataset": {"bogus_field": 1}})
         with pytest.raises(ConfigError, match="split"):
@@ -275,6 +287,12 @@ class TestMainEntrypoint:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"lambda_grid": []}))
         assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_dataset_field_error_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"dataset": {"kappa": -1.0}}))
+        assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "dataset.kappa" in capsys.readouterr().err
 
     def test_fetch_via_argv(self, tmp_path, capsys):
         content = ("1, Private, 2, Bachelors, 3, Never-married, Sales, Own-child, White,"

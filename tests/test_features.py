@@ -12,7 +12,6 @@ from stabledp.features import (
     flip_probability,
     lemma_noise_scale,
     select_features,
-    threshold_weights,
 )
 from stabledp.verify import flip_rate_check
 
@@ -39,7 +38,7 @@ class TestSelectFeatures:
     def test_idempotent_under_hard_thresholding(self, vals, T):
         w = np.array(vals)
         once = select_features(w, T)
-        again = select_features(threshold_weights(w, T), T)
+        again = select_features(np.where(once.decisions == 1, w, 0.0), T)
         np.testing.assert_array_equal(once.decisions, again.decisions)
 
 
@@ -54,10 +53,9 @@ class TestDynamicThreshold:
         assert dynamic_threshold(1.0, 3.0) == pytest.approx(3 * dynamic_threshold(1.0, 1.0))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            dynamic_threshold(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            dynamic_threshold(1.0, 0.0)
+        for b, k in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                dynamic_threshold(b, k)
 
 
 class TestFlipProbability:
@@ -75,6 +73,7 @@ class TestFlipProbability:
 
     @pytest.mark.parametrize("field,value", [
         ("epsilon", 0.0), ("lam", -0.1), ("eta", 0.0), ("n", 0), ("L", 0.0), ("kappa", 0.0),
+        ("epsilon", math.nan), ("lam", math.nan), ("kappa", math.inf),
     ])
     def test_nonpositive_scale_params_rejected(self, field, value):
         kwargs = dict(T=0.5, w_i=0.0, epsilon=1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0)

@@ -79,6 +79,10 @@ class TestObjectiveSpec:
         dict(loss_kind="logistic", lam=0.1, gamma=1.5),
         dict(loss_kind="logistic", lam=0.1, kappa=0.0),
         dict(loss_kind="logistic", lam=0.1, penalty="elastic", gamma=0.5, eta=-0.1),
+        dict(loss_kind="logistic", lam=math.nan, kappa=math.nan),
+        dict(loss_kind="logistic", lam=0.1, kappa=math.inf),
+        dict(loss_kind="logistic", lam=0.1, penalty="elastic", gamma=0.5, eta=math.nan),
+        dict(loss_kind="squared", lam=0.1, lipschitz_L=math.nan),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabledp.privacy import calibrate
 from stabledp.stability import (
-    SensitivityBound,
     StabilityCert,
     beta_elastic_net,
     beta_l2_erm,
@@ -33,6 +33,9 @@ class TestBetaL2:
         dict(L=1, kappa=1, n=10, lam=0.0),
         dict(L=1, kappa=1, n=10, lam=-0.5),
         dict(L=1, kappa=0, n=10, lam=0.1),
+        dict(L=1, kappa=1, n=10, lam=math.nan),
+        dict(L=math.nan, kappa=1, n=10, lam=0.1),
+        dict(L=1, kappa=math.inf, n=10, lam=0.1),
     ])
     def test_nonpositive_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -65,59 +68,55 @@ class TestBetaElasticNet:
 
 class TestSensitivityThm1:
     def test_hand_value(self):
-        assert sensitivity_l2_direct(1, 1, 100, 0.1).l2_value == pytest.approx(0.4)
+        assert sensitivity_l2_direct(1, 1, 100, 0.1) == pytest.approx(0.4)
 
     def test_scale_invariance(self):
-        a = sensitivity_l2_direct(1, 1, 100, 0.1).l2_value
-        b = sensitivity_l2_direct(2, 1, 200, 0.1).l2_value
+        a = sensitivity_l2_direct(1, 1, 100, 0.1)
+        b = sensitivity_l2_direct(2, 1, 200, 0.1)
         assert a == pytest.approx(b)
 
 
 class TestSensitivityCor2:
     def test_hand_value(self):
-        assert sensitivity_via_lipschitz(0.2, 1, 1).l2_value == pytest.approx(0.4)
+        assert sensitivity_via_lipschitz(0.2, 1, 1) == pytest.approx(0.4)
 
     def test_zero_beta(self):
-        assert sensitivity_via_lipschitz(0.0, 1, 1).l2_value == 0.0
+        assert sensitivity_via_lipschitz(0.0, 1, 1) == 0.0
 
     def test_consistency_with_direct_bound(self):
         # plugging the L2-ERM beta recovers the direct bound exactly
         for L, kappa, n, lam in ((1, 1, 100, 0.1), (2.0, 0.5, 57, 0.31)):
             beta = beta_l2_erm(L, kappa, n, lam).beta
-            assert sensitivity_via_lipschitz(beta, L, kappa).l2_value == sensitivity_l2_direct(
+            assert sensitivity_via_lipschitz(beta, L, kappa) == sensitivity_l2_direct(
                 L, kappa, n, lam
-            ).l2_value
+            )
 
 
 class TestSensitivityThm3:
     def test_zero_beta(self):
-        assert sensitivity_via_strong_convexity(user_cert(0.0, 1.0)).l2_value == 0.0
+        assert sensitivity_via_strong_convexity(user_cert(0.0, 1.0)) == 0.0
 
     def test_hand_value(self):
-        assert sensitivity_via_strong_convexity(user_cert(0.02, 1.0)).l2_value == pytest.approx(0.2)
+        assert sensitivity_via_strong_convexity(user_cert(0.02, 1.0)) == pytest.approx(0.2)
 
     def test_monotone_in_beta_and_lambda(self):
         grid = [0.01, 0.1, 1.0]
         for lam_sc in grid:
-            vals = [sensitivity_via_strong_convexity(user_cert(b, lam_sc)).l2_value for b in grid]
+            vals = [sensitivity_via_strong_convexity(user_cert(b, lam_sc)) for b in grid]
             assert vals == sorted(vals)
         for b in grid:
-            vals = [sensitivity_via_strong_convexity(user_cert(b, lam_sc)).l2_value for lam_sc in grid]
+            vals = [sensitivity_via_strong_convexity(user_cert(b, lam_sc)) for lam_sc in grid]
             assert vals == sorted(vals, reverse=True)
 
 
-@given(st.floats(0.0, 100.0), st.integers(1, 500))
+@given(st.floats(0.0, 100.0), st.floats(1e-3, 100.0), st.integers(1, 500))
 @settings(max_examples=100, deadline=None)
-def test_l1_is_sqrt_d_times_l2(l2, d):
-    b = SensitivityBound(l2_value=l2, l1_value=math.sqrt(d) * l2, method="strong_convexity", d=d)
-    assert b.l1_value == pytest.approx(math.sqrt(d) * b.l2_value, abs=1e-12)
-    for fn in (lambda: sensitivity_l2_direct(1, 1, 100, 0.1, d=d),
-               lambda: sensitivity_via_lipschitz(0.2, 1, 1, d=d),
-               lambda: sensitivity_via_strong_convexity(user_cert(0.02, 1.0), d=d)):
-        bound = fn()
-        assert bound.l1_value / max(bound.l2_value, 1e-300) == pytest.approx(
-            math.sqrt(d), rel=1e-12
-        )
+def test_l1_is_sqrt_d_times_l2(beta, lambda_sc, d):
+    # the derived calibration releases with the L1 bound sqrt(d) times the L2 bound
+    cert = user_cert(beta, lambda_sc)
+    sens, _ = calibrate(cert, d, 1.0, "derived")
+    assert sens == pytest.approx(math.sqrt(d) * sensitivity_via_strong_convexity(cert),
+                                 rel=1e-12, abs=1e-300)
 
 
 class TestPrivacyEnhancement:
@@ -196,8 +195,9 @@ class TestTable1Scaling:
         assert out.beta == pytest.approx(0.4)
 
     def test_clip_requires_lipschitz(self):
-        with pytest.raises(ValueError, match="lipschitz"):
-            stability_knob_scaling(self.base(), "clip", 1.0, 0.5)
+        for L in (None, 0.0, math.nan):
+            with pytest.raises(ValueError, match="lipschitz"):
+                stability_knob_scaling(self.base(), "clip", 1.0, 0.5, lipschitz_L=L)
 
     def test_unsupported_knob_lists_supported(self):
         with pytest.raises(ValueError) as err:
@@ -214,12 +214,14 @@ class TestTable1Scaling:
 
 class TestCertValidation:
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            StabilityCert(beta=-0.1, lambda_sc=1.0, provenance="user_supplied")
+        for beta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                StabilityCert(beta=beta, lambda_sc=1.0, provenance="user_supplied")
 
     def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            StabilityCert(beta=0.1, lambda_sc=0.0, provenance="user_supplied")
+        for lambda_sc in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                StabilityCert(beta=0.1, lambda_sc=lambda_sc, provenance="user_supplied")
 
     def test_unknown_provenance_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from stabledp.data_io import synth_classification
 from stabledp.model import Dataset, ObjectiveSpec, per_example_loss
 from stabledp.optimizer import SgdConfig, sgd_run, solve_erm
 from stabledp.rng import derive_rng
+from stabledp.stability import spec_cert
 from stabledp.verify import (
     _fresh_record,
     _neighbor,
@@ -14,7 +15,6 @@ from stabledp.verify import (
     flip_rate_check,
     gradient_check,
     privacy_error_scaling,
-    spec_cert,
 )
 
 
