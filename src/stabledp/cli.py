@@ -224,13 +224,13 @@ def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
 
 
 def train_models(cfg: SweepConfig, lam: float, train: Dataset, classes: np.ndarray) -> np.ndarray:
-    """One-vs-rest weights, one row per model (a single row for binary labels)."""
-    spec = _objective(cfg, lam)
-    return np.stack([
-        solve_erm(spec, Dataset(train.features, as_signed_labels(train.labels, positive=c)),
-                  cfg.tolerance, cfg.max_iters).weights
-        for c in (classes[1:] if classes.size == 2 else classes)
-    ])
+    """One-vs-rest weights, one row per model (a single row for binary labels).
+
+    Every class is one column of a single block solve.
+    """
+    Y = as_signed_labels(train.labels, positive=classes[1:] if classes.size == 2 else classes)
+    return solve_erm(_objective(cfg, lam), Dataset(train.features, Y),
+                     cfg.tolerance, cfg.max_iters).weights.T
 
 
 def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -197,8 +197,8 @@ def reduce_dim(S: Dataset, k: int, seed: int = 0, oversample: int = 8,
 
 def bound_row_norms(S: Dataset, kappa: float) -> tuple[Dataset, int]:
     """Rescale rows with norm > kappa down to kappa; returns the count touched."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     norms = np.linalg.norm(S.features, axis=1)
     over = norms > kappa
     if not np.any(over):
@@ -259,8 +259,10 @@ def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None 
     sparsity = d if sparsity is None else int(sparsity)
     if not 1 <= sparsity <= d:
         raise ValueError(f"sparsity must be in [1, d={d}], got {sparsity}")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     if not 0 <= label_flips < 1:
         raise ValueError(f"label_flips must be in [0, 1), got {label_flips}")
     rng = derive_rng(seed, 13)

@@ -42,7 +42,7 @@ class FeatureDecision:
         d = np.asarray(self.decisions)
         if not np.all((d == 0) | (d == 1)):
             raise ValueError("decisions must be 0/1")
-        if self.threshold_T < 0:
+        if not self.threshold_T >= 0:  # false for NaN too
             raise ValueError(f"threshold_T must be >= 0, got {self.threshold_T}")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}")
@@ -57,7 +57,7 @@ class FeatureDecision:
 
 def select_features(w: np.ndarray, T: float, source: str = "non_private") -> FeatureDecision:
     """Keep feature i iff |w_i| > T. T = 0 reproduces the nonzero-weight rule."""
-    if T < 0:
+    if not T >= 0:  # false for NaN too; T = inf selects nothing
         raise ValueError(f"T must be >= 0, got {T}")
     w = np.asarray(w, dtype=float)
     return FeatureDecision(decisions=(np.abs(w) > T).astype(np.int8),
@@ -90,7 +90,7 @@ def flip_probability(T: float, w_i: float, epsilon: float, lam: float, eta: floa
     Closed form exp(-epsilon |T - |w_i|| lam eta sqrt(n) / (2 L sqrt(kappa))),
     in (0, 1]; equals 1 at |w_i| = T.
     """
-    if T <= 0:
+    if not T > 0:  # false for NaN too
         raise ValueError(f"T must be > 0, got {T}")
     b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
     return math.exp(-abs(T - abs(w_i)) / b)

@@ -15,7 +15,11 @@ The strong-convexity constant of the full objective is always
 ``2 * l2_coefficient``; sensitivity and noise-scale formulas elsewhere in
 the package take that constant, never the raw ``lam`` symbol.
 
-Weight vectors are plain 1-D float64 ``numpy`` arrays throughout.
+Weight vectors are plain 1-D float64 ``numpy`` arrays. A dataset whose
+labels are an (n, m) matrix holds m problems on one feature matrix (one
+one-vs-rest column per class, say); its weights are a (d, m) matrix, one
+column per label column, and ``smooth_objective``/``objective`` return one
+value per column.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n x d) with one label per row.
+    """Feature matrix (n x d) with one label per row, or one label row per row.
 
     Rows are immutable after construction and safe to share across workers.
     Labels may be class indices or +/-1; binary mapping happens at training
-    time via :func:`as_signed_labels`.
+    time via :func:`as_signed_labels`. (n, m) labels stack m label columns
+    over the same features.
     """
 
     features: np.ndarray
@@ -68,11 +73,8 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {X.shape}")
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"labels length {y.shape[0] if y.ndim == 1 else y.shape} "
-                f"does not match n={X.shape[0]}"
-            )
+        if y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
+            raise ValueError(f"labels shape {y.shape} does not match n={X.shape[0]}")
         if not np.all(np.isfinite(X)):
             raise ValueError("features contain non-finite entries")
         object.__setattr__(self, "features", _readonly(X))
@@ -166,10 +168,13 @@ class ObjectiveSpec:
 
 
 def as_signed_labels(labels: np.ndarray, positive=None) -> np.ndarray:
-    """Map labels to +/-1. With ``positive`` given, one-vs-rest binarization."""
+    """Map labels to +/-1. With ``positive`` given, one-vs-rest binarization.
+
+    A 1-D array of positives gives an (n, m) matrix, one column per class.
+    """
     y = np.asarray(labels, dtype=float)
     if positive is not None:
-        return np.where(y == positive, 1.0, -1.0)
+        return np.where(np.equal.outer(y, positive), 1.0, -1.0)
     vals = np.unique(y)
     if set(vals.tolist()) <= {-1.0, 1.0}:
         return y
@@ -180,14 +185,16 @@ def as_signed_labels(labels: np.ndarray, positive=None) -> np.ndarray:
     return np.where(y == vals[1], 1.0, -1.0)
 
 
-def _check_dims(w: np.ndarray, d: int) -> np.ndarray:
+def _check_dims(w: np.ndarray, shape: tuple) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] != d:
-        raise ValueError(
-            f"weight dimension {w.shape[0] if w.ndim == 1 else w.shape} "
-            f"does not match feature dimension {d}"
-        )
+    if w.shape != shape:
+        raise ValueError(f"weight shape {w.shape} does not match the expected {shape}")
     return w
+
+
+def _weights_for(w: np.ndarray, S: Dataset) -> np.ndarray:
+    """w checked against S: (d,) for 1-D labels, (d, m) for (n, m) labels."""
+    return _check_dims(w, (S.d,) + S.labels.shape[1:])
 
 
 def _softplus(z):
@@ -211,7 +218,7 @@ def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
     Squared:  (<w, x> - y)^2.
     """
     x = np.asarray(x, dtype=float)
-    w = _check_dims(w, x.shape[0])
+    w = _check_dims(w, x.shape[:1])
     if spec.loss_kind == "logistic" and y not in (-1, 1):
         raise ValueError(f"logistic loss needs y in {{-1, +1}}, got {y}")
     return float(_loss_values(spec, w, x[None, :], np.array([y]))[0])
@@ -220,7 +227,7 @@ def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
 def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Gradient in w of the per-example loss (smooth part only, no penalty)."""
     x = np.asarray(x, dtype=float)
-    w = _check_dims(w, x.shape[0])
+    w = _check_dims(w, x.shape[:1])
     z = float(x @ w)
     if spec.loss_kind == "logistic":
         # d/dw log(1+exp(-y z)) = -y x sigmoid(-y z)
@@ -228,20 +235,25 @@ def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
     return 2.0 * (z - y) * x
 
 
-def smooth_objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> float:
+def _per_column(v):
+    """A float for 1-D weights, one value per column for (d, m) weights."""
+    return float(v) if v.ndim == 0 else v
+
+
+def smooth_objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset):
     """Mean loss plus the smooth (L2) penalty; excludes any L1 term."""
-    w = _check_dims(w, S.d)
-    mean_loss = float(np.mean(_loss_values(spec, w, S.features, S.labels)))
-    return mean_loss + spec.l2_coefficient * float(w @ w)
+    w = _weights_for(w, S)
+    mean_loss = _loss_values(spec, w, S.features, S.labels).mean(axis=0)
+    return _per_column(mean_loss + spec.l2_coefficient * (w * w).sum(axis=0))
 
 
-def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> float:
+def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset):
     """Full regularized objective, exactly matching the declared penalty mode."""
-    w = _check_dims(w, S.d)
+    w = _weights_for(w, S)
     val = smooth_objective(spec, w, S)
     c1 = spec.l1_coefficient
     if c1 > 0:
-        val += c1 * float(np.sum(np.abs(w)))
+        val = _per_column(val + c1 * np.abs(w).sum(axis=0))
     return val
 
 
@@ -251,7 +263,7 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
     The L1 term contributes no gradient here; solvers handle it through a
     proximal step.
     """
-    w = _check_dims(w, S.d)
+    w = _weights_for(w, S)
     X, y = S.features, S.labels
     z = X @ w
     if spec.loss_kind == "logistic":

@@ -1,10 +1,11 @@
 """Deterministic ERM solver and a configurable minibatch SGD engine.
 
-``solve_erm`` is proximal gradient descent with backtracking on the smooth
-part; with no L1 term the proximal step is the identity and the method is
-plain gradient descent. The L1 term is handled by soft-thresholding so
-elastic-net solutions reach exact zeros, which downstream feature
-selection relies on.
+``solve_erm`` is accelerated proximal gradient descent (FISTA with
+function-value restart) at a fixed step from a certain curvature bound, so
+no step is ever retried. It solves a block of problems that share one
+feature matrix, such as every one-vs-rest class, in one call. The L1 term
+is handled by soft-thresholding so elastic-net solutions reach exact
+zeros, which downstream feature selection relies on.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
 step size, batch size, gradient clipping, norm-contracting dropout, and
@@ -40,7 +41,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Solver ran out of iterations; carries the best iterate found."""
+    """Solver ran out of iterations; ``report`` carries the last iterate and its bounds."""
 
     def __init__(self, message: str, report: "SolveReport"):
         super().__init__(message)
@@ -65,11 +66,14 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps_T < 0:
-            raise ValueError(f"steps_T must be >= 0, got {self.steps_T}")
+        # every comparison with NaN is false, so each guard tests the valid range
+        if not 0 <= self.steps_T < math.inf:
+            raise ValueError(f"steps_T must be finite and >= 0, got {self.steps_T}")
         if self.batch_size_b < 1:
             raise ValueError(f"batch_size_b must be >= 1, got {self.batch_size_b}")
-        if self.clip_bound_G is not None and self.clip_bound_G <= 0:
+        if not callable(self.step_size) and not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if self.clip_bound_G is not None and not self.clip_bound_G > 0:
             raise ValueError(f"clip_bound_G must be > 0, got {self.clip_bound_G}")
         if self.dropout_rate_s is not None and not 0 < self.dropout_rate_s <= 1:
             raise ValueError(f"dropout_rate_s must be in (0, 1], got {self.dropout_rate_s}")
@@ -96,6 +100,10 @@ class SolveReport:
     ``loss_gap_bound`` is an upper bound on objective(w) - objective(w*)
     and ``weight_gap_bound`` on ||w - w*||; either feeds the sensitivity
     correction for inexact minimizers.
+
+    For a block solve (``weights`` of shape (d, m)) ``iterations_used``
+    counts block iterations, and ``final_gradient_norm`` and
+    ``loss_gap_bound`` are the maxima over the m columns.
     """
 
     weights: np.ndarray
@@ -106,8 +114,9 @@ class SolveReport:
     trajectory: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.final_gradient_norm < 0:
-            raise ValueError("final_gradient_norm must be >= 0")
+        if not 0 <= self.final_gradient_norm < math.inf:
+            raise ValueError(
+                f"final_gradient_norm must be finite and >= 0, got {self.final_gradient_norm}")
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -116,25 +125,30 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def _smooth_curvature(spec: ObjectiveSpec, S: Dataset) -> float:
-    """Tight-ish upper bound on the gradient Lipschitz constant of the smooth part.
+    """Certain upper bound on the gradient Lipschitz constant of the smooth part.
 
-    Estimates the top eigenvalue of X^T X / n by deterministic power
-    iteration (padded by 10%) and clamps with the trace bound, which is a
-    certain upper bound.
+    The loss curvature is at most factor * lambda_max(X^T X / n), with
+    factor 1/4 for logistic and 2 for squared loss. lambda_max is bounded
+    through the Gram matrix G on the smaller of the n and d sides (X^T X
+    and X X^T share their nonzero eigenvalues) by
+    lambda_max <= tr(G^(2^k))^(2^-k), taken over six squarings, each
+    normalised by its trace so nothing overflows, and clamped by tr(G).
+    The bound exceeds lambda_max by at most the factor rank(G)^(1/64)
+    (1.06 at rank 32), less when the top eigenvalue stands out. Either bound can round below the true
+    lambda_max (by 1e-12 relative on rank-1 inputs), so the smaller one is
+    padded by 1e-9 relative.
     """
     X = S.features
-    trace_bound = float(np.mean(np.sum(X**2, axis=1)))
-    v = np.ones(S.d) / math.sqrt(S.d)
-    lam_max = trace_bound
-    for _ in range(50):
-        u = X.T @ (X @ v) / S.n
-        nrm = float(np.linalg.norm(u))
-        if nrm <= 0:
-            lam_max = 0.0
-            break
-        lam_max = nrm
-        v = u / nrm
-    top = min(trace_bound, 1.1 * lam_max)
+    G = (X.T @ X if S.d <= S.n else X @ X.T) / S.n
+    top = float(np.trace(G))
+    if top > 0:
+        bound, A = top, G / top
+        for k in range(1, 7):
+            A = A @ A
+            s = float(np.trace(A))  # >= 1/rank(G) > 0, as tr(A) = 1
+            bound *= s ** (0.5 ** k)
+            A /= s
+        top = min(top, bound) * (1.0 + 1e-9)
     factor = 0.25 if spec.loss_kind == "logistic" else 2.0
     return factor * top + 2.0 * spec.l2_coefficient
 
@@ -143,66 +157,93 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
               max_iters: int = 100_000, w0: np.ndarray | None = None) -> SolveReport:
     """Minimize the regularized objective to a given optimality residual.
 
-    Proximal gradient descent at the safe fixed step 1/L for the smooth
-    part's curvature bound L (plain gradient descent when there is no L1
-    term). The step only shrinks, permanently, if the curvature estimate
-    ever proves too small (monotonicity safeguard). The residual is the
-    proximal-gradient mapping norm, which reduces to the smooth gradient
-    norm when there is no L1 term. Deterministic given (spec, S,
-    tolerance): no randomness anywhere.
+    FISTA (Beck & Teboulle 2009) at the fixed step alpha = 1/L, where L is
+    the certain curvature bound of :func:`_smooth_curvature`, so no step
+    is ever rejected or retried. Momentum restarts (O'Donoghue & Candes
+    2015) whenever a step raises the full objective by more than its
+    rounding noise. The L1 term is handled by soft-thresholding; with no
+    L1 term the proximal step is the identity.
 
-    Raises :class:`ConvergenceError` (carrying the best iterate) if the
-    residual is still above ``tolerance`` after ``max_iters`` steps.
+    With (n, m) labels the m columns are solved in one block: the step is
+    shared (it depends on X only), momentum, restart and stopping are per
+    column, and each column keeps the first iterate at which it reaches
+    ``tolerance``, so its weights do not depend on the other columns (beyond
+    the rounding of the block product, about 1e-15). The weights are then
+    (d, m).
+
+    The residual of a step x+ = prox(y - alpha grad f(y)) is the gradient
+    mapping norm ||G(y)|| = ||y - x+|| / alpha at the point y the step is
+    taken from (the extrapolated point included). With alpha <= 1/L and f
+    lambda_sc-strongly convex, the proximal-gradient inequality gives, for
+    every z, F(x+) <= F(z) + <G(y), y - z> - (alpha/2)||G(y)||^2
+    - (lambda_sc/2)||y - z||^2. At z = w* the right side, maximised over
+    y - z, is at most F* + ||G(y)||^2 / (2 lambda_sc), so
+    ``loss_gap_bound = residual^2 / (2 lambda_sc)`` holds at the returned
+    x+. Deterministic given (spec, S, tolerance): no randomness anywhere.
+
+    Raises :class:`ConvergenceError` if a column's residual is still above
+    ``tolerance`` after ``max_iters`` block iterations; its report carries
+    each such column's last iterate, with the gap bound of that iterate.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
     c1 = spec.l1_coefficient
-    w = np.zeros(S.d) if w0 is None else np.asarray(w0, dtype=float).copy()
+    shape = (S.d,) + S.labels.shape[1:]
+    x = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"w0 shape {x.shape} does not match the weight shape {shape}")
     alpha = 1.0 / max(_smooth_curvature(spec, S), 1e-12)
 
-    f_w = smooth_objective(spec, w, S)
-    residual = math.inf
-    for it in range(1, max_iters + 1):
-        g = gradient(spec, w, S)
-        while True:
-            w_next = w - alpha * g
-            if c1 > 0:
-                w_next = soft_threshold(w_next, alpha * c1)
-            delta = w_next - w
-            f_next = smooth_objective(spec, w_next, S)
-            model = f_w + float(g @ delta) + float(delta @ delta) / (2.0 * alpha)
-            if f_next <= model + 1e-15 * max(1.0, abs(f_w)):
-                break
-            alpha *= 0.5
-            if alpha < 1e-18:
-                raise ConvergenceError(
-                    f"step-size safeguard collapsed at iteration {it}",
-                    SolveReport(w, float(np.linalg.norm(g)), it),
-                )
-        residual = float(np.linalg.norm(w_next - w) / alpha)
-        w, f_w = w_next, f_next
-        if residual <= tolerance:
-            gap = residual * residual / (2.0 * lam_sc)
-            return SolveReport(
-                weights=w,
-                final_gradient_norm=residual,
-                iterations_used=it,
-                loss_gap_bound=gap,
-            )
+    def full_objective(w):
+        val = smooth_objective(spec, w, S)
+        return val + c1 * np.abs(w).sum(axis=0) if c1 > 0 else val
 
-    gap = residual * residual / (2.0 * lam_sc)
-    report = SolveReport(w, residual, max_iters, loss_gap_bound=gap)
+    y, f_x, t = x, full_objective(x), np.ones(shape[1:])
+    # per column: the first iterate at tolerance and its residual
+    w_out, r_out = x, np.full(shape[1:], math.inf)
+    for it in range(1, max_iters + 1):
+        x_next = y - alpha * gradient(spec, y, S)
+        if c1 > 0:
+            x_next = soft_threshold(x_next, alpha * c1)
+        step = x_next - y
+        residual = np.sqrt((step * step).sum(axis=0)) / alpha
+        if (residual <= tolerance).any():
+            first = (residual <= tolerance) & (r_out > tolerance)
+            w_out, r_out = np.where(first, x_next, w_out), np.where(first, residual, r_out)
+            if (r_out <= tolerance).all():
+                return _solve_report(w_out, r_out, it, lam_sc)
+        f_next = full_objective(x_next)
+        # restart (no momentum this step) where the objective rose by more
+        # than its rounding noise; a decision taken on noise would let a
+        # column's path depend on how the block product happens to round
+        t = np.where(f_next - f_x > 1e-13 * abs(f_x), 1.0, t)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, f_x, t = x_next, f_next, t_next
+
+    # the columns still above tolerance carry their last iterate
+    done = r_out <= tolerance
+    report = _solve_report(np.where(done, w_out, x), np.where(done, r_out, residual),
+                           max_iters, lam_sc)
     raise ConvergenceError(
-        f"no convergence after {max_iters} iterations (residual {residual:.3e} "
-        f"> tolerance {tolerance:.3e})",
+        f"no convergence after {max_iters} iterations (residual "
+        f"{report.final_gradient_norm:.3e} > tolerance {tolerance:.3e})",
         report,
     )
 
 
+def _solve_report(w: np.ndarray, residual: np.ndarray, iterations: int,
+                  lam_sc: float) -> SolveReport:
+    worst = float(np.max(residual))
+    return SolveReport(w, worst, iterations, loss_gap_bound=worst * worst / (2.0 * lam_sc))
+
+
 def clip_gradient(g: np.ndarray, G: float) -> np.ndarray:
     """Rescale g to norm G when ||g|| > G; direction preserved, else unchanged."""
-    if G <= 0:
+    if not G > 0:  # false for NaN too
         raise ValueError(f"G must be > 0, got {G}")
     g = np.asarray(g, dtype=float)
     nrm = float(np.linalg.norm(g))
@@ -287,10 +328,10 @@ def convergence_sensitivity_correction(base_sensitivity: float, report: SolveRep
     from the report directly or converted from the loss gap as
     sqrt(2 * gap / lambda_sc).
     """
-    if lambda_sc <= 0:
-        raise ValueError(f"lambda_sc must be > 0, got {lambda_sc}")
-    if base_sensitivity < 0:
-        raise ValueError(f"base_sensitivity must be >= 0, got {base_sensitivity}")
+    if not 0 < lambda_sc < math.inf:
+        raise ValueError(f"lambda_sc must be finite and > 0, got {lambda_sc}")
+    if not 0 <= base_sensitivity < math.inf:
+        raise ValueError(f"base_sensitivity must be finite and >= 0, got {base_sensitivity}")
     if report.weight_gap_bound is not None:
         delta = report.weight_gap_bound
     elif report.loss_gap_bound is not None:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,12 @@ class TestBoundRowNorms:
         out, touched = bound_row_norms(S, 1.0)
         assert touched == 0
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_kappa_rejected(self, kappa):
+        S = Dataset(np.array([[3.0, 4.0]]), np.zeros(1))
+        with pytest.raises(ValueError, match="kappa"):
+            bound_row_norms(S, kappa)
+
 
 class TestPreprocess:
     def test_pipeline_bounds_rows(self):
@@ -252,6 +259,12 @@ class TestSynthClassification:
             synth_classification(10, 5, noise=-0.1)
         with pytest.raises(ValueError):
             synth_classification(10, 5, label_flips=1.0)
+        for noise in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise"):
+                synth_classification(10, 5, noise=noise)
+        for kappa in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa"):
+                synth_classification(10, 5, kappa=kappa)
 
 
 ADULT_FIXTURE = """39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K

@@ -30,8 +30,9 @@ class TestSelectFeatures:
         assert dec.selected_count == 0
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            select_features(np.zeros(2), -0.1)
+        for T in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                select_features(np.zeros(2), T)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=16), st.floats(0, 5))
     @settings(max_examples=100, deadline=None)
@@ -68,8 +69,9 @@ class TestFlipProbability:
         assert p == pytest.approx(0.6872892787909722, rel=1e-12)
 
     def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            flip_probability(0.0, 0.1, 1.0, 0.1, 0.15, 100, 1.0, 1.0)
+        for T in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                flip_probability(T, 0.1, 1.0, 0.1, 0.15, 100, 1.0, 1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("epsilon", 0.0), ("lam", -0.1), ("eta", 0.0), ("n", 0), ("L", 0.0), ("kappa", 0.0),
@@ -151,6 +153,11 @@ class TestFeatureDecision:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             FeatureDecision(decisions=np.array([0, 2]), threshold_T=0.0)
+
+    def test_bad_threshold_rejected(self):
+        for T in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold_T"):
+                FeatureDecision(decisions=np.array([0, 1]), threshold_T=T)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):

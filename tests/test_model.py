@@ -49,6 +49,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             S.features[0, 0] = 5.0
 
+    def test_block_labels(self):
+        S = Dataset(np.ones((3, 2)), np.ones((3, 4)))
+        assert S.labels.shape == (3, 4) and (S.n, S.d) == (3, 2)
+        for bad in (np.ones((2, 4)), np.ones((3, 4, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="does not match"):
+                Dataset(np.ones((3, 2)), bad)
+
     def test_replace_record(self):
         S = small_dataset()
         S2 = S.replace_record(1, np.array([9.0, 9.0, 9.0]), -1.0)
@@ -188,6 +195,46 @@ class TestGradient:
         )
 
 
+class TestBlockShapes:
+    """(n, m) labels with (d, m) weights are m problems on one X."""
+
+    def block(self, kind, penalty):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((12, 4))
+        Y = rng.choice([-1.0, 1.0], size=(12, 3))
+        W = rng.standard_normal((4, 3))
+        spec = ObjectiveSpec(kind, 0.2, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
+        return spec, X, Y, W
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("penalty", ["l2", "elastic"])
+    def test_matches_per_column_calls(self, kind, penalty):
+        spec, X, Y, W = self.block(kind, penalty)
+        S = Dataset(X, Y)
+        G = gradient(spec, W, S)
+        f = smooth_objective(spec, W, S)
+        F = objective(spec, W, S)
+        assert G.shape == (4, 3) and f.shape == (3,) and F.shape == (3,)
+        for j in range(3):
+            Sj = Dataset(X, Y[:, j])
+            np.testing.assert_allclose(G[:, j], gradient(spec, W[:, j], Sj), rtol=1e-13)
+            assert f[j] == pytest.approx(smooth_objective(spec, W[:, j], Sj), rel=1e-13)
+            assert F[j] == pytest.approx(objective(spec, W[:, j], Sj), rel=1e-13)
+
+    def test_single_vector_still_returns_float(self):
+        spec, X, Y, W = self.block("logistic", "elastic")
+        S = Dataset(X, Y[:, 0])
+        assert isinstance(smooth_objective(spec, W[:, 0], S), float)
+        assert isinstance(objective(spec, W[:, 0], S), float)
+
+    @pytest.mark.parametrize("fn", [gradient, smooth_objective, objective])
+    def test_mismatched_shapes_rejected(self, fn):
+        spec, X, Y, W = self.block("logistic", "l2")
+        for labels, weights in ((Y, W[:, 0]), (Y, W[:, :2]), (Y[:, 0], W), (Y, W.T)):
+            with pytest.raises(ValueError, match="does not match"):
+                fn(spec, weights, Dataset(X, labels))
+
+
 class TestStrongConvexity:
     def test_l2_half_convention(self):
         assert strong_convexity_constant(ObjectiveSpec("logistic", 0.1)) == pytest.approx(0.1)
@@ -248,6 +295,13 @@ class TestSignedLabels:
         np.testing.assert_array_equal(
             as_signed_labels(np.array([0.0, 1.0, 2.0]), positive=1.0), [-1.0, 1.0, -1.0]
         )
+
+    def test_one_vs_rest_block(self):
+        y = np.array([0.0, 1.0, 2.0, 1.0])
+        Y = as_signed_labels(y, positive=np.array([0.0, 1.0, 2.0]))
+        assert Y.shape == (4, 3)
+        for j, c in enumerate((0.0, 1.0, 2.0)):
+            np.testing.assert_array_equal(Y[:, j], as_signed_labels(y, positive=c))
 
     def test_multiclass_without_positive_errors(self):
         with pytest.raises(ValueError, match="one-vs-rest"):

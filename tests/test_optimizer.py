@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabledp.model import Dataset, ObjectiveSpec, gradient, objective
+from stabledp.cli import _oracle_fixture
+from stabledp.data_io import synth_classification
+from stabledp.model import Dataset, ObjectiveSpec, as_signed_labels, gradient, objective
 from stabledp.optimizer import (
     ConvergenceError,
     SgdConfig,
     SolveReport,
+    _smooth_curvature,
     clip_gradient,
     convergence_sensitivity_correction,
     s_dropout,
@@ -20,6 +25,22 @@ from stabledp.rng import derive_rng
 
 def one_point_problem():
     return Dataset(np.array([[1.0]]), np.array([1.0]))
+
+
+def one_vs_rest_problem(n=120, d=6, classes=4, seed=3):
+    """Features plus an (n, classes) matrix of one-vs-rest +/-1 labels."""
+    S, _ = synth_classification(n, d, classes=classes, sparsity=4, noise=0.5, seed=seed,
+                                label_flips=0.1)
+    return S.features, as_signed_labels(S.labels, positive=np.unique(S.labels))
+
+
+SPECS = {
+    "logistic-l2": ObjectiveSpec("logistic", 0.01),
+    "logistic-elastic": ObjectiveSpec("logistic", 0.01, penalty="elastic", gamma=0.85),
+    "squared-l2": ObjectiveSpec("squared", 0.01, lipschitz_L=1.0),
+    "squared-elastic": ObjectiveSpec("squared", 0.01, penalty="elastic", gamma=0.85,
+                                     lipschitz_L=1.0),
+}
 
 
 class TestSolveErm:
@@ -100,6 +121,16 @@ class TestSolveErm:
             solve_erm(spec, S, 1e-14, max_iters=3)
         assert err.value.report.iterations_used == 3
         assert err.value.report.weights.shape == (4,)
+        # a block input carries (d, m) weights and the worst column's residual
+        Y = np.stack([S.labels, -S.labels, np.sign(S.features[:, 0])], axis=1)
+        with pytest.raises(ConvergenceError) as err:
+            solve_erm(spec, Dataset(S.features, Y), 1e-14, max_iters=3)
+        rep = err.value.report
+        assert rep.iterations_used == 3
+        assert rep.weights.shape == (4, 3)
+        assert rep.final_gradient_norm > 1e-14
+        assert rep.loss_gap_bound == pytest.approx(
+            rep.final_gradient_norm**2 / (2 * 0.01), rel=1e-12)
 
     def test_deterministic(self):
         spec = ObjectiveSpec("logistic", 0.1, penalty="elastic", gamma=0.85)
@@ -109,11 +140,99 @@ class TestSolveErm:
         w2 = solve_erm(spec, S, 1e-9).weights
         np.testing.assert_array_equal(w1, w2)
 
+    @pytest.mark.parametrize("m", [4, 1])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_block_equals_per_column_solves(self, name, m):
+        spec = SPECS[name]
+        X, Y = one_vs_rest_problem()
+        Y = Y[:, :m]
+        block = solve_erm(spec, Dataset(X, Y), 1e-9)
+        singles = [solve_erm(spec, Dataset(X, Y[:, j]), 1e-9) for j in range(Y.shape[1])]
+        assert block.weights.shape == (X.shape[1], Y.shape[1])
+        for j, rep in enumerate(singles):
+            np.testing.assert_allclose(block.weights[:, j], rep.weights, rtol=0, atol=1e-12)
+        assert block.iterations_used == max(rep.iterations_used for rep in singles)
+        assert block.final_gradient_norm == pytest.approx(
+            max(rep.final_gradient_norm for rep in singles), rel=1e-9)
+
+    def test_no_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_erm(SPECS["logistic-l2"], one_point_problem(), 1e-6, max_iters=0)
+
+    def test_w0_shape_checked(self):
+        X, Y = one_vs_rest_problem()
+        with pytest.raises(ValueError, match="w0 shape"):
+            solve_erm(SPECS["logistic-l2"], Dataset(X, Y), 1e-6, w0=np.zeros(X.shape[1]))
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-5])
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("loss,penalty", [("logistic", "l2"), ("logistic", "elastic"),
+                                              ("squared", "l2"), ("squared", "elastic")])
+    def test_loss_gap_bound_holds(self, loss, penalty, lam, tolerance):
+        # the bound must cover the true gap at the returned point, which
+        # FISTA reaches from an extrapolated point
+        spec = ObjectiveSpec(loss, lam, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
+        X, Y = one_vs_rest_problem(n=60, d=5, classes=2, seed=5)
+        S = Dataset(X, Y[:, 0])
+        reference = objective(spec, solve_erm(spec, S, 1e-12).weights, S)
+        rep = solve_erm(spec, S, tolerance)
+        assert rep.final_gradient_norm <= tolerance
+        assert objective(spec, rep.weights, S) - reference <= rep.loss_gap_bound
+
+    def test_oracle_fixture_iterations(self):
+        # the ill-conditioned lambda=1e-3 solve: 1729 (l2) and 1065 (elastic)
+        # iterations for plain proximal gradient descent
+        spec, S = _oracle_fixture(1e-3)
+        assert solve_erm(spec, S, 1e-9).iterations_used < 400
+        elastic = ObjectiveSpec("logistic", 1e-3, penalty="elastic", gamma=0.85)
+        assert solve_erm(elastic, S, 1e-9).iterations_used < 400
+
     def test_loss_gap_bound_present(self):
         spec = ObjectiveSpec("logistic", 0.5)
         rep = solve_erm(spec, one_point_problem(), 1e-8)
         assert rep.loss_gap_bound is not None
         assert rep.loss_gap_bound <= 1e-8**2 / (2 * 0.5) * 1.0001
+
+
+def _curvature_cases():
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal(40), rng.standard_normal(7)
+    zero_col = rng.standard_normal((30, 6))
+    zero_col[:, 2] = 0.0
+    return {
+        "random": rng.standard_normal((50, 8)),
+        "rank1": np.outer(u, v),
+        "zero_column": zero_col,
+        "n_below_d": rng.standard_normal((6, 25)),
+        "zeros": np.zeros((5, 3)),
+        "one_row": rng.standard_normal((1, 4)),
+    }
+
+
+class TestSmoothCurvature:
+    @pytest.mark.parametrize("case", sorted(_curvature_cases()))
+    @pytest.mark.parametrize("spec,factor", [
+        (ObjectiveSpec("logistic", 0.01), 0.25),
+        (ObjectiveSpec("squared", 0.3, lipschitz_L=1.0), 2.0),
+        (ObjectiveSpec("logistic", 0.1, penalty="elastic", gamma=0.85), 0.25),
+    ])
+    def test_never_below_true_curvature(self, case, spec, factor):
+        X = _curvature_cases()[case]
+        S = Dataset(X, np.ones(X.shape[0]))
+        lam_max = float(np.linalg.eigvalsh(X.T @ X / X.shape[0])[-1])
+        exact = factor * lam_max + 2.0 * spec.l2_coefficient
+        L = _smooth_curvature(spec, S)
+        assert L >= exact
+        # tight: at most the trace bound, and at most 1.1x on these inputs
+        trace = factor * float(np.sum(X * X)) / X.shape[0] + 2.0 * spec.l2_coefficient
+        assert L <= trace * (1 + 1e-9)
+        assert L <= 1.1 * exact
+
+    def test_same_for_block_labels(self):
+        X, Y = one_vs_rest_problem()
+        spec = SPECS["logistic-l2"]
+        assert _smooth_curvature(spec, Dataset(X, Y)) == _smooth_curvature(
+            spec, Dataset(X, Y[:, 0]))
 
 
 class TestSgdRun:
@@ -189,6 +308,11 @@ class TestSgdConfig:
         dict(steps_T=1, step_size=0.1, batch_size_b=1, dropout_rate_s=1.5),
         dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(0.5, 0.6)),
         dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(1.5, -0.5)),
+        dict(steps_T=10, step_size=math.nan, batch_size_b=5),
+        dict(steps_T=10, step_size=0.1, batch_size_b=5, clip_bound_G=math.nan),
+        dict(steps_T=math.nan, step_size=0.1, batch_size_b=5),
+        dict(steps_T=10, step_size=0.0, batch_size_b=5),
+        dict(steps_T=10, step_size=math.inf, batch_size_b=5),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -247,8 +371,9 @@ class TestClipGradient:
             assert abs(np.linalg.norm(out) - min(np.linalg.norm(g), G)) <= 1e-12
 
     def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            clip_gradient(np.ones(2), 0.0)
+        for G in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                clip_gradient(np.ones(2), G)
 
 
 class TestConvergenceCorrection:
@@ -267,6 +392,18 @@ class TestConvergenceCorrection:
             val = convergence_sensitivity_correction(0.4, rep, 2.0)
             assert val >= prev
             prev = val
+
+    @pytest.mark.parametrize("base,lambda_sc", [(math.nan, 1.0), (0.4, math.nan),
+                                                (math.inf, 1.0), (0.4, 0.0)])
+    def test_nonfinite_inputs_rejected(self, base, lambda_sc):
+        rep = SolveReport(np.zeros(2), 0.0, 10, loss_gap_bound=0.02)
+        with pytest.raises(ValueError):
+            convergence_sensitivity_correction(base, rep, lambda_sc)
+
+    @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])
+    def test_report_rejects_bad_gradient_norm(self, norm):
+        with pytest.raises(ValueError, match="final_gradient_norm"):
+            SolveReport(np.zeros(2), norm, 10)
 
     def test_missing_both_gaps_errors(self):
         rep = SolveReport(np.zeros(2), 0.0, 10)
