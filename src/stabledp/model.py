@@ -211,6 +211,14 @@ def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarra
     return (z - y) ** 2
 
 
+def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d loss / d z at the margins z = <w, x>, elementwise."""
+    if spec.loss_kind == "logistic":
+        # d/dz log(1+exp(-y z)) = -y sigmoid(-y z)
+        return -y / (1.0 + np.exp(y * z))
+    return 2.0 * (z - y)
+
+
 def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> float:
     """Loss of the model w on a single item (x, y). No penalty term.
 
@@ -228,11 +236,7 @@ def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
     """Gradient in w of the per-example loss (smooth part only, no penalty)."""
     x = np.asarray(x, dtype=float)
     w = _check_dims(w, x.shape[:1])
-    z = float(x @ w)
-    if spec.loss_kind == "logistic":
-        # d/dw log(1+exp(-y z)) = -y x sigmoid(-y z)
-        return -y * x / (1.0 + np.exp(y * z))
-    return 2.0 * (z - y) * x
+    return _loss_derivative(spec, float(x @ w), y) * x
 
 
 def _per_column(v):
@@ -264,13 +268,8 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
     proximal step.
     """
     w = _weights_for(w, S)
-    X, y = S.features, S.labels
-    z = X @ w
-    if spec.loss_kind == "logistic":
-        coeff = -y / (1.0 + np.exp(y * z))
-    else:
-        coeff = 2.0 * (z - y)
-    g = (X.T @ coeff) / S.n
+    X = S.features
+    g = (X.T @ _loss_derivative(spec, X @ w, S.labels)) / S.n
     return g + 2.0 * spec.l2_coefficient * w
 
 

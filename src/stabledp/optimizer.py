@@ -10,21 +10,31 @@ zeros, which downstream feature selection relies on.
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
 step size, batch size, gradient clipping, norm-contracting dropout, and
 iterate averaging. Batch order and dropout randomness come from streams
-derived per purpose (and per step, for dropout) from the config seed, so
-two runs on neighboring datasets with the same seed are maximally coupled:
-they see the same batch index sequence and the same per-step dropout
-generators.
+derived per purpose (and per step, for dropout) from the config seed. It
+trains a block of same-shape datasets, such as S and its neighbours, as
+the columns of one iterate: every column sees the same batch indices and
+the same per-step dropout stream, which is the coupling of the uniform
+stability argument (Hardt, Recht & Singer 2016), and each column equals its
+own single-dataset run to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Dataset, ObjectiveSpec, gradient, smooth_objective, strong_convexity_constant
+from .model import (
+    Dataset,
+    ObjectiveSpec,
+    _loss_derivative,
+    gradient,
+    smooth_objective,
+    strong_convexity_constant,
+)
 from .rng import derive_rng
 
 __all__ = [
@@ -48,6 +58,11 @@ class ConvergenceError(RuntimeError):
         self.report = report
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's included; a bool is not a count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SgdConfig:
     """Minibatch SGD configuration.
@@ -67,10 +82,10 @@ class SgdConfig:
 
     def __post_init__(self):
         # every comparison with NaN is false, so each guard tests the valid range
-        if not 0 <= self.steps_T < math.inf:
-            raise ValueError(f"steps_T must be finite and >= 0, got {self.steps_T}")
-        if self.batch_size_b < 1:
-            raise ValueError(f"batch_size_b must be >= 1, got {self.batch_size_b}")
+        if not _is_int(self.steps_T) or self.steps_T < 0:
+            raise ValueError(f"steps_T must be an integer >= 0, got {self.steps_T!r}")
+        if not _is_int(self.batch_size_b) or self.batch_size_b < 1:
+            raise ValueError(f"batch_size_b must be an integer >= 1, got {self.batch_size_b!r}")
         if not callable(self.step_size) and not 0 < self.step_size < math.inf:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.clip_bound_G is not None and not self.clip_bound_G > 0:
@@ -83,6 +98,8 @@ class SgdConfig:
                 raise ValueError(
                     f"averaging needs one weight per step ({self.steps_T}), got {w.shape}"
                 )
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"averaging weights must be finite, got {self.averaging}")
             if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
                 raise ValueError("averaging weights must be nonnegative and sum to 1")
             object.__setattr__(self, "averaging", tuple(float(v) for v in w))
@@ -111,7 +128,6 @@ class SolveReport:
     iterations_used: int
     loss_gap_bound: float | None = None
     weight_gap_bound: float | None = None
-    trajectory: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 <= self.final_gradient_norm < math.inf:
@@ -241,36 +257,72 @@ def _solve_report(w: np.ndarray, residual: np.ndarray, iterations: int,
     return SolveReport(w, worst, iterations, loss_gap_bound=worst * worst / (2.0 * lam_sc))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The norm of each row; a 1-D input is one row."""
+    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+
+
 def clip_gradient(g: np.ndarray, G: float) -> np.ndarray:
-    """Rescale g to norm G when ||g|| > G; direction preserved, else unchanged."""
+    """Rescale g to norm G when ||g|| > G; direction preserved, else unchanged.
+
+    A 2-D g is clipped row by row, each row by its own norm.
+    """
     if not G > 0:  # false for NaN too
         raise ValueError(f"G must be > 0, got {G}")
     g = np.asarray(g, dtype=float)
-    nrm = float(np.linalg.norm(g))
-    if nrm <= G:
-        return g
-    return g * (G / nrm)
+    # an unclipped row is multiplied by G / G, exactly 1.0
+    return g * (G / np.maximum(_row_norms(g), G))
 
 
 def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     """Randomly zero components of v until ||result|| <= s * ||v||.
 
     The contraction holds on every invocation (worst case, not in
-    expectation); v = 0 returns 0 and s = 1 may return v unchanged.
+    expectation); v = 0 returns 0 and s = 1 may return v unchanged. Each
+    draw picks one of the remaining nonzero components uniformly.
+
+    A 2-D v is dropped out row by row, each row as if it alone were passed
+    with ``rng`` in its current state: coupled rows see the same random
+    stream, as neighbouring SGD runs on one seed do. Rows with the same
+    number of nonzeros share one draw sequence, and each applies its prefix
+    until its own norm reaches the target. The generator is left where the
+    rows with the most nonzeros left it; for a 1-D v, after its last draw.
     """
     if not 0 < s <= 1:
         raise ValueError(f"s must be in (0, 1], got {s}")
     v = np.asarray(v, dtype=float)
-    target = s * float(np.linalg.norm(v))
-    out = v.copy()
-    while float(np.linalg.norm(out)) > target:
-        alive = np.flatnonzero(out)
-        out[alive[rng.integers(alive.size)]] = 0.0
-    return out
+    out = np.array(np.atleast_2d(v))
+    target = s * _row_norms(out)[:, 0]
+    counts = np.count_nonzero(out, axis=1)
+    start = rng.bit_generator.state
+    for c0 in sorted(set(counts.tolist()) - {0}):
+        rng.bit_generator.state = start
+        rows = np.flatnonzero(counts == c0)
+        # nonzero positions of each row; a draw removes one rank of what is left
+        positions = np.nonzero(out[rows])[1].reshape(rows.size, c0)
+        ranks = list(range(c0))
+        for k in range(c0):
+            active = _row_norms(out[rows])[:, 0] > target[rows]
+            if not active.any():
+                break
+            rank = ranks.pop(rng.integers(c0 - k))
+            out[rows[active], positions[active, rank]] = 0.0
+    return out.reshape(v.shape)
 
 
-def sgd_run(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
-            w0: np.ndarray | None = None, keep_trajectory: bool = False) -> SolveReport:
+def _block_gradient(spec: ObjectiveSpec, W: np.ndarray, X: np.ndarray,
+                    Y: np.ndarray) -> np.ndarray:
+    """Row j: the smooth gradient of W[j] on the dataset (X[j], Y[j]).
+
+    W is (m, d), X is (m, n, d) and Y is (m, n); returns (m, d).
+    """
+    coeff = _loss_derivative(spec, np.einsum("mnd,md->mn", X, W), Y)
+    g = np.einsum("mnd,mn->md", X, coeff) / X.shape[1]
+    return g + 2.0 * spec.l2_coefficient * W
+
+
+def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
+            w0: np.ndarray | None = None) -> SolveReport:
     """Run T steps of minibatch proximal SGD; bit-reproducible given the seed.
 
     Per step: draw the next without-replacement batch, compute the smooth
@@ -278,45 +330,68 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     then soft-threshold for the L1 term. With ``averaging`` set, the
     weighted average of post-step iterates is returned instead of the final
     iterate.
-    """
-    if cfg.batch_size_b > S.n:
-        raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={S.n}")
-    batch_rng = derive_rng(cfg.seed, 0)
-    w = np.zeros(S.d) if w0 is None else np.asarray(w0, dtype=float).copy()
-    avg = np.zeros(S.d) if cfg.averaging is not None else None
-    traj = [] if keep_trajectory else None
 
-    order = batch_rng.permutation(S.n)
+    ``S`` is one dataset, giving (d,) weights, or a sequence of m datasets
+    of one shape with 1-D labels, giving (d, m) weights whose column j is
+    trained on the j-th dataset. The block is one coupled run: every column
+    takes the same batch indices from the one ``derive_rng(seed, 0)``
+    order, and its gradient row is clipped and dropped out by itself, with
+    every row drawing from the step's fresh ``derive_rng(seed, 1, t)``. So
+    each column equals its own single-dataset run to rounding, and a run on
+    S with its neighbours is the paired run of uniform stability. ``w0``,
+    when given, has the shape of the weights. ``final_gradient_norm`` is
+    the maximum over the columns of the full-data gradient norm.
+    """
+    block = not isinstance(S, Dataset)
+    datasets = list(S) if block else [S]
+    if not datasets:
+        raise ValueError("sgd_run needs at least one dataset")
+    n, d = datasets[0].n, datasets[0].d
+    for D in datasets:
+        if D.features.shape != (n, d) or D.labels.shape != (n,):
+            raise ValueError(
+                f"every dataset needs features {(n, d)} and labels {(n,)}, got "
+                f"{D.features.shape} and {D.labels.shape}")
+    if cfg.batch_size_b > n:
+        raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={n}")
+    X = np.stack([D.features for D in datasets])  # (m, n, d)
+    Y = np.stack([D.labels for D in datasets])    # (m, n)
+    shape = (d, len(datasets)) if block else (d,)
+    W = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
+    if W.shape != shape:
+        raise ValueError(f"w0 shape {W.shape} does not match the weight shape {shape}")
+    W = W.T.reshape(len(datasets), d)  # one row per dataset
+    avg = np.zeros_like(W) if cfg.averaging is not None else None
+
+    batch_rng = derive_rng(cfg.seed, 0)
+    order = batch_rng.permutation(n)
     cursor = 0
     for t in range(cfg.steps_T):
-        if cursor >= S.n:
-            order = batch_rng.permutation(S.n)
+        if cursor >= n:
+            order = batch_rng.permutation(n)
             cursor = 0
         batch_idx = order[cursor:cursor + cfg.batch_size_b]
         cursor += cfg.batch_size_b
-        g = gradient(spec, w, S.subset(batch_idx))
+        g = _block_gradient(spec, W, X[:, batch_idx], Y[:, batch_idx])
         if cfg.clip_bound_G is not None:
             g = clip_gradient(g, cfg.clip_bound_G)
         if cfg.dropout_rate_s is not None:
             g = s_dropout(g, cfg.dropout_rate_s, derive_rng(cfg.seed, 1, t))
         alpha = cfg.step_at(t)
-        w = w - alpha * g
+        W = W - alpha * g
         if spec.l1_coefficient > 0:
-            w = soft_threshold(w, alpha * spec.l1_coefficient)
-        if not np.all(np.isfinite(w)):
+            W = soft_threshold(W, alpha * spec.l1_coefficient)
+        if not np.all(np.isfinite(W)):
             raise FloatingPointError(f"non-finite iterate at step {t}")
         if avg is not None:
-            avg += cfg.averaging[t] * w
-        if traj is not None:
-            traj.append(w.copy())
+            avg += cfg.averaging[t] * W
 
-    result = avg if avg is not None else w
-    grad_norm = float(np.linalg.norm(gradient(spec, result, S)))
+    result = avg if avg is not None else W
+    grad_norm = float(np.max(_row_norms(_block_gradient(spec, result, X, Y))))
     return SolveReport(
-        weights=result,
+        weights=result.T if block else result[0],
         final_gradient_norm=grad_norm,
         iterations_used=cfg.steps_T,
-        trajectory=np.array(traj) if traj is not None else None,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ class TestSgdRun:
         S = self.small_problem()
         T, alpha = 25, 0.05
         cfg = SgdConfig(steps_T=T, step_size=alpha, batch_size_b=S.n, seed=9)
-        rep = sgd_run(spec, S, cfg, keep_trajectory=True)
+        rep = sgd_run(spec, S, cfg)
 
         w = np.zeros(3)
         for _ in range(T):
@@ -263,7 +264,6 @@ class TestSgdRun:
         # bitwise equality is not achievable across batch row orders (the
         # mean is summed in permuted order), so compare at rounding level
         np.testing.assert_allclose(rep.weights, w, rtol=0, atol=1e-14)
-        assert rep.trajectory.shape == (T, 3)
 
     def test_averaging_beats_worst_trajectory_point(self):
         spec = ObjectiveSpec("squared", 0.2, lipschitz_L=5.0)
@@ -271,8 +271,11 @@ class TestSgdRun:
         T = 30
         cfg = SgdConfig(steps_T=T, step_size=0.05, batch_size_b=4,
                         averaging=tuple([1.0 / T] * T), seed=3)
-        rep = sgd_run(spec, S, cfg, keep_trajectory=True)
-        objs = [objective(spec, wt, S) for wt in rep.trajectory]
+        rep = sgd_run(spec, S, cfg)
+        # step t's iterate: a t-step run on the same seed draws the same
+        # batches and dropout streams up to step t
+        objs = [objective(spec, sgd_run(spec, S, replace(cfg, steps_T=t, averaging=None))
+                          .weights, S) for t in range(1, T + 1)]
         assert objective(spec, rep.weights, S) <= max(objs) + 1e-12
 
     def test_bit_reproducible(self):
@@ -299,6 +302,69 @@ class TestSgdRun:
             sgd_run(spec, S, cfg)
 
 
+def sgd_block(n_neighbours=5, seed=9):
+    """The SGD-stability fixture (n=60, d=5) and neighbours, each one record swapped."""
+    S, _ = synth_classification(60, 5, classes=2, sparsity=5, noise=0.5, seed=seed)
+    rng = np.random.default_rng(seed)
+    neighbours = []
+    for _ in range(n_neighbours):
+        x = rng.standard_normal(S.d)
+        x /= max(1.0, float(np.linalg.norm(x)))
+        neighbours.append(S.replace_record(int(rng.integers(S.n)), x, rng.choice([-1.0, 1.0])))
+    return [S, *neighbours]
+
+
+SGD_KNOBS = {
+    "baseline": {},
+    "dropout": {"dropout_rate_s": 0.5},
+    "clip": {"clip_bound_G": 0.05},
+    "large_batch": {"batch_size_b": 30},
+    "averaging": {"averaging": tuple([1.0 / 120] * 120)},
+}
+
+
+class TestSgdBlock:
+    @pytest.mark.parametrize("knob", sorted(SGD_KNOBS))
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_block_equals_per_dataset_runs(self, name, knob):
+        spec, datasets = SPECS[name], sgd_block()
+        cfg = SgdConfig(**{"steps_T": 120, "step_size": 0.1, "batch_size_b": 5, "seed": 4,
+                           **SGD_KNOBS[knob]})
+        block = sgd_run(spec, datasets, cfg)
+        singles = [sgd_run(spec, D, cfg) for D in datasets]
+        assert block.weights.shape == (5, len(datasets))
+        for j, rep in enumerate(singles):
+            assert rep.weights.shape == (5,)
+            np.testing.assert_allclose(block.weights[:, j], rep.weights, rtol=0, atol=1e-12)
+        # the neighbours really train to different weights
+        assert np.ptp(block.weights, axis=1).max() > 1e-6
+        assert block.iterations_used == cfg.steps_T
+        assert block.final_gradient_norm == pytest.approx(
+            max(rep.final_gradient_norm for rep in singles), rel=1e-12)
+
+    def test_block_of_one(self):
+        spec, (S,) = SPECS["logistic-l2"], sgd_block(0)
+        cfg = SgdConfig(steps_T=50, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=1)
+        block = sgd_run(spec, [S], cfg)
+        assert block.weights.shape == (5, 1)
+        np.testing.assert_array_equal(block.weights[:, 0], sgd_run(spec, S, cfg).weights)
+
+    def test_mismatched_shapes_rejected(self):
+        spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
+        cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
+        bad_blocks = {
+            "fewer rows": [S, S.subset(np.arange(S.n - 1))],
+            "more columns": [S, Dataset(np.hstack([S.features, S.features[:, :1]]), S.labels)],
+            "label matrix": [S, Dataset(S.features, np.stack([S.labels, S.labels], axis=1))],
+            "empty": [],
+        }
+        for blocks in bad_blocks.values():
+            with pytest.raises(ValueError):
+                sgd_run(spec, blocks, cfg)
+        with pytest.raises(ValueError, match="w0 shape"):
+            sgd_run(spec, [S, Sp], cfg, w0=np.zeros(S.d))
+
+
 class TestSgdConfig:
     @pytest.mark.parametrize("bad", [
         dict(steps_T=-1, step_size=0.1, batch_size_b=1),
@@ -313,10 +379,20 @@ class TestSgdConfig:
         dict(steps_T=math.nan, step_size=0.1, batch_size_b=5),
         dict(steps_T=10, step_size=0.0, batch_size_b=5),
         dict(steps_T=10, step_size=math.inf, batch_size_b=5),
+        dict(steps_T=10, step_size=0.1, batch_size_b=math.nan),
+        dict(steps_T=10, step_size=0.1, batch_size_b=2.5),
+        dict(steps_T=2.5, step_size=0.1, batch_size_b=1),
+        dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(0.5, math.nan)),
+        dict(steps_T=True, step_size=0.1, batch_size_b=1),
+        dict(steps_T=1, step_size=0.1, batch_size_b=True),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             SgdConfig(**bad)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SgdConfig(steps_T=np.int64(3), step_size=0.1, batch_size_b=np.int32(2))
+        assert cfg.steps_T == 3 and cfg.batch_size_b == 2
 
     def test_schedule_callable(self):
         cfg = SgdConfig(steps_T=3, step_size=lambda t: 1.0 / (t + 1), batch_size_b=1)
@@ -352,6 +428,46 @@ class TestSDropout:
         for s in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 s_dropout(np.ones(3), s, derive_rng(0))
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 1.0])
+    def test_rows_equal_per_row_calls_on_fresh_streams(self, s):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            d = int(rng.integers(1, 9))
+            V = rng.standard_normal((int(rng.integers(1, 7)), d))
+            V[rng.random(V.shape) < 0.2] = 0.0  # exact zeros: nonzero counts differ
+            V[0] = 0.0 if trial % 5 == 0 else V[0]
+            block_rng = derive_rng(trial, 1)
+            out = s_dropout(V, s, block_rng)
+            assert out.shape == V.shape
+            row_rngs = [derive_rng(trial, 1) for _ in V]
+            singles = [s_dropout(v, s, r) for v, r in zip(V, row_rngs)]
+            for v, o, single in zip(V, out, singles):
+                np.testing.assert_array_equal(o, single)
+                assert np.linalg.norm(o) <= s * np.linalg.norm(v)
+                kept = o != 0
+                np.testing.assert_array_equal(o[kept], v[kept])
+            # the generator ends where the longest run among the rows with
+            # the most nonzeros ended
+            counts = np.count_nonzero(V, axis=1)
+            draws = counts - np.count_nonzero(out, axis=1)
+            widest = np.flatnonzero(counts == counts.max())
+            j = widest[np.argmax(draws[widest])]
+            assert block_rng.random() == row_rngs[j].random()
+
+
+class TestClipGradientRows:
+    def test_rows_equal_per_row_calls(self):
+        rng = np.random.default_rng(6)
+        G = rng.standard_normal((9, 4)) * np.array([[0.01], [0.1], [0.5], [1.0], [2.0],
+                                                    [5.0], [0.0], [0.2], [3.0]])
+        out = clip_gradient(G, 0.5)
+        for g, o in zip(G, out):
+            np.testing.assert_array_equal(o, clip_gradient(g, 0.5))
+            assert np.linalg.norm(o) <= 0.5 * (1 + 1e-15)
+        below = np.linalg.norm(G, axis=1) <= 0.5
+        assert below.any() and not below.all()
+        np.testing.assert_array_equal(out[below], G[below])
 
 
 class TestClipGradient:

@@ -23,6 +23,29 @@ def fixture(n=50, d=5, lam=0.5, seed=5):
     return ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0), S
 
 
+class TestFreshRecord:
+    def test_draws_pinned(self):
+        # recorded when the label was drawn by rng.choice((-1.0, 1.0)); the
+        # oracles' neighbours and probes all come from this stream
+        expected = [
+            ([0.750017664263499, 0.36373071438321813, 0.026535692932377654,
+              -0.4243996719532083, -0.16269121819537788], 1.0),
+            ([0.2205951404236716, 0.16307718831560022, -0.06566489155620732,
+              -0.6901780585586285, 0.2590308736108735], 1.0),
+            ([-0.28750440279191, 0.04685110251471966, 0.10330096466077383,
+              0.4064522037146865, 0.6765447264916719], -1.0),
+            ([0.4265772555155679, 0.33464634012461103, -0.048266832604432694,
+              -0.5142105311432495, 0.5175031310267435], -1.0),
+        ]
+        spec, rng = ObjectiveSpec("logistic", 0.2), derive_rng(0, 26)
+        for x_ref, y_ref in expected:
+            x, y = _fresh_record(spec, 5, rng)
+            assert x.tolist() == pytest.approx(x_ref, rel=1e-15, abs=0)
+            assert type(y) is float and y == y_ref
+        # and the stream is left where the old draw left it
+        assert rng.random() == 0.9946670155919738
+
+
 class TestEmpiricalSensitivity:
     def test_bound_respected_on_fixture(self):
         spec, S = fixture()
