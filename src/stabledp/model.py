@@ -19,7 +19,9 @@ Weight vectors are plain 1-D float64 ``numpy`` arrays. A dataset whose
 labels are an (n, m) matrix holds m problems on one feature matrix (one
 one-vs-rest column per class, say); its weights are a (d, m) matrix, one
 column per label column, and ``smooth_objective``/``objective`` return one
-value per column.
+value per column. The private ``_block_*`` kernels evaluate m same-shape
+datasets stacked as (m, n, d) features and (m, n) labels, one weight row
+per dataset.
 """
 
 from __future__ import annotations
@@ -203,12 +205,16 @@ def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
-def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example losses; a (d, k) ``w`` with (n, 1) ``y`` gives one column per model."""
-    z = X @ w
+def _margin_loss(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Loss at the margins z = <w, x>, elementwise."""
     if spec.loss_kind == "logistic":
         return _softplus(-y * z)
     return (z - y) ** 2
+
+
+def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example losses; a (d, k) ``w`` with (n, 1) ``y`` gives one column per model."""
+    return _margin_loss(spec, X @ w, y)
 
 
 def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -271,6 +277,29 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
     X = S.features
     g = (X.T @ _loss_derivative(spec, X @ w, S.labels)) / S.n
     return g + 2.0 * spec.l2_coefficient * w
+
+
+def _block_margins(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row j: the margins X[j] @ W[j]; W is (m, d), X is (m, n, d), the result (m, n)."""
+    return np.einsum("mnd,md->mn", X, W)
+
+
+def _block_gradient(spec: ObjectiveSpec, W: np.ndarray, X: np.ndarray,
+                    Y: np.ndarray) -> np.ndarray:
+    """Row j: the smooth gradient of W[j] on the dataset (X[j], Y[j]).
+
+    W is (m, d), X is (m, n, d) and Y is (m, n); returns (m, d).
+    """
+    coeff = _loss_derivative(spec, _block_margins(W, X), Y)
+    g = np.einsum("mnd,mn->md", X, coeff) / X.shape[1]
+    return g + 2.0 * spec.l2_coefficient * W
+
+
+def _block_smooth_objective(spec: ObjectiveSpec, W: np.ndarray, X: np.ndarray,
+                            Y: np.ndarray) -> np.ndarray:
+    """Entry j: the smooth objective of W[j] on the dataset (X[j], Y[j]); returns (m,)."""
+    mean_loss = _margin_loss(spec, _block_margins(W, X), Y).mean(axis=1)
+    return mean_loss + spec.l2_coefficient * (W * W).sum(axis=1)
 
 
 def objective_subgradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
 function-value restart) at a fixed step from a certain curvature bound, so
-no step is ever retried. It solves a block of problems that share one
-feature matrix, such as every one-vs-rest class, in one call. The L1 term
-is handled by soft-thresholding so elastic-net solutions reach exact
+no step is ever retried. It solves a block of problems in one call: every
+one-vs-rest class of one feature matrix, or a sequence of same-shape
+datasets such as S and its neighbours, each column at its own step. The L1
+term is handled by soft-thresholding so elastic-net solutions reach exact
 zeros, which downstream feature selection relies on.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
@@ -30,7 +31,8 @@ import numpy as np
 from .model import (
     Dataset,
     ObjectiveSpec,
-    _loss_derivative,
+    _block_gradient,
+    _block_smooth_objective,
     gradient,
     smooth_objective,
     strong_convexity_constant,
@@ -114,20 +116,21 @@ class SgdConfig:
 class SolveReport:
     """Result of a solve: weights plus optimality/convergence diagnostics.
 
-    ``loss_gap_bound`` is an upper bound on objective(w) - objective(w*)
-    and ``weight_gap_bound`` on ||w - w*||; either feeds the sensitivity
-    correction for inexact minimizers.
+    ``loss_gap_bound`` is an upper bound on objective(w) - objective(w*);
+    it feeds the sensitivity correction for inexact minimizers.
 
     For a block solve (``weights`` of shape (d, m)) ``iterations_used``
-    counts block iterations, and ``final_gradient_norm`` and
-    ``loss_gap_bound`` are the maxima over the m columns.
+    counts block iterations, ``final_gradient_norm`` and ``loss_gap_bound``
+    are the maxima over the m columns, and ``residuals`` holds each
+    column's own residual (``solve_erm`` only), so a failed block tells
+    which columns stayed above tolerance.
     """
 
     weights: np.ndarray
     final_gradient_norm: float
     iterations_used: int
     loss_gap_bound: float | None = None
-    weight_gap_bound: float | None = None
+    residuals: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 <= self.final_gradient_norm < math.inf:
@@ -140,8 +143,12 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _smooth_curvature(spec: ObjectiveSpec, S: Dataset) -> float:
+def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | np.ndarray):
     """Certain upper bound on the gradient Lipschitz constant of the smooth part.
+
+    ``S`` is one dataset, giving a float, or an (m, n, d) stack of feature
+    matrices, giving one bound per matrix from one batched pass; each equals
+    the bound of its own dataset.
 
     The loss curvature is at most factor * lambda_max(X^T X / n), with
     factor 1/4 for logistic and 2 for squared loss. lambda_max is bounded
@@ -152,24 +159,48 @@ def _smooth_curvature(spec: ObjectiveSpec, S: Dataset) -> float:
     The bound exceeds lambda_max by at most the factor rank(G)^(1/64)
     (1.06 at rank 32), less when the top eigenvalue stands out. Either bound can round below the true
     lambda_max (by 1e-12 relative on rank-1 inputs), so the smaller one is
-    padded by 1e-9 relative.
+    padded by 1e-9 relative. All-zero features give tr(G) = 0 and the
+    bound 2 * l2_coefficient, with no normalisation by a zero trace.
     """
-    X = S.features
-    G = (X.T @ X if S.d <= S.n else X @ X.T) / S.n
-    top = float(np.trace(G))
-    if top > 0:
-        bound, A = top, G / top
-        for k in range(1, 7):
-            A = A @ A
-            s = float(np.trace(A))  # >= 1/rank(G) > 0, as tr(A) = 1
-            bound *= s ** (0.5 ** k)
-            A /= s
-        top = min(top, bound) * (1.0 + 1e-9)
+    one = isinstance(S, Dataset)
+    X = S.features[None] if one else S
+    n, d = X.shape[1:]
+    Xt = X.transpose(0, 2, 1)
+    G = (Xt @ X if d <= n else X @ Xt) / n
+    tops = np.trace(G, axis1=1, axis2=2)
+    # an all-zero G is replaced by I / size, so no trace below is 0; its
+    # bound stays tr(G) = 0
+    zero = tops == 0
+    G[zero] = np.eye(G.shape[1])
+    A = G / np.where(zero, G.shape[1], tops)[:, None, None]
+    bounds = tops.tolist()
+    for k in range(1, 7):
+        A = A @ A
+        s = np.trace(A, axis1=1, axis2=2)  # >= 1/rank(A) > 0, as tr(A) = 1
+        A /= s[:, None, None]
+        # scalar pow, as numpy's array pow rounds differently in ~5% of cases
+        bounds = [b * v ** (0.5 ** k) for b, v in zip(bounds, s.tolist())]
     factor = 0.25 if spec.loss_kind == "logistic" else 2.0
-    return factor * top + 2.0 * spec.l2_coefficient
+    L = [factor * (min(top, bound) * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
+         for top, bound in zip(tops.tolist(), bounds)]
+    return L[0] if one else np.array(L)
 
 
-def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
+def _stacked(datasets: Sequence[Dataset]) -> tuple:
+    """(m, n, d) features and (m, n) labels of same-shape datasets with 1-D labels."""
+    datasets = list(datasets)
+    if not datasets:
+        raise ValueError("a block needs at least one dataset")
+    n, d = datasets[0].n, datasets[0].d
+    for D in datasets:
+        if D.features.shape != (n, d) or D.labels.shape != (n,):
+            raise ValueError(
+                f"every dataset needs features {(n, d)} and labels {(n,)}, got "
+                f"{D.features.shape} and {D.labels.shape}")
+    return np.stack([D.features for D in datasets]), np.stack([D.labels for D in datasets])
+
+
+def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: float = 1e-8,
               max_iters: int = 100_000, w0: np.ndarray | None = None) -> SolveReport:
     """Minimize the regularized objective to a given optimality residual.
 
@@ -180,12 +211,19 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
     rounding noise. The L1 term is handled by soft-thresholding; with no
     L1 term the proximal step is the identity.
 
-    With (n, m) labels the m columns are solved in one block: the step is
-    shared (it depends on X only), momentum, restart and stopping are per
-    column, and each column keeps the first iterate at which it reaches
-    ``tolerance``, so its weights do not depend on the other columns (beyond
-    the rounding of the block product, about 1e-15). The weights are then
-    (d, m).
+    A block of m problems is solved in one loop, with (d, m) weights:
+
+    * one dataset with (n, m) labels: the m columns share X, and so the step;
+    * a sequence of m same-shape datasets with 1-D labels (S and its
+      neighbours, say): column j is trained on the j-th dataset, over the
+      stacked (m, n, d) features, at its own step 1/L_j; all m curvature
+      bounds come from one batched pass. The stack holds m*n*d floats.
+
+    Momentum, restart and stopping are per column, and each column keeps
+    the first iterate at which it reaches ``tolerance``, so it follows its
+    own single-problem path and its weights do not depend on the other
+    columns (beyond the rounding of the block product, about 1e-15). The
+    block runs until its slowest column converges.
 
     The residual of a step x+ = prox(y - alpha grad f(y)) is the gradient
     mapping norm ||G(y)|| = ||y - x+|| / alpha at the point y the step is
@@ -199,7 +237,8 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
 
     Raises :class:`ConvergenceError` if a column's residual is still above
     ``tolerance`` after ``max_iters`` block iterations; its report carries
-    each such column's last iterate, with the gap bound of that iterate.
+    each such column's last iterate, with the gap bound of that iterate,
+    and every column's residual, so the converged columns stay usable.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
@@ -207,21 +246,39 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
     c1 = spec.l1_coefficient
-    shape = (S.d,) + S.labels.shape[1:]
+    if isinstance(S, Dataset):
+        shape = (S.d,) + S.labels.shape[1:]
+        curvature = _smooth_curvature(spec, S)
+
+        def smooth(w):
+            return smooth_objective(spec, w, S)
+
+        def grad(w):
+            return gradient(spec, w, S)
+    else:
+        X, Y = _stacked(S)
+        shape = (X.shape[2], X.shape[0])
+        curvature = _smooth_curvature(spec, X)
+
+        def smooth(w):
+            return _block_smooth_objective(spec, w.T, X, Y)
+
+        def grad(w):
+            return _block_gradient(spec, w.T, X, Y).T
     x = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
     if x.shape != shape:
         raise ValueError(f"w0 shape {x.shape} does not match the weight shape {shape}")
-    alpha = 1.0 / max(_smooth_curvature(spec, S), 1e-12)
+    alpha = 1.0 / np.maximum(curvature, 1e-12)
 
     def full_objective(w):
-        val = smooth_objective(spec, w, S)
+        val = smooth(w)
         return val + c1 * np.abs(w).sum(axis=0) if c1 > 0 else val
 
     y, f_x, t = x, full_objective(x), np.ones(shape[1:])
     # per column: the first iterate at tolerance and its residual
     w_out, r_out = x, np.full(shape[1:], math.inf)
     for it in range(1, max_iters + 1):
-        x_next = y - alpha * gradient(spec, y, S)
+        x_next = y - alpha * grad(y)
         if c1 > 0:
             x_next = soft_threshold(x_next, alpha * c1)
         step = x_next - y
@@ -244,8 +301,9 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
     done = r_out <= tolerance
     report = _solve_report(np.where(done, w_out, x), np.where(done, r_out, residual),
                            max_iters, lam_sc)
+    columns = f" in columns {np.flatnonzero(~done).tolist()}" if done.ndim else ""
     raise ConvergenceError(
-        f"no convergence after {max_iters} iterations (residual "
+        f"no convergence after {max_iters} iterations{columns} (residual "
         f"{report.final_gradient_norm:.3e} > tolerance {tolerance:.3e})",
         report,
     )
@@ -254,7 +312,8 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset, tolerance: float = 1e-8,
 def _solve_report(w: np.ndarray, residual: np.ndarray, iterations: int,
                   lam_sc: float) -> SolveReport:
     worst = float(np.max(residual))
-    return SolveReport(w, worst, iterations, loss_gap_bound=worst * worst / (2.0 * lam_sc))
+    return SolveReport(w, worst, iterations, loss_gap_bound=worst * worst / (2.0 * lam_sc),
+                       residuals=residual if residual.ndim else None)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -310,17 +369,6 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _block_gradient(spec: ObjectiveSpec, W: np.ndarray, X: np.ndarray,
-                    Y: np.ndarray) -> np.ndarray:
-    """Row j: the smooth gradient of W[j] on the dataset (X[j], Y[j]).
-
-    W is (m, d), X is (m, n, d) and Y is (m, n); returns (m, d).
-    """
-    coeff = _loss_derivative(spec, np.einsum("mnd,md->mn", X, W), Y)
-    g = np.einsum("mnd,mn->md", X, coeff) / X.shape[1]
-    return g + 2.0 * spec.l2_coefficient * W
-
-
 def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
             w0: np.ndarray | None = None) -> SolveReport:
     """Run T steps of minibatch proximal SGD; bit-reproducible given the seed.
@@ -343,24 +391,15 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
     the maximum over the columns of the full-data gradient norm.
     """
     block = not isinstance(S, Dataset)
-    datasets = list(S) if block else [S]
-    if not datasets:
-        raise ValueError("sgd_run needs at least one dataset")
-    n, d = datasets[0].n, datasets[0].d
-    for D in datasets:
-        if D.features.shape != (n, d) or D.labels.shape != (n,):
-            raise ValueError(
-                f"every dataset needs features {(n, d)} and labels {(n,)}, got "
-                f"{D.features.shape} and {D.labels.shape}")
+    X, Y = _stacked(S if block else [S])  # (m, n, d) and (m, n)
+    m, n, d = X.shape
     if cfg.batch_size_b > n:
         raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={n}")
-    X = np.stack([D.features for D in datasets])  # (m, n, d)
-    Y = np.stack([D.labels for D in datasets])    # (m, n)
-    shape = (d, len(datasets)) if block else (d,)
+    shape = (d, m) if block else (d,)
     W = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
     if W.shape != shape:
         raise ValueError(f"w0 shape {W.shape} does not match the weight shape {shape}")
-    W = W.T.reshape(len(datasets), d)  # one row per dataset
+    W = W.T.reshape(m, d)  # one row per dataset
     avg = np.zeros_like(W) if cfg.averaging is not None else None
 
     batch_rng = derive_rng(cfg.seed, 0)
@@ -399,18 +438,13 @@ def convergence_sensitivity_correction(base_sensitivity: float, report: SolveRep
                                        lambda_sc: float) -> float:
     """Inflate a sensitivity bound for an inexact minimizer.
 
-    Returns base + 2 * delta where delta is the weight-gap bound, taken
-    from the report directly or converted from the loss gap as
-    sqrt(2 * gap / lambda_sc).
+    Returns base + 2 * delta where delta = sqrt(2 * gap / lambda_sc) is the
+    weight-gap bound that strong convexity gives from the report's loss gap.
     """
     if not 0 < lambda_sc < math.inf:
         raise ValueError(f"lambda_sc must be finite and > 0, got {lambda_sc}")
     if not 0 <= base_sensitivity < math.inf:
         raise ValueError(f"base_sensitivity must be finite and >= 0, got {base_sensitivity}")
-    if report.weight_gap_bound is not None:
-        delta = report.weight_gap_bound
-    elif report.loss_gap_bound is not None:
-        delta = math.sqrt(2.0 * report.loss_gap_bound / lambda_sc)
-    else:
-        raise ValueError("report carries neither a weight-gap nor a loss-gap bound")
-    return base_sensitivity + 2.0 * delta
+    if report.loss_gap_bound is None:
+        raise ValueError("report carries no loss-gap bound")
+    return base_sensitivity + 2.0 * math.sqrt(2.0 * report.loss_gap_bound / lambda_sc)

@@ -1,8 +1,10 @@
 """Brute-force oracles that empirically stress every closed-form bound.
 
 Each oracle samples neighboring datasets (one record swapped for a fresh
-one), re-solves the training problem to a tolerance well below the margins
-being asserted, and compares the observed quantity against its bound.
+one), trains S and every sampled neighbor as the columns of one block (one
+``solve_erm`` call to a tolerance well below the margins being asserted, or
+one coupled ``sgd_run``), and compares the observed quantity against its
+bound. A block of m datasets of shape (n, d) holds m*n*d floats.
 Sampling gives a sound one-sided check: an empirical value below the bound
 is necessary for the bound's correctness, not sufficient. Oracles never
 share random streams with the mechanisms they test, and every report is
@@ -73,16 +75,23 @@ def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Data
     return S.replace_record(int(rng.integers(S.n)), *_fresh_record(spec, S.d, rng))
 
 
-def _retrained(train, datasets):
-    """Lazily yield ``train(S')`` for each S' in ``datasets``; None where it fails to converge.
+def _solve_with_neighbors(spec: ObjectiveSpec, S: Dataset, neighbors: list,
+                          tolerance: float):
+    """Solve S and its neighbors in one :func:`solve_erm` block.
 
-    Lazy, so neighbors drawn from a generator interleave with the caller's probe draws.
+    Returns S's weights and, per neighbor, its weights or None where its
+    column stayed above ``tolerance``. A ConvergenceError on S's own column
+    propagates.
     """
-    for Sp in datasets:
-        try:
-            yield train(Sp)
-        except ConvergenceError:
-            yield None
+    try:
+        report = solve_erm(spec, [S, *neighbors], tolerance)
+    except ConvergenceError as exc:
+        report = exc.report
+        if report.residuals[0] > tolerance:
+            raise
+    converged = report.residuals <= tolerance
+    W = report.weights
+    return W[:, 0], [w if ok else None for w, ok in zip(W.T[1:], converged[1:])]
 
 
 def _max_loss_gap(spec: ObjectiveSpec, w_a: np.ndarray, w_b: np.ndarray,
@@ -112,28 +121,33 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     record: the replacement lies at the kappa boundary along the trained
     weight direction with each label, maximizing loss-gradient pressure.
     This is a heuristic, not a worst-case search.
+
+    S and the sampled neighbors are solved in one block, (trials + 1)*n*d
+    floats; the adversarial neighbors depend on S's weights, so greedy
+    solves them (with S again) in a second block of (2n + 1)*n*d floats.
     """
     rng = derive_rng(seed, 21)
-    base = solve_erm(spec, S, tolerance).weights
+    base, trained = _solve_with_neighbors(
+        spec, S, [_neighbor(spec, S, rng) for _ in range(trials)], tolerance)
     cert = spec_cert(spec, S.n)
     sc_bound = sensitivity_via_strong_convexity(cert)
     direct = (sensitivity_l2_direct(spec.L, spec.kappa, S.n, strong_convexity_constant(spec))
               if spec.penalty == "l2" else None)
 
-    def distances(datasets):
-        return [None if w is None else float(np.linalg.norm(base - w))
-                for w in _retrained(lambda D: solve_erm(spec, D, tolerance).weights,
-                                    datasets)]
+    def distances(weights):
+        return [None if w is None else float(np.linalg.norm(base - w)) for w in weights]
 
-    found = distances(_neighbor(spec, S, rng) for _ in range(trials))
+    found = distances(trained)
     worst = max((v for v in found if v is not None), default=0.0)
 
     greedy_worst = None
     if greedy:
         w_norm = float(np.linalg.norm(base))
         x_adv = spec.kappa * (base / w_norm if w_norm > 0 else np.eye(S.d)[0])
-        adversarial = distances(S.replace_record(i, x_adv, y_adv)
-                                for i in range(S.n) for y_adv in (-1.0, 1.0))
+        _, trained = _solve_with_neighbors(
+            spec, S, [S.replace_record(i, x_adv, y_adv)
+                      for i in range(S.n) for y_adv in (-1.0, 1.0)], tolerance)
+        adversarial = distances(trained)
         greedy_worst = max((v for v in adversarial if v is not None), default=0.0)
         worst = max(worst, greedy_worst)
         found += adversarial
@@ -165,22 +179,29 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
 
     Probes both in-sample points and fresh kappa-bounded points, reported
     separately; the verdict uses the larger of the two.
+
+    Each neighbor is drawn followed by its probes, then S and every
+    neighbor are solved in one block of (trials + 1)*n*d floats; a neighbor
+    whose column fails to converge counts as a solver failure and its
+    probes go unscored.
     """
     rng = derive_rng(seed, 22)
-    base = solve_erm(spec, S, tolerance).weights
+    draws = []
+    for _ in range(trials):
+        Sp = _neighbor(spec, S, rng)
+        idx = rng.choice(S.n, size=min(probes, S.n), replace=False)
+        draws.append((Sp, idx, _fresh_rows(spec, S.d, probes, rng)))
+    base, trained = _solve_with_neighbors(spec, S, [Sp for Sp, _, _ in draws], tolerance)
     beta = spec_cert(spec, S.n).beta
 
     worst_in = worst_fresh = 0.0
     failures = 0
-    for w in _retrained(lambda D: solve_erm(spec, D, tolerance).weights,
-                        (_neighbor(spec, S, rng) for _ in range(trials))):
+    for w, (_, idx, fresh) in zip(trained, draws):
         if w is None:
             failures += 1
             continue
-        idx = rng.choice(S.n, size=min(probes, S.n), replace=False)
         worst_in = max(worst_in, _max_loss_gap(spec, base, w, S.features[idx], S.labels[idx]))
-        worst_fresh = max(worst_fresh,
-                          _max_loss_gap(spec, base, w, *_fresh_rows(spec, S.d, probes, rng)))
+        worst_fresh = max(worst_fresh, _max_loss_gap(spec, base, w, *fresh))
 
     worst = max(worst_in, worst_fresh)
     passed = worst <= beta and failures <= max(1, trials) * 0.01

@@ -195,6 +195,107 @@ class TestSolveErm:
         assert rep.loss_gap_bound <= 1e-8**2 / (2 * 0.5) * 1.0001
 
 
+def erm_block():
+    """S, two one-record neighbours, and three variants whose steps and paths differ."""
+    S, *neighbours = sgd_block(2)
+    return [S, *neighbours, Dataset(0.3 * S.features, S.labels),
+            Dataset(2.0 * S.features, S.labels), Dataset(S.features, -S.labels)]
+
+
+def solve_allowing_failure(spec, datasets, tolerance, max_iters):
+    """The report of a solve, or of the ConvergenceError it raised."""
+    try:
+        return solve_erm(spec, datasets, tolerance, max_iters=max_iters)
+    except ConvergenceError as err:
+        return err.report
+
+
+BLOCK_SPECS = {
+    f"{loss}-{penalty}-{lam}": ObjectiveSpec(loss, lam, penalty=penalty, gamma=0.85,
+                                               lipschitz_L=1.0)
+    for loss in ("logistic", "squared") for penalty in ("l2", "elastic")
+    for lam in (1e-3, 0.1)
+}
+
+
+class TestSolveErmBlock:
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_columns_equal_their_own_solves(self, name):
+        spec, datasets, tol = BLOCK_SPECS[name], erm_block(), 1e-9
+        block = solve_erm(spec, datasets, tol)
+        singles = [solve_erm(spec, D, tol) for D in datasets]
+        assert block.weights.shape == (5, len(datasets))
+        for j, rep in enumerate(singles):
+            np.testing.assert_allclose(block.weights[:, j], rep.weights, rtol=0, atol=1e-12)
+        # a residual is a difference of nearly equal iterates, so compare it absolutely
+        np.testing.assert_allclose(block.residuals, [r.final_gradient_norm for r in singles],
+                                   rtol=0, atol=1e-13)
+        counts = [rep.iterations_used for rep in singles]
+        assert len(set(counts)) > 1  # the columns really take different paths
+        assert block.iterations_used == max(counts)
+        # column j reaches tolerance at its own iteration count, not before
+        for j, k in enumerate(counts):
+            at_k = solve_allowing_failure(spec, datasets, tol, k)
+            assert at_k.residuals[j] <= tol
+            np.testing.assert_allclose(at_k.weights[:, j], singles[j].weights, rtol=0,
+                                       atol=1e-12)
+            if k > 1:
+                assert solve_allowing_failure(spec, datasets, tol, k - 1).residuals[j] > tol
+
+    def test_block_of_one(self):
+        spec, (S,) = SPECS["logistic-elastic"], sgd_block(0)
+        block = solve_erm(spec, [S], 1e-9)
+        single = solve_erm(spec, S, 1e-9)
+        assert block.weights.shape == (5, 1)
+        np.testing.assert_allclose(block.weights[:, 0], single.weights, rtol=0, atol=1e-12)
+        assert block.iterations_used == single.iterations_used
+        assert single.residuals is None
+
+    def test_failure_names_the_columns_left_above_tolerance(self):
+        spec, datasets, tol = BLOCK_SPECS["logistic-l2-0.1"], erm_block(), 1e-9
+        counts = [solve_erm(spec, D, tol).iterations_used for D in datasets]
+        k = sorted(counts)[len(counts) // 2]
+        late = [j for j, c in enumerate(counts) if c > k]
+        assert 0 < len(late) < len(datasets)
+        with pytest.raises(ConvergenceError, match=rf"in columns \{late}") as err:
+            solve_erm(spec, datasets, tol, max_iters=k)
+        rep = err.value.report
+        assert rep.iterations_used == k
+        assert rep.weights.shape == (5, len(datasets))
+        assert np.flatnonzero(rep.residuals > tol).tolist() == late
+        assert rep.final_gradient_norm == rep.residuals.max()
+        for j, c in enumerate(counts):
+            if c <= k:
+                np.testing.assert_allclose(rep.weights[:, j], solve_erm(spec, datasets[j], tol)
+                                           .weights, rtol=0, atol=1e-12)
+
+    def test_invalid_blocks_rejected(self):
+        spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
+        bad_blocks = {
+            "fewer rows": [S, S.subset(np.arange(S.n - 1))],
+            "more columns": [S, Dataset(np.hstack([S.features, S.features[:, :1]]), S.labels)],
+            "label matrix": [S, Dataset(S.features, np.stack([S.labels, S.labels], axis=1))],
+            "empty": [],
+        }
+        for block in bad_blocks.values():
+            with pytest.raises(ValueError):
+                solve_erm(spec, block, 1e-6)
+        with pytest.raises(ValueError, match="w0 shape"):
+            solve_erm(spec, [S, Sp], 1e-6, w0=np.zeros(S.d))
+
+    def test_zero_features_get_the_regulariser_curvature(self):
+        spec, (S, Sp) = SPECS["squared-elastic"], sgd_block(1)
+        zero = Dataset(np.zeros_like(S.features), S.labels)
+        X = np.stack([S.features, zero.features, Sp.features])
+        with np.errstate(all="raise"):
+            L = _smooth_curvature(spec, X)
+            block = solve_erm(spec, [S, zero, Sp], 1e-9)
+        assert L[1] == 2.0 * spec.l2_coefficient
+        assert L[0] == _smooth_curvature(spec, S) and L[2] == _smooth_curvature(spec, Sp)
+        np.testing.assert_allclose(block.weights[:, 1], solve_erm(spec, zero, 1e-9).weights,
+                                   rtol=0, atol=1e-12)
+
+
 def _curvature_cases():
     rng = np.random.default_rng(11)
     u, v = rng.standard_normal(40), rng.standard_normal(7)
@@ -494,7 +595,7 @@ class TestClipGradient:
 
 class TestConvergenceCorrection:
     def test_exact_minimizer_unchanged(self):
-        rep = SolveReport(np.zeros(2), 0.0, 10, weight_gap_bound=0.0)
+        rep = SolveReport(np.zeros(2), 0.0, 10, loss_gap_bound=0.0)
         assert convergence_sensitivity_correction(0.4, rep, 1.0) == pytest.approx(0.4)
 
     def test_loss_gap_conversion(self):
@@ -523,7 +624,7 @@ class TestConvergenceCorrection:
 
     def test_missing_both_gaps_errors(self):
         rep = SolveReport(np.zeros(2), 0.0, 10)
-        with pytest.raises(ValueError, match="neither"):
+        with pytest.raises(ValueError, match="no loss-gap bound"):
             convergence_sensitivity_correction(0.4, rep, 1.0)
 
 

@@ -1,8 +1,12 @@
+from functools import partial
+
+import numpy as np
 import pytest
 
+from stabledp import verify
 from stabledp.data_io import synth_classification
 from stabledp.model import Dataset, ObjectiveSpec, per_example_loss
-from stabledp.optimizer import SgdConfig, sgd_run, solve_erm
+from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
@@ -139,6 +143,31 @@ class TestBatchedProbesMatchScalarLoop:
         assert rep.details["in_sample_max"] == pytest.approx(worst_in, rel=1e-12)
         assert rep.details["fresh_point_max"] == pytest.approx(worst_fresh, rel=1e-12)
 
+    @pytest.mark.parametrize("greedy", [False, True], ids=["random", "greedy"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
+    def test_sensitivity(self, spec, greedy):
+        _, S = fixture()
+        trials, seed = 6, 4
+        rng = derive_rng(seed, 21)
+        base = solve_erm(spec, S, 1e-9).weights
+
+        def distance(D):
+            return float(np.linalg.norm(base - solve_erm(spec, D, 1e-9).weights))
+
+        worst = max(distance(_neighbor(spec, S, rng)) for _ in range(trials))
+        rep = empirical_sensitivity(spec, S, trials=trials, seed=seed, greedy=greedy)
+        if greedy:
+            x_adv = spec.kappa * base / np.linalg.norm(base)
+            greedy_worst = max(distance(S.replace_record(i, x_adv, y))
+                               for i in range(S.n) for y in (-1.0, 1.0))
+            assert rep.details["greedy_max"] == pytest.approx(greedy_worst, rel=1e-12)
+            worst = max(worst, greedy_worst)
+        else:
+            assert rep.details["greedy_max"] is None
+        assert worst > 0
+        assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
+        assert rep.details["solver_failures"] == 0
+
     @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
     def test_sgd_stability(self, spec):
         _, S = fixture()
@@ -160,6 +189,65 @@ class TestBatchedProbesMatchScalarLoop:
         S01 = Dataset(S.features, (S.labels > 0).astype(float))
         with pytest.raises(ValueError, match="logistic loss needs y"):
             empirical_stability(spec, S01, trials=2, probes=3, seed=0)
+
+
+class TestOracleSolverFailures:
+    """A neighbour column left above tolerance counts once; the others still score."""
+
+    SPEC = ObjectiveSpec("logistic", 0.5, penalty="l2", kappa=1.0)
+
+    def cap(self, monkeypatch, max_iters):
+        monkeypatch.setattr(verify, "solve_erm", partial(solve_erm, max_iters=max_iters))
+
+    def test_sensitivity(self, monkeypatch):
+        _, S = fixture()
+        trials, seed = 20, 0
+        cap = solve_erm(self.SPEC, S, 1e-9).iterations_used
+        rng = derive_rng(seed, 21)
+        base = solve_erm(self.SPEC, S, 1e-9).weights
+        converged = []
+        for _ in range(trials):
+            rep = solve_erm(self.SPEC, _neighbor(self.SPEC, S, rng), 1e-9)
+            if rep.iterations_used <= cap:
+                converged.append(float(np.linalg.norm(base - rep.weights)))
+        assert 0 < trials - len(converged) < trials
+        self.cap(monkeypatch, cap)
+        rep = empirical_sensitivity(self.SPEC, S, trials=trials, seed=seed)
+        assert rep.details["solver_failures"] == trials - len(converged)
+        assert rep.empirical_value == pytest.approx(max(converged), rel=1e-12)
+        assert not rep.passed  # more than 1% of the solves failed
+
+    def test_stability(self, monkeypatch):
+        _, S = fixture()
+        trials, probes, seed = 20, 5, 0
+        cap = solve_erm(self.SPEC, S, 1e-9).iterations_used
+        rng = derive_rng(seed, 22)
+        base = solve_erm(self.SPEC, S, 1e-9).weights
+        failures, worst = 0, 0.0
+        for _ in range(trials):
+            other = solve_erm(self.SPEC, _neighbor(self.SPEC, S, rng), 1e-9)
+            # probes are drawn for every neighbour, scored only for converged ones
+            rows = [(S.features[i], float(S.labels[i]))
+                    for i in rng.choice(S.n, size=probes, replace=False)]
+            rows += [_fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
+            if other.iterations_used > cap:
+                failures += 1
+                continue
+            worst = max(worst, *(TestBatchedProbesMatchScalarLoop.gap(
+                self.SPEC, base, other.weights, x, y) for x, y in rows))
+        assert 0 < failures < trials
+        self.cap(monkeypatch, cap)
+        rep = empirical_stability(self.SPEC, S, trials=trials, probes=probes, seed=seed)
+        assert rep.details["solver_failures"] == failures
+        assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
+
+    def test_base_failure_raises(self, monkeypatch):
+        _, S = fixture()
+        self.cap(monkeypatch, solve_erm(self.SPEC, S, 1e-9).iterations_used - 1)
+        with pytest.raises(ConvergenceError, match=r"in columns \[0"):
+            empirical_sensitivity(self.SPEC, S, trials=5, seed=0)
+        with pytest.raises(ConvergenceError, match=r"in columns \[0"):
+            empirical_stability(self.SPEC, S, trials=5, probes=3, seed=0)
 
 
 class TestEmpiricalPrivacyError:
