@@ -38,7 +38,7 @@ from .features import (
     flip_probability,
     select_features,
 )
-from .model import LOSS_KINDS, Dataset, ObjectiveSpec, as_signed_labels
+from .model import LOSS_KINDS, Dataset, ObjectiveSpec, _is_int, as_signed_labels
 from .optimizer import solve_erm
 from .privacy import calibrate, dp_micro_check, laplace_sample, perturb
 from .rng import derive_rng, float_key
@@ -86,11 +86,25 @@ class DatasetConfig:
     kappa: float = 1.0
 
     def __post_init__(self):
+        # every comparison with NaN is false, so each guard tests the valid range
         for key, low in (("n", 1), ("d", 1), ("classes", 2)):
-            if not getattr(self, key) >= low:
-                raise ConfigError(f"dataset.{key}: must be >= {low}, got {getattr(self, key)}")
-        if self.reduce_to is not None and not 1 <= self.reduce_to:
-            raise ConfigError(f"dataset.reduce_to: must be null or >= 1, got {self.reduce_to}")
+            v = getattr(self, key)
+            if not _is_int(v) or not v >= low:
+                raise ConfigError(f"dataset.{key}: must be an integer >= {low}, got {v!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"dataset.seed: must be an integer, got {self.seed!r}")
+        if self.reduce_to is not None and not (_is_int(self.reduce_to) and self.reduce_to >= 1):
+            raise ConfigError(
+                f"dataset.reduce_to: must be null or an integer >= 1, got {self.reduce_to!r}")
+        # sparsity <= d is checked when the data is built: a config that
+        # never builds synthetic data may leave d below the default sparsity
+        if self.sparsity is not None and not (_is_int(self.sparsity) and self.sparsity >= 1):
+            raise ConfigError(
+                f"dataset.sparsity: must be null or an integer >= 1, got {self.sparsity!r}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"dataset.noise: must be finite and >= 0, got {self.noise}")
+        if not 0 <= self.label_flips < 1:
+            raise ConfigError(f"dataset.label_flips: must be in [0, 1), got {self.label_flips}")
         if not 0 < self.kappa < math.inf:
             raise ConfigError(f"dataset.kappa: must be finite and > 0, got {self.kappa}")
 
@@ -146,12 +160,14 @@ class SweepConfig:
         if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
             raise ConfigError(
                 f"lipschitz_L: must be null or finite and > 0, got {self.lipschitz_L}")
-        if not self.max_iters >= 1:
-            raise ConfigError(f"max_iters: must be >= 1, got {self.max_iters}")
+        if not _is_int(self.max_iters) or not self.max_iters >= 1:
+            raise ConfigError(f"max_iters: must be an integer >= 1, got {self.max_iters!r}")
         if not 0 < self.threshold_k < math.inf:
             raise ConfigError(f"threshold_k: must be finite and > 0, got {self.threshold_k}")
         if not 0 <= self.static_T < math.inf:
             raise ConfigError(f"static_T: must be finite and >= 0, got {self.static_T}")
+        if not _is_int(self.master_seed):
+            raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
 
     @property
     def L(self) -> float:
@@ -204,6 +220,8 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
 def build_dataset(cfg: SweepConfig) -> Dataset:
     ds = cfg.dataset
     if ds.kind == "synthetic":
+        if ds.sparsity is not None and ds.sparsity > ds.d:
+            raise ConfigError(f"dataset.sparsity: must be at most d={ds.d}, got {ds.sparsity}")
         S, _ = synth_classification(ds.n, ds.d, classes=ds.classes, sparsity=ds.sparsity,
                                     noise=ds.noise, seed=ds.seed, kappa=ds.kappa,
                                     structured_noise=ds.structured_noise,
@@ -594,13 +612,13 @@ def main(argv=None) -> int:
         print(path)
         return 0
 
+    runner = {"train": cmd_train, "sweep": cmd_sweep, "select": cmd_select}[args.command]
     try:
-        cfg = _config_from_args(args)
+        # building the dataset checks the fields that depend on each other
+        path = runner(_config_from_args(args), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runner = {"train": cmd_train, "sweep": cmd_sweep, "select": cmd_select}[args.command]
-    path = runner(cfg, args.out)
     print(path)
     return 0
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _is_int
 from .rng import derive_rng
 
 __all__ = [
@@ -62,10 +62,13 @@ class SplitPlan:
     repeats: int = 10
 
     def __post_init__(self):
+        # a float seed would be truncated by derive_rng
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not _is_int(self.repeats) or self.repeats < 1:
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,19 @@ Weight vectors are plain 1-D float64 ``numpy`` arrays. A dataset whose
 labels are an (n, m) matrix holds m problems on one feature matrix (one
 one-vs-rest column per class, say); its weights are a (d, m) matrix, one
 column per label column, and ``smooth_objective``/``objective`` return one
-value per column. The private ``_block_*`` kernels evaluate m same-shape
-datasets stacked as (m, n, d) features and (m, n) labels, one weight row
-per dataset.
+value per column. The loss functions take, in place of a ``Dataset``, a
+stack of m same-shape datasets (``_stack``): (m, n, d) features with
+(n, m) labels, the same label layout, so column j of the (d, m) weights is
+evaluated on the j-th dataset. One margin helper and its back-projection
+are the only code that tells the two apart.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,13 +44,17 @@ __all__ = [
     "objective",
     "smooth_objective",
     "gradient",
-    "objective_subgradient",
     "strong_convexity_constant",
 ]
 
 LOSS_KINDS = ("logistic", "squared")
 PENALTIES = ("l2", "elastic")
 L2_FORMS = ("half", "full")
+
+
+def _is_int(v) -> bool:
+    """An integer, numpy's included; a bool is not a count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -104,6 +112,36 @@ class Dataset:
         X[i] = np.asarray(x, dtype=float)
         lab[i] = float(y)
         return Dataset(X, lab)
+
+
+class _Stack(NamedTuple):
+    """m same-shape datasets: (m, n, d) features and (n, m) labels, column j from dataset j."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[2]
+
+
+def _stack(datasets: Sequence[Dataset]) -> _Stack:
+    """The stack of same-shape datasets with 1-D labels; it holds m*n*d floats."""
+    datasets = list(datasets)
+    if not datasets:
+        raise ValueError("a block needs at least one dataset")
+    n, d = datasets[0].n, datasets[0].d
+    for D in datasets:
+        if D.features.shape != (n, d) or D.labels.shape != (n,):
+            raise ValueError(
+                f"every dataset needs features {(n, d)} and labels {(n,)}, got "
+                f"{D.features.shape} and {D.labels.shape}")
+    return _Stack(np.stack([D.features for D in datasets]),
+                  np.stack([D.labels for D in datasets], axis=1))
 
 
 @dataclass(frozen=True)
@@ -194,8 +232,8 @@ def _check_dims(w: np.ndarray, shape: tuple) -> np.ndarray:
     return w
 
 
-def _weights_for(w: np.ndarray, S: Dataset) -> np.ndarray:
-    """w checked against S: (d,) for 1-D labels, (d, m) for (n, m) labels."""
+def _weights_for(w: np.ndarray, S: Dataset | _Stack) -> np.ndarray:
+    """w checked against S: (d,) for 1-D labels, (d, m) for (n, m) labels or a stack."""
     return _check_dims(w, (S.d,) + S.labels.shape[1:])
 
 
@@ -212,9 +250,19 @@ def _margin_loss(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarra
     return (z - y) ** 2
 
 
+def _margins(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X @ w for (n, d) features; for an (m, n, d) stack, column j is X[j] @ w[:, j]."""
+    return X @ w if X.ndim == 2 else np.einsum("mnd,dm->nm", X, w)
+
+
+def _back_project(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X.T @ c for (n, d) features; for an (m, n, d) stack, column j is X[j].T @ c[:, j]."""
+    return X.T @ c if X.ndim == 2 else np.einsum("mnd,nm->dm", X, c)
+
+
 def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example losses; a (d, k) ``w`` with (n, 1) ``y`` gives one column per model."""
-    return _margin_loss(spec, X @ w, y)
+    return _margin_loss(spec, _margins(X, w), y)
 
 
 def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -250,14 +298,14 @@ def _per_column(v):
     return float(v) if v.ndim == 0 else v
 
 
-def smooth_objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset):
+def smooth_objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
     """Mean loss plus the smooth (L2) penalty; excludes any L1 term."""
     w = _weights_for(w, S)
     mean_loss = _loss_values(spec, w, S.features, S.labels).mean(axis=0)
     return _per_column(mean_loss + spec.l2_coefficient * (w * w).sum(axis=0))
 
 
-def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset):
+def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
     """Full regularized objective, exactly matching the declared penalty mode."""
     w = _weights_for(w, S)
     val = smooth_objective(spec, w, S)
@@ -267,7 +315,7 @@ def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset):
     return val
 
 
-def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
+def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack) -> np.ndarray:
     """Gradient of the smooth part (mean loss + L2 term).
 
     The L1 term contributes no gradient here; solvers handle it through a
@@ -275,40 +323,8 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
     """
     w = _weights_for(w, S)
     X = S.features
-    g = (X.T @ _loss_derivative(spec, X @ w, S.labels)) / S.n
+    g = _back_project(X, _loss_derivative(spec, _margins(X, w), S.labels)) / S.n
     return g + 2.0 * spec.l2_coefficient * w
-
-
-def _block_margins(W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row j: the margins X[j] @ W[j]; W is (m, d), X is (m, n, d), the result (m, n)."""
-    return np.einsum("mnd,md->mn", X, W)
-
-
-def _block_gradient(spec: ObjectiveSpec, W: np.ndarray, X: np.ndarray,
-                    Y: np.ndarray) -> np.ndarray:
-    """Row j: the smooth gradient of W[j] on the dataset (X[j], Y[j]).
-
-    W is (m, d), X is (m, n, d) and Y is (m, n); returns (m, d).
-    """
-    coeff = _loss_derivative(spec, _block_margins(W, X), Y)
-    g = np.einsum("mnd,mn->md", X, coeff) / X.shape[1]
-    return g + 2.0 * spec.l2_coefficient * W
-
-
-def _block_smooth_objective(spec: ObjectiveSpec, W: np.ndarray, X: np.ndarray,
-                            Y: np.ndarray) -> np.ndarray:
-    """Entry j: the smooth objective of W[j] on the dataset (X[j], Y[j]); returns (m,)."""
-    mean_loss = _margin_loss(spec, _block_margins(W, X), Y).mean(axis=1)
-    return mean_loss + spec.l2_coefficient * (W * W).sum(axis=1)
-
-
-def objective_subgradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset) -> np.ndarray:
-    """A subgradient of the full objective (sign(0) taken as 0)."""
-    g = gradient(spec, w, S)
-    c1 = spec.l1_coefficient
-    if c1 > 0:
-        g = g + c1 * np.sign(w)
-    return g
 
 
 def strong_convexity_constant(spec: ObjectiveSpec) -> float:

@@ -6,7 +6,9 @@ no step is ever retried. It solves a block of problems in one call: every
 one-vs-rest class of one feature matrix, or a sequence of same-shape
 datasets such as S and its neighbours, each column at its own step. The L1
 term is handled by soft-thresholding so elastic-net solutions reach exact
-zeros, which downstream feature selection relies on.
+zeros, which downstream feature selection relies on. Both solvers evaluate
+only through ``model.gradient`` and ``model.smooth_objective``, which take
+the stack of a dataset sequence as they take one dataset.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
 step size, batch size, gradient clipping, norm-contracting dropout, and
@@ -22,7 +24,6 @@ own single-dataset run to rounding.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,8 +32,9 @@ import numpy as np
 from .model import (
     Dataset,
     ObjectiveSpec,
-    _block_gradient,
-    _block_smooth_objective,
+    _is_int,
+    _stack,
+    _Stack,
     gradient,
     smooth_objective,
     strong_convexity_constant,
@@ -58,11 +60,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, report: "SolveReport"):
         super().__init__(message)
         self.report = report
-
-
-def _is_int(v) -> bool:
-    """An integer, numpy's included; a bool is not a count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,12 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | np.ndarray):
+def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | _Stack):
     """Certain upper bound on the gradient Lipschitz constant of the smooth part.
 
-    ``S`` is one dataset, giving a float, or an (m, n, d) stack of feature
-    matrices, giving one bound per matrix from one batched pass; each equals
-    the bound of its own dataset.
+    ``S`` is one dataset, giving a float, or a stack of datasets, giving one
+    bound per dataset from one batched pass; each equals the bound of its
+    own dataset.
 
     The loss curvature is at most factor * lambda_max(X^T X / n), with
     factor 1/4 for logistic and 2 for squared loss. lambda_max is bounded
@@ -163,7 +160,7 @@ def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | np.ndarray):
     bound 2 * l2_coefficient, with no normalisation by a zero trace.
     """
     one = isinstance(S, Dataset)
-    X = S.features[None] if one else S
+    X = S.features[None] if one else S.features
     n, d = X.shape[1:]
     Xt = X.transpose(0, 2, 1)
     G = (Xt @ X if d <= n else X @ Xt) / n
@@ -184,20 +181,6 @@ def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | np.ndarray):
     L = [factor * (min(top, bound) * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
          for top, bound in zip(tops.tolist(), bounds)]
     return L[0] if one else np.array(L)
-
-
-def _stacked(datasets: Sequence[Dataset]) -> tuple:
-    """(m, n, d) features and (m, n) labels of same-shape datasets with 1-D labels."""
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("a block needs at least one dataset")
-    n, d = datasets[0].n, datasets[0].d
-    for D in datasets:
-        if D.features.shape != (n, d) or D.labels.shape != (n,):
-            raise ValueError(
-                f"every dataset needs features {(n, d)} and labels {(n,)}, got "
-                f"{D.features.shape} and {D.labels.shape}")
-    return np.stack([D.features for D in datasets]), np.stack([D.labels for D in datasets])
 
 
 def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: float = 1e-8,
@@ -246,39 +229,24 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
     c1 = spec.l1_coefficient
-    if isinstance(S, Dataset):
-        shape = (S.d,) + S.labels.shape[1:]
-        curvature = _smooth_curvature(spec, S)
-
-        def smooth(w):
-            return smooth_objective(spec, w, S)
-
-        def grad(w):
-            return gradient(spec, w, S)
-    else:
-        X, Y = _stacked(S)
-        shape = (X.shape[2], X.shape[0])
-        curvature = _smooth_curvature(spec, X)
-
-        def smooth(w):
-            return _block_smooth_objective(spec, w.T, X, Y)
-
-        def grad(w):
-            return _block_gradient(spec, w.T, X, Y).T
+    if not isinstance(S, Dataset):
+        S = _stack(S)
+    shape = (S.d,) + S.labels.shape[1:]
+    curvature = _smooth_curvature(spec, S)
     x = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
     if x.shape != shape:
         raise ValueError(f"w0 shape {x.shape} does not match the weight shape {shape}")
     alpha = 1.0 / np.maximum(curvature, 1e-12)
 
     def full_objective(w):
-        val = smooth(w)
+        val = smooth_objective(spec, w, S)
         return val + c1 * np.abs(w).sum(axis=0) if c1 > 0 else val
 
     y, f_x, t = x, full_objective(x), np.ones(shape[1:])
     # per column: the first iterate at tolerance and its residual
     w_out, r_out = x, np.full(shape[1:], math.inf)
     for it in range(1, max_iters + 1):
-        x_next = y - alpha * grad(y)
+        x_next = y - alpha * gradient(spec, y, S)
         if c1 > 0:
             x_next = soft_threshold(x_next, alpha * c1)
         step = x_next - y
@@ -390,16 +358,16 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
     when given, has the shape of the weights. ``final_gradient_norm`` is
     the maximum over the columns of the full-data gradient norm.
     """
-    block = not isinstance(S, Dataset)
-    X, Y = _stacked(S if block else [S])  # (m, n, d) and (m, n)
-    m, n, d = X.shape
+    one = isinstance(S, Dataset)
+    block = _stack([S] if one else S)
+    m, n, d = block.features.shape
     if cfg.batch_size_b > n:
         raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={n}")
-    shape = (d, m) if block else (d,)
+    shape = (d,) if one else (d, m)
     W = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
     if W.shape != shape:
         raise ValueError(f"w0 shape {W.shape} does not match the weight shape {shape}")
-    W = W.T.reshape(m, d)  # one row per dataset
+    W = W.reshape(d, m)  # one column per dataset
     avg = np.zeros_like(W) if cfg.averaging is not None else None
 
     batch_rng = derive_rng(cfg.seed, 0)
@@ -411,11 +379,12 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
             cursor = 0
         batch_idx = order[cursor:cursor + cfg.batch_size_b]
         cursor += cfg.batch_size_b
-        g = _block_gradient(spec, W, X[:, batch_idx], Y[:, batch_idx])
+        g = gradient(spec, W, _Stack(block.features[:, batch_idx], block.labels[batch_idx]))
+        # clipping and dropout act on each dataset's gradient, a row of g.T
         if cfg.clip_bound_G is not None:
-            g = clip_gradient(g, cfg.clip_bound_G)
+            g = clip_gradient(g.T, cfg.clip_bound_G).T
         if cfg.dropout_rate_s is not None:
-            g = s_dropout(g, cfg.dropout_rate_s, derive_rng(cfg.seed, 1, t))
+            g = s_dropout(g.T, cfg.dropout_rate_s, derive_rng(cfg.seed, 1, t)).T
         alpha = cfg.step_at(t)
         W = W - alpha * g
         if spec.l1_coefficient > 0:
@@ -426,9 +395,9 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
             avg += cfg.averaging[t] * W
 
     result = avg if avg is not None else W
-    grad_norm = float(np.max(_row_norms(_block_gradient(spec, result, X, Y))))
+    grad_norm = float(np.max(_row_norms(gradient(spec, result, block).T)))
     return SolveReport(
-        weights=result.T if block else result[0],
+        weights=result.reshape(shape),
         final_gradient_norm=grad_norm,
         iterations_used=cfg.steps_T,
     )

@@ -208,15 +208,19 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     the bins whose Wilson-interval ratio lower bound already exceeds
     exp(epsilon).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    # an infinite epsilon gives an infinite threshold, which any release passes
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     a = np.asarray(release_fn(S, derive_rng(seed, 101), samples), dtype=float)
     b = np.asarray(release_fn(S_neighbor, derive_rng(seed, 202), samples), dtype=float)
     pooled = np.concatenate([a, b])
     center = float(np.median(pooled))
-    scale_hat = float(np.mean(np.abs(pooled - center)))  # Laplace MLE scale
+    # |pooled - center| in place: one fewer 2 * samples array held at once
+    np.abs(np.subtract(pooled, center, out=pooled), out=pooled)
+    scale_hat = float(np.mean(pooled))  # Laplace MLE scale
+    del pooled
     if scale_hat <= 0:
-        scale_hat = max(float(np.std(pooled)), 1e-12)
+        scale_hat = max(float(np.std(np.concatenate([a, b]))), 1e-12)
     edges = np.linspace(center - range_scales * scale_hat,
                         center + range_scales * scale_hat, bins + 1)
     count_a, _ = np.histogram(a, bins=edges)

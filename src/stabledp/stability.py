@@ -12,32 +12,18 @@ sources; the asymmetry is surfaced here rather than silently normalized.
 ``spec_cert`` picks the constant that matches an ``ObjectiveSpec``.
 
 Sensitivity bounds on the trained weights are plain floats, the L2 distance
-||w_S - w_S'|| can reach over neighboring datasets. They come in three
-flavors: a direct bound for L2-penalized ERM (``sensitivity_l2_direct``), a
-conversion from any stability constant for Lipschitz losses
-(``sensitivity_via_lipschitz``), and the strong-convexity conversion
-sqrt(2 beta / lambda_sc) (``sensitivity_via_strong_convexity``) which is the
-one output perturbation calibrates against. The ``lambda_sc`` paired with a
-beta is always the strong-convexity constant of the full objective, not the
-raw regularization weight. This module states how far weights can move;
+||w_S - w_S'|| can reach over neighboring datasets. They come in two
+flavors: a direct bound for L2-penalized ERM (``sensitivity_l2_direct``),
+and the strong-convexity conversion sqrt(2 beta / lambda_sc)
+(``sensitivity_via_strong_convexity``) which is the one output perturbation
+calibrates against. The ``lambda_sc`` paired with a beta is always the
+strong-convexity constant of the full objective, not the raw regularization
+weight. This module states how far weights can move;
 turning that into a Laplace scale is ``privacy.calibrate``'s job.
 
 Relative scalings for optimizer knobs (steps, step size, batch size,
 dropout rate, clipping bound) are big-O rows without constants, so
 ``stability_knob_scaling`` only ever multiplies an existing certificate.
-
-Further published worst-case stability scalings, recorded here for
-reference only (no absolute constants are known, so no calculator is
-offered): Nesterov-accelerated GD O(T^2) in the step count; heavy-ball
-O(1/(1 - sqrt(gamma))) in its momentum; multi-task learning O(1/T) in the
-task count; bridge regression O(lam^-((2-p)/p) / (p(p-1))); k-partite
-ranking O(1/lam); batch normalization O(gamma^2/sigma^2) through the
-improved Lipschitz constant. Two companion facts worth keeping in mind
-when tuning: the expected generalization gap is itself bounded by beta
-(population-level, so not empirically verifiable here), and for
-sigma-smooth iterative algorithms the excess empirical (training) error
-grows at least like sigma/(n beta) as stability tightens, so beta cannot
-be pushed down for free.
 """
 
 from __future__ import annotations
@@ -54,7 +40,6 @@ __all__ = [
     "beta_l2_erm",
     "beta_elastic_net",
     "sensitivity_l2_direct",
-    "sensitivity_via_lipschitz",
     "sensitivity_via_strong_convexity",
     "privacy_enhancement",
     "privacy_error_bound",
@@ -148,14 +133,6 @@ def sensitivity_l2_direct(L: float, kappa: float, n: int, lam: float) -> float:
     """Direct L2-ERM weight sensitivity: 4 L kappa / (n lam)."""
     _require_positive(L=L, kappa=kappa, n=n, lam=lam)
     return 4.0 * L * kappa / (n * lam)
-
-
-def sensitivity_via_lipschitz(beta: float, L: float, kappa: float) -> float:
-    """Stability-to-sensitivity conversion for Lipschitz losses: 2 beta / (L kappa)."""
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    _require_positive(L=L, kappa=kappa)
-    return 2.0 * beta / (L * kappa)
 
 
 def sensitivity_via_strong_convexity(cert: StabilityCert) -> float:

@@ -9,6 +9,7 @@ from stabledp.cli import (
     ConfigError,
     DatasetConfig,
     SweepConfig,
+    build_dataset,
     cmd_select,
     cmd_sweep,
     cmd_train,
@@ -79,6 +80,23 @@ class TestConfig:
             config_from_dict({"dataset": {"bogus_field": 1}})
         with pytest.raises(ConfigError, match="split"):
             config_from_dict({"split": {"repeats": 0}})
+        # fields that used to exit with a traceback, or that a seed stream truncated
+        for raw, path in (({"dataset": {"sparsity": 0}}, "dataset.sparsity"),
+                          ({"dataset": {"noise": -0.1}}, "dataset.noise"),
+                          ({"dataset": {"noise": math.nan}}, "dataset.noise"),
+                          ({"dataset": {"label_flips": 1.0}}, "dataset.label_flips"),
+                          ({"dataset": {"label_flips": -0.5}}, "dataset.label_flips"),
+                          ({"dataset": {"n": 100.5}}, "dataset.n"),
+                          ({"dataset": {"seed": 7.5}}, "dataset.seed"),
+                          ({"split": {"repeats": 2.5}}, "split: repeats"),
+                          ({"split": {"repeats": math.nan}}, "split: repeats"),
+                          ({"split": {"seed": 1.5}}, "split: seed"),
+                          ({"master_seed": 0.5}, "master_seed"),
+                          ({"max_iters": 2.5}, "max_iters")):
+            with pytest.raises(ConfigError, match=path):
+                config_from_dict(raw)
+        with pytest.raises(ConfigError, match="dataset.sparsity"):
+            build_dataset(config_from_dict({"dataset": {"d": 6, "reduce_to": None}}))
 
     def test_json_round_trip_with_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -293,6 +311,10 @@ class TestMainEntrypoint:
         p.write_text(json.dumps({"dataset": {"kappa": -1.0}}))
         assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "dataset.kappa" in capsys.readouterr().err
+        # a field checked only when the data is built exits the same way
+        p.write_text(json.dumps({"dataset": {"d": 6, "reduce_to": None}}))
+        assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "dataset.sparsity" in capsys.readouterr().err
 
     def test_fetch_via_argv(self, tmp_path, capsys):
         content = ("1, Private, 2, Bachelors, 3, Never-married, Sales, Own-child, White,"

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from stabledp.model import (
     Dataset,
     ObjectiveSpec,
+    _stack,
     as_signed_labels,
     gradient,
     objective,
-    objective_subgradient,
     per_example_grad,
     per_example_loss,
     smooth_objective,
@@ -235,6 +235,37 @@ class TestBlockShapes:
                 fn(spec, weights, Dataset(X, labels))
 
 
+class TestStackEvaluation:
+    """A stack of m same-shape datasets evaluates column j of (d, m) weights on dataset j."""
+
+    def stack(self):
+        rng = np.random.default_rng(12)
+        datasets = [Dataset(rng.standard_normal((12, 4)), rng.choice([-1.0, 1.0], size=12))
+                    for _ in range(3)]
+        return datasets, rng.standard_normal((4, 3))
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("penalty", ["l2", "elastic"])
+    def test_matches_per_dataset_calls(self, kind, penalty):
+        spec = ObjectiveSpec(kind, 0.2, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
+        datasets, W = self.stack()
+        S = _stack(datasets)
+        G, f, F = gradient(spec, W, S), smooth_objective(spec, W, S), objective(spec, W, S)
+        assert G.shape == (4, 3) and f.shape == (3,) and F.shape == (3,)
+        for j, Sj in enumerate(datasets):
+            np.testing.assert_allclose(G[:, j], gradient(spec, W[:, j], Sj), rtol=1e-12, atol=0)
+            assert f[j] == pytest.approx(smooth_objective(spec, W[:, j], Sj), rel=1e-12)
+            assert F[j] == pytest.approx(objective(spec, W[:, j], Sj), rel=1e-12)
+
+    @pytest.mark.parametrize("fn", [gradient, smooth_objective, objective])
+    def test_mismatched_shapes_rejected(self, fn):
+        spec = ObjectiveSpec("logistic", 0.2)
+        datasets, W = self.stack()
+        for weights in (W[:, 0], W[:, :2], W.T):
+            with pytest.raises(ValueError, match="does not match"):
+                fn(spec, weights, _stack(datasets))
+
+
 class TestStrongConvexity:
     def test_l2_half_convention(self):
         assert strong_convexity_constant(ObjectiveSpec("logistic", 0.1)) == pytest.approx(0.1)
@@ -263,9 +294,11 @@ class TestStrongConvexity:
         for _ in range(1000):
             w = rng.standard_normal(3)
             w2 = rng.standard_normal(3)
+            # a subgradient of the full objective at w2 (sign(0) taken as 0)
+            subgradient = gradient(spec, w2, S) + spec.l1_coefficient * np.sign(w2)
             lhs = objective(spec, w, S)
             rhs = (objective(spec, w2, S)
-                   + objective_subgradient(spec, w2, S) @ (w - w2)
+                   + subgradient @ (w - w2)
                    + 0.5 * lam_sc * np.sum((w - w2) ** 2))
             assert lhs >= rhs - 1e-9
 

@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabledp import optimizer as optimizer_mod
 from stabledp.cli import _oracle_fixture
 from stabledp.data_io import synth_classification
-from stabledp.model import Dataset, ObjectiveSpec, as_signed_labels, gradient, objective
+from stabledp.model import (
+    Dataset,
+    ObjectiveSpec,
+    _stack,
+    _Stack,
+    as_signed_labels,
+    gradient,
+    objective,
+)
 from stabledp.optimizer import (
     ConvergenceError,
     SgdConfig,
@@ -286,9 +295,8 @@ class TestSolveErmBlock:
     def test_zero_features_get_the_regulariser_curvature(self):
         spec, (S, Sp) = SPECS["squared-elastic"], sgd_block(1)
         zero = Dataset(np.zeros_like(S.features), S.labels)
-        X = np.stack([S.features, zero.features, Sp.features])
         with np.errstate(all="raise"):
-            L = _smooth_curvature(spec, X)
+            L = _smooth_curvature(spec, _stack([S, zero, Sp]))
             block = solve_erm(spec, [S, zero, Sp], 1e-9)
         assert L[1] == 2.0 * spec.l2_coefficient
         assert L[0] == _smooth_curvature(spec, S) and L[2] == _smooth_curvature(spec, Sp)
@@ -464,6 +472,43 @@ class TestSgdBlock:
                 sgd_run(spec, blocks, cfg)
         with pytest.raises(ValueError, match="w0 shape"):
             sgd_run(spec, [S, Sp], cfg, w0=np.zeros(S.d))
+
+
+class TestEvaluationPath:
+    """Block solvers evaluate each stack through the public model functions."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        seen = []
+        fn = getattr(optimizer_mod, name)
+
+        def counted(spec, w, S):
+            seen.append(S)
+            return fn(spec, w, S)
+
+        monkeypatch.setattr(optimizer_mod, name, counted)
+        return seen
+
+    def test_block_solve(self, monkeypatch):
+        spec, datasets = BLOCK_SPECS["logistic-elastic-0.1"], erm_block()
+        grads = self.count(monkeypatch, "gradient")
+        values = self.count(monkeypatch, "smooth_objective")
+        k = solve_erm(spec, datasets, 1e-9).iterations_used
+        # one gradient per iteration; one objective at the start and after
+        # every step but the last
+        assert len(grads) == len(values) == k
+        for S in grads + values:
+            assert isinstance(S, _Stack) and S.features.shape == (len(datasets), 60, 5)
+
+    def test_sgd_run(self, monkeypatch):
+        spec, datasets = SPECS["logistic-l2"], sgd_block(3)
+        grads = self.count(monkeypatch, "gradient")
+        cfg = SgdConfig(steps_T=40, step_size=0.1, batch_size_b=5, seed=2)
+        sgd_run(spec, datasets, cfg)
+        # one per step on the batch, then one on the full stack
+        assert len(grads) == cfg.steps_T + 1
+        assert all(S.features.shape == (4, 5, 5) for S in grads[:-1])
+        assert grads[-1].features.shape == (4, 60, 5)
 
 
 class TestSgdConfig:

@@ -261,6 +261,14 @@ class TestDpMicroCheck:
         assert not rep.passed, rep.summary()
         assert rep.details["confident_violations"] >= 1
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # an infinite epsilon once passed even the half-noise release
+        S, Sp = self.datasets()
+        with pytest.raises(ValueError, match="epsilon"):
+            dp_micro_check(_bounded_mean_release(1 / 40 / 2.0), S, Sp, epsilon=epsilon,
+                           samples=1_000, seed=2)
+
     def test_low_sample_bins_inconclusive_not_failed(self):
         S, Sp = self.datasets()
         rep = dp_micro_check(_bounded_mean_release(0.025), S, Sp, epsilon=1.0,

@@ -12,7 +12,6 @@ from stabledp.stability import (
     beta_l2_erm,
     privacy_enhancement,
     privacy_error_bound,
-    sensitivity_via_lipschitz,
     sensitivity_l2_direct,
     sensitivity_via_strong_convexity,
     stability_knob_scaling,
@@ -74,22 +73,6 @@ class TestSensitivityThm1:
         a = sensitivity_l2_direct(1, 1, 100, 0.1)
         b = sensitivity_l2_direct(2, 1, 200, 0.1)
         assert a == pytest.approx(b)
-
-
-class TestSensitivityCor2:
-    def test_hand_value(self):
-        assert sensitivity_via_lipschitz(0.2, 1, 1) == pytest.approx(0.4)
-
-    def test_zero_beta(self):
-        assert sensitivity_via_lipschitz(0.0, 1, 1) == 0.0
-
-    def test_consistency_with_direct_bound(self):
-        # plugging the L2-ERM beta recovers the direct bound exactly
-        for L, kappa, n, lam in ((1, 1, 100, 0.1), (2.0, 0.5, 57, 0.31)):
-            beta = beta_l2_erm(L, kappa, n, lam).beta
-            assert sensitivity_via_lipschitz(beta, L, kappa) == sensitivity_l2_direct(
-                L, kappa, n, lam
-            )
 
 
 class TestSensitivityThm3:
