@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +70,13 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
+def _check_reals(cfg, keys, prefix: str = "") -> None:
+    """Each named field is null or a number, so its range guard can compare it."""
+    for key in keys:
+        if not isinstance(getattr(cfg, key), (numbers.Real, type(None))):
+            raise ConfigError(f"{prefix}{key}: must be a number, got {getattr(cfg, key)!r}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str = "synthetic"
@@ -86,6 +94,10 @@ class DatasetConfig:
     kappa: float = 1.0
 
     def __post_init__(self):
+        _check_reals(self, ("noise", "label_flips", "kappa"), "dataset.")
+        if not isinstance(self.structured_noise, bool):
+            raise ConfigError(
+                f"dataset.structured_noise: must be true or false, got {self.structured_noise!r}")
         # every comparison with NaN is false, so each guard tests the valid range
         for key, low in (("n", 1), ("d", 1), ("classes", 2)):
             v = getattr(self, key)
@@ -130,15 +142,17 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.lambda_grid:
-            raise ConfigError("lambda_grid: must be nonempty")
-        if not self.epsilon_grid:
-            raise ConfigError("epsilon_grid: must be nonempty")
+        _check_reals(self, ("gamma", "eta", "fixed_scale_b", "lipschitz_L", "tolerance",
+                            "threshold_k", "static_T"))
         # every comparison with NaN is false, so each guard tests the valid range
         for key in ("lambda_grid", "epsilon_grid"):
-            for i, v in enumerate(getattr(self, key)):
-                if not 0 < v < math.inf:
-                    raise ConfigError(f"{key}[{i}]: must be finite and > 0, got {v}")
+            grid = getattr(self, key)
+            if not isinstance(grid, (tuple, list)) or not grid:
+                raise ConfigError(f"{key}: must be a nonempty list, got {grid!r}")
+            object.__setattr__(self, key, tuple(grid))
+            for i, v in enumerate(grid):
+                if not isinstance(v, numbers.Real) or not 0 < v < math.inf:
+                    raise ConfigError(f"{key}[{i}]: must be finite and > 0, got {v!r}")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(f"noise_mode: must be one of {NOISE_MODES}")
         b = self.fixed_scale_b
@@ -188,9 +202,6 @@ def config_from_dict(raw: dict) -> SweepConfig:
         sp = SplitPlan(**raw.pop("split", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"split: {exc}") from exc
-    for key in ("lambda_grid", "epsilon_grid"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     try:
         return SweepConfig(dataset=ds, split=sp, **raw)
     except TypeError as exc:
@@ -200,8 +211,13 @@ def config_from_dict(raw: dict) -> SweepConfig:
 def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
     raw = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: malformed JSON or not UTF-8
+            raise ConfigError(f"config: cannot load {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: top level must be a JSON object, got {type(raw).__name__}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -209,6 +225,8 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
         *parents, leaf = key.split(".")
         for p in parents:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{p}: must be a JSON object, got {node!r}")
         node[leaf] = value
     return config_from_dict(raw)
 
@@ -362,41 +380,30 @@ def cmd_sweep(cfg: SweepConfig, out_dir) -> Path:
 
 
 def cmd_select(cfg: SweepConfig, out_dir) -> Path:
-    """Feature-selection agreement between private and non-private models."""
-    src = "private_dynamic_T" if cfg.threshold_mode == "dynamic" else "private_static_T"
+    """Feature-selection agreement between private and non-private models.
+
+    A cell's splits form one (splits x weights) block: per-split rates are
+    its row means, per-feature rates its column means.
+    """
     rows, flip_rows = [], []
     for lam, eps, scale, _, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
         T = (dynamic_threshold(scale, cfg.threshold_k)
              if cfg.threshold_mode == "dynamic" else cfg.static_T)
         cell = [lam, eps, cfg.noise_mode, scale, cfg.threshold_mode, T]
-        f1s, obs_rates, pred_rates, flips_by_rep, pred_by_rep = [], [], [], [], []
-        for r, (train, _, W, noisy) in enumerate(runs):
-            w_flat = W.ravel()
-            dec_np = select_features(w_flat, 0.0)
-            dec_priv = select_features(noisy.ravel(), T, source=src)
-            f1s.append(f1_similarity(dec_np, dec_priv))
-            flips = (dec_np.decisions != dec_priv.decisions).astype(float)
-            if T > 0 and scale > 0:
-                pred = np.array([
-                    flip_probability(T, wi, eps, lam, cfg.eta, train.n,
-                                     cfg.L, cfg.dataset.kappa)
-                    for wi in w_flat
-                ])
-            else:
-                pred = np.zeros(w_flat.size)
-            obs_rates.append(float(flips.mean()))
-            pred_rates.append(float(pred.mean()))
-            flips_by_rep.append(flips)
-            pred_by_rep.append(pred)
-            rows.append(cell + [r, f1s[-1], obs_rates[-1], pred_rates[-1], None])
+        W = np.stack([w.ravel() for _, _, w, _ in runs])
+        keep = select_features(W, 0.0)
+        keep_priv = select_features(np.stack([noisy.ravel() for *_, noisy in runs]), T)
+        f1s, flips = f1_similarity(keep, keep_priv), keep != keep_priv
+        pred = (flip_probability(T, W, eps, lam, cfg.eta, runs[0][0].n, cfg.L,
+                                 cfg.dataset.kappa)
+                if T > 0 and scale > 0 else np.zeros(W.shape))
+        obs_rates, pred_rates = flips.mean(axis=1), pred.mean(axis=1)
+        rows += [cell + [r, *vals, None]
+                 for r, vals in enumerate(zip(f1s, obs_rates, pred_rates))]
         rows.append(cell + [-1, float(np.mean(f1s)), float(np.mean(obs_rates)),
                             float(np.mean(pred_rates)), _std(f1s)])
-        reps = len(runs)
-        absw = sum(np.abs(W.ravel()) for _, _, W, _ in runs) / reps
-        pred_mean = sum(pred_by_rep) / reps
-        obs_mean = sum(flips_by_rep) / reps
-        for j in range(absw.size):
-            flip_rows.append([lam, eps, j, absw[j], pred_mean[j], obs_mean[j]])
+        flip_rows += [[lam, eps, j, *vals] for j, vals in enumerate(
+            zip(np.abs(W).mean(axis=0), pred.mean(axis=0), flips.mean(axis=0)))]
 
     path = _write_outputs(out_dir, "select", cfg, SELECT_COLUMNS, rows,
                           extra={"flip_columns": SELECT_FLIP_COLUMNS})
@@ -545,16 +552,26 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--static-T", type=float, default=None)
 
 
-def _grid(text: str | None):
+def _grid(text: str | None, key: str):
     if text is None:
         return None
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a sample count: an oracle that samples nothing passes by construction."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
 
 
 def _config_from_args(args) -> SweepConfig:
     overrides = {
-        "lambda_grid": _grid(args.lambda_grid),
-        "epsilon_grid": _grid(args.epsilon_grid),
+        "lambda_grid": _grid(args.lambda_grid, "lambda_grid"),
+        "epsilon_grid": _grid(args.epsilon_grid, "epsilon_grid"),
         "noise_mode": args.noise_mode,
         "fixed_scale_b": args.fixed_scale_b,
         "scale_mode": args.scale_mode,
@@ -581,10 +598,9 @@ def main(argv=None) -> int:
     pv = sub.add_parser("verify")
     pv.add_argument("suite", choices=VERIFY_SUITES)
     pv.add_argument("--out", type=Path, default=None, help="JSON report path")
-    pv.add_argument("--trials", type=int, default=200)
-    pv.add_argument("--probes", type=int, default=50)
-    pv.add_argument("--samples", type=int, default=1_000_000)
-    pv.add_argument("--draws", type=int, default=100_000)
+    for flag, default in (("--trials", 200), ("--probes", 50), ("--samples", 1_000_000),
+                          ("--draws", 100_000)):
+        pv.add_argument(flag, type=_positive_int, default=default)
     pv.add_argument("--seed", type=int, default=0)
 
     pf = sub.add_parser("fetch")

@@ -211,6 +211,8 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     # an infinite epsilon gives an infinite threshold, which any release passes
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     a = np.asarray(release_fn(S, derive_rng(seed, 101), samples), dtype=float)
     b = np.asarray(release_fn(S_neighbor, derive_rng(seed, 202), samples), dtype=float)
     pooled = np.concatenate([a, b])

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .features import flip_probability, lemma_noise_scale
+from .features import flip_probability, lemma_noise_scale, select_features
 from .model import (
     Dataset,
     ObjectiveSpec,
@@ -48,6 +48,13 @@ __all__ = [
     "flip_rate_check",
     "empirical_sgd_stability",
 ]
+
+
+def _check_counts(low: int = 1, **counts) -> None:
+    """Sample counts below ``low`` leave an oracle nothing to measure: it would pass empty."""
+    for name, v in counts.items():
+        if not v >= low:
+            raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
 def _fresh_record(spec: ObjectiveSpec, d: int, rng: np.random.Generator):
@@ -126,6 +133,7 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     floats; the adversarial neighbors depend on S's weights, so greedy
     solves them (with S again) in a second block of (2n + 1)*n*d floats.
     """
+    _check_counts(trials=trials)
     rng = derive_rng(seed, 21)
     base, trained = _solve_with_neighbors(
         spec, S, [_neighbor(spec, S, rng) for _ in range(trials)], tolerance)
@@ -154,7 +162,7 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     failures = found.count(None)
 
     bound = sc_bound if direct is None else min(sc_bound, direct)
-    passed = worst <= bound and failures <= max(1, trials) * 0.01
+    passed = worst <= bound and failures <= trials * 0.01
     return OracleReport(
         name="sensitivity",
         bound_value=bound,
@@ -185,6 +193,7 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     whose column fails to converge counts as a solver failure and its
     probes go unscored.
     """
+    _check_counts(trials=trials, probes=probes)
     rng = derive_rng(seed, 22)
     draws = []
     for _ in range(trials):
@@ -204,7 +213,7 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
         worst_fresh = max(worst_fresh, _max_loss_gap(spec, base, w, *fresh))
 
     worst = max(worst_in, worst_fresh)
-    passed = worst <= beta and failures <= max(1, trials) * 0.01
+    passed = worst <= beta and failures <= trials * 0.01
     return OracleReport(
         name="stability",
         bound_value=beta,
@@ -228,8 +237,9 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
     Noise is per-coordinate Laplace at the strong-convexity sensitivity
     over epsilon, the mechanism the bound is stated for. Passes when the
     observed mean is below the bound plus three Monte-Carlo standard
-    errors.
+    errors; the standard error needs ``draws >= 2``.
     """
+    _check_counts(2, draws=draws)
     base = solve_erm(spec, S, tolerance)
     cert = spec_cert(spec, S.n)
     scale = sensitivity_via_strong_convexity(cert) / epsilon
@@ -318,10 +328,11 @@ def flip_rate_check(T: float, w_i: float, epsilon: float, lam: float, eta: float
     exactly in distribution; for 0 < |w_i| the formula ignores sign-crossing
     events and the report quantifies the discrepancy instead of hiding it.
     """
+    _check_counts(draws=draws)
     predicted = flip_probability(T, w_i, epsilon, lam, eta, n, L, kappa)
     b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
     noisy = perturb(np.broadcast_to(w_i, draws), b, derive_rng(seed, 25))
-    flips = (np.abs(noisy) > T) != (w_i != 0)
+    flips = select_features(noisy, T) != select_features(w_i, 0.0)
     observed = float(np.mean(flips))
     se = math.sqrt(max(predicted * (1 - predicted), 1e-12) / draws)
     gap = abs(observed - predicted)
@@ -351,6 +362,7 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     here; the report's bound field repeats the empirical value and the
     result is meant for directional comparisons across knob settings.
     """
+    _check_counts(trials=trials, probes=probes)
     rng = derive_rng(seed, 26)
     pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
              for _ in range(trials)]

@@ -92,7 +92,13 @@ class TestConfig:
                           ({"split": {"repeats": math.nan}}, "split: repeats"),
                           ({"split": {"seed": 1.5}}, "split: seed"),
                           ({"master_seed": 0.5}, "master_seed"),
-                          ({"max_iters": 2.5}, "max_iters")):
+                          ({"max_iters": 2.5}, "max_iters"),
+                          # a wrong type used to raise a TypeError, name no field, or pass
+                          ({"lambda_grid": 0.1}, "lambda_grid"),
+                          ({"epsilon_grid": [1.0, "x"]}, r"epsilon_grid\[1\]"),
+                          ({"gamma": "x"}, "gamma"),
+                          ({"dataset": {"kappa": "1"}}, "dataset.kappa"),
+                          ({"dataset": {"structured_noise": "no"}}, "dataset.structured_noise")):
             with pytest.raises(ConfigError, match=path):
                 config_from_dict(raw)
         with pytest.raises(ConfigError, match="dataset.sparsity"):
@@ -315,6 +321,38 @@ class TestMainEntrypoint:
         p.write_text(json.dumps({"dataset": {"d": 6, "reduce_to": None}}))
         assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "dataset.sparsity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,flags,path", [
+        (None, ["--lambda-grid", "abc"], "lambda_grid"),
+        (None, ["--epsilon-grid", "1,x"], "epsilon_grid"),
+        ("[1, 2]", [], "top level"),
+        ('{"lambda_grid": [0.1', [], "Expecting"),
+        ('{"split": 3}', ["--repeats", "2"], "split"),
+        ('{"lambda_grid": 0.1}', [], "lambda_grid"),
+        (None, ["--config", "no/such/config.json"], "cannot load"),
+    ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
+            "split_not_object", "grid_not_list", "missing_file"])
+    def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
+        # each of these used to exit 1 with a traceback
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+            flags = ["--config", str(cfg), *flags]
+        assert main(["sweep", *flags, "--out", str(tmp_path / "res")]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["sensitivity", "--trials", "0"],
+                                       ["sensitivity", "--trials", "-3"],
+                                       ["stability", "--probes", "0"],
+                                       ["flips", "--draws", "0"],
+                                       ["dp", "--samples", "0"]],
+                             ids=["trials_0", "trials_neg", "probes_0", "draws_0", "samples_0"])
+    def test_verify_counts_must_be_positive(self, capsys, flags):
+        # zero trials used to print PASS, zero draws to divide by zero
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_fetch_via_argv(self, tmp_path, capsys):
         content = ("1, Private, 2, Bachelors, 3, Never-married, Sales, Own-child, White,"

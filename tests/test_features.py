@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabledp.features import (
-    FeatureDecision,
     dynamic_threshold,
     f1_similarity,
     flip_probability,
@@ -18,16 +17,16 @@ from stabledp.verify import flip_rate_check
 
 class TestSelectFeatures:
     def test_nonzero_rule_at_zero_threshold(self):
-        dec = select_features(np.array([0.0, 0.5]), 0.0)
-        np.testing.assert_array_equal(dec.decisions, [0, 1])
+        keep = select_features(np.array([0.0, 0.5]), 0.0)
+        np.testing.assert_array_equal(keep, [False, True])
 
     def test_hand_threshold(self):
-        dec = select_features(np.array([0.3, -0.7]), 0.5)
-        np.testing.assert_array_equal(dec.decisions, [0, 1])
+        keep = select_features(np.array([0.3, -0.7]), 0.5)
+        np.testing.assert_array_equal(keep, [False, True])
 
     def test_huge_threshold_selects_nothing(self):
-        dec = select_features(np.array([10.0, -20.0]), math.inf)
-        assert dec.selected_count == 0
+        keep = select_features(np.array([10.0, -20.0]), math.inf)
+        assert keep.sum() == 0
 
     def test_negative_threshold_rejected(self):
         for T in (-0.1, math.nan):
@@ -39,8 +38,15 @@ class TestSelectFeatures:
     def test_idempotent_under_hard_thresholding(self, vals, T):
         w = np.array(vals)
         once = select_features(w, T)
-        again = select_features(np.where(once.decisions == 1, w, 0.0), T)
-        np.testing.assert_array_equal(once.decisions, again.decisions)
+        again = select_features(np.where(once, w, 0.0), T)
+        np.testing.assert_array_equal(once, again)
+
+    def test_block_equals_per_row_calls(self):
+        W = np.random.default_rng(0).laplace(size=(5, 9))
+        keep = select_features(W, 0.7)
+        assert keep.shape == W.shape and keep.dtype == bool
+        for row, w in zip(keep, W):
+            np.testing.assert_array_equal(row, select_features(w, 0.7))
 
 
 class TestDynamicThreshold:
@@ -78,7 +84,7 @@ class TestFlipProbability:
         ("epsilon", math.nan), ("lam", math.nan), ("kappa", math.inf),
     ])
     def test_nonpositive_scale_params_rejected(self, field, value):
-        kwargs = dict(T=0.5, w_i=0.0, epsilon=1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0)
+        kwargs = dict(T=0.5, w=0.0, epsilon=1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0)
         kwargs[field] = value
         with pytest.raises(ValueError):
             flip_probability(**kwargs)
@@ -92,6 +98,19 @@ class TestFlipProbability:
         assert all(a > b for a, b in zip(eps, eps[1:]))
         ns = [flip_probability(1.0, 0.0, n=n, **base) for n in (100, 400, 1600, 6400)]
         assert all(a > b for a, b in zip(ns, ns[1:]))
+
+    def test_scalar_weight_gives_float(self):
+        assert type(flip_probability(0.5, 0.1, 1.0, 0.1, 0.15, 100, 1.0, 1.0)) is float
+        assert type(flip_probability(0.5, np.float64(0.1), 1.0, 0.1, 0.15, 100, 1.0, 1.0)) is float
+
+    def test_array_equals_scalar_calls(self):
+        # np.exp and math.exp may differ by one ulp
+        W = np.random.default_rng(1).normal(scale=0.3, size=(4, 64))
+        args = (1.0, 0.1, 0.15, 2_500, 1.0, 1.0)
+        P = flip_probability(0.2, W, *args)
+        assert P.shape == W.shape
+        expect = np.array([[flip_probability(0.2, float(w), *args) for w in row] for row in W])
+        np.testing.assert_allclose(P, expect, rtol=4.5e-16, atol=0)
 
     def test_monte_carlo_case1_grid(self):
         # Monte-Carlo at the formula's implied scale, 3 sigma, grid over (T, eps, n)
@@ -113,7 +132,7 @@ class TestLemmaScale:
 
 class TestF1Similarity:
     def mk(self, bits):
-        return FeatureDecision(decisions=np.array(bits), threshold_T=0.0)
+        return np.array(bits, dtype=bool)
 
     def test_identical_is_one(self):
         a = self.mk([1, 0, 1, 0])
@@ -137,6 +156,14 @@ class TestF1Similarity:
         with pytest.raises(ValueError, match="lengths"):
             f1_similarity(self.mk([1, 0]), self.mk([1, 0, 1]))
 
+    def test_rows_equal_per_row_values(self):
+        A = self.mk([[1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 0, 1, 1]])
+        B = self.mk([[1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1]])
+        f1 = f1_similarity(A, B)
+        assert f1.shape == (5,)
+        assert f1.tolist() == [f1_similarity(a, b) for a, b in zip(A, B)]
+        assert f1.tolist() == [0.5, 1.0, 0.0, 0.0, 1.0]
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=20),
            st.lists(st.integers(0, 1), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
@@ -147,18 +174,3 @@ class TestF1Similarity:
         assert 0.0 <= val <= 1.0
         # F1 is symmetric because FP and FN enter the denominator together
         assert val == pytest.approx(f1_similarity(b, a))
-
-
-class TestFeatureDecision:
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureDecision(decisions=np.array([0, 2]), threshold_T=0.0)
-
-    def test_bad_threshold_rejected(self):
-        for T in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="threshold_T"):
-                FeatureDecision(decisions=np.array([0, 1]), threshold_T=T)
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureDecision(decisions=np.array([0, 1]), threshold_T=0.0, source="oracle")

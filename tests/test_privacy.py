@@ -269,6 +269,13 @@ class TestDpMicroCheck:
             dp_micro_check(_bounded_mean_release(1 / 40 / 2.0), S, Sp, epsilon=epsilon,
                            samples=1_000, seed=2)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        S, Sp = self.datasets()
+        with pytest.raises(ValueError, match="samples"):
+            dp_micro_check(_bounded_mean_release(1 / 40), S, Sp, epsilon=1.0,
+                           samples=samples, seed=2)
+
     def test_low_sample_bins_inconclusive_not_failed(self):
         S, Sp = self.datasets()
         rep = dp_micro_check(_bounded_mean_release(0.025), S, Sp, epsilon=1.0,

@@ -284,6 +284,8 @@ class TestFlipRateCheck:
         rep = flip_rate_check(1.0, 0.0, 1.0, lam=0.1, eta=0.15, n=10_000,
                               L=1.0, kappa=1.0, draws=50_000, seed=0)
         assert rep.passed
+        # a numpy bool or float here would break `verify --out`'s json.dump
+        assert type(rep.passed) is bool and type(rep.bound_value) is float
 
     def test_case2_near_boundary_discrepancy_is_reported(self):
         # |w_i| close to T: the closed form ignores sign-crossing mass, the
@@ -292,6 +294,41 @@ class TestFlipRateCheck:
                               L=1.0, kappa=1.0, draws=50_000, seed=1)
         assert rep.trials == 50_000
         assert "mc_stderr" in rep.details
+
+
+class TestSampleCounts:
+    """An oracle that samples nothing would pass by construction, so it refuses."""
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(trials=0), "trials"), (dict(trials=-3), "trials"),
+    ])
+    def test_sensitivity(self, kwargs, name):
+        spec, S = fixture()
+        with pytest.raises(ValueError, match=name):
+            empirical_sensitivity(spec, S, **kwargs)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(trials=0), "trials"), (dict(trials=2, probes=0), "probes"),
+    ])
+    def test_stability_and_sgd_stability(self, kwargs, name):
+        spec, S = fixture()
+        with pytest.raises(ValueError, match=name):
+            empirical_stability(spec, S, **kwargs)
+        cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
+        with pytest.raises(ValueError, match=name):
+            empirical_sgd_stability(spec, S, cfg, **kwargs)
+
+    def test_flip_rate_draws(self):
+        with pytest.raises(ValueError, match="draws"):
+            flip_rate_check(1.0, 0.0, 1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0,
+                            draws=0)
+
+    @pytest.mark.parametrize("draws", [0, 1])
+    def test_privacy_error_needs_two_draws(self, draws):
+        # its Monte-Carlo standard error uses ddof=1
+        spec, S = fixture()
+        with pytest.raises(ValueError, match="draws"):
+            empirical_privacy_error(spec, S, epsilon=1.0, draws=draws)
 
 
 class TestSgdStabilityDirections:
