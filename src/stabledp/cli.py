@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +37,19 @@ from .features import (
     flip_probability,
     select_features,
 )
-from .model import LOSS_KINDS, Dataset, ObjectiveSpec, _is_int, as_signed_labels
+from .model import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _UNIT,
+    LOSS_KINDS,
+    Dataset,
+    ObjectiveSpec,
+    _at_least,
+    _one_of,
+    _require,
+    as_signed_labels,
+)
 from .optimizer import solve_erm
 from .privacy import calibrate, dp_micro_check, laplace_sample, perturb
 from .rng import derive_rng, float_key
@@ -64,17 +74,43 @@ SELECT_FLIP_COLUMNS = [
 NOISE_MODES = ("stability_optimal", "fixed_scale", "none")
 SCALE_MODES = ("verbatim", "derived")
 THRESHOLD_MODES = ("dynamic", "static")
+DATASET_KINDS = ("synthetic", "csv")
+
+DATASET_RANGES = {
+    "kind": _one_of(DATASET_KINDS), "n": _COUNT, "d": _COUNT, "classes": _at_least(2),
+    "sparsity": _COUNT, "reduce_to": _COUNT, "noise": _NONNEGATIVE,
+    "label_flips": (lambda v: 0 <= v < 1, "in [0, 1)", float), "kappa": _POSITIVE,
+}
+SWEEP_RANGES = {
+    "gamma": _UNIT, "eta": _NONNEGATIVE, "noise_mode": _one_of(NOISE_MODES),
+    "fixed_scale_b": _POSITIVE, "scale_mode": _one_of(SCALE_MODES),
+    "loss_kind": _one_of(LOSS_KINDS), "lipschitz_L": _POSITIVE, "tolerance": _POSITIVE,
+    "max_iters": _COUNT, "threshold_mode": _one_of(THRESHOLD_MODES), "threshold_k": _POSITIVE,
+    "static_T": _NONNEGATIVE,
+}
 
 
 class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
-def _check_reals(cfg, keys, prefix: str = "") -> None:
-    """Each named field is null or a number, so its range guard can compare it."""
-    for key in keys:
-        if not isinstance(getattr(cfg, key), (numbers.Real, type(None))):
-            raise ConfigError(f"{prefix}{key}: must be a number, got {getattr(cfg, key)!r}")
+# the (ok, want, kind) of a config field that no range table lists, by annotation
+_FIELD_KINDS = {k.__name__: (lambda _: True, want, k) for k, want in (
+    (int, "an integer"), (float, "a number"), (str, "a string"), (bool, "true or false"))}
+
+
+def _check_fields(cfg, ranges: dict, prefix: str = "") -> None:
+    """Each plain field through ``_require`` as a ``ConfigError`` on its path: the type
+    from its annotation, or the ``ranges`` triple; a field annotated ``| None`` may be null.
+    """
+    for f in dataclasses.fields(cfg):
+        kind, _, nullable = f.type.partition(" | ")
+        v = getattr(cfg, f.name)
+        if kind not in _FIELD_KINDS or (nullable and v is None):
+            continue
+        ok, want, kind = ranges.get(f.name, _FIELD_KINDS[kind])
+        _require(prefix + f.name, v, ok, ("null or " if nullable else "") + want, kind,
+                 ConfigError)
 
 
 @dataclass(frozen=True)
@@ -85,7 +121,7 @@ class DatasetConfig:
     n: int = 2000
     d: int = 48
     classes: int = 4
-    sparsity: int = 8
+    sparsity: int | None = 8
     noise: float = 0.3
     structured_noise: bool = True
     label_flips: float = 0.0
@@ -94,31 +130,9 @@ class DatasetConfig:
     kappa: float = 1.0
 
     def __post_init__(self):
-        _check_reals(self, ("noise", "label_flips", "kappa"), "dataset.")
-        if not isinstance(self.structured_noise, bool):
-            raise ConfigError(
-                f"dataset.structured_noise: must be true or false, got {self.structured_noise!r}")
-        # every comparison with NaN is false, so each guard tests the valid range
-        for key, low in (("n", 1), ("d", 1), ("classes", 2)):
-            v = getattr(self, key)
-            if not _is_int(v) or not v >= low:
-                raise ConfigError(f"dataset.{key}: must be an integer >= {low}, got {v!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"dataset.seed: must be an integer, got {self.seed!r}")
-        if self.reduce_to is not None and not (_is_int(self.reduce_to) and self.reduce_to >= 1):
-            raise ConfigError(
-                f"dataset.reduce_to: must be null or an integer >= 1, got {self.reduce_to!r}")
         # sparsity <= d is checked when the data is built: a config that
         # never builds synthetic data may leave d below the default sparsity
-        if self.sparsity is not None and not (_is_int(self.sparsity) and self.sparsity >= 1):
-            raise ConfigError(
-                f"dataset.sparsity: must be null or an integer >= 1, got {self.sparsity!r}")
-        if not 0 <= self.noise < math.inf:
-            raise ConfigError(f"dataset.noise: must be finite and >= 0, got {self.noise}")
-        if not 0 <= self.label_flips < 1:
-            raise ConfigError(f"dataset.label_flips: must be in [0, 1), got {self.label_flips}")
-        if not 0 < self.kappa < math.inf:
-            raise ConfigError(f"dataset.kappa: must be finite and > 0, got {self.kappa}")
+        _check_fields(self, DATASET_RANGES, "dataset.")
 
 
 @dataclass(frozen=True)
@@ -142,46 +156,15 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        _check_reals(self, ("gamma", "eta", "fixed_scale_b", "lipschitz_L", "tolerance",
-                            "threshold_k", "static_T"))
-        # every comparison with NaN is false, so each guard tests the valid range
         for key in ("lambda_grid", "epsilon_grid"):
             grid = getattr(self, key)
-            if not isinstance(grid, (tuple, list)) or not grid:
-                raise ConfigError(f"{key}: must be a nonempty list, got {grid!r}")
+            _require(key, grid, bool, "a nonempty list", (tuple, list), ConfigError)
             object.__setattr__(self, key, tuple(grid))
             for i, v in enumerate(grid):
-                if not isinstance(v, numbers.Real) or not 0 < v < math.inf:
-                    raise ConfigError(f"{key}[{i}]: must be finite and > 0, got {v!r}")
-        if self.noise_mode not in NOISE_MODES:
-            raise ConfigError(f"noise_mode: must be one of {NOISE_MODES}")
-        b = self.fixed_scale_b
-        if (b is not None and not math.isfinite(b)) or (
-                self.noise_mode == "fixed_scale" and (b is None or b <= 0)):
-            raise ConfigError(f"fixed_scale_b: must be finite, > 0 in fixed_scale mode; got {b}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ConfigError(f"scale_mode: must be one of {SCALE_MODES}")
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ConfigError(f"threshold_mode: must be one of {THRESHOLD_MODES}")
-        if not 0 < self.gamma <= 1:
-            raise ConfigError(f"gamma: must be in (0, 1], got {self.gamma}")
-        if not 0 <= self.eta < math.inf:
-            raise ConfigError(f"eta: must be finite and >= 0, got {self.eta}")
-        if not 0 < self.tolerance < math.inf:
-            raise ConfigError(f"tolerance: must be finite and > 0, got {self.tolerance}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind: must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
-            raise ConfigError(
-                f"lipschitz_L: must be null or finite and > 0, got {self.lipschitz_L}")
-        if not _is_int(self.max_iters) or not self.max_iters >= 1:
-            raise ConfigError(f"max_iters: must be an integer >= 1, got {self.max_iters!r}")
-        if not 0 < self.threshold_k < math.inf:
-            raise ConfigError(f"threshold_k: must be finite and > 0, got {self.threshold_k}")
-        if not 0 <= self.static_T < math.inf:
-            raise ConfigError(f"static_T: must be finite and >= 0, got {self.static_T}")
-        if not _is_int(self.master_seed):
-            raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
+                _require(f"{key}[{i}]", v, *_POSITIVE, ConfigError)
+        _check_fields(self, SWEEP_RANGES)
+        if self.noise_mode == "fixed_scale" and self.fixed_scale_b is None:
+            raise ConfigError("fixed_scale_b: must be set in fixed_scale mode")
 
     @property
     def L(self) -> float:
@@ -216,8 +199,7 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: malformed JSON or not UTF-8
             raise ConfigError(f"config: cannot load {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config: top level must be a JSON object, got {type(raw).__name__}")
+    _require("config: top level", raw, lambda _: True, "a JSON object", dict, ConfigError)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -225,8 +207,7 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
         *parents, leaf = key.split(".")
         for p in parents:
             node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"{p}: must be a JSON object, got {node!r}")
+            _require(p, node, lambda _: True, "a JSON object", dict, ConfigError)
         node[leaf] = value
     return config_from_dict(raw)
 
@@ -244,12 +225,10 @@ def build_dataset(cfg: SweepConfig) -> Dataset:
                                     noise=ds.noise, seed=ds.seed, kappa=ds.kappa,
                                     structured_noise=ds.structured_noise,
                                     label_flips=ds.label_flips)
-    elif ds.kind == "csv":
+    else:  # csv
         if ds.path is None:
             raise ConfigError("dataset.path: required for kind 'csv'")
         S = load_csv(ds.path, ds.label_column)
-    else:
-        raise ConfigError(f"dataset.kind: must be 'synthetic' or 'csv', got {ds.kind!r}")
     S, _ = preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
     return S
 
@@ -533,23 +512,26 @@ def cmd_verify(suite: str, out_path=None, trials: int = 200, probes: int = 50,
 # argument parsing
 
 
+# (config path, argparse type or choices) of each override flag; a flag is
+# named after its path's last part, so split.repeats is --repeats and
+# static_T is --static-T, and a *_grid flag takes comma-separated values
+CONFIG_FLAGS = (
+    ("lambda_grid", str), ("epsilon_grid", str), ("noise_mode", NOISE_MODES),
+    ("fixed_scale_b", float), ("scale_mode", SCALE_MODES), ("gamma", float),
+    ("eta", float), ("master_seed", int), ("split.repeats", int), ("tolerance", float),
+    ("threshold_mode", THRESHOLD_MODES), ("static_T", float),
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-    p.add_argument("--lambda-grid", type=str, default=None,
-                   help="comma-separated lambda values (overrides config)")
-    p.add_argument("--epsilon-grid", type=str, default=None,
-                   help="comma-separated epsilon values (overrides config)")
-    p.add_argument("--noise-mode", choices=NOISE_MODES, default=None)
-    p.add_argument("--fixed-scale-b", type=float, default=None)
-    p.add_argument("--scale-mode", choices=SCALE_MODES, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=None)
-    p.add_argument("--static-T", type=float, default=None)
+    for path, kind in CONFIG_FLAGS:
+        key = path.split(".")[-1]
+        p.add_argument("--" + key.replace("_", "-"), default=None,
+                       **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}),
+                       help=(f"comma-separated {key.removesuffix('_grid')} values "
+                             "(overrides config)" if key.endswith("_grid") else None))
 
 
 def _grid(text: str | None, key: str):
@@ -563,26 +545,17 @@ def _grid(text: str | None, key: str):
 
 def _positive_int(text: str) -> int:
     """argparse type of a sample count: an oracle that samples nothing passes by construction."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    _require("a sample count", int(text), lambda v: v >= 1, "a positive integer", int,
+             argparse.ArgumentTypeError)
     return int(text)
 
 
 def _config_from_args(args) -> SweepConfig:
-    overrides = {
-        "lambda_grid": _grid(args.lambda_grid, "lambda_grid"),
-        "epsilon_grid": _grid(args.epsilon_grid, "epsilon_grid"),
-        "noise_mode": args.noise_mode,
-        "fixed_scale_b": args.fixed_scale_b,
-        "scale_mode": args.scale_mode,
-        "gamma": args.gamma,
-        "eta": args.eta,
-        "master_seed": args.master_seed,
-        "split.repeats": args.repeats,
-        "tolerance": args.tolerance,
-        "threshold_mode": args.threshold_mode,
-        "static_T": getattr(args, "static_T", None),
-    }
+    overrides = {}
+    for path, _ in CONFIG_FLAGS:
+        key = path.split(".")[-1]
+        value = getattr(args, key)
+        overrides[path] = _grid(value, key) if key.endswith("_grid") else value
     return load_config(args.config, overrides)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, _is_int
+from .model import _COUNT, _NONNEGATIVE, _POSITIVE, Dataset, _at_least, _require
 from .rng import derive_rng
 
 __all__ = [
@@ -63,12 +63,9 @@ class SplitPlan:
 
     def __post_init__(self):
         # a float seed would be truncated by derive_rng
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not _is_int(self.repeats) or self.repeats < 1:
-            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        _require("seed", self.seed, lambda v: True, "an integer", int)
+        _require("train_fraction", self.train_fraction, lambda v: 0 < v < 1, "in (0, 1)")
+        _require("repeats", self.repeats, *_COUNT)
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,7 @@ def reduce_dim(S: Dataset, k: int, seed: int = 0, oversample: int = 8,
     given the seed. With ``kappa`` set, rows are rescaled afterwards so
     every norm is at most kappa.
     """
-    if not 1 <= k <= S.d:
-        raise ValueError(f"k must be in [1, d={S.d}], got {k}")
+    _require("k", k, lambda v: 1 <= v <= S.d, f"an integer in [1, d={S.d}]", int)
     X = S.features
     rng = derive_rng(seed, 7)
     p = min(k + oversample, S.d)
@@ -200,8 +196,7 @@ def reduce_dim(S: Dataset, k: int, seed: int = 0, oversample: int = 8,
 
 def bound_row_norms(S: Dataset, kappa: float) -> tuple[Dataset, int]:
     """Rescale rows with norm > kappa down to kappa; returns the count touched."""
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+    _require("kappa", kappa, *_POSITIVE)
     norms = np.linalg.norm(S.features, axis=1)
     over = norms > kappa
     if not np.any(over):
@@ -257,17 +252,14 @@ def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None 
 
     Returns (Dataset, truth).
     """
-    if n < 1 or d < 1 or classes < 2:
-        raise ValueError("need n >= 1, d >= 1, classes >= 2")
-    sparsity = d if sparsity is None else int(sparsity)
-    if not 1 <= sparsity <= d:
-        raise ValueError(f"sparsity must be in [1, d={d}], got {sparsity}")
-    if not 0 <= noise < math.inf:
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
-    if not 0 <= label_flips < 1:
-        raise ValueError(f"label_flips must be in [0, 1), got {label_flips}")
+    _require("n", n, *_COUNT)
+    _require("d", d, *_COUNT)
+    _require("classes", classes, *_at_least(2))
+    sparsity = d if sparsity is None else sparsity
+    _require("sparsity", sparsity, lambda v: 1 <= v <= d, f"an integer in [1, d={d}]", int)
+    _require("noise", noise, *_NONNEGATIVE)
+    _require("kappa", kappa, *_POSITIVE)
+    _require("label_flips", label_flips, lambda v: 0 <= v < 1, "in [0, 1)")
     rng = derive_rng(seed, 13)
 
     support = rng.choice(d, size=sparsity, replace=False)

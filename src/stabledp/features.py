@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .model import _COUNT, _NONNEGATIVE, _POSITIVE, _require, _require_each
+
 __all__ = [
     "select_features",
     "dynamic_threshold",
@@ -28,27 +30,22 @@ __all__ = [
 
 def select_features(w, T: float) -> np.ndarray:
     """Keep mask of w's shape: keep i iff |w_i| > T. T = 0 reproduces the nonzero-weight rule."""
-    if not T >= 0:  # false for NaN too; T = inf selects nothing
-        raise ValueError(f"T must be >= 0, got {T}")
+    _require("T", T, lambda v: v >= 0, ">= 0")  # T = inf selects nothing
     return np.abs(np.asarray(w, dtype=float)) > T
 
 
 def dynamic_threshold(noise_scale_b: float, multiplier_k: float = 1.0) -> float:
     """Threshold at k standard deviations of Laplace(b) noise: k * sqrt(2) * b."""
-    if not 0 <= noise_scale_b < math.inf:
-        raise ValueError(f"noise_scale_b must be finite and >= 0, got {noise_scale_b}")
-    if not 0 < multiplier_k < math.inf:
-        raise ValueError(f"multiplier_k must be finite and > 0, got {multiplier_k}")
+    _require("noise_scale_b", noise_scale_b, *_NONNEGATIVE)
+    _require("multiplier_k", multiplier_k, *_POSITIVE)
     return multiplier_k * math.sqrt(2.0) * noise_scale_b
 
 
 def lemma_noise_scale(epsilon: float, lam: float, eta: float, n: int,
                       L: float, kappa: float) -> float:
     """Per-coordinate noise scale implied by the flip-probability formula."""
-    for name, v in (("epsilon", epsilon), ("lam", lam), ("eta", eta),
-                    ("n", n), ("L", L), ("kappa", kappa)):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    _require_each(_POSITIVE, epsilon=epsilon, lam=lam, eta=eta, L=L, kappa=kappa)
+    _require("n", n, *_COUNT)
     return 2.0 * L * math.sqrt(kappa) / (epsilon * lam * eta * math.sqrt(n))
 
 
@@ -60,8 +57,7 @@ def flip_probability(T: float, w, epsilon: float, lam: float, eta: float,
     in (0, 1]; equals 1 at |w_i| = T. An array w gives an array of its
     shape, a scalar w a float.
     """
-    if not T > 0:  # false for NaN too
-        raise ValueError(f"T must be > 0, got {T}")
+    _require("T", T, lambda v: v > 0, "> 0")
     b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
     p = np.exp(-np.abs(T - np.abs(np.asarray(w, dtype=float))) / b)
     return float(p) if p.ndim == 0 else p

@@ -24,6 +24,11 @@ stack of m same-shape datasets (``_stack``): (m, n, d) features with
 (n, m) labels, the same label layout, so column j of the (d, m) weights is
 evaluated on the j-th dataset. One margin helper and its back-projection
 are the only code that tells the two apart.
+
+Every type and range check of the package's inputs goes through one rule,
+``_require``: the type first (a real number, an integer, numpy's included,
+or a named type; a bool is never a number), then the valid range, stated
+so that NaN fails it, with the error naming the parameter or config field.
 """
 
 from __future__ import annotations
@@ -52,9 +57,47 @@ PENALTIES = ("l2", "elastic")
 L2_FORMS = ("half", "full")
 
 
-def _is_int(v) -> bool:
-    """An integer, numpy's included; a bool is not a count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+# the builtin types first, as an isinstance test against an ABC is slow
+_TYPES = {float: (float, int, numbers.Real), int: (int, numbers.Integral)}
+
+
+def _require(name: str, v, ok, want: str, kind=float, error=ValueError) -> None:
+    """The one input guard: raise ``error`` unless v is a ``kind`` and ``ok(v)`` holds.
+
+    The type is tested first, so ``ok`` only sees a ``kind``: ``float``
+    admits any real number and ``int`` any integer, numpy's included, and a
+    bool is neither; any other ``kind`` is an ``isinstance`` test. ``ok``
+    states the valid range, so NaN, which fails every comparison, fails it.
+    The message is ``"<name> must be <want>, got <v!r>"``.
+    """
+    if ((isinstance(v, bool) and kind is not bool)
+            or not isinstance(v, _TYPES.get(kind, kind)) or not ok(v)):
+        raise error(f"{name} must be {want}, got {v!r}")
+
+
+def _require_each(rule: tuple, **values) -> None:
+    """``_require`` every keyword value under one (ok, want, kind) rule."""
+    for name, v in values.items():
+        _require(name, v, *rule)
+
+
+# (ok, want, kind) of the common ranges, each spread into ``_require``
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0", float)
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0", float)
+_UNIT = (lambda v: 0 < v <= 1, "in (0, 1]", float)
+
+
+def _at_least(low: int) -> tuple:
+    """The rule of an integer >= ``low``."""
+    return (lambda v: v >= low), f"an integer >= {low}", int
+
+
+_COUNT = _at_least(1)
+
+
+def _one_of(choices: tuple) -> tuple:
+    """The rule of a string among ``choices``."""
+    return choices.__contains__, f"one of {choices}", str
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -164,27 +207,20 @@ class ObjectiveSpec:
     l2_form: str = "half"
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.penalty not in PENALTIES:
-            raise ValueError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
-        if self.l2_form not in L2_FORMS:
-            raise ValueError(f"l2_form must be one of {L2_FORMS}, got {self.l2_form!r}")
-        # every comparison with NaN is false, so each guard tests the valid range
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        _require("loss_kind", self.loss_kind, *_one_of(LOSS_KINDS))
+        _require("penalty", self.penalty, *_one_of(PENALTIES))
+        _require("l2_form", self.l2_form, *_one_of(L2_FORMS))
+        _require("lam", self.lam, *_NONNEGATIVE)
+        _require("gamma", self.gamma, *_UNIT)
+        _require("kappa", self.kappa, *_POSITIVE)
         if self.eta is None and self.penalty == "elastic":
             object.__setattr__(self, "eta", 1.0 - self.gamma)
-        if self.eta is not None and not 0 <= self.eta < math.inf:
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if self.eta is not None:
+            _require("eta", self.eta, *_NONNEGATIVE)
         if self.lipschitz_L is None and self.loss_kind == "logistic":
             object.__setattr__(self, "lipschitz_L", self.kappa)
-        if self.lipschitz_L is not None and not 0 < self.lipschitz_L < math.inf:
-            raise ValueError(f"lipschitz_L must be finite and > 0, got {self.lipschitz_L}")
+        if self.lipschitz_L is not None:
+            _require("lipschitz_L", self.lipschitz_L, *_POSITIVE)
 
     @property
     def l2_coefficient(self) -> float:

@@ -30,9 +30,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _UNIT,
     Dataset,
     ObjectiveSpec,
-    _is_int,
+    _at_least,
+    _require,
     _stack,
     _Stack,
     gradient,
@@ -80,17 +85,14 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every comparison with NaN is false, so each guard tests the valid range
-        if not _is_int(self.steps_T) or self.steps_T < 0:
-            raise ValueError(f"steps_T must be an integer >= 0, got {self.steps_T!r}")
-        if not _is_int(self.batch_size_b) or self.batch_size_b < 1:
-            raise ValueError(f"batch_size_b must be an integer >= 1, got {self.batch_size_b!r}")
-        if not callable(self.step_size) and not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if self.clip_bound_G is not None and not self.clip_bound_G > 0:
-            raise ValueError(f"clip_bound_G must be > 0, got {self.clip_bound_G}")
-        if self.dropout_rate_s is not None and not 0 < self.dropout_rate_s <= 1:
-            raise ValueError(f"dropout_rate_s must be in (0, 1], got {self.dropout_rate_s}")
+        _require("steps_T", self.steps_T, *_at_least(0))
+        _require("batch_size_b", self.batch_size_b, *_COUNT)
+        if not callable(self.step_size):
+            _require("step_size", self.step_size, *_POSITIVE)
+        if self.clip_bound_G is not None:
+            _require("clip_bound_G", self.clip_bound_G, *_POSITIVE)
+        if self.dropout_rate_s is not None:
+            _require("dropout_rate_s", self.dropout_rate_s, *_UNIT)
         if self.averaging is not None:
             w = np.asarray(self.averaging, dtype=float)
             if w.shape != (self.steps_T,):
@@ -130,9 +132,7 @@ class SolveReport:
     residuals: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 <= self.final_gradient_norm < math.inf:
-            raise ValueError(
-                f"final_gradient_norm must be finite and >= 0, got {self.final_gradient_norm}")
+        _require("final_gradient_norm", self.final_gradient_norm, *_NONNEGATIVE)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -148,39 +148,20 @@ def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | _Stack):
     own dataset.
 
     The loss curvature is at most factor * lambda_max(X^T X / n), with
-    factor 1/4 for logistic and 2 for squared loss. lambda_max is bounded
-    through the Gram matrix G on the smaller of the n and d sides (X^T X
-    and X X^T share their nonzero eigenvalues) by
-    lambda_max <= tr(G^(2^k))^(2^-k), taken over six squarings, each
-    normalised by its trace so nothing overflows, and clamped by tr(G).
-    The bound exceeds lambda_max by at most the factor rank(G)^(1/64)
-    (1.06 at rank 32), less when the top eigenvalue stands out. Either bound can round below the true
-    lambda_max (by 1e-12 relative on rank-1 inputs), so the smaller one is
-    padded by 1e-9 relative. All-zero features give tr(G) = 0 and the
-    bound 2 * l2_coefficient, with no normalisation by a zero trace.
+    factor 1/4 for logistic and 2 for squared loss. lambda_max is taken by
+    LAPACK (``eigvalsh``) from the Gram matrix on the smaller of the n and
+    d sides (X^T X and X X^T share their nonzero eigenvalues), clamped at 0
+    and padded by 1e-9 relative, as it can round below the true value.
     """
     one = isinstance(S, Dataset)
     X = S.features[None] if one else S.features
     n, d = X.shape[1:]
     Xt = X.transpose(0, 2, 1)
     G = (Xt @ X if d <= n else X @ Xt) / n
-    tops = np.trace(G, axis1=1, axis2=2)
-    # an all-zero G is replaced by I / size, so no trace below is 0; its
-    # bound stays tr(G) = 0
-    zero = tops == 0
-    G[zero] = np.eye(G.shape[1])
-    A = G / np.where(zero, G.shape[1], tops)[:, None, None]
-    bounds = tops.tolist()
-    for k in range(1, 7):
-        A = A @ A
-        s = np.trace(A, axis1=1, axis2=2)  # >= 1/rank(A) > 0, as tr(A) = 1
-        A /= s[:, None, None]
-        # scalar pow, as numpy's array pow rounds differently in ~5% of cases
-        bounds = [b * v ** (0.5 ** k) for b, v in zip(bounds, s.tolist())]
+    top = np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0)
     factor = 0.25 if spec.loss_kind == "logistic" else 2.0
-    L = [factor * (min(top, bound) * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
-         for top, bound in zip(tops.tolist(), bounds)]
-    return L[0] if one else np.array(L)
+    L = factor * (top * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
+    return float(L[0]) if one else L
 
 
 def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: float = 1e-8,
@@ -223,10 +204,8 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     each such column's last iterate, with the gap bound of that iterate,
     and every column's residual, so the converged columns stay usable.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    _require("tolerance", tolerance, *_POSITIVE)
+    _require("max_iters", max_iters, *_COUNT)
     lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
     c1 = spec.l1_coefficient
     if not isinstance(S, Dataset):
@@ -294,8 +273,7 @@ def clip_gradient(g: np.ndarray, G: float) -> np.ndarray:
 
     A 2-D g is clipped row by row, each row by its own norm.
     """
-    if not G > 0:  # false for NaN too
-        raise ValueError(f"G must be > 0, got {G}")
+    _require("G", G, *_POSITIVE)  # g * (inf / inf) would be NaN
     g = np.asarray(g, dtype=float)
     # an unclipped row is multiplied by G / G, exactly 1.0
     return g * (G / np.maximum(_row_norms(g), G))
@@ -315,8 +293,7 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     until its own norm reaches the target. The generator is left where the
     rows with the most nonzeros left it; for a 1-D v, after its last draw.
     """
-    if not 0 < s <= 1:
-        raise ValueError(f"s must be in (0, 1], got {s}")
+    _require("s", s, *_UNIT)
     v = np.asarray(v, dtype=float)
     out = np.array(np.atleast_2d(v))
     target = s * _row_norms(out)[:, 0]
@@ -410,10 +387,8 @@ def convergence_sensitivity_correction(base_sensitivity: float, report: SolveRep
     Returns base + 2 * delta where delta = sqrt(2 * gap / lambda_sc) is the
     weight-gap bound that strong convexity gives from the report's loss gap.
     """
-    if not 0 < lambda_sc < math.inf:
-        raise ValueError(f"lambda_sc must be finite and > 0, got {lambda_sc}")
-    if not 0 <= base_sensitivity < math.inf:
-        raise ValueError(f"base_sensitivity must be finite and >= 0, got {base_sensitivity}")
+    _require("lambda_sc", lambda_sc, *_POSITIVE)
+    _require("base_sensitivity", base_sensitivity, *_NONNEGATIVE)
     if report.loss_gap_bound is None:
         raise ValueError("report carries no loss-gap bound")
     return base_sensitivity + 2.0 * math.sqrt(2.0 * report.loss_gap_bound / lambda_sc)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Dataset, ObjectiveSpec
+from .model import _COUNT, _POSITIVE, Dataset, ObjectiveSpec, _one_of, _require
 from .optimizer import solve_erm
 from .rng import as_rng, derive_rng
 from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
@@ -94,12 +94,10 @@ class PrivateRelease:
     calibration: str
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        _require("epsilon", self.epsilon, *_POSITIVE)
         if self.noise_scale != self.sensitivity_used / self.epsilon:
             raise ValueError("noise_scale must equal sensitivity_used / epsilon")
-        if self.calibration not in CALIBRATIONS:
-            raise ValueError(f"calibration must be one of {CALIBRATIONS}")
+        _require("calibration", self.calibration, *_one_of(CALIBRATIONS))
 
 
 def laplace_sample(scale_b: float, count: int, rng) -> np.ndarray:
@@ -108,8 +106,7 @@ def laplace_sample(scale_b: float, count: int, rng) -> np.ndarray:
     Mean 0, variance 2 b^2. The uniform stream comes from the supplied
     generator (or seed), so draws are reproducible.
     """
-    if not 0 < scale_b < math.inf:
-        raise ValueError(f"scale_b must be finite and > 0, got {scale_b}")
+    _require("scale_b", scale_b, *_POSITIVE)
     rng = as_rng(rng)
     u = rng.random(count) - 0.5  # in [-0.5, 0.5)
     # guard the measure-zero u = -0.5 endpoint so log1p never sees -1
@@ -136,20 +133,17 @@ def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> 
     raises ValueError unless the certificate comes from the elastic-net
     formula.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if not d >= 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _require("epsilon", epsilon, *_POSITIVE)
+    _require("d", d, *_COUNT)
+    _require("calibration", calibration, *_one_of(CALIBRATIONS))
     if calibration == "derived":
         sens = math.sqrt(d) * sensitivity_via_strong_convexity(cert)
-    elif calibration == "verbatim":
+    else:
         if cert.provenance != "elastic_net":
             raise ValueError(
                 f"the verbatim calibration is stated for elastic-net certificates, "
                 f"got {cert.provenance!r}")
         sens = math.sqrt(4.0 * cert.beta / cert.lambda_sc)
-    else:
-        raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
     return sens, sens / epsilon
 
 
@@ -209,10 +203,8 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     exp(epsilon).
     """
     # an infinite epsilon gives an infinite threshold, which any release passes
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if not samples >= 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _require("epsilon", epsilon, *_POSITIVE)
+    _require("samples", samples, *_COUNT)
     a = np.asarray(release_fn(S, derive_rng(seed, 101), samples), dtype=float)
     b = np.asarray(release_fn(S_neighbor, derive_rng(seed, 202), samples), dtype=float)
     pooled = np.concatenate([a, b])

@@ -31,7 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ObjectiveSpec, strong_convexity_constant
+from .model import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _UNIT,
+    ObjectiveSpec,
+    _one_of,
+    _require,
+    _require_each,
+    strong_convexity_constant,
+)
 
 __all__ = [
     "StabilityCert",
@@ -66,19 +76,9 @@ class StabilityCert:
     scaling_factors: tuple = ()
 
     def __post_init__(self):
-        # every comparison with NaN is false, so each guard tests the valid range
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0 < self.lambda_sc < math.inf:
-            raise ValueError(f"lambda_sc must be finite and > 0, got {self.lambda_sc}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}")
-
-
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _require("beta", self.beta, *_NONNEGATIVE)
+        _require("lambda_sc", self.lambda_sc, *_POSITIVE)
+        _require("provenance", self.provenance, *_one_of(PROVENANCES))
 
 
 def user_cert(beta: float, lambda_sc: float) -> StabilityCert:
@@ -86,34 +86,31 @@ def user_cert(beta: float, lambda_sc: float) -> StabilityCert:
     return StabilityCert(beta=beta, lambda_sc=lambda_sc, provenance="user_supplied")
 
 
-def beta_l2_erm(L: float, kappa: float, n: int, lam: float,
-                lambda_sc: float | None = None) -> StabilityCert:
+def beta_l2_erm(L: float, kappa: float, n: int, lam: float) -> StabilityCert:
     """beta = 2 L^2 kappa^2 / (n lam) for L2-penalized ERM.
 
     ``lam`` here is the strong-convexity constant of the penalized
     objective (equal to the regularization weight under the (lam/2)||w||^2
-    convention); ``lambda_sc`` defaults to it.
+    convention), and the certificate pairs with it as its ``lambda_sc``.
     """
-    _require_positive(L=L, kappa=kappa, n=n, lam=lam)
+    _require_each(_POSITIVE, L=L, kappa=kappa, lam=lam)
+    _require("n", n, *_COUNT)
     beta = 2.0 * L * L * kappa * kappa / (n * lam)
-    return StabilityCert(beta=beta, lambda_sc=lam if lambda_sc is None else lambda_sc,
-                         provenance="l2_erm")
+    return StabilityCert(beta=beta, lambda_sc=lam, provenance="l2_erm")
 
 
-def beta_elastic_net(L: float, kappa: float, n: int, lam: float, gamma: float,
-                     lambda_sc: float | None = None) -> StabilityCert:
+def beta_elastic_net(L: float, kappa: float, n: int, lam: float,
+                     gamma: float) -> StabilityCert:
     """beta = 2 L^2 kappa / (n lam gamma) for elastic-net penalized ERM.
 
-    The paired strong-convexity constant defaults to 2 lam gamma, the
-    second derivative of the lam gamma ||w||^2 term.
+    The certificate pairs with the strong-convexity constant 2 lam gamma,
+    the second derivative of the lam gamma ||w||^2 term.
     """
-    _require_positive(L=L, kappa=kappa, n=n, lam=lam, gamma=gamma)
-    if gamma > 1:
-        raise ValueError(f"gamma must be <= 1, got {gamma}")
+    _require_each(_POSITIVE, L=L, kappa=kappa, lam=lam)
+    _require("n", n, *_COUNT)
+    _require("gamma", gamma, *_UNIT)
     beta = 2.0 * L * L * kappa / (n * lam * gamma)
-    return StabilityCert(beta=beta,
-                         lambda_sc=2.0 * lam * gamma if lambda_sc is None else lambda_sc,
-                         provenance="elastic_net")
+    return StabilityCert(beta=beta, lambda_sc=2.0 * lam * gamma, provenance="elastic_net")
 
 
 def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
@@ -131,7 +128,8 @@ def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
 
 def sensitivity_l2_direct(L: float, kappa: float, n: int, lam: float) -> float:
     """Direct L2-ERM weight sensitivity: 4 L kappa / (n lam)."""
-    _require_positive(L=L, kappa=kappa, n=n, lam=lam)
+    _require_each(_POSITIVE, L=L, kappa=kappa, lam=lam)
+    _require("n", n, *_COUNT)
     return 4.0 * L * kappa / (n * lam)
 
 
@@ -145,7 +143,7 @@ def privacy_enhancement(epsilon: float, beta1: float, beta2: float) -> float:
 
     Valid only when the stability guarantee actually improved (beta2 <= beta1).
     """
-    _require_positive(epsilon=epsilon, beta1=beta1, beta2=beta2)
+    _require_each(_POSITIVE, epsilon=epsilon, beta1=beta1, beta2=beta2)
     if beta2 > beta1:
         raise ValueError(
             f"beta2={beta2} > beta1={beta1} is not an improvement; no privacy gain"
@@ -159,7 +157,8 @@ def privacy_error_bound(L: float, d: int, epsilon: float, cert: StabilityCert) -
     Bound: (L d / epsilon) * sqrt(2 beta / lambda_sc), for per-coordinate
     Laplace noise at scale sqrt(2 beta / lambda_sc) / epsilon.
     """
-    _require_positive(L=L, d=d, epsilon=epsilon)
+    _require_each(_POSITIVE, L=L, epsilon=epsilon)
+    _require("d", d, *_COUNT)
     return (L * d / epsilon) * math.sqrt(2.0 * cert.beta / cert.lambda_sc)
 
 
@@ -171,17 +170,14 @@ def stability_knob_scaling(base_cert: StabilityCert, knob: str, old_value: float
     constants): steps, step_size, and dropout scale beta by new/old;
     batch by old/new; clip by min(G_new, L) / min(G_old, L).
     """
-    if knob not in SCALING_KNOBS:
-        raise ValueError(f"unsupported knob {knob!r}; supported: {SCALING_KNOBS}")
-    _require_positive(old_value=old_value, new_value=new_value)
+    _require("knob", knob, *_one_of(SCALING_KNOBS))
+    _require_each(_POSITIVE, old_value=old_value, new_value=new_value)
     if knob in ("steps", "step_size", "dropout"):
         mult = new_value / old_value
     elif knob == "batch":
         mult = old_value / new_value
     else:  # clip
-        if lipschitz_L is None or not 0 < lipschitz_L < math.inf:
-            raise ValueError(
-                f"clip scaling needs a finite, positive lipschitz_L, got {lipschitz_L}")
+        _require("lipschitz_L", lipschitz_L, *_POSITIVE)
         mult = min(new_value, lipschitz_L) / min(old_value, lipschitz_L)
     return StabilityCert(
         beta=base_cert.beta * mult,

@@ -19,9 +19,13 @@ import numpy as np
 
 from .features import flip_probability, lemma_noise_scale, select_features
 from .model import (
+    _COUNT,
     Dataset,
     ObjectiveSpec,
+    _at_least,
     _loss_values,
+    _require,
+    _require_each,
     gradient,
     per_example_grad,
     per_example_loss,
@@ -48,13 +52,6 @@ __all__ = [
     "flip_rate_check",
     "empirical_sgd_stability",
 ]
-
-
-def _check_counts(low: int = 1, **counts) -> None:
-    """Sample counts below ``low`` leave an oracle nothing to measure: it would pass empty."""
-    for name, v in counts.items():
-        if not v >= low:
-            raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
 def _fresh_record(spec: ObjectiveSpec, d: int, rng: np.random.Generator):
@@ -133,7 +130,8 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     floats; the adversarial neighbors depend on S's weights, so greedy
     solves them (with S again) in a second block of (2n + 1)*n*d floats.
     """
-    _check_counts(trials=trials)
+    # an oracle that samples nothing would pass empty
+    _require("trials", trials, *_COUNT)
     rng = derive_rng(seed, 21)
     base, trained = _solve_with_neighbors(
         spec, S, [_neighbor(spec, S, rng) for _ in range(trials)], tolerance)
@@ -193,7 +191,7 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     whose column fails to converge counts as a solver failure and its
     probes go unscored.
     """
-    _check_counts(trials=trials, probes=probes)
+    _require_each(_COUNT, trials=trials, probes=probes)
     rng = derive_rng(seed, 22)
     draws = []
     for _ in range(trials):
@@ -239,7 +237,7 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
     observed mean is below the bound plus three Monte-Carlo standard
     errors; the standard error needs ``draws >= 2``.
     """
-    _check_counts(2, draws=draws)
+    _require("draws", draws, *_at_least(2))
     base = solve_erm(spec, S, tolerance)
     cert = spec_cert(spec, S.n)
     scale = sensitivity_via_strong_convexity(cert) / epsilon
@@ -328,7 +326,7 @@ def flip_rate_check(T: float, w_i: float, epsilon: float, lam: float, eta: float
     exactly in distribution; for 0 < |w_i| the formula ignores sign-crossing
     events and the report quantifies the discrepancy instead of hiding it.
     """
-    _check_counts(draws=draws)
+    _require("draws", draws, *_COUNT)
     predicted = flip_probability(T, w_i, epsilon, lam, eta, n, L, kappa)
     b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
     noisy = perturb(np.broadcast_to(w_i, draws), b, derive_rng(seed, 25))
@@ -362,7 +360,7 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     here; the report's bound field repeats the empirical value and the
     result is meant for directional comparisons across knob settings.
     """
-    _check_counts(trials=trials, probes=probes)
+    _require_each(_COUNT, trials=trials, probes=probes)
     rng = derive_rng(seed, 26)
     pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
              for _ in range(trials)]

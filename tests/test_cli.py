@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -98,7 +99,12 @@ class TestConfig:
                           ({"epsilon_grid": [1.0, "x"]}, r"epsilon_grid\[1\]"),
                           ({"gamma": "x"}, "gamma"),
                           ({"dataset": {"kappa": "1"}}, "dataset.kappa"),
-                          ({"dataset": {"structured_noise": "no"}}, "dataset.structured_noise")):
+                          ({"dataset": {"structured_noise": "no"}}, "dataset.structured_noise"),
+                          ({"split": {"train_fraction": "x"}}, "split: train_fraction"),
+                          # a bool is not a number, though Python counts it as one
+                          ({"gamma": True}, "gamma"),
+                          ({"static_T": True}, "static_T"),
+                          ({"lambda_grid": [True]}, r"lambda_grid\[0\]")):
             with pytest.raises(ConfigError, match=path):
                 config_from_dict(raw)
         with pytest.raises(ConfigError, match="dataset.sparsity"):
@@ -106,12 +112,22 @@ class TestConfig:
 
     def test_json_round_trip_with_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
+        # every field annotated "| None" may be null
         p.write_text(json.dumps({"lambda_grid": [0.1], "epsilon_grid": [1.0],
-                                 "dataset": {"n": 50, "d": 6, "reduce_to": None}}))
+                                 "fixed_scale_b": None, "lipschitz_L": None,
+                                 "dataset": {"n": 50, "d": 6, "reduce_to": None,
+                                             "sparsity": None, "path": None,
+                                             "label_column": None}}))
         cfg = load_config(p, {"epsilon_grid": [2.0], "split.repeats": 2})
         assert cfg.lambda_grid == (0.1,)
         assert cfg.epsilon_grid == (2.0,)
         assert cfg.split.repeats == 2
+
+    def test_committed_configs_load(self):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            assert isinstance(load_config(path), SweepConfig), path
 
 
 class TestSweep:
@@ -330,8 +346,9 @@ class TestMainEntrypoint:
         ('{"split": 3}', ["--repeats", "2"], "split"),
         ('{"lambda_grid": 0.1}', [], "lambda_grid"),
         (None, ["--config", "no/such/config.json"], "cannot load"),
+        ('{"gamma": true}', [], "gamma"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
-            "split_not_object", "grid_not_list", "missing_file"])
+            "split_not_object", "grid_not_list", "missing_file", "bool_number"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"

@@ -27,6 +27,8 @@ class TestSelectFeatures:
     def test_huge_threshold_selects_nothing(self):
         keep = select_features(np.array([10.0, -20.0]), math.inf)
         assert keep.sum() == 0
+        # and no private decision can flip against it
+        assert flip_probability(math.inf, 10.0, 1.0, 0.1, 0.15, 100, 1.0, 1.0) == 0.0
 
     def test_negative_threshold_rejected(self):
         for T in (-0.1, math.nan):
@@ -60,7 +62,8 @@ class TestDynamicThreshold:
         assert dynamic_threshold(1.0, 3.0) == pytest.approx(3 * dynamic_threshold(1.0, 1.0))
 
     def test_invalid_inputs(self):
-        for b, k in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        for b, k in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                     (1.0, True)):
             with pytest.raises(ValueError):
                 dynamic_threshold(b, k)
 

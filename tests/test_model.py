@@ -90,6 +90,8 @@ class TestObjectiveSpec:
         dict(loss_kind="logistic", lam=0.1, kappa=math.inf),
         dict(loss_kind="logistic", lam=0.1, penalty="elastic", gamma=0.5, eta=math.nan),
         dict(loss_kind="squared", lam=0.1, lipschitz_L=math.nan),
+        dict(loss_kind="logistic", lam=True),
+        dict(loss_kind="logistic", lam="0.1"),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):

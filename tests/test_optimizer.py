@@ -531,6 +531,8 @@ class TestSgdConfig:
         dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(0.5, math.nan)),
         dict(steps_T=True, step_size=0.1, batch_size_b=1),
         dict(steps_T=1, step_size=0.1, batch_size_b=True),
+        # clip_gradient would return g * (inf / inf), NaN
+        dict(steps_T=1, step_size=0.1, batch_size_b=1, clip_bound_G=math.inf),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -633,7 +635,7 @@ class TestClipGradient:
             assert abs(np.linalg.norm(out) - min(np.linalg.norm(g), G)) <= 1e-12
 
     def test_invalid_bound(self):
-        for G in (0.0, math.nan):
+        for G in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 clip_gradient(np.ones(2), G)
 

@@ -48,7 +48,7 @@ class TestLaplaceSample:
         )
 
     def test_nonpositive_scale_rejected(self):
-        for b in (0.0, -1.0, math.nan, math.inf):
+        for b in (0.0, -1.0, math.nan, math.inf, True):
             with pytest.raises(ValueError):
                 laplace_sample(b, 10, derive_rng(0))
 
@@ -93,8 +93,9 @@ class TestCalibrate:
         for eps in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 calibrate(cert, 4, eps, "derived")
-        with pytest.raises(ValueError, match="d must be"):
-            calibrate(cert, 0, 1.0, "derived")
+        for d in (0, 2.5, True):
+            with pytest.raises(ValueError, match="d must be"):
+                calibrate(cert, d, 1.0, "derived")
         with pytest.raises(ValueError, match="calibration"):
             calibrate(cert, 4, 1.0, "l1")
 

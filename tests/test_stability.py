@@ -26,6 +26,7 @@ class TestBetaL2:
 
     def test_doubling_n_halves(self):
         assert beta_l2_erm(1, 1, 200, 0.1).beta == pytest.approx(0.1)
+        assert beta_l2_erm(1, 1, np.int64(200), 0.1).beta == pytest.approx(0.1)
 
     @pytest.mark.parametrize("kwargs", [
         dict(L=0, kappa=1, n=10, lam=0.1),
@@ -35,6 +36,8 @@ class TestBetaL2:
         dict(L=1, kappa=1, n=10, lam=math.nan),
         dict(L=math.nan, kappa=1, n=10, lam=0.1),
         dict(L=1, kappa=math.inf, n=10, lam=0.1),
+        dict(L=1, kappa=1, n=True, lam=0.1),
+        dict(L=1, kappa=1, n=2.5, lam=0.1),
     ])
     def test_nonpositive_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -300,7 +300,7 @@ class TestSampleCounts:
     """An oracle that samples nothing would pass by construction, so it refuses."""
 
     @pytest.mark.parametrize("kwargs,name", [
-        (dict(trials=0), "trials"), (dict(trials=-3), "trials"),
+        (dict(trials=0), "trials"), (dict(trials=-3), "trials"), (dict(trials=True), "trials"),
     ])
     def test_sensitivity(self, kwargs, name):
         spec, S = fixture()
