@@ -228,7 +228,10 @@ def build_dataset(cfg: SweepConfig) -> Dataset:
     else:  # csv
         if ds.path is None:
             raise ConfigError("dataset.path: required for kind 'csv'")
-        S = load_csv(ds.path, ds.label_column)
+        try:
+            S = load_csv(ds.path, ds.label_column)
+        except (OSError, ValueError) as exc:  # a missing, unreadable or malformed file
+            raise ConfigError(f"dataset.path: {exc}") from exc
     S, _ = preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
     return S
 

@@ -1,14 +1,14 @@
 """Deterministic ERM solver and a configurable minibatch SGD engine.
 
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
-function-value restart) at a fixed step from a certain curvature bound, so
+gradient-scheme restart) at a fixed step from a certain curvature bound, so
 no step is ever retried. It solves a block of problems in one call: every
 one-vs-rest class of one feature matrix, or a sequence of same-shape
 datasets such as S and its neighbours, each column at its own step. The L1
 term is handled by soft-thresholding so elastic-net solutions reach exact
-zeros, which downstream feature selection relies on. Both solvers evaluate
-only through ``model.gradient`` and ``model.smooth_objective``, which take
-the stack of a dataset sequence as they take one dataset.
+zeros, which downstream feature selection relies on. Both solvers step on
+``model.gradient`` alone, which takes the stack of a dataset sequence as it
+takes one dataset; ``solve_erm`` takes ``model.objective`` once, at the end.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
 step size, batch size, gradient clipping, norm-contracting dropout, and
@@ -41,7 +41,7 @@ from .model import (
     _stack,
     _Stack,
     gradient,
-    smooth_objective,
+    objective,
     strong_convexity_constant,
 )
 from .rng import derive_rng
@@ -116,13 +116,15 @@ class SolveReport:
     """Result of a solve: weights plus optimality/convergence diagnostics.
 
     ``loss_gap_bound`` is an upper bound on objective(w) - objective(w*);
-    it feeds the sensitivity correction for inexact minimizers.
+    it feeds the sensitivity correction for inexact minimizers. With
+    ``objective``, the full objective at ``weights`` (``solve_erm`` only),
+    it brackets the optimum: objective - loss_gap_bound <= F* <= objective.
 
     For a block solve (``weights`` of shape (d, m)) ``iterations_used``
     counts block iterations, ``final_gradient_norm`` and ``loss_gap_bound``
-    are the maxima over the m columns, and ``residuals`` holds each
-    column's own residual (``solve_erm`` only), so a failed block tells
-    which columns stayed above tolerance.
+    are the maxima over the m columns, and ``objective`` and ``residuals``
+    hold each column's own value (``solve_erm`` only), so a failed block
+    tells which columns stayed above tolerance.
     """
 
     weights: np.ndarray
@@ -130,6 +132,7 @@ class SolveReport:
     iterations_used: int
     loss_gap_bound: float | None = None
     residuals: np.ndarray | None = None
+    objective: float | np.ndarray | None = None
 
     def __post_init__(self):
         _require("final_gradient_norm", self.final_gradient_norm, *_NONNEGATIVE)
@@ -170,10 +173,13 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
 
     FISTA (Beck & Teboulle 2009) at the fixed step alpha = 1/L, where L is
     the certain curvature bound of :func:`_smooth_curvature`, so no step
-    is ever rejected or retried. Momentum restarts (O'Donoghue & Candes
-    2015) whenever a step raises the full objective by more than its
-    rounding noise. The L1 term is handled by soft-thresholding; with no
-    L1 term the proximal step is the identity.
+    is ever rejected or retried. Momentum restarts where the step turns
+    against the move, <y - x+, x+ - x> > 1e-12 ||y - x+|| ||x+ - x||: the
+    gradient scheme of O'Donoghue & Candes (2015), with a relative floor
+    so that no decision, and so no column's path, rests on how the block
+    product rounds. An iteration takes one gradient; the objective is
+    taken once, at the returned weights. The L1 term is handled by
+    soft-thresholding; with no L1 term the proximal step is the identity.
 
     A block of m problems is solved in one loop, with (d, m) weights:
 
@@ -207,7 +213,6 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     _require("tolerance", tolerance, *_POSITIVE)
     _require("max_iters", max_iters, *_COUNT)
     lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
-    c1 = spec.l1_coefficient
     if not isinstance(S, Dataset):
         S = _stack(S)
     shape = (S.d,) + S.labels.shape[1:]
@@ -216,38 +221,31 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     if x.shape != shape:
         raise ValueError(f"w0 shape {x.shape} does not match the weight shape {shape}")
     alpha = 1.0 / np.maximum(curvature, 1e-12)
-
-    def full_objective(w):
-        val = smooth_objective(spec, w, S)
-        return val + c1 * np.abs(w).sum(axis=0) if c1 > 0 else val
-
-    y, f_x, t = x, full_objective(x), np.ones(shape[1:])
+    y, t = x, np.ones(shape[1:])
     # per column: the first iterate at tolerance and its residual
     w_out, r_out = x, np.full(shape[1:], math.inf)
     for it in range(1, max_iters + 1):
         x_next = y - alpha * gradient(spec, y, S)
-        if c1 > 0:
-            x_next = soft_threshold(x_next, alpha * c1)
-        step = x_next - y
+        if spec.l1_coefficient > 0:
+            x_next = soft_threshold(x_next, alpha * spec.l1_coefficient)
+        step, move = x_next - y, x_next - x
         residual = np.sqrt((step * step).sum(axis=0)) / alpha
         if (residual <= tolerance).any():
             first = (residual <= tolerance) & (r_out > tolerance)
             w_out, r_out = np.where(first, x_next, w_out), np.where(first, residual, r_out)
             if (r_out <= tolerance).all():
-                return _solve_report(w_out, r_out, it, lam_sc)
-        f_next = full_objective(x_next)
-        # restart (no momentum this step) where the objective rose by more
-        # than its rounding noise; a decision taken on noise would let a
-        # column's path depend on how the block product happens to round
-        t = np.where(f_next - f_x > 1e-13 * abs(f_x), 1.0, t)
+                return _solve_report(spec, S, w_out, r_out, it, lam_sc)
+        # restart (no momentum this step) where the step turns against the move
+        t = np.where(-(step * move).sum(axis=0)
+                     > 1e-12 * alpha * residual * np.sqrt((move * move).sum(axis=0)), 1.0, t)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        x, f_x, t = x_next, f_next, t_next
+        y = x_next + ((t - 1.0) / t_next) * move
+        x, t = x_next, t_next
 
     # the columns still above tolerance carry their last iterate
     done = r_out <= tolerance
-    report = _solve_report(np.where(done, w_out, x), np.where(done, r_out, residual),
-                           max_iters, lam_sc)
+    report = _solve_report(spec, S, np.where(done, w_out, x),
+                           np.where(done, r_out, residual), max_iters, lam_sc)
     columns = f" in columns {np.flatnonzero(~done).tolist()}" if done.ndim else ""
     raise ConvergenceError(
         f"no convergence after {max_iters} iterations{columns} (residual "
@@ -256,11 +254,12 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     )
 
 
-def _solve_report(w: np.ndarray, residual: np.ndarray, iterations: int,
-                  lam_sc: float) -> SolveReport:
+def _solve_report(spec: ObjectiveSpec, S: Dataset | _Stack, w: np.ndarray,
+                  residual: np.ndarray, iterations: int, lam_sc: float) -> SolveReport:
     worst = float(np.max(residual))
     return SolveReport(w, worst, iterations, loss_gap_bound=worst * worst / (2.0 * lam_sc),
-                       residuals=residual if residual.ndim else None)
+                       residuals=residual if residual.ndim else None,
+                       objective=objective(spec, w, S))
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -112,23 +112,14 @@ def _max_loss_gap(spec: ObjectiveSpec, w_a: np.ndarray, w_b: np.ndarray,
 
 
 def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
-                          seed: int = 0, tolerance: float = 1e-9,
-                          greedy: bool = False) -> OracleReport:
+                          seed: int = 0, tolerance: float = 1e-9) -> OracleReport:
     """Max observed ||w_S - w_S'|| over sampled neighbors vs. the closed-form bounds.
 
     Compares against the strong-convexity bound sqrt(2 beta / lambda_sc)
     and, in L2 mode, the direct 4 L kappa / (n lambda) bound; passes only
     if every sampled pair respects every applicable bound and at most 1%
-    of the solves failed.
-
-    ``greedy`` additionally tries a best-effort adversarial neighbor per
-    record: the replacement lies at the kappa boundary along the trained
-    weight direction with each label, maximizing loss-gradient pressure.
-    This is a heuristic, not a worst-case search.
-
-    S and the sampled neighbors are solved in one block, (trials + 1)*n*d
-    floats; the adversarial neighbors depend on S's weights, so greedy
-    solves them (with S again) in a second block of (2n + 1)*n*d floats.
+    of the solves failed. S and the sampled neighbors are solved in one
+    block, (trials + 1)*n*d floats.
     """
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
@@ -140,24 +131,9 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     direct = (sensitivity_l2_direct(spec.L, spec.kappa, S.n, strong_convexity_constant(spec))
               if spec.penalty == "l2" else None)
 
-    def distances(weights):
-        return [None if w is None else float(np.linalg.norm(base - w)) for w in weights]
-
-    found = distances(trained)
-    worst = max((v for v in found if v is not None), default=0.0)
-
-    greedy_worst = None
-    if greedy:
-        w_norm = float(np.linalg.norm(base))
-        x_adv = spec.kappa * (base / w_norm if w_norm > 0 else np.eye(S.d)[0])
-        _, trained = _solve_with_neighbors(
-            spec, S, [S.replace_record(i, x_adv, y_adv)
-                      for i in range(S.n) for y_adv in (-1.0, 1.0)], tolerance)
-        adversarial = distances(trained)
-        greedy_worst = max((v for v in adversarial if v is not None), default=0.0)
-        worst = max(worst, greedy_worst)
-        found += adversarial
-    failures = found.count(None)
+    found = [float(np.linalg.norm(base - w)) for w in trained if w is not None]
+    worst = max(found, default=0.0)
+    failures = len(trained) - len(found)
 
     bound = sc_bound if direct is None else min(sc_bound, direct)
     passed = worst <= bound and failures <= trials * 0.01
@@ -173,7 +149,6 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
             "direct_bound": direct,
             "solver_failures": failures,
             "bound_ratio": worst / bound if bound > 0 else float("nan"),
-            "greedy_max": greedy_worst,
         },
     )
 

@@ -347,13 +347,17 @@ class TestMainEntrypoint:
         ('{"lambda_grid": 0.1}', [], "lambda_grid"),
         (None, ["--config", "no/such/config.json"], "cannot load"),
         ('{"gamma": true}', [], "gamma"),
+        ('{"dataset": {"kind": "csv", "path": "TMP/missing.csv"}}', [], "dataset.path"),
+        ('{"dataset": {"kind": "csv", "path": "TMP/bad.csv"}}', [], "dataset.path"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
-            "split_not_object", "grid_not_list", "missing_file", "bool_number"])
+            "split_not_object", "grid_not_list", "missing_file", "bool_number",
+            "csv_missing", "csv_malformed"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"
+        (tmp_path / "bad.csv").write_text("x0,label\n1.0,abc\n2.0\n")
         if text is not None:
-            cfg.write_text(text)
+            cfg.write_text(text.replace("TMP", str(tmp_path)))
             flags = ["--config", str(cfg), *flags]
         assert main(["sweep", *flags, "--out", str(tmp_path / "res")]) == 2
         assert path in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabledp import model as model_mod
 from stabledp import optimizer as optimizer_mod
 from stabledp.cli import _oracle_fixture
 from stabledp.data_io import synth_classification
@@ -304,6 +305,53 @@ class TestSolveErmBlock:
                                    rtol=0, atol=1e-12)
 
 
+class TestReportObjective:
+    """``SolveReport.objective`` is the objective at the returned weights, per column."""
+
+    @staticmethod
+    def problems():
+        """(name, solver input, one dataset per column) for each shape of input."""
+        X, Y = one_vs_rest_problem()
+        datasets = erm_block()
+        return [("single", Dataset(X, Y[:, 0]), [Dataset(X, Y[:, 0])]),
+                ("one-vs-rest", Dataset(X, Y), [Dataset(X, Y[:, j]) for j in range(Y.shape[1])]),
+                ("neighbour stack", datasets, datasets)]
+
+    @staticmethod
+    def check(spec, rep, S, columns):
+        S = S if isinstance(S, Dataset) else _stack(S)
+        np.testing.assert_allclose(rep.objective, objective(spec, rep.weights, S), rtol=1e-13)
+        per_column = [objective(spec, w, D) for w, D in zip(np.atleast_2d(rep.weights.T), columns)]
+        np.testing.assert_allclose(np.atleast_1d(rep.objective), per_column, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["logistic-elastic-0.001", "squared-l2-0.1"])
+    def test_equals_model_objective(self, name):
+        spec = BLOCK_SPECS[name]
+        for label, S, columns in self.problems():
+            rep = solve_erm(spec, S, 1e-6)
+            assert np.shape(rep.objective) == rep.weights.shape[1:], label
+            self.check(spec, rep, S, columns)
+
+    def test_carried_by_convergence_error(self):
+        spec = BLOCK_SPECS["logistic-elastic-0.001"]
+        for label, S, columns in self.problems():
+            with pytest.raises(ConvergenceError) as err:
+                solve_erm(spec, S, 1e-14, max_iters=3)
+            self.check(spec, err.value.report, S, columns)
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-6])
+    @pytest.mark.parametrize("name", ["logistic-elastic-0.001", "squared-l2-0.1"])
+    def test_brackets_the_optimum(self, name, tolerance):
+        # objective - loss_gap_bound <= F* <= objective, with F* from a
+        # 1e-12 solve whose own gap bound is below 1e-18
+        spec = BLOCK_SPECS[name]
+        for label, S, _ in self.problems():
+            rep, ref = solve_erm(spec, S, tolerance), solve_erm(spec, S, 1e-12)
+            slack = 1e-15 * np.abs(ref.objective)  # the rounding of two objective values
+            assert np.all(rep.objective - rep.loss_gap_bound <= ref.objective + slack), label
+            assert np.all(ref.objective - ref.loss_gap_bound <= rep.objective + slack), label
+
+
 def _curvature_cases():
     rng = np.random.default_rng(11)
     u, v = rng.standard_normal(40), rng.standard_normal(7)
@@ -478,25 +526,25 @@ class TestEvaluationPath:
     """Block solvers evaluate each stack through the public model functions."""
 
     @staticmethod
-    def count(monkeypatch, name):
+    def count(monkeypatch, name, module=optimizer_mod):
         seen = []
-        fn = getattr(optimizer_mod, name)
+        fn = getattr(module, name)
 
         def counted(spec, w, S):
             seen.append(S)
             return fn(spec, w, S)
 
-        monkeypatch.setattr(optimizer_mod, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return seen
 
     def test_block_solve(self, monkeypatch):
         spec, datasets = BLOCK_SPECS["logistic-elastic-0.1"], erm_block()
         grads = self.count(monkeypatch, "gradient")
-        values = self.count(monkeypatch, "smooth_objective")
+        values = self.count(monkeypatch, "smooth_objective", model_mod)
         k = solve_erm(spec, datasets, 1e-9).iterations_used
-        # one gradient per iteration; one objective at the start and after
-        # every step but the last
-        assert len(grads) == len(values) == k
+        # one gradient per iteration; the objective once, at the returned weights
+        assert len(grads) == k
+        assert len(values) == 1
         for S in grads + values:
             assert isinstance(S, _Stack) and S.features.shape == (len(datasets), 60, 5)
 

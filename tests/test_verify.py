@@ -78,14 +78,6 @@ class TestEmpiricalSensitivity:
         assert rep.details["direct_bound"] is None
         assert rep.passed
 
-    def test_greedy_neighbor_heuristic_respects_bound(self):
-        spec, S = fixture()
-        random_only = empirical_sensitivity(spec, S, trials=20, seed=4)
-        with_greedy = empirical_sensitivity(spec, S, trials=20, seed=4, greedy=True)
-        assert with_greedy.passed
-        assert with_greedy.details["greedy_max"] is not None
-        assert with_greedy.empirical_value >= random_only.empirical_value
-
 
 class TestEmpiricalStability:
     def test_bound_respected_on_fixture(self):
@@ -143,9 +135,9 @@ class TestBatchedProbesMatchScalarLoop:
         assert rep.details["in_sample_max"] == pytest.approx(worst_in, rel=1e-12)
         assert rep.details["fresh_point_max"] == pytest.approx(worst_fresh, rel=1e-12)
 
-    @pytest.mark.parametrize("greedy", [False, True], ids=["random", "greedy"])
-    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
-    def test_sensitivity(self, spec, greedy):
+    # random neighbours, the only kind the oracle samples
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic-random", "squared-random"])
+    def test_sensitivity(self, spec):
         _, S = fixture()
         trials, seed = 6, 4
         rng = derive_rng(seed, 21)
@@ -155,15 +147,7 @@ class TestBatchedProbesMatchScalarLoop:
             return float(np.linalg.norm(base - solve_erm(spec, D, 1e-9).weights))
 
         worst = max(distance(_neighbor(spec, S, rng)) for _ in range(trials))
-        rep = empirical_sensitivity(spec, S, trials=trials, seed=seed, greedy=greedy)
-        if greedy:
-            x_adv = spec.kappa * base / np.linalg.norm(base)
-            greedy_worst = max(distance(S.replace_record(i, x_adv, y))
-                               for i in range(S.n) for y in (-1.0, 1.0))
-            assert rep.details["greedy_max"] == pytest.approx(greedy_worst, rel=1e-12)
-            worst = max(worst, greedy_worst)
-        else:
-            assert rep.details["greedy_max"] is None
+        rep = empirical_sensitivity(spec, S, trials=trials, seed=seed)
         assert worst > 0
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
         assert rep.details["solver_failures"] == 0
@@ -219,7 +203,8 @@ class TestOracleSolverFailures:
 
     def test_stability(self, monkeypatch):
         _, S = fixture()
-        trials, probes, seed = 20, 5, 0
+        # at seed 0 every neighbour converges within S's own count; at 8, 3 do not
+        trials, probes, seed = 20, 5, 8
         cap = solve_erm(self.SPEC, S, 1e-9).iterations_used
         rng = derive_rng(seed, 22)
         base = solve_erm(self.SPEC, S, 1e-9).weights
