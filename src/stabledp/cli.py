@@ -165,9 +165,13 @@ class SweepConfig:
         _check_fields(self, SWEEP_RANGES)
         if self.noise_mode == "fixed_scale" and self.fixed_scale_b is None:
             raise ConfigError("fixed_scale_b: must be set in fixed_scale mode")
+        if self.loss_kind == "squared" and self.lipschitz_L is None:
+            # kappa is the logistic loss's constant; the squared loss has none
+            raise ConfigError("lipschitz_L: must be set for the squared loss")
 
     @property
     def L(self) -> float:
+        """The loss's Lipschitz constant: ``lipschitz_L``, else kappa (logistic)."""
         return self.lipschitz_L if self.lipschitz_L is not None else self.dataset.kappa
 
     def to_dict(self) -> dict:
@@ -232,8 +236,9 @@ def build_dataset(cfg: SweepConfig) -> Dataset:
             S = load_csv(ds.path, ds.label_column)
         except (OSError, ValueError) as exc:  # a missing, unreadable or malformed file
             raise ConfigError(f"dataset.path: {exc}") from exc
-    S, _ = preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
-    return S
+    if S.n < 2:  # standardization takes a sample variance
+        raise ConfigError(f"dataset.n: preprocessing needs at least 2 rows, got {S.n}")
+    return preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
 
 
 def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
@@ -323,7 +328,10 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
     ``stream``, lambda bits, epsilon bits, r).
     """
     S = build_dataset(cfg)
-    splits = split(S, cfg.split)
+    try:
+        splits = split(S, cfg.split)
+    except ValueError as exc:  # a side left empty
+        raise ConfigError(f"split.train_fraction: {exc}") from exc
     classes = np.unique(S.labels)
     cache: dict = {}
     for lam in cfg.lambda_grid:
@@ -367,6 +375,9 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     A cell's splits form one (splits x weights) block: per-split rates are
     its row means, per-feature rates its column means.
     """
+    # a cell takes the flip lemma, which divides by eta, wherever T > 0 and there is noise
+    if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
+        _require("eta", cfg.eta, *_POSITIVE, ConfigError)
     rows, flip_rows = [], []
     for lam, eps, scale, _, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
         T = (dynamic_threshold(scale, cfg.threshold_k)

@@ -7,8 +7,7 @@ The experiment preprocessing pipeline is dimensionality reduction by
 randomized truncated SVD, then column-wise standardization, then rescaling
 of any row whose norm exceeds the declared kappa bound. Reduction and
 standardization are fit on the full matrix before splitting, matching the
-protocol the sweep commands reproduce; ``ColumnTransform`` still supports
-fitting on a train split and applying to a test split.
+protocol the sweep commands reproduce.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .rng import derive_rng
 
 __all__ = [
     "SplitPlan",
-    "ColumnTransform",
     "DataFormatError",
     "FetchError",
     "load_csv",
@@ -66,17 +64,6 @@ class SplitPlan:
         _require("seed", self.seed, lambda v: True, "an integer", int)
         _require("train_fraction", self.train_fraction, lambda v: 0 < v < 1, "in (0, 1)")
         _require("repeats", self.repeats, *_COUNT)
-
-
-@dataclass(frozen=True)
-class ColumnTransform:
-    """Per-column (mean, scale) fitted by :func:`standardize`."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def apply(self, S: Dataset) -> Dataset:
-        return Dataset((S.features - self.mean) / self.scale, S.labels)
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
@@ -147,12 +134,10 @@ def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -
     return path
 
 
-def standardize(S: Dataset) -> tuple[Dataset, ColumnTransform]:
+def standardize(S: Dataset) -> Dataset:
     """Center and scale every column to sample mean 0 and sample variance 1.
 
-    Zero-variance columns map to all-zeros. The returned transform holds
-    the fitted statistics so a test set can be transformed with the train
-    set's numbers.
+    Zero-variance columns map to all-zeros.
     """
     if S.n < 2:
         raise ValueError(f"standardize needs n >= 2, got n={S.n}")
@@ -162,36 +147,28 @@ def standardize(S: Dataset) -> tuple[Dataset, ColumnTransform]:
     # that are constant up to float rounding are not amplified into noise
     floor = 1e-12 * max(float(scale.max(initial=0.0)), 1.0)
     scale = np.where(scale <= floor, 1.0, scale)
-    tf = ColumnTransform(mean=mean, scale=scale)
-    return tf.apply(S), tf
+    return Dataset((S.features - mean) / scale, S.labels)
 
 
-def reduce_dim(S: Dataset, k: int, seed: int = 0, oversample: int = 8,
-               power_iters: int = 2, kappa: float | None = None) -> Dataset:
+def reduce_dim(S: Dataset, k: int, seed: int = 0) -> Dataset:
     """Project features onto the top-k right singular subspace.
 
-    Randomized range finder with ``oversample`` extra directions and
-    ``power_iters`` power iterations (QR re-orthonormalized); deterministic
-    given the seed. With ``kappa`` set, rows are rescaled afterwards so
-    every norm is at most kappa.
+    Randomized range finder with 8 extra directions and 2 power iterations
+    (QR re-orthonormalized); deterministic given the seed.
     """
     _require("k", k, lambda v: 1 <= v <= S.d, f"an integer in [1, d={S.d}]", int)
     X = S.features
     rng = derive_rng(seed, 7)
-    p = min(k + oversample, S.d)
+    p = min(k + 8, S.d)
     omega = rng.standard_normal((S.d, p))
     Y = X @ omega
     Q, _ = np.linalg.qr(Y)
-    for _ in range(power_iters):
+    for _ in range(2):
         Z, _ = np.linalg.qr(X.T @ Q)
         Q, _ = np.linalg.qr(X @ Z)
     B = Q.T @ X
     _, _, Vt = np.linalg.svd(B, full_matrices=False)
-    reduced = X @ Vt[:k].T
-    out = Dataset(reduced, S.labels)
-    if kappa is not None:
-        out, _ = bound_row_norms(out, kappa)
-    return out
+    return Dataset(X @ Vt[:k].T, S.labels)
 
 
 def bound_row_norms(S: Dataset, kappa: float) -> tuple[Dataset, int]:
@@ -205,15 +182,12 @@ def bound_row_norms(S: Dataset, kappa: float) -> tuple[Dataset, int]:
     return Dataset(S.features * factors[:, None], S.labels), int(np.sum(over))
 
 
-def preprocess(S: Dataset, k: int | None, seed: int = 0, kappa: float = 1.0) -> tuple[Dataset, dict]:
-    """Reduction -> standardization -> kappa rebound, with a report dict."""
-    info: dict = {"d_in": S.d}
+def preprocess(S: Dataset, k: int | None, seed: int = 0, kappa: float = 1.0) -> Dataset:
+    """Reduction to k columns (when k < d) -> standardization -> kappa rebound."""
     if k is not None and k < S.d:
         S = reduce_dim(S, k, seed=seed)
-    S, _ = standardize(S)
-    S, rescaled = bound_row_norms(S, kappa)
-    info.update({"d_out": S.d, "rows_rescaled": rescaled, "kappa": kappa})
-    return S, info
+    S, _ = bound_row_norms(standardize(S), kappa)
+    return S
 
 
 def split(S: Dataset, plan: SplitPlan) -> list[tuple[Dataset, Dataset]]:
@@ -318,7 +292,6 @@ DATASETS = {
     "adult": {
         "url": "https://archive.ics.uci.edu/ml/machine-learning-databases/adult/adult.data",
         "sha256": None,  # must be configured; see fetch_dataset
-        "converter": "adult",
     },
 }
 
@@ -431,10 +404,7 @@ def fetch_dataset(name: str, destination, url: str | None = None,
 
     tmp_out = destination.with_suffix(destination.suffix + ".part")
     try:
-        if entry["converter"] == "adult":
-            convert_adult(raw_cached, tmp_out)
-        else:
-            shutil.copyfile(raw_cached, tmp_out)
+        convert_adult(raw_cached, tmp_out)
     except Exception:
         tmp_out.unlink(missing_ok=True)
         raise

@@ -4,10 +4,8 @@ A classification/regression problem is a ``Dataset`` (feature matrix plus
 labels) together with an ``ObjectiveSpec`` describing the loss and the
 regularization penalty. Two penalty modes exist:
 
-* ``l2``:      mean loss + c * ||w||^2 with c = lam/2 (``l2_form="half"``,
-               the default) or c = lam (``l2_form="full"``). The factor is
-               explicit because both conventions are common and silently
-               mixing them doubles or halves every downstream noise scale.
+* ``l2``:      mean loss + (lam/2) * ||w||^2. A lam * ||w||^2 penalty is
+               this one at 2 * lam.
 * ``elastic``: mean loss + lam * (gamma * ||w||^2 + eta * ||w||_1), with
                eta defaulting to 1 - gamma.
 
@@ -54,7 +52,6 @@ __all__ = [
 
 LOSS_KINDS = ("logistic", "squared")
 PENALTIES = ("l2", "elastic")
-L2_FORMS = ("half", "full")
 
 
 # the builtin types first, as an isinstance test against an ABC is slow
@@ -204,12 +201,10 @@ class ObjectiveSpec:
     eta: float | None = None
     kappa: float = 1.0
     lipschitz_L: float | None = None
-    l2_form: str = "half"
 
     def __post_init__(self):
         _require("loss_kind", self.loss_kind, *_one_of(LOSS_KINDS))
         _require("penalty", self.penalty, *_one_of(PENALTIES))
-        _require("l2_form", self.l2_form, *_one_of(L2_FORMS))
         _require("lam", self.lam, *_NONNEGATIVE)
         _require("gamma", self.gamma, *_UNIT)
         _require("kappa", self.kappa, *_POSITIVE)
@@ -227,7 +222,7 @@ class ObjectiveSpec:
         """c such that the smooth penalty is c * ||w||^2."""
         if self.penalty == "elastic":
             return self.lam * self.gamma
-        return self.lam * (0.5 if self.l2_form == "half" else 1.0)
+        return 0.5 * self.lam
 
     @property
     def l1_coefficient(self) -> float:
@@ -243,22 +238,12 @@ class ObjectiveSpec:
         return self.lipschitz_L
 
 
-def as_signed_labels(labels: np.ndarray, positive=None) -> np.ndarray:
-    """Map labels to +/-1. With ``positive`` given, one-vs-rest binarization.
+def as_signed_labels(labels: np.ndarray, positive) -> np.ndarray:
+    """One-vs-rest binarization: +1 where the label equals ``positive``, else -1.
 
     A 1-D array of positives gives an (n, m) matrix, one column per class.
     """
-    y = np.asarray(labels, dtype=float)
-    if positive is not None:
-        return np.where(np.equal.outer(y, positive), 1.0, -1.0)
-    vals = np.unique(y)
-    if set(vals.tolist()) <= {-1.0, 1.0}:
-        return y
-    if vals.size != 2:
-        raise ValueError(
-            f"labels take {vals.size} distinct values; pass `positive` for one-vs-rest"
-        )
-    return np.where(y == vals[1], 1.0, -1.0)
+    return np.where(np.equal.outer(np.asarray(labels, dtype=float), positive), 1.0, -1.0)
 
 
 def _check_dims(w: np.ndarray, shape: tuple) -> np.ndarray:
@@ -366,8 +351,8 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack) -> np.ndar
 def strong_convexity_constant(spec: ObjectiveSpec) -> float:
     """Strong-convexity constant of the full objective: 2 * l2_coefficient.
 
-    Under the default (lam/2)||w||^2 convention this equals lam; for the
-    elastic penalty it equals 2 * lam * gamma.
+    For the (lam/2)||w||^2 penalty this equals lam; for the elastic penalty
+    it equals 2 * lam * gamma.
     """
     c = 2.0 * spec.l2_coefficient
     if c <= 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class SgdConfig:
     """
 
     steps_T: int
-    step_size: float | Callable[[int], float]
+    step_size: float
     batch_size_b: int
     clip_bound_G: float | None = None
     dropout_rate_s: float | None = None
@@ -87,8 +87,7 @@ class SgdConfig:
     def __post_init__(self):
         _require("steps_T", self.steps_T, *_at_least(0))
         _require("batch_size_b", self.batch_size_b, *_COUNT)
-        if not callable(self.step_size):
-            _require("step_size", self.step_size, *_POSITIVE)
+        _require("step_size", self.step_size, *_POSITIVE)
         if self.clip_bound_G is not None:
             _require("clip_bound_G", self.clip_bound_G, *_POSITIVE)
         if self.dropout_rate_s is not None:
@@ -104,11 +103,6 @@ class SgdConfig:
             if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
                 raise ValueError("averaging weights must be nonnegative and sum to 1")
             object.__setattr__(self, "averaging", tuple(float(v) for v in w))
-
-    def step_at(self, t: int) -> float:
-        if callable(self.step_size):
-            return float(self.step_size(t))
-        return float(self.step_size)
 
 
 @dataclass
@@ -168,7 +162,7 @@ def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | _Stack):
 
 
 def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: float = 1e-8,
-              max_iters: int = 100_000, w0: np.ndarray | None = None) -> SolveReport:
+              max_iters: int = 100_000) -> SolveReport:
     """Minimize the regularized objective to a given optimality residual.
 
     FISTA (Beck & Teboulle 2009) at the fixed step alpha = 1/L, where L is
@@ -217,9 +211,7 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
         S = _stack(S)
     shape = (S.d,) + S.labels.shape[1:]
     curvature = _smooth_curvature(spec, S)
-    x = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
-    if x.shape != shape:
-        raise ValueError(f"w0 shape {x.shape} does not match the weight shape {shape}")
+    x = np.zeros(shape)
     alpha = 1.0 / np.maximum(curvature, 1e-12)
     y, t = x, np.ones(shape[1:])
     # per column: the first iterate at tolerance and its residual
@@ -313,8 +305,7 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
-            w0: np.ndarray | None = None) -> SolveReport:
+def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig) -> SolveReport:
     """Run T steps of minibatch proximal SGD; bit-reproducible given the seed.
 
     Per step: draw the next without-replacement batch, compute the smooth
@@ -330,20 +321,16 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
     order, and its gradient row is clipped and dropped out by itself, with
     every row drawing from the step's fresh ``derive_rng(seed, 1, t)``. So
     each column equals its own single-dataset run to rounding, and a run on
-    S with its neighbours is the paired run of uniform stability. ``w0``,
-    when given, has the shape of the weights. ``final_gradient_norm`` is
-    the maximum over the columns of the full-data gradient norm.
+    S with its neighbours is the paired run of uniform stability. Every
+    column starts from zero. ``final_gradient_norm`` is the maximum over the
+    columns of the full-data gradient norm.
     """
     one = isinstance(S, Dataset)
     block = _stack([S] if one else S)
     m, n, d = block.features.shape
     if cfg.batch_size_b > n:
         raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={n}")
-    shape = (d,) if one else (d, m)
-    W = np.zeros(shape) if w0 is None else np.array(w0, dtype=float)
-    if W.shape != shape:
-        raise ValueError(f"w0 shape {W.shape} does not match the weight shape {shape}")
-    W = W.reshape(d, m)  # one column per dataset
+    W = np.zeros((d, m))  # one column per dataset
     avg = np.zeros_like(W) if cfg.averaging is not None else None
 
     batch_rng = derive_rng(cfg.seed, 0)
@@ -361,10 +348,9 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
             g = clip_gradient(g.T, cfg.clip_bound_G).T
         if cfg.dropout_rate_s is not None:
             g = s_dropout(g.T, cfg.dropout_rate_s, derive_rng(cfg.seed, 1, t)).T
-        alpha = cfg.step_at(t)
-        W = W - alpha * g
+        W = W - cfg.step_size * g
         if spec.l1_coefficient > 0:
-            W = soft_threshold(W, alpha * spec.l1_coefficient)
+            W = soft_threshold(W, cfg.step_size * spec.l1_coefficient)
         if not np.all(np.isfinite(W)):
             raise FloatingPointError(f"non-finite iterate at step {t}")
         if avg is not None:
@@ -373,7 +359,7 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig,
     result = avg if avg is not None else W
     grad_norm = float(np.max(_row_norms(gradient(spec, result, block).T)))
     return SolveReport(
-        weights=result.reshape(shape),
+        weights=result[:, 0] if one else result,
         final_gradient_norm=grad_norm,
         iterations_used=cfg.steps_T,
     )

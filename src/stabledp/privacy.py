@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import _COUNT, _POSITIVE, Dataset, ObjectiveSpec, _one_of, _require
 from .optimizer import solve_erm
-from .rng import as_rng, derive_rng
+from .rng import derive_rng
 from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
 
 __all__ = [
@@ -100,21 +100,20 @@ class PrivateRelease:
         _require("calibration", self.calibration, *_one_of(CALIBRATIONS))
 
 
-def laplace_sample(scale_b: float, count: int, rng) -> np.ndarray:
+def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` independent Laplace(0, b) values by inverse CDF.
 
     Mean 0, variance 2 b^2. The uniform stream comes from the supplied
-    generator (or seed), so draws are reproducible.
+    generator, so draws are reproducible.
     """
     _require("scale_b", scale_b, *_POSITIVE)
-    rng = as_rng(rng)
     u = rng.random(count) - 0.5  # in [-0.5, 0.5)
     # guard the measure-zero u = -0.5 endpoint so log1p never sees -1
     mag = np.minimum(np.abs(u), np.nextafter(0.5, 0))
     return -scale_b * np.sign(u) * np.log1p(-2.0 * mag)
 
 
-def perturb(W: np.ndarray, scale_b: float, rng) -> np.ndarray:
+def perturb(W: np.ndarray, scale_b: float, rng: np.random.Generator) -> np.ndarray:
     """A fresh copy of W plus i.i.d. Laplace(0, scale_b) noise on every entry.
 
     Draws ``W.size`` values in row-major order; ``scale_b == 0`` draws
@@ -147,8 +146,8 @@ def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> 
     return sens, sens / epsilon
 
 
-def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str, rng,
-            tolerance: float = 1e-8) -> PrivateRelease:
+def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str,
+            rng: np.random.Generator, tolerance: float = 1e-8) -> PrivateRelease:
     """Train ``spec`` on S, then release its weights with calibrated Laplace noise.
 
     Requires every feature row to satisfy the spec's kappa bound (the

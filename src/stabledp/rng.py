@@ -1,9 +1,10 @@
 """Seed-stream derivation helpers.
 
-Every randomized routine in this package takes either an explicit
-``numpy.random.Generator`` or a seed key. Independent streams are derived
-from structured keys (master seed plus context integers) so that parallel
-sweep cells, oracle trials, and mechanism noise never share a stream.
+Every randomized routine in this package takes an explicit
+``numpy.random.Generator`` or draws its own from a seed key. Independent
+streams are derived from structured keys (master seed plus context
+integers) so that parallel sweep cells, oracle trials, and mechanism noise
+never share a stream.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["derive_rng", "float_key", "as_rng"]
+__all__ = ["derive_rng", "float_key"]
 
 
 def float_key(x: float) -> int:
@@ -27,10 +28,3 @@ def derive_rng(*keys: int) -> np.random.Generator:
     tuples yield bit-identical streams.
     """
     return np.random.default_rng([int(k) & 0xFFFFFFFFFFFFFFFF for k in keys])
-
-
-def as_rng(rng_or_seed) -> np.random.Generator:
-    """Accept a Generator, a seed int, or None (fresh entropy)."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return np.random.default_rng(rng_or_seed)

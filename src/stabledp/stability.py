@@ -116,9 +116,9 @@ def beta_elastic_net(L: float, kappa: float, n: int, lam: float,
 def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
     """Closed-form stability certificate matching an objective spec.
 
-    L2 mode uses the strong-convexity constant as the formula's lambda so
-    the certificate is convention-independent; elastic mode uses the raw
-    (lam, gamma) pair its formula is stated in.
+    L2 mode passes the strong-convexity constant (lam, under the
+    (lam/2)||w||^2 penalty) as the formula's lambda; elastic mode uses the
+    raw (lam, gamma) pair its formula is stated in.
     """
     L = spec.L
     if spec.penalty == "elastic":

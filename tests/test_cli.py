@@ -72,6 +72,8 @@ class TestConfig:
                           ({"dataset": {"reduce_to": 0}}, "dataset.reduce_to"),
                           ({"loss_kind": "hinge"}, "loss_kind"),
                           ({"lipschitz_L": -2.0}, "lipschitz_L"),
+                          # kappa backs the logistic loss only; it used to release the squared
+                          ({"loss_kind": "squared"}, "lipschitz_L"),
                           ({"max_iters": 0}, "max_iters"),
                           ({"threshold_k": -1.0}, "threshold_k"),
                           ({"static_T": math.nan}, "static_T")):
@@ -349,9 +351,14 @@ class TestMainEntrypoint:
         ('{"gamma": true}', [], "gamma"),
         ('{"dataset": {"kind": "csv", "path": "TMP/missing.csv"}}', [], "dataset.path"),
         ('{"dataset": {"kind": "csv", "path": "TMP/bad.csv"}}', [], "dataset.path"),
+        (None, ["select", "--eta", "0"], "eta"),
+        ('{"dataset": {"n": 10}, "split": {"train_fraction": 0.05}}', [],
+         "split.train_fraction"),
+        ('{"dataset": {"n": 1, "reduce_to": null}}', [], "dataset.n"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
             "split_not_object", "grid_not_list", "missing_file", "bool_number",
-            "csv_missing", "csv_malformed"])
+            "csv_missing", "csv_malformed", "select_eta_0", "split_empty_side",
+            "one_row"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"
@@ -359,7 +366,9 @@ class TestMainEntrypoint:
         if text is not None:
             cfg.write_text(text.replace("TMP", str(tmp_path)))
             flags = ["--config", str(cfg), *flags]
-        assert main(["sweep", *flags, "--out", str(tmp_path / "res")]) == 2
+        # flags that start with a command run it; the others run sweep
+        argv = flags if flags[:1] == ["select"] else ["sweep", *flags]
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 2
         assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["sensitivity", "--trials", "0"],

@@ -81,13 +81,13 @@ class TestStandardize:
     def test_moments(self):
         rng = np.random.default_rng(0)
         S = Dataset(rng.standard_normal((50, 4)) * 3 + 1, np.zeros(50))
-        Z, _ = standardize(S)
+        Z = standardize(S)
         assert np.abs(Z.features.mean(axis=0)).max() < 1e-10
         np.testing.assert_allclose(Z.features.std(axis=0, ddof=1), 1.0, atol=1e-10)
 
     def test_constant_column_maps_to_zeros(self):
         S = Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), np.zeros(3))
-        Z, _ = standardize(S)
+        Z = standardize(S)
         np.testing.assert_array_equal(Z.features[:, 0], 0.0)
 
     def test_requires_two_rows(self):
@@ -97,25 +97,15 @@ class TestStandardize:
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         S = Dataset(rng.standard_normal((30, 3)), np.zeros(30))
-        once, _ = standardize(S)
-        twice, _ = standardize(once)
+        once = standardize(S)
+        twice = standardize(once)
         np.testing.assert_allclose(twice.features, once.features, atol=1e-10)
-
-    def test_test_set_uses_train_statistics(self):
-        rng = np.random.default_rng(2)
-        train = Dataset(rng.standard_normal((40, 2)) + 5, np.zeros(40))
-        test = Dataset(rng.standard_normal((10, 2)), np.zeros(10))
-        _, tf = standardize(train)
-        applied = tf.apply(test)
-        own, _ = standardize(test)
-        # train means (~5) shift the test set far from its own standardization
-        assert np.abs(applied.features.mean(axis=0) - own.features.mean(axis=0)).max() > 1
 
     def test_near_constant_column_not_amplified(self):
         X = np.ones((10, 2))
         X[:, 1] = np.arange(10)
         X[:, 0] += 1e-14 * np.arange(10)
-        Z, _ = standardize(Dataset(X, np.zeros(10)))
+        Z = standardize(Dataset(X, np.zeros(10)))
         assert np.abs(Z.features[:, 0]).max() < 1e-9
 
 
@@ -150,12 +140,6 @@ class TestReduceDim:
         np.testing.assert_array_equal(reduce_dim(S, 3, seed=9).features,
                                       reduce_dim(S, 3, seed=9).features)
 
-    def test_kappa_rebound(self):
-        rng = np.random.default_rng(6)
-        S = Dataset(rng.standard_normal((12, 8)) * 5, np.zeros(12))
-        R = reduce_dim(S, 4, seed=0, kappa=1.0)
-        assert R.max_row_norm() <= 1.0 + 1e-12
-
 
 class TestBoundRowNorms:
     def test_count_and_bound(self):
@@ -180,10 +164,9 @@ class TestBoundRowNorms:
 class TestPreprocess:
     def test_pipeline_bounds_rows(self):
         S, _ = synth_classification(200, 20, classes=4, sparsity=5, noise=0.4, seed=0)
-        out, info = preprocess(S, 8, seed=1, kappa=1.0)
+        out = preprocess(S, 8, seed=1, kappa=1.0)
         assert out.d == 8
         assert out.max_row_norm() <= 1.0 + 1e-12
-        assert info["d_in"] == 20 and info["d_out"] == 8
 
 
 class TestSplit:

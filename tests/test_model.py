@@ -74,7 +74,7 @@ class TestObjectiveSpec:
 
     def test_l2_coefficients(self):
         assert ObjectiveSpec("logistic", 0.1).l2_coefficient == pytest.approx(0.05)
-        assert ObjectiveSpec("logistic", 0.1, l2_form="full").l2_coefficient == pytest.approx(0.1)
+        assert ObjectiveSpec("logistic", 0.2).l2_coefficient == pytest.approx(0.1)
         spec_e = ObjectiveSpec("logistic", 0.1, penalty="elastic", gamma=0.85)
         assert spec_e.l2_coefficient == pytest.approx(0.085)
         assert spec_e.l1_coefficient == pytest.approx(0.015)
@@ -282,13 +282,14 @@ class TestStrongConvexity:
 
     @pytest.mark.parametrize("penalty,kwargs", [
         ("l2", {}),
-        ("l2", {"l2_form": "full"}),
+        ("l2", {"lam": 0.6}),
         ("elastic", {"gamma": 0.85}),
     ])
     def test_quadratic_growth_inequality(self, penalty, kwargs):
         # Definition restated on the full objective, 1000 random pairs
         rng = np.random.default_rng(7)
-        spec = ObjectiveSpec("logistic", 0.3, penalty=penalty, **kwargs)
+        spec = ObjectiveSpec(**{"loss_kind": "logistic", "lam": 0.3, "penalty": penalty,
+                                **kwargs})
         lam_sc = strong_convexity_constant(spec)
         X = rng.standard_normal((8, 3))
         X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
@@ -320,10 +321,11 @@ class TestStrongConvexity:
 
 class TestSignedLabels:
     def test_passthrough(self):
-        np.testing.assert_array_equal(as_signed_labels(np.array([1.0, -1.0])), [1.0, -1.0])
+        np.testing.assert_array_equal(as_signed_labels(np.array([1.0, -1.0]), positive=1.0),
+                                      [1.0, -1.0])
 
     def test_two_class_mapping(self):
-        np.testing.assert_array_equal(as_signed_labels(np.array([0.0, 3.0, 0.0])),
+        np.testing.assert_array_equal(as_signed_labels(np.array([0.0, 3.0, 0.0]), positive=3.0),
                                       [-1.0, 1.0, -1.0])
 
     def test_one_vs_rest(self):
@@ -337,10 +339,6 @@ class TestSignedLabels:
         assert Y.shape == (4, 3)
         for j, c in enumerate((0.0, 1.0, 2.0)):
             np.testing.assert_array_equal(Y[:, j], as_signed_labels(y, positive=c))
-
-    def test_multiclass_without_positive_errors(self):
-        with pytest.raises(ValueError, match="one-vs-rest"):
-            as_signed_labels(np.array([0.0, 1.0, 2.0]))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8),

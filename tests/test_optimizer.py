@@ -56,15 +56,15 @@ SPECS = {
 
 class TestSolveErm:
     def test_closed_form_full_convention(self):
-        # minimize (w-1)^2 + lam w^2 at lam=1: stationarity (w-1) + w = 0 -> 1/2,
-        # i.e. the least-squares form w = (x'y)/(x'x + lam)
-        spec = ObjectiveSpec("squared", 1.0, l2_form="full", lipschitz_L=1.0)
+        # minimize (w-1)^2 + lam w^2 at lam=1, the (lam/2) w^2 penalty at lam=2:
+        # stationarity (w-1) + w = 0 -> 1/2, i.e. w = (x'y)/(x'x + lam)
+        spec = ObjectiveSpec("squared", 2.0, lipschitz_L=1.0)
         rep = solve_erm(spec, one_point_problem(), 1e-10)
         assert rep.weights[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_closed_form_half_convention(self):
         # minimize (w-1)^2 + (lam/2) w^2 at lam=1: 2(w-1) + w = 0 -> 2/3
-        spec = ObjectiveSpec("squared", 1.0, l2_form="half", lipschitz_L=1.0)
+        spec = ObjectiveSpec("squared", 1.0, lipschitz_L=1.0)
         rep = solve_erm(spec, one_point_problem(), 1e-10)
         assert rep.weights[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
@@ -169,11 +169,6 @@ class TestSolveErm:
     def test_no_iterations_rejected(self):
         with pytest.raises(ValueError, match="max_iters"):
             solve_erm(SPECS["logistic-l2"], one_point_problem(), 1e-6, max_iters=0)
-
-    def test_w0_shape_checked(self):
-        X, Y = one_vs_rest_problem()
-        with pytest.raises(ValueError, match="w0 shape"):
-            solve_erm(SPECS["logistic-l2"], Dataset(X, Y), 1e-6, w0=np.zeros(X.shape[1]))
 
     @pytest.mark.parametrize("tolerance", [1e-3, 1e-5])
     @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.3])
@@ -290,8 +285,6 @@ class TestSolveErmBlock:
         for block in bad_blocks.values():
             with pytest.raises(ValueError):
                 solve_erm(spec, block, 1e-6)
-        with pytest.raises(ValueError, match="w0 shape"):
-            solve_erm(spec, [S, Sp], 1e-6, w0=np.zeros(S.d))
 
     def test_zero_features_get_the_regulariser_curvature(self):
         spec, (S, Sp) = SPECS["squared-elastic"], sgd_block(1)
@@ -518,8 +511,6 @@ class TestSgdBlock:
         for blocks in bad_blocks.values():
             with pytest.raises(ValueError):
                 sgd_run(spec, blocks, cfg)
-        with pytest.raises(ValueError, match="w0 shape"):
-            sgd_run(spec, [S, Sp], cfg, w0=np.zeros(S.d))
 
 
 class TestEvaluationPath:
@@ -589,10 +580,6 @@ class TestSgdConfig:
     def test_numpy_integers_accepted(self):
         cfg = SgdConfig(steps_T=np.int64(3), step_size=0.1, batch_size_b=np.int32(2))
         assert cfg.steps_T == 3 and cfg.batch_size_b == 2
-
-    def test_schedule_callable(self):
-        cfg = SgdConfig(steps_T=3, step_size=lambda t: 1.0 / (t + 1), batch_size_b=1)
-        assert cfg.step_at(1) == pytest.approx(0.5)
 
 
 class TestSDropout:

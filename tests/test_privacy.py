@@ -114,14 +114,15 @@ class TestRelease:
     def test_l2_spec_releases_with_the_derived_calibration(self):
         S = elastic_fixture()
         spec = ObjectiveSpec("logistic", 0.1, penalty="l2")
-        rel = release(spec, S, 1.0, calibration="derived", rng=0)
+        rel = release(spec, S, 1.0, calibration="derived", rng=derive_rng(0))
         # beta = 2 / (100 * 0.1) with lambda_sc = 0.1: L2 bound 2, L1 bound 2 sqrt(d)
         assert rel.noise_scale == pytest.approx(2.0 * math.sqrt(S.d), rel=1e-12)
 
     def test_convergence_error_propagates(self, monkeypatch):
         monkeypatch.setattr(privacy_mod, "solve_erm", functools.partial(solve_erm, max_iters=1))
         with pytest.raises(ConvergenceError):
-            release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim", rng=0)
+            release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim",
+                    rng=derive_rng(0))
 
 
 class TestOutputPerturb:
@@ -151,8 +152,8 @@ class TestOutputPerturb:
 
     def test_deterministic_given_seed(self):
         S, spec = elastic_fixture(), elastic_spec()
-        r1 = release(spec, S, 2.0, calibration="derived", rng=7)
-        r2 = release(spec, S, 2.0, calibration="derived", rng=7)
+        r1 = release(spec, S, 2.0, calibration="derived", rng=derive_rng(7))
+        r2 = release(spec, S, 2.0, calibration="derived", rng=derive_rng(7))
         np.testing.assert_array_equal(r1.noisy_weights, r2.noisy_weights)
 
     def test_coordinate_exchangeability(self):
@@ -177,31 +178,32 @@ class TestPrivateElasticNet:
         sens, scale = calibrate(beta_elastic_net(1.0, 1.0, 100, 0.1, 0.85), 3, 1.0, "verbatim")
         assert sens == pytest.approx(40.0 / 17.0, rel=1e-12)
         assert scale == pytest.approx(2.3529411764705883, rel=1e-12)
-        rel = release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim", rng=0)
+        rel = release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim",
+                      rng=derive_rng(0))
         assert rel.noise_scale == pytest.approx(40.0 / 17.0, rel=1e-12)
 
     def test_huge_epsilon_recovers_nonprivate_weights(self):
         S, spec = elastic_fixture(), elastic_spec()
         w = solve_erm(spec, S, 1e-8).weights
-        rel = release(spec, S, 1e6, calibration="verbatim", rng=3)
+        rel = release(spec, S, 1e6, calibration="verbatim", rng=derive_rng(3))
         assert rel.noise_scale == pytest.approx(2.3529411764705883e-06, rel=1e-9)
         assert np.max(np.abs(rel.noisy_weights - w)) < 1e-4
 
     def test_gamma_one_degenerates_to_l2_release(self):
         S, spec = elastic_fixture(), elastic_spec(gamma=1.0, eta=0.0)
-        rel = release(spec, S, 1.0, calibration="verbatim", rng=4)
+        rel = release(spec, S, 1.0, calibration="verbatim", rng=derive_rng(4))
         beta = 2.0 / (S.n * 0.1)
         assert rel.sensitivity_used == pytest.approx(math.sqrt(2 * beta / 0.1), rel=1e-12)
         # the trained weights under gamma=1, eta=0 equal the lam||w||^2 L2 fit
-        w_l2 = solve_erm(ObjectiveSpec("logistic", 0.1, penalty="l2", l2_form="full"),
+        w_l2 = solve_erm(ObjectiveSpec("logistic", 0.2, penalty="l2"),
                          S, 1e-8).weights
-        rel2 = release(spec, S, 1e9, calibration="verbatim", rng=4)
+        rel2 = release(spec, S, 1e9, calibration="verbatim", rng=derive_rng(4))
         assert np.max(np.abs(rel2.noisy_weights - w_l2)) < 1e-6
 
     def test_derived_mode_applies_sqrt_d_over_sqrt_2(self):
         S, spec = elastic_fixture(), elastic_spec()
-        v = release(spec, S, 1.0, calibration="verbatim", rng=0)
-        d = release(spec, S, 1.0, calibration="derived", rng=0)
+        v = release(spec, S, 1.0, calibration="verbatim", rng=derive_rng(0))
+        d = release(spec, S, 1.0, calibration="derived", rng=derive_rng(0))
         # verbatim: sqrt(2 beta/(lam gamma)); derived: sqrt(d) * sqrt(2 beta/(2 lam gamma))
         assert d.noise_scale / v.noise_scale == pytest.approx(
             math.sqrt(S.d) / math.sqrt(2.0), rel=1e-12
@@ -210,7 +212,7 @@ class TestPrivateElasticNet:
     def test_kappa_violation_rejected(self):
         S = Dataset(np.array([[3.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="kappa"):
-            release(elastic_spec(), S, 1.0, calibration="verbatim", rng=0)
+            release(elastic_spec(), S, 1.0, calibration="verbatim", rng=derive_rng(0))
 
 
 def _bounded_mean_release(scale):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -226,6 +227,45 @@ class TestOracleSolverFailures:
         assert rep.details["solver_failures"] == failures
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
 
+    def test_marked_columns_are_failures(self, monkeypatch):
+        # a fake solver leaves chosen neighbour columns above tolerance, whatever
+        # the real solver's iteration counts, and moves their weights far off
+        _, S = fixture()
+        trials, probes, seed, marked = 20, 5, 0, [3, 7, 12]
+        solved = []
+
+        def fake(spec, S, tolerance):
+            report = solve_erm(spec, S, tolerance)
+            solved.append(report.weights)
+            weights, residuals = report.weights.copy(), report.residuals.copy()
+            weights[:, marked], residuals[marked] = 1e3, 2 * tolerance
+            raise ConvergenceError("marked", replace(report, weights=weights,
+                                                     residuals=residuals))
+
+        monkeypatch.setattr(verify, "solve_erm", fake)
+        kept = [j for j in range(1, trials + 1) if j not in marked]
+        rep = empirical_sensitivity(self.SPEC, S, trials=trials, seed=seed)
+        W = solved.pop()
+        assert rep.details["solver_failures"] == len(marked)
+        assert rep.empirical_value == pytest.approx(
+            max(np.linalg.norm(W[:, 0] - W[:, j]) for j in kept), rel=1e-12)
+        assert not rep.passed  # more than 1% of the solves failed
+
+        rep = empirical_stability(self.SPEC, S, trials=trials, probes=probes, seed=seed)
+        W, rng, worst = solved.pop(), derive_rng(seed, 22), 0.0
+        for j in range(1, trials + 1):
+            _neighbor(self.SPEC, S, rng)
+            # probes are drawn for every neighbour, scored only for the kept ones
+            rows = [(S.features[i], float(S.labels[i]))
+                    for i in rng.choice(S.n, size=probes, replace=False)]
+            rows += [_fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
+            if j in kept:
+                worst = max(worst, *(TestBatchedProbesMatchScalarLoop.gap(
+                    self.SPEC, W[:, 0], W[:, j], x, y) for x, y in rows))
+        assert rep.details["solver_failures"] == len(marked)
+        assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
+        assert not rep.passed
+
     def test_base_failure_raises(self, monkeypatch):
         _, S = fixture()
         self.cap(monkeypatch, solve_erm(self.SPEC, S, 1e-9).iterations_used - 1)
@@ -348,9 +388,9 @@ class TestSgdStabilityDirections:
 
 class TestSpecCert:
     def test_l2_uses_strong_convexity_constant(self):
-        spec = ObjectiveSpec("logistic", 0.4, penalty="l2", l2_form="full")
+        spec = ObjectiveSpec("logistic", 0.8, penalty="l2")
         cert = spec_cert(spec, 100)
-        # full convention: lambda_sc = 2 * 0.4 = 0.8
+        # lambda_sc = lam = 0.8 under the (lam/2)||w||^2 penalty
         assert cert.lambda_sc == pytest.approx(0.8)
         assert cert.beta == pytest.approx(2.0 / (100 * 0.8))
 
