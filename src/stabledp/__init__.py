@@ -12,7 +12,7 @@ that empirically stress every bound.
 
 from .model import Dataset, ObjectiveSpec
 from .optimizer import SgdConfig, SolveReport, solve_erm, sgd_run
-from .privacy import PrivateRelease, calibrate, release
+from .privacy import Noise, PrivateRelease, calibrate, release
 from .stability import StabilityCert, spec_cert
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "SolveReport",
     "solve_erm",
     "sgd_run",
+    "Noise",
     "PrivateRelease",
     "calibrate",
     "release",

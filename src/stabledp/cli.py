@@ -31,12 +31,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .data_io import SplitPlan, fetch_dataset, load_csv, preprocess, split, synth_classification
-from .features import (
-    dynamic_threshold,
-    f1_similarity,
-    flip_probability,
-    select_features,
-)
+from .features import f1_similarity, flip_probability, lemma_noise, select_features
 from .model import (
     _COUNT,
     _NONNEGATIVE,
@@ -51,7 +46,7 @@ from .model import (
     as_signed_labels,
 )
 from .optimizer import solve_erm
-from .privacy import calibrate, dp_micro_check, laplace_sample, perturb
+from .privacy import Noise, calibrate, dp_micro_check, laplace_sample, perturb
 from .rng import derive_rng, float_key
 from .stability import sensitivity_via_strong_convexity, spec_cert
 
@@ -238,7 +233,10 @@ def build_dataset(cfg: SweepConfig) -> Dataset:
             raise ConfigError(f"dataset.path: {exc}") from exc
     if S.n < 2:  # standardization takes a sample variance
         raise ConfigError(f"dataset.n: preprocessing needs at least 2 rows, got {S.n}")
-    return preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
+    try:
+        return preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
+    except ValueError as exc:  # reduce_to above the row count
+        raise ConfigError(f"dataset.reduce_to: {exc}") from exc
 
 
 def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
@@ -264,19 +262,6 @@ def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def accuracy(W: np.ndarray, classes: np.ndarray, S: Dataset) -> float:
     return float(np.mean(predict(W, classes, S.features) == S.labels))
-
-
-def cell_noise_scale(cfg: SweepConfig, lam: float, epsilon: float, n_train: int,
-                     d: int) -> tuple:
-    """(noise scale used, closed-form beta, strong-convexity L2 sensitivity) for one cell."""
-    cert = spec_cert(_objective(cfg, lam), n_train)
-    if cfg.noise_mode == "stability_optimal":
-        _, scale = calibrate(cert, d, epsilon, cfg.scale_mode)
-    elif cfg.noise_mode == "fixed_scale":
-        scale = float(cfg.fixed_scale_b)
-    else:
-        scale = 0.0
-    return scale, cert.beta, sensitivity_via_strong_convexity(cert)
 
 
 def _fmt(v) -> str:
@@ -319,13 +304,13 @@ def _std(values: list) -> float:
 
 
 def _cells(cfg: SweepConfig, epsilons, stream: int):
-    """Yield ``(lam, eps, scale, beta, sens, classes, runs)`` per lambda x epsilon cell.
+    """Yield ``(lam, eps, noise, cert, classes, runs)`` per lambda x epsilon cell.
 
     ``runs`` holds one ``(train, test, W, noisy W)`` tuple per split. Models
     are trained once per (lambda, split) and shared by every epsilon. All
-    splits have the same training size, so one noise scale serves the
-    whole cell. Split r draws its noise from the stream keyed (master seed,
-    ``stream``, lambda bits, epsilon bits, r).
+    splits have the same training size, so one certificate and one ``Noise``
+    serve the whole cell. Split r draws its noise from the stream keyed
+    (master seed, ``stream``, lambda bits, epsilon bits, r).
     """
     S = build_dataset(cfg)
     try:
@@ -336,21 +321,25 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
     cache: dict = {}
     for lam in cfg.lambda_grid:
         for eps in epsilons:
-            scale, beta, sens = cell_noise_scale(cfg, lam, eps, splits[0][0].n, S.d)
+            cert = spec_cert(_objective(cfg, lam), splits[0][0].n)
+            scale = float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0
+            noise = (calibrate(cert, S.d, eps, cfg.scale_mode)
+                     if cfg.noise_mode == "stability_optimal" else Noise(scale))
             runs = []
             for r, (train, test) in enumerate(splits):
                 if (lam, r) not in cache:
                     cache[lam, r] = train_models(cfg, lam, train, classes)
                 W = cache[lam, r]
                 rng = derive_rng(cfg.master_seed, stream, float_key(lam), float_key(eps), r)
-                runs.append((train, test, W, perturb(W, scale, rng)))
-            yield lam, eps, scale, beta, sens, classes, runs
+                runs.append((train, test, W, perturb(W, noise, rng)))
+            yield lam, eps, noise, cert, classes, runs
 
 
 def _accuracy_rows(cfg: SweepConfig, epsilons) -> list:
     rows = []
-    for lam, eps, scale, beta, sens, classes, runs in _cells(cfg, epsilons, 31):
-        cell = [lam, eps, cfg.noise_mode, scale, beta, sens]
+    for lam, eps, noise, cert, classes, runs in _cells(cfg, epsilons, 31):
+        cell = [lam, eps, cfg.noise_mode, noise.scale, cert.beta,
+                sensitivity_via_strong_convexity(cert)]
         accs = [accuracy(noisy, classes, test) for _, test, _, noisy in runs]
         rows += [cell + [r, acc, None] for r, acc in enumerate(accs)]
         rows.append(cell + [-1, float(np.mean(accs)), _std(accs)])
@@ -379,17 +368,16 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
         _require("eta", cfg.eta, *_POSITIVE, ConfigError)
     rows, flip_rows = [], []
-    for lam, eps, scale, _, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
-        T = (dynamic_threshold(scale, cfg.threshold_k)
-             if cfg.threshold_mode == "dynamic" else cfg.static_T)
-        cell = [lam, eps, cfg.noise_mode, scale, cfg.threshold_mode, T]
+    for lam, eps, noise, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
+        T = noise.threshold(cfg.threshold_k) if cfg.threshold_mode == "dynamic" else cfg.static_T
+        cell = [lam, eps, cfg.noise_mode, noise.scale, cfg.threshold_mode, T]
         W = np.stack([w.ravel() for _, _, w, _ in runs])
         keep = select_features(W, 0.0)
         keep_priv = select_features(np.stack([noisy.ravel() for *_, noisy in runs]), T)
         f1s, flips = f1_similarity(keep, keep_priv), keep != keep_priv
-        pred = (flip_probability(T, W, eps, lam, cfg.eta, runs[0][0].n, cfg.L,
-                                 cfg.dataset.kappa)
-                if T > 0 and scale > 0 else np.zeros(W.shape))
+        pred = (flip_probability(T, W, lemma_noise(eps, lam, cfg.eta, runs[0][0].n, cfg.L,
+                                                   cfg.dataset.kappa))
+                if T > 0 and noise.scale > 0 else np.zeros(W.shape))
         obs_rates, pred_rates = flips.mean(axis=1), pred.mean(axis=1)
         rows += [cell + [r, *vals, None]
                  for r, vals in enumerate(zip(f1s, obs_rates, pred_rates))]
@@ -448,11 +436,11 @@ def _dp_checks(samples: int, seed: int) -> list:
     spec, S_erm = _oracle_fixture(0.5)
     rng = derive_rng(seed, 55)
     Sp_erm = verify_mod._neighbor(spec, S_erm, rng)
-    _, scale = calibrate(spec_cert(spec, S_erm.n), S_erm.d, 1.0, "derived")
+    noise = calibrate(spec_cert(spec, S_erm.n), S_erm.d, 1.0, "derived")
 
     def erm_release(ds: Dataset, rng_, size):
         w = solve_erm(spec, ds, 1e-9).weights
-        return perturb(np.broadcast_to(w[0], size), scale, rng_)
+        return perturb(np.broadcast_to(w[0], size), noise, rng_)
 
     checks.append(("dp_erm_release", dp_micro_check(
         erm_release, S_erm, Sp_erm, 1.0, samples=samples, seed=seed + 2), True))
@@ -493,10 +481,10 @@ def run_verify_suite(suite: str, trials: int = 200, probes: int = 50,
     if "flips" in wanted:
         for i, T in enumerate((0.5, 1.0, 2.0)):
             for j, eps in enumerate((0.5, 1.0, 2.0)):
+                noise = lemma_noise(eps, lam=0.1, eta=0.15, n=10_000, L=1.0, kappa=1.0)
                 add(f"flips_T{T}_eps{eps}",
-                    verify_mod.flip_rate_check(T, 0.0, eps, lam=0.1, eta=0.15,
-                                               n=10_000, L=1.0, kappa=1.0,
-                                               draws=draws, seed=seed + 10 * i + j))
+                    verify_mod.flip_rate_check(T, 0.0, noise, draws=draws,
+                                               seed=seed + 10 * i + j))
     return results
 
 

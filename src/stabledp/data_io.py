@@ -156,7 +156,8 @@ def reduce_dim(S: Dataset, k: int, seed: int = 0) -> Dataset:
     Randomized range finder with 8 extra directions and 2 power iterations
     (QR re-orthonormalized); deterministic given the seed.
     """
-    _require("k", k, lambda v: 1 <= v <= S.d, f"an integer in [1, d={S.d}]", int)
+    top = min(S.n, S.d)  # the range finder spans at most min(n, d) directions
+    _require("k", k, lambda v: 1 <= v <= top, f"an integer in [1, min(n, d)={top}]", int)
     X = S.features
     rng = derive_rng(seed, 7)
     p = min(k + 8, S.d)

@@ -3,12 +3,13 @@
 A selection is a boolean keep mask of the weights' shape, one row per split
 of a (splits x weights) block. Non-private selection keeps every nonzero
 weight (T = 0); private selection thresholds the noisy weights at a static T
-or one set from the noise standard deviation. ``f1_similarity`` scores masks
-row by row; ``flip_probability`` gives, per weight, the closed-form chance
-that a private decision disagrees with the non-private one. Its implied
-noise scale 2 L sqrt(kappa) / (epsilon lam eta sqrt(n)) carries eta where
-the elastic-net release scale carries gamma, so the two do not coincide
-under eta = 1 - gamma; the ``verify`` oracle measures the formula as stated.
+or one set from the noise standard deviation (``privacy.Noise.threshold``).
+``f1_similarity`` scores masks row by row; ``flip_probability`` gives, per
+weight, the closed-form chance under a ``Noise`` that a private decision
+disagrees with the non-private one. The flip lemma's ``lemma_noise`` has
+scale 2 L sqrt(kappa) / (epsilon lam eta sqrt(n)): it carries eta where the
+elastic-net release scale carries gamma, so the two do not coincide under
+eta = 1 - gamma; the ``verify`` oracle measures the formula as stated.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import math
 
 import numpy as np
 
-from .model import _COUNT, _NONNEGATIVE, _POSITIVE, _require, _require_each
+from .model import _COUNT, _POSITIVE, _require, _require_each
+from .privacy import Noise
 
 __all__ = [
     "select_features",
-    "dynamic_threshold",
-    "lemma_noise_scale",
+    "lemma_noise",
     "flip_probability",
     "f1_similarity",
 ]
@@ -34,32 +35,23 @@ def select_features(w, T: float) -> np.ndarray:
     return np.abs(np.asarray(w, dtype=float)) > T
 
 
-def dynamic_threshold(noise_scale_b: float, multiplier_k: float = 1.0) -> float:
-    """Threshold at k standard deviations of Laplace(b) noise: k * sqrt(2) * b."""
-    _require("noise_scale_b", noise_scale_b, *_NONNEGATIVE)
-    _require("multiplier_k", multiplier_k, *_POSITIVE)
-    return multiplier_k * math.sqrt(2.0) * noise_scale_b
-
-
-def lemma_noise_scale(epsilon: float, lam: float, eta: float, n: int,
-                      L: float, kappa: float) -> float:
-    """Per-coordinate noise scale implied by the flip-probability formula."""
+def lemma_noise(epsilon: float, lam: float, eta: float, n: int, L: float,
+                kappa: float) -> Noise:
+    """The per-coordinate noise the flip lemma assumes, not the release's (module docstring)."""
     _require_each(_POSITIVE, epsilon=epsilon, lam=lam, eta=eta, L=L, kappa=kappa)
     _require("n", n, *_COUNT)
-    return 2.0 * L * math.sqrt(kappa) / (epsilon * lam * eta * math.sqrt(n))
+    return Noise(2.0 * L * math.sqrt(kappa) / (epsilon * lam * eta * math.sqrt(n)),
+                 epsilon=epsilon)
 
 
-def flip_probability(T: float, w, epsilon: float, lam: float, eta: float,
-                     n: int, L: float, kappa: float):
+def flip_probability(T: float, w, noise: Noise):
     """P[private decision differs from non-private] at threshold T, per weight.
 
-    Closed form exp(-epsilon |T - |w_i|| lam eta sqrt(n) / (2 L sqrt(kappa))),
-    in (0, 1]; equals 1 at |w_i| = T. An array w gives an array of its
-    shape, a scalar w a float.
+    Closed form ``noise.tail(|T - |w_i||)``, in (0, 1]; equals 1 at
+    |w_i| = T. An array w gives an array of its shape, a scalar w a float.
     """
     _require("T", T, lambda v: v > 0, "> 0")
-    b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
-    p = np.exp(-np.abs(T - np.abs(np.asarray(w, dtype=float))) / b)
+    p = noise.tail(np.abs(T - np.abs(np.asarray(w, dtype=float))))
     return float(p) if p.ndim == 0 else p
 
 

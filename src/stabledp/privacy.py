@@ -1,8 +1,10 @@
-"""Laplace mechanism, the one calibration and the one release path.
+"""Laplace mechanism, the one noise record, the one calibration and the one release path.
 
-``calibrate`` is the only code that turns a stability certificate into a
-per-coordinate Laplace scale. Two calibrations exist, and every release
-records which one it used:
+``Noise`` alone states the per-coordinate Laplace law. ``calibrate`` is the
+only code that turns a stability certificate into a release's ``Noise``,
+bar ``verify.empirical_privacy_error``, whose noise sits at the
+strong-convexity sensitivity, the mechanism its bound is stated for. Two
+calibrations exist, and every release records which one it used:
 
 * ``"derived"``:  sqrt(d) * sqrt(2 beta / lambda_sc), the strong-convexity
                   L2 sensitivity converted to an L1 bound. This is the
@@ -15,7 +17,7 @@ records which one it used:
                   certificates only, and in d > 1 it adds less noise than
                   the provable calibration.
 
-``perturb`` is the one place Laplace noise is added to model weights;
+``perturb`` is the one place a ``Noise`` is drawn onto model weights;
 ``release``, the CLI and the ``verify`` oracles all go through it.
 ``release`` trains an objective, certifies it with ``stability.spec_cert``,
 calibrates, and perturbs.
@@ -27,17 +29,19 @@ proof. It returns the ``OracleReport`` every empirical check returns.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _COUNT, _POSITIVE, Dataset, ObjectiveSpec, _one_of, _require
+from .model import _COUNT, _NONNEGATIVE, _POSITIVE, Dataset, ObjectiveSpec, _one_of, _require
 from .optimizer import solve_erm
 from .rng import derive_rng
 from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
 
 __all__ = [
+    "Noise",
     "PrivateRelease",
     "laplace_sample",
     "perturb",
@@ -64,15 +68,7 @@ class OracleReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound_value": self.bound_value,
-            "empirical_value": self.empirical_value,
-            "trials": self.trials,
-            "margin": self.margin,
-            "passed": bool(self.passed),
-            "details": self.details,
-        }
+        return {**dataclasses.asdict(self), "passed": bool(self.passed)}
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -84,20 +80,48 @@ class OracleReport:
 
 
 @dataclass(frozen=True)
-class PrivateRelease:
-    """Perturbed weights plus the (epsilon, sensitivity, scale, calibration) that made them."""
+class Noise:
+    """i.i.d. Laplace(0, scale) noise on every coordinate, and what set its scale.
 
-    noisy_weights: np.ndarray
-    epsilon: float
-    sensitivity_used: float
-    noise_scale: float
-    calibration: str
+    A record with a calibration has ``scale == sensitivity / epsilon``;
+    ``scale == 0`` is no noise.
+    """
+
+    scale: float
+    sensitivity: float | None = None
+    epsilon: float | None = None
+    calibration: str | None = None
 
     def __post_init__(self):
-        _require("epsilon", self.epsilon, *_POSITIVE)
-        if self.noise_scale != self.sensitivity_used / self.epsilon:
-            raise ValueError("noise_scale must equal sensitivity_used / epsilon")
-        _require("calibration", self.calibration, *_one_of(CALIBRATIONS))
+        _require("scale", self.scale, *_NONNEGATIVE)
+        if self.calibration is not None:
+            _require("calibration", self.calibration, *_one_of(CALIBRATIONS))
+            _require("epsilon", self.epsilon, *_POSITIVE)
+            _require("sensitivity", self.sensitivity, *_NONNEGATIVE)
+            if self.scale != self.sensitivity / self.epsilon:
+                raise ValueError("scale must equal sensitivity / epsilon")
+
+    def threshold(self, k: float = 1.0) -> float:
+        """k standard deviations of one coordinate: k * sqrt(2) * scale."""
+        _require("k", k, *_POSITIVE)
+        return k * math.sqrt(2.0) * self.scale
+
+    def tail(self, t):
+        """P(|b| > t) = exp(-t / scale) of one coordinate b, elementwise for t >= 0."""
+        _require("scale", self.scale, *_POSITIVE)  # no noise has no tail
+        return np.exp(-np.asarray(t, dtype=float) / self.scale)
+
+
+@dataclass(frozen=True)
+class PrivateRelease:
+    """Perturbed weights plus the calibrated ``Noise`` that made them."""
+
+    noisy_weights: np.ndarray
+    noise: Noise
+
+    def __post_init__(self):
+        if self.noise.calibration is None:
+            raise ValueError("a release needs a calibrated noise record")
 
 
 def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,20 +137,20 @@ def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.n
     return -scale_b * np.sign(u) * np.log1p(-2.0 * mag)
 
 
-def perturb(W: np.ndarray, scale_b: float, rng: np.random.Generator) -> np.ndarray:
-    """A fresh copy of W plus i.i.d. Laplace(0, scale_b) noise on every entry.
+def perturb(W: np.ndarray, noise: Noise, rng: np.random.Generator) -> np.ndarray:
+    """A fresh copy of W plus one draw of ``noise`` on every entry.
 
-    Draws ``W.size`` values in row-major order; ``scale_b == 0`` draws
-    nothing and returns an exact copy.
+    Draws ``W.size`` values in row-major order; a zero scale draws nothing
+    and returns an exact copy.
     """
     W = np.asarray(W, dtype=float)
-    if scale_b == 0:
+    if noise.scale == 0:
         return W.copy()
-    return W + laplace_sample(scale_b, W.size, rng).reshape(W.shape)
+    return W + laplace_sample(noise.scale, W.size, rng).reshape(W.shape)
 
 
-def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> tuple:
-    """(sensitivity used, per-coordinate Laplace scale) for a d-dimensional release.
+def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> Noise:
+    """The per-coordinate ``Noise`` of a d-dimensional release at ``epsilon``.
 
     See the module docstring for the two calibrations; ``"verbatim"``
     raises ValueError unless the certificate comes from the elastic-net
@@ -143,7 +167,7 @@ def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> 
                 f"the verbatim calibration is stated for elastic-net certificates, "
                 f"got {cert.provenance!r}")
         sens = math.sqrt(4.0 * cert.beta / cert.lambda_sc)
-    return sens, sens / epsilon
+    return Noise(sens / epsilon, sens, epsilon, calibration)
 
 
 def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str,
@@ -160,14 +184,8 @@ def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str
         raise ValueError(
             f"feature rows violate the kappa bound: max norm {max_norm:.6g} > kappa={spec.kappa}"
         )
-    sens, scale = calibrate(spec_cert(spec, S.n), S.d, epsilon, calibration)
-    return PrivateRelease(
-        noisy_weights=perturb(solve_erm(spec, S, tolerance).weights, scale, rng),
-        epsilon=epsilon,
-        sensitivity_used=sens,
-        noise_scale=scale,
-        calibration=calibration,
-    )
+    noise = calibrate(spec_cert(spec, S.n), S.d, epsilon, calibration)
+    return PrivateRelease(perturb(solve_erm(spec, S, tolerance).weights, noise, rng), noise)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple:

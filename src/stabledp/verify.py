@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .features import flip_probability, lemma_noise_scale, select_features
+from .features import flip_probability, select_features
 from .model import (
     _COUNT,
     Dataset,
@@ -33,7 +33,7 @@ from .model import (
     strong_convexity_constant,
 )
 from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
-from .privacy import OracleReport, perturb
+from .privacy import Noise, OracleReport, perturb
 from .rng import derive_rng
 from .stability import (
     privacy_error_bound,
@@ -215,12 +215,12 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
     _require("draws", draws, *_at_least(2))
     base = solve_erm(spec, S, tolerance)
     cert = spec_cert(spec, S.n)
-    scale = sensitivity_via_strong_convexity(cert) / epsilon
+    noise = Noise(sensitivity_via_strong_convexity(cert) / epsilon)
     bound = privacy_error_bound(spec.L, S.d, epsilon, cert)
 
     rng = derive_rng(seed, 23)
     W, y = base.weights[None, :], S.labels[:, None]
-    W_priv = perturb(np.broadcast_to(W, (draws, S.d)), scale, rng)
+    W_priv = perturb(np.broadcast_to(W, (draws, S.d)), noise, rng)
     L_base = float(_loss_values(spec, W.T, S.features, y).mean(axis=0)[0])
     L_priv = _loss_values(spec, W_priv.T, S.features, y).mean(axis=0)
     gaps = np.abs(L_priv - L_base)
@@ -234,7 +234,7 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
         trials=draws,
         margin=bound - emp_mean,
         passed=passed,
-        details={"epsilon": epsilon, "noise_scale": scale, "mc_stderr": se},
+        details={"epsilon": epsilon, "noise_scale": noise.scale, "mc_stderr": se},
     )
 
 
@@ -291,20 +291,18 @@ def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100, seed: int = 0,
     )
 
 
-def flip_rate_check(T: float, w_i: float, epsilon: float, lam: float, eta: float,
-                    n: int, L: float, kappa: float, draws: int = 100_000,
+def flip_rate_check(T: float, w_i: float, noise: Noise, draws: int = 100_000,
                     seed: int = 0, sigmas: float = 3.0) -> OracleReport:
     """Monte-Carlo feature-decision flip rate vs. the closed-form probability.
 
-    Samples Laplace noise at the formula's implied scale and counts actual
-    decision flips. For w_i = 0 the observed rate matches the formula
+    Draws ``noise`` (the flip lemma's, ``features.lemma_noise``) and counts
+    actual decision flips. For w_i = 0 the observed rate matches the formula
     exactly in distribution; for 0 < |w_i| the formula ignores sign-crossing
     events and the report quantifies the discrepancy instead of hiding it.
     """
     _require("draws", draws, *_COUNT)
-    predicted = flip_probability(T, w_i, epsilon, lam, eta, n, L, kappa)
-    b = lemma_noise_scale(epsilon, lam, eta, n, L, kappa)
-    noisy = perturb(np.broadcast_to(w_i, draws), b, derive_rng(seed, 25))
+    predicted = flip_probability(T, w_i, noise)
+    noisy = perturb(np.broadcast_to(w_i, draws), noise, derive_rng(seed, 25))
     flips = select_features(noisy, T) != select_features(w_i, 0.0)
     observed = float(np.mean(flips))
     se = math.sqrt(max(predicted * (1 - predicted), 1e-12) / draws)
@@ -317,8 +315,8 @@ def flip_rate_check(T: float, w_i: float, epsilon: float, lam: float, eta: float
         trials=draws,
         margin=sigmas * se - gap,
         passed=passed,
-        details={"T": T, "w_i": w_i, "epsilon": epsilon, "mc_stderr": se,
-                 "noise_scale": b},
+        details={"T": T, "w_i": w_i, "epsilon": noise.epsilon, "mc_stderr": se,
+                 "noise_scale": noise.scale},
     )
 
 

@@ -19,6 +19,7 @@ from stabledp.cli import (
     run_verify_suite,
 )
 from stabledp.data_io import SplitPlan, synth_classification
+from stabledp.features import lemma_noise
 from stabledp.model import ObjectiveSpec
 from stabledp.optimizer import s_dropout
 from stabledp.privacy import laplace_sample
@@ -139,9 +140,8 @@ def test_criterion_7_flip_rates():
     worst_gap_sigmas = 0.0
     for i, T in enumerate((0.5, 1.0, 2.0)):
         for j, eps in enumerate((0.5, 1.0, 2.0)):
-            rep = flip_rate_check(T, 0.0, eps, lam=0.1, eta=0.15, n=10_000,
-                                  L=1.0, kappa=1.0, draws=100_000,
-                                  seed=700 + 10 * i + j)
+            noise = lemma_noise(eps, lam=0.1, eta=0.15, n=10_000, L=1.0, kappa=1.0)
+            rep = flip_rate_check(T, 0.0, noise, draws=100_000, seed=700 + 10 * i + j)
             gap = abs(rep.empirical_value - rep.bound_value)
             worst_gap_sigmas = max(worst_gap_sigmas, gap / rep.details["mc_stderr"])
             if not rep.passed:

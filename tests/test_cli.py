@@ -20,6 +20,7 @@ from stabledp.cli import (
     main,
 )
 from stabledp.data_io import SplitPlan
+from stabledp.features import lemma_noise
 
 
 def tiny_config(**overrides):
@@ -250,6 +251,27 @@ class TestSelect:
         assert {r["threshold_mode"] for r in rows} == {"static"}
         assert {r["threshold_T"] for r in rows} == {"0.05"}
 
+    @pytest.mark.parametrize("mode", [
+        dict(noise_mode="stability_optimal", scale_mode="verbatim"),
+        dict(noise_mode="stability_optimal", scale_mode="derived"),
+        dict(noise_mode="fixed_scale", fixed_scale_b=0.05),
+    ], ids=["verbatim", "derived", "fixed_scale"])
+    def test_predicted_flip_rate_uses_the_lemma_noise(self, tmp_path, mode):
+        # the prediction takes the flip lemma's noise (eta, no sqrt(d), no
+        # fixed scale), not the noise the weights were released with
+        lam, eps = 0.2, 2.0
+        cfg = tiny_config(lambda_grid=(lam,), epsilon_grid=(eps,), **mode)
+        cmd_select(cfg, tmp_path)
+        T = float(read_rows(tmp_path / "select.csv")[0]["threshold_T"])
+        n_train = math.floor(cfg.split.train_fraction * cfg.dataset.n)
+        b = lemma_noise(eps, lam, cfg.eta, n_train, cfg.L, cfg.dataset.kappa).scale
+        # a feature zero in every split sits at distance T from the threshold
+        zero = [r for r in read_rows(tmp_path / "select_flips.csv")
+                if float(r["mean_abs_weight"]) == 0.0]
+        assert zero
+        for r in zero:
+            assert float(r["predicted_flip_rate"]) == pytest.approx(math.exp(-T / b), rel=1e-12)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config(epsilon_grid=(2.0,))
         p1 = cmd_select(cfg, tmp_path / "a")
@@ -352,13 +374,14 @@ class TestMainEntrypoint:
         ('{"dataset": {"kind": "csv", "path": "TMP/missing.csv"}}', [], "dataset.path"),
         ('{"dataset": {"kind": "csv", "path": "TMP/bad.csv"}}', [], "dataset.path"),
         (None, ["select", "--eta", "0"], "eta"),
-        ('{"dataset": {"n": 10}, "split": {"train_fraction": 0.05}}', [],
+        ('{"dataset": {"n": 10, "reduce_to": null}, "split": {"train_fraction": 0.05}}', [],
          "split.train_fraction"),
         ('{"dataset": {"n": 1, "reduce_to": null}}', [], "dataset.n"),
+        ('{"dataset": {"n": 20}}', [], "dataset.reduce_to"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
             "split_not_object", "grid_not_list", "missing_file", "bool_number",
             "csv_missing", "csv_malformed", "select_eta_0", "split_empty_side",
-            "one_row"])
+            "one_row", "reduce_to_above_n"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"

@@ -134,6 +134,13 @@ class TestReduceDim:
         with pytest.raises(ValueError, match="k must be"):
             reduce_dim(Dataset(np.ones((4, 3)), np.zeros(4)), 5, seed=0)
 
+    def test_k_larger_than_n_rejected(self):
+        # the range finder of 4 rows spans 4 directions, not 5
+        S = Dataset(np.random.default_rng(6).standard_normal((4, 6)), np.zeros(4))
+        with pytest.raises(ValueError, match="k must be"):
+            reduce_dim(S, 5, seed=0)
+        assert reduce_dim(S, 4, seed=0).d == 4
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         S = Dataset(rng.standard_normal((12, 8)), np.zeros(12))

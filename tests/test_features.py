@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabledp.features import (
-    dynamic_threshold,
-    f1_similarity,
-    flip_probability,
-    lemma_noise_scale,
-    select_features,
-)
+from stabledp.features import f1_similarity, flip_probability, lemma_noise, select_features
+from stabledp.privacy import Noise
 from stabledp.verify import flip_rate_check
 
 
@@ -28,7 +23,7 @@ class TestSelectFeatures:
         keep = select_features(np.array([10.0, -20.0]), math.inf)
         assert keep.sum() == 0
         # and no private decision can flip against it
-        assert flip_probability(math.inf, 10.0, 1.0, 0.1, 0.15, 100, 1.0, 1.0) == 0.0
+        assert flip_probability(math.inf, 10.0, lemma_noise(1.0, 0.1, 0.15, 100, 1.0, 1.0)) == 0.0
 
     def test_negative_threshold_rejected(self):
         for T in (-0.1, math.nan):
@@ -53,63 +48,66 @@ class TestSelectFeatures:
 
 class TestDynamicThreshold:
     def test_zero_noise(self):
-        assert dynamic_threshold(0.0, 1.0) == 0.0
+        assert Noise(0.0).threshold(1.0) == 0.0
 
     def test_unit_scale_is_sqrt2(self):
-        assert dynamic_threshold(1.0, 1.0) == pytest.approx(math.sqrt(2.0))
+        assert Noise(1.0).threshold(1.0) == pytest.approx(math.sqrt(2.0))
 
     def test_linear_in_k(self):
-        assert dynamic_threshold(1.0, 3.0) == pytest.approx(3 * dynamic_threshold(1.0, 1.0))
+        assert Noise(1.0).threshold(3.0) == pytest.approx(3 * Noise(1.0).threshold(1.0))
 
     def test_invalid_inputs(self):
         for b, k in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                      (1.0, True)):
             with pytest.raises(ValueError):
-                dynamic_threshold(b, k)
+                Noise(b).threshold(k)
 
 
 class TestFlipProbability:
     def test_boundary_equals_one(self):
-        assert flip_probability(0.5, 0.5, 1.0, 0.1, 0.15, 100, 1.0, 1.0) == pytest.approx(1.0)
+        noise = lemma_noise(1.0, 0.1, 0.15, 100, 1.0, 1.0)
+        assert flip_probability(0.5, 0.5, noise) == pytest.approx(1.0)
 
     def test_hand_value(self):
         # exponent = -(1 * 0.5 * 0.1 * 0.15 * 100) / 2 = -0.375
-        p = flip_probability(0.5, 0.0, 1.0, 0.1, 0.15, 10_000, 1.0, 1.0)
+        p = flip_probability(0.5, 0.0, lemma_noise(1.0, 0.1, 0.15, 10_000, 1.0, 1.0))
         assert p == pytest.approx(0.6872892787909722, rel=1e-12)
 
     def test_nonpositive_threshold_rejected(self):
         for T in (0.0, math.nan):
             with pytest.raises(ValueError):
-                flip_probability(T, 0.1, 1.0, 0.1, 0.15, 100, 1.0, 1.0)
+                flip_probability(T, 0.1, lemma_noise(1.0, 0.1, 0.15, 100, 1.0, 1.0))
 
     @pytest.mark.parametrize("field,value", [
         ("epsilon", 0.0), ("lam", -0.1), ("eta", 0.0), ("n", 0), ("L", 0.0), ("kappa", 0.0),
         ("epsilon", math.nan), ("lam", math.nan), ("kappa", math.inf),
     ])
     def test_nonpositive_scale_params_rejected(self, field, value):
-        kwargs = dict(T=0.5, w=0.0, epsilon=1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0)
+        kwargs = dict(epsilon=1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0)
         kwargs[field] = value
         with pytest.raises(ValueError):
-            flip_probability(**kwargs)
+            flip_probability(0.5, 0.0, lemma_noise(**kwargs))
 
     def test_monotone_in_gap_epsilon_and_n(self):
         base = dict(epsilon=1.0, lam=0.1, eta=0.15, L=1.0, kappa=1.0)
-        gaps = [flip_probability(0.2 + g, 0.2, n=400, **base) for g in (0.1, 0.5, 1.0, 2.0)]
+        gaps = [flip_probability(0.2 + g, 0.2, lemma_noise(n=400, **base))
+                for g in (0.1, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        eps = [flip_probability(1.0, 0.0, n=400, lam=0.1, eta=0.15, L=1.0, kappa=1.0,
-                                epsilon=e) for e in (0.5, 1.0, 2.0, 4.0)]
+        eps = [flip_probability(1.0, 0.0, lemma_noise(n=400, lam=0.1, eta=0.15, L=1.0, kappa=1.0,
+                                                      epsilon=e)) for e in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(eps, eps[1:]))
-        ns = [flip_probability(1.0, 0.0, n=n, **base) for n in (100, 400, 1600, 6400)]
+        ns = [flip_probability(1.0, 0.0, lemma_noise(n=n, **base)) for n in (100, 400, 1600, 6400)]
         assert all(a > b for a, b in zip(ns, ns[1:]))
 
     def test_scalar_weight_gives_float(self):
-        assert type(flip_probability(0.5, 0.1, 1.0, 0.1, 0.15, 100, 1.0, 1.0)) is float
-        assert type(flip_probability(0.5, np.float64(0.1), 1.0, 0.1, 0.15, 100, 1.0, 1.0)) is float
+        noise = lemma_noise(1.0, 0.1, 0.15, 100, 1.0, 1.0)
+        assert type(flip_probability(0.5, 0.1, noise)) is float
+        assert type(flip_probability(0.5, np.float64(0.1), noise)) is float
 
     def test_array_equals_scalar_calls(self):
         # np.exp and math.exp may differ by one ulp
         W = np.random.default_rng(1).normal(scale=0.3, size=(4, 64))
-        args = (1.0, 0.1, 0.15, 2_500, 1.0, 1.0)
+        args = (lemma_noise(1.0, 0.1, 0.15, 2_500, 1.0, 1.0),)
         P = flip_probability(0.2, W, *args)
         assert P.shape == W.shape
         expect = np.array([[flip_probability(0.2, float(w), *args) for w in row] for row in W])
@@ -120,8 +118,8 @@ class TestFlipProbability:
         for T in (0.5, 1.5):
             for eps in (0.5, 2.0):
                 for n in (2_500, 10_000):
-                    rep = flip_rate_check(T, 0.0, eps, lam=0.1, eta=0.15, n=n,
-                                          L=1.0, kappa=1.0, draws=40_000,
+                    noise = lemma_noise(eps, lam=0.1, eta=0.15, n=n, L=1.0, kappa=1.0)
+                    rep = flip_rate_check(T, 0.0, noise, draws=40_000,
                                           seed=hash((T, eps, n)) % 2**32)
                     assert rep.passed, rep.summary()
 
@@ -129,7 +127,7 @@ class TestFlipProbability:
 class TestLemmaScale:
     def test_hand_value(self):
         # 2 L sqrt(kappa) / (eps lam eta sqrt(n)) at the flip-probability fixture
-        b = lemma_noise_scale(1.0, 0.1, 0.15, 10_000, 1.0, 1.0)
+        b = lemma_noise(1.0, 0.1, 0.15, 10_000, 1.0, 1.0).scale
         assert b == pytest.approx(2.0 / (0.1 * 0.15 * 100), rel=1e-12)
 
 

@@ -9,6 +9,7 @@ from stabledp.data_io import synth_classification
 from stabledp.model import Dataset, ObjectiveSpec
 from stabledp.optimizer import ConvergenceError, solve_erm
 from stabledp.privacy import (
+    Noise,
     PrivateRelease,
     calibrate,
     dp_micro_check,
@@ -53,21 +54,46 @@ class TestLaplaceSample:
                 laplace_sample(b, 10, derive_rng(0))
 
 
+class TestNoise:
+    def test_tail_is_the_laplace_tail(self):
+        # P(|b| > t) = exp(-t / scale), checked against draws of the same law
+        noise = Noise(0.4)
+        assert noise.tail(0.0) == 1.0
+        assert noise.tail(0.8) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        draws = laplace_sample(0.4, 200_000, derive_rng(3))
+        assert np.mean(np.abs(draws) > 0.8) == pytest.approx(noise.tail(0.8), abs=3e-3)
+        np.testing.assert_array_equal(noise.tail(np.array([0.0, 0.8])),
+                                      [1.0, noise.tail(0.8)])
+
+    def test_no_noise_has_no_tail(self):
+        with pytest.raises(ValueError, match="scale"):
+            Noise(0.0).tail(1.0)
+
+    def test_calibration_is_optional_but_checked(self):
+        assert Noise(0.3, sensitivity=0.4, epsilon=2.0).calibration is None
+        with pytest.raises(ValueError, match="sensitivity"):
+            Noise(0.3, epsilon=1.0, calibration="derived")
+
+
 class TestPrivateRelease:
+    def test_uncalibrated_record_refused(self):
+        with pytest.raises(ValueError, match="calibrated"):
+            PrivateRelease(np.zeros(2), Noise(0.4))
+
     def test_scale_invariant_enforced(self):
-        with pytest.raises(ValueError, match="noise_scale"):
-            PrivateRelease(np.zeros(2), epsilon=1.0, sensitivity_used=0.4, noise_scale=0.3,
-                           calibration="derived")
+        with pytest.raises(ValueError, match="scale"):
+            PrivateRelease(np.zeros(2), Noise(0.3, sensitivity=0.4, epsilon=1.0,
+                                              calibration="derived"))
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            PrivateRelease(np.zeros(2), epsilon=0.0, sensitivity_used=0.0, noise_scale=0.0,
-                           calibration="derived")
+            PrivateRelease(np.zeros(2), Noise(0.0, sensitivity=0.0, epsilon=0.0,
+                                              calibration="derived"))
 
     def test_unknown_calibration_rejected(self):
         with pytest.raises(ValueError, match="calibration"):
-            PrivateRelease(np.zeros(2), epsilon=1.0, sensitivity_used=0.4, noise_scale=0.4,
-                           calibration="l1")
+            PrivateRelease(np.zeros(2), Noise(0.4, sensitivity=0.4, epsilon=1.0,
+                                              calibration="l1"))
 
 
 def elastic_fixture():
@@ -85,7 +111,7 @@ class TestCalibrate:
             for gamma in (0.1, 0.85, 1.0):
                 for n in (37, 1600, 10_000):
                     cert = beta_elastic_net(1.0, 1.0, n, lam, gamma)
-                    sens, _ = calibrate(cert, 32, 1.0, "verbatim")
+                    sens = calibrate(cert, 32, 1.0, "verbatim").sensitivity
                     assert sens == math.sqrt(2.0 * cert.beta / (lam * gamma))
 
     def test_bad_inputs_rejected(self):
@@ -105,18 +131,18 @@ class TestRelease:
     def test_is_solve_then_certify_then_calibrate_then_perturb(self, calibration):
         S, spec = elastic_fixture(), elastic_spec()
         rel = release(spec, S, 2.0, calibration=calibration, rng=derive_rng(8))
-        sens, scale = calibrate(spec_cert(spec, S.n), S.d, 2.0, calibration)
+        noise = calibrate(spec_cert(spec, S.n), S.d, 2.0, calibration)
         w = solve_erm(spec, S, 1e-8).weights
-        assert (rel.sensitivity_used, rel.noise_scale) == (sens, scale)
-        assert rel.calibration == calibration and rel.epsilon == 2.0
-        np.testing.assert_array_equal(rel.noisy_weights, perturb(w, scale, derive_rng(8)))
+        assert (rel.noise.sensitivity, rel.noise.scale) == (noise.sensitivity, noise.scale)
+        assert rel.noise.calibration == calibration and rel.noise.epsilon == 2.0
+        np.testing.assert_array_equal(rel.noisy_weights, perturb(w, noise, derive_rng(8)))
 
     def test_l2_spec_releases_with_the_derived_calibration(self):
         S = elastic_fixture()
         spec = ObjectiveSpec("logistic", 0.1, penalty="l2")
         rel = release(spec, S, 1.0, calibration="derived", rng=derive_rng(0))
         # beta = 2 / (100 * 0.1) with lambda_sc = 0.1: L2 bound 2, L1 bound 2 sqrt(d)
-        assert rel.noise_scale == pytest.approx(2.0 * math.sqrt(S.d), rel=1e-12)
+        assert rel.noise.scale == pytest.approx(2.0 * math.sqrt(S.d), rel=1e-12)
 
     def test_convergence_error_propagates(self, monkeypatch):
         monkeypatch.setattr(privacy_mod, "solve_erm", functools.partial(solve_erm, max_iters=1))
@@ -130,13 +156,14 @@ class TestOutputPerturb:
 
     def test_zero_sensitivity_returns_exact_weights(self):
         w = np.array([0.5, -0.25])
-        sens, scale = calibrate(user_cert(0.0, 1.0), 2, 1.0, "derived")
-        np.testing.assert_array_equal(perturb(w, scale, derive_rng(0)), w)
-        assert sens == scale == 0.0
+        noise = calibrate(user_cert(0.0, 1.0), 2, 1.0, "derived")
+        np.testing.assert_array_equal(perturb(w, noise, derive_rng(0)), w)
+        assert noise.sensitivity == noise.scale == 0.0
 
     def test_l1_calibration_default_and_verbatim(self):
         cert = beta_l2_erm(1, 1, 100, 0.1)  # sqrt(2 beta / lambda_sc) = 2, so L1 = 4 in d = 4
-        assert calibrate(cert, 4, 2.0, "derived") == (pytest.approx(4.0), pytest.approx(2.0))
+        noise = calibrate(cert, 4, 2.0, "derived")
+        assert (noise.sensitivity, noise.scale) == (pytest.approx(4.0), pytest.approx(2.0))
         # verbatim is stated for the elastic-net constant and nothing else
         knob = stability_knob_scaling(beta_elastic_net(1, 1, 100, 0.1, 0.85), "steps", 1.0, 2.0)
         for other in (cert, user_cert(0.2, 0.1), knob):
@@ -145,8 +172,8 @@ class TestOutputPerturb:
 
     def test_noise_variance_matches_two_b_squared(self):
         # scale 0.4 -> per-coordinate variance 2 * 0.4^2 = 0.32
-        _, scale = calibrate(user_cert(0.08, 1.0), 1, 1.0, "derived")
-        draws = np.array([perturb(np.zeros(1), scale, rng)[0]
+        noise = calibrate(user_cert(0.08, 1.0), 1, 1.0, "derived")
+        draws = np.array([perturb(np.zeros(1), noise, rng)[0]
                           for rng in [derive_rng(10, i) for i in range(20_000)]])
         assert draws.var() == pytest.approx(0.32, rel=0.05)
 
@@ -158,16 +185,17 @@ class TestOutputPerturb:
 
     def test_coordinate_exchangeability(self):
         # marginal statistics of the first and last coordinate agree
-        _, scale = calibrate(user_cert(0.1, 1.0), 5, 1.0, "derived")
+        laplace = calibrate(user_cert(0.1, 1.0), 5, 1.0, "derived")
         rng = derive_rng(20)
-        noise = np.stack([perturb(np.zeros(5), scale, rng) for _ in range(20_000)])
+        noise = np.stack([perturb(np.zeros(5), laplace, rng) for _ in range(20_000)])
         v_first, v_last = noise[:, 0].var(), noise[:, -1].var()
         assert v_first == pytest.approx(v_last, rel=0.06)
 
     def test_infinite_sensitivity_rejected(self):
-        _, scale = calibrate(user_cert(1e308, 1e-10), 1, 1.0, "derived")
+        # the noise record refuses an infinite scale before perturb draws
         with pytest.raises(ValueError, match="finite"):
-            perturb(np.zeros(1), scale, derive_rng(0))
+            perturb(np.zeros(1), calibrate(user_cert(1e308, 1e-10), 1, 1.0, "derived"),
+                    derive_rng(0))
 
 
 class TestPrivateElasticNet:
@@ -175,25 +203,25 @@ class TestPrivateElasticNet:
 
     def test_release_scale_matches_hand_value(self):
         # beta = 2/(100*0.1*0.85) = 0.23529..., scale = sqrt(2 beta/(lam gamma)) = 40/17
-        sens, scale = calibrate(beta_elastic_net(1.0, 1.0, 100, 0.1, 0.85), 3, 1.0, "verbatim")
-        assert sens == pytest.approx(40.0 / 17.0, rel=1e-12)
-        assert scale == pytest.approx(2.3529411764705883, rel=1e-12)
+        noise = calibrate(beta_elastic_net(1.0, 1.0, 100, 0.1, 0.85), 3, 1.0, "verbatim")
+        assert noise.sensitivity == pytest.approx(40.0 / 17.0, rel=1e-12)
+        assert noise.scale == pytest.approx(2.3529411764705883, rel=1e-12)
         rel = release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim",
                       rng=derive_rng(0))
-        assert rel.noise_scale == pytest.approx(40.0 / 17.0, rel=1e-12)
+        assert rel.noise.scale == pytest.approx(40.0 / 17.0, rel=1e-12)
 
     def test_huge_epsilon_recovers_nonprivate_weights(self):
         S, spec = elastic_fixture(), elastic_spec()
         w = solve_erm(spec, S, 1e-8).weights
         rel = release(spec, S, 1e6, calibration="verbatim", rng=derive_rng(3))
-        assert rel.noise_scale == pytest.approx(2.3529411764705883e-06, rel=1e-9)
+        assert rel.noise.scale == pytest.approx(2.3529411764705883e-06, rel=1e-9)
         assert np.max(np.abs(rel.noisy_weights - w)) < 1e-4
 
     def test_gamma_one_degenerates_to_l2_release(self):
         S, spec = elastic_fixture(), elastic_spec(gamma=1.0, eta=0.0)
         rel = release(spec, S, 1.0, calibration="verbatim", rng=derive_rng(4))
         beta = 2.0 / (S.n * 0.1)
-        assert rel.sensitivity_used == pytest.approx(math.sqrt(2 * beta / 0.1), rel=1e-12)
+        assert rel.noise.sensitivity == pytest.approx(math.sqrt(2 * beta / 0.1), rel=1e-12)
         # the trained weights under gamma=1, eta=0 equal the lam||w||^2 L2 fit
         w_l2 = solve_erm(ObjectiveSpec("logistic", 0.2, penalty="l2"),
                          S, 1e-8).weights
@@ -205,7 +233,7 @@ class TestPrivateElasticNet:
         v = release(spec, S, 1.0, calibration="verbatim", rng=derive_rng(0))
         d = release(spec, S, 1.0, calibration="derived", rng=derive_rng(0))
         # verbatim: sqrt(2 beta/(lam gamma)); derived: sqrt(d) * sqrt(2 beta/(2 lam gamma))
-        assert d.noise_scale / v.noise_scale == pytest.approx(
+        assert d.noise.scale / v.noise.scale == pytest.approx(
             math.sqrt(S.d) / math.sqrt(2.0), rel=1e-12
         )
 
@@ -224,7 +252,7 @@ def _bounded_mean_release(scale):
 class TestPerturb:
     def test_adds_laplace_draws_in_row_major_order(self):
         W = np.arange(6.0).reshape(2, 3)
-        out = perturb(W, 0.5, derive_rng(9))
+        out = perturb(W, Noise(0.5), derive_rng(9))
         assert out.shape == W.shape
         assert np.array_equal(out, W + laplace_sample(0.5, 6, derive_rng(9)).reshape(2, 3))
         assert np.array_equal(W, np.arange(6.0).reshape(2, 3))
@@ -232,7 +260,7 @@ class TestPerturb:
     def test_zero_scale_copies_and_draws_nothing(self):
         W = np.arange(3.0)
         rng = derive_rng(9)
-        out = perturb(W, 0.0, rng)
+        out = perturb(W, Noise(0.0), rng)
         assert out is not W and np.array_equal(out, W)
         assert rng.random() == derive_rng(9).random()
 

@@ -100,7 +100,7 @@ class TestSensitivityThm3:
 def test_l1_is_sqrt_d_times_l2(beta, lambda_sc, d):
     # the derived calibration releases with the L1 bound sqrt(d) times the L2 bound
     cert = user_cert(beta, lambda_sc)
-    sens, _ = calibrate(cert, d, 1.0, "derived")
+    sens = calibrate(cert, d, 1.0, "derived").sensitivity
     assert sens == pytest.approx(math.sqrt(d) * sensitivity_via_strong_convexity(cert),
                                  rel=1e-12, abs=1e-300)
 

@@ -6,6 +6,7 @@ import pytest
 
 from stabledp import verify
 from stabledp.data_io import synth_classification
+from stabledp.features import lemma_noise
 from stabledp.model import Dataset, ObjectiveSpec, per_example_loss
 from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from stabledp.rng import derive_rng
@@ -306,8 +307,8 @@ class TestGradientCheck:
 
 class TestFlipRateCheck:
     def test_case1_matches(self):
-        rep = flip_rate_check(1.0, 0.0, 1.0, lam=0.1, eta=0.15, n=10_000,
-                              L=1.0, kappa=1.0, draws=50_000, seed=0)
+        rep = flip_rate_check(1.0, 0.0, lemma_noise(1.0, lam=0.1, eta=0.15, n=10_000,
+                                                    L=1.0, kappa=1.0), draws=50_000, seed=0)
         assert rep.passed
         # a numpy bool or float here would break `verify --out`'s json.dump
         assert type(rep.passed) is bool and type(rep.bound_value) is float
@@ -315,8 +316,8 @@ class TestFlipRateCheck:
     def test_case2_near_boundary_discrepancy_is_reported(self):
         # |w_i| close to T: the closed form ignores sign-crossing mass, the
         # oracle reports the gap instead of hiding it
-        rep = flip_rate_check(0.6, 0.5, 1.0, lam=0.1, eta=0.15, n=10_000,
-                              L=1.0, kappa=1.0, draws=50_000, seed=1)
+        rep = flip_rate_check(0.6, 0.5, lemma_noise(1.0, lam=0.1, eta=0.15, n=10_000,
+                                                    L=1.0, kappa=1.0), draws=50_000, seed=1)
         assert rep.trials == 50_000
         assert "mc_stderr" in rep.details
 
@@ -345,7 +346,7 @@ class TestSampleCounts:
 
     def test_flip_rate_draws(self):
         with pytest.raises(ValueError, match="draws"):
-            flip_rate_check(1.0, 0.0, 1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0,
+            flip_rate_check(1.0, 0.0, lemma_noise(1.0, lam=0.1, eta=0.15, n=100, L=1.0, kappa=1.0),
                             draws=0)
 
     @pytest.mark.parametrize("draws", [0, 1])
