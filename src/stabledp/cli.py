@@ -421,7 +421,9 @@ def _dp_checks(samples: int, seed: int) -> list:
 
     def mean_release(scale):
         def fn(ds: Dataset, rng, size):
-            return float(np.mean(ds.features)) + laplace_sample(scale, size, rng)
+            r = laplace_sample(scale, size, rng)
+            r += float(np.mean(ds.features))
+            return r
         return fn
 
     checks = [

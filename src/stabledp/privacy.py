@@ -128,13 +128,20 @@ def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.n
     """Draw ``count`` independent Laplace(0, b) values by inverse CDF.
 
     Mean 0, variance 2 b^2. The uniform stream comes from the supplied
-    generator, so draws are reproducible.
+    generator, so draws are reproducible. The value is
+    sign(u) * b * -log1p(-2 |u|) for u uniform in [-0.5, 0.5), computed in
+    place in two arrays of ``count`` floats; u = 0 gives +0.0.
     """
     _require("scale_b", scale_b, *_POSITIVE)
-    u = rng.random(count) - 0.5  # in [-0.5, 0.5)
+    u = rng.random(count)
+    u -= 0.5  # in [-0.5, 0.5)
+    mag = np.abs(u)
     # guard the measure-zero u = -0.5 endpoint so log1p never sees -1
-    mag = np.minimum(np.abs(u), np.nextafter(0.5, 0))
-    return -scale_b * np.sign(u) * np.log1p(-2.0 * mag)
+    np.minimum(mag, np.nextafter(0.5, 0), out=mag)
+    mag *= -2.0
+    np.log1p(mag, out=mag)
+    mag *= scale_b
+    return np.copysign(mag, u, out=mag)
 
 
 def perturb(W: np.ndarray, noise: Noise, rng: np.random.Generator) -> np.ndarray:

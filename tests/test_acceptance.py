@@ -247,12 +247,14 @@ def test_criterion_12_determinism(tmp_path):
         meta2 = p2.with_name(p2.stem + ".meta.json")
         if meta1.read_bytes() != meta2.read_bytes():
             mismatches.append(name + ".meta")
-    for suite in ("gradients", "sensitivity", "stability"):
+    # dp and flips are the suites whose draws go through privacy.laplace_sample
+    for suite, sizes in (("gradients", {}), ("sensitivity", {}), ("stability", {}),
+                         ("dp", {"samples": 20_000}), ("flips", {"draws": 5_000})):
         r1, r2 = tmp_path / f"{suite}_1.json", tmp_path / f"{suite}_2.json"
-        cmd_verify(suite, out_path=r1, trials=5, probes=5)
-        cmd_verify(suite, out_path=r2, trials=5, probes=5)
+        cmd_verify(suite, out_path=r1, trials=5, probes=5, **sizes)
+        cmd_verify(suite, out_path=r2, trials=5, probes=5, **sizes)
         if r1.read_bytes() != r2.read_bytes():
             mismatches.append(f"verify {suite}")
     report("criterion 12: byte-identical reruns", not mismatches,
-           "sweep/train/select CSVs + metadata + verify gradients/sensitivity/stability" +
+           "sweep/train/select CSVs + metadata + verify gradients/sensitivity/stability/dp/flips" +
            (f"; mismatches: {mismatches}" if mismatches else ""))

@@ -53,6 +53,31 @@ class TestLaplaceSample:
             with pytest.raises(ValueError):
                 laplace_sample(b, 10, derive_rng(0))
 
+    def test_bit_for_bit_inverse_cdf(self):
+        # the out-of-place inverse CDF, rounding b * log1p(...) once as the in-place one does
+        def reference(b, u):
+            u = u - 0.5
+            return -b * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), np.nextafter(0.5, 0)))
+
+        class Stub:
+            # u = 0 hits the clipped endpoint, u = 0.5 the signed zero
+            U = np.array([0.0, 0.25, 0.5, 1.0 - 2.0**-53])
+
+            def random(self, count):
+                return np.resize(self.U, count)
+
+        for count in (0, 1, 7, 100_000):
+            for b in (0.4, 1.0):
+                u = derive_rng(5, count).random(count)
+                got = laplace_sample(b, count, derive_rng(5, count))
+                assert got.tobytes() == reference(b, u).tobytes()
+                got = laplace_sample(b, count, Stub())
+                assert got.tobytes() == reference(b, Stub().random(count)).tobytes()
+        edges = laplace_sample(1.0, 4, Stub())
+        # u = 0 is clipped to |u - 0.5| = 0.5 - 2^-54, so log1p sees -(1 - 2^-53)
+        assert edges[0] == pytest.approx(math.log(2.0**-53), rel=1e-15) and edges[3] > 0
+        assert edges[2] == 0.0 and math.copysign(1.0, edges[2]) == 1.0
+
 
 class TestNoise:
     def test_tail_is_the_laplace_tail(self):

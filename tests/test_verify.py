@@ -12,7 +12,7 @@ from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
-    _fresh_record,
+    _fresh_rows,
     _neighbor,
     empirical_privacy_error,
     empirical_sensitivity,
@@ -29,27 +29,72 @@ def fixture(n=50, d=5, lam=0.5, seed=5):
     return ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0), S
 
 
-class TestFreshRecord:
+def fresh_record(spec, d, rng):
+    """One fresh record drawn alone, for the scalar reference loops."""
+    (x,), (y,) = _fresh_rows(spec, d, 1, rng)
+    return x, y
+
+
+def record_loop(spec, d, k, rng):
+    """The record-at-a-time sampler that ``_fresh_rows`` must reproduce bit for bit."""
+    rows = []
+    for _ in range(k):
+        v = rng.standard_normal(d)
+        radius = spec.kappa * rng.random() ** (1.0 / d)
+        x = v * (radius / max(float(np.linalg.norm(v)), 1e-300))
+        rows.append((x, (-1.0, 1.0)[rng.integers(2)]))
+    return np.array([x for x, _ in rows]).reshape(k, d), np.array([y for _, y in rows])
+
+
+class TestFreshRows:
+    # recorded when the label was drawn by rng.choice((-1.0, 1.0)); the
+    # oracles' neighbours and probes all come from this stream
+    PINNED = [
+        ([0.750017664263499, 0.36373071438321813, 0.026535692932377654,
+          -0.4243996719532083, -0.16269121819537788], 1.0),
+        ([0.2205951404236716, 0.16307718831560022, -0.06566489155620732,
+          -0.6901780585586285, 0.2590308736108735], 1.0),
+        ([-0.28750440279191, 0.04685110251471966, 0.10330096466077383,
+          0.4064522037146865, 0.6765447264916719], -1.0),
+        ([0.4265772555155679, 0.33464634012461103, -0.048266832604432694,
+          -0.5142105311432495, 0.5175031310267435], -1.0),
+    ]
+    SPEC = ObjectiveSpec("logistic", 0.2)
+
     def test_draws_pinned(self):
-        # recorded when the label was drawn by rng.choice((-1.0, 1.0)); the
-        # oracles' neighbours and probes all come from this stream
-        expected = [
-            ([0.750017664263499, 0.36373071438321813, 0.026535692932377654,
-              -0.4243996719532083, -0.16269121819537788], 1.0),
-            ([0.2205951404236716, 0.16307718831560022, -0.06566489155620732,
-              -0.6901780585586285, 0.2590308736108735], 1.0),
-            ([-0.28750440279191, 0.04685110251471966, 0.10330096466077383,
-              0.4064522037146865, 0.6765447264916719], -1.0),
-            ([0.4265772555155679, 0.33464634012461103, -0.048266832604432694,
-              -0.5142105311432495, 0.5175031310267435], -1.0),
-        ]
-        spec, rng = ObjectiveSpec("logistic", 0.2), derive_rng(0, 26)
-        for x_ref, y_ref in expected:
-            x, y = _fresh_record(spec, 5, rng)
+        rng = derive_rng(0, 26)
+        X, y = _fresh_rows(self.SPEC, 5, 4, rng)
+        assert X.shape == (4, 5) and y.shape == (4,)
+        for x, label, (x_ref, y_ref) in zip(X, y, self.PINNED):
             assert x.tolist() == pytest.approx(x_ref, rel=1e-15, abs=0)
-            assert type(y) is float and y == y_ref
-        # and the stream is left where the old draw left it
+            assert label == y_ref
+        # and the stream is left where the record-at-a-time draw left it
         assert rng.random() == 0.9946670155919738
+
+        # one block and four one-record blocks draw the same stream
+        rng = derive_rng(0, 26)
+        singles = [_fresh_rows(self.SPEC, 5, 1, rng) for _ in range(4)]
+        assert np.concatenate([x for x, _ in singles]).tobytes() == X.tobytes()
+        assert np.concatenate([y for _, y in singles]).tobytes() == y.tobytes()
+        assert rng.random() == 0.9946670155919738
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("k", [0, 1, 50])
+    def test_matches_record_loop(self, d, k):
+        spec = ObjectiveSpec("logistic", 0.2, kappa=0.7)
+        rng, ref_rng = derive_rng(3, d, k), derive_rng(3, d, k)
+        X, y = _fresh_rows(spec, d, k, rng)
+        X_ref, y_ref = record_loop(spec, d, k, ref_rng)
+        assert X.shape == X_ref.shape and X.dtype == X_ref.dtype == np.float64
+        assert y.shape == y_ref.shape and y.dtype == y_ref.dtype == np.float64
+        assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_rows_in_ball_labels_pm1(self):
+        spec = ObjectiveSpec("logistic", 0.2, kappa=0.7)
+        X, y = _fresh_rows(spec, 32, 500, derive_rng(4))
+        assert np.all(np.linalg.norm(X, axis=1) <= 0.7 * (1 + 1e-15))
+        assert set(np.unique(y)) == {-1.0, 1.0}
 
 
 class TestEmpiricalSensitivity:
@@ -131,7 +176,7 @@ class TestBatchedProbesMatchScalarLoop:
                                                   float(S.labels[i])))
             for _ in range(probes):
                 worst_fresh = max(worst_fresh,
-                                  self.gap(spec, base, other, *_fresh_record(spec, S.d, rng)))
+                                  self.gap(spec, base, other, *fresh_record(spec, S.d, rng)))
         rep = empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
         assert worst_in > 0 and worst_fresh > 0
         assert rep.details["in_sample_max"] == pytest.approx(worst_in, rel=1e-12)
@@ -165,7 +210,7 @@ class TestBatchedProbesMatchScalarLoop:
         for _ in range(trials):
             other = sgd_run(spec, _neighbor(spec, S, rng), cfg).weights
             for _ in range(probes):
-                worst = max(worst, self.gap(spec, base, other, *_fresh_record(spec, S.d, rng)))
+                worst = max(worst, self.gap(spec, base, other, *fresh_record(spec, S.d, rng)))
         rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
         assert worst > 0
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
@@ -216,7 +261,7 @@ class TestOracleSolverFailures:
             # probes are drawn for every neighbour, scored only for converged ones
             rows = [(S.features[i], float(S.labels[i]))
                     for i in rng.choice(S.n, size=probes, replace=False)]
-            rows += [_fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
+            rows += [fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
             if other.iterations_used > cap:
                 failures += 1
                 continue
@@ -259,7 +304,7 @@ class TestOracleSolverFailures:
             # probes are drawn for every neighbour, scored only for the kept ones
             rows = [(S.features[i], float(S.labels[i]))
                     for i in rng.choice(S.n, size=probes, replace=False)]
-            rows += [_fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
+            rows += [fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
             if j in kept:
                 worst = max(worst, *(TestBatchedProbesMatchScalarLoop.gap(
                     self.SPEC, W[:, 0], W[:, j], x, y) for x, y in rows))
