@@ -24,7 +24,11 @@ calibrates, and perturbs.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
-proof. It returns the ``OracleReport`` every empirical check returns.
+proof. It returns the ``OracleReport`` every empirical check returns. Its
+window is centred on the pooled median, which ``_median`` takes without
+partitioning the whole pooled sample: a sorted stride subsample brackets
+the middle, and only the values inside the bracket are partitioned. The
+result is the float ``np.median`` returns.
 """
 
 from __future__ import annotations
@@ -35,7 +39,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _COUNT, _NONNEGATIVE, _POSITIVE, Dataset, ObjectiveSpec, _one_of, _require
+from .model import (
+    _COUNT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    Dataset,
+    ObjectiveSpec,
+    _one_of,
+    _require,
+    _require_each,
+)
 from .optimizer import solve_erm
 from .rng import derive_rng
 from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
@@ -207,6 +220,53 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+# the stride of the subsample that brackets the median in ``_median``
+_MEDIAN_STRIDE = 64
+
+
+def _median(x: np.ndarray) -> float:
+    """``float(np.median(x))`` of a 1-D finite float array, bit for bit.
+
+    ``np.median`` partitions a copy of all of x. Here the sorted subsample
+    ``x[::64]`` of m values gives a bracket [lo, hi] of 2 sqrt(m) ranks on
+    each side of its middle, about 4 standard deviations of the rank of a
+    sample median; the values below lo are counted and only those inside
+    the bracket (about 2% of a 2M-value x) are partitioned. When the middle
+    order statistics fall outside the bracket (a tiny or adversarially
+    ordered x), ``np.median`` is taken instead. The one or two middle order
+    statistics are averaged by ``np.mean``, as ``np.median`` averages them.
+    """
+    size = x.size
+    sub = np.sort(x[::_MEDIAN_STRIDE])
+    half = 2 * math.isqrt(sub.size) + 1
+    mid = sub.size // 2
+    lo, hi = sub[max(mid - half, 0)], sub[min(mid + half, sub.size - 1)]
+    keep = x >= lo
+    below = size - int(np.count_nonzero(keep))
+    keep &= x <= hi
+    inside = x[keep]
+    # the 0-based ranks np.median averages, then their offsets in the bracket
+    ranks = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
+    offsets = [r - below for r in ranks]
+    if offsets[0] < 0 or offsets[-1] >= inside.size:
+        return float(np.median(x))
+    inside.partition(offsets)
+    return float(np.mean(inside[offsets]))
+
+
+def _release_of(release_fn, name: str, S: Dataset, seed_key: int, seed: int,
+                samples: int) -> np.ndarray:
+    """``release_fn(S, rng, samples)`` as floats, checked 1-D, ``samples`` long and finite."""
+    r = np.asarray(release_fn(S, derive_rng(seed, seed_key), samples), dtype=float)
+    if r.shape != (samples,):
+        raise ValueError(f"{name} must return a 1-D array of samples={samples} values, "
+                         f"got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"{name} must return finite values, got "
+                         f"{r.size - np.count_nonzero(np.isfinite(r))} non-finite")
+    return r
+
+
 def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
                    bins: int = 20, samples: int = 1_000_000, seed: int = 0,
                    slack: float = 0.05, range_scales: float = 4.0,
@@ -214,11 +274,15 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     """Empirical test of the DP inequality on a 1-D release.
 
     ``release_fn(dataset, rng, size)`` must return ``size`` independent
-    scalar releases. Frequencies are compared bin-by-bin over a window of
-    ``range_scales`` noise scales around the pooled median; the check
-    passes when every adequately-populated bin has a frequency ratio at
-    most exp(epsilon) * (1 + slack). Bins with fewer than ``min_count``
-    samples on either side are reported as inconclusive, not failed.
+    scalar releases, as a 1-D array of finite values; any other return, or
+    ``bins`` or ``min_count`` below 1, a negative ``slack`` or a
+    nonpositive ``range_scales``, raises ValueError. Frequencies are
+    compared bin-by-bin over a window of ``range_scales`` noise scales
+    around the pooled median (``_median``, the float of ``np.median``);
+    the check passes when every adequately-populated bin has a frequency
+    ratio at most exp(epsilon) * (1 + slack). Bins with fewer than
+    ``min_count`` samples on either side are reported as inconclusive, not
+    failed.
 
     The report's bound is that threshold, its empirical value the largest
     bin ratio, and its trials the sample count per dataset. ``details``
@@ -228,11 +292,13 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     """
     # an infinite epsilon gives an infinite threshold, which any release passes
     _require("epsilon", epsilon, *_POSITIVE)
-    _require("samples", samples, *_COUNT)
-    a = np.asarray(release_fn(S, derive_rng(seed, 101), samples), dtype=float)
-    b = np.asarray(release_fn(S_neighbor, derive_rng(seed, 202), samples), dtype=float)
+    _require_each(_COUNT, samples=samples, bins=bins, min_count=min_count)
+    _require("slack", slack, *_NONNEGATIVE)
+    _require("range_scales", range_scales, *_POSITIVE)
+    a = _release_of(release_fn, "release_fn(S)", S, 101, seed, samples)
+    b = _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 202, seed, samples)
     pooled = np.concatenate([a, b])
-    center = float(np.median(pooled))
+    center = _median(pooled)
     # |pooled - center| in place: one fewer 2 * samples array held at once
     np.abs(np.subtract(pooled, center, out=pooled), out=pooled)
     scale_hat = float(np.mean(pooled))  # Laplace MLE scale

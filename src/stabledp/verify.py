@@ -15,6 +15,13 @@ sampler, ``_fresh_rows``: record by record, in a fixed order (normal
 direction, radius uniform, label), into one preallocated block, so a block
 of k records is the stream of k single-record draws. The order is fixed
 because the benchmark reference pins SGD-stability values drawn from it.
+
+The stability oracles score probe loss gaps with one kernel,
+``_loss_gaps``: every (S, neighbor) pair's probes in one batched
+``np.matmul`` of a (t, k, d) probe stack against a (t, d, 2) stack of
+weight pairs. A batched matmul runs the same per-slice product as one
+pair's ``X @ column_stack([w_S, w_S'])``, so every gap is the float a
+pair-at-a-time loop gives (``np.einsum`` rounds differently).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .model import (
     ObjectiveSpec,
     _at_least,
     _loss_values,
+    _margin_loss,
     _require,
     _require_each,
     gradient,
@@ -107,17 +115,25 @@ def _solve_with_neighbors(spec: ObjectiveSpec, S: Dataset, neighbors: list,
     return W[:, 0], [w if ok else None for w, ok in zip(W.T[1:], converged[1:])]
 
 
-def _max_loss_gap(spec: ObjectiveSpec, w_a: np.ndarray, w_b: np.ndarray,
-                  X: np.ndarray, y: np.ndarray) -> float:
-    """max_i |loss(w_a; x_i, y_i) - loss(w_b; x_i, y_i)| over the rows of X, in one batch.
+def _loss_gaps(spec: ObjectiveSpec, w_base: np.ndarray, W: np.ndarray,
+               X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per pair t, max_i |loss(w_base; x_ti, y_ti) - loss(W[:, t]; x_ti, y_ti)|.
 
-    Labels are checked as :func:`per_example_loss` checks them; no rows give 0.
+    ``X`` is a (t, k, d) stack of probe rows and ``y`` their (t, k) labels,
+    one slice per column of the (d, t) ``W``; no rows give 0. The margins
+    of each pair come from one batched ``np.matmul`` of X against a
+    (t, d, 2) stack of (w_base, W[:, t]) pairs, which runs the per-slice
+    product of a lone ``X[t] @ column_stack([w_base, W[:, t]])``, so each
+    gap is the float a pair-at-a-time loop gives. Labels are checked as
+    :func:`per_example_loss` checks them.
     """
-    y = np.asarray(y, dtype=float)
     if spec.loss_kind == "logistic" and not np.all((y == -1.0) | (y == 1.0)):
         raise ValueError(f"logistic loss needs y in {{-1, +1}}, got {np.unique(y)}")
-    losses = _loss_values(spec, np.column_stack([w_a, w_b]), X, y[:, None])
-    return float(np.max(np.abs(losses[:, 0] - losses[:, 1]), initial=0.0))
+    pairs = np.empty((W.shape[1], W.shape[0], 2))
+    pairs[:, :, 0] = w_base
+    pairs[:, :, 1] = W.T
+    losses = _margin_loss(spec, np.matmul(X, pairs), y[:, :, None])
+    return np.max(np.abs(losses[..., 0] - losses[..., 1]), axis=1, initial=0.0)
 
 
 def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
@@ -177,22 +193,27 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     """
     _require_each(_COUNT, trials=trials, probes=probes)
     rng = derive_rng(seed, 22)
-    draws = []
+    neighbors, idx, fresh_X, fresh_y = [], [], [], []
     for _ in range(trials):
-        Sp = _neighbor(spec, S, rng)
-        idx = rng.choice(S.n, size=min(probes, S.n), replace=False)
-        draws.append((Sp, idx, _fresh_rows(spec, S.d, probes, rng)))
-    base, trained = _solve_with_neighbors(spec, S, [Sp for Sp, _, _ in draws], tolerance)
+        neighbors.append(_neighbor(spec, S, rng))
+        idx.append(rng.choice(S.n, size=min(probes, S.n), replace=False))
+        X, y = _fresh_rows(spec, S.d, probes, rng)
+        fresh_X.append(X)
+        fresh_y.append(y)
+    base, trained = _solve_with_neighbors(spec, S, neighbors, tolerance)
     beta = spec_cert(spec, S.n).beta
 
+    kept = [j for j, w in enumerate(trained) if w is not None]
+    failures = trials - len(kept)
     worst_in = worst_fresh = 0.0
-    failures = 0
-    for w, (_, idx, fresh) in zip(trained, draws):
-        if w is None:
-            failures += 1
-            continue
-        worst_in = max(worst_in, _max_loss_gap(spec, base, w, S.features[idx], S.labels[idx]))
-        worst_fresh = max(worst_fresh, _max_loss_gap(spec, base, w, *fresh))
+    if kept:
+        W = np.column_stack([trained[j] for j in kept])
+        rows = np.stack(idx)[kept]
+        # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
+        worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
+                                         S.labels[rows]).tolist()])
+        worst_fresh = max([0.0, *_loss_gaps(spec, base, W, np.stack(fresh_X)[kept],
+                                            np.stack(fresh_y)[kept]).tolist()])
 
     worst = max(worst_in, worst_fresh)
     passed = worst <= beta and failures <= trials * 0.01
@@ -347,8 +368,9 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
              for _ in range(trials)]
     W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg).weights
-    worst = max((_max_loss_gap(spec, W[:, 0], W[:, j], *rows)
-                 for j, (_, rows) in enumerate(pairs, start=1)), default=0.0)
+    X = np.stack([X for _, (X, _) in pairs])
+    y = np.stack([y for _, (_, y) in pairs])
+    worst = max(_loss_gaps(spec, W[:, 0], W[:, 1:], X, y).tolist())
     return OracleReport(
         name="sgd_stability",
         bound_value=worst,

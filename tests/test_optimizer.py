@@ -638,6 +638,46 @@ class TestSDropout:
             j = widest[np.argmax(draws[widest])]
             assert block_rng.random() == row_rngs[j].random()
 
+    @staticmethod
+    def draw_loop(v, s, rng):
+        """s-dropout one draw at a time, testing every row's norm after each draw."""
+        out = np.array(np.atleast_2d(np.asarray(v, dtype=float)))
+        target = s * np.sqrt((out * out).sum(axis=-1))
+        counts = np.count_nonzero(out, axis=1)
+        start = rng.bit_generator.state
+        for c0 in sorted(set(counts.tolist()) - {0}):
+            rng.bit_generator.state = start
+            rows = np.flatnonzero(counts == c0)
+            positions = np.nonzero(out[rows])[1].reshape(rows.size, c0)
+            ranks = list(range(c0))
+            for k in range(c0):
+                block = out[rows]
+                active = np.sqrt((block * block).sum(axis=-1)) > target[rows]
+                if not active.any():
+                    break
+                rank = ranks.pop(rng.integers(c0 - k))
+                out[rows[active], positions[active, rank]] = 0.0
+        return out.reshape(np.shape(v))
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_for_bit_draw_loop(self, s, order):
+        # F-ordered blocks are what sgd_run passes (rows of a transposed gradient)
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            d, rows = int(rng.integers(1, 13)), int(rng.integers(1, 33))
+            V = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-3, 3, size=(rows, 1))
+            # dense blocks (sgd_run's gradients), mixed nonzero counts, zero rows
+            V[rng.random(V.shape) < (0.0, 0.0, 0.2, 0.5)[trial % 4]] = 0.0
+            V[rng.random(rows) < (0.0, 0.3)[trial % 2]] = 0.0
+            V = np.asarray(V, order=order)
+            if trial % 10 == 0:
+                V = V[0]
+            new_rng, old_rng = derive_rng(trial, 2), derive_rng(trial, 2)
+            out = s_dropout(V, s, new_rng)
+            assert out.tobytes() == self.draw_loop(V, s, old_rng).tobytes()
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
 
 class TestClipGradientRows:
     def test_rows_equal_per_row_calls(self):

@@ -339,6 +339,124 @@ class TestDpMicroCheck:
         assert rep.details["bins_inconclusive"] > 0
 
 
+class TestDpMicroCheckGuards:
+    """Every knob and both releases are checked before a bin is counted."""
+
+    def datasets(self):
+        return TestDpMicroCheck().datasets()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_min_count_zero_rejected(self, seed):
+        # min_count=0 once divided by an empty bin: ZeroDivisionError at samples=60
+        S, Sp = self.datasets()
+        with pytest.raises(ValueError, match="min_count"):
+            dp_micro_check(_bounded_mean_release(1 / 40), S, Sp, epsilon=1.0,
+                           samples=60, seed=seed, min_count=0)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"bins": 0}, "bins"),
+        ({"bins": 2.0}, "bins"),
+        ({"slack": -0.01}, "slack"),
+        ({"slack": math.nan}, "slack"),
+        ({"range_scales": 0.0}, "range_scales"),
+        ({"range_scales": math.inf}, "range_scales"),
+    ])
+    def test_bad_knob_rejected(self, kwargs, field):
+        S, Sp = self.datasets()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            dp_micro_check(_bounded_mean_release(1 / 40), S, Sp, epsilon=1.0,
+                           samples=100, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda r: r[: r.size // 2], r"shape \(50,\)"),  # once read as a bin ratio of 5.9
+        (lambda r: r[:, None], r"shape \(100, 1\)"),
+        (lambda r: np.where(np.arange(r.size) == 7, np.nan, r), "1 non-finite"),
+        (lambda r: np.where(np.arange(r.size) < 2, -np.inf, r), "2 non-finite"),
+    ], ids=["half_length", "two_d", "nan", "inf"])
+    @pytest.mark.parametrize("side", ["S", "S_neighbor"])
+    def test_bad_release_rejected(self, bad, match, side):
+        S, Sp = self.datasets()
+        good = _bounded_mean_release(1 / 40)
+
+        def release_fn(ds, rng, size):
+            r = good(ds, rng, size)
+            return bad(r) if ds is (S if side == "S" else Sp) else r
+
+        with pytest.raises(ValueError, match=rf"release_fn\({side}\) must .*{match}"):
+            dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=100, seed=0)
+
+
+class TestMedian:
+    """``_median`` is ``np.median`` bit for bit, with or without its bracket."""
+
+    @staticmethod
+    def check(monkeypatch, x, fallback=False):
+        """_median(x) is np.median(x) to the bit; ``fallback`` says whether it took np.median."""
+        want = float(np.median(x))
+        calls, median = [], np.median
+        monkeypatch.setattr(np, "median", lambda a: calls.append(a.size) or median(a))
+        got = privacy_mod._median(x)
+        monkeypatch.undo()
+        assert got.hex() == want.hex()
+        if fallback is not None:
+            assert calls == ([x.size] if fallback else [])
+
+    @pytest.mark.parametrize("size", [2_000_000, 200_001])
+    def test_laplace_pair(self, monkeypatch, size):
+        rng = derive_rng(1)
+        x = np.concatenate([laplace_sample(0.025, size // 2, rng) + 0.5,
+                            laplace_sample(0.0125, size - size // 2, rng) + 0.49])
+        self.check(monkeypatch, x)
+
+    @pytest.mark.parametrize("grid", [1e-2, 1e-3])
+    def test_ties_at_the_bracket_edges(self, monkeypatch, grid):
+        # a coarse grid puts runs of equal values on lo, hi and the middle
+        x = np.round(laplace_sample(0.025, 400_000, derive_rng(2)) / grid) * grid
+        half = 2 * math.isqrt(x[::privacy_mod._MEDIAN_STRIDE].size) + 1
+        sub = np.sort(x[::privacy_mod._MEDIAN_STRIDE])
+        for edge in (sub[sub.size // 2 - half], sub[sub.size // 2 + half]):
+            assert np.count_nonzero(x == edge) > 100
+        self.check(monkeypatch, x)
+
+    def test_discrete_release(self, monkeypatch):
+        self.check(monkeypatch, derive_rng(3).integers(0, 5, 300_000).astype(float))
+
+    def test_bracket_miss_falls_back(self, monkeypatch):
+        # every subsampled value sits far above the middle of x
+        x = derive_rng(4).standard_normal(100_000)
+        x[::privacy_mod._MEDIAN_STRIDE] = 1e6 + np.arange(x[::privacy_mod._MEDIAN_STRIDE].size)
+        self.check(monkeypatch, x, fallback=True)
+
+    def test_all_equal(self, monkeypatch):
+        self.check(monkeypatch, np.full(200_000, 0.3))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 60, 64, 65, 129, 1000, 4097])
+    def test_small_samples(self, monkeypatch, size):
+        rng = derive_rng(5, size)
+        for _ in range(20):
+            self.check(monkeypatch, rng.standard_normal(size), fallback=None)
+            self.check(monkeypatch, rng.integers(0, 3, size).astype(float), fallback=None)
+
+    @pytest.mark.parametrize("release, samples", [
+        ("laplace", 200_000), ("discrete", 50_000), ("constant", 50_000),
+        ("laplace", 1), ("laplace", 60), ("discrete", 61),
+    ])
+    def test_reports_match_the_full_median(self, monkeypatch, release, samples):
+        # the constant release has a zero Laplace scale and takes the np.std window
+        S, Sp = TestDpMicroCheck().datasets()
+
+        def release_fn(ds, rng, size):
+            if release == "constant":
+                return np.full(size, float(np.mean(ds.features)))
+            r = laplace_sample(1 / 40, size, rng) + float(np.mean(ds.features))
+            return np.round(r * 20) / 20 if release == "discrete" else r
+
+        rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=6)
+        monkeypatch.setattr(privacy_mod, "_median", lambda x: float(np.median(x)))
+        ref = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=6)
+        assert rep.to_dict() == ref.to_dict()
+
+
 class TestWilsonInterval:
     def test_contains_point_estimate(self):
         lo, hi = wilson_interval(50, 1000)

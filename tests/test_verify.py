@@ -7,7 +7,7 @@ import pytest
 from stabledp import verify
 from stabledp.data_io import synth_classification
 from stabledp.features import lemma_noise
-from stabledp.model import Dataset, ObjectiveSpec, per_example_loss
+from stabledp.model import Dataset, ObjectiveSpec, _loss_values, per_example_loss
 from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
@@ -220,6 +220,73 @@ class TestBatchedProbesMatchScalarLoop:
         S01 = Dataset(S.features, (S.labels > 0).astype(float))
         with pytest.raises(ValueError, match="logistic loss needs y"):
             empirical_stability(spec, S01, trials=2, probes=3, seed=0)
+
+
+def max_loss_gap(spec, w_a, w_b, X, y):
+    """One pair's probe loss gap from its own (k, d) @ (d, 2) product, the reference."""
+    losses = _loss_values(spec, np.column_stack([w_a, w_b]), X, np.asarray(y)[:, None])
+    return float(np.max(np.abs(losses[:, 0] - losses[:, 1]), initial=0.0))
+
+
+class TestLossGapsBitForBit:
+    """One batched product scores every pair to the float of its own product."""
+
+    SPECS = TestBatchedProbesMatchScalarLoop.SPECS
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
+    @pytest.mark.parametrize("t, k, d", [(1, 1, 1), (7, 1, 5), (7, 5, 1), (30, 50, 5),
+                                         (4, 25, 32)])
+    def test_kernel(self, spec, t, k, d):
+        rng = derive_rng(t, k, d)
+        base, W = rng.standard_normal(d), rng.standard_normal((d, t))
+        X, y = rng.standard_normal((t, k, d)), rng.choice((-1.0, 1.0), (t, k))
+        gaps = verify._loss_gaps(spec, base, W, X, y)
+        assert gaps.tolist() == [max_loss_gap(spec, base, W[:, j], X[j], y[j])
+                                 for j in range(t)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
+    def test_stability_with_a_failed_column(self, monkeypatch, spec):
+        _, S = fixture()
+        trials, probes, seed, marked = 8, 6, 3, 5
+        solved = []
+
+        def fake(spec, S, tolerance):
+            # the marked column is left above tolerance, its weights far off
+            report = solve_erm(spec, S, tolerance)
+            weights, residuals = report.weights.copy(), report.residuals.copy()
+            weights[:, marked], residuals[marked] = 1e3, 2 * tolerance
+            solved.append(weights)
+            raise ConvergenceError("marked", replace(report, weights=weights,
+                                                     residuals=residuals))
+
+        monkeypatch.setattr(verify, "solve_erm", fake)
+        rep = empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
+        W, rng, worst_in, worst_fresh = solved.pop(), derive_rng(seed, 22), 0.0, 0.0
+        for j in range(1, trials + 1):
+            _neighbor(spec, S, rng)
+            idx = rng.choice(S.n, size=probes, replace=False)
+            X, y = _fresh_rows(spec, S.d, probes, rng)
+            if j != marked:
+                worst_in = max(worst_in, max_loss_gap(spec, W[:, 0], W[:, j],
+                                                      S.features[idx], S.labels[idx]))
+                worst_fresh = max(worst_fresh, max_loss_gap(spec, W[:, 0], W[:, j], X, y))
+        assert rep.details["solver_failures"] == 1
+        assert rep.details["in_sample_max"] == worst_in
+        assert rep.details["fresh_point_max"] == worst_fresh
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
+    def test_sgd_stability(self, spec):
+        _, S = fixture()
+        cfg = SgdConfig(steps_T=30, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=2)
+        trials, probes, seed = 6, 5, 6
+        rng = derive_rng(seed, 26)
+        pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
+                 for _ in range(trials)]
+        W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg).weights
+        worst = max(max_loss_gap(spec, W[:, 0], W[:, j], *rows)
+                    for j, (_, rows) in enumerate(pairs, start=1))
+        rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
+        assert rep.empirical_value == worst
 
 
 class TestOracleSolverFailures:
