@@ -398,8 +398,8 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
 VERIFY_SUITES = ("sensitivity", "stability", "dp", "gradients", "flips", "all")
 
 
-def _oracle_fixture(lam: float, n: int = 50, d: int = 5, seed: int = 5) -> tuple:
-    S, _ = synth_classification(n, d, classes=2, sparsity=d, noise=0.3, seed=seed)
+def _oracle_fixture(lam: float) -> tuple:
+    S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5)
     spec = ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0)
     return spec, S
 
@@ -441,7 +441,7 @@ def _dp_checks(samples: int, seed: int) -> list:
     noise = calibrate(spec_cert(spec, S_erm.n), S_erm.d, 1.0, "derived")
 
     def erm_release(ds: Dataset, rng_, size):
-        w = solve_erm(spec, ds, 1e-9).weights
+        w = solve_erm(spec, ds, verify_mod.SOLVE_TOLERANCE).weights
         return perturb(np.broadcast_to(w[0], size), noise, rng_)
 
     checks.append(("dp_erm_release", dp_micro_check(

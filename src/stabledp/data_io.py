@@ -12,11 +12,9 @@ protocol the sweep commands reproduce.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import shutil
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -302,6 +300,7 @@ ENV_SHA256 = "STABLEDP_FETCH_SHA256"
 
 
 def _sha256_of(path: Path) -> str:
+    import hashlib  # only fetch needs it: not imported with the package
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -388,6 +387,7 @@ def fetch_dataset(name: str, destination, url: str | None = None,
         return sha256 is None or _sha256_of(p) == sha256
 
     if not (raw_cached.exists() and checksum_ok(raw_cached)):
+        import urllib.request  # slow to import, and only a download needs it
         part = raw_cached.with_suffix(".part")
         try:
             with urllib.request.urlopen(url) as resp, open(part, "wb") as out:

@@ -228,7 +228,7 @@ class ObjectiveSpec:
     def l1_coefficient(self) -> float:
         """c such that the nonsmooth penalty is c * ||w||_1."""
         if self.penalty == "elastic":
-            return self.lam * (self.eta if self.eta is not None else 1.0 - self.gamma)
+            return self.lam * self.eta
         return 0.0
 
     @property

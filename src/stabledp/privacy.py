@@ -47,7 +47,6 @@ from .model import (
     ObjectiveSpec,
     _one_of,
     _require,
-    _require_each,
 )
 from .optimizer import solve_erm
 from .rng import derive_rng
@@ -66,6 +65,13 @@ __all__ = [
 ]
 
 CALIBRATIONS = ("verbatim", "derived")
+
+# ``dp_micro_check``'s bins, their half-width in estimated noise scales, the
+# count a bin needs on both sides to be checked, and the slack on exp(epsilon)
+_BINS = 20
+_RANGE_SCALES = 4.0
+_MIN_COUNT = 25
+_SLACK = 0.05
 
 
 @dataclass
@@ -191,7 +197,7 @@ def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> 
 
 
 def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str,
-            rng: np.random.Generator, tolerance: float = 1e-8) -> PrivateRelease:
+            rng: np.random.Generator) -> PrivateRelease:
     """Train ``spec`` on S, then release its weights with calibrated Laplace noise.
 
     Requires every feature row to satisfy the spec's kappa bound (the
@@ -205,15 +211,15 @@ def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str
             f"feature rows violate the kappa bound: max norm {max_norm:.6g} > kappa={spec.kappa}"
         )
     noise = calibrate(spec_cert(spec, S.n), S.d, epsilon, calibration)
-    return PrivateRelease(perturb(solve_erm(spec, S, tolerance).weights, noise, rng), noise)
+    return PrivateRelease(perturb(solve_erm(spec, S).weights, noise, rng), noise)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Wilson score interval, at z = 3, for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
-    z2 = z * z
+    z, z2 = 3.0, 9.0
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
@@ -268,21 +274,17 @@ def _release_of(release_fn, name: str, S: Dataset, seed_key: int, seed: int,
 
 
 def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
-                   bins: int = 20, samples: int = 1_000_000, seed: int = 0,
-                   slack: float = 0.05, range_scales: float = 4.0,
-                   min_count: int = 25) -> OracleReport:
+                   samples: int = 1_000_000, seed: int = 0) -> OracleReport:
     """Empirical test of the DP inequality on a 1-D release.
 
     ``release_fn(dataset, rng, size)`` must return ``size`` independent
-    scalar releases, as a 1-D array of finite values; any other return, or
-    ``bins`` or ``min_count`` below 1, a negative ``slack`` or a
-    nonpositive ``range_scales``, raises ValueError. Frequencies are
-    compared bin-by-bin over a window of ``range_scales`` noise scales
-    around the pooled median (``_median``, the float of ``np.median``);
-    the check passes when every adequately-populated bin has a frequency
-    ratio at most exp(epsilon) * (1 + slack). Bins with fewer than
-    ``min_count`` samples on either side are reported as inconclusive, not
-    failed.
+    scalar releases, as a 1-D array of finite values; any other return
+    raises ValueError. Frequencies are compared over 20 equal bins that
+    span 4 estimated noise scales either side of the pooled median
+    (``_median``, the float of ``np.median``); the check passes when every
+    adequately-populated bin has a frequency ratio at most
+    exp(epsilon) * (1 + 0.05), the slack. Bins with fewer than 25 samples
+    on either side are reported as inconclusive, not failed.
 
     The report's bound is that threshold, its empirical value the largest
     bin ratio, and its trials the sample count per dataset. ``details``
@@ -292,9 +294,7 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     """
     # an infinite epsilon gives an infinite threshold, which any release passes
     _require("epsilon", epsilon, *_POSITIVE)
-    _require_each(_COUNT, samples=samples, bins=bins, min_count=min_count)
-    _require("slack", slack, *_NONNEGATIVE)
-    _require("range_scales", range_scales, *_POSITIVE)
+    _require("samples", samples, *_COUNT)
     a = _release_of(release_fn, "release_fn(S)", S, 101, seed, samples)
     b = _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 202, seed, samples)
     pooled = np.concatenate([a, b])
@@ -305,19 +305,19 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     del pooled
     if scale_hat <= 0:
         scale_hat = max(float(np.std(np.concatenate([a, b]))), 1e-12)
-    edges = np.linspace(center - range_scales * scale_hat,
-                        center + range_scales * scale_hat, bins + 1)
+    edges = np.linspace(center - _RANGE_SCALES * scale_hat,
+                        center + _RANGE_SCALES * scale_hat, _BINS + 1)
     count_a, _ = np.histogram(a, bins=edges)
     count_b, _ = np.histogram(b, bins=edges)
 
     limit = math.exp(epsilon)
-    threshold = limit * (1.0 + slack)
+    threshold = limit * (1.0 + _SLACK)
     max_ratio = 0.0
     checked = inconclusive = confident = 0
     table = []
-    for i in range(bins):
+    for i in range(_BINS):
         ca, cb = int(count_a[i]), int(count_b[i])
-        if min(ca, cb) < min_count:
+        if min(ca, cb) < _MIN_COUNT:
             inconclusive += 1
             table.append({"bin": i, "count_a": ca, "count_b": cb, "ratio": None})
             continue
@@ -340,7 +340,7 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
         trials=samples,
         margin=threshold - max_ratio,
         passed=checked > 0 and max_ratio <= threshold,
-        details={"epsilon": epsilon, "slack": slack, "bins_checked": checked,
+        details={"epsilon": epsilon, "slack": _SLACK, "bins_checked": checked,
                  "bins_inconclusive": inconclusive,
                  "confident_violations": confident, "bin_table": table},
     )

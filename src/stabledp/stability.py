@@ -21,9 +21,10 @@ strong-convexity constant of the full objective, not the raw regularization
 weight. This module states how far weights can move;
 turning that into a Laplace scale is ``privacy.calibrate``'s job.
 
-Relative scalings for optimizer knobs (steps, step size, batch size,
-dropout rate, clipping bound) are big-O rows without constants, so
-``stability_knob_scaling`` only ever multiplies an existing certificate.
+Table 1's relative scalings for optimizer knobs (steps, step size, batch
+size, dropout rate, clipping bound) are big-O rows without constants, so
+``stability_knob_scaling`` gives a multiplier, never a certificate; every
+certificate comes from the two formulas above or ``user_cert``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
     "SCALING_KNOBS",
 ]
 
-PROVENANCES = ("l2_erm", "elastic_net", "user_supplied", "knob_scaled")
+PROVENANCES = ("l2_erm", "elastic_net", "user_supplied")
 SCALING_KNOBS = ("steps", "step_size", "batch", "dropout", "clip")
 
 
@@ -65,15 +66,12 @@ SCALING_KNOBS = ("steps", "step_size", "batch", "dropout", "clip")
 class StabilityCert:
     """A uniform-stability constant with provenance.
 
-    ``lambda_sc`` is the strong-convexity constant the beta pairs with;
-    ``scaling_factors`` records every knob multiplier applied on top of the
-    base formula.
+    ``lambda_sc`` is the strong-convexity constant the beta pairs with.
     """
 
     beta: float
     lambda_sc: float
     provenance: str
-    scaling_factors: tuple = ()
 
     def __post_init__(self):
         _require("beta", self.beta, *_NONNEGATIVE)
@@ -162,26 +160,18 @@ def privacy_error_bound(L: float, d: int, epsilon: float, cert: StabilityCert) -
     return (L * d / epsilon) * math.sqrt(2.0 * cert.beta / cert.lambda_sc)
 
 
-def stability_knob_scaling(base_cert: StabilityCert, knob: str, old_value: float, new_value: float,
-                   lipschitz_L: float | None = None) -> StabilityCert:
-    """Rescale a stability certificate when one optimizer knob moves.
+def stability_knob_scaling(knob: str, old_value: float, new_value: float,
+                           lipschitz_L: float | None = None) -> float:
+    """Table 1's multiplier on beta when one optimizer knob moves.
 
-    Relative multipliers only (the underlying scalings are big-O without
-    constants): steps, step_size, and dropout scale beta by new/old;
-    batch by old/new; clip by min(G_new, L) / min(G_old, L).
+    A big-O ratio without constants: steps, step_size, and dropout scale
+    beta by new/old; batch by old/new; clip by min(G_new, L) / min(G_old, L).
     """
     _require("knob", knob, *_one_of(SCALING_KNOBS))
     _require_each(_POSITIVE, old_value=old_value, new_value=new_value)
     if knob in ("steps", "step_size", "dropout"):
-        mult = new_value / old_value
-    elif knob == "batch":
-        mult = old_value / new_value
-    else:  # clip
-        _require("lipschitz_L", lipschitz_L, *_POSITIVE)
-        mult = min(new_value, lipschitz_L) / min(old_value, lipschitz_L)
-    return StabilityCert(
-        beta=base_cert.beta * mult,
-        lambda_sc=base_cert.lambda_sc,
-        provenance="knob_scaled",
-        scaling_factors=base_cert.scaling_factors + ((knob, mult),),
-    )
+        return new_value / old_value
+    if knob == "batch":
+        return old_value / new_value
+    _require("lipschitz_L", lipschitz_L, *_POSITIVE)  # clip
+    return min(new_value, lipschitz_L) / min(old_value, lipschitz_L)

@@ -154,48 +154,36 @@ class TestPrivacyErrorBound:
 
 
 class TestTable1Scaling:
-    def base(self):
-        return user_cert(0.4, 0.2)
+    """The multiplier on beta, a float and never a certificate."""
 
     def test_dropout_halves(self):
-        out = stability_knob_scaling(self.base(), "dropout", 1.0, 0.5)
-        assert out.beta == pytest.approx(0.2)
-        assert out.provenance == "knob_scaled"
-        assert out.scaling_factors == (("dropout", 0.5),)
+        assert stability_knob_scaling("dropout", 1.0, 0.5) == pytest.approx(0.5)
 
     def test_batch_doubling_halves(self):
-        assert stability_knob_scaling(self.base(), "batch", 32, 64).beta == pytest.approx(0.2)
+        assert stability_knob_scaling("batch", 32, 64) == pytest.approx(0.5)
 
     def test_steps_and_step_size_linear(self):
-        assert stability_knob_scaling(self.base(), "steps", 100, 300).beta == pytest.approx(1.2)
-        assert stability_knob_scaling(self.base(), "step_size", 0.1, 0.05).beta == pytest.approx(0.2)
+        assert stability_knob_scaling("steps", 100, 300) == pytest.approx(3.0)
+        assert stability_knob_scaling("step_size", 0.1, 0.05) == pytest.approx(0.5)
 
     def test_identity(self):
-        assert stability_knob_scaling(self.base(), "steps", 7, 7).beta == pytest.approx(0.4)
+        assert stability_knob_scaling("steps", 7, 7) == 1.0
 
     def test_clip_uses_min_with_lipschitz(self):
         # below L: linear in G; above L: saturates
-        out = stability_knob_scaling(self.base(), "clip", 0.5, 0.25, lipschitz_L=1.0)
-        assert out.beta == pytest.approx(0.2)
-        out = stability_knob_scaling(self.base(), "clip", 2.0, 3.0, lipschitz_L=1.0)
-        assert out.beta == pytest.approx(0.4)
+        assert stability_knob_scaling("clip", 0.5, 0.25, lipschitz_L=1.0) == pytest.approx(0.5)
+        assert stability_knob_scaling("clip", 2.0, 3.0, lipschitz_L=1.0) == 1.0
 
     def test_clip_requires_lipschitz(self):
         for L in (None, 0.0, math.nan):
             with pytest.raises(ValueError, match="lipschitz"):
-                stability_knob_scaling(self.base(), "clip", 1.0, 0.5, lipschitz_L=L)
+                stability_knob_scaling("clip", 1.0, 0.5, lipschitz_L=L)
 
     def test_unsupported_knob_lists_supported(self):
         with pytest.raises(ValueError) as err:
-            stability_knob_scaling(self.base(), "momentum", 1, 2)
+            stability_knob_scaling("momentum", 1, 2)
         for knob in ("steps", "step_size", "batch", "dropout", "clip"):
             assert knob in str(err.value)
-
-    def test_factors_accumulate(self):
-        out = stability_knob_scaling(self.base(), "dropout", 1.0, 0.5)
-        out = stability_knob_scaling(out, "batch", 16, 32)
-        assert out.scaling_factors == (("dropout", 0.5), ("batch", 0.5))
-        assert out.beta == pytest.approx(0.1)
 
 
 class TestCertValidation:
@@ -210,5 +198,7 @@ class TestCertValidation:
                 StabilityCert(beta=0.1, lambda_sc=lambda_sc, provenance="user_supplied")
 
     def test_unknown_provenance_rejected(self):
-        with pytest.raises(ValueError):
-            StabilityCert(beta=0.1, lambda_sc=1.0, provenance="guessed")
+        # a Table 1 multiplier has no constants, so no certificate is knob-scaled
+        for provenance in ("guessed", "knob_scaled"):
+            with pytest.raises(ValueError):
+                StabilityCert(beta=0.1, lambda_sc=1.0, provenance=provenance)
