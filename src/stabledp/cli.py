@@ -164,11 +164,6 @@ class SweepConfig:
             # kappa is the logistic loss's constant; the squared loss has none
             raise ConfigError("lipschitz_L: must be set for the squared loss")
 
-    @property
-    def L(self) -> float:
-        """The loss's Lipschitz constant: ``lipschitz_L``, else kappa (logistic)."""
-        return self.lipschitz_L if self.lipschitz_L is not None else self.dataset.kappa
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -241,17 +236,17 @@ def build_dataset(cfg: SweepConfig) -> Dataset:
 
 def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
     return ObjectiveSpec(cfg.loss_kind, lam, penalty="elastic", gamma=cfg.gamma,
-                         eta=cfg.eta, kappa=cfg.dataset.kappa, lipschitz_L=cfg.L)
+                         eta=cfg.eta, kappa=cfg.dataset.kappa, lipschitz_L=cfg.lipschitz_L)
 
 
-def train_models(cfg: SweepConfig, lam: float, train: Dataset, classes: np.ndarray) -> np.ndarray:
+def train_models(cfg: SweepConfig, spec: ObjectiveSpec, train: Dataset,
+                 classes: np.ndarray) -> np.ndarray:
     """One-vs-rest weights, one row per model (a single row for binary labels).
 
     Every class is one column of a single block solve.
     """
     Y = as_signed_labels(train.labels, positive=classes[1:] if classes.size == 2 else classes)
-    return solve_erm(_objective(cfg, lam), Dataset(train.features, Y),
-                     cfg.tolerance, cfg.max_iters).weights.T
+    return solve_erm(spec, Dataset(train.features, Y), cfg.tolerance, cfg.max_iters).weights.T
 
 
 def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -279,23 +274,25 @@ def _write_rows(path: Path, columns: list, rows: list) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented, key-sorted JSON, making the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_outputs(out_dir, command: str, cfg: SweepConfig, columns: list, rows: list,
                    extra: dict | None = None) -> Path:
     """Write ``<command>.csv`` and its ``<command>.meta.json`` sidecar; return the CSV path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the sidecar goes first: its writer makes out_dir
+    _write_json(out_dir / f"{command}.meta.json", {
+        "schema_version": SCHEMA_VERSION, "command": command, "columns": columns,
+        "config": cfg.to_dict(), **(extra or {})})
     csv_path = out_dir / f"{command}.csv"
     _write_rows(csv_path, columns, rows)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "columns": columns,
-        "config": cfg.to_dict(),
-    }
-    meta.update(extra or {})
-    with open(out_dir / f"{command}.meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return csv_path
 
 
@@ -304,13 +301,14 @@ def _std(values: list) -> float:
 
 
 def _cells(cfg: SweepConfig, epsilons, stream: int):
-    """Yield ``(lam, eps, noise, cert, classes, runs)`` per lambda x epsilon cell.
+    """Yield ``(spec, eps, noise, cert, classes, runs)`` per lambda x epsilon cell.
 
-    ``runs`` holds one ``(train, test, W, noisy W)`` tuple per split. Models
-    are trained once per (lambda, split) and shared by every epsilon. All
-    splits have the same training size, so one certificate and one ``Noise``
-    serve the whole cell. Split r draws its noise from the stream keyed
-    (master seed, ``stream``, lambda bits, epsilon bits, r).
+    ``runs`` holds one ``(train, test, W, noisy W)`` tuple per split. Each
+    lambda's ``ObjectiveSpec``, certificate and per-split models are built
+    once, before its epsilons, and shared by every epsilon. All splits have
+    the same training size, so one certificate and one ``Noise`` serve the
+    whole cell. Split r draws its noise from the stream keyed (master seed,
+    ``stream``, lambda bits, epsilon bits, r).
     """
     S = build_dataset(cfg)
     try:
@@ -318,27 +316,24 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
     except ValueError as exc:  # a side left empty
         raise ConfigError(f"split.train_fraction: {exc}") from exc
     classes = np.unique(S.labels)
-    cache: dict = {}
     for lam in cfg.lambda_grid:
+        spec = _objective(cfg, lam)
+        cert = spec_cert(spec, splits[0][0].n)
+        models = [train_models(cfg, spec, train, classes) for train, _ in splits]
         for eps in epsilons:
-            cert = spec_cert(_objective(cfg, lam), splits[0][0].n)
             scale = float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0
             noise = (calibrate(cert, S.d, eps, cfg.scale_mode)
                      if cfg.noise_mode == "stability_optimal" else Noise(scale))
-            runs = []
-            for r, (train, test) in enumerate(splits):
-                if (lam, r) not in cache:
-                    cache[lam, r] = train_models(cfg, lam, train, classes)
-                W = cache[lam, r]
-                rng = derive_rng(cfg.master_seed, stream, float_key(lam), float_key(eps), r)
-                runs.append((train, test, W, perturb(W, noise, rng)))
-            yield lam, eps, noise, cert, classes, runs
+            runs = [(train, test, W, perturb(W, noise, derive_rng(
+                        cfg.master_seed, stream, float_key(lam), float_key(eps), r)))
+                    for r, ((train, test), W) in enumerate(zip(splits, models))]
+            yield spec, eps, noise, cert, classes, runs
 
 
 def _accuracy_rows(cfg: SweepConfig, epsilons) -> list:
     rows = []
-    for lam, eps, noise, cert, classes, runs in _cells(cfg, epsilons, 31):
-        cell = [lam, eps, cfg.noise_mode, noise.scale, cert.beta,
+    for spec, eps, noise, cert, classes, runs in _cells(cfg, epsilons, 31):
+        cell = [spec.lam, eps, cfg.noise_mode, noise.scale, cert.beta,
                 sensitivity_via_strong_convexity(cert)]
         accs = [accuracy(noisy, classes, test) for _, test, _, noisy in runs]
         rows += [cell + [r, acc, None] for r, acc in enumerate(accs)]
@@ -368,15 +363,16 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
         _require("eta", cfg.eta, *_POSITIVE, ConfigError)
     rows, flip_rows = [], []
-    for lam, eps, noise, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
+    for spec, eps, noise, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
+        lam = spec.lam
         T = noise.threshold(cfg.threshold_k) if cfg.threshold_mode == "dynamic" else cfg.static_T
         cell = [lam, eps, cfg.noise_mode, noise.scale, cfg.threshold_mode, T]
         W = np.stack([w.ravel() for _, _, w, _ in runs])
         keep = select_features(W, 0.0)
         keep_priv = select_features(np.stack([noisy.ravel() for *_, noisy in runs]), T)
         f1s, flips = f1_similarity(keep, keep_priv), keep != keep_priv
-        pred = (flip_probability(T, W, lemma_noise(eps, lam, cfg.eta, runs[0][0].n, cfg.L,
-                                                   cfg.dataset.kappa))
+        pred = (flip_probability(T, W, lemma_noise(eps, lam, spec.eta, runs[0][0].n, spec.L,
+                                                   spec.kappa))
                 if T > 0 and noise.scale > 0 else np.zeros(W.shape))
         obs_rates, pred_rates = flips.mean(axis=1), pred.mean(axis=1)
         rows += [cell + [r, *vals, None]
@@ -490,11 +486,13 @@ def run_verify_suite(suite: str, trials: int = 200, probes: int = 50,
     return results
 
 
-def cmd_verify(suite: str, out_path=None, trials: int = 200, probes: int = 50,
-               samples: int = 1_000_000, draws: int = 100_000, seed: int = 0) -> int:
-    """Run a verify suite, print one line per check, return a process exit code."""
-    results = run_verify_suite(suite, trials=trials, probes=probes,
-                               samples=samples, draws=draws, seed=seed)
+def cmd_verify(suite: str, out_path=None, **sizes) -> int:
+    """Run a verify suite, print one line per check, return a process exit code.
+
+    ``sizes`` (trials, probes, samples, draws, seed) go to :func:`run_verify_suite`,
+    which holds their defaults.
+    """
+    results = run_verify_suite(suite, **sizes)
     all_ok = True
     payload = []
     for name, report, expected, ok in results:
@@ -505,10 +503,8 @@ def cmd_verify(suite: str, out_path=None, trials: int = 200, probes: int = 50,
         payload.append({"name": name, "expected_pass": expected, "ok": ok,
                         "report": report.to_dict()})
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"schema_version": SCHEMA_VERSION, "suite": suite,
-                       "all_ok": all_ok, "checks": payload}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_path, {"schema_version": SCHEMA_VERSION, "suite": suite,
+                               "all_ok": all_ok, "checks": payload})
     return 0 if all_ok else 1
 
 
@@ -572,13 +568,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         _add_config_flags(p)
 
-    pv = sub.add_parser("verify")
+    # an oracle size left out is not set here: run_verify_suite holds the defaults
+    pv = sub.add_parser("verify", argument_default=argparse.SUPPRESS)
     pv.add_argument("suite", choices=VERIFY_SUITES)
     pv.add_argument("--out", type=Path, default=None, help="JSON report path")
-    for flag, default in (("--trials", 200), ("--probes", 50), ("--samples", 1_000_000),
-                          ("--draws", 100_000)):
-        pv.add_argument(flag, type=_positive_int, default=default)
-    pv.add_argument("--seed", type=int, default=0)
+    for flag in ("--trials", "--probes", "--samples", "--draws"):
+        pv.add_argument(flag, type=_positive_int)
+    pv.add_argument("--seed", type=int)
 
     pf = sub.add_parser("fetch")
     pf.add_argument("name")
@@ -591,9 +587,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        return cmd_verify(args.suite, out_path=args.out, trials=args.trials,
-                          probes=args.probes, samples=args.samples,
-                          draws=args.draws, seed=args.seed)
+        sizes = {k: v for k, v in vars(args).items() if k not in ("command", "suite", "out")}
+        return cmd_verify(args.suite, args.out, **sizes)
     if args.command == "fetch":
         try:
             path = fetch_dataset(args.name, args.dest, url=args.url, sha256=args.sha256,

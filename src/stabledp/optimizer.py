@@ -18,7 +18,8 @@ trains a block of same-shape datasets, such as S and its neighbours, as
 the columns of one iterate: every column sees the same batch indices and
 the same per-step dropout stream, which is the coupling of the uniform
 stability argument (Hardt, Recht & Singer 2016), and each column equals its
-own single-dataset run to rounding.
+own single-dataset run to rounding. It returns its weights alone: a run of
+T steps certifies no residual, so it makes no ``SolveReport``.
 """
 
 from __future__ import annotations
@@ -107,26 +108,28 @@ class SgdConfig:
 
 @dataclass
 class SolveReport:
-    """Result of a solve: weights plus optimality/convergence diagnostics.
+    """Result of a ``solve_erm`` call: weights plus optimality diagnostics.
 
-    ``loss_gap_bound`` is an upper bound on objective(w) - objective(w*);
-    it feeds the sensitivity correction for inexact minimizers. With
-    ``objective``, the full objective at ``weights`` (``solve_erm`` only),
-    it brackets the optimum: objective - loss_gap_bound <= F* <= objective.
+    ``final_gradient_norm`` is the gradient-mapping residual at ``weights``
+    and ``loss_gap_bound`` the bound residual^2 / (2 lambda_sc) it gives on
+    objective(w) - objective(w*); it feeds the sensitivity correction for
+    inexact minimizers. With ``objective``, the full objective at
+    ``weights``, it brackets the optimum:
+    objective - loss_gap_bound <= F* <= objective.
 
     For a block solve (``weights`` of shape (d, m)) ``iterations_used``
     counts block iterations, ``final_gradient_norm`` and ``loss_gap_bound``
     are the maxima over the m columns, and ``objective`` and ``residuals``
-    hold each column's own value (``solve_erm`` only), so a failed block
-    tells which columns stayed above tolerance.
+    hold each column's own value, so a failed block tells which columns
+    stayed above tolerance.
     """
 
     weights: np.ndarray
     final_gradient_norm: float
     iterations_used: int
-    loss_gap_bound: float | None = None
+    loss_gap_bound: float
+    objective: float | np.ndarray
     residuals: np.ndarray | None = None
-    objective: float | np.ndarray | None = None
 
     def __post_init__(self):
         _require("final_gradient_norm", self.final_gradient_norm, *_NONNEGATIVE)
@@ -249,9 +252,8 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
 def _solve_report(spec: ObjectiveSpec, S: Dataset | _Stack, w: np.ndarray,
                   residual: np.ndarray, iterations: int, lam_sc: float) -> SolveReport:
     worst = float(np.max(residual))
-    return SolveReport(w, worst, iterations, loss_gap_bound=worst * worst / (2.0 * lam_sc),
-                       residuals=residual if residual.ndim else None,
-                       objective=objective(spec, w, S))
+    return SolveReport(w, worst, iterations, worst * worst / (2.0 * lam_sc),
+                       objective(spec, w, S), residual if residual.ndim else None)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -321,7 +323,7 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig) -> SolveReport:
+def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig) -> np.ndarray:
     """Run T steps of minibatch proximal SGD; bit-reproducible given the seed.
 
     Per step: draw the next without-replacement batch, compute the smooth
@@ -338,8 +340,8 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
     every row drawing from the step's fresh ``derive_rng(seed, 1, t)``. So
     each column equals its own single-dataset run to rounding, and a run on
     S with its neighbours is the paired run of uniform stability. Every
-    column starts from zero. ``final_gradient_norm`` is the maximum over the
-    columns of the full-data gradient norm.
+    column starts from zero. Only the weights are returned: the run takes
+    no gradient beyond its T batch gradients.
     """
     one = isinstance(S, Dataset)
     block = _stack([S] if one else S)
@@ -373,23 +375,19 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
             avg += cfg.averaging[t] * W
 
     result = avg if avg is not None else W
-    grad_norm = float(np.max(_row_norms(gradient(spec, result, block).T)))
-    return SolveReport(
-        weights=result[:, 0] if one else result,
-        final_gradient_norm=grad_norm,
-        iterations_used=cfg.steps_T,
-    )
+    return result[:, 0] if one else result
 
 
-def convergence_sensitivity_correction(base_sensitivity: float, report: SolveReport,
+def convergence_sensitivity_correction(base_sensitivity: float, loss_gap_bound: float,
                                        lambda_sc: float) -> float:
     """Inflate a sensitivity bound for an inexact minimizer.
 
-    Returns base + 2 * delta where delta = sqrt(2 * gap / lambda_sc) is the
-    weight-gap bound that strong convexity gives from the report's loss gap.
+    Returns base + 2 * delta where delta = sqrt(2 * loss_gap_bound / lambda_sc)
+    is the weight-gap bound that strong convexity gives from a bound on
+    objective(w) - objective(w*): a report's ``loss_gap_bound`` or, before
+    any solve, ``tolerance**2 / (2 lambda_sc)``.
     """
     _require("lambda_sc", lambda_sc, *_POSITIVE)
     _require("base_sensitivity", base_sensitivity, *_NONNEGATIVE)
-    if report.loss_gap_bound is None:
-        raise ValueError("report carries no loss-gap bound")
-    return base_sensitivity + 2.0 * math.sqrt(2.0 * report.loss_gap_bound / lambda_sc)
+    _require("loss_gap_bound", loss_gap_bound, *_NONNEGATIVE)
+    return base_sensitivity + 2.0 * math.sqrt(2.0 * loss_gap_bound / lambda_sc)

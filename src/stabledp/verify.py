@@ -33,6 +33,7 @@ import numpy as np
 from .features import flip_probability, select_features
 from .model import (
     _COUNT,
+    _POSITIVE,
     Dataset,
     ObjectiveSpec,
     _at_least,
@@ -242,6 +243,7 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
     observed mean is below the bound plus three Monte-Carlo standard
     errors; the standard error needs ``draws >= 2``.
     """
+    _require("epsilon", epsilon, *_POSITIVE)
     _require("draws", draws, *_at_least(2))
     base = solve_erm(spec, S, SOLVE_TOLERANCE)
     cert = spec_cert(spec, S.n)
@@ -371,7 +373,7 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     rng = derive_rng(seed, 26)
     pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
              for _ in range(trials)]
-    W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg).weights
+    W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg)
     X = np.stack([X for _, (X, _) in pairs])
     y = np.stack([y for _, (_, y) in pairs])
     worst = max(_loss_gaps(spec, W[:, 0], W[:, 1:], X, y).tolist())

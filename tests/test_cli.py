@@ -21,6 +21,7 @@ from stabledp.cli import (
 )
 from stabledp.data_io import SplitPlan
 from stabledp.features import lemma_noise
+from stabledp.model import ObjectiveSpec
 
 
 def tiny_config(**overrides):
@@ -147,7 +148,8 @@ class TestSweep:
         n_train = int(0.8 * 120)
         for row in rows:
             lam, eps = float(row["lambda"]), float(row["epsilon"])
-            beta = 2.0 * cfg.L**2 * 1.0 / (n_train * lam * cfg.gamma)
+            L = ObjectiveSpec("logistic", lam, kappa=cfg.dataset.kappa).L
+            beta = 2.0 * L**2 * 1.0 / (n_train * lam * cfg.gamma)
             assert float(row["beta"]) == pytest.approx(beta, rel=1e-12)
             sens_l2 = math.sqrt(2 * beta / (2 * lam * cfg.gamma))
             # stability-optimal scale reproduces the release formula per cell;
@@ -160,6 +162,18 @@ class TestSweep:
         assert len(rows) == 2 * 2 * (3 + 1)
         agg = [r for r in rows if r["repeat"] == "-1"]
         assert len(agg) == 4 and all(r["test_accuracy_std"] != "" for r in agg)
+
+    def test_models_shared_across_epsilons(self, tmp_path, monkeypatch):
+        from stabledp import cli as cli_mod
+
+        solve_erm, calls = cli_mod.solve_erm, []
+        monkeypatch.setattr(cli_mod, "solve_erm",
+                            lambda *a, **k: calls.append(a) or solve_erm(*a, **k))
+        cfg = tiny_config()
+        assert len(cfg.epsilon_grid) == 2
+        cmd_sweep(cfg, tmp_path)
+        # one block solve per (lambda, split), whatever the number of epsilons
+        assert len(calls) == len(cfg.lambda_grid) * cfg.split.repeats
 
     def test_fixed_scale_constant_across_lambda(self, tmp_path):
         cfg = tiny_config(noise_mode="fixed_scale", fixed_scale_b=0.25)
@@ -264,7 +278,8 @@ class TestSelect:
         cmd_select(cfg, tmp_path)
         T = float(read_rows(tmp_path / "select.csv")[0]["threshold_T"])
         n_train = math.floor(cfg.split.train_fraction * cfg.dataset.n)
-        b = lemma_noise(eps, lam, cfg.eta, n_train, cfg.L, cfg.dataset.kappa).scale
+        L = ObjectiveSpec("logistic", lam, kappa=cfg.dataset.kappa).L
+        b = lemma_noise(eps, lam, cfg.eta, n_train, L, cfg.dataset.kappa).scale
         # a feature zero in every split sits at distance T from the threshold
         zero = [r for r in read_rows(tmp_path / "select_flips.csv")
                 if float(r["mean_abs_weight"]) == 0.0]
@@ -335,6 +350,12 @@ class TestVerifyCommand:
 class TestMainEntrypoint:
     def test_verify_exit_code(self, capsys):
         assert main(["verify", "gradients"]) == 0
+
+    def test_verify_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "r.json"
+        assert main(["verify", "gradients", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["suite"] == "gradients" and report["all_ok"]
 
     def test_sweep_via_argv(self, tmp_path, capsys):
         cfg = {"dataset": {"n": 60, "d": 8, "classes": 2, "sparsity": 3, "noise": 0.3,

@@ -397,7 +397,7 @@ class TestSgdRun:
         spec = ObjectiveSpec("logistic", 0.1)
         S = self.small_problem()
         cfg = SgdConfig(steps_T=0, step_size=0.1, batch_size_b=4, seed=1)
-        np.testing.assert_array_equal(sgd_run(spec, S, cfg).weights, np.zeros(3))
+        np.testing.assert_array_equal(sgd_run(spec, S, cfg), np.zeros(3))
 
     def test_full_batch_matches_hand_gd_trajectory(self):
         # oracle: an independently coded fixed-step proximal GD loop
@@ -405,7 +405,7 @@ class TestSgdRun:
         S = self.small_problem()
         T, alpha = 25, 0.05
         cfg = SgdConfig(steps_T=T, step_size=alpha, batch_size_b=S.n, seed=9)
-        rep = sgd_run(spec, S, cfg)
+        w_sgd = sgd_run(spec, S, cfg)
 
         w = np.zeros(3)
         for _ in range(T):
@@ -413,7 +413,7 @@ class TestSgdRun:
             w = soft_threshold(w, alpha * spec.l1_coefficient)
         # bitwise equality is not achievable across batch row orders (the
         # mean is summed in permuted order), so compare at rounding level
-        np.testing.assert_allclose(rep.weights, w, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w_sgd, w, rtol=0, atol=1e-14)
 
     def test_averaging_beats_worst_trajectory_point(self):
         spec = ObjectiveSpec("squared", 0.2, lipschitz_L=5.0)
@@ -421,20 +421,20 @@ class TestSgdRun:
         T = 30
         cfg = SgdConfig(steps_T=T, step_size=0.05, batch_size_b=4,
                         averaging=tuple([1.0 / T] * T), seed=3)
-        rep = sgd_run(spec, S, cfg)
+        w_avg = sgd_run(spec, S, cfg)
         # step t's iterate: a t-step run on the same seed draws the same
         # batches and dropout streams up to step t
-        objs = [objective(spec, sgd_run(spec, S, replace(cfg, steps_T=t, averaging=None))
-                          .weights, S) for t in range(1, T + 1)]
-        assert objective(spec, rep.weights, S) <= max(objs) + 1e-12
+        objs = [objective(spec, sgd_run(spec, S, replace(cfg, steps_T=t, averaging=None)), S)
+                for t in range(1, T + 1)]
+        assert objective(spec, w_avg, S) <= max(objs) + 1e-12
 
     def test_bit_reproducible(self):
         spec = ObjectiveSpec("logistic", 0.1)
         S = self.small_problem()
         cfg = SgdConfig(steps_T=40, step_size=0.1, batch_size_b=3,
                         clip_bound_G=0.5, dropout_rate_s=0.7, seed=11)
-        w1 = sgd_run(spec, S, cfg).weights
-        w2 = sgd_run(spec, S, cfg).weights
+        w1 = sgd_run(spec, S, cfg)
+        w2 = sgd_run(spec, S, cfg)
         np.testing.assert_array_equal(w1, w2)
 
     def test_nan_identifies_step(self):
@@ -482,22 +482,19 @@ class TestSgdBlock:
                            **SGD_KNOBS[knob]})
         block = sgd_run(spec, datasets, cfg)
         singles = [sgd_run(spec, D, cfg) for D in datasets]
-        assert block.weights.shape == (5, len(datasets))
-        for j, rep in enumerate(singles):
-            assert rep.weights.shape == (5,)
-            np.testing.assert_allclose(block.weights[:, j], rep.weights, rtol=0, atol=1e-12)
+        assert block.shape == (5, len(datasets))
+        for j, w in enumerate(singles):
+            assert w.shape == (5,)
+            np.testing.assert_allclose(block[:, j], w, rtol=0, atol=1e-12)
         # the neighbours really train to different weights
-        assert np.ptp(block.weights, axis=1).max() > 1e-6
-        assert block.iterations_used == cfg.steps_T
-        assert block.final_gradient_norm == pytest.approx(
-            max(rep.final_gradient_norm for rep in singles), rel=1e-12)
+        assert np.ptp(block, axis=1).max() > 1e-6
 
     def test_block_of_one(self):
         spec, (S,) = SPECS["logistic-l2"], sgd_block(0)
         cfg = SgdConfig(steps_T=50, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=1)
         block = sgd_run(spec, [S], cfg)
-        assert block.weights.shape == (5, 1)
-        np.testing.assert_array_equal(block.weights[:, 0], sgd_run(spec, S, cfg).weights)
+        assert block.shape == (5, 1)
+        np.testing.assert_array_equal(block[:, 0], sgd_run(spec, S, cfg))
 
     def test_mismatched_shapes_rejected(self):
         spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
@@ -544,10 +541,9 @@ class TestEvaluationPath:
         grads = self.count(monkeypatch, "gradient")
         cfg = SgdConfig(steps_T=40, step_size=0.1, batch_size_b=5, seed=2)
         sgd_run(spec, datasets, cfg)
-        # one per step on the batch, then one on the full stack
-        assert len(grads) == cfg.steps_T + 1
-        assert all(S.features.shape == (4, 5, 5) for S in grads[:-1])
-        assert grads[-1].features.shape == (4, 60, 5)
+        # one per step, on the batch, and none on the full stack
+        assert len(grads) == cfg.steps_T
+        assert all(S.features.shape == (4, 5, 5) for S in grads)
 
 
 class TestSgdConfig:
@@ -717,37 +713,33 @@ class TestClipGradient:
 
 class TestConvergenceCorrection:
     def test_exact_minimizer_unchanged(self):
-        rep = SolveReport(np.zeros(2), 0.0, 10, loss_gap_bound=0.0)
-        assert convergence_sensitivity_correction(0.4, rep, 1.0) == pytest.approx(0.4)
+        assert convergence_sensitivity_correction(0.4, 0.0, 1.0) == pytest.approx(0.4)
 
     def test_loss_gap_conversion(self):
-        rep = SolveReport(np.zeros(2), 0.0, 10, loss_gap_bound=0.02)
-        assert convergence_sensitivity_correction(0.4, rep, 1.0) == pytest.approx(0.8)
+        assert convergence_sensitivity_correction(0.4, 0.02, 1.0) == pytest.approx(0.8)
 
     def test_monotone_in_loss_gap(self):
         prev = 0.0
         for gap in (0.001, 0.01, 0.1, 1.0):
-            rep = SolveReport(np.zeros(2), 0.0, 10, loss_gap_bound=gap)
-            val = convergence_sensitivity_correction(0.4, rep, 2.0)
+            val = convergence_sensitivity_correction(0.4, gap, 2.0)
             assert val >= prev
             prev = val
 
     @pytest.mark.parametrize("base,lambda_sc", [(math.nan, 1.0), (0.4, math.nan),
                                                 (math.inf, 1.0), (0.4, 0.0)])
     def test_nonfinite_inputs_rejected(self, base, lambda_sc):
-        rep = SolveReport(np.zeros(2), 0.0, 10, loss_gap_bound=0.02)
         with pytest.raises(ValueError):
-            convergence_sensitivity_correction(base, rep, lambda_sc)
+            convergence_sensitivity_correction(base, 0.02, lambda_sc)
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -1.0])
+    def test_bad_loss_gap_rejected(self, gap):
+        with pytest.raises(ValueError, match="loss_gap_bound"):
+            convergence_sensitivity_correction(0.4, gap, 1.0)
 
     @pytest.mark.parametrize("norm", [-1.0, math.nan, math.inf])
     def test_report_rejects_bad_gradient_norm(self, norm):
         with pytest.raises(ValueError, match="final_gradient_norm"):
-            SolveReport(np.zeros(2), norm, 10)
-
-    def test_missing_both_gaps_errors(self):
-        rep = SolveReport(np.zeros(2), 0.0, 10)
-        with pytest.raises(ValueError, match="no loss-gap bound"):
-            convergence_sensitivity_correction(0.4, rep, 1.0)
+            SolveReport(np.zeros(2), norm, 10, loss_gap_bound=0.0, objective=0.0)
 
 
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=10), st.floats(0.001, 50))

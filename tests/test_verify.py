@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -205,10 +206,10 @@ class TestBatchedProbesMatchScalarLoop:
         cfg = SgdConfig(steps_T=30, step_size=0.1, batch_size_b=5, seed=2)
         trials, probes, seed = 3, 5, 6
         rng = derive_rng(seed, 26)
-        base = sgd_run(spec, S, cfg).weights
+        base = sgd_run(spec, S, cfg)
         worst = 0.0
         for _ in range(trials):
-            other = sgd_run(spec, _neighbor(spec, S, rng), cfg).weights
+            other = sgd_run(spec, _neighbor(spec, S, rng), cfg)
             for _ in range(probes):
                 worst = max(worst, self.gap(spec, base, other, *fresh_record(spec, S.d, rng)))
         rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
@@ -282,7 +283,7 @@ class TestLossGapsBitForBit:
         rng = derive_rng(seed, 26)
         pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
                  for _ in range(trials)]
-        W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg).weights
+        W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg)
         worst = max(max_loss_gap(spec, W[:, 0], W[:, j], *rows)
                     for j, (_, rows) in enumerate(pairs, start=1))
         rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
@@ -403,6 +404,12 @@ class TestEmpiricalPrivacyError:
         spec, S = fixture()
         out = privacy_error_scaling(spec, S, epsilons=(0.5, 1.0, 2.0), draws=4000, seed=2)
         assert -1.2 <= out["slope"] <= -0.8
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        spec, S = fixture()
+        with pytest.raises(ValueError, match="epsilon"):
+            empirical_privacy_error(spec, S, epsilon=epsilon, draws=10, seed=0)
 
 
 class TestGradientCheck:
