@@ -43,6 +43,7 @@ from .model import (
     _at_least,
     _one_of,
     _require,
+    _Stack,
     as_signed_labels,
 )
 from .optimizer import solve_erm
@@ -239,14 +240,11 @@ def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
                          eta=cfg.eta, kappa=cfg.dataset.kappa, lipschitz_L=cfg.lipschitz_L)
 
 
-def train_models(cfg: SweepConfig, spec: ObjectiveSpec, train: Dataset,
-                 classes: np.ndarray) -> np.ndarray:
-    """One-vs-rest weights, one row per model (a single row for binary labels).
-
-    Every class is one column of a single block solve.
+def train_models(cfg: SweepConfig, spec: ObjectiveSpec, train: _Stack) -> np.ndarray:
+    """(m, d, K) weights of a stack of signed training labels: K one-vs-rest
+    columns per split (one for binary labels), every split in one block solve.
     """
-    Y = as_signed_labels(train.labels, positive=classes[1:] if classes.size == 2 else classes)
-    return solve_erm(spec, Dataset(train.features, Y), cfg.tolerance, cfg.max_iters).weights.T
+    return solve_erm(spec, train, cfg.tolerance, cfg.max_iters).weights
 
 
 def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -301,41 +299,45 @@ def _std(values: list) -> float:
 
 
 def _cells(cfg: SweepConfig, epsilons, stream: int):
-    """Yield ``(spec, eps, noise, cert, classes, runs)`` per lambda x epsilon cell.
+    """Yield ``(spec, eps, noise, cert, classes, n_train, runs)`` per lambda x epsilon cell.
 
-    ``runs`` holds one ``(train, test, W, noisy W)`` tuple per split. Each
-    lambda's ``ObjectiveSpec``, certificate and per-split models are built
-    once, before its epsilons, and shared by every epsilon. All splits have
-    the same training size, so one certificate and one ``Noise`` serve the
-    whole cell. Split r draws its noise from the stream keyed (master seed,
-    ``stream``, lambda bits, epsilon bits, r).
+    ``runs`` holds one ``(test, W, noisy W)`` tuple per split, W with one
+    row per model (a single row for binary labels). The splits' signed
+    training labels are built once; each lambda's ``ObjectiveSpec``,
+    certificate and models (one block solve over every split) are built
+    once, before its epsilons, and shared by every epsilon. All splits
+    have the same training size, so one certificate and one ``Noise``
+    serve the whole cell. Split r draws its noise from the stream keyed
+    (master seed, ``stream``, lambda bits, epsilon bits, r).
     """
     S = build_dataset(cfg)
     try:
-        splits = split(S, cfg.split)
+        train, tests = split(S, cfg.split)
     except ValueError as exc:  # a side left empty
         raise ConfigError(f"split.train_fraction: {exc}") from exc
     classes = np.unique(S.labels)
+    train = _Stack(train.features, as_signed_labels(
+        train.labels, positive=classes[1:] if classes.size == 2 else classes))
     for lam in cfg.lambda_grid:
         spec = _objective(cfg, lam)
-        cert = spec_cert(spec, splits[0][0].n)
-        models = [train_models(cfg, spec, train, classes) for train, _ in splits]
+        cert = spec_cert(spec, train.n)
+        models = [W.T for W in train_models(cfg, spec, train)]
         for eps in epsilons:
             scale = float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0
             noise = (calibrate(cert, S.d, eps, cfg.scale_mode)
                      if cfg.noise_mode == "stability_optimal" else Noise(scale))
-            runs = [(train, test, W, perturb(W, noise, derive_rng(
+            runs = [(test, W, perturb(W, noise, derive_rng(
                         cfg.master_seed, stream, float_key(lam), float_key(eps), r)))
-                    for r, ((train, test), W) in enumerate(zip(splits, models))]
-            yield spec, eps, noise, cert, classes, runs
+                    for r, (test, W) in enumerate(zip(tests, models))]
+            yield spec, eps, noise, cert, classes, train.n, runs
 
 
 def _accuracy_rows(cfg: SweepConfig, epsilons) -> list:
     rows = []
-    for spec, eps, noise, cert, classes, runs in _cells(cfg, epsilons, 31):
+    for spec, eps, noise, cert, classes, _, runs in _cells(cfg, epsilons, 31):
         cell = [spec.lam, eps, cfg.noise_mode, noise.scale, cert.beta,
                 sensitivity_via_strong_convexity(cert)]
-        accs = [accuracy(noisy, classes, test) for _, test, _, noisy in runs]
+        accs = [accuracy(noisy, classes, test) for test, _, noisy in runs]
         rows += [cell + [r, acc, None] for r, acc in enumerate(accs)]
         rows.append(cell + [-1, float(np.mean(accs)), _std(accs)])
     return rows
@@ -363,15 +365,15 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
         _require("eta", cfg.eta, *_POSITIVE, ConfigError)
     rows, flip_rows = [], []
-    for spec, eps, noise, _, _, runs in _cells(cfg, cfg.epsilon_grid, 41):
+    for spec, eps, noise, _, _, n_train, runs in _cells(cfg, cfg.epsilon_grid, 41):
         lam = spec.lam
         T = noise.threshold(cfg.threshold_k) if cfg.threshold_mode == "dynamic" else cfg.static_T
         cell = [lam, eps, cfg.noise_mode, noise.scale, cfg.threshold_mode, T]
-        W = np.stack([w.ravel() for _, _, w, _ in runs])
+        W = np.stack([w.ravel() for _, w, _ in runs])
         keep = select_features(W, 0.0)
         keep_priv = select_features(np.stack([noisy.ravel() for *_, noisy in runs]), T)
         f1s, flips = f1_similarity(keep, keep_priv), keep != keep_priv
-        pred = (flip_probability(T, W, lemma_noise(eps, lam, spec.eta, runs[0][0].n, spec.L,
+        pred = (flip_probability(T, W, lemma_noise(eps, lam, spec.eta, n_train, spec.L,
                                                    spec.kappa))
                 if T > 0 and noise.scale > 0 else np.zeros(W.shape))
         obs_rates, pred_rates = flips.mean(axis=1), pred.mean(axis=1)

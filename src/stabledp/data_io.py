@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _COUNT, _NONNEGATIVE, _POSITIVE, Dataset, _at_least, _require
+from .model import _COUNT, _NONNEGATIVE, _POSITIVE, Dataset, _at_least, _require, _Stack
 from .rng import derive_rng
 
 __all__ = [
@@ -189,18 +189,21 @@ def preprocess(S: Dataset, k: int | None, seed: int = 0, kappa: float = 1.0) -> 
     return S
 
 
-def split(S: Dataset, plan: SplitPlan) -> list[tuple[Dataset, Dataset]]:
-    """Seeded repeated 80/20-style splits; fresh permutation per repeat."""
+def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, list[Dataset]]:
+    """Seeded repeated 80/20-style splits; fresh permutation per repeat.
+
+    Returns the training sides as one stack, gathered in one pass: (repeats,
+    n_train, d) features and their (repeats, n_train) raw labels. The test
+    sides are one ``Dataset`` per repeat.
+    """
     n_train = int(math.floor(plan.train_fraction * S.n))
     if n_train < 1 or n_train >= S.n:
         raise ValueError(
             f"split of n={S.n} at fraction {plan.train_fraction} leaves an empty side"
         )
-    out = []
-    for r in range(plan.repeats):
-        perm = derive_rng(plan.seed, 11, r).permutation(S.n)
-        out.append((S.subset(perm[:n_train]), S.subset(perm[n_train:])))
-    return out
+    P = np.stack([derive_rng(plan.seed, 11, r).permutation(S.n) for r in range(plan.repeats)])
+    train = _Stack(S.features[P[:, :n_train]], S.labels[P[:, :n_train]])
+    return train, [S.subset(p) for p in P[:, n_train:]]
 
 
 def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None = None,

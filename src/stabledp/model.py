@@ -14,14 +14,16 @@ The strong-convexity constant of the full objective is always
 the package take that constant, never the raw ``lam`` symbol.
 
 Weight vectors are plain 1-D float64 ``numpy`` arrays. A dataset whose
-labels are an (n, m) matrix holds m problems on one feature matrix (one
-one-vs-rest column per class, say); its weights are a (d, m) matrix, one
+labels are an (n, K) matrix holds K problems on one feature matrix (one
+one-vs-rest column per class, say); its weights are a (d, K) matrix, one
 column per label column, and ``smooth_objective``/``objective`` return one
 value per column. The loss functions take, in place of a ``Dataset``, a
-stack of m same-shape datasets (``_stack``): (m, n, d) features with
-(n, m) labels, the same label layout, so column j of the (d, m) weights is
-evaluated on the j-th dataset. One margin helper and its back-projection
-are the only code that tells the two apart.
+stack of m same-shape datasets (``_Stack``): (m, n, d) features with
+(m, n, K) labels and (m, d, K) weights, one value per (dataset, column)
+pair. Margins are ``X @ w`` and gradients ``X.swapaxes(-1, -2) @ c`` for
+a dataset and a stack alike: a batched ``np.matmul`` runs each slice's own
+product, so every slice of a stack evaluates bit for bit as its dataset
+would alone.
 
 Every type and range check of the package's inputs goes through one rule,
 ``_require``: the type first (a real number, an integer, numpy's included,
@@ -34,7 +36,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -127,6 +130,8 @@ class Dataset:
             raise ValueError(f"labels shape {y.shape} does not match n={X.shape[0]}")
         if not np.all(np.isfinite(X)):
             raise ValueError("features contain non-finite entries")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels contain non-finite entries")
         object.__setattr__(self, "features", _readonly(X))
         object.__setattr__(self, "labels", _readonly(y))
 
@@ -154,8 +159,13 @@ class Dataset:
         return Dataset(X, lab)
 
 
-class _Stack(NamedTuple):
-    """m same-shape datasets: (m, n, d) features and (n, m) labels, column j from dataset j."""
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """m same-shape datasets: (m, n, d) features and (m, n, K) labels.
+
+    K is 1 for datasets with 1-D labels. A split's training stack carries
+    its raw (m, n) class labels until they are signed.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -167,6 +177,19 @@ class _Stack(NamedTuple):
     @property
     def d(self) -> int:
         return self.features.shape[2]
+
+    @cached_property
+    def gram_top(self) -> np.ndarray:
+        """lambda_max(X^T X / n) of each dataset, clamped at 0; taken once per stack.
+
+        LAPACK (``eigvalsh``) takes it from the Gram matrix on the smaller of
+        the n and d sides: X^T X and X X^T share their nonzero eigenvalues.
+        """
+        X = self.features
+        n, d = X.shape[1:]
+        Xt = X.swapaxes(-1, -2)
+        G = (Xt @ X if d <= n else X @ Xt) / n
+        return np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0)
 
 
 def _stack(datasets: Sequence[Dataset]) -> _Stack:
@@ -181,7 +204,7 @@ def _stack(datasets: Sequence[Dataset]) -> _Stack:
                 f"every dataset needs features {(n, d)} and labels {(n,)}, got "
                 f"{D.features.shape} and {D.labels.shape}")
     return _Stack(np.stack([D.features for D in datasets]),
-                  np.stack([D.labels for D in datasets], axis=1))
+                  np.stack([D.labels for D in datasets])[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -254,44 +277,61 @@ def _check_dims(w: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _weights_for(w: np.ndarray, S: Dataset | _Stack) -> np.ndarray:
-    """w checked against S: (d,) for 1-D labels, (d, m) for (n, m) labels or a stack."""
-    return _check_dims(w, (S.d,) + S.labels.shape[1:])
+    """w checked against S: (d,) or (d, K) for a dataset's labels, (m, d, K) for a stack."""
+    m = S.features.shape[:-2]
+    return _check_dims(w, m + (S.d,) + S.labels.shape[len(m) + 1:])
 
 
-def _softplus(z):
-    # log(1 + exp(z)), stable for large |z|
-    z = np.asarray(z, dtype=float)
-    return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
+def _sample_axis(S: Dataset | _Stack) -> int:
+    """The axis of the n samples in S's labels, and of the d weights in its w."""
+    return S.features.ndim - 2
 
 
 def _margin_loss(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Loss at the margins z = <w, x>, elementwise."""
+    """Loss at the margins z = <w, x>, elementwise; z, a fresh product, is overwritten."""
     if spec.loss_kind == "logistic":
-        return _softplus(-y * z)
-    return (z - y) ** 2
-
-
-def _margins(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X @ w for (n, d) features; for an (m, n, d) stack, column j is X[j] @ w[:, j]."""
-    return X @ w if X.ndim == 2 else np.einsum("mnd,dm->nm", X, w)
-
-
-def _back_project(X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X.T @ c for (n, d) features; for an (m, n, d) stack, column j is X[j].T @ c[:, j]."""
-    return X.T @ c if X.ndim == 2 else np.einsum("mnd,nm->dm", X, c)
+        # softplus(-y z) = log(1 + exp(-|y z|)) + max(-y z, 0), stable for large |y z|
+        np.multiply(y, z, out=z)
+        np.negative(z, out=z)
+        a = np.abs(z)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        a += np.maximum(z, 0.0, out=z)
+        return a
+    np.subtract(z, y, out=z)
+    return np.square(z, out=z)
 
 
 def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example losses; a (d, k) ``w`` with (n, 1) ``y`` gives one column per model."""
-    return _margin_loss(spec, _margins(X, w), y)
+    return _margin_loss(spec, X @ w, y)
 
 
 def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d loss / d z at the margins z = <w, x>, elementwise."""
+    """d loss / d z at the margins z = <w, x>, elementwise, in z's buffer: z, a fresh
+    product, is overwritten."""
     if spec.loss_kind == "logistic":
-        # d/dz log(1+exp(-y z)) = -y sigmoid(-y z)
-        return -y / (1.0 + np.exp(y * z))
-    return 2.0 * (z - y)
+        # d/dz log(1+exp(-y z)) = -y sigmoid(-y z) = -(y / (1 + exp(y z)))
+        np.multiply(y, z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(y, z, out=z)
+        return np.negative(z, out=z)
+    np.subtract(z, y, out=z)
+    z *= 2.0
+    return z
+
+
+def _check_labels(spec: ObjectiveSpec, labels, name: str = "labels") -> None:
+    """Raise unless the loss can back every label: the logistic loss needs +/-1.
+
+    Its L = kappa assumes |sigmoid - label| <= 1. The error names ``name``.
+    """
+    labels = np.asarray(labels, dtype=float)
+    if spec.loss_kind == "logistic" and not (np.abs(labels) == 1.0).all():
+        bad = labels[np.abs(labels) != 1.0]
+        raise ValueError(f"logistic loss needs {name} in {{-1, +1}}, got {float(bad[0])}")
 
 
 def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> float:
@@ -302,8 +342,7 @@ def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
     """
     x = np.asarray(x, dtype=float)
     w = _check_dims(w, x.shape[:1])
-    if spec.loss_kind == "logistic" and y not in (-1, 1):
-        raise ValueError(f"logistic loss needs y in {{-1, +1}}, got {y}")
+    _check_labels(spec, y, "y")
     return float(_loss_values(spec, w, x[None, :], np.array([y]))[0])
 
 
@@ -311,7 +350,7 @@ def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
     """Gradient in w of the per-example loss (smooth part only, no penalty)."""
     x = np.asarray(x, dtype=float)
     w = _check_dims(w, x.shape[:1])
-    return _loss_derivative(spec, float(x @ w), y) * x
+    return _loss_derivative(spec, np.array([x @ w]), np.array([float(y)]))[0] * x
 
 
 def _per_column(v):
@@ -321,9 +360,9 @@ def _per_column(v):
 
 def smooth_objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
     """Mean loss plus the smooth (L2) penalty; excludes any L1 term."""
-    w = _weights_for(w, S)
-    mean_loss = _loss_values(spec, w, S.features, S.labels).mean(axis=0)
-    return _per_column(mean_loss + spec.l2_coefficient * (w * w).sum(axis=0))
+    w, axis = _weights_for(w, S), _sample_axis(S)
+    mean_loss = _loss_values(spec, w, S.features, S.labels).mean(axis=axis)
+    return _per_column(mean_loss + spec.l2_coefficient * (w * w).sum(axis=axis))
 
 
 def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
@@ -332,7 +371,7 @@ def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
     val = smooth_objective(spec, w, S)
     c1 = spec.l1_coefficient
     if c1 > 0:
-        val = _per_column(val + c1 * np.abs(w).sum(axis=0))
+        val = _per_column(val + c1 * np.abs(w).sum(axis=_sample_axis(S)))
     return val
 
 
@@ -344,8 +383,8 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack) -> np.ndar
     """
     w = _weights_for(w, S)
     X = S.features
-    g = _back_project(X, _loss_derivative(spec, _margins(X, w), S.labels)) / S.n
-    return g + 2.0 * spec.l2_coefficient * w
+    c = _loss_derivative(spec, X @ w, S.labels)
+    return (X.swapaxes(-1, -2) @ c) / S.n + 2.0 * spec.l2_coefficient * w
 
 
 def strong_convexity_constant(spec: ObjectiveSpec) -> float:

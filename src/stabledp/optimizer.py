@@ -3,12 +3,13 @@
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
 gradient-scheme restart) at a fixed step from a certain curvature bound, so
 no step is ever retried. It solves a block of problems in one call: every
-one-vs-rest class of one feature matrix, or a sequence of same-shape
-datasets such as S and its neighbours, each column at its own step. The L1
-term is handled by soft-thresholding so elastic-net solutions reach exact
-zeros, which downstream feature selection relies on. Both solvers step on
-``model.gradient`` alone, which takes the stack of a dataset sequence as it
-takes one dataset; ``solve_erm`` takes ``model.objective`` once, at the end.
+one-vs-rest class of one feature matrix, a sequence of same-shape datasets
+such as S and its neighbours, or a stack of train/test splits with every
+class of each, each dataset at its own step. The L1 term is handled by
+soft-thresholding so elastic-net solutions reach exact zeros, which
+downstream feature selection relies on. Both solvers step on
+``model.gradient`` alone, which takes a stack as it takes one dataset;
+``solve_erm`` takes ``model.objective`` once, at the end.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
 step size, batch size, gradient clipping, norm-contracting dropout, and
@@ -18,7 +19,7 @@ trains a block of same-shape datasets, such as S and its neighbours, as
 the columns of one iterate: every column sees the same batch indices and
 the same per-step dropout stream, which is the coupling of the uniform
 stability argument (Hardt, Recht & Singer 2016), and each column equals its
-own single-dataset run to rounding. It returns its weights alone: a run of
+own single-dataset run bit for bit. It returns its weights alone: a run of
 T steps certifies no residual, so it makes no ``SolveReport``.
 """
 
@@ -38,6 +39,7 @@ from .model import (
     Dataset,
     ObjectiveSpec,
     _at_least,
+    _check_labels,
     _require,
     _stack,
     _Stack,
@@ -117,10 +119,11 @@ class SolveReport:
     ``weights``, it brackets the optimum:
     objective - loss_gap_bound <= F* <= objective.
 
-    For a block solve (``weights`` of shape (d, m)) ``iterations_used``
-    counts block iterations, ``final_gradient_norm`` and ``loss_gap_bound``
-    are the maxima over the m columns, and ``objective`` and ``residuals``
-    hold each column's own value, so a failed block tells which columns
+    For a block solve (``weights`` of shape (d, m), or (m, d, K) for a
+    stack) ``iterations_used`` counts block iterations,
+    ``final_gradient_norm`` and ``loss_gap_bound`` are the maxima over the
+    columns, and ``objective`` and ``residuals`` hold each column's own
+    value, of shape (m,) or (m, K), so a failed block tells which columns
     stayed above tolerance.
     """
 
@@ -144,28 +147,36 @@ def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | _Stack):
     """Certain upper bound on the gradient Lipschitz constant of the smooth part.
 
     ``S`` is one dataset, giving a float, or a stack of datasets, giving one
-    bound per dataset from one batched pass; each equals the bound of its
-    own dataset.
+    bound per dataset from the stack's ``gram_top``, which is taken once per
+    stack and shared by every objective solved on it; each bound equals the
+    bound of its own dataset.
 
     The loss curvature is at most factor * lambda_max(X^T X / n), with
-    factor 1/4 for logistic and 2 for squared loss. lambda_max is taken by
-    LAPACK (``eigvalsh``) from the Gram matrix on the smaller of the n and
-    d sides (X^T X and X X^T share their nonzero eigenvalues), clamped at 0
-    and padded by 1e-9 relative, as it can round below the true value.
+    factor 1/4 for logistic and 2 for squared loss; lambda_max is padded by
+    1e-9 relative, as LAPACK can round it below the true value.
     """
     one = isinstance(S, Dataset)
-    X = S.features[None] if one else S.features
-    n, d = X.shape[1:]
-    Xt = X.transpose(0, 2, 1)
-    G = (Xt @ X if d <= n else X @ Xt) / n
-    top = np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0)
+    top = (_Stack(S.features[None], S.labels[None]) if one else S).gram_top
     factor = 0.25 if spec.loss_kind == "logistic" else 2.0
     L = factor * (top * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
     return float(L[0]) if one else L
 
 
-def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: float = 1e-8,
-              max_iters: int = 100_000) -> SolveReport:
+def _block(S: Dataset | _Stack | Sequence[Dataset]):
+    """The stack that ``solve_erm`` iterates on, with the map of its (m, ..., K)
+    results back to the layout of S: (d,) or (d, K) weights for a dataset,
+    (d, m) for a sequence of datasets, (m, d, K) for a stack."""
+    if isinstance(S, _Stack):
+        return S, lambda a: a
+    if isinstance(S, Dataset):
+        if S.labels.ndim == 1:
+            return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
+        return _Stack(S.features[None], S.labels[None]), lambda a: a[0]
+    return _stack(S), lambda a: a[..., 0].T
+
+
+def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack | Sequence[Dataset],
+              tolerance: float = 1e-8, max_iters: int = 100_000) -> SolveReport:
     """Minimize the regularized objective to a given optimality residual.
 
     FISTA (Beck & Teboulle 2009) at the fixed step alpha = 1/L, where L is
@@ -173,24 +184,30 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     is ever rejected or retried. Momentum restarts where the step turns
     against the move, <y - x+, x+ - x> > 1e-12 ||y - x+|| ||x+ - x||: the
     gradient scheme of O'Donoghue & Candes (2015), with a relative floor
-    so that no decision, and so no column's path, rests on how the block
-    product rounds. An iteration takes one gradient; the objective is
-    taken once, at the returned weights. The L1 term is handled by
-    soft-thresholding; with no L1 term the proximal step is the identity.
+    so that no decision, and so no column's path, rests on how a product
+    rounds. An iteration takes one gradient; the objective is taken once,
+    at the returned weights. The L1 term is handled by soft-thresholding;
+    with no L1 term the proximal step is the identity.
 
-    A block of m problems is solved in one loop, with (d, m) weights:
+    Every input is solved as one (m, d, K) block: m datasets, each at its
+    own step 1/L_j, with K label columns each:
 
-    * one dataset with (n, m) labels: the m columns share X, and so the step;
+    * one dataset: m = 1, with K = 1 for 1-D labels and K columns for
+      (n, K) labels (one one-vs-rest column per class, say), giving (d,)
+      or (d, K) weights;
     * a sequence of m same-shape datasets with 1-D labels (S and its
-      neighbours, say): column j is trained on the j-th dataset, over the
-      stacked (m, n, d) features, at its own step 1/L_j; all m curvature
-      bounds come from one batched pass. The stack holds m*n*d floats.
+      neighbours, say): K = 1, giving (d, m) weights whose column j is
+      trained on the j-th dataset;
+    * a stack (the train/test splits of one config, say), giving (m, d, K)
+      weights; its curvature bounds are taken once per stack.
 
-    Momentum, restart and stopping are per column, and each column keeps
-    the first iterate at which it reaches ``tolerance``, so it follows its
-    own single-problem path and its weights do not depend on the other
-    columns (beyond the rounding of the block product, about 1e-15). The
-    block runs until its slowest column converges.
+    Momentum, restart and stopping are per (dataset, column), and each
+    column keeps the first iterate at which it reaches ``tolerance``. A
+    batched product runs each dataset's own product, so every dataset's
+    columns follow the path of its lone solve bit for bit, whatever the
+    other datasets do; the K columns of one dataset share its products, so
+    each equals a lone solve of its label column alone to rounding (about
+    1e-15). The block runs until its slowest column converges.
 
     The residual of a step x+ = prox(y - alpha grad f(y)) is the gradient
     mapping norm ||G(y)|| = ||y - x+|| / alpha at the point y the step is
@@ -202,46 +219,57 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     ``loss_gap_bound = residual^2 / (2 lambda_sc)`` holds at the returned
     x+. Deterministic given (spec, S, tolerance): no randomness anywhere.
 
+    A logistic solve needs every label in {-1, +1}, and raises ValueError
+    before its first iteration otherwise.
+
     Raises :class:`ConvergenceError` if a column's residual is still above
-    ``tolerance`` after ``max_iters`` block iterations; its report carries
-    each such column's last iterate, with the gap bound of that iterate,
-    and every column's residual, so the converged columns stay usable.
+    ``tolerance`` after ``max_iters`` block iterations; its message names
+    those columns, as (dataset, column) pairs for a stack, and its report
+    carries each such column's last iterate, with the gap bound of that
+    iterate, and every column's residual, so the converged columns stay
+    usable.
     """
     _require("tolerance", tolerance, *_POSITIVE)
     _require("max_iters", max_iters, *_COUNT)
     lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
-    if not isinstance(S, Dataset):
-        S = _stack(S)
-    shape = (S.d,) + S.labels.shape[1:]
-    curvature = _smooth_curvature(spec, S)
-    x = np.zeros(shape)
-    alpha = 1.0 / np.maximum(curvature, 1e-12)
-    y, t = x, np.ones(shape[1:])
+    S, unpack = _block(S)
+    _check_labels(spec, S.labels)
+    m, _, K = S.labels.shape
+    # the step of each dataset, against its (m, K) columns and its (m, d, K) weights
+    alpha = 1.0 / np.maximum(_smooth_curvature(spec, S), 1e-12)[:, None]
+    alpha_w = alpha[:, :, None]
+    x = np.zeros((m, S.d, K))
+    y, t = x, np.ones((m, K))
     # per column: the first iterate at tolerance and its residual
-    w_out, r_out = x, np.full(shape[1:], math.inf)
+    w_out, r_out = x, np.full((m, K), math.inf)
     for it in range(1, max_iters + 1):
-        x_next = y - alpha * gradient(spec, y, S)
+        x_next = y - alpha_w * gradient(spec, y, S)
         if spec.l1_coefficient > 0:
-            x_next = soft_threshold(x_next, alpha * spec.l1_coefficient)
+            x_next = soft_threshold(x_next, alpha_w * spec.l1_coefficient)
         step, move = x_next - y, x_next - x
-        residual = np.sqrt((step * step).sum(axis=0)) / alpha
+        residual = np.sqrt((step * step).sum(axis=1)) / alpha
         if (residual <= tolerance).any():
             first = (residual <= tolerance) & (r_out > tolerance)
-            w_out, r_out = np.where(first, x_next, w_out), np.where(first, residual, r_out)
+            w_out = np.where(first[:, None], x_next, w_out)
+            r_out = np.where(first, residual, r_out)
             if (r_out <= tolerance).all():
-                return _solve_report(spec, S, w_out, r_out, it, lam_sc)
+                return _solve_report(spec, S, unpack, w_out, r_out, it, lam_sc)
         # restart (no momentum this step) where the step turns against the move
-        t = np.where(-(step * move).sum(axis=0)
-                     > 1e-12 * alpha * residual * np.sqrt((move * move).sum(axis=0)), 1.0, t)
+        t = np.where(-(step * move).sum(axis=1)
+                     > 1e-12 * alpha * residual * np.sqrt((move * move).sum(axis=1)), 1.0, t)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_next + ((t - 1.0) / t_next) * move
+        y = x_next + ((t - 1.0) / t_next)[:, None] * move
         x, t = x_next, t_next
 
     # the columns still above tolerance carry their last iterate
     done = r_out <= tolerance
-    report = _solve_report(spec, S, np.where(done, w_out, x),
+    report = _solve_report(spec, S, unpack, np.where(done[:, None], w_out, x),
                            np.where(done, r_out, residual), max_iters, lam_sc)
-    columns = f" in columns {np.flatnonzero(~done).tolist()}" if done.ndim else ""
+    failed, columns = unpack(~done), ""
+    if failed.ndim == 1:
+        columns = f" in columns {np.flatnonzero(failed).tolist()}"
+    elif failed.ndim == 2:
+        columns = f" in (dataset, column) pairs {[tuple(c) for c in np.argwhere(failed).tolist()]}"
     raise ConvergenceError(
         f"no convergence after {max_iters} iterations{columns} (residual "
         f"{report.final_gradient_norm:.3e} > tolerance {tolerance:.3e})",
@@ -249,11 +277,13 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], tolerance: fl
     )
 
 
-def _solve_report(spec: ObjectiveSpec, S: Dataset | _Stack, w: np.ndarray,
+def _solve_report(spec: ObjectiveSpec, S: _Stack, unpack, w: np.ndarray,
                   residual: np.ndarray, iterations: int, lam_sc: float) -> SolveReport:
     worst = float(np.max(residual))
-    return SolveReport(w, worst, iterations, worst * worst / (2.0 * lam_sc),
-                       objective(spec, w, S), residual if residual.ndim else None)
+    value, residual = unpack(objective(spec, w, S)), unpack(residual)
+    return SolveReport(unpack(w), worst, iterations, worst * worst / (2.0 * lam_sc),
+                       float(value) if value.ndim == 0 else value,
+                       residual if residual.ndim else None)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -338,17 +368,19 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
     takes the same batch indices from the one ``derive_rng(seed, 0)``
     order, and its gradient row is clipped and dropped out by itself, with
     every row drawing from the step's fresh ``derive_rng(seed, 1, t)``. So
-    each column equals its own single-dataset run to rounding, and a run on
+    each column equals its own single-dataset run bit for bit, and a run on
     S with its neighbours is the paired run of uniform stability. Every
     column starts from zero. Only the weights are returned: the run takes
-    no gradient beyond its T batch gradients.
+    no gradient beyond its T batch gradients. A logistic run needs every
+    label in {-1, +1}, and raises ValueError before its first step otherwise.
     """
     one = isinstance(S, Dataset)
     block = _stack([S] if one else S)
+    _check_labels(spec, block.labels)
     m, n, d = block.features.shape
     if cfg.batch_size_b > n:
         raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={n}")
-    W = np.zeros((d, m))  # one column per dataset
+    W = np.zeros((m, d, 1))  # one slice per dataset
     avg = np.zeros_like(W) if cfg.averaging is not None else None
 
     batch_rng = derive_rng(cfg.seed, 0)
@@ -360,12 +392,12 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
             cursor = 0
         batch_idx = order[cursor:cursor + cfg.batch_size_b]
         cursor += cfg.batch_size_b
-        g = gradient(spec, W, _Stack(block.features[:, batch_idx], block.labels[batch_idx]))
-        # clipping and dropout act on each dataset's gradient, a row of g.T
+        g = gradient(spec, W, _Stack(block.features[:, batch_idx], block.labels[:, batch_idx]))
+        # clipping and dropout act on each dataset's gradient, a row of g[..., 0]
         if cfg.clip_bound_G is not None:
-            g = clip_gradient(g.T, cfg.clip_bound_G).T
+            g = clip_gradient(g[..., 0], cfg.clip_bound_G)[..., None]
         if cfg.dropout_rate_s is not None:
-            g = s_dropout(g.T, cfg.dropout_rate_s, derive_rng(cfg.seed, 1, t)).T
+            g = s_dropout(g[..., 0], cfg.dropout_rate_s, derive_rng(cfg.seed, 1, t))[..., None]
         W = W - cfg.step_size * g
         if spec.l1_coefficient > 0:
             W = soft_threshold(W, cfg.step_size * spec.l1_coefficient)
@@ -374,8 +406,8 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
         if avg is not None:
             avg += cfg.averaging[t] * W
 
-    result = avg if avg is not None else W
-    return result[:, 0] if one else result
+    result = (avg if avg is not None else W)[..., 0]
+    return result[0] if one else result.T
 
 
 def convergence_sensitivity_correction(base_sensitivity: float, loss_gap_bound: float,

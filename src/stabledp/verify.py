@@ -37,6 +37,7 @@ from .model import (
     Dataset,
     ObjectiveSpec,
     _at_least,
+    _check_labels,
     _loss_values,
     _margin_loss,
     _require,
@@ -130,8 +131,7 @@ def _loss_gaps(spec: ObjectiveSpec, w_base: np.ndarray, W: np.ndarray,
     gap is the float a pair-at-a-time loop gives. Labels are checked as
     :func:`per_example_loss` checks them.
     """
-    if spec.loss_kind == "logistic" and not np.all((y == -1.0) | (y == 1.0)):
-        raise ValueError(f"logistic loss needs y in {{-1, +1}}, got {np.unique(y)}")
+    _check_labels(spec, y, "y")
     pairs = np.empty((W.shape[1], W.shape[0], 2))
     pairs[:, :, 0] = w_base
     pairs[:, :, 1] = W.T

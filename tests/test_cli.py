@@ -172,8 +172,8 @@ class TestSweep:
         cfg = tiny_config()
         assert len(cfg.epsilon_grid) == 2
         cmd_sweep(cfg, tmp_path)
-        # one block solve per (lambda, split), whatever the number of epsilons
-        assert len(calls) == len(cfg.lambda_grid) * cfg.split.repeats
+        # one block solve per lambda over every split, whatever the number of epsilons
+        assert len(calls) == len(cfg.lambda_grid)
 
     def test_fixed_scale_constant_across_lambda(self, tmp_path):
         cfg = tiny_config(noise_mode="fixed_scale", fixed_scale_b=0.25)

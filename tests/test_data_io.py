@@ -183,17 +183,23 @@ class TestSplit:
 
     def test_partition(self):
         S, _ = synth_classification(50, 4, classes=2, sparsity=4, noise=0.5, seed=1)
-        for train, test in split(S, SplitPlan(seed=3, repeats=4)):
-            assert train.n == 40 and test.n == 10
-            combined = np.vstack([train.features, test.features])
+        train, tests = split(S, SplitPlan(seed=3, repeats=4))
+        assert train.features.shape == (4, 40, 4) and train.labels.shape == (4, 40)
+        assert len(tests) == 4
+        for X, y, test in zip(train.features, train.labels, tests):
+            assert test.n == 10
+            combined = np.vstack([X, test.features])
             assert np.unique(np.round(combined, 12), axis=0).shape[0] == 50
+            # each training label travels with its row
+            rows = [np.flatnonzero((S.features == x).all(axis=1))[0] for x in X]
+            np.testing.assert_array_equal(y, S.labels[rows])
 
     def test_deterministic(self):
         S, _ = synth_classification(30, 3, classes=2, sparsity=3, noise=0.5, seed=2)
-        a = split(S, SplitPlan(seed=5, repeats=3))
-        b = split(S, SplitPlan(seed=5, repeats=3))
-        for (ta, _), (tb, _) in zip(a, b):
-            np.testing.assert_array_equal(ta.features, tb.features)
+        (ta, a), (tb, b) = (split(S, SplitPlan(seed=5, repeats=3)) for _ in range(2))
+        assert ta.features.tobytes() == tb.features.tobytes()
+        for A, B in zip(a, b):
+            np.testing.assert_array_equal(A.features, B.features)
 
     def test_empty_side_rejected(self):
         S, _ = synth_classification(3, 2, classes=2, sparsity=2, noise=0.5, seed=0)

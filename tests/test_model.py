@@ -238,32 +238,33 @@ class TestBlockShapes:
 
 
 class TestStackEvaluation:
-    """A stack of m same-shape datasets evaluates column j of (d, m) weights on dataset j."""
+    """A stack of m same-shape datasets evaluates slice j of (m, d, 1) weights on dataset j."""
 
     def stack(self):
         rng = np.random.default_rng(12)
         datasets = [Dataset(rng.standard_normal((12, 4)), rng.choice([-1.0, 1.0], size=12))
                     for _ in range(3)]
-        return datasets, rng.standard_normal((4, 3))
+        return datasets, rng.standard_normal((3, 4, 1))
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     @pytest.mark.parametrize("penalty", ["l2", "elastic"])
     def test_matches_per_dataset_calls(self, kind, penalty):
+        # bit for bit: each slice of a batched product is that dataset's own product
         spec = ObjectiveSpec(kind, 0.2, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
         datasets, W = self.stack()
         S = _stack(datasets)
         G, f, F = gradient(spec, W, S), smooth_objective(spec, W, S), objective(spec, W, S)
-        assert G.shape == (4, 3) and f.shape == (3,) and F.shape == (3,)
+        assert G.shape == (3, 4, 1) and f.shape == (3, 1) and F.shape == (3, 1)
         for j, Sj in enumerate(datasets):
-            np.testing.assert_allclose(G[:, j], gradient(spec, W[:, j], Sj), rtol=1e-12, atol=0)
-            assert f[j] == pytest.approx(smooth_objective(spec, W[:, j], Sj), rel=1e-12)
-            assert F[j] == pytest.approx(objective(spec, W[:, j], Sj), rel=1e-12)
+            assert G[j, :, 0].tobytes() == gradient(spec, W[j, :, 0], Sj).tobytes()
+            assert f[j, 0] == smooth_objective(spec, W[j, :, 0], Sj)
+            assert F[j, 0] == objective(spec, W[j, :, 0], Sj)
 
     @pytest.mark.parametrize("fn", [gradient, smooth_objective, objective])
     def test_mismatched_shapes_rejected(self, fn):
         spec = ObjectiveSpec("logistic", 0.2)
         datasets, W = self.stack()
-        for weights in (W[:, 0], W[:, :2], W.T):
+        for weights in (W[0], W[:2], W[..., 0], W[..., 0].T):
             with pytest.raises(ValueError, match="does not match"):
                 fn(spec, weights, _stack(datasets))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from stabledp import model as model_mod
 from stabledp import optimizer as optimizer_mod
 from stabledp.cli import _oracle_fixture
-from stabledp.data_io import synth_classification
+from stabledp.data_io import SplitPlan, split, synth_classification
 from stabledp.model import (
     Dataset,
     ObjectiveSpec,
@@ -230,11 +231,11 @@ class TestSolveErmBlock:
         block = solve_erm(spec, datasets, tol)
         singles = [solve_erm(spec, D, tol) for D in datasets]
         assert block.weights.shape == (5, len(datasets))
+        # bit for bit: each slice of a batched product is its dataset's own product
         for j, rep in enumerate(singles):
-            np.testing.assert_allclose(block.weights[:, j], rep.weights, rtol=0, atol=1e-12)
-        # a residual is a difference of nearly equal iterates, so compare it absolutely
-        np.testing.assert_allclose(block.residuals, [r.final_gradient_norm for r in singles],
-                                   rtol=0, atol=1e-13)
+            assert block.weights[:, j].tobytes() == rep.weights.tobytes()
+        assert block.residuals.tolist() == [r.final_gradient_norm for r in singles]
+        assert block.objective.tolist() == [r.objective for r in singles]
         counts = [rep.iterations_used for rep in singles]
         assert len(set(counts)) > 1  # the columns really take different paths
         assert block.iterations_used == max(counts)
@@ -242,8 +243,7 @@ class TestSolveErmBlock:
         for j, k in enumerate(counts):
             at_k = solve_allowing_failure(spec, datasets, tol, k)
             assert at_k.residuals[j] <= tol
-            np.testing.assert_allclose(at_k.weights[:, j], singles[j].weights, rtol=0,
-                                       atol=1e-12)
+            assert at_k.weights[:, j].tobytes() == singles[j].weights.tobytes()
             if k > 1:
                 assert solve_allowing_failure(spec, datasets, tol, k - 1).residuals[j] > tol
 
@@ -252,7 +252,7 @@ class TestSolveErmBlock:
         block = solve_erm(spec, [S], 1e-9)
         single = solve_erm(spec, S, 1e-9)
         assert block.weights.shape == (5, 1)
-        np.testing.assert_allclose(block.weights[:, 0], single.weights, rtol=0, atol=1e-12)
+        assert block.weights[:, 0].tobytes() == single.weights.tobytes()
         assert block.iterations_used == single.iterations_used
         assert single.residuals is None
 
@@ -271,8 +271,8 @@ class TestSolveErmBlock:
         assert rep.final_gradient_norm == rep.residuals.max()
         for j, c in enumerate(counts):
             if c <= k:
-                np.testing.assert_allclose(rep.weights[:, j], solve_erm(spec, datasets[j], tol)
-                                           .weights, rtol=0, atol=1e-12)
+                assert rep.weights[:, j].tobytes() == solve_erm(spec, datasets[j], tol) \
+                    .weights.tobytes()
 
     def test_invalid_blocks_rejected(self):
         spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
@@ -294,8 +294,107 @@ class TestSolveErmBlock:
             block = solve_erm(spec, [S, zero, Sp], 1e-9)
         assert L[1] == 2.0 * spec.l2_coefficient
         assert L[0] == _smooth_curvature(spec, S) and L[2] == _smooth_curvature(spec, Sp)
-        np.testing.assert_allclose(block.weights[:, 1], solve_erm(spec, zero, 1e-9).weights,
-                                   rtol=0, atol=1e-12)
+        assert block.weights[:, 1].tobytes() == solve_erm(spec, zero, 1e-9).weights.tobytes()
+
+
+def split_stack(classes, repeats=3, seed=4):
+    """The signed training stack of ``repeats`` splits of a noisy synthetic problem."""
+    S, _ = synth_classification(150, 6, classes=classes, sparsity=4, noise=0.5, seed=seed,
+                                label_flips=0.1)
+    train, _ = split(S, SplitPlan(seed=seed, repeats=repeats))
+    labels = np.unique(S.labels)
+    return _Stack(train.features, as_signed_labels(
+        train.labels, positive=labels[1:] if classes == 2 else labels))
+
+
+STACK_SPECS = {
+    f"{loss}-{penalty}-{lam}": ObjectiveSpec(loss, lam, penalty=penalty, gamma=0.85,
+                                               lipschitz_L=1.0)
+    for loss in ("logistic", "squared") for penalty in ("l2", "elastic") for lam in (1e-3, 1.0)
+}
+
+
+class TestSplitStack:
+    """One solve over a stack of splits equals each split's lone solve, bit for bit."""
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    def test_slices_equal_their_own_solves(self, name, classes):
+        spec, stack, tol = STACK_SPECS[name], split_stack(classes), 1e-8
+        block = solve_erm(spec, stack, tol)
+        K = 1 if classes == 2 else classes
+        assert block.weights.shape == (3, 6, K)
+        assert block.residuals.shape == block.objective.shape == (3, K)
+        counts = []
+        for r, (X, Y) in enumerate(zip(stack.features, stack.labels)):
+            lone = solve_erm(spec, Dataset(X, Y), tol)
+            assert block.weights[r].tobytes() == lone.weights.tobytes()
+            assert block.residuals[r].tolist() == lone.residuals.tolist()
+            assert block.objective[r].tolist() == lone.objective.tolist()
+            counts.append(lone.iterations_used)
+            if K == 1:  # a binary split solved with 1-D labels takes the same path
+                one = solve_erm(spec, Dataset(X, Y[:, 0]), tol)
+                assert block.weights[r, :, 0].tobytes() == one.weights.tobytes()
+                assert block.objective[r, 0] == one.objective
+        assert block.iterations_used == max(counts)
+
+    def test_failure_names_the_split_class_pairs(self):
+        spec, stack, tol = STACK_SPECS["logistic-elastic-0.001"], split_stack(4), 1e-8
+        splits = [Dataset(X, Y) for X, Y in zip(stack.features, stack.labels)]
+        # every split has a column still above tolerance one iteration short of its count
+        k = min(solve_erm(spec, D, tol).iterations_used for D in splits) - 1
+        # the (split, class) columns of the lone solves still above tolerance at k
+        at_k = np.array([solve_allowing_failure(spec, D, tol, k).residuals for D in splits])
+        late = [tuple(c) for c in np.argwhere(at_k > tol).tolist()]
+        assert 0 < len(late) < at_k.size
+        pattern = re.escape(f"in (dataset, column) pairs {late}")
+        with pytest.raises(ConvergenceError, match=pattern) as err:
+            solve_erm(spec, stack, tol, max_iters=k)
+        rep = err.value.report
+        assert rep.iterations_used == k and rep.weights.shape == (3, 6, 4)
+        assert [tuple(c) for c in np.argwhere(rep.residuals > tol).tolist()] == late
+
+    def test_curvature_taken_once_per_stack(self, monkeypatch):
+        stack, calls = split_stack(4), []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(G) or eigvalsh(G))
+        for spec in STACK_SPECS.values():
+            solve_erm(spec, stack, 1e-6)
+        assert len(calls) == 1
+        # a minibatch stack of sgd_run never asks for it
+        S, *neighbours = sgd_block(2)
+        sgd_run(SPECS["logistic-l2"], [S, *neighbours],
+                SgdConfig(steps_T=10, step_size=0.1, batch_size_b=5))
+        assert len(calls) == 1
+
+
+class TestLabelsTheLossCanBack:
+    """The logistic loss backs +/-1 labels alone; a solve or a run rejects others up front."""
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, 3.0])
+    def test_logistic_rejects(self, bad):
+        spec, (S,) = SPECS["logistic-l2"], sgd_block(0)
+        labels = S.labels.copy()
+        labels[7] = bad
+        D = Dataset(S.features, labels)
+        cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
+        for run in (lambda: solve_erm(spec, D, 1e-6), lambda: solve_erm(spec, [S, D], 1e-6),
+                    lambda: sgd_run(spec, D, cfg), lambda: sgd_run(spec, [S, D], cfg)):
+            with pytest.raises(ValueError, match="labels"):
+                run()
+
+    def test_nan_label_rejected_by_the_dataset(self):
+        (S,) = sgd_block(0)
+        labels = S.labels.copy()
+        labels[7] = math.nan
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(S.features, labels)
+
+    def test_squared_loss_takes_any_finite_label(self):
+        spec, (S,) = SPECS["squared-l2"], sgd_block(0)
+        D = Dataset(S.features, 3.0 * S.labels + 0.5)
+        assert solve_erm(spec, D, 1e-8).final_gradient_norm <= 1e-8
+        sgd_run(spec, D, SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5))
 
 
 class TestReportObjective:
@@ -312,8 +411,10 @@ class TestReportObjective:
 
     @staticmethod
     def check(spec, rep, S, columns):
-        S = S if isinstance(S, Dataset) else _stack(S)
-        np.testing.assert_allclose(rep.objective, objective(spec, rep.weights, S), rtol=1e-13)
+        # a stack takes (m, d, 1) weights for the (d, m) of a dataset sequence
+        whole = (objective(spec, rep.weights, S) if isinstance(S, Dataset)
+                 else objective(spec, rep.weights.T[:, :, None], _stack(S))[:, 0])
+        np.testing.assert_allclose(rep.objective, whole, rtol=1e-13)
         per_column = [objective(spec, w, D) for w, D in zip(np.atleast_2d(rep.weights.T), columns)]
         np.testing.assert_allclose(np.atleast_1d(rep.objective), per_column, rtol=1e-13)
 
@@ -485,7 +586,7 @@ class TestSgdBlock:
         assert block.shape == (5, len(datasets))
         for j, w in enumerate(singles):
             assert w.shape == (5,)
-            np.testing.assert_allclose(block[:, j], w, rtol=0, atol=1e-12)
+            assert block[:, j].tobytes() == w.tobytes()
         # the neighbours really train to different weights
         assert np.ptp(block, axis=1).max() > 1e-6
 

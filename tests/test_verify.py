@@ -219,7 +219,8 @@ class TestBatchedProbesMatchScalarLoop:
     def test_logistic_rejects_zero_one_labels(self):
         spec, S = fixture()
         S01 = Dataset(S.features, (S.labels > 0).astype(float))
-        with pytest.raises(ValueError, match="logistic loss needs y"):
+        # the block solve rejects them before the probe losses would
+        with pytest.raises(ValueError, match="logistic loss needs labels"):
             empirical_stability(spec, S01, trials=2, probes=3, seed=0)
 
 
