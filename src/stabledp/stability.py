@@ -13,13 +13,13 @@ sources; the asymmetry is surfaced here rather than silently normalized.
 
 Sensitivity bounds on the trained weights are plain floats, the L2 distance
 ||w_S - w_S'|| can reach over neighboring datasets. They come in two
-flavors: a direct bound for L2-penalized ERM (``sensitivity_l2_direct``),
-and the strong-convexity conversion sqrt(2 beta / lambda_sc)
-(``sensitivity_via_strong_convexity``) which is the one output perturbation
-calibrates against. The ``lambda_sc`` paired with a beta is always the
-strong-convexity constant of the full objective, not the raw regularization
-weight. This module states how far weights can move;
-turning that into a Laplace scale is ``privacy.calibrate``'s job.
+flavors: the direct replace-one bound 2 L / (n lambda_sc), for either
+penalty (``sensitivity_l2_direct``), and the strong-convexity conversion
+sqrt(2 beta / lambda_sc) (``sensitivity_via_strong_convexity``) which is
+the one output perturbation calibrates against. The ``lambda_sc`` paired
+with a beta is always the strong-convexity constant of the full objective,
+not the raw regularization weight. This module states how far weights can
+move; turning that into a Laplace scale is ``privacy.calibrate``'s job.
 
 Table 1's relative scalings for optimizer knobs (steps, step size, batch
 size, dropout rate, clipping bound) are big-O rows without constants, so
@@ -124,11 +124,24 @@ def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
     return beta_l2_erm(L, spec.kappa, n, strong_convexity_constant(spec))
 
 
-def sensitivity_l2_direct(L: float, kappa: float, n: int, lam: float) -> float:
-    """Direct L2-ERM weight sensitivity: 4 L kappa / (n lam)."""
-    _require_each(_POSITIVE, L=L, kappa=kappa, lam=lam)
+def sensitivity_l2_direct(L: float, n: int, lambda_sc: float) -> float:
+    """Replace-one weight sensitivity: ||w_S - w_S'|| <= 2 L / (n lambda_sc).
+
+    Bousquet & Elisseeff (JMLR 2002); Chaudhuri, Monteleoni & Sarwate
+    (JMLR 2011, Cor. 8). Let F_S = (1/n) sum_i loss(w; z_i) + penalty(w)
+    be lambda_sc-strongly convex, with every loss(.; z) L-Lipschitz in w
+    and the penalty convex (L2 and elastic net alike). S' swaps z_i for z'.
+
+    1. F_S' = F_S + g / n with g(w) = loss(w; z') - loss(w; z_i), and g
+       is 2L-Lipschitz.
+    2. With D = ||w_S - w_S'||, strong convexity at each minimiser gives
+       F_S(w_S') - F_S(w_S) >= lambda_sc D^2 / 2, and the same for F_S'.
+    3. Adding the two: lambda_sc D^2 <= (g(w_S) - g(w_S')) / n <= 2 L D / n.
+    4. So D <= 2 L / (n lambda_sc).
+    """
+    _require_each(_POSITIVE, L=L, lambda_sc=lambda_sc)
     _require("n", n, *_COUNT)
-    return 4.0 * L * kappa / (n * lam)
+    return 2.0 * L / (n * lambda_sc)
 
 
 def sensitivity_via_strong_convexity(cert: StabilityCert) -> float:

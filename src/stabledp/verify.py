@@ -15,6 +15,12 @@ sampler, ``_fresh_rows``: record by record, in a fixed order (normal
 direction, radius uniform, label), into one preallocated block, so a block
 of k records is the stream of k single-record draws. The order is fixed
 because the benchmark reference pins SGD-stability values drawn from it.
+The direction is ``rng.standard_normal(out=row)``. The radius uniform and
+the label come from the bit generator's ``ctypes`` interface:
+``next_double``, and the top bit of ``next_uint32``. Those are the very
+words ``rng.random()`` and ``rng.integers(2)`` consume, PCG64's cached
+upper half-word included, so the stream is the one the Generator's
+methods draw, without their per-call overhead.
 
 The stability oracles score probe loss gaps with one kernel,
 ``_loss_gaps``: every (S, neighbor) pair's probes in one batched
@@ -76,16 +82,23 @@ SOLVE_TOLERANCE = 1e-9
 def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
     """k fresh records as (X, y): kappa-bounded rows (uniform in the ball), +/-1 labels.
 
-    Drawn in the fixed per-record order of the module docstring.
+    Drawn in the fixed per-record order of the module docstring, the radius
+    uniform and the label as bit generator words. Those calls skip the
+    generator's lock, so ``rng`` must not be drawn from by another thread.
     """
     X, y, c = np.empty((k, d)), np.empty(k), np.empty(k)
+    bits = rng.bit_generator.ctypes
+    next_double, next_uint32, state = bits.next_double, bits.next_uint32, bits.state
     for i, v in enumerate(X):
         rng.standard_normal(out=v)
-        radius = spec.kappa * rng.random() ** (1.0 / d)
+        # the very double of rng.random(), at half its cost
+        radius = spec.kappa * next_double(state) ** (1.0 / d)
         # bit-identical to np.linalg.norm(v) on a 1-D float vector, at a third of its cost
         c[i] = radius / max(math.sqrt(v.dot(v)), 1e-300)
-        # the very draw of rng.choice((-1.0, 1.0)), at a sixth of its cost
-        y[i] = (-1.0, 1.0)[rng.integers(2)]
+        # rng.integers(2) is Lemire's bounded draw on one 32-bit word, which
+        # for a range of 2 is the word's top bit; PCG64 serves the word from
+        # the same cached upper half either way
+        y[i] = (-1.0, 1.0)[next_uint32(state) >> 31]
     X *= c[:, None]
     return X, y
 
@@ -144,10 +157,10 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     """Max observed ||w_S - w_S'|| over sampled neighbors vs. the closed-form bounds.
 
     Compares against the strong-convexity bound sqrt(2 beta / lambda_sc)
-    and, in L2 mode, the direct 4 L kappa / (n lambda) bound; passes only
-    if every sampled pair respects every applicable bound and at most 1%
-    of the solves failed. S and the sampled neighbors are solved in one
-    block, (trials + 1)*n*d floats.
+    and the direct replace-one bound 2 L / (n lambda_sc), which holds for
+    either penalty; passes only if every sampled pair respects both bounds
+    and at most 1% of the solves failed. S and the sampled neighbors are
+    solved in one block, (trials + 1)*n*d floats.
     """
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
@@ -156,14 +169,13 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
         spec, S, [_neighbor(spec, S, rng) for _ in range(trials)])
     cert = spec_cert(spec, S.n)
     sc_bound = sensitivity_via_strong_convexity(cert)
-    direct = (sensitivity_l2_direct(spec.L, spec.kappa, S.n, strong_convexity_constant(spec))
-              if spec.penalty == "l2" else None)
+    direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
 
     found = [float(np.linalg.norm(base - w)) for w in trained if w is not None]
     worst = max(found, default=0.0)
     failures = len(trained) - len(found)
 
-    bound = sc_bound if direct is None else min(sc_bound, direct)
+    bound = min(sc_bound, direct)
     passed = worst <= bound and failures <= trials * 0.01
     return OracleReport(
         name="sensitivity",

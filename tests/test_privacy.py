@@ -65,11 +65,15 @@ class TestLaplaceSample:
             def random(self, count):
                 return np.resize(self.U, count)
 
-        for count in (0, 1, 7, 100_000):
+        # the uniforms are drawn block by block: counts B - 1, B, B + 1 and
+        # 3B + 5 draw and leave behind the stream of one rng.random(count)
+        B = privacy_mod._LAPLACE_BLOCK
+        for count in (0, 1, 7, 100_000, B - 1, B, B + 1, 3 * B + 5):
             for b in (0.4, 1.0):
-                u = derive_rng(5, count).random(count)
-                got = laplace_sample(b, count, derive_rng(5, count))
-                assert got.tobytes() == reference(b, u).tobytes()
+                ref_rng, rng = derive_rng(5, count), derive_rng(5, count)
+                got = laplace_sample(b, count, rng)
+                assert got.tobytes() == reference(b, ref_rng.random(count)).tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
                 got = laplace_sample(b, count, Stub())
                 assert got.tobytes() == reference(b, Stub().random(count)).tobytes()
         edges = laplace_sample(1.0, 4, Stub())

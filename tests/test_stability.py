@@ -70,11 +70,12 @@ class TestBetaElasticNet:
 
 class TestSensitivityThm1:
     def test_hand_value(self):
-        assert sensitivity_l2_direct(1, 1, 100, 0.1) == pytest.approx(0.4)
+        # 2 L / (n lambda_sc)
+        assert sensitivity_l2_direct(1, 100, 0.1) == pytest.approx(0.2)
 
     def test_scale_invariance(self):
-        a = sensitivity_l2_direct(1, 1, 100, 0.1)
-        b = sensitivity_l2_direct(2, 1, 200, 0.1)
+        a = sensitivity_l2_direct(1, 100, 0.1)
+        b = sensitivity_l2_direct(2, 200, 0.1)
         assert a == pytest.approx(b)
 
 

@@ -80,7 +80,7 @@ class TestFreshRows:
         assert rng.random() == 0.9946670155919738
 
     @pytest.mark.parametrize("d", [1, 32])
-    @pytest.mark.parametrize("k", [0, 1, 50])
+    @pytest.mark.parametrize("k", [0, 1, 3, 7, 50])
     def test_matches_record_loop(self, d, k):
         spec = ObjectiveSpec("logistic", 0.2, kappa=0.7)
         rng, ref_rng = derive_rng(3, d, k), derive_rng(3, d, k)
@@ -89,7 +89,32 @@ class TestFreshRows:
         assert X.shape == X_ref.shape and X.dtype == X_ref.dtype == np.float64
         assert y.shape == y_ref.shape and y.dtype == y_ref.dtype == np.float64
         assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
-        assert rng.random() == ref_rng.random()
+        # the whole state, so PCG64's cached upper half-word is compared too:
+        # after an odd number of labels it holds the next label's word
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("labels", [999, 1000])
+    def test_bit_generator_words_are_the_generator_draws(self, labels):
+        # _fresh_rows takes its radius uniforms and labels from the bit
+        # generator's ctypes interface; that keeps every oracle stream only
+        # while these two equivalences hold, interleaved with normals
+        rng, ref_rng = derive_rng(8, labels), derive_rng(8, labels)
+        bits = rng.bit_generator.ctypes
+        v, v_ref = np.empty(3), np.empty(3)
+        for i in range(labels):
+            rng.standard_normal(out=v)
+            ref_rng.standard_normal(out=v_ref)
+            assert v.tobytes() == v_ref.tobytes()
+            u, u_ref = bits.next_double(bits.state), ref_rng.random()
+            assert u == u_ref, (
+                f"draw {i}: next_double gave {u!r}, rng.random() {u_ref!r}; this numpy "
+                "changed rng.random(), so _fresh_rows would move every oracle stream")
+            label, label_ref = bits.next_uint32(bits.state) >> 31, int(ref_rng.integers(2))
+            assert label == label_ref, (
+                f"draw {i}: next_uint32 >> 31 gave {label}, rng.integers(2) {label_ref}; "
+                "this numpy changed rng.integers(2), so _fresh_rows would move every "
+                "oracle stream")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_rows_in_ball_labels_pm1(self):
         spec = ObjectiveSpec("logistic", 0.2, kappa=0.7)
@@ -104,7 +129,8 @@ class TestEmpiricalSensitivity:
         rep = empirical_sensitivity(spec, S, trials=60, seed=0)
         assert rep.passed
         assert rep.details["solver_failures"] == 0
-        assert rep.details["direct_bound"] == pytest.approx(4.0 / (50 * 0.5))
+        # 2 L / (n lambda_sc), with L = kappa = 1 and lambda_sc = lam
+        assert rep.details["direct_bound"] == pytest.approx(2.0 / (50 * 0.5))
 
     def test_huge_lam_everything_near_zero(self):
         spec, S = fixture(lam=1e6)
@@ -119,12 +145,32 @@ class TestEmpiricalSensitivity:
         b = empirical_sensitivity(spec, S, trials=15, seed=3)
         assert a.empirical_value == b.empirical_value
 
-    def test_elastic_spec_reports_no_direct_bound(self):
+    def test_elastic_spec_checks_direct_bound(self):
+        # the replace-one argument does not use the penalty, so the elastic
+        # net is held to 2 L / (n lambda_sc) too, with lambda_sc = 2 lam gamma
         S, _ = synth_classification(40, 4, classes=2, sparsity=4, noise=0.5, seed=6)
         spec = ObjectiveSpec("logistic", 0.5, penalty="elastic", gamma=0.85)
         rep = empirical_sensitivity(spec, S, trials=15, seed=0)
-        assert rep.details["direct_bound"] is None
+        assert rep.details["direct_bound"] == pytest.approx(2.0 / (40 * 2 * 0.5 * 0.85))
+        assert rep.bound_value == min(rep.details["direct_bound"],
+                                      rep.details["strong_convexity_bound"])
         assert rep.passed
+
+    @pytest.mark.parametrize("penalty", ["l2", "elastic"])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("kappa", [1.0, 0.25, 0.1])
+    def test_direct_bound_holds_at_small_kappa(self, kappa, lam, penalty):
+        # the verify fixture's data in the kappa-ball; with L = kappa the
+        # bound is linear in kappa, and below kappa = 1/2 a correct solver's
+        # sampled sensitivity exceeds any bound that shrinks like kappa^2
+        S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5,
+                                    kappa=kappa)
+        spec = ObjectiveSpec("logistic", lam, penalty=penalty, kappa=kappa)
+        rep = empirical_sensitivity(spec, S, trials=40, seed=0)
+        assert rep.passed, rep.details
+        lam_sc = lam if penalty == "l2" else 2 * lam * spec.gamma
+        assert rep.details["direct_bound"] == pytest.approx(2 * kappa / (50 * lam_sc),
+                                                            rel=1e-15)
 
 
 class TestEmpiricalStability:
