@@ -475,6 +475,9 @@ def run_verify_suite(suite: str, trials: int = 200, probes: int = 50,
             add(f"stability_lam_{lam}",
                 verify_mod.empirical_stability(spec, S, trials=trials, probes=probes,
                                                seed=seed))
+    # the draws served each suite's lambda grid; do not hold them through the dp
+    # checks, whose 1M-sample arrays set the suite's peak memory
+    verify_mod._forget_draws()
     if "dp" in wanted:
         for name, report, expected in _dp_checks(samples, seed):
             add(name, report, expected)

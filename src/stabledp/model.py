@@ -151,10 +151,18 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
     def replace_record(self, i: int, x: np.ndarray, y: float) -> "Dataset":
-        """Neighboring dataset: record i swapped for (x, y)."""
+        """Neighboring dataset: record i swapped for (x, y).
+
+        ``i`` must be an index in [0, n), so -1 is not the last record, and
+        ``x`` a vector of d entries.
+        """
+        _require("i", i, lambda v: 0 <= v < self.n, f"an integer in [0, {self.n})", int)
+        x = np.asarray(x, dtype=float)
+        _require("x", x, lambda v: v.shape == (self.d,), f"a vector of {self.d} entries",
+                 np.ndarray)
         X = np.array(self.features)
         lab = np.array(self.labels)
-        X[i] = np.asarray(x, dtype=float)
+        X[i] = x
         lab[i] = float(y)
         return Dataset(X, lab)
 

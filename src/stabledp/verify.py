@@ -22,6 +22,19 @@ words ``rng.random()`` and ``rng.integers(2)`` consume, PCG64's cached
 upper half-word included, so the stream is the one the Generator's
 methods draw, without their per-call overhead.
 
+An oracle's draws (its neighbors, probe indices and fresh probe rows) read
+only (stream, kappa, S, trials, probes, seed), never lambda, so the
+sensitivity, stability and SGD-stability oracles take them through one
+memo, ``_draws``: a call whose key equals the last draw's, by value, gets
+that draw back instead of a new one, which is exactly what a new one
+would be. The memo holds one slot, the latest draw, so a grid of lambdas
+(``verify all`` runs three) or of SGD settings samples once, and a suite
+that moves on to another stream frees the one before.
+``cli.run_verify_suite`` empties the slot once its oracle suites are done,
+so the draws are not held through the dp checks' 1M-sample arrays. Shared
+draws are read-only: neighbors are ``Dataset``s, and the probe arrays are
+frozen.
+
 The stability oracles score probe loss gaps with one kernel,
 ``_loss_gaps``: every (S, neighbor) pair's probes in one batched
 ``np.matmul`` of a (t, k, d) probe stack against a (t, d, 2) stack of
@@ -78,6 +91,9 @@ __all__ = [
 # the gradient-norm tolerance of every oracle solve
 SOLVE_TOLERANCE = 1e-9
 
+# the one slot of the draw memo: (key, draw) of the latest oracle sampling
+_last_draw = None
+
 
 def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
     """k fresh records as (X, y): kappa-bounded rows (uniform in the ball), +/-1 labels.
@@ -101,6 +117,40 @@ def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
         y[i] = (-1.0, 1.0)[next_uint32(state) >> 31]
     X *= c[:, None]
     return X, y
+
+
+def _draws(stream: int, spec: ObjectiveSpec, S: Dataset, counts: tuple, seed: int, draw):
+    """``draw(derive_rng(seed, stream))``, or the latest draw when its key is this one.
+
+    The key holds by value all the draw reads: the stream, ``spec.kappa``,
+    the shape and bytes of S's features and labels, the sample ``counts``
+    and the seed. The slot is emptied before a new draw, so one draw is
+    alive at a time. It is read once and replaced whole, so threads sharing
+    it at worst draw twice.
+    """
+    global _last_draw
+    key = (stream, spec.kappa, S.features.shape, S.features.tobytes(),
+           S.labels.shape, S.labels.tobytes(), counts, seed)
+    last = _last_draw
+    if last is not None and last[0] == key:
+        return last[1]
+    _forget_draws()
+    value = draw(derive_rng(seed, stream))
+    _last_draw = (key, value)
+    return value
+
+
+def _forget_draws() -> None:
+    """Empty the draw memo's slot, freeing the draw it held."""
+    global _last_draw
+    _last_draw = None
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """``arrays``, each made read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Dataset:
@@ -164,9 +214,9 @@ def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     """
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
-    rng = derive_rng(seed, 21)
-    base, trained = _solve_with_neighbors(
-        spec, S, [_neighbor(spec, S, rng) for _ in range(trials)])
+    neighbors = _draws(21, spec, S, (trials,), seed, lambda rng: tuple(
+        _neighbor(spec, S, rng) for _ in range(trials)))
+    base, trained = _solve_with_neighbors(spec, S, neighbors)
     cert = spec_cert(spec, S.n)
     sc_bound = sensitivity_via_strong_convexity(cert)
     direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
@@ -206,14 +256,19 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     probes go unscored.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
-    rng = derive_rng(seed, 22)
-    neighbors, idx, fresh_X, fresh_y = [], [], [], []
-    for _ in range(trials):
-        neighbors.append(_neighbor(spec, S, rng))
-        idx.append(rng.choice(S.n, size=min(probes, S.n), replace=False))
-        X, y = _fresh_rows(spec, S.d, probes, rng)
-        fresh_X.append(X)
-        fresh_y.append(y)
+
+    def draw(rng):
+        neighbors, idx, fresh_X, fresh_y = [], [], [], []
+        for _ in range(trials):
+            neighbors.append(_neighbor(spec, S, rng))
+            idx.append(rng.choice(S.n, size=min(probes, S.n), replace=False))
+            X, y = _fresh_rows(spec, S.d, probes, rng)
+            fresh_X.append(X)
+            fresh_y.append(y)
+        return (tuple(neighbors),
+                *_frozen(np.stack(idx), np.stack(fresh_X), np.stack(fresh_y)))
+
+    neighbors, idx, fresh_X, fresh_y = _draws(22, spec, S, (trials, probes), seed, draw)
     base, trained = _solve_with_neighbors(spec, S, neighbors)
     beta = spec_cert(spec, S.n).beta
 
@@ -222,12 +277,12 @@ def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
     worst_in = worst_fresh = 0.0
     if kept:
         W = np.column_stack([trained[j] for j in kept])
-        rows = np.stack(idx)[kept]
+        rows = idx[kept]
         # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
         worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
                                          S.labels[rows]).tolist()])
-        worst_fresh = max([0.0, *_loss_gaps(spec, base, W, np.stack(fresh_X)[kept],
-                                            np.stack(fresh_y)[kept]).tolist()])
+        worst_fresh = max([0.0, *_loss_gaps(spec, base, W, fresh_X[kept],
+                                            fresh_y[kept]).tolist()])
 
     worst = max(worst_in, worst_fresh)
     passed = worst <= beta and failures <= trials * 0.01
@@ -382,12 +437,16 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     result is meant for directional comparisons across knob settings.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
-    rng = derive_rng(seed, 26)
-    pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
-             for _ in range(trials)]
-    W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg)
-    X = np.stack([X for _, (X, _) in pairs])
-    y = np.stack([y for _, (_, y) in pairs])
+
+    def draw(rng):
+        pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
+                 for _ in range(trials)]
+        return (tuple(Sp for Sp, _ in pairs),
+                *_frozen(np.stack([X for _, (X, _) in pairs]),
+                         np.stack([y for _, (_, y) in pairs])))
+
+    neighbors, X, y = _draws(26, spec, S, (trials, probes), seed, draw)
+    W = sgd_run(spec, [S, *neighbors], cfg)
     worst = max(_loss_gaps(spec, W[:, 0], W[:, 1:], X, y).tolist())
     return OracleReport(
         name="sgd_stability",

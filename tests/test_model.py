@@ -62,6 +62,20 @@ class TestDataset:
         assert S2.features[1, 0] == 9.0
         assert S.features[1, 0] == 0.0  # original untouched
 
+    @pytest.mark.parametrize("i", [-1, 3, 1.0, True])
+    def test_replace_record_rejects_an_index_outside_the_records(self, i):
+        # -1 once replaced the last record and n raised a bare IndexError
+        S = small_dataset()
+        with pytest.raises(ValueError, match=r"^i must be an integer in \[0, 3\), got"):
+            S.replace_record(i, np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros((1, 3)), 0.0])
+    def test_replace_record_rejects_x_without_d_entries(self, x):
+        # a wrong length once raised numpy's broadcast error
+        S = small_dataset()
+        with pytest.raises(ValueError, match=r"^x must be a vector of 3 entries, got"):
+            S.replace_record(0, x, 1.0)
+
 
 class TestObjectiveSpec:
     def test_eta_defaults_to_one_minus_gamma(self):

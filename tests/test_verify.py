@@ -123,6 +123,143 @@ class TestFreshRows:
         assert set(np.unique(y)) == {-1.0, 1.0}
 
 
+def run_oracle(oracle, spec, S, trials=4, probes=3, seed=0):
+    """One report of the named memo-drawing oracle at small counts."""
+    if oracle == "sensitivity":
+        return empirical_sensitivity(spec, S, trials=trials, seed=seed)
+    if oracle == "stability":
+        return empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
+    cfg = SgdConfig(steps_T=20, step_size=0.1, batch_size_b=5, seed=2)
+    return empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
+
+
+def count_fresh_rows(monkeypatch):
+    """Patch ``verify._fresh_rows`` to count its calls; returns the one-item counter."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _fresh_rows(*args)
+
+    monkeypatch.setattr(verify, "_fresh_rows", counted)
+    return calls
+
+
+def nudged(S):
+    """S with one feature value moved by 1e-9."""
+    X = np.array(S.features)
+    X[3, 2] += 1e-9
+    return Dataset(X, S.labels)
+
+
+def flipped(S):
+    """S with one label flipped."""
+    y = np.array(S.labels)
+    y[7] = -y[7]
+    return Dataset(S.features, y)
+
+
+MEMO_ORACLES = ["sensitivity", "stability", "sgd_stability"]
+# each key part changed on its own, as an edit of (spec, S, trials, probes, seed)
+KEY_CHANGES = {
+    "kappa": lambda spec, S, t, p, s: (replace(spec, kappa=0.5), S, t, p, s),
+    "feature": lambda spec, S, t, p, s: (spec, nudged(S), t, p, s),
+    "label": lambda spec, S, t, p, s: (spec, flipped(S), t, p, s),
+    "trials": lambda spec, S, t, p, s: (spec, S, t + 1, p, s),
+    "probes": lambda spec, S, t, p, s: (spec, S, t, p + 1, s),
+    "seed": lambda spec, S, t, p, s: (spec, S, t, p, s + 1),
+}
+
+
+def cold(oracle, *args):
+    """The oracle's report drawn from an empty memo slot."""
+    verify._forget_draws()
+    return run_oracle(oracle, *args).to_dict()
+
+
+class TestDrawMemo:
+    """Oracles draw through a one-slot memo keyed by everything the draw reads."""
+
+    @pytest.mark.parametrize("oracle", MEMO_ORACLES)
+    def test_warm_report_equals_cold(self, oracle):
+        spec, S = fixture(lam=0.1)
+        fresh = cold(oracle, replace(spec, lam=2.0), S)
+        run_oracle(oracle, spec, S)
+        # the draw does not read lambda, so lambda 2 is served lambda 0.1's draws
+        assert run_oracle(oracle, replace(spec, lam=2.0), S).to_dict() == fresh
+
+    def test_sensitivity_stability_sensitivity(self):
+        spec, S = fixture()
+        fresh = {oracle: cold(oracle, spec, S) for oracle in ("sensitivity", "stability")}
+        verify._forget_draws()
+        for oracle in ("sensitivity", "stability", "sensitivity"):
+            assert run_oracle(oracle, spec, S).to_dict() == fresh[oracle]
+
+    @pytest.mark.parametrize("oracle", MEMO_ORACLES)
+    def test_hit_samples_nothing(self, monkeypatch, oracle):
+        spec, S = fixture()
+        calls = count_fresh_rows(monkeypatch)
+        run_oracle(oracle, spec, S)
+        assert calls[0] > 0
+        calls[0] = 0
+        run_oracle(oracle, replace(spec, lam=2.0), S)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("oracle, part", [
+        (oracle, part) for oracle in MEMO_ORACLES for part in KEY_CHANGES
+        if not (oracle == "sensitivity" and part == "probes")])
+    def test_each_key_part_misses(self, monkeypatch, oracle, part):
+        spec, S = fixture()
+        args = KEY_CHANGES[part](spec, S, 4, 3, 0)
+        fresh = cold(oracle, *args)
+        calls = count_fresh_rows(monkeypatch)
+        run_oracle(oracle, spec, S, 4, 3, 0)
+        calls[0] = 0
+        assert run_oracle(oracle, *args).to_dict() == fresh
+        assert calls[0] > 0
+
+    @pytest.mark.parametrize("part", ["shape", "stream"])
+    def test_shape_and_stream_miss(self, part):
+        # the same feature and label bytes at another shape, and the same key
+        # on another stream, each draw anew (n and the byte count fix d, so
+        # the labels' shape is the one that tells these datasets apart)
+        spec = ObjectiveSpec("logistic", 0.5)
+        S = Dataset(np.arange(24.0).reshape(4, 6), np.ones((4, 3)))
+        other = (22, Dataset(np.arange(24.0).reshape(6, 4), np.ones((6, 2)))) \
+            if part == "shape" else (21, S)
+        drawn = []
+        for stream, D in [(22, S), (22, S), other]:
+            verify._draws(stream, spec, D, (4, 3), 0, lambda rng: drawn.append(rng.random()))
+        assert len(drawn) == 2
+
+    @pytest.mark.parametrize("oracle", ["stability", "sgd_stability"])
+    def test_shared_draws_are_read_only(self, oracle):
+        spec, S = fixture()
+        run_oracle(oracle, spec, S)
+        neighbors, *arrays = verify._last_draw[1]
+        # stability shares (indices, rows, labels), SGD stability (rows, labels)
+        assert len(neighbors) == 4 and len(arrays) == {"stability": 3}.get(oracle, 2)
+        for a in [*arrays, *(D.features for D in neighbors), *(D.labels for D in neighbors)]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_one_slot(self, monkeypatch):
+        spec, S = fixture()
+        run_oracle("sensitivity", spec, S)
+        run_oracle("stability", spec, S)
+        key, _ = verify._last_draw
+        assert key[0] == 22
+        # stability's draw replaced sensitivity's, so sensitivity draws again
+        calls = count_fresh_rows(monkeypatch)
+        run_oracle("sensitivity", spec, S)
+        assert calls[0] == 4
+        # and a miss frees the slot before it draws, so one draw is alive at a time
+        seen = []
+        verify._draws(21, spec, S, (5,), 0, lambda rng: seen.append(verify._last_draw))
+        assert seen == [None]
+
+
 class TestEmpiricalSensitivity:
     def test_bound_respected_on_fixture(self):
         spec, S = fixture()
