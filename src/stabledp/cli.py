@@ -16,6 +16,11 @@ metadata sidecar, with no timestamps, so identical (config, seeds) re-runs
 produce byte-identical bytes. Grid cells derive their noise streams from
 (master seed, lambda bits, epsilon bits, repeat), so any cell re-run in
 isolation reproduces its in-grid numbers exactly.
+
+Exit codes: 0 on success; 1 when a verify check lands on the wrong
+verdict or a fetch fails; 2 on a config or flag error; 3 when the solver
+does not converge (``ConvergenceError``). A config or solver error writes
+no result file.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .model import (
     _Stack,
     as_signed_labels,
 )
-from .optimizer import solve_erm
+from .optimizer import ConvergenceError, solve_erm
 from .privacy import Noise, calibrate, dp_micro_check, laplace_sample, perturb
 from .rng import derive_rng, float_key
 from .stability import sensitivity_via_strong_convexity, spec_cert
@@ -476,7 +481,7 @@ def run_verify_suite(suite: str, trials: int = 200, probes: int = 50,
                 verify_mod.empirical_stability(spec, S, trials=trials, probes=probes,
                                                seed=seed))
     # the draws served each suite's lambda grid; do not hold them through the dp
-    # checks, whose 1M-sample arrays set the suite's peak memory
+    # checks, whose two 1M-sample releases, held once each, set the suite's peak memory
     verify_mod._forget_draws()
     if "dp" in wanted:
         for name, report, expected in _dp_checks(samples, seed):
@@ -612,6 +617,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        # raised before any result file is written
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     print(path)
     return 0
 

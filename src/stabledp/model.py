@@ -150,11 +150,12 @@ class Dataset:
         idx = np.asarray(idx)
         return Dataset(self.features[idx], self.labels[idx])
 
-    def replace_record(self, i: int, x: np.ndarray, y: float) -> "Dataset":
+    def replace_record(self, i: int, x: np.ndarray, y) -> "Dataset":
         """Neighboring dataset: record i swapped for (x, y).
 
         ``i`` must be an index in [0, n), so -1 is not the last record, and
-        ``x`` a vector of d entries.
+        ``x`` a vector of d entries. ``y`` is one label when the labels are
+        1-D, and a label row of K entries when they are an (n, K) block.
         """
         _require("i", i, lambda v: 0 <= v < self.n, f"an integer in [0, {self.n})", int)
         x = np.asarray(x, dtype=float)
@@ -163,7 +164,14 @@ class Dataset:
         X = np.array(self.features)
         lab = np.array(self.labels)
         X[i] = x
-        lab[i] = float(y)
+        if lab.ndim == 1:
+            lab[i] = float(y)
+        else:
+            # a scalar would be written into every column of the block
+            y = np.asarray(y, dtype=float)
+            _require("y", y, lambda v: v.shape == lab.shape[1:],
+                     f"a label row of {lab.shape[1]} entries", np.ndarray)
+            lab[i] = y
         return Dataset(X, lab)
 
 

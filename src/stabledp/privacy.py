@@ -18,17 +18,21 @@ calibrations exist, and every release records which one it used:
                   the provable calibration.
 
 ``perturb`` is the one place a ``Noise`` is drawn onto model weights;
-``release``, the CLI and the ``verify`` oracles all go through it.
-``release`` trains an objective, certifies it with ``stability.spec_cert``,
-calibrates, and perturbs.
+``release``, the CLI and the ``verify`` oracles all go through it. It draws
+the noise into the array it returns and adds the weights there, so a
+release is held once. ``release`` trains an objective, certifies it with
+``stability.spec_cert``, calibrates, and perturbs.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
-proof. It returns the ``OracleReport`` every empirical check returns. Its
-window is centred on the pooled median, which ``_median`` takes without
-partitioning the whole pooled sample: a sorted stride subsample brackets
-the middle, and only the values inside the bracket are partitioned. The
-result is the float ``np.median`` returns.
+proof. It returns the ``OracleReport`` every empirical check returns. It
+holds its two releases once and never joins them: the window's centre,
+the median of the pooled sample, is taken by ``_median`` over the two as
+parts (a sorted stride subsample brackets the middle, and only the values
+inside the bracket are joined and partitioned), and its width, the mean
+absolute deviation from that centre, by ``_mean_abs_dev`` through one
+buffer of ``_DEV_BLOCK`` floats. Both give the floats that ``np.median``
+and ``np.mean`` give on the pooled sample.
 """
 
 from __future__ import annotations
@@ -174,15 +178,19 @@ def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.n
 
 
 def perturb(W: np.ndarray, noise: Noise, rng: np.random.Generator) -> np.ndarray:
-    """A fresh copy of W plus one draw of ``noise`` on every entry.
+    """A fresh C-contiguous array of W plus one draw of ``noise`` on every entry.
 
-    Draws ``W.size`` values in row-major order; a zero scale draws nothing
-    and returns an exact copy.
+    Draws ``W.size`` values in row-major order into the array it returns
+    and adds W to them in place, so no second W-sized array is made (W may
+    be a broadcast view); the sums are those of ``W + noise``. A zero
+    scale draws nothing and returns an exact copy.
     """
     W = np.asarray(W, dtype=float)
     if noise.scale == 0:
         return W.copy()
-    return W + laplace_sample(noise.scale, W.size, rng).reshape(W.shape)
+    out = laplace_sample(noise.scale, W.size, rng).reshape(W.shape)
+    out += W
+    return out
 
 
 def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> Noise:
@@ -239,35 +247,86 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 # the stride of the subsample that brackets the median in ``_median``
 _MEDIAN_STRIDE = 64
 
+# floats of |x - centre| that ``_mean_abs_dev`` holds at once
+_DEV_BLOCK = 65_536
 
-def _median(x: np.ndarray) -> float:
-    """``float(np.median(x))`` of a 1-D finite float array, bit for bit.
 
-    ``np.median`` partitions a copy of all of x. Here the sorted subsample
-    ``x[::64]`` of m values gives a bracket [lo, hi] of 2 sqrt(m) ranks on
-    each side of its middle, about 4 standard deviations of the rank of a
-    sample median; the values below lo are counted and only those inside
-    the bracket (about 2% of a 2M-value x) are partitioned. When the middle
+def _median(parts) -> float:
+    """``float(np.median(np.concatenate(parts)))`` of 1-D finite float arrays, bit for bit.
+
+    ``np.median`` partitions a copy of all of the pooled sample x. Here the
+    sorted subsample ``x[::64]`` of m values, taken part by part (a part
+    starting at offset ``off`` of x starts its stride at ``(-off) % 64``),
+    gives a bracket [lo, hi] of 2 sqrt(m) ranks on each side of its middle,
+    about 4 standard deviations of the rank of a sample median. The values
+    below lo are counted part by part, and only those inside the bracket
+    (about 2% of a 2M-value x) are joined and partitioned. When the middle
     order statistics fall outside the bracket (a tiny or adversarially
-    ordered x), ``np.median`` is taken instead. The one or two middle order
-    statistics are averaged by ``np.mean``, as ``np.median`` averages them.
+    ordered x), ``np.median`` of the joined parts is taken instead. The one
+    or two middle order statistics are averaged by ``np.mean``, as
+    ``np.median`` averages them.
     """
-    size = x.size
-    sub = np.sort(x[::_MEDIAN_STRIDE])
+    size = sum(p.size for p in parts)
+    strided, off = [], 0
+    for p in parts:
+        strided.append(p[(-off) % _MEDIAN_STRIDE::_MEDIAN_STRIDE])
+        off += p.size
+    sub = np.sort(np.concatenate(strided))
     half = 2 * math.isqrt(sub.size) + 1
     mid = sub.size // 2
     lo, hi = sub[max(mid - half, 0)], sub[min(mid + half, sub.size - 1)]
-    keep = x >= lo
-    below = size - int(np.count_nonzero(keep))
-    keep &= x <= hi
-    inside = x[keep]
+    below, inside = 0, []
+    for p in parts:
+        keep = p >= lo
+        below += p.size - int(np.count_nonzero(keep))
+        keep &= p <= hi
+        inside.append(p[keep])
+    inside = np.concatenate(inside)
     # the 0-based ranks np.median averages, then their offsets in the bracket
     ranks = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
     offsets = [r - below for r in ranks]
     if offsets[0] < 0 or offsets[-1] >= inside.size:
-        return float(np.median(x))
+        return float(np.median(np.concatenate(parts)))
     inside.partition(offsets)
     return float(np.mean(inside[offsets]))
+
+
+def _mean_abs_dev(parts, center: float) -> float:
+    """``float(np.mean(np.abs(np.concatenate(parts) - center)))``, bit for bit.
+
+    The deviations pass through one buffer of at most ``_DEV_BLOCK``
+    floats (``_abs_dev_sum``); nothing ``parts``-sized is made.
+    """
+    size = sum(p.size for p in parts)
+    return _abs_dev_sum(parts, center, 0, size, np.empty(min(size, _DEV_BLOCK))) / size
+
+
+def _abs_dev_sum(parts, center: float, start: int, n: int, buf: np.ndarray) -> float:
+    """The sum of |x - center| over ``x[start:start + n]`` of the pooled parts x,
+    added in the order ``np.add.reduce`` adds a contiguous x.
+
+    ``np.add.reduce`` sums pairwise: a run longer than its block is split
+    at half its length rounded down to a multiple of 8, and each half is
+    summed the same way. This follows those splits until a run fits in
+    ``buf``, fills ``buf`` with that run's |x - center|, part by part, and
+    sums it with ``np.add.reduce``; the runs' sums are added as the splits
+    add them. Summing block by block instead differed in the last bit in
+    9 of 20 1M-value samples tried.
+    """
+    if n > buf.size:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return (_abs_dev_sum(parts, center, start, n2, buf)
+                + _abs_dev_sum(parts, center, start + n2, n - n2, buf))
+    run, filled, off = buf[:n], 0, 0
+    for p in parts:
+        lo, hi = max(start, off), min(start + n, off + p.size)
+        if lo < hi:
+            np.subtract(p[lo - off:hi - off], center, out=run[filled:filled + hi - lo])
+            filled += hi - lo
+        off += p.size
+    np.abs(run, out=run)
+    return float(np.add.reduce(run))
 
 
 def _release_of(release_fn, name: str, S: Dataset, seed_key: int, seed: int,
@@ -307,12 +366,8 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     _require("samples", samples, *_COUNT)
     a = _release_of(release_fn, "release_fn(S)", S, 101, seed, samples)
     b = _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 202, seed, samples)
-    pooled = np.concatenate([a, b])
-    center = _median(pooled)
-    # |pooled - center| in place: one fewer 2 * samples array held at once
-    np.abs(np.subtract(pooled, center, out=pooled), out=pooled)
-    scale_hat = float(np.mean(pooled))  # Laplace MLE scale
-    del pooled
+    center = _median((a, b))
+    scale_hat = _mean_abs_dev((a, b), center)  # Laplace MLE scale
     if scale_hat <= 0:
         scale_hat = max(float(np.std(np.concatenate([a, b]))), 1e-12)
     edges = np.linspace(center - _RANGE_SCALES * scale_hat,

@@ -387,6 +387,22 @@ class TestMainEntrypoint:
         assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "dataset.sparsity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "select"])
+    def test_solver_error_exit_code(self, tmp_path, capsys, command):
+        # a ConvergenceError once ended these commands with a traceback
+        cfg = {"dataset": {"n": 60, "d": 8, "classes": 2, "sparsity": 3, "noise": 0.3,
+                           "structured_noise": False, "seed": 1, "reduce_to": None},
+               "split": {"repeats": 2}, "lambda_grid": [0.1], "epsilon_grid": [1.0],
+               "tolerance": 1e-6, "max_iters": 2}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "res")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("solver error: no convergence after 2 iterations")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("text,flags,path", [
         (None, ["--lambda-grid", "abc"], "lambda_grid"),
         (None, ["--epsilon-grid", "1,x"], "epsilon_grid"),

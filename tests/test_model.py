@@ -62,6 +62,34 @@ class TestDataset:
         assert S2.features[1, 0] == 9.0
         assert S.features[1, 0] == 0.0  # original untouched
 
+    def test_replace_record_writes_a_label_row_into_block_labels(self):
+        # a scalar label was once written into every column: [-1, -1, -1]
+        S = Dataset(np.ones((3, 2)), 2.0 * np.eye(3) - 1.0)
+        S2 = S.replace_record(0, np.zeros(2), np.array([-1.0, -1.0, 1.0]))
+        assert np.array_equal(S2.labels[0], [-1.0, -1.0, 1.0])
+        assert np.array_equal(S2.labels[1:], S.labels[1:])
+        assert np.array_equal(S2.features[0], [0.0, 0.0])
+        assert np.array_equal(S.labels, 2.0 * np.eye(3) - 1.0)  # original untouched
+        # a list is a label row too
+        assert np.array_equal(S.replace_record(2, np.zeros(2), [1, -1, -1]).labels[2],
+                              [1.0, -1.0, -1.0])
+
+    @pytest.mark.parametrize("y", [-1.0, np.float64(1.0), np.array(1.0), np.ones(2),
+                                   np.ones(4), np.ones((1, 3))],
+                             ids=["float", "np_float", "zero_d", "short", "long", "two_d"])
+    def test_replace_record_rejects_y_that_is_not_a_label_row(self, y):
+        S = Dataset(np.ones((3, 2)), 2.0 * np.eye(3) - 1.0)
+        with pytest.raises(ValueError, match=r"^y must be a label row of 3 entries, got"):
+            S.replace_record(0, np.zeros(2), y)
+
+    @pytest.mark.parametrize("y", [-1.0, 2, np.float64(0.5), np.array(3.0)])
+    def test_replace_record_takes_one_label_for_1d_labels(self, y):
+        S = small_dataset()
+        S2 = S.replace_record(2, np.zeros(3), y)
+        assert S2.labels.shape == (3,)
+        assert S2.labels[2] == float(y)
+        assert np.array_equal(S2.labels[:2], S.labels[:2])
+
     @pytest.mark.parametrize("i", [-1, 3, 1.0, True])
     def test_replace_record_rejects_an_index_outside_the_records(self, i):
         # -1 once replaced the last record and n raised a bare IndexError

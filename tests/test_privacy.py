@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,20 +367,39 @@ class TestDpMicroCheckGuards:
             dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=100, seed=0)
 
 
+def _cut(size):
+    """A split point of ``size`` values that leaves neither part a multiple of 8 long.
+
+    A single value is cut into itself and an empty part.
+    """
+    k = max(1, (3 * size) // 7)
+    while k < size - 1 and (k % 8 == 0 or (size - k) % 8 == 0):
+        k += 1
+    return k
+
+
 class TestMedian:
-    """``_median`` is ``np.median`` bit for bit, with or without its bracket."""
+    """``_median`` over parts is ``np.median`` of their concatenation bit for bit,
+    with or without its bracket."""
 
     @staticmethod
     def check(monkeypatch, x, fallback=False):
-        """_median(x) is np.median(x) to the bit; ``fallback`` says whether it took np.median."""
+        """_median of x whole, and of x cut in two, is np.median(x) to the bit, and its
+        bracket comes from the subsample x[::64]; ``fallback`` says whether each took
+        np.median."""
         want = float(np.median(x))
-        calls, median = [], np.median
-        monkeypatch.setattr(np, "median", lambda a: calls.append(a.size) or median(a))
-        got = privacy_mod._median(x)
-        monkeypatch.undo()
-        assert got.hex() == want.hex()
-        if fallback is not None:
-            assert calls == ([x.size] if fallback else [])
+        stride = np.sort(x[::privacy_mod._MEDIAN_STRIDE])
+        k = _cut(x.size)
+        for parts in ((x,), (x[:k], x[k:])):
+            calls, sorted_, median, sort = [], [], np.median, np.sort
+            monkeypatch.setattr(np, "median", lambda a: calls.append(a.size) or median(a))
+            monkeypatch.setattr(np, "sort", lambda a: sorted_.append(sort(a)) or sorted_[-1])
+            got = privacy_mod._median(parts)
+            monkeypatch.undo()
+            assert got.hex() == want.hex(), [p.size for p in parts]
+            assert len(sorted_) == 1 and np.array_equal(sorted_[0], stride)
+            if fallback is not None:
+                assert calls == ([x.size] if fallback else [])
 
     @pytest.mark.parametrize("size", [2_000_000, 200_001])
     def test_laplace_pair(self, monkeypatch, size):
@@ -432,9 +452,75 @@ class TestMedian:
             return np.round(r * 20) / 20 if release == "discrete" else r
 
         rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=6)
-        monkeypatch.setattr(privacy_mod, "_median", lambda x: float(np.median(x)))
+        # the reference pools the two releases, as the check once did
+        monkeypatch.setattr(privacy_mod, "_median",
+                            lambda parts: float(np.median(np.concatenate(parts))))
+        monkeypatch.setattr(privacy_mod, "_mean_abs_dev", lambda parts, center: float(
+            np.mean(np.abs(np.concatenate(parts) - center))))
         ref = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=6)
         assert rep.to_dict() == ref.to_dict()
+
+
+_POOLED_SIZES = [1, 2, 7, 60, 65, 4_097, 65_537, 200_001, 1_000_003]
+
+
+def _pooled(kind, size, seed):
+    """A pooled sample of ``size`` values of ``kind``, like dp_micro_check's releases."""
+    rng = derive_rng(7, size, seed)
+    if kind == "laplace":
+        return laplace_sample(0.025, size, rng) + 0.5
+    return np.round(laplace_sample(0.025, size, rng) * 40) / 40  # many ties
+
+
+class TestPartsMatchTheConcatenation:
+    """``_median`` and ``_mean_abs_dev`` over two parts give, as ``float.hex``, what
+    ``np.median`` and ``np.mean(np.abs(concat - c))`` give on the concatenation."""
+
+    @pytest.mark.parametrize("size", _POOLED_SIZES)
+    @pytest.mark.parametrize("kind", ["laplace", "discrete"])
+    def test_median(self, kind, size):
+        for seed in range(2):
+            x = _pooled(kind, size, seed)
+            k = _cut(size)
+            assert 0 < k and (size == 1 or (k % 8 and (size - k) % 8))
+            want = float(np.median(x)).hex()
+            assert privacy_mod._median((x[:k], x[k:])).hex() == want
+            # dp_micro_check's own split: two equal parts
+            h = size // 2
+            assert privacy_mod._median((x[:h], x[h:])).hex() == want
+
+    @pytest.mark.parametrize("size", _POOLED_SIZES)
+    @pytest.mark.parametrize("kind", ["laplace", "discrete"])
+    def test_mean_abs_dev(self, kind, size):
+        for seed in range(2):
+            x = _pooled(kind, size, seed)
+            k, h = _cut(size), size // 2
+            for center in (float(np.median(x)), 0.5 + 1e-3 * seed):
+                want = float(np.mean(np.abs(x - center))).hex()
+                assert privacy_mod._mean_abs_dev((x[:k], x[k:]), center).hex() == want
+                assert privacy_mod._mean_abs_dev((x[:h], x[h:]), center).hex() == want
+                assert privacy_mod._mean_abs_dev((x,), center).hex() == want
+
+
+def test_one_million_sample_check_holds_each_release_once():
+    # tracemalloc sees numpy's buffers; the two releases alone are 15.3 MiB. Pooling
+    # them into one more array, and perturb's W + noise, once read 35.3 MiB here.
+    S, Sp = TestDpMicroCheck().datasets()
+
+    def release_fn(ds, rng, size):
+        return perturb(np.broadcast_to(float(np.mean(ds.features)), size), Noise(1 / 40), rng)
+
+    tracemalloc.start()
+    try:
+        rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=1_000_000, seed=0)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.summary()
+    assert peak < 20 * 2**20, peak / 2**20
+    # nothing outlives the call: a reference cycle once kept both releases alive
+    # until the garbage collector ran, and a verify run's RSS grew 16 MB a check
+    assert current < 2**20, current / 2**20
 
 
 class TestWilsonInterval:
