@@ -401,10 +401,10 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
 VERIFY_SUITES = ("sensitivity", "stability", "dp", "gradients", "flips", "all")
 
 
-def _oracle_fixture(lam: float) -> tuple:
+def _oracle_fixture(lams) -> tuple:
+    """The oracles' grid of L2 logistic specs, one per lambda, and their 50 x 5 dataset."""
     S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5)
-    spec = ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0)
-    return spec, S
+    return [ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0) for lam in lams], S
 
 
 def _dp_checks(samples: int, seed: int) -> list:
@@ -438,7 +438,7 @@ def _dp_checks(samples: int, seed: int) -> list:
             samples=samples, seed=seed + 1), False),
     ]
 
-    spec, S_erm = _oracle_fixture(0.5)
+    (spec,), S_erm = _oracle_fixture((0.5,))
     rng = derive_rng(seed, 55)
     Sp_erm = verify_mod._neighbor(spec, S_erm, rng)
     noise = calibrate(spec_cert(spec, S_erm.n), S_erm.d, 1.0, "derived")
@@ -469,20 +469,13 @@ def run_verify_suite(suite: str, trials: int = 200, probes: int = 50,
         for kind in ("logistic", "squared"):
             spec = ObjectiveSpec(kind, 0.1, penalty="l2", kappa=1.0, lipschitz_L=1.0)
             add(f"gradients_{kind}", verify_mod.gradient_check(spec, 100, seed=seed))
-    if "sensitivity" in wanted:
-        for lam in (0.1, 0.5, 2.0):
-            spec, S = _oracle_fixture(lam)
-            add(f"sensitivity_lam_{lam}",
-                verify_mod.empirical_sensitivity(spec, S, trials=trials, seed=seed))
-    if "stability" in wanted:
-        for lam in (0.1, 0.5, 2.0):
-            spec, S = _oracle_fixture(lam)
-            add(f"stability_lam_{lam}",
-                verify_mod.empirical_stability(spec, S, trials=trials, probes=probes,
-                                               seed=seed))
-    # the draws served each suite's lambda grid; do not hold them through the dp
-    # checks, whose two 1M-sample releases, held once each, set the suite's peak memory
-    verify_mod._forget_draws()
+    for name, oracle, kwargs in (
+            ("sensitivity", verify_mod.empirical_sensitivity, {}),
+            ("stability", verify_mod.empirical_stability, {"probes": probes})):
+        if name in wanted:
+            specs, S = _oracle_fixture((0.1, 0.5, 2.0))
+            for spec, report in zip(specs, oracle(specs, S, trials=trials, seed=seed, **kwargs)):
+                add(f"{name}_lam_{spec.lam}", report)
     if "dp" in wanted:
         for name, report, expected in _dp_checks(samples, seed):
             add(name, report, expected)

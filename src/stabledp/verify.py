@@ -2,9 +2,10 @@
 
 Each oracle samples neighboring datasets (one record swapped for a fresh
 one), trains S and every sampled neighbor as the columns of one block (one
-``solve_erm`` call to ``SOLVE_TOLERANCE``, well below the margins being
-asserted, or one coupled ``sgd_run``), and compares the observed quantity
-against its bound. A block of m datasets of shape (n, d) holds m*n*d floats.
+``solve_erm`` call per objective to ``SOLVE_TOLERANCE``, well below the
+margins being asserted, or one coupled ``sgd_run``), and compares the
+observed quantity against its bound. A block of m datasets of shape (n, d)
+holds m*n*d floats.
 Sampling gives a sound one-sided check: an empirical value below the bound
 is necessary for the bound's correctness, not sufficient. Oracles never
 share random streams with the mechanisms they test, and every report is
@@ -23,17 +24,14 @@ upper half-word included, so the stream is the one the Generator's
 methods draw, without their per-call overhead.
 
 An oracle's draws (its neighbors, probe indices and fresh probe rows) read
-only (stream, kappa, S, trials, probes, seed), never lambda, so the
-sensitivity, stability and SGD-stability oracles take them through one
-memo, ``_draws``: a call whose key equals the last draw's, by value, gets
-that draw back instead of a new one, which is exactly what a new one
-would be. The memo holds one slot, the latest draw, so a grid of lambdas
-(``verify all`` runs three) or of SGD settings samples once, and a suite
-that moves on to another stream frees the one before.
-``cli.run_verify_suite`` empties the slot once its oracle suites are done,
-so the draws are not held through the dp checks' 1M-sample arrays. Shared
-draws are read-only: neighbors are ``Dataset``s, and the probe arrays are
-frozen.
+(kappa, S, trials, probes, seed), never lambda. So the sensitivity and
+stability oracles take a grid: a sequence of ``ObjectiveSpec``s that share
+kappa. A call draws once, and every spec of its grid is scored on that
+draw: S and the neighbors are stacked once, so the curvature bound's Gram
+eigenvalues are taken once per grid, and each spec gets its own
+``solve_erm``. The SGD-stability oracle takes one config per call and
+draws inside it. Calls with the same seed draw the same neighbors, so the
+reports of two calls (two SGD knob settings, say) stay paired.
 
 The stability oracles score probe loss gaps with one kernel,
 ``_loss_gaps``: every (S, neighbor) pair's probes in one batched
@@ -46,6 +44,7 @@ pair-at-a-time loop gives (``np.einsum`` rounds differently).
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -56,11 +55,13 @@ from .model import (
     Dataset,
     ObjectiveSpec,
     _at_least,
+    _Stack,
     _check_labels,
     _loss_values,
     _margin_loss,
     _require,
     _require_each,
+    _stack,
     gradient,
     per_example_grad,
     per_example_loss,
@@ -91,9 +92,6 @@ __all__ = [
 # the gradient-norm tolerance of every oracle solve
 SOLVE_TOLERANCE = 1e-9
 
-# the one slot of the draw memo: (key, draw) of the latest oracle sampling
-_last_draw = None
-
 
 def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
     """k fresh records as (X, y): kappa-bounded rows (uniform in the ball), +/-1 labels.
@@ -119,40 +117,6 @@ def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
     return X, y
 
 
-def _draws(stream: int, spec: ObjectiveSpec, S: Dataset, counts: tuple, seed: int, draw):
-    """``draw(derive_rng(seed, stream))``, or the latest draw when its key is this one.
-
-    The key holds by value all the draw reads: the stream, ``spec.kappa``,
-    the shape and bytes of S's features and labels, the sample ``counts``
-    and the seed. The slot is emptied before a new draw, so one draw is
-    alive at a time. It is read once and replaced whole, so threads sharing
-    it at worst draw twice.
-    """
-    global _last_draw
-    key = (stream, spec.kappa, S.features.shape, S.features.tobytes(),
-           S.labels.shape, S.labels.tobytes(), counts, seed)
-    last = _last_draw
-    if last is not None and last[0] == key:
-        return last[1]
-    _forget_draws()
-    value = draw(derive_rng(seed, stream))
-    _last_draw = (key, value)
-    return value
-
-
-def _forget_draws() -> None:
-    """Empty the draw memo's slot, freeing the draw it held."""
-    global _last_draw
-    _last_draw = None
-
-
-def _frozen(*arrays: np.ndarray) -> tuple:
-    """``arrays``, each made read-only in place."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Dataset:
     """Neighboring dataset: one uniformly chosen record replaced by a fresh one.
 
@@ -164,22 +128,37 @@ def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Data
     return S.replace_record(i, x, y)
 
 
-def _solve_with_neighbors(spec: ObjectiveSpec, S: Dataset, neighbors: list):
-    """Solve S and its neighbors in one :func:`solve_erm` block.
+def _grid(specs: Sequence[ObjectiveSpec], S: Dataset) -> tuple:
+    """``specs`` as a tuple, once the grid and S are fit to share one draw.
+
+    The draw reads kappa, so every spec needs the same kappa; a neighbor
+    takes one +/-1 label, so S needs 1-D labels. Checked before any draw.
+    """
+    specs = tuple(specs)
+    _require("specs", specs, len, "a non-empty sequence of ObjectiveSpecs", tuple)
+    _require("the specs' kappas", tuple(spec.kappa for spec in specs),
+             lambda k: len(set(k)) == 1, "equal, as the draw reads kappa", tuple)
+    _require("S's label shape", S.labels.shape, lambda shape: len(shape) == 1,
+             "(n,), one +/-1 label per record", tuple)
+    return specs
+
+
+def _solve_with_neighbors(spec: ObjectiveSpec, block: _Stack):
+    """Solve the stack of S and its neighbors (S first) in one :func:`solve_erm`.
 
     Returns S's weights and, per neighbor, its weights or None where its
     column stayed above ``SOLVE_TOLERANCE``. A ConvergenceError on S's own
     column propagates.
     """
     try:
-        report = solve_erm(spec, [S, *neighbors], SOLVE_TOLERANCE)
+        report = solve_erm(spec, block, SOLVE_TOLERANCE)
     except ConvergenceError as exc:
         report = exc.report
-        if report.residuals[0] > SOLVE_TOLERANCE:
+        if report.residuals[0, 0] > SOLVE_TOLERANCE:
             raise
-    converged = report.residuals <= SOLVE_TOLERANCE
-    W = report.weights
-    return W[:, 0], [w if ok else None for w, ok in zip(W.T[1:], converged[1:])]
+    converged = report.residuals[:, 0] <= SOLVE_TOLERANCE
+    W = report.weights[..., 0]
+    return W[0], [w if ok else None for w, ok in zip(W[1:], converged[1:])]
 
 
 def _loss_gaps(spec: ObjectiveSpec, w_base: np.ndarray, W: np.ndarray,
@@ -202,103 +181,112 @@ def _loss_gaps(spec: ObjectiveSpec, w_base: np.ndarray, W: np.ndarray,
     return np.max(np.abs(losses[..., 0] - losses[..., 1]), axis=1, initial=0.0)
 
 
-def empirical_sensitivity(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
-                          seed: int = 0) -> OracleReport:
+def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
+                          trials: int = 200, seed: int = 0) -> list[OracleReport]:
     """Max observed ||w_S - w_S'|| over sampled neighbors vs. the closed-form bounds.
 
-    Compares against the strong-convexity bound sqrt(2 beta / lambda_sc)
-    and the direct replace-one bound 2 L / (n lambda_sc), which holds for
-    either penalty; passes only if every sampled pair respects both bounds
-    and at most 1% of the solves failed. S and the sampled neighbors are
-    solved in one block, (trials + 1)*n*d floats.
+    One report per spec of the grid ``specs``, in grid order, all from one
+    draw of neighbors. Compares against the strong-convexity bound
+    sqrt(2 beta / lambda_sc) and the direct replace-one bound
+    2 L / (n lambda_sc), which holds for either penalty; passes only if
+    every sampled pair respects both bounds and at most 1% of the solves
+    failed. S and the sampled neighbors are stacked once, (trials + 1)*n*d
+    floats, and solved as one block per spec.
     """
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
-    neighbors = _draws(21, spec, S, (trials,), seed, lambda rng: tuple(
-        _neighbor(spec, S, rng) for _ in range(trials)))
-    base, trained = _solve_with_neighbors(spec, S, neighbors)
-    cert = spec_cert(spec, S.n)
-    sc_bound = sensitivity_via_strong_convexity(cert)
-    direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
+    specs = _grid(specs, S)
+    rng = derive_rng(seed, 21)
+    block = _stack([S, *(_neighbor(specs[0], S, rng) for _ in range(trials))])
+    reports = []
+    for spec in specs:
+        base, trained = _solve_with_neighbors(spec, block)
+        cert = spec_cert(spec, S.n)
+        sc_bound = sensitivity_via_strong_convexity(cert)
+        direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
 
-    found = [float(np.linalg.norm(base - w)) for w in trained if w is not None]
-    worst = max(found, default=0.0)
-    failures = len(trained) - len(found)
+        found = [float(np.linalg.norm(base - w)) for w in trained if w is not None]
+        worst = max(found, default=0.0)
+        failures = len(trained) - len(found)
 
-    bound = min(sc_bound, direct)
-    passed = worst <= bound and failures <= trials * 0.01
-    return OracleReport(
-        name="sensitivity",
-        bound_value=bound,
-        empirical_value=worst,
-        trials=trials,
-        margin=bound - worst,
-        passed=passed,
-        details={
-            "strong_convexity_bound": sc_bound,
-            "direct_bound": direct,
-            "solver_failures": failures,
-            "bound_ratio": worst / bound if bound > 0 else float("nan"),
-        },
-    )
+        bound = min(sc_bound, direct)
+        passed = worst <= bound and failures <= trials * 0.01
+        reports.append(OracleReport(
+            name="sensitivity",
+            bound_value=bound,
+            empirical_value=worst,
+            trials=trials,
+            margin=bound - worst,
+            passed=passed,
+            details={
+                "strong_convexity_bound": sc_bound,
+                "direct_bound": direct,
+                "solver_failures": failures,
+                "bound_ratio": worst / bound if bound > 0 else float("nan"),
+            },
+        ))
+    return reports
 
 
-def empirical_stability(spec: ObjectiveSpec, S: Dataset, trials: int = 200,
-                        probes: int = 50, seed: int = 0) -> OracleReport:
+def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int = 200,
+                        probes: int = 50, seed: int = 0) -> list[OracleReport]:
     """Max observed per-example loss change over neighbors vs. the beta constant.
 
-    Probes both in-sample points and fresh kappa-bounded points, reported
-    separately; the verdict uses the larger of the two.
+    One report per spec of the grid ``specs``, in grid order, all from one
+    draw of neighbors and probes. Probes both in-sample points and fresh
+    kappa-bounded points, reported separately; the verdict uses the larger
+    of the two.
 
     Each neighbor is drawn followed by its probes, then S and every
-    neighbor are solved in one block of (trials + 1)*n*d floats; a neighbor
-    whose column fails to converge counts as a solver failure and its
-    probes go unscored.
+    neighbor are stacked once, (trials + 1)*n*d floats, and solved as one
+    block per spec; a neighbor whose column fails to converge counts as a
+    solver failure and its probes go unscored.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
+    specs = _grid(specs, S)
+    rng = derive_rng(seed, 22)
+    neighbors, idx, fresh_X, fresh_y = [], [], [], []
+    for _ in range(trials):
+        neighbors.append(_neighbor(specs[0], S, rng))
+        idx.append(rng.choice(S.n, size=min(probes, S.n), replace=False))
+        X, y = _fresh_rows(specs[0], S.d, probes, rng)
+        fresh_X.append(X)
+        fresh_y.append(y)
+    block = _stack([S, *neighbors])
+    idx, fresh_X, fresh_y = np.stack(idx), np.stack(fresh_X), np.stack(fresh_y)
+    reports = []
+    for spec in specs:
+        base, trained = _solve_with_neighbors(spec, block)
+        beta = spec_cert(spec, S.n).beta
 
-    def draw(rng):
-        neighbors, idx, fresh_X, fresh_y = [], [], [], []
-        for _ in range(trials):
-            neighbors.append(_neighbor(spec, S, rng))
-            idx.append(rng.choice(S.n, size=min(probes, S.n), replace=False))
-            X, y = _fresh_rows(spec, S.d, probes, rng)
-            fresh_X.append(X)
-            fresh_y.append(y)
-        return (tuple(neighbors),
-                *_frozen(np.stack(idx), np.stack(fresh_X), np.stack(fresh_y)))
+        kept = [j for j, w in enumerate(trained) if w is not None]
+        failures = trials - len(kept)
+        worst_in = worst_fresh = 0.0
+        if kept:
+            W = np.column_stack([trained[j] for j in kept])
+            rows = idx[kept]
+            # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
+            worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
+                                             S.labels[rows]).tolist()])
+            worst_fresh = max([0.0, *_loss_gaps(spec, base, W, fresh_X[kept],
+                                                fresh_y[kept]).tolist()])
 
-    neighbors, idx, fresh_X, fresh_y = _draws(22, spec, S, (trials, probes), seed, draw)
-    base, trained = _solve_with_neighbors(spec, S, neighbors)
-    beta = spec_cert(spec, S.n).beta
-
-    kept = [j for j, w in enumerate(trained) if w is not None]
-    failures = trials - len(kept)
-    worst_in = worst_fresh = 0.0
-    if kept:
-        W = np.column_stack([trained[j] for j in kept])
-        rows = idx[kept]
-        # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
-        worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
-                                         S.labels[rows]).tolist()])
-        worst_fresh = max([0.0, *_loss_gaps(spec, base, W, fresh_X[kept],
-                                            fresh_y[kept]).tolist()])
-
-    worst = max(worst_in, worst_fresh)
-    passed = worst <= beta and failures <= trials * 0.01
-    return OracleReport(
-        name="stability",
-        bound_value=beta,
-        empirical_value=worst,
-        trials=trials,
-        margin=beta - worst,
-        passed=passed,
-        details={
-            "in_sample_max": worst_in,
-            "fresh_point_max": worst_fresh,
-            "solver_failures": failures,
-        },
-    )
+        worst = max(worst_in, worst_fresh)
+        passed = worst <= beta and failures <= trials * 0.01
+        reports.append(OracleReport(
+            name="stability",
+            bound_value=beta,
+            empirical_value=worst,
+            trials=trials,
+            margin=beta - worst,
+            passed=passed,
+            details={
+                "in_sample_max": worst_in,
+                "fresh_point_max": worst_fresh,
+                "solver_failures": failures,
+            },
+        ))
+    return reports
 
 
 def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
@@ -434,19 +422,17 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     the max loss difference between the S column and each neighbor's
     column over that neighbor's probes. There is no closed-form constant
     here; the report's bound field repeats the empirical value and the
-    result is meant for directional comparisons across knob settings.
+    result is meant for directional comparisons across knob settings: a
+    call takes one config, and calls with the same seed draw the same
+    neighbors and probes, so two settings are compared on one sample.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
-
-    def draw(rng):
-        pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
-                 for _ in range(trials)]
-        return (tuple(Sp for Sp, _ in pairs),
-                *_frozen(np.stack([X for _, (X, _) in pairs]),
-                         np.stack([y for _, (_, y) in pairs])))
-
-    neighbors, X, y = _draws(26, spec, S, (trials, probes), seed, draw)
-    W = sgd_run(spec, [S, *neighbors], cfg)
+    rng = derive_rng(seed, 26)
+    pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
+             for _ in range(trials)]
+    W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg)
+    X = np.stack([rows[0] for _, rows in pairs])
+    y = np.stack([rows[1] for _, rows in pairs])
     worst = max(_loss_gaps(spec, W[:, 0], W[:, 1:], X, y).tolist())
     return OracleReport(
         name="sgd_stability",

@@ -61,7 +61,7 @@ def test_criterion_1_sensitivity_soundness():
     worst_margin = math.inf
     for lam in (0.1, 0.5, 2.0):
         spec, S = oracle_fixture(lam)
-        rep = empirical_sensitivity(spec, S, trials=200, seed=101)
+        rep = empirical_sensitivity([spec], S, trials=200, seed=101)[0]
         if not rep.passed:
             report("criterion 1: sensitivity soundness", False, rep.summary())
         worst_margin = min(worst_margin, rep.margin)
@@ -74,7 +74,7 @@ def test_criterion_2_uniform_stability_soundness():
     specs.append(oracle_fixture(0.5, penalty="elastic"))
     worst_margin = math.inf
     for spec, S in specs:
-        rep = empirical_stability(spec, S, trials=200, probes=50, seed=202)
+        rep = empirical_stability([spec], S, trials=200, probes=50, seed=202)[0]
         if not rep.passed:
             report("criterion 2: uniform-stability soundness", False, rep.summary())
         worst_margin = min(worst_margin, rep.margin)

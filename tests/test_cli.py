@@ -313,11 +313,7 @@ class TestVerifyCommand:
         assert cmd_verify("sensitivity", trials=10) == 0
 
     def test_stability_suite_small(self, capsys):
-        from stabledp import verify
-
         assert cmd_verify("stability", trials=8, probes=10) == 0
-        # its three lambdas shared one draw, which the suite frees when done
-        assert verify._last_draw is None
 
     def test_dp_suite_small(self, capsys):
         assert cmd_verify("dp", samples=150_000) == 0

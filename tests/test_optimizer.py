@@ -189,7 +189,7 @@ class TestSolveErm:
     def test_oracle_fixture_iterations(self):
         # the ill-conditioned lambda=1e-3 solve: 1729 (l2) and 1065 (elastic)
         # iterations for plain proximal gradient descent
-        spec, S = _oracle_fixture(1e-3)
+        (spec,), S = _oracle_fixture((1e-3,))
         assert solve_erm(spec, S, 1e-9).iterations_used < 400
         elastic = ObjectiveSpec("logistic", 1e-3, penalty="elastic", gamma=0.85)
         assert solve_erm(elastic, S, 1e-9).iterations_used < 400

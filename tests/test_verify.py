@@ -123,14 +123,11 @@ class TestFreshRows:
         assert set(np.unique(y)) == {-1.0, 1.0}
 
 
-def run_oracle(oracle, spec, S, trials=4, probes=3, seed=0):
-    """One report of the named memo-drawing oracle at small counts."""
+def run_oracle(oracle, specs, S, trials=4, probes=3, seed=0):
+    """The reports of the named grid oracle at small counts."""
     if oracle == "sensitivity":
-        return empirical_sensitivity(spec, S, trials=trials, seed=seed)
-    if oracle == "stability":
-        return empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
-    cfg = SgdConfig(steps_T=20, step_size=0.1, batch_size_b=5, seed=2)
-    return empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
+        return empirical_sensitivity(specs, S, trials=trials, seed=seed)
+    return empirical_stability(specs, S, trials=trials, probes=probes, seed=seed)
 
 
 def count_fresh_rows(monkeypatch):
@@ -145,125 +142,66 @@ def count_fresh_rows(monkeypatch):
     return calls
 
 
-def nudged(S):
-    """S with one feature value moved by 1e-9."""
-    X = np.array(S.features)
-    X[3, 2] += 1e-9
-    return Dataset(X, S.labels)
+GRID_ORACLES = ["sensitivity", "stability"]
+# a lambda grid out of order
+GRID_LAMBDAS = (2.0, 0.1, 0.5)
 
 
-def flipped(S):
-    """S with one label flipped."""
-    y = np.array(S.labels)
-    y[7] = -y[7]
-    return Dataset(S.features, y)
+class TestGridDraw:
+    """A grid oracle draws once per call and scores every spec of its grid on that draw."""
 
-
-MEMO_ORACLES = ["sensitivity", "stability", "sgd_stability"]
-# each key part changed on its own, as an edit of (spec, S, trials, probes, seed)
-KEY_CHANGES = {
-    "kappa": lambda spec, S, t, p, s: (replace(spec, kappa=0.5), S, t, p, s),
-    "feature": lambda spec, S, t, p, s: (spec, nudged(S), t, p, s),
-    "label": lambda spec, S, t, p, s: (spec, flipped(S), t, p, s),
-    "trials": lambda spec, S, t, p, s: (spec, S, t + 1, p, s),
-    "probes": lambda spec, S, t, p, s: (spec, S, t, p + 1, s),
-    "seed": lambda spec, S, t, p, s: (spec, S, t, p, s + 1),
-}
-
-
-def cold(oracle, *args):
-    """The oracle's report drawn from an empty memo slot."""
-    verify._forget_draws()
-    return run_oracle(oracle, *args).to_dict()
-
-
-class TestDrawMemo:
-    """Oracles draw through a one-slot memo keyed by everything the draw reads."""
-
-    @pytest.mark.parametrize("oracle", MEMO_ORACLES)
-    def test_warm_report_equals_cold(self, oracle):
-        spec, S = fixture(lam=0.1)
-        fresh = cold(oracle, replace(spec, lam=2.0), S)
-        run_oracle(oracle, spec, S)
-        # the draw does not read lambda, so lambda 2 is served lambda 0.1's draws
-        assert run_oracle(oracle, replace(spec, lam=2.0), S).to_dict() == fresh
-
-    def test_sensitivity_stability_sensitivity(self):
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_each_report_equals_its_lone_call(self, oracle):
         spec, S = fixture()
-        fresh = {oracle: cold(oracle, spec, S) for oracle in ("sensitivity", "stability")}
-        verify._forget_draws()
-        for oracle in ("sensitivity", "stability", "sensitivity"):
-            assert run_oracle(oracle, spec, S).to_dict() == fresh[oracle]
+        specs = [replace(spec, lam=lam) for lam in GRID_LAMBDAS]
+        reports = [rep.to_dict() for rep in run_oracle(oracle, specs, S)]
+        assert len({rep["bound_value"] for rep in reports}) == 3
+        assert reports == [run_oracle(oracle, [spec], S)[0].to_dict() for spec in specs]
 
-    @pytest.mark.parametrize("oracle", MEMO_ORACLES)
-    def test_hit_samples_nothing(self, monkeypatch, oracle):
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_grid_draws_as_often_as_one_spec(self, monkeypatch, oracle):
         spec, S = fixture()
         calls = count_fresh_rows(monkeypatch)
-        run_oracle(oracle, spec, S)
-        assert calls[0] > 0
-        calls[0] = 0
-        run_oracle(oracle, replace(spec, lam=2.0), S)
+        run_oracle(oracle, [spec], S)
+        one, calls[0] = calls[0], 0
+        run_oracle(oracle, [replace(spec, lam=lam) for lam in GRID_LAMBDAS], S)
+        assert calls[0] == one > 0
+
+
+class TestGridInputs:
+    """A grid oracle checks its grid and S, by name, before it draws anything."""
+
+    @staticmethod
+    def refused(monkeypatch, oracle, specs, S, match):
+        calls = count_fresh_rows(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            run_oracle(oracle, specs, S)
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("oracle, part", [
-        (oracle, part) for oracle in MEMO_ORACLES for part in KEY_CHANGES
-        if not (oracle == "sensitivity" and part == "probes")])
-    def test_each_key_part_misses(self, monkeypatch, oracle, part):
-        spec, S = fixture()
-        args = KEY_CHANGES[part](spec, S, 4, 3, 0)
-        fresh = cold(oracle, *args)
-        calls = count_fresh_rows(monkeypatch)
-        run_oracle(oracle, spec, S, 4, 3, 0)
-        calls[0] = 0
-        assert run_oracle(oracle, *args).to_dict() == fresh
-        assert calls[0] > 0
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_empty_grid(self, monkeypatch, oracle):
+        _, S = fixture()
+        self.refused(monkeypatch, oracle, [], S, r"specs must be a non-empty sequence")
 
-    @pytest.mark.parametrize("part", ["shape", "stream"])
-    def test_shape_and_stream_miss(self, part):
-        # the same feature and label bytes at another shape, and the same key
-        # on another stream, each draw anew (n and the byte count fix d, so
-        # the labels' shape is the one that tells these datasets apart)
-        spec = ObjectiveSpec("logistic", 0.5)
-        S = Dataset(np.arange(24.0).reshape(4, 6), np.ones((4, 3)))
-        other = (22, Dataset(np.arange(24.0).reshape(6, 4), np.ones((6, 2)))) \
-            if part == "shape" else (21, S)
-        drawn = []
-        for stream, D in [(22, S), (22, S), other]:
-            verify._draws(stream, spec, D, (4, 3), 0, lambda rng: drawn.append(rng.random()))
-        assert len(drawn) == 2
-
-    @pytest.mark.parametrize("oracle", ["stability", "sgd_stability"])
-    def test_shared_draws_are_read_only(self, oracle):
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_kappas_differ(self, monkeypatch, oracle):
         spec, S = fixture()
-        run_oracle(oracle, spec, S)
-        neighbors, *arrays = verify._last_draw[1]
-        # stability shares (indices, rows, labels), SGD stability (rows, labels)
-        assert len(neighbors) == 4 and len(arrays) == {"stability": 3}.get(oracle, 2)
-        for a in [*arrays, *(D.features for D in neighbors), *(D.labels for D in neighbors)]:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+        self.refused(monkeypatch, oracle, [spec, replace(spec, kappa=0.5)], S,
+                     r"the specs' kappas must be equal, as the draw reads kappa, got \(1.0, 0.5\)")
 
-    def test_one_slot(self, monkeypatch):
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_block_labels(self, monkeypatch, oracle):
+        # one-vs-rest label rows: a neighbor draws one +/-1 label, not a row
         spec, S = fixture()
-        run_oracle("sensitivity", spec, S)
-        run_oracle("stability", spec, S)
-        key, _ = verify._last_draw
-        assert key[0] == 22
-        # stability's draw replaced sensitivity's, so sensitivity draws again
-        calls = count_fresh_rows(monkeypatch)
-        run_oracle("sensitivity", spec, S)
-        assert calls[0] == 4
-        # and a miss frees the slot before it draws, so one draw is alive at a time
-        seen = []
-        verify._draws(21, spec, S, (5,), 0, lambda rng: seen.append(verify._last_draw))
-        assert seen == [None]
+        rows = np.where(np.eye(3)[np.arange(S.n) % 3] > 0, 1.0, -1.0)
+        self.refused(monkeypatch, oracle, [spec], Dataset(S.features, rows),
+                     r"S's label shape must be \(n,\), one \+/-1 label per record, got \(50, 3\)")
 
 
 class TestEmpiricalSensitivity:
     def test_bound_respected_on_fixture(self):
         spec, S = fixture()
-        rep = empirical_sensitivity(spec, S, trials=60, seed=0)
+        rep = empirical_sensitivity([spec], S, trials=60, seed=0)[0]
         assert rep.passed
         assert rep.details["solver_failures"] == 0
         # 2 L / (n lambda_sc), with L = kappa = 1 and lambda_sc = lam
@@ -271,15 +209,15 @@ class TestEmpiricalSensitivity:
 
     def test_huge_lam_everything_near_zero(self):
         spec, S = fixture(lam=1e6)
-        rep = empirical_sensitivity(spec, S, trials=20, seed=1)
+        rep = empirical_sensitivity([spec], S, trials=20, seed=1)[0]
         assert rep.empirical_value < 1e-6
         assert rep.bound_value < 1e-5
         assert rep.passed
 
     def test_reproducible(self):
         spec, S = fixture()
-        a = empirical_sensitivity(spec, S, trials=15, seed=3)
-        b = empirical_sensitivity(spec, S, trials=15, seed=3)
+        a = empirical_sensitivity([spec], S, trials=15, seed=3)[0]
+        b = empirical_sensitivity([spec], S, trials=15, seed=3)[0]
         assert a.empirical_value == b.empirical_value
 
     def test_elastic_spec_checks_direct_bound(self):
@@ -287,7 +225,7 @@ class TestEmpiricalSensitivity:
         # net is held to 2 L / (n lambda_sc) too, with lambda_sc = 2 lam gamma
         S, _ = synth_classification(40, 4, classes=2, sparsity=4, noise=0.5, seed=6)
         spec = ObjectiveSpec("logistic", 0.5, penalty="elastic", gamma=0.85)
-        rep = empirical_sensitivity(spec, S, trials=15, seed=0)
+        rep = empirical_sensitivity([spec], S, trials=15, seed=0)[0]
         assert rep.details["direct_bound"] == pytest.approx(2.0 / (40 * 2 * 0.5 * 0.85))
         assert rep.bound_value == min(rep.details["direct_bound"],
                                       rep.details["strong_convexity_bound"])
@@ -303,7 +241,7 @@ class TestEmpiricalSensitivity:
         S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5,
                                     kappa=kappa)
         spec = ObjectiveSpec("logistic", lam, penalty=penalty, kappa=kappa)
-        rep = empirical_sensitivity(spec, S, trials=40, seed=0)
+        rep = empirical_sensitivity([spec], S, trials=40, seed=0)[0]
         assert rep.passed, rep.details
         lam_sc = lam if penalty == "l2" else 2 * lam * spec.gamma
         assert rep.details["direct_bound"] == pytest.approx(2 * kappa / (50 * lam_sc),
@@ -313,7 +251,7 @@ class TestEmpiricalSensitivity:
 class TestEmpiricalStability:
     def test_bound_respected_on_fixture(self):
         spec, S = fixture()
-        rep = empirical_stability(spec, S, trials=30, probes=20, seed=0)
+        rep = empirical_stability([spec], S, trials=30, probes=20, seed=0)[0]
         assert rep.passed
         assert rep.bound_value == pytest.approx(2.0 / (50 * 0.5))
         assert {"in_sample_max", "fresh_point_max"} <= rep.details.keys()
@@ -330,8 +268,8 @@ class TestEmpiricalStability:
     def test_one_over_n_scaling(self):
         spec, S_small = fixture(n=40, seed=11)
         _, S_big = fixture(n=80, seed=11)
-        small = empirical_stability(spec, S_small, trials=40, probes=20, seed=2)
-        big = empirical_stability(spec, S_big, trials=40, probes=20, seed=2)
+        small = empirical_stability([spec], S_small, trials=40, probes=20, seed=2)[0]
+        big = empirical_stability([spec], S_big, trials=40, probes=20, seed=2)[0]
         ratio = big.empirical_value / small.empirical_value
         assert 0.3 <= ratio <= 0.8
 
@@ -361,7 +299,7 @@ class TestBatchedProbesMatchScalarLoop:
             for _ in range(probes):
                 worst_fresh = max(worst_fresh,
                                   self.gap(spec, base, other, *fresh_record(spec, S.d, rng)))
-        rep = empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
+        rep = empirical_stability([spec], S, trials=trials, probes=probes, seed=seed)[0]
         assert worst_in > 0 and worst_fresh > 0
         assert rep.details["in_sample_max"] == pytest.approx(worst_in, rel=1e-12)
         assert rep.details["fresh_point_max"] == pytest.approx(worst_fresh, rel=1e-12)
@@ -378,7 +316,7 @@ class TestBatchedProbesMatchScalarLoop:
             return float(np.linalg.norm(base - solve_erm(spec, D, 1e-9).weights))
 
         worst = max(distance(_neighbor(spec, S, rng)) for _ in range(trials))
-        rep = empirical_sensitivity(spec, S, trials=trials, seed=seed)
+        rep = empirical_sensitivity([spec], S, trials=trials, seed=seed)[0]
         assert worst > 0
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
         assert rep.details["solver_failures"] == 0
@@ -404,7 +342,7 @@ class TestBatchedProbesMatchScalarLoop:
         S01 = Dataset(S.features, (S.labels > 0).astype(float))
         # the block solve rejects them before the probe losses would
         with pytest.raises(ValueError, match="logistic loss needs labels"):
-            empirical_stability(spec, S01, trials=2, probes=3, seed=0)
+            empirical_stability([spec], S01, trials=2, probes=3, seed=0)
 
 
 def max_loss_gap(spec, w_a, w_b, X, y):
@@ -437,15 +375,16 @@ class TestLossGapsBitForBit:
 
         def fake(spec, S, tolerance):
             # the marked column is left above tolerance, its weights far off
+            # S and its neighbors come as one stack, so the weights are (m, d, 1)
             report = solve_erm(spec, S, tolerance)
             weights, residuals = report.weights.copy(), report.residuals.copy()
-            weights[:, marked], residuals[marked] = 1e3, 2 * tolerance
-            solved.append(weights)
+            weights[marked], residuals[marked] = 1e3, 2 * tolerance
+            solved.append(weights[..., 0].T)
             raise ConvergenceError("marked", replace(report, weights=weights,
                                                      residuals=residuals))
 
         monkeypatch.setattr(verify, "solve_erm", fake)
-        rep = empirical_stability(spec, S, trials=trials, probes=probes, seed=seed)
+        rep = empirical_stability([spec], S, trials=trials, probes=probes, seed=seed)[0]
         W, rng, worst_in, worst_fresh = solved.pop(), derive_rng(seed, 22), 0.0, 0.0
         for j in range(1, trials + 1):
             _neighbor(spec, S, rng)
@@ -495,7 +434,7 @@ class TestOracleSolverFailures:
                 converged.append(float(np.linalg.norm(base - rep.weights)))
         assert 0 < trials - len(converged) < trials
         self.cap(monkeypatch, cap)
-        rep = empirical_sensitivity(self.SPEC, S, trials=trials, seed=seed)
+        rep = empirical_sensitivity([self.SPEC], S, trials=trials, seed=seed)[0]
         assert rep.details["solver_failures"] == trials - len(converged)
         assert rep.empirical_value == pytest.approx(max(converged), rel=1e-12)
         assert not rep.passed  # more than 1% of the solves failed
@@ -521,7 +460,7 @@ class TestOracleSolverFailures:
                 self.SPEC, base, other.weights, x, y) for x, y in rows))
         assert 0 < failures < trials
         self.cap(monkeypatch, cap)
-        rep = empirical_stability(self.SPEC, S, trials=trials, probes=probes, seed=seed)
+        rep = empirical_stability([self.SPEC], S, trials=trials, probes=probes, seed=seed)[0]
         assert rep.details["solver_failures"] == failures
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
 
@@ -533,23 +472,24 @@ class TestOracleSolverFailures:
         solved = []
 
         def fake(spec, S, tolerance):
+            # S and its neighbors come as one stack, so the weights are (m, d, 1)
             report = solve_erm(spec, S, tolerance)
-            solved.append(report.weights)
+            solved.append(report.weights[..., 0].T)
             weights, residuals = report.weights.copy(), report.residuals.copy()
-            weights[:, marked], residuals[marked] = 1e3, 2 * tolerance
+            weights[marked], residuals[marked] = 1e3, 2 * tolerance
             raise ConvergenceError("marked", replace(report, weights=weights,
                                                      residuals=residuals))
 
         monkeypatch.setattr(verify, "solve_erm", fake)
         kept = [j for j in range(1, trials + 1) if j not in marked]
-        rep = empirical_sensitivity(self.SPEC, S, trials=trials, seed=seed)
+        rep = empirical_sensitivity([self.SPEC], S, trials=trials, seed=seed)[0]
         W = solved.pop()
         assert rep.details["solver_failures"] == len(marked)
         assert rep.empirical_value == pytest.approx(
             max(np.linalg.norm(W[:, 0] - W[:, j]) for j in kept), rel=1e-12)
         assert not rep.passed  # more than 1% of the solves failed
 
-        rep = empirical_stability(self.SPEC, S, trials=trials, probes=probes, seed=seed)
+        rep = empirical_stability([self.SPEC], S, trials=trials, probes=probes, seed=seed)[0]
         W, rng, worst = solved.pop(), derive_rng(seed, 22), 0.0
         for j in range(1, trials + 1):
             _neighbor(self.SPEC, S, rng)
@@ -567,10 +507,10 @@ class TestOracleSolverFailures:
     def test_base_failure_raises(self, monkeypatch):
         _, S = fixture()
         self.cap(monkeypatch, solve_erm(self.SPEC, S, 1e-9).iterations_used - 1)
-        with pytest.raises(ConvergenceError, match=r"in columns \[0"):
-            empirical_sensitivity(self.SPEC, S, trials=5, seed=0)
-        with pytest.raises(ConvergenceError, match=r"in columns \[0"):
-            empirical_stability(self.SPEC, S, trials=5, probes=3, seed=0)
+        with pytest.raises(ConvergenceError, match=r"in \(dataset, column\) pairs \[\(0, 0\)"):
+            empirical_sensitivity([self.SPEC], S, trials=5, seed=0)
+        with pytest.raises(ConvergenceError, match=r"in \(dataset, column\) pairs \[\(0, 0\)"):
+            empirical_stability([self.SPEC], S, trials=5, probes=3, seed=0)
 
 
 class TestEmpiricalPrivacyError:
@@ -634,7 +574,7 @@ class TestSampleCounts:
     def test_sensitivity(self, kwargs, name):
         spec, S = fixture()
         with pytest.raises(ValueError, match=name):
-            empirical_sensitivity(spec, S, **kwargs)
+            empirical_sensitivity([spec], S, **kwargs)
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(trials=0), "trials"), (dict(trials=2, probes=0), "probes"),
@@ -642,7 +582,7 @@ class TestSampleCounts:
     def test_stability_and_sgd_stability(self, kwargs, name):
         spec, S = fixture()
         with pytest.raises(ValueError, match=name):
-            empirical_stability(spec, S, **kwargs)
+            empirical_stability([spec], S, **kwargs)
         cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
         with pytest.raises(ValueError, match=name):
             empirical_sgd_stability(spec, S, cfg, **kwargs)
