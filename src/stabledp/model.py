@@ -370,7 +370,7 @@ def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
 
 
 def _per_column(v):
-    """A float for 1-D weights, one value per column for (d, m) weights."""
+    """A float for (d,) weights, one value per column for (d, K) or (m, d, K) weights."""
     return float(v) if v.ndim == 0 else v
 
 

@@ -1,12 +1,15 @@
 """Deterministic ERM solver and a configurable minibatch SGD engine.
 
+Both solvers take ``S`` through one path, ``_block``: a ``Dataset`` gives
+(d,) or (d, K) weights, and a stack of m datasets (S and its neighbours by
+``model._stack``, or a config's training splits with their signed labels)
+(m, d, K) weights.
+
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
 gradient-scheme restart) at a fixed step from a certain curvature bound, so
-no step is ever retried. It solves a block of problems in one call: every
-one-vs-rest class of one feature matrix, a sequence of same-shape datasets
-such as S and its neighbours, or a stack of train/test splits with every
-class of each, each dataset at its own step. The L1 term is handled by
-soft-thresholding so elastic-net solutions reach exact zeros, which
+no step is ever retried. One call solves every label column of every
+dataset of its input, each dataset at its own step. The L1 term is handled
+by soft-thresholding so elastic-net solutions reach exact zeros, which
 downstream feature selection relies on. Both solvers step on
 ``model.gradient`` alone, which takes a stack as it takes one dataset;
 ``solve_erm`` takes ``model.objective`` once, at the end.
@@ -15,11 +18,11 @@ downstream feature selection relies on. Both solvers step on
 step size, batch size, gradient clipping, norm-contracting dropout, and
 iterate averaging. Batch order and dropout randomness come from streams
 derived per purpose (and per step, for dropout) from the config seed. It
-trains a block of same-shape datasets, such as S and its neighbours, as
-the columns of one iterate: every column sees the same batch indices and
-the same per-step dropout stream, which is the coupling of the uniform
-stability argument (Hardt, Recht & Singer 2016), and each column equals its
-own single-dataset run bit for bit. It returns its weights alone: a run of
+trains a stack, such as S and its neighbours, as the slices of one
+iterate: every slice sees the same batch indices and the same per-step
+dropout stream, which is the coupling of the uniform stability argument
+(Hardt, Recht & Singer 2016), and each slice equals its own
+single-dataset run bit for bit. It returns its weights alone: a run of
 T steps certifies no residual, so it makes no ``SolveReport``.
 """
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .model import (
     _at_least,
     _check_labels,
     _require,
-    _stack,
     _Stack,
     gradient,
     objective,
@@ -119,12 +120,12 @@ class SolveReport:
     ``weights``, it brackets the optimum:
     objective - loss_gap_bound <= F* <= objective.
 
-    For a block solve (``weights`` of shape (d, m), or (m, d, K) for a
-    stack) ``iterations_used`` counts block iterations,
-    ``final_gradient_norm`` and ``loss_gap_bound`` are the maxima over the
-    columns, and ``objective`` and ``residuals`` hold each column's own
-    value, of shape (m,) or (m, K), so a failed block tells which columns
-    stayed above tolerance.
+    For a block solve (``weights`` of shape (d, K), or (m, d, K) for a
+    stack from ``model._stack``) ``iterations_used`` counts block
+    iterations, ``final_gradient_norm`` and ``loss_gap_bound`` are the
+    maxima over the columns, and ``objective`` and ``residuals`` hold each
+    column's own value, of shape (K,) or (m, K), so a failed block tells
+    which columns stayed above tolerance.
     """
 
     weights: np.ndarray
@@ -143,39 +144,38 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _smooth_curvature(spec: ObjectiveSpec, S: Dataset | _Stack):
+def _smooth_curvature(spec: ObjectiveSpec, S: _Stack) -> np.ndarray:
     """Certain upper bound on the gradient Lipschitz constant of the smooth part.
 
-    ``S`` is one dataset, giving a float, or a stack of datasets, giving one
-    bound per dataset from the stack's ``gram_top``, which is taken once per
-    stack and shared by every objective solved on it; each bound equals the
-    bound of its own dataset.
+    One bound per dataset of the stack ``S``, from the stack's ``gram_top``,
+    which is taken once per stack and shared by every objective solved on
+    it; each bound equals the bound of its own dataset stacked alone.
 
     The loss curvature is at most factor * lambda_max(X^T X / n), with
     factor 1/4 for logistic and 2 for squared loss; lambda_max is padded by
     1e-9 relative, as LAPACK can round it below the true value.
     """
-    one = isinstance(S, Dataset)
-    top = (_Stack(S.features[None], S.labels[None]) if one else S).gram_top
     factor = 0.25 if spec.loss_kind == "logistic" else 2.0
-    L = factor * (top * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
-    return float(L[0]) if one else L
+    return factor * (S.gram_top * (1.0 + 1e-9)) + 2.0 * spec.l2_coefficient
 
 
-def _block(S: Dataset | _Stack | Sequence[Dataset]):
-    """The stack that ``solve_erm`` iterates on, with the map of its (m, ..., K)
+def _block(S: Dataset | _Stack):
+    """The stack that a solver iterates on, with the map of its (m, ..., K)
     results back to the layout of S: (d,) or (d, K) weights for a dataset,
-    (d, m) for a sequence of datasets, (m, d, K) for a stack."""
+    (m, d, K) for a stack of (m, n, K) labels, which ``model._stack`` builds
+    from same-shape datasets. Any other S, a list included, raises ValueError."""
+    _require("S's type", type(S), lambda t: issubclass(t, (Dataset, _Stack)),
+             "Dataset or _Stack (build a stack with model._stack)", type)
     if isinstance(S, _Stack):
+        _require("S's label shape", S.labels.shape, lambda shape: len(shape) == 3,
+                 "(m, n, K), K label columns per dataset", tuple)
         return S, lambda a: a
-    if isinstance(S, Dataset):
-        if S.labels.ndim == 1:
-            return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
-        return _Stack(S.features[None], S.labels[None]), lambda a: a[0]
-    return _stack(S), lambda a: a[..., 0].T
+    if S.labels.ndim == 1:
+        return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
+    return _Stack(S.features[None], S.labels[None]), lambda a: a[0]
 
 
-def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack | Sequence[Dataset],
+def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
               tolerance: float = 1e-8, max_iters: int = 100_000) -> SolveReport:
     """Minimize the regularized objective to a given optimality residual.
 
@@ -195,11 +195,10 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack | Sequence[Dataset],
     * one dataset: m = 1, with K = 1 for 1-D labels and K columns for
       (n, K) labels (one one-vs-rest column per class, say), giving (d,)
       or (d, K) weights;
-    * a sequence of m same-shape datasets with 1-D labels (S and its
-      neighbours, say): K = 1, giving (d, m) weights whose column j is
-      trained on the j-th dataset;
-    * a stack (the train/test splits of one config, say), giving (m, d, K)
-      weights; its curvature bounds are taken once per stack.
+    * a stack (the train/test splits of one config, or S and its
+      neighbours stacked by ``model._stack``, say), giving (m, d, K)
+      weights whose slice j is trained on the j-th dataset; its curvature
+      bounds are taken once per stack.
 
     Momentum, restart and stopping are per (dataset, column), and each
     column keeps the first iterate at which it reaches ``tolerance``. A
@@ -353,7 +352,7 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig) -> np.ndarray:
+def sgd_run(spec: ObjectiveSpec, S: Dataset | _Stack, cfg: SgdConfig) -> np.ndarray:
     """Run T steps of minibatch proximal SGD; bit-reproducible given the seed.
 
     Per step: draw the next without-replacement batch, compute the smooth
@@ -362,20 +361,23 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
     weighted average of post-step iterates is returned instead of the final
     iterate.
 
-    ``S`` is one dataset, giving (d,) weights, or a sequence of m datasets
-    of one shape with 1-D labels, giving (d, m) weights whose column j is
-    trained on the j-th dataset. The block is one coupled run: every column
-    takes the same batch indices from the one ``derive_rng(seed, 0)``
-    order, and its gradient row is clipped and dropped out by itself, with
-    every row drawing from the step's fresh ``derive_rng(seed, 1, t)``. So
-    each column equals its own single-dataset run bit for bit, and a run on
-    S with its neighbours is the paired run of uniform stability. Every
-    column starts from zero. Only the weights are returned: the run takes
-    no gradient beyond its T batch gradients. A logistic run needs every
-    label in {-1, +1}, and raises ValueError before its first step otherwise.
+    ``S`` is a dataset, giving (d,) weights, or a stack of m datasets (S
+    and its neighbours by ``model._stack``, say), giving (m, d, 1) weights
+    whose slice j is trained on the j-th dataset. The stack is one coupled
+    run: every slice takes the same batch indices from the one
+    ``derive_rng(seed, 0)`` order, and its gradient row is clipped and
+    dropped out by itself, with every row drawing from the step's fresh
+    ``derive_rng(seed, 1, t)``. So each slice equals its own single-dataset
+    run bit for bit, and a run on S with its neighbours is the paired run
+    of uniform stability. Every slice starts from zero. Only the weights
+    are returned: the run takes no gradient beyond its T batch gradients.
+    A run trains one label column per dataset, and a logistic run needs
+    every label in {-1, +1}; either raises ValueError before the first
+    step otherwise.
     """
-    one = isinstance(S, Dataset)
-    block = _stack([S] if one else S)
+    block, unpack = _block(S)
+    _require("S's label columns", block.labels.shape[2], lambda K: K == 1,
+             "1, as a run trains one column per dataset", int)
     _check_labels(spec, block.labels)
     m, n, d = block.features.shape
     if cfg.batch_size_b > n:
@@ -406,8 +408,7 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | Sequence[Dataset], cfg: SgdConfig)
         if avg is not None:
             avg += cfg.averaging[t] * W
 
-    result = (avg if avg is not None else W)[..., 0]
-    return result[0] if one else result.T
+    return unpack(avg if avg is not None else W)
 
 
 def convergence_sensitivity_correction(base_sensitivity: float, loss_gap_bound: float,

@@ -1,11 +1,11 @@
 """Brute-force oracles that empirically stress every closed-form bound.
 
 Each oracle samples neighboring datasets (one record swapped for a fresh
-one), trains S and every sampled neighbor as the columns of one block (one
-``solve_erm`` call per objective to ``SOLVE_TOLERANCE``, well below the
-margins being asserted, or one coupled ``sgd_run``), and compares the
-observed quantity against its bound. A block of m datasets of shape (n, d)
-holds m*n*d floats.
+one), stacks S and every sampled neighbor with ``model._stack`` and trains
+that one stack (one ``solve_erm`` call per objective to ``SOLVE_TOLERANCE``,
+well below the margins being asserted, or one coupled ``sgd_run``), and
+compares the observed quantity against its bound. A stack of m datasets of
+shape (n, d) holds m*n*d floats.
 Sampling gives a sound one-sided check: an empirical value below the bound
 is necessary for the bound's correctness, not sufficient. Oracles never
 share random streams with the mechanisms they test, and every report is
@@ -144,11 +144,11 @@ def _grid(specs: Sequence[ObjectiveSpec], S: Dataset) -> tuple:
 
 
 def _solve_with_neighbors(spec: ObjectiveSpec, block: _Stack):
-    """Solve the stack of S and its neighbors (S first) in one :func:`solve_erm`.
+    """Solve the stack of S and its t neighbors (S first) in one :func:`solve_erm`.
 
-    Returns S's weights and, per neighbor, its weights or None where its
-    column stayed above ``SOLVE_TOLERANCE``. A ConvergenceError on S's own
-    column propagates.
+    Returns S's (d,) weights, the (t, d) weight rows of the neighbors, and
+    a (t,) mask of the neighbors whose column reached ``SOLVE_TOLERANCE``.
+    A ConvergenceError on S's own column propagates.
     """
     try:
         report = solve_erm(spec, block, SOLVE_TOLERANCE)
@@ -156,27 +156,26 @@ def _solve_with_neighbors(spec: ObjectiveSpec, block: _Stack):
         report = exc.report
         if report.residuals[0, 0] > SOLVE_TOLERANCE:
             raise
-    converged = report.residuals[:, 0] <= SOLVE_TOLERANCE
     W = report.weights[..., 0]
-    return W[0], [w if ok else None for w, ok in zip(W[1:], converged[1:])]
+    return W[0], W[1:], report.residuals[1:, 0] <= SOLVE_TOLERANCE
 
 
 def _loss_gaps(spec: ObjectiveSpec, w_base: np.ndarray, W: np.ndarray,
                X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per pair t, max_i |loss(w_base; x_ti, y_ti) - loss(W[:, t]; x_ti, y_ti)|.
+    """Per pair t, max_i |loss(w_base; x_ti, y_ti) - loss(W[t]; x_ti, y_ti)|.
 
     ``X`` is a (t, k, d) stack of probe rows and ``y`` their (t, k) labels,
-    one slice per column of the (d, t) ``W``; no rows give 0. The margins
-    of each pair come from one batched ``np.matmul`` of X against a
-    (t, d, 2) stack of (w_base, W[:, t]) pairs, which runs the per-slice
-    product of a lone ``X[t] @ column_stack([w_base, W[:, t]])``, so each
-    gap is the float a pair-at-a-time loop gives. Labels are checked as
+    one slice per row of the (t, d) ``W``; no rows give 0. The margins of
+    each pair come from one batched ``np.matmul`` of X against a (t, d, 2)
+    stack of (w_base, W[t]) pairs, which runs the per-slice product of a
+    lone ``X[t] @ column_stack([w_base, W[t]])``, so each gap is the float
+    a pair-at-a-time loop gives. Labels are checked as
     :func:`per_example_loss` checks them.
     """
     _check_labels(spec, y, "y")
-    pairs = np.empty((W.shape[1], W.shape[0], 2))
+    pairs = np.empty(W.shape + (2,))
     pairs[:, :, 0] = w_base
-    pairs[:, :, 1] = W.T
+    pairs[:, :, 1] = W
     losses = _margin_loss(spec, np.matmul(X, pairs), y[:, :, None])
     return np.max(np.abs(losses[..., 0] - losses[..., 1]), axis=1, initial=0.0)
 
@@ -200,14 +199,14 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
     block = _stack([S, *(_neighbor(specs[0], S, rng) for _ in range(trials))])
     reports = []
     for spec in specs:
-        base, trained = _solve_with_neighbors(spec, block)
+        base, W, converged = _solve_with_neighbors(spec, block)
         cert = spec_cert(spec, S.n)
         sc_bound = sensitivity_via_strong_convexity(cert)
         direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
 
-        found = [float(np.linalg.norm(base - w)) for w in trained if w is not None]
+        found = [float(np.linalg.norm(base - w)) for w in W[converged]]
         worst = max(found, default=0.0)
-        failures = len(trained) - len(found)
+        failures = trials - len(found)
 
         bound = min(sc_bound, direct)
         passed = worst <= bound and failures <= trials * 0.01
@@ -256,20 +255,16 @@ def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int 
     idx, fresh_X, fresh_y = np.stack(idx), np.stack(fresh_X), np.stack(fresh_y)
     reports = []
     for spec in specs:
-        base, trained = _solve_with_neighbors(spec, block)
+        base, W, kept = _solve_with_neighbors(spec, block)
         beta = spec_cert(spec, S.n).beta
 
-        kept = [j for j, w in enumerate(trained) if w is not None]
-        failures = trials - len(kept)
-        worst_in = worst_fresh = 0.0
-        if kept:
-            W = np.column_stack([trained[j] for j in kept])
-            rows = idx[kept]
-            # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
-            worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
-                                             S.labels[rows]).tolist()])
-            worst_fresh = max([0.0, *_loss_gaps(spec, base, W, fresh_X[kept],
-                                                fresh_y[kept]).tolist()])
+        failures = trials - int(kept.sum())
+        W, rows = W[kept], idx[kept]
+        # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
+        worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
+                                         S.labels[rows]).tolist()])
+        worst_fresh = max([0.0, *_loss_gaps(spec, base, W, fresh_X[kept],
+                                            fresh_y[kept]).tolist()])
 
         worst = max(worst_in, worst_fresh)
         passed = worst <= beta and failures <= trials * 0.01
@@ -417,23 +412,24 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
     """Observed uniform stability of an SGD configuration (coupled runs).
 
     Draws each sampled neighbor followed by its fresh probe points, then
-    trains S and every neighbor in one :func:`sgd_run` block, so all runs
-    share the batch order and the per-step dropout streams, and records
-    the max loss difference between the S column and each neighbor's
-    column over that neighbor's probes. There is no closed-form constant
-    here; the report's bound field repeats the empirical value and the
-    result is meant for directional comparisons across knob settings: a
-    call takes one config, and calls with the same seed draw the same
-    neighbors and probes, so two settings are compared on one sample.
+    trains the ``model._stack`` of S and every neighbor in one
+    :func:`sgd_run`, so all runs share the batch order and the per-step
+    dropout streams, and records the max loss difference between S's
+    weights and each neighbor's over that neighbor's probes. There is no
+    closed-form constant here; the report's bound field repeats the
+    empirical value and the result is meant for directional comparisons
+    across knob settings: a call takes one config, and calls with the same
+    seed draw the same neighbors and probes, so two settings are compared
+    on one sample.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
     rng = derive_rng(seed, 26)
     pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
              for _ in range(trials)]
-    W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg)
+    W = sgd_run(spec, _stack([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
     X = np.stack([rows[0] for _, rows in pairs])
     y = np.stack([rows[1] for _, rows in pairs])
-    worst = max(_loss_gaps(spec, W[:, 0], W[:, 1:], X, y).tolist())
+    worst = max(_loss_gaps(spec, W[0], W[1:], X, y).tolist())
     return OracleReport(
         name="sgd_stability",
         bound_value=worst,

@@ -24,6 +24,7 @@ from stabledp.optimizer import (
     ConvergenceError,
     SgdConfig,
     SolveReport,
+    _block,
     _smooth_curvature,
     clip_gradient,
     convergence_sensitivity_correction,
@@ -133,9 +134,9 @@ class TestSolveErm:
             solve_erm(spec, S, 1e-14, max_iters=3)
         assert err.value.report.iterations_used == 3
         assert err.value.report.weights.shape == (4,)
-        # a block input carries (d, m) weights and the worst column's residual
+        # (n, K) block labels carry (d, K) weights and the worst column's residual
         Y = np.stack([S.labels, -S.labels, np.sign(S.features[:, 0])], axis=1)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"in columns \[0, 1, 2\] \(") as err:
             solve_erm(spec, Dataset(S.features, Y), 1e-14, max_iters=3)
         rep = err.value.report
         assert rep.iterations_used == 3
@@ -202,16 +203,17 @@ class TestSolveErm:
 
 
 def erm_block():
-    """S, two one-record neighbours, and three variants whose steps and paths differ."""
+    """S, two one-record neighbours, and three variants whose steps and paths differ,
+    as a list of datasets; ``_stack`` makes it a solver input."""
     S, *neighbours = sgd_block(2)
     return [S, *neighbours, Dataset(0.3 * S.features, S.labels),
             Dataset(2.0 * S.features, S.labels), Dataset(S.features, -S.labels)]
 
 
-def solve_allowing_failure(spec, datasets, tolerance, max_iters):
+def solve_allowing_failure(spec, S, tolerance, max_iters):
     """The report of a solve, or of the ConvergenceError it raised."""
     try:
-        return solve_erm(spec, datasets, tolerance, max_iters=max_iters)
+        return solve_erm(spec, S, tolerance, max_iters=max_iters)
     except ConvergenceError as err:
         return err.report
 
@@ -228,31 +230,32 @@ class TestSolveErmBlock:
     @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
     def test_columns_equal_their_own_solves(self, name):
         spec, datasets, tol = BLOCK_SPECS[name], erm_block(), 1e-9
-        block = solve_erm(spec, datasets, tol)
+        stack = _stack(datasets)
+        block = solve_erm(spec, stack, tol)
         singles = [solve_erm(spec, D, tol) for D in datasets]
-        assert block.weights.shape == (5, len(datasets))
+        assert block.weights.shape == (len(datasets), 5, 1)
         # bit for bit: each slice of a batched product is its dataset's own product
         for j, rep in enumerate(singles):
-            assert block.weights[:, j].tobytes() == rep.weights.tobytes()
-        assert block.residuals.tolist() == [r.final_gradient_norm for r in singles]
-        assert block.objective.tolist() == [r.objective for r in singles]
+            assert block.weights[j, :, 0].tobytes() == rep.weights.tobytes()
+        assert block.residuals[:, 0].tolist() == [r.final_gradient_norm for r in singles]
+        assert block.objective[:, 0].tolist() == [r.objective for r in singles]
         counts = [rep.iterations_used for rep in singles]
-        assert len(set(counts)) > 1  # the columns really take different paths
+        assert len(set(counts)) > 1  # the slices really take different paths
         assert block.iterations_used == max(counts)
-        # column j reaches tolerance at its own iteration count, not before
+        # slice j reaches tolerance at its own iteration count, not before
         for j, k in enumerate(counts):
-            at_k = solve_allowing_failure(spec, datasets, tol, k)
-            assert at_k.residuals[j] <= tol
-            assert at_k.weights[:, j].tobytes() == singles[j].weights.tobytes()
+            at_k = solve_allowing_failure(spec, stack, tol, k)
+            assert at_k.residuals[j, 0] <= tol
+            assert at_k.weights[j, :, 0].tobytes() == singles[j].weights.tobytes()
             if k > 1:
-                assert solve_allowing_failure(spec, datasets, tol, k - 1).residuals[j] > tol
+                assert solve_allowing_failure(spec, stack, tol, k - 1).residuals[j, 0] > tol
 
     def test_block_of_one(self):
         spec, (S,) = SPECS["logistic-elastic"], sgd_block(0)
-        block = solve_erm(spec, [S], 1e-9)
+        block = solve_erm(spec, _stack([S]), 1e-9)
         single = solve_erm(spec, S, 1e-9)
-        assert block.weights.shape == (5, 1)
-        assert block.weights[:, 0].tobytes() == single.weights.tobytes()
+        assert block.weights.shape == (1, 5, 1)
+        assert block.weights[0, :, 0].tobytes() == single.weights.tobytes()
         assert block.iterations_used == single.iterations_used
         assert single.residuals is None
 
@@ -262,16 +265,17 @@ class TestSolveErmBlock:
         k = sorted(counts)[len(counts) // 2]
         late = [j for j, c in enumerate(counts) if c > k]
         assert 0 < len(late) < len(datasets)
-        with pytest.raises(ConvergenceError, match=rf"in columns \{late}") as err:
-            solve_erm(spec, datasets, tol, max_iters=k)
+        pattern = re.escape(f"in (dataset, column) pairs {[(j, 0) for j in late]}")
+        with pytest.raises(ConvergenceError, match=pattern) as err:
+            solve_erm(spec, _stack(datasets), tol, max_iters=k)
         rep = err.value.report
         assert rep.iterations_used == k
-        assert rep.weights.shape == (5, len(datasets))
-        assert np.flatnonzero(rep.residuals > tol).tolist() == late
+        assert rep.weights.shape == (len(datasets), 5, 1)
+        assert np.flatnonzero(rep.residuals[:, 0] > tol).tolist() == late
         assert rep.final_gradient_norm == rep.residuals.max()
         for j, c in enumerate(counts):
             if c <= k:
-                assert rep.weights[:, j].tobytes() == solve_erm(spec, datasets[j], tol) \
+                assert rep.weights[j, :, 0].tobytes() == solve_erm(spec, datasets[j], tol) \
                     .weights.tobytes()
 
     def test_invalid_blocks_rejected(self):
@@ -283,18 +287,19 @@ class TestSolveErmBlock:
             "empty": [],
         }
         for block in bad_blocks.values():
-            with pytest.raises(ValueError):
-                solve_erm(spec, block, 1e-6)
+            with pytest.raises(ValueError, match="every dataset needs|at least one dataset"):
+                solve_erm(spec, _stack(block), 1e-6)
 
     def test_zero_features_get_the_regulariser_curvature(self):
         spec, (S, Sp) = SPECS["squared-elastic"], sgd_block(1)
         zero = Dataset(np.zeros_like(S.features), S.labels)
         with np.errstate(all="raise"):
             L = _smooth_curvature(spec, _stack([S, zero, Sp]))
-            block = solve_erm(spec, [S, zero, Sp], 1e-9)
+            block = solve_erm(spec, _stack([S, zero, Sp]), 1e-9)
         assert L[1] == 2.0 * spec.l2_coefficient
-        assert L[0] == _smooth_curvature(spec, S) and L[2] == _smooth_curvature(spec, Sp)
-        assert block.weights[:, 1].tobytes() == solve_erm(spec, zero, 1e-9).weights.tobytes()
+        assert L[0] == _smooth_curvature(spec, _stack([S]))[0]
+        assert L[2] == _smooth_curvature(spec, _stack([Sp]))[0]
+        assert block.weights[1, :, 0].tobytes() == solve_erm(spec, zero, 1e-9).weights.tobytes()
 
 
 def split_stack(classes, repeats=3, seed=4):
@@ -363,7 +368,7 @@ class TestSplitStack:
         assert len(calls) == 1
         # a minibatch stack of sgd_run never asks for it
         S, *neighbours = sgd_block(2)
-        sgd_run(SPECS["logistic-l2"], [S, *neighbours],
+        sgd_run(SPECS["logistic-l2"], _stack([S, *neighbours]),
                 SgdConfig(steps_T=10, step_size=0.1, batch_size_b=5))
         assert len(calls) == 1
 
@@ -378,8 +383,9 @@ class TestLabelsTheLossCanBack:
         labels[7] = bad
         D = Dataset(S.features, labels)
         cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
-        for run in (lambda: solve_erm(spec, D, 1e-6), lambda: solve_erm(spec, [S, D], 1e-6),
-                    lambda: sgd_run(spec, D, cfg), lambda: sgd_run(spec, [S, D], cfg)):
+        stack = _stack([S, D])
+        for run in (lambda: solve_erm(spec, D, 1e-6), lambda: solve_erm(spec, stack, 1e-6),
+                    lambda: sgd_run(spec, D, cfg), lambda: sgd_run(spec, stack, cfg)):
             with pytest.raises(ValueError, match="labels"):
                 run()
 
@@ -407,23 +413,25 @@ class TestReportObjective:
         datasets = erm_block()
         return [("single", Dataset(X, Y[:, 0]), [Dataset(X, Y[:, 0])]),
                 ("one-vs-rest", Dataset(X, Y), [Dataset(X, Y[:, j]) for j in range(Y.shape[1])]),
-                ("neighbour stack", datasets, datasets)]
+                ("neighbour stack", _stack(datasets), datasets)]
 
     @staticmethod
     def check(spec, rep, S, columns):
-        # a stack takes (m, d, 1) weights for the (d, m) of a dataset sequence
-        whole = (objective(spec, rep.weights, S) if isinstance(S, Dataset)
-                 else objective(spec, rep.weights.T[:, :, None], _stack(S))[:, 0])
-        np.testing.assert_allclose(rep.objective, whole, rtol=1e-13)
-        per_column = [objective(spec, w, D) for w, D in zip(np.atleast_2d(rep.weights.T), columns)]
-        np.testing.assert_allclose(np.atleast_1d(rep.objective), per_column, rtol=1e-13)
+        np.testing.assert_allclose(rep.objective, objective(spec, rep.weights, S), rtol=1e-13)
+        # a stack's (m, d, 1) weights hold one column per dataset
+        rows = rep.weights[..., 0] if isinstance(S, _Stack) else np.atleast_2d(rep.weights.T)
+        per_column = [objective(spec, w, D) for w, D in zip(rows, columns)]
+        np.testing.assert_allclose(np.ravel(rep.objective), per_column, rtol=1e-13)
 
     @pytest.mark.parametrize("name", ["logistic-elastic-0.001", "squared-l2-0.1"])
     def test_equals_model_objective(self, name):
         spec = BLOCK_SPECS[name]
         for label, S, columns in self.problems():
             rep = solve_erm(spec, S, 1e-6)
-            assert np.shape(rep.objective) == rep.weights.shape[1:], label
+            # one value per column: the weights' shape without its d axis
+            d_axis = 1 if isinstance(S, _Stack) else 0
+            shape = rep.weights.shape
+            assert np.shape(rep.objective) == shape[:d_axis] + shape[d_axis + 1:], label
             self.check(spec, rep, S, columns)
 
     def test_carried_by_convergence_error(self):
@@ -473,7 +481,7 @@ class TestSmoothCurvature:
         S = Dataset(X, np.ones(X.shape[0]))
         lam_max = float(np.linalg.eigvalsh(X.T @ X / X.shape[0])[-1])
         exact = factor * lam_max + 2.0 * spec.l2_coefficient
-        L = _smooth_curvature(spec, S)
+        (L,) = _smooth_curvature(spec, _stack([S]))
         assert L >= exact
         # tight: at most the trace bound, and at most 1.1x on these inputs
         trace = factor * float(np.sum(X * X)) / X.shape[0] + 2.0 * spec.l2_coefficient
@@ -483,8 +491,9 @@ class TestSmoothCurvature:
     def test_same_for_block_labels(self):
         X, Y = one_vs_rest_problem()
         spec = SPECS["logistic-l2"]
-        assert _smooth_curvature(spec, Dataset(X, Y)) == _smooth_curvature(
-            spec, Dataset(X, Y[:, 0]))
+        # a dataset's stack, as both solvers take it, with K label columns or one
+        (block, _), (single, _) = _block(Dataset(X, Y)), _block(Dataset(X, Y[:, 0]))
+        assert _smooth_curvature(spec, block) == _smooth_curvature(spec, single)
 
 
 class TestSgdRun:
@@ -581,21 +590,21 @@ class TestSgdBlock:
         spec, datasets = SPECS[name], sgd_block()
         cfg = SgdConfig(**{"steps_T": 120, "step_size": 0.1, "batch_size_b": 5, "seed": 4,
                            **SGD_KNOBS[knob]})
-        block = sgd_run(spec, datasets, cfg)
+        block = sgd_run(spec, _stack(datasets), cfg)
         singles = [sgd_run(spec, D, cfg) for D in datasets]
-        assert block.shape == (5, len(datasets))
+        assert block.shape == (len(datasets), 5, 1)
         for j, w in enumerate(singles):
             assert w.shape == (5,)
-            assert block[:, j].tobytes() == w.tobytes()
+            assert block[j, :, 0].tobytes() == w.tobytes()
         # the neighbours really train to different weights
-        assert np.ptp(block, axis=1).max() > 1e-6
+        assert np.ptp(block, axis=0).max() > 1e-6
 
     def test_block_of_one(self):
         spec, (S,) = SPECS["logistic-l2"], sgd_block(0)
         cfg = SgdConfig(steps_T=50, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=1)
-        block = sgd_run(spec, [S], cfg)
-        assert block.shape == (5, 1)
-        np.testing.assert_array_equal(block[:, 0], sgd_run(spec, S, cfg))
+        block = sgd_run(spec, _stack([S]), cfg)
+        assert block.shape == (1, 5, 1)
+        np.testing.assert_array_equal(block[0, :, 0], sgd_run(spec, S, cfg))
 
     def test_mismatched_shapes_rejected(self):
         spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
@@ -607,8 +616,8 @@ class TestSgdBlock:
             "empty": [],
         }
         for blocks in bad_blocks.values():
-            with pytest.raises(ValueError):
-                sgd_run(spec, blocks, cfg)
+            with pytest.raises(ValueError, match="every dataset needs|at least one dataset"):
+                sgd_run(spec, _stack(blocks), cfg)
 
 
 class TestEvaluationPath:
@@ -630,7 +639,7 @@ class TestEvaluationPath:
         spec, datasets = BLOCK_SPECS["logistic-elastic-0.1"], erm_block()
         grads = self.count(monkeypatch, "gradient")
         values = self.count(monkeypatch, "smooth_objective", model_mod)
-        k = solve_erm(spec, datasets, 1e-9).iterations_used
+        k = solve_erm(spec, _stack(datasets), 1e-9).iterations_used
         # one gradient per iteration; the objective once, at the returned weights
         assert len(grads) == k
         assert len(values) == 1
@@ -641,10 +650,42 @@ class TestEvaluationPath:
         spec, datasets = SPECS["logistic-l2"], sgd_block(3)
         grads = self.count(monkeypatch, "gradient")
         cfg = SgdConfig(steps_T=40, step_size=0.1, batch_size_b=5, seed=2)
-        sgd_run(spec, datasets, cfg)
+        sgd_run(spec, _stack(datasets), cfg)
         # one per step, on the batch, and none on the full stack
         assert len(grads) == cfg.steps_T
         assert all(S.features.shape == (4, 5, 5) for S in grads)
+
+
+class TestBlockInput:
+    """Both solvers take S through ``_block``: a Dataset or a ``_stack`` stack alone."""
+
+    SPEC = SPECS["logistic-l2"]
+    CFG = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
+
+    @pytest.mark.parametrize("solver", ["solve_erm", "sgd_run"])
+    def test_anything_else_rejected(self, solver):
+        run = {"solve_erm": lambda S: solve_erm(self.SPEC, S, 1e-6),
+               "sgd_run": lambda S: sgd_run(self.SPEC, S, self.CFG)}[solver]
+        datasets = sgd_block(1)
+        for S in (datasets, tuple(datasets), datasets[0].features):
+            with pytest.raises(ValueError, match=r"^S's type must be Dataset or _Stack"):
+                run(S)
+        # a stack of raw (m, n) class labels, as data_io.split gives them, is not signed
+        raw = _Stack(datasets[0].features[None], datasets[0].labels[None])
+        with pytest.raises(ValueError, match=r"^S's label shape must be \(m, n, K\)"):
+            run(raw)
+
+    @pytest.mark.parametrize("shape", ["stack", "dataset"])
+    def test_sgd_run_rejects_label_columns_before_its_first_step(self, monkeypatch, shape):
+        (S,) = sgd_block(0)
+        Y = np.stack([S.labels, -S.labels], axis=1)
+        block = _Stack(S.features[None], Y[None]) if shape == "stack" else Dataset(S.features, Y)
+        grads = TestEvaluationPath.count(monkeypatch, "gradient")
+        with pytest.raises(ValueError, match="S's label columns must be 1"):
+            sgd_run(self.SPEC, block, self.CFG)
+        assert grads == []
+        # solve_erm takes the same block, one column per label
+        assert solve_erm(self.SPEC, block, 1e-6).weights.shape[-1] == 2
 
 
 class TestSgdConfig:

@@ -8,7 +8,7 @@ import pytest
 from stabledp import verify
 from stabledp.data_io import synth_classification
 from stabledp.features import lemma_noise
-from stabledp.model import Dataset, ObjectiveSpec, _loss_values, per_example_loss
+from stabledp.model import Dataset, ObjectiveSpec, _loss_values, _stack, per_example_loss
 from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
@@ -361,10 +361,10 @@ class TestLossGapsBitForBit:
                                          (4, 25, 32)])
     def test_kernel(self, spec, t, k, d):
         rng = derive_rng(t, k, d)
-        base, W = rng.standard_normal(d), rng.standard_normal((d, t))
+        base, W = rng.standard_normal(d), rng.standard_normal((t, d))
         X, y = rng.standard_normal((t, k, d)), rng.choice((-1.0, 1.0), (t, k))
         gaps = verify._loss_gaps(spec, base, W, X, y)
-        assert gaps.tolist() == [max_loss_gap(spec, base, W[:, j], X[j], y[j])
+        assert gaps.tolist() == [max_loss_gap(spec, base, W[j], X[j], y[j])
                                  for j in range(t)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=["logistic", "squared"])
@@ -379,7 +379,7 @@ class TestLossGapsBitForBit:
             report = solve_erm(spec, S, tolerance)
             weights, residuals = report.weights.copy(), report.residuals.copy()
             weights[marked], residuals[marked] = 1e3, 2 * tolerance
-            solved.append(weights[..., 0].T)
+            solved.append(weights[..., 0])
             raise ConvergenceError("marked", replace(report, weights=weights,
                                                      residuals=residuals))
 
@@ -391,9 +391,9 @@ class TestLossGapsBitForBit:
             idx = rng.choice(S.n, size=probes, replace=False)
             X, y = _fresh_rows(spec, S.d, probes, rng)
             if j != marked:
-                worst_in = max(worst_in, max_loss_gap(spec, W[:, 0], W[:, j],
+                worst_in = max(worst_in, max_loss_gap(spec, W[0], W[j],
                                                       S.features[idx], S.labels[idx]))
-                worst_fresh = max(worst_fresh, max_loss_gap(spec, W[:, 0], W[:, j], X, y))
+                worst_fresh = max(worst_fresh, max_loss_gap(spec, W[0], W[j], X, y))
         assert rep.details["solver_failures"] == 1
         assert rep.details["in_sample_max"] == worst_in
         assert rep.details["fresh_point_max"] == worst_fresh
@@ -406,8 +406,8 @@ class TestLossGapsBitForBit:
         rng = derive_rng(seed, 26)
         pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
                  for _ in range(trials)]
-        W = sgd_run(spec, [S, *(Sp for Sp, _ in pairs)], cfg)
-        worst = max(max_loss_gap(spec, W[:, 0], W[:, j], *rows)
+        W = sgd_run(spec, _stack([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
+        worst = max(max_loss_gap(spec, W[0], W[j], *rows)
                     for j, (_, rows) in enumerate(pairs, start=1))
         rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
         assert rep.empirical_value == worst
@@ -474,7 +474,7 @@ class TestOracleSolverFailures:
         def fake(spec, S, tolerance):
             # S and its neighbors come as one stack, so the weights are (m, d, 1)
             report = solve_erm(spec, S, tolerance)
-            solved.append(report.weights[..., 0].T)
+            solved.append(report.weights[..., 0])
             weights, residuals = report.weights.copy(), report.residuals.copy()
             weights[marked], residuals[marked] = 1e3, 2 * tolerance
             raise ConvergenceError("marked", replace(report, weights=weights,
@@ -486,7 +486,7 @@ class TestOracleSolverFailures:
         W = solved.pop()
         assert rep.details["solver_failures"] == len(marked)
         assert rep.empirical_value == pytest.approx(
-            max(np.linalg.norm(W[:, 0] - W[:, j]) for j in kept), rel=1e-12)
+            max(np.linalg.norm(W[0] - W[j]) for j in kept), rel=1e-12)
         assert not rep.passed  # more than 1% of the solves failed
 
         rep = empirical_stability([self.SPEC], S, trials=trials, probes=probes, seed=seed)[0]
@@ -499,10 +499,28 @@ class TestOracleSolverFailures:
             rows += [fresh_record(self.SPEC, S.d, rng) for _ in range(probes)]
             if j in kept:
                 worst = max(worst, *(TestBatchedProbesMatchScalarLoop.gap(
-                    self.SPEC, W[:, 0], W[:, j], x, y) for x, y in rows))
+                    self.SPEC, W[0], W[j], x, y) for x, y in rows))
         assert rep.details["solver_failures"] == len(marked)
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
         assert not rep.passed
+
+    def test_every_neighbour_failed(self, monkeypatch):
+        # no neighbour column converges: nothing is scored, and every solve is a failure
+        _, S = fixture()
+
+        def fake(spec, S, tolerance):
+            report = solve_erm(spec, S, tolerance)
+            residuals = report.residuals.copy()
+            residuals[1:] = 2 * tolerance
+            raise ConvergenceError("marked", replace(report, residuals=residuals))
+
+        monkeypatch.setattr(verify, "solve_erm", fake)
+        for rep in (empirical_sensitivity([self.SPEC], S, trials=4, seed=0)[0],
+                    empirical_stability([self.SPEC], S, trials=4, probes=3, seed=0)[0]):
+            assert rep.details["solver_failures"] == 4
+            assert rep.empirical_value == 0.0 and not rep.passed
+            assert rep.details.get("in_sample_max", 0.0) == 0.0
+            assert rep.details.get("fresh_point_max", 0.0) == 0.0
 
     def test_base_failure_raises(self, monkeypatch):
         _, S = fixture()
