@@ -154,8 +154,9 @@ class Dataset:
         """Neighboring dataset: record i swapped for (x, y).
 
         ``i`` must be an index in [0, n), so -1 is not the last record, and
-        ``x`` a vector of d entries. ``y`` is one label when the labels are
-        1-D, and a label row of K entries when they are an (n, K) block.
+        ``x`` a vector of d entries. ``y`` is one finite number, not a bool
+        (a 0-d array counts as one), when the labels are 1-D, and a label
+        row of K entries when they are an (n, K) block.
         """
         _require("i", i, lambda v: 0 <= v < self.n, f"an integer in [0, {self.n})", int)
         x = np.asarray(x, dtype=float)
@@ -165,7 +166,10 @@ class Dataset:
         lab = np.array(self.labels)
         X[i] = x
         if lab.ndim == 1:
-            lab[i] = float(y)
+            if isinstance(y, np.ndarray) and y.ndim == 0:
+                y = y[()]  # a 0-d array holds one number
+            _require("y", y, math.isfinite, "one finite number", float)
+            lab[i] = y
         else:
             # a scalar would be written into every column of the block
             y = np.asarray(y, dtype=float)

@@ -90,6 +90,16 @@ class TestDataset:
         assert S2.labels[2] == float(y)
         assert np.array_equal(S2.labels[:2], S.labels[:2])
 
+    @pytest.mark.parametrize("y", [np.array([1.0, -1.0]), np.array([1.0]), True,
+                                   np.array(True), "1.0", math.inf],
+                             ids=["row", "one_entry_row", "bool", "zero_d_bool", "string",
+                                  "inf"])
+    def test_replace_record_rejects_y_that_is_not_one_number_for_1d_labels(self, y):
+        # a row once raised numpy's TypeError, and True and "1.0" were written as 1.0
+        S = small_dataset()
+        with pytest.raises(ValueError, match=r"^y must be one finite number, got"):
+            S.replace_record(2, np.zeros(3), y)
+
     @pytest.mark.parametrize("i", [-1, 3, 1.0, True])
     def test_replace_record_rejects_an_index_outside_the_records(self, i):
         # -1 once replaced the last record and n raised a bare IndexError

@@ -341,6 +341,49 @@ class TestDpMicroCheck:
                              samples=100, seed=3)
         assert rep.details["bins_inconclusive"] > 0
 
+    @pytest.mark.parametrize("release, samples", [
+        ("laplace", 200_001), ("laplace", 1_000), ("discrete", 50_000)])
+    def test_bins_span_the_window_of_every_64th_value(self, release, samples):
+        S, Sp = self.datasets()
+        laplace, seed = _bounded_mean_release(1 / 40), 4
+
+        def release_fn(ds, rng, size):
+            r = laplace(ds, rng, size)
+            return np.round(r * 20) / 20 if release == "discrete" else r  # many ties
+
+        rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=seed)
+        a = release_fn(S, derive_rng(seed, 101), samples)
+        b = release_fn(Sp, derive_rng(seed, 202), samples)
+        sub = np.concatenate([a[::64], b[::64]])
+        center = np.median(sub)
+        scale = np.mean(np.abs(sub - center))
+        edges = np.linspace(center - 4 * scale, center + 4 * scale, 21)
+        table = rep.details["bin_table"]
+        assert [row["count_a"] for row in table] == np.histogram(a, edges)[0].tolist()
+        assert [row["count_b"] for row in table] == np.histogram(b, edges)[0].tolist()
+
+    def test_constant_release_gets_the_floor_width(self, monkeypatch):
+        # a zero mean absolute deviation means every value sits on the centre
+        S, Sp = self.datasets()
+        seen, linspace = [], np.linspace
+        monkeypatch.setattr(np, "linspace",
+                            lambda *args: seen.append(linspace(*args)) or seen[-1])
+        rep = dp_micro_check(lambda ds, rng, size: np.full(size, 0.5), S, Sp,
+                             epsilon=1.0, samples=1_000, seed=0)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.linspace(0.5 - 4e-12, 0.5 + 4e-12, 21))
+        assert [row["count_a"] for row in rep.details["bin_table"]].count(1_000) == 1
+        assert rep.passed and rep.empirical_value == 1.0
+
+    @pytest.mark.parametrize("samples", [1, 60])
+    def test_fewer_samples_than_the_stride(self, samples):
+        S, Sp = self.datasets()
+        rep = dp_micro_check(_bounded_mean_release(1 / 40), S, Sp, epsilon=1.0,
+                             samples=samples, seed=5)
+        assert rep.trials == samples and len(rep.details["bin_table"]) == 20
+        assert rep.details["bins_inconclusive"] == 20 and not rep.passed
+
 
 class TestDpMicroCheckGuards:
     """Both releases are checked before a bin is counted."""
@@ -365,141 +408,6 @@ class TestDpMicroCheckGuards:
 
         with pytest.raises(ValueError, match=rf"release_fn\({side}\) must .*{match}"):
             dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=100, seed=0)
-
-
-def _cut(size):
-    """A split point of ``size`` values that leaves neither part a multiple of 8 long.
-
-    A single value is cut into itself and an empty part.
-    """
-    k = max(1, (3 * size) // 7)
-    while k < size - 1 and (k % 8 == 0 or (size - k) % 8 == 0):
-        k += 1
-    return k
-
-
-class TestMedian:
-    """``_median`` over parts is ``np.median`` of their concatenation bit for bit,
-    with or without its bracket."""
-
-    @staticmethod
-    def check(monkeypatch, x, fallback=False):
-        """_median of x whole, and of x cut in two, is np.median(x) to the bit, and its
-        bracket comes from the subsample x[::64]; ``fallback`` says whether each took
-        np.median."""
-        want = float(np.median(x))
-        stride = np.sort(x[::privacy_mod._MEDIAN_STRIDE])
-        k = _cut(x.size)
-        for parts in ((x,), (x[:k], x[k:])):
-            calls, sorted_, median, sort = [], [], np.median, np.sort
-            monkeypatch.setattr(np, "median", lambda a: calls.append(a.size) or median(a))
-            monkeypatch.setattr(np, "sort", lambda a: sorted_.append(sort(a)) or sorted_[-1])
-            got = privacy_mod._median(parts)
-            monkeypatch.undo()
-            assert got.hex() == want.hex(), [p.size for p in parts]
-            assert len(sorted_) == 1 and np.array_equal(sorted_[0], stride)
-            if fallback is not None:
-                assert calls == ([x.size] if fallback else [])
-
-    @pytest.mark.parametrize("size", [2_000_000, 200_001])
-    def test_laplace_pair(self, monkeypatch, size):
-        rng = derive_rng(1)
-        x = np.concatenate([laplace_sample(0.025, size // 2, rng) + 0.5,
-                            laplace_sample(0.0125, size - size // 2, rng) + 0.49])
-        self.check(monkeypatch, x)
-
-    @pytest.mark.parametrize("grid", [1e-2, 1e-3])
-    def test_ties_at_the_bracket_edges(self, monkeypatch, grid):
-        # a coarse grid puts runs of equal values on lo, hi and the middle
-        x = np.round(laplace_sample(0.025, 400_000, derive_rng(2)) / grid) * grid
-        half = 2 * math.isqrt(x[::privacy_mod._MEDIAN_STRIDE].size) + 1
-        sub = np.sort(x[::privacy_mod._MEDIAN_STRIDE])
-        for edge in (sub[sub.size // 2 - half], sub[sub.size // 2 + half]):
-            assert np.count_nonzero(x == edge) > 100
-        self.check(monkeypatch, x)
-
-    def test_discrete_release(self, monkeypatch):
-        self.check(monkeypatch, derive_rng(3).integers(0, 5, 300_000).astype(float))
-
-    def test_bracket_miss_falls_back(self, monkeypatch):
-        # every subsampled value sits far above the middle of x
-        x = derive_rng(4).standard_normal(100_000)
-        x[::privacy_mod._MEDIAN_STRIDE] = 1e6 + np.arange(x[::privacy_mod._MEDIAN_STRIDE].size)
-        self.check(monkeypatch, x, fallback=True)
-
-    def test_all_equal(self, monkeypatch):
-        self.check(monkeypatch, np.full(200_000, 0.3))
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 60, 64, 65, 129, 1000, 4097])
-    def test_small_samples(self, monkeypatch, size):
-        rng = derive_rng(5, size)
-        for _ in range(20):
-            self.check(monkeypatch, rng.standard_normal(size), fallback=None)
-            self.check(monkeypatch, rng.integers(0, 3, size).astype(float), fallback=None)
-
-    @pytest.mark.parametrize("release, samples", [
-        ("laplace", 200_000), ("discrete", 50_000), ("constant", 50_000),
-        ("laplace", 1), ("laplace", 60), ("discrete", 61),
-    ])
-    def test_reports_match_the_full_median(self, monkeypatch, release, samples):
-        # the constant release has a zero Laplace scale and takes the np.std window
-        S, Sp = TestDpMicroCheck().datasets()
-
-        def release_fn(ds, rng, size):
-            if release == "constant":
-                return np.full(size, float(np.mean(ds.features)))
-            r = laplace_sample(1 / 40, size, rng) + float(np.mean(ds.features))
-            return np.round(r * 20) / 20 if release == "discrete" else r
-
-        rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=6)
-        # the reference pools the two releases, as the check once did
-        monkeypatch.setattr(privacy_mod, "_median",
-                            lambda parts: float(np.median(np.concatenate(parts))))
-        monkeypatch.setattr(privacy_mod, "_mean_abs_dev", lambda parts, center: float(
-            np.mean(np.abs(np.concatenate(parts) - center))))
-        ref = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=6)
-        assert rep.to_dict() == ref.to_dict()
-
-
-_POOLED_SIZES = [1, 2, 7, 60, 65, 4_097, 65_537, 200_001, 1_000_003]
-
-
-def _pooled(kind, size, seed):
-    """A pooled sample of ``size`` values of ``kind``, like dp_micro_check's releases."""
-    rng = derive_rng(7, size, seed)
-    if kind == "laplace":
-        return laplace_sample(0.025, size, rng) + 0.5
-    return np.round(laplace_sample(0.025, size, rng) * 40) / 40  # many ties
-
-
-class TestPartsMatchTheConcatenation:
-    """``_median`` and ``_mean_abs_dev`` over two parts give, as ``float.hex``, what
-    ``np.median`` and ``np.mean(np.abs(concat - c))`` give on the concatenation."""
-
-    @pytest.mark.parametrize("size", _POOLED_SIZES)
-    @pytest.mark.parametrize("kind", ["laplace", "discrete"])
-    def test_median(self, kind, size):
-        for seed in range(2):
-            x = _pooled(kind, size, seed)
-            k = _cut(size)
-            assert 0 < k and (size == 1 or (k % 8 and (size - k) % 8))
-            want = float(np.median(x)).hex()
-            assert privacy_mod._median((x[:k], x[k:])).hex() == want
-            # dp_micro_check's own split: two equal parts
-            h = size // 2
-            assert privacy_mod._median((x[:h], x[h:])).hex() == want
-
-    @pytest.mark.parametrize("size", _POOLED_SIZES)
-    @pytest.mark.parametrize("kind", ["laplace", "discrete"])
-    def test_mean_abs_dev(self, kind, size):
-        for seed in range(2):
-            x = _pooled(kind, size, seed)
-            k, h = _cut(size), size // 2
-            for center in (float(np.median(x)), 0.5 + 1e-3 * seed):
-                want = float(np.mean(np.abs(x - center))).hex()
-                assert privacy_mod._mean_abs_dev((x[:k], x[k:]), center).hex() == want
-                assert privacy_mod._mean_abs_dev((x[:h], x[h:]), center).hex() == want
-                assert privacy_mod._mean_abs_dev((x,), center).hex() == want
 
 
 def test_one_million_sample_check_holds_each_release_once():
