@@ -245,13 +245,6 @@ def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
                          eta=cfg.eta, kappa=cfg.dataset.kappa, lipschitz_L=cfg.lipschitz_L)
 
 
-def train_models(cfg: SweepConfig, spec: ObjectiveSpec, train: _Stack) -> np.ndarray:
-    """(m, d, K) weights of a stack of signed training labels: K one-vs-rest
-    columns per split (one for binary labels), every split in one block solve.
-    """
-    return solve_erm(spec, train, cfg.tolerance, cfg.max_iters).weights
-
-
 def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:
     if classes.size == 2:
         return np.where(X @ W[0] >= 0, classes[1], classes[0])
@@ -322,11 +315,11 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
         raise ConfigError(f"split.train_fraction: {exc}") from exc
     classes = np.unique(S.labels)
     train = _Stack(train.features, as_signed_labels(
-        train.labels, positive=classes[1:] if classes.size == 2 else classes))
+        train.labels[..., 0], positive=classes[1:] if classes.size == 2 else classes))
     for lam in cfg.lambda_grid:
         spec = _objective(cfg, lam)
         cert = spec_cert(spec, train.n)
-        models = [W.T for W in train_models(cfg, spec, train)]
+        models = [W.T for W in solve_erm(spec, train, cfg.tolerance, cfg.max_iters).weights]
         for eps in epsilons:
             scale = float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0
             noise = (calibrate(cert, S.d, eps, cfg.scale_mode)

@@ -68,8 +68,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Parse a canonical CSV into a Dataset.
 
     The label is taken from ``label_column`` (or the last column when not
-    given); every other cell must be numeric. All malformed lines are
-    reported together, with their 1-based line numbers.
+    given); every cell, the label's included, must be a finite number. All
+    malformed lines are reported together, with their 1-based line numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -102,6 +102,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         except ValueError:
             culprit = next(c for c in cells if not _is_number(c))
             bad.append(f"line {lineno}: non-numeric cell {culprit!r}")
+            continue
+        culprit = next((c for c, v in zip(cells, values) if not math.isfinite(v)), None)
+        if culprit is not None:
+            bad.append(f"line {lineno}: non-finite cell {culprit!r}")
             continue
         labels.append(values.pop(label_idx))
         rows.append(values)
@@ -193,8 +197,8 @@ def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, list[Dataset]]:
     """Seeded repeated 80/20-style splits; fresh permutation per repeat.
 
     Returns the training sides as one stack, gathered in one pass: (repeats,
-    n_train, d) features and their (repeats, n_train) raw labels. The test
-    sides are one ``Dataset`` per repeat.
+    n_train, d) features and their (repeats, n_train, 1) raw labels. The
+    test sides are one ``Dataset`` per repeat.
     """
     n_train = int(math.floor(plan.train_fraction * S.n))
     if n_train < 1 or n_train >= S.n:
@@ -202,7 +206,7 @@ def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, list[Dataset]]:
             f"split of n={S.n} at fraction {plan.train_fraction} leaves an empty side"
         )
     P = np.stack([derive_rng(plan.seed, 11, r).permutation(S.n) for r in range(plan.repeats)])
-    train = _Stack(S.features[P[:, :n_train]], S.labels[P[:, :n_train]])
+    train = _Stack(S.features[P[:, :n_train]], S.labels[P[:, :n_train], None])
     return train, [S.subset(p) for p in P[:, n_train:]]
 
 

@@ -13,17 +13,15 @@ The strong-convexity constant of the full objective is always
 ``2 * l2_coefficient``; sensitivity and noise-scale formulas elsewhere in
 the package take that constant, never the raw ``lam`` symbol.
 
-Weight vectors are plain 1-D float64 ``numpy`` arrays. A dataset whose
-labels are an (n, K) matrix holds K problems on one feature matrix (one
-one-vs-rest column per class, say); its weights are a (d, K) matrix, one
-column per label column, and ``smooth_objective``/``objective`` return one
-value per column. The loss functions take, in place of a ``Dataset``, a
-stack of m same-shape datasets (``_Stack``): (m, n, d) features with
-(m, n, K) labels and (m, d, K) weights, one value per (dataset, column)
-pair. Margins are ``X @ w`` and gradients ``X.swapaxes(-1, -2) @ c`` for
-a dataset and a stack alike: a batched ``np.matmul`` runs each slice's own
-product, so every slice of a stack evaluates bit for bit as its dataset
-would alone.
+A ``Dataset`` holds one label per record, and its weights are a plain 1-D
+float64 ``numpy`` array. K problems on m same-shape feature matrices (the
+one-vs-rest columns of a config's training splits, say) are a stack
+(``_Stack``): (m, n, d) features with (m, n, K) labels and (m, d, K)
+weights, and the loss functions take it in place of a ``Dataset``, giving
+one value per (dataset, column) pair. Margins are ``X @ w`` and gradients
+``X.swapaxes(-1, -2) @ c`` for a dataset and a stack alike: a batched
+``np.matmul`` runs each slice's own product, so every slice of a stack
+evaluates bit for bit as its dataset would alone.
 
 Every type and range check of the package's inputs goes through one rule,
 ``_require``: the type first (a real number, an integer, numpy's included,
@@ -108,12 +106,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n x d) with one label per row, or one label row per row.
+    """Feature matrix (n x d) with one label per row.
 
     Rows are immutable after construction and safe to share across workers.
     Labels may be class indices or +/-1; binary mapping happens at training
-    time via :func:`as_signed_labels`. (n, m) labels stack m label columns
-    over the same features.
+    time via :func:`as_signed_labels`. K label columns over the same
+    features are a stack (``_Stack``), never a dataset.
     """
 
     features: np.ndarray
@@ -126,8 +124,8 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got ndim={X.ndim}")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {X.shape}")
-        if y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
-            raise ValueError(f"labels shape {y.shape} does not match n={X.shape[0]}")
+        if y.shape != X.shape[:1]:
+            raise ValueError(f"labels shape {y.shape} does not match (n,) = {X.shape[:1]}")
         if not np.all(np.isfinite(X)):
             raise ValueError("features contain non-finite entries")
         if not np.all(np.isfinite(y)):
@@ -153,29 +151,19 @@ class Dataset:
     def replace_record(self, i: int, x: np.ndarray, y) -> "Dataset":
         """Neighboring dataset: record i swapped for (x, y).
 
-        ``i`` must be an index in [0, n), so -1 is not the last record, and
-        ``x`` a vector of d entries. ``y`` is one finite number, not a bool
-        (a 0-d array counts as one), when the labels are 1-D, and a label
-        row of K entries when they are an (n, K) block.
+        ``i`` must be an index in [0, n), so -1 is not the last record,
+        ``x`` a vector of d entries and ``y`` one finite number, not a bool
+        (a 0-d array counts as one).
         """
         _require("i", i, lambda v: 0 <= v < self.n, f"an integer in [0, {self.n})", int)
         x = np.asarray(x, dtype=float)
         _require("x", x, lambda v: v.shape == (self.d,), f"a vector of {self.d} entries",
                  np.ndarray)
-        X = np.array(self.features)
-        lab = np.array(self.labels)
-        X[i] = x
-        if lab.ndim == 1:
-            if isinstance(y, np.ndarray) and y.ndim == 0:
-                y = y[()]  # a 0-d array holds one number
-            _require("y", y, math.isfinite, "one finite number", float)
-            lab[i] = y
-        else:
-            # a scalar would be written into every column of the block
-            y = np.asarray(y, dtype=float)
-            _require("y", y, lambda v: v.shape == lab.shape[1:],
-                     f"a label row of {lab.shape[1]} entries", np.ndarray)
-            lab[i] = y
+        if isinstance(y, np.ndarray) and y.ndim == 0:
+            y = y[()]  # a 0-d array holds one number
+        _require("y", y, math.isfinite, "one finite number", float)
+        X, lab = np.array(self.features), np.array(self.labels)
+        X[i], lab[i] = x, y
         return Dataset(X, lab)
 
 
@@ -183,12 +171,19 @@ class Dataset:
 class _Stack:
     """m same-shape datasets: (m, n, d) features and (m, n, K) labels.
 
-    K is 1 for datasets with 1-D labels. A split's training stack carries
-    its raw (m, n) class labels until they are signed.
+    K label columns share each dataset's features: K = 1 for datasets
+    stacked by :func:`_stack`, one one-vs-rest column per class for a
+    config's signed training splits.
     """
 
     features: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self):
+        X, Y = self.features, self.labels
+        if X.ndim != 3 or Y.ndim != 3 or Y.shape[:2] != X.shape[:2]:
+            raise ValueError(f"a stack needs (m, n, d) features and (m, n, K) labels, "
+                             f"got {X.shape} and {Y.shape}")
 
     @property
     def n(self) -> int:
@@ -213,16 +208,14 @@ class _Stack:
 
 
 def _stack(datasets: Sequence[Dataset]) -> _Stack:
-    """The stack of same-shape datasets with 1-D labels; it holds m*n*d floats."""
+    """The stack of same-shape datasets, K = 1; it holds m*n*d floats."""
     datasets = list(datasets)
     if not datasets:
         raise ValueError("a block needs at least one dataset")
     n, d = datasets[0].n, datasets[0].d
     for D in datasets:
-        if D.features.shape != (n, d) or D.labels.shape != (n,):
-            raise ValueError(
-                f"every dataset needs features {(n, d)} and labels {(n,)}, got "
-                f"{D.features.shape} and {D.labels.shape}")
+        if D.features.shape != (n, d):
+            raise ValueError(f"every dataset needs features {(n, d)}, got {D.features.shape}")
     return _Stack(np.stack([D.features for D in datasets]),
                   np.stack([D.labels for D in datasets])[:, :, None])
 
@@ -284,7 +277,8 @@ class ObjectiveSpec:
 def as_signed_labels(labels: np.ndarray, positive) -> np.ndarray:
     """One-vs-rest binarization: +1 where the label equals ``positive``, else -1.
 
-    A 1-D array of positives gives an (n, m) matrix, one column per class.
+    A 1-D array of K positives appends an axis of K columns, one per class:
+    (m, n) raw labels give (m, n, K).
     """
     return np.where(np.equal.outer(np.asarray(labels, dtype=float), positive), 1.0, -1.0)
 
@@ -297,7 +291,7 @@ def _check_dims(w: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _weights_for(w: np.ndarray, S: Dataset | _Stack) -> np.ndarray:
-    """w checked against S: (d,) or (d, K) for a dataset's labels, (m, d, K) for a stack."""
+    """w checked against S: (d,) for a dataset, (m, d, K) for a stack."""
     m = S.features.shape[:-2]
     return _check_dims(w, m + (S.d,) + S.labels.shape[len(m) + 1:])
 
@@ -374,7 +368,7 @@ def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
 
 
 def _per_column(v):
-    """A float for (d,) weights, one value per column for (d, K) or (m, d, K) weights."""
+    """A float for (d,) weights, one value per column for (m, d, K) weights."""
     return float(v) if v.ndim == 0 else v
 
 

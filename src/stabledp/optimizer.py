@@ -1,9 +1,9 @@
 """Deterministic ERM solver and a configurable minibatch SGD engine.
 
 Both solvers take ``S`` through one path, ``_block``: a ``Dataset`` gives
-(d,) or (d, K) weights, and a stack of m datasets (S and its neighbours by
-``model._stack``, or a config's training splits with their signed labels)
-(m, d, K) weights.
+(d,) weights, and a stack of m datasets with K label columns each (S and
+its neighbours by ``model._stack``, or a config's training splits with
+their signed one-vs-rest labels) (m, d, K) weights.
 
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
 gradient-scheme restart) at a fixed step from a certain curvature bound, so
@@ -120,12 +120,11 @@ class SolveReport:
     ``weights``, it brackets the optimum:
     objective - loss_gap_bound <= F* <= objective.
 
-    For a block solve (``weights`` of shape (d, K), or (m, d, K) for a
-    stack from ``model._stack``) ``iterations_used`` counts block
-    iterations, ``final_gradient_norm`` and ``loss_gap_bound`` are the
-    maxima over the columns, and ``objective`` and ``residuals`` hold each
-    column's own value, of shape (K,) or (m, K), so a failed block tells
-    which columns stayed above tolerance.
+    For a stack solve (``weights`` of shape (m, d, K)) ``iterations_used``
+    counts block iterations, ``final_gradient_norm`` and ``loss_gap_bound``
+    are the maxima over the (dataset, column) pairs, and ``objective`` and
+    ``residuals`` hold each pair's own value, of shape (m, K), so a failed
+    block tells which columns stayed above tolerance.
     """
 
     weights: np.ndarray
@@ -161,18 +160,14 @@ def _smooth_curvature(spec: ObjectiveSpec, S: _Stack) -> np.ndarray:
 
 def _block(S: Dataset | _Stack):
     """The stack that a solver iterates on, with the map of its (m, ..., K)
-    results back to the layout of S: (d,) or (d, K) weights for a dataset,
-    (m, d, K) for a stack of (m, n, K) labels, which ``model._stack`` builds
-    from same-shape datasets. Any other S, a list included, raises ValueError."""
+    results back to the layout of S: a stack as it is, and a dataset as a
+    (1, n, 1) stack whose results unpack to (d,) weights. Any other S, a
+    list included, raises ValueError."""
     _require("S's type", type(S), lambda t: issubclass(t, (Dataset, _Stack)),
              "Dataset or _Stack (build a stack with model._stack)", type)
     if isinstance(S, _Stack):
-        _require("S's label shape", S.labels.shape, lambda shape: len(shape) == 3,
-                 "(m, n, K), K label columns per dataset", tuple)
         return S, lambda a: a
-    if S.labels.ndim == 1:
-        return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
-    return _Stack(S.features[None], S.labels[None]), lambda a: a[0]
+    return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
 
 
 def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
@@ -190,22 +185,19 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     with no L1 term the proximal step is the identity.
 
     Every input is solved as one (m, d, K) block: m datasets, each at its
-    own step 1/L_j, with K label columns each:
-
-    * one dataset: m = 1, with K = 1 for 1-D labels and K columns for
-      (n, K) labels (one one-vs-rest column per class, say), giving (d,)
-      or (d, K) weights;
-    * a stack (the train/test splits of one config, or S and its
-      neighbours stacked by ``model._stack``, say), giving (m, d, K)
-      weights whose slice j is trained on the j-th dataset; its curvature
-      bounds are taken once per stack.
+    own step 1/L_j, with K label columns each. A stack (the training
+    splits of one config with one one-vs-rest column per class, or S and
+    its neighbours stacked by ``model._stack``, say) gives (m, d, K)
+    weights whose slice j is trained on the j-th dataset; its curvature
+    bounds are taken once per stack. One dataset is the stack m = K = 1,
+    giving (d,) weights.
 
     Momentum, restart and stopping are per (dataset, column), and each
     column keeps the first iterate at which it reaches ``tolerance``. A
     batched product runs each dataset's own product, so every dataset's
     columns follow the path of its lone solve bit for bit, whatever the
     other datasets do; the K columns of one dataset share its products, so
-    each equals a lone solve of its label column alone to rounding (about
+    each equals a lone solve of that label column to rounding (about
     1e-15). The block runs until its slowest column converges.
 
     The residual of a step x+ = prox(y - alpha grad f(y)) is the gradient
@@ -264,11 +256,9 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     done = r_out <= tolerance
     report = _solve_report(spec, S, unpack, np.where(done[:, None], w_out, x),
                            np.where(done, r_out, residual), max_iters, lam_sc)
-    failed, columns = unpack(~done), ""
-    if failed.ndim == 1:
-        columns = f" in columns {np.flatnonzero(failed).tolist()}"
-    elif failed.ndim == 2:
-        columns = f" in (dataset, column) pairs {[tuple(c) for c in np.argwhere(failed).tolist()]}"
+    failed = unpack(~done)  # a dataset's one column is 0-d, and needs no name
+    columns = (f" in (dataset, column) pairs {[tuple(c) for c in np.argwhere(failed).tolist()]}"
+               if failed.ndim else "")
     raise ConvergenceError(
         f"no convergence after {max_iters} iterations{columns} (residual "
         f"{report.final_gradient_norm:.3e} > tolerance {tolerance:.3e})",

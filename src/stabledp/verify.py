@@ -128,18 +128,16 @@ def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Data
     return S.replace_record(i, x, y)
 
 
-def _grid(specs: Sequence[ObjectiveSpec], S: Dataset) -> tuple:
-    """``specs`` as a tuple, once the grid and S are fit to share one draw.
+def _grid(specs: Sequence[ObjectiveSpec]) -> tuple:
+    """``specs`` as a tuple, once the grid is fit to share one draw.
 
-    The draw reads kappa, so every spec needs the same kappa; a neighbor
-    takes one +/-1 label, so S needs 1-D labels. Checked before any draw.
+    The draw reads kappa, so every spec needs the same kappa. Checked
+    before any draw.
     """
     specs = tuple(specs)
     _require("specs", specs, len, "a non-empty sequence of ObjectiveSpecs", tuple)
     _require("the specs' kappas", tuple(spec.kappa for spec in specs),
              lambda k: len(set(k)) == 1, "equal, as the draw reads kappa", tuple)
-    _require("S's label shape", S.labels.shape, lambda shape: len(shape) == 1,
-             "(n,), one +/-1 label per record", tuple)
     return specs
 
 
@@ -194,7 +192,7 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
     """
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
-    specs = _grid(specs, S)
+    specs = _grid(specs)
     rng = derive_rng(seed, 21)
     block = _stack([S, *(_neighbor(specs[0], S, rng) for _ in range(trials))])
     reports = []
@@ -242,7 +240,7 @@ def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int 
     solver failure and its probes go unscored.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
-    specs = _grid(specs, S)
+    specs = _grid(specs)
     rng = derive_rng(seed, 22)
     neighbors, idx, fresh_X, fresh_y = [], [], [], []
     for _ in range(trials):

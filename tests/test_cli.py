@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from stabledp.cli import (
     load_config,
     main,
 )
-from stabledp.data_io import SplitPlan
+from stabledp.data_io import SplitPlan, synth_classification, write_csv
 from stabledp.features import lemma_noise
 from stabledp.model import ObjectiveSpec
 
@@ -198,6 +199,23 @@ class TestSweep:
         assert len(single) == len(pick)
         for r in single:
             assert r == pick[(r["lambda"], r["epsilon"], r["repeat"])]
+
+    def test_csv_input_equals_the_synthetic_run(self, tmp_path):
+        # the default synthetic task written as a CSV file is the same input, end to end
+        ds = DatasetConfig()
+        S, _ = synth_classification(ds.n, ds.d, classes=ds.classes, sparsity=ds.sparsity,
+                                    noise=ds.noise, seed=ds.seed, kappa=ds.kappa,
+                                    structured_noise=ds.structured_noise,
+                                    label_flips=ds.label_flips)
+        path = write_csv(S, tmp_path / "task.csv")
+        synthetic = SweepConfig()
+        from_csv = SweepConfig(dataset=dataclasses.replace(ds, kind="csv", path=str(path)))
+        for command in (cmd_sweep, cmd_select):
+            for cfg, out in ((synthetic, "synthetic"), (from_csv, "csv")):
+                command(cfg, tmp_path / out)
+        for name in ("sweep.csv", "select.csv", "select_flips.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == \
+                (tmp_path / "synthetic" / name).read_bytes(), name
 
     def test_meta_is_schema_versioned(self, tmp_path):
         cmd_sweep(tiny_config(), tmp_path)

@@ -63,11 +63,16 @@ class TestLoadCsv:
 
     def test_bad_rows_reported_with_line_numbers(self, tmp_path):
         p = tmp_path / "f.csv"
-        p.write_text("a,label\n1.0,1\nforty,0\n2.0\n3.0,1\n")
+        # a non-finite cell once passed float() and failed in Dataset with no line number
+        p.write_text("a,label\n1.0,1\nforty,0\n2.0\n3.0,1\nnan,1\n4.0,inf\n-Infinity,0\n")
         with pytest.raises(DataFormatError) as err:
             load_csv(p)
         msg = str(err.value)
         assert "line 3" in msg and "line 4" in msg and "forty" in msg
+        assert "5 malformed row(s)" in msg
+        for line in ("line 6: non-finite cell 'nan'", "line 7: non-finite cell 'inf'",
+                     "line 8: non-finite cell '-Infinity'"):
+            assert line in msg
 
     def test_round_trip_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -184,9 +189,9 @@ class TestSplit:
     def test_partition(self):
         S, _ = synth_classification(50, 4, classes=2, sparsity=4, noise=0.5, seed=1)
         train, tests = split(S, SplitPlan(seed=3, repeats=4))
-        assert train.features.shape == (4, 40, 4) and train.labels.shape == (4, 40)
+        assert train.features.shape == (4, 40, 4) and train.labels.shape == (4, 40, 1)
         assert len(tests) == 4
-        for X, y, test in zip(train.features, train.labels, tests):
+        for X, y, test in zip(train.features, train.labels[..., 0], tests):
             assert test.n == 10
             combined = np.vstack([X, test.features])
             assert np.unique(np.round(combined, 12), axis=0).shape[0] == 50

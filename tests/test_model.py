@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stabledp.model import (
     Dataset,
     ObjectiveSpec,
     _stack,
+    _Stack,
     as_signed_labels,
     gradient,
     objective,
@@ -50,10 +52,11 @@ class TestDataset:
             S.features[0, 0] = 5.0
 
     def test_block_labels(self):
-        S = Dataset(np.ones((3, 2)), np.ones((3, 4)))
-        assert S.labels.shape == (3, 4) and (S.n, S.d) == (3, 2)
-        for bad in (np.ones((2, 4)), np.ones((3, 4, 1)), np.float64(1.0)):
-            with pytest.raises(ValueError, match="does not match"):
+        # K label columns over one feature matrix are a stack, not a dataset
+        for bad in (np.ones((3, 4)), np.ones((3, 1)), np.ones((2, 4)), np.ones((3, 4, 1)),
+                    np.float64(1.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"labels shape {np.shape(bad)} does not match (n,) = (3,)")):
                 Dataset(np.ones((3, 2)), bad)
 
     def test_replace_record(self):
@@ -61,26 +64,6 @@ class TestDataset:
         S2 = S.replace_record(1, np.array([9.0, 9.0, 9.0]), -1.0)
         assert S2.features[1, 0] == 9.0
         assert S.features[1, 0] == 0.0  # original untouched
-
-    def test_replace_record_writes_a_label_row_into_block_labels(self):
-        # a scalar label was once written into every column: [-1, -1, -1]
-        S = Dataset(np.ones((3, 2)), 2.0 * np.eye(3) - 1.0)
-        S2 = S.replace_record(0, np.zeros(2), np.array([-1.0, -1.0, 1.0]))
-        assert np.array_equal(S2.labels[0], [-1.0, -1.0, 1.0])
-        assert np.array_equal(S2.labels[1:], S.labels[1:])
-        assert np.array_equal(S2.features[0], [0.0, 0.0])
-        assert np.array_equal(S.labels, 2.0 * np.eye(3) - 1.0)  # original untouched
-        # a list is a label row too
-        assert np.array_equal(S.replace_record(2, np.zeros(2), [1, -1, -1]).labels[2],
-                              [1.0, -1.0, -1.0])
-
-    @pytest.mark.parametrize("y", [-1.0, np.float64(1.0), np.array(1.0), np.ones(2),
-                                   np.ones(4), np.ones((1, 3))],
-                             ids=["float", "np_float", "zero_d", "short", "long", "two_d"])
-    def test_replace_record_rejects_y_that_is_not_a_label_row(self, y):
-        S = Dataset(np.ones((3, 2)), 2.0 * np.eye(3) - 1.0)
-        with pytest.raises(ValueError, match=r"^y must be a label row of 3 entries, got"):
-            S.replace_record(0, np.zeros(2), y)
 
     @pytest.mark.parametrize("y", [-1.0, 2, np.float64(0.5), np.array(3.0)])
     def test_replace_record_takes_one_label_for_1d_labels(self, y):
@@ -250,7 +233,7 @@ class TestGradient:
 
 
 class TestBlockShapes:
-    """(n, m) labels with (d, m) weights are m problems on one X."""
+    """The one-dataset stack of (1, n, K) labels with (1, d, K) weights is K problems on one X."""
 
     def block(self, kind, penalty):
         rng = np.random.default_rng(8)
@@ -264,11 +247,12 @@ class TestBlockShapes:
     @pytest.mark.parametrize("penalty", ["l2", "elastic"])
     def test_matches_per_column_calls(self, kind, penalty):
         spec, X, Y, W = self.block(kind, penalty)
-        S = Dataset(X, Y)
-        G = gradient(spec, W, S)
-        f = smooth_objective(spec, W, S)
-        F = objective(spec, W, S)
-        assert G.shape == (4, 3) and f.shape == (3,) and F.shape == (3,)
+        S = _Stack(X[None], Y[None])
+        G = gradient(spec, W[None], S)
+        f = smooth_objective(spec, W[None], S)
+        F = objective(spec, W[None], S)
+        assert G.shape == (1, 4, 3) and f.shape == (1, 3) and F.shape == (1, 3)
+        G, f, F = G[0], f[0], F[0]
         for j in range(3):
             Sj = Dataset(X, Y[:, j])
             np.testing.assert_allclose(G[:, j], gradient(spec, W[:, j], Sj), rtol=1e-13)
@@ -284,9 +268,10 @@ class TestBlockShapes:
     @pytest.mark.parametrize("fn", [gradient, smooth_objective, objective])
     def test_mismatched_shapes_rejected(self, fn):
         spec, X, Y, W = self.block("logistic", "l2")
-        for labels, weights in ((Y, W[:, 0]), (Y, W[:, :2]), (Y[:, 0], W), (Y, W.T)):
+        for labels, weights in ((Y, W[:, 0]), (Y, W[:, :2]), (Y[:, :1], W), (Y, W.T)):
+            S = _Stack(X[None], labels[None])
             with pytest.raises(ValueError, match="does not match"):
-                fn(spec, weights, Dataset(X, labels))
+                fn(spec, weights[None], S)
 
 
 class TestStackEvaluation:
@@ -319,6 +304,20 @@ class TestStackEvaluation:
         for weights in (W[0], W[:2], W[..., 0], W[..., 0].T):
             with pytest.raises(ValueError, match="does not match"):
                 fn(spec, weights, _stack(datasets))
+
+    @pytest.mark.parametrize("features,labels", [
+        ((2, 12, 4), (2, 12, 1, 1)),
+        ((2, 12, 4), (2, 11, 1)),
+        ((2, 12, 4), (3, 12, 1)),
+        ((12, 4), (12, 4, 1)),
+    ], ids=["four_d_labels", "fewer_rows", "more_datasets", "two_d_features"])
+    def test_label_shape_rejected(self, features, labels):
+        # labels are (m, n, K) over the features' (m, n), or no stack is made; raw (m, n)
+        # labels are TestBlockInput's case
+        with pytest.raises(ValueError, match=re.escape(
+                f"a stack needs (m, n, d) features and (m, n, K) labels, got {features} "
+                f"and {labels}")):
+            _Stack(np.zeros(features), np.ones(labels))
 
 
 class TestStrongConvexity:

@@ -134,13 +134,15 @@ class TestSolveErm:
             solve_erm(spec, S, 1e-14, max_iters=3)
         assert err.value.report.iterations_used == 3
         assert err.value.report.weights.shape == (4,)
-        # (n, K) block labels carry (d, K) weights and the worst column's residual
+        # a stack of (1, n, K) labels carries (1, d, K) weights and the worst column's residual
         Y = np.stack([S.labels, -S.labels, np.sign(S.features[:, 0])], axis=1)
-        with pytest.raises(ConvergenceError, match=r"in columns \[0, 1, 2\] \(") as err:
-            solve_erm(spec, Dataset(S.features, Y), 1e-14, max_iters=3)
+        with pytest.raises(ConvergenceError,
+                           match=r"in \(dataset, column\) pairs \[\(0, 0\), \(0, 1\), \(0, 2\)\] \(") \
+                as err:
+            solve_erm(spec, _Stack(S.features[None], Y[None]), 1e-14, max_iters=3)
         rep = err.value.report
         assert rep.iterations_used == 3
-        assert rep.weights.shape == (4, 3)
+        assert rep.weights.shape == (1, 4, 3)
         assert rep.final_gradient_norm > 1e-14
         assert rep.loss_gap_bound == pytest.approx(
             rep.final_gradient_norm**2 / (2 * 0.01), rel=1e-12)
@@ -159,11 +161,11 @@ class TestSolveErm:
         spec = SPECS[name]
         X, Y = one_vs_rest_problem()
         Y = Y[:, :m]
-        block = solve_erm(spec, Dataset(X, Y), 1e-9)
+        block = solve_erm(spec, _Stack(X[None], Y[None]), 1e-9)
         singles = [solve_erm(spec, Dataset(X, Y[:, j]), 1e-9) for j in range(Y.shape[1])]
-        assert block.weights.shape == (X.shape[1], Y.shape[1])
+        assert block.weights.shape == (1, X.shape[1], Y.shape[1])
         for j, rep in enumerate(singles):
-            np.testing.assert_allclose(block.weights[:, j], rep.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(block.weights[0, :, j], rep.weights, rtol=0, atol=1e-12)
         assert block.iterations_used == max(rep.iterations_used for rep in singles)
         assert block.final_gradient_norm == pytest.approx(
             max(rep.final_gradient_norm for rep in singles), rel=1e-9)
@@ -283,7 +285,6 @@ class TestSolveErmBlock:
         bad_blocks = {
             "fewer rows": [S, S.subset(np.arange(S.n - 1))],
             "more columns": [S, Dataset(np.hstack([S.features, S.features[:, :1]]), S.labels)],
-            "label matrix": [S, Dataset(S.features, np.stack([S.labels, S.labels], axis=1))],
             "empty": [],
         }
         for block in bad_blocks.values():
@@ -309,7 +310,7 @@ def split_stack(classes, repeats=3, seed=4):
     train, _ = split(S, SplitPlan(seed=seed, repeats=repeats))
     labels = np.unique(S.labels)
     return _Stack(train.features, as_signed_labels(
-        train.labels, positive=labels[1:] if classes == 2 else labels))
+        train.labels[..., 0], positive=labels[1:] if classes == 2 else labels))
 
 
 STACK_SPECS = {
@@ -332,10 +333,10 @@ class TestSplitStack:
         assert block.residuals.shape == block.objective.shape == (3, K)
         counts = []
         for r, (X, Y) in enumerate(zip(stack.features, stack.labels)):
-            lone = solve_erm(spec, Dataset(X, Y), tol)
-            assert block.weights[r].tobytes() == lone.weights.tobytes()
-            assert block.residuals[r].tolist() == lone.residuals.tolist()
-            assert block.objective[r].tolist() == lone.objective.tolist()
+            lone = solve_erm(spec, _Stack(X[None], Y[None]), tol)
+            assert block.weights[r].tobytes() == lone.weights[0].tobytes()
+            assert block.residuals[r].tolist() == lone.residuals[0].tolist()
+            assert block.objective[r].tolist() == lone.objective[0].tolist()
             counts.append(lone.iterations_used)
             if K == 1:  # a binary split solved with 1-D labels takes the same path
                 one = solve_erm(spec, Dataset(X, Y[:, 0]), tol)
@@ -345,11 +346,11 @@ class TestSplitStack:
 
     def test_failure_names_the_split_class_pairs(self):
         spec, stack, tol = STACK_SPECS["logistic-elastic-0.001"], split_stack(4), 1e-8
-        splits = [Dataset(X, Y) for X, Y in zip(stack.features, stack.labels)]
+        splits = [_Stack(X[None], Y[None]) for X, Y in zip(stack.features, stack.labels)]
         # every split has a column still above tolerance one iteration short of its count
         k = min(solve_erm(spec, D, tol).iterations_used for D in splits) - 1
         # the (split, class) columns of the lone solves still above tolerance at k
-        at_k = np.array([solve_allowing_failure(spec, D, tol, k).residuals for D in splits])
+        at_k = np.array([solve_allowing_failure(spec, D, tol, k).residuals[0] for D in splits])
         late = [tuple(c) for c in np.argwhere(at_k > tol).tolist()]
         assert 0 < len(late) < at_k.size
         pattern = re.escape(f"in (dataset, column) pairs {late}")
@@ -412,14 +413,16 @@ class TestReportObjective:
         X, Y = one_vs_rest_problem()
         datasets = erm_block()
         return [("single", Dataset(X, Y[:, 0]), [Dataset(X, Y[:, 0])]),
-                ("one-vs-rest", Dataset(X, Y), [Dataset(X, Y[:, j]) for j in range(Y.shape[1])]),
+                ("one-vs-rest", _Stack(X[None], Y[None]),
+                 [Dataset(X, Y[:, j]) for j in range(Y.shape[1])]),
                 ("neighbour stack", _stack(datasets), datasets)]
 
     @staticmethod
     def check(spec, rep, S, columns):
         np.testing.assert_allclose(rep.objective, objective(spec, rep.weights, S), rtol=1e-13)
-        # a stack's (m, d, 1) weights hold one column per dataset
-        rows = rep.weights[..., 0] if isinstance(S, _Stack) else np.atleast_2d(rep.weights.T)
+        # a stack's (m, d, K) weights hold m * K columns, in the (m, K) order of its objective
+        rows = rep.weights.swapaxes(1, 2).reshape(-1, S.d) if isinstance(S, _Stack) \
+            else [rep.weights]
         per_column = [objective(spec, w, D) for w, D in zip(rows, columns)]
         np.testing.assert_allclose(np.ravel(rep.objective), per_column, rtol=1e-13)
 
@@ -491,8 +494,8 @@ class TestSmoothCurvature:
     def test_same_for_block_labels(self):
         X, Y = one_vs_rest_problem()
         spec = SPECS["logistic-l2"]
-        # a dataset's stack, as both solvers take it, with K label columns or one
-        (block, _), (single, _) = _block(Dataset(X, Y)), _block(Dataset(X, Y[:, 0]))
+        # one dataset's features with K label columns, or with one as both solvers take it
+        block, (single, _) = _Stack(X[None], Y[None]), _block(Dataset(X, Y[:, 0]))
         assert _smooth_curvature(spec, block) == _smooth_curvature(spec, single)
 
 
@@ -612,7 +615,6 @@ class TestSgdBlock:
         bad_blocks = {
             "fewer rows": [S, S.subset(np.arange(S.n - 1))],
             "more columns": [S, Dataset(np.hstack([S.features, S.features[:, :1]]), S.labels)],
-            "label matrix": [S, Dataset(S.features, np.stack([S.labels, S.labels], axis=1))],
             "empty": [],
         }
         for blocks in bad_blocks.values():
@@ -670,16 +672,15 @@ class TestBlockInput:
         for S in (datasets, tuple(datasets), datasets[0].features):
             with pytest.raises(ValueError, match=r"^S's type must be Dataset or _Stack"):
                 run(S)
-        # a stack of raw (m, n) class labels, as data_io.split gives them, is not signed
-        raw = _Stack(datasets[0].features[None], datasets[0].labels[None])
-        with pytest.raises(ValueError, match=r"^S's label shape must be \(m, n, K\)"):
-            run(raw)
+        # raw (m, n) class labels make no stack: its labels are (m, n, K)
+        with pytest.raises(ValueError, match=r"^a stack needs \(m, n, d\) features and "
+                                             r"\(m, n, K\) labels, got \(1, 60, 5\) and \(1, 60\)$"):
+            _Stack(datasets[0].features[None], datasets[0].labels[None])
 
-    @pytest.mark.parametrize("shape", ["stack", "dataset"])
-    def test_sgd_run_rejects_label_columns_before_its_first_step(self, monkeypatch, shape):
+    def test_sgd_run_rejects_label_columns_before_its_first_step(self, monkeypatch):
         (S,) = sgd_block(0)
         Y = np.stack([S.labels, -S.labels], axis=1)
-        block = _Stack(S.features[None], Y[None]) if shape == "stack" else Dataset(S.features, Y)
+        block = _Stack(S.features[None], Y[None])
         grads = TestEvaluationPath.count(monkeypatch, "gradient")
         with pytest.raises(ValueError, match="S's label columns must be 1"):
             sgd_run(self.SPEC, block, self.CFG)

@@ -169,7 +169,7 @@ class TestGridDraw:
 
 
 class TestGridInputs:
-    """A grid oracle checks its grid and S, by name, before it draws anything."""
+    """A grid oracle checks its grid, by name, before it draws anything."""
 
     @staticmethod
     def refused(monkeypatch, oracle, specs, S, match):
@@ -188,14 +188,6 @@ class TestGridInputs:
         spec, S = fixture()
         self.refused(monkeypatch, oracle, [spec, replace(spec, kappa=0.5)], S,
                      r"the specs' kappas must be equal, as the draw reads kappa, got \(1.0, 0.5\)")
-
-    @pytest.mark.parametrize("oracle", GRID_ORACLES)
-    def test_block_labels(self, monkeypatch, oracle):
-        # one-vs-rest label rows: a neighbor draws one +/-1 label, not a row
-        spec, S = fixture()
-        rows = np.where(np.eye(3)[np.arange(S.n) % 3] > 0, 1.0, -1.0)
-        self.refused(monkeypatch, oracle, [spec], Dataset(S.features, rows),
-                     r"S's label shape must be \(n,\), one \+/-1 label per record, got \(50, 3\)")
 
 
 class TestEmpiricalSensitivity:
