@@ -12,7 +12,7 @@ that empirically stress every bound.
 
 from .model import Dataset, ObjectiveSpec
 from .optimizer import SgdConfig, SolveReport, solve_erm, sgd_run
-from .privacy import Noise, PrivateRelease, calibrate, release
+from .privacy import Noise, Release, calibrate, release
 from .stability import StabilityCert, spec_cert
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "solve_erm",
     "sgd_run",
     "Noise",
-    "PrivateRelease",
+    "Release",
     "calibrate",
     "release",
     "StabilityCert",

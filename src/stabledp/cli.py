@@ -13,9 +13,9 @@ Subcommands:
 Every experiment is driven by a single JSON config; each flag mirrors a
 config path and overrides the file. Result files are one CSV plus one JSON
 metadata sidecar, with no timestamps, so identical (config, seeds) re-runs
-produce byte-identical bytes. Grid cells derive their noise streams from
-(master seed, lambda bits, epsilon bits, repeat), so any cell re-run in
-isolation reproduces its in-grid numbers exactly.
+produce byte-identical bytes. Grid cells are released by ``privacy.release``,
+which keys each split's noise stream by (master seed, command, lambda bits,
+epsilon bits, split), so any cell re-run alone reproduces its in-grid bytes.
 
 Exit codes: 0 on success; 1 when a verify check lands on the wrong
 verdict or a fetch fails; 2 on a config or flag error; 3 when the solver
@@ -52,8 +52,8 @@ from .model import (
     as_signed_labels,
 )
 from .optimizer import ConvergenceError, solve_erm
-from .privacy import Noise, calibrate, dp_micro_check, laplace_sample, perturb
-from .rng import derive_rng, float_key
+from .privacy import Noise, calibrate, dp_micro_check, laplace_sample, perturb, release
+from .rng import derive_rng
 from .stability import sensitivity_via_strong_convexity, spec_cert
 
 SCHEMA_VERSION = 1
@@ -297,16 +297,14 @@ def _std(values: list) -> float:
 
 
 def _cells(cfg: SweepConfig, epsilons, stream: int):
-    """Yield ``(spec, eps, noise, cert, classes, n_train, runs)`` per lambda x epsilon cell.
+    """Yield ``(spec, eps, rel, classes, n_train, runs)`` per lambda x epsilon cell.
 
-    ``runs`` holds one ``(test, W, noisy W)`` tuple per split, W with one
-    row per model (a single row for binary labels). The splits' signed
-    training labels are built once; each lambda's ``ObjectiveSpec``,
-    certificate and models (one block solve over every split) are built
-    once, before its epsilons, and shared by every epsilon. All splits
-    have the same training size, so one certificate and one ``Noise``
-    serve the whole cell. Split r draws its noise from the stream keyed
-    (master seed, ``stream``, lambda bits, epsilon bits, r).
+    ``rel`` is the cell's ``privacy.Release`` and ``runs`` holds one
+    ``(test, W, noisy W)`` tuple per split, W with one row per model (a
+    single row for binary labels). The splits' signed training labels are
+    built once; each lambda's ``release`` call makes one block solve over
+    every split, shared by every epsilon, with split r's noise drawn from
+    the stream keyed (master seed, ``stream``, lambda bits, epsilon bits, r).
     """
     S = build_dataset(cfg)
     try:
@@ -316,25 +314,23 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
     classes = np.unique(S.labels)
     train = _Stack(train.features, as_signed_labels(
         train.labels[..., 0], positive=classes[1:] if classes.size == 2 else classes))
+    noise = (cfg.scale_mode if cfg.noise_mode == "stability_optimal" else
+             Noise(float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0))
     for lam in cfg.lambda_grid:
         spec = _objective(cfg, lam)
-        cert = spec_cert(spec, train.n)
-        models = [W.T for W in solve_erm(spec, train, cfg.tolerance, cfg.max_iters).weights]
-        for eps in epsilons:
-            scale = float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0
-            noise = (calibrate(cert, S.d, eps, cfg.scale_mode)
-                     if cfg.noise_mode == "stability_optimal" else Noise(scale))
-            runs = [(test, W, perturb(W, noise, derive_rng(
-                        cfg.master_seed, stream, float_key(lam), float_key(eps), r)))
-                    for r, (test, W) in enumerate(zip(tests, models))]
-            yield spec, eps, noise, cert, classes, train.n, runs
+        for eps, rel in zip(epsilons, release(
+                spec, train, epsilons, noise, seed=cfg.master_seed, stream=stream,
+                tolerance=cfg.tolerance, max_iters=cfg.max_iters)):
+            runs = list(zip(tests, (W.T for W in rel.report.weights),
+                            (W.T for W in rel.noisy_weights)))
+            yield spec, eps, rel, classes, train.n, runs
 
 
 def _accuracy_rows(cfg: SweepConfig, epsilons) -> list:
     rows = []
-    for spec, eps, noise, cert, classes, _, runs in _cells(cfg, epsilons, 31):
-        cell = [spec.lam, eps, cfg.noise_mode, noise.scale, cert.beta,
-                sensitivity_via_strong_convexity(cert)]
+    for spec, eps, rel, classes, _, runs in _cells(cfg, epsilons, 31):
+        cell = [spec.lam, eps, cfg.noise_mode, rel.noise.scale, rel.cert.beta,
+                sensitivity_via_strong_convexity(rel.cert)]
         accs = [accuracy(noisy, classes, test) for test, _, noisy in runs]
         rows += [cell + [r, acc, None] for r, acc in enumerate(accs)]
         rows.append(cell + [-1, float(np.mean(accs)), _std(accs)])
@@ -363,8 +359,8 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
         _require("eta", cfg.eta, *_POSITIVE, ConfigError)
     rows, flip_rows = [], []
-    for spec, eps, noise, _, _, n_train, runs in _cells(cfg, cfg.epsilon_grid, 41):
-        lam = spec.lam
+    for spec, eps, rel, _, n_train, runs in _cells(cfg, cfg.epsilon_grid, 41):
+        lam, noise = spec.lam, rel.noise
         T = noise.threshold(cfg.threshold_k) if cfg.threshold_mode == "dynamic" else cfg.static_T
         cell = [lam, eps, cfg.noise_mode, noise.scale, cfg.threshold_mode, T]
         W = np.stack([w.ravel() for _, w, _ in runs])

@@ -193,6 +193,14 @@ class _Stack:
     def d(self) -> int:
         return self.features.shape[2]
 
+    def max_row_norm(self) -> float:
+        """The largest feature-row norm of any dataset; taken once per stack."""
+        return self._max_row_norm
+
+    @cached_property
+    def _max_row_norm(self) -> float:  # row by row: no X-sized temporary
+        return float(np.sqrt(np.einsum("mnd,mnd->mn", self.features, self.features).max()))
+
     @cached_property
     def gram_top(self) -> np.ndarray:
         """lambda_max(X^T X / n) of each dataset, clamped at 0; taken once per stack.

@@ -17,11 +17,10 @@ calibrations exist, and every release records which one it used:
                   certificates only, and in d > 1 it adds less noise than
                   the provable calibration.
 
-``perturb`` is the one place a ``Noise`` is drawn onto model weights;
-``release``, the CLI and the ``verify`` oracles all go through it. It draws
-the noise into the array it returns and adds the weights there, so a
-release is held once. ``release`` trains an objective, certifies it with
-``stability.spec_cert``, calibrates, and perturbs.
+``perturb`` is the one place a ``Noise`` is drawn onto model weights, into
+the array it returns. ``release`` is the one path from an objective and its
+data to released weights, for the CLI and the library alike: it certifies,
+calibrates, trains and perturbs, and returns one ``Release`` per epsilon.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
@@ -48,14 +47,15 @@ from .model import (
     ObjectiveSpec,
     _one_of,
     _require,
+    _Stack,
 )
-from .optimizer import solve_erm
-from .rng import derive_rng
+from .optimizer import SolveReport, solve_erm
+from .rng import derive_rng, float_key
 from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
 
 __all__ = [
     "Noise",
-    "PrivateRelease",
+    "Release",
     "laplace_sample",
     "perturb",
     "calibrate",
@@ -138,16 +138,15 @@ class Noise:
         return np.exp(-np.asarray(t, dtype=float) / self.scale)
 
 
-@dataclass(frozen=True)
-class PrivateRelease:
-    """Perturbed weights plus the calibrated ``Noise`` that made them."""
+@dataclass(frozen=True, eq=False)
+class Release:
+    """One epsilon's release: the solve's report, its certificate and ``Noise``,
+    and the noisy weights in the layout of ``report.weights``."""
 
-    noisy_weights: np.ndarray
+    report: SolveReport
+    cert: StabilityCert
     noise: Noise
-
-    def __post_init__(self):
-        if self.noise.calibration is None:
-            raise ValueError("a release needs a calibrated noise record")
+    noisy_weights: np.ndarray
 
 
 def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,22 +212,28 @@ def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> 
     return Noise(sens / epsilon, sens, epsilon, calibration)
 
 
-def release(spec: ObjectiveSpec, S: Dataset, epsilon: float, *, calibration: str,
-            rng: np.random.Generator) -> PrivateRelease:
-    """Train ``spec`` on S, then release its weights with calibrated Laplace noise.
+def release(spec: ObjectiveSpec, S: Dataset | _Stack, epsilons, noise: str | Noise, *,
+            seed: int, stream: int = 0, tolerance=1e-8, max_iters=100_000) -> list[Release]:
+    """Train ``spec`` on S once; release its weights, one ``Release`` per epsilon.
 
-    Requires every feature row to satisfy the spec's kappa bound (the
-    stability constant is meaningless otherwise). The scale is calibrated
-    before the solve, so a bad calibration fails without training. Solver
-    failures (``ConvergenceError``) propagate unchanged.
+    ``noise`` is a calibration name, calibrated per epsilon, or one ``Noise``
+    for all. The kappa premise (no feature row above the spec's kappa), the
+    certificate and every calibration are checked before the solve. Dataset
+    r of S (a ``Dataset`` is dataset 0) draws noise over its (K, d) model
+    rows from the stream keyed (seed, stream, lambda bits, epsilon bits, r).
     """
-    max_norm = S.max_row_norm()
-    if max_norm > spec.kappa * (1.0 + 1e-9):
-        raise ValueError(
-            f"feature rows violate the kappa bound: max norm {max_norm:.6g} > kappa={spec.kappa}"
-        )
-    noise = calibrate(spec_cert(spec, S.n), S.d, epsilon, calibration)
-    return PrivateRelease(perturb(solve_erm(spec, S).weights, noise, rng), noise)
+    if (max_norm := S.max_row_norm()) > spec.kappa * (1.0 + 1e-9):
+        raise ValueError(f"feature rows violate the kappa bound: max norm {max_norm:.6g} > "
+                         f"kappa={spec.kappa}")
+    cert = spec_cert(spec, S.n)
+    noises = [calibrate(cert, S.d, eps, noise) if isinstance(noise, str) else noise
+              for eps in epsilons]
+    report = solve_erm(spec, S, tolerance, max_iters)
+    W = np.atleast_3d(report.weights)  # a Dataset's (d,) weights as (1, d, 1)
+    return [Release(report, cert, nz, np.stack(
+        [perturb(w.T, nz, derive_rng(seed, stream, float_key(spec.lam), float_key(eps), r))
+         for r, w in enumerate(W)]).swapaxes(1, 2).reshape(report.weights.shape))
+        for eps, nz in zip(epsilons, noises)]
 
 
 def wilson_interval(successes: int, trials: int) -> tuple:

@@ -22,7 +22,7 @@ from stabledp.cli import (
 )
 from stabledp.data_io import SplitPlan, synth_classification, write_csv
 from stabledp.features import lemma_noise
-from stabledp.model import ObjectiveSpec
+from stabledp.model import Dataset, ObjectiveSpec
 
 
 def tiny_config(**overrides):
@@ -165,16 +165,34 @@ class TestSweep:
         assert len(agg) == 4 and all(r["test_accuracy_std"] != "" for r in agg)
 
     def test_models_shared_across_epsilons(self, tmp_path, monkeypatch):
-        from stabledp import cli as cli_mod
+        from stabledp import privacy as privacy_mod
 
-        solve_erm, calls = cli_mod.solve_erm, []
-        monkeypatch.setattr(cli_mod, "solve_erm",
+        solve_erm, calls = privacy_mod.solve_erm, []
+        monkeypatch.setattr(privacy_mod, "solve_erm",
                             lambda *a, **k: calls.append(a) or solve_erm(*a, **k))
         cfg = tiny_config()
         assert len(cfg.epsilon_grid) == 2
         cmd_sweep(cfg, tmp_path)
         # one block solve per lambda over every split, whatever the number of epsilons
         assert len(calls) == len(cfg.lambda_grid)
+
+    @pytest.mark.parametrize("noise_mode", ["stability_optimal", "fixed_scale", "none"])
+    def test_kappa_premise_checked_before_any_solve(self, tmp_path, monkeypatch, noise_mode):
+        from stabledp import cli as cli_mod
+        from stabledp import privacy as privacy_mod
+
+        def unbounded(cfg):  # the first feature scaled 4-fold after the kappa rebound
+            S = build_dataset(cfg)
+            X = S.features.copy()
+            X[:, 0] *= 4.0
+            return Dataset(X, S.labels)
+
+        monkeypatch.setattr(cli_mod, "build_dataset", unbounded)
+        monkeypatch.setattr(privacy_mod, "solve_erm", lambda *a, **k: pytest.fail("solved"))
+        cfg = tiny_config(noise_mode=noise_mode, fixed_scale_b=0.25)
+        with pytest.raises(ValueError, match="kappa"):
+            cmd_sweep(cfg, tmp_path)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_fixed_scale_constant_across_lambda(self, tmp_path):
         cfg = tiny_config(noise_mode="fixed_scale", fixed_scale_b=0.25)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,24 @@ class TestStackEvaluation:
                 f"a stack needs (m, n, d) features and (m, n, K) labels, got {features} "
                 f"and {labels}")):
             _Stack(np.zeros(features), np.ones(labels))
+
+    def test_max_row_norm_is_the_largest_of_its_datasets(self):
+        datasets, _ = self.stack()
+        S = _stack(datasets)
+        assert S.max_row_norm() == pytest.approx(max(D.max_row_norm() for D in datasets),
+                                                 rel=1e-12)
+        assert S.max_row_norm() is S.max_row_norm()  # taken once per stack
+
+    def test_max_row_norm_makes_no_stack_sized_temporary(self):
+        S = _Stack(np.random.default_rng(3).standard_normal((10, 1600, 32)),
+                   np.ones((10, 1600, 1)))
+        tracemalloc.start()
+        try:
+            S.max_row_norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < S.features.nbytes / 8
 
 
 class TestStrongConvexity:

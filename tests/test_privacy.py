@@ -1,4 +1,4 @@
-import functools
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,11 +7,11 @@ import pytest
 
 from stabledp import privacy as privacy_mod
 from stabledp.data_io import synth_classification
-from stabledp.model import Dataset, ObjectiveSpec
+from stabledp.model import Dataset, ObjectiveSpec, _Stack, as_signed_labels
 from stabledp.optimizer import ConvergenceError, solve_erm
 from stabledp.privacy import (
     Noise,
-    PrivateRelease,
+    Release,
     calibrate,
     dp_micro_check,
     laplace_sample,
@@ -19,7 +19,7 @@ from stabledp.privacy import (
     release,
     wilson_interval,
 )
-from stabledp.rng import derive_rng
+from stabledp.rng import derive_rng, float_key
 from stabledp.stability import (
     beta_elastic_net,
     beta_l2_erm,
@@ -103,26 +103,17 @@ class TestNoise:
         with pytest.raises(ValueError, match="sensitivity"):
             Noise(0.3, epsilon=1.0, calibration="derived")
 
-
-class TestPrivateRelease:
-    def test_uncalibrated_record_refused(self):
-        with pytest.raises(ValueError, match="calibrated"):
-            PrivateRelease(np.zeros(2), Noise(0.4))
-
     def test_scale_invariant_enforced(self):
         with pytest.raises(ValueError, match="scale"):
-            PrivateRelease(np.zeros(2), Noise(0.3, sensitivity=0.4, epsilon=1.0,
-                                              calibration="derived"))
+            Noise(0.3, sensitivity=0.4, epsilon=1.0, calibration="derived")
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            PrivateRelease(np.zeros(2), Noise(0.0, sensitivity=0.0, epsilon=0.0,
-                                              calibration="derived"))
+            Noise(0.0, sensitivity=0.0, epsilon=0.0, calibration="derived")
 
     def test_unknown_calibration_rejected(self):
         with pytest.raises(ValueError, match="calibration"):
-            PrivateRelease(np.zeros(2), Noise(0.4, sensitivity=0.4, epsilon=1.0,
-                                              calibration="l1"))
+            Noise(0.4, sensitivity=0.4, epsilon=1.0, calibration="l1")
 
 
 def elastic_fixture():
@@ -155,29 +146,70 @@ class TestCalibrate:
             calibrate(cert, 4, 1.0, "l1")
 
 
+def one_split_stack():
+    """A 3-class task as one split's stack with its one-vs-rest labels, as the CLI signs it."""
+    S, _ = synth_classification(150, 4, classes=3, sparsity=4, noise=0.4, seed=6)
+    return _Stack(S.features[None], as_signed_labels(S.labels, np.unique(S.labels))[None])
+
+
 class TestRelease:
     @pytest.mark.parametrize("calibration", ["verbatim", "derived"])
     def test_is_solve_then_certify_then_calibrate_then_perturb(self, calibration):
         S, spec = elastic_fixture(), elastic_spec()
-        rel = release(spec, S, 2.0, calibration=calibration, rng=derive_rng(8))
+        (rel,) = release(spec, S, (2.0,), calibration, seed=8)
         noise = calibrate(spec_cert(spec, S.n), S.d, 2.0, calibration)
         w = solve_erm(spec, S, 1e-8).weights
-        assert (rel.noise.sensitivity, rel.noise.scale) == (noise.sensitivity, noise.scale)
-        assert rel.noise.calibration == calibration and rel.noise.epsilon == 2.0
-        np.testing.assert_array_equal(rel.noisy_weights, perturb(w, noise, derive_rng(8)))
+        assert rel.noise == noise and rel.cert == spec_cert(spec, S.n)
+        assert rel.report.weights.tobytes() == w.tobytes()
+        keys = (8, 0, float_key(spec.lam), float_key(2.0), 0)
+        assert rel.noisy_weights.tobytes() == perturb(w, noise, derive_rng(*keys)).tobytes()
+
+    def test_one_split_stack_is_the_grid_recipe_byte_for_byte(self):
+        # the CLI grid's recipe before release served it, written out as the reference
+        S, spec, epsilons = one_split_stack(), elastic_spec(lam=0.03), (0.5, 1.0, 2.0)
+        rels = release(spec, S, epsilons, "verbatim", seed=4, stream=31, tolerance=1e-6,
+                       max_iters=50_000)
+        report = solve_erm(spec, S, 1e-6, 50_000)
+        assert [r.report.weights.shape for r in rels] == [(1, S.d, 3)] * 3
+        for eps, rel in zip(epsilons, rels):
+            noise = calibrate(spec_cert(spec, S.n), S.d, eps, "verbatim")
+            want = perturb(report.weights[0].T, noise,
+                           derive_rng(4, 31, float_key(0.03), float_key(eps), 0))
+            assert rel.noise == noise
+            assert rel.report.weights.tobytes() == report.weights.tobytes()
+            assert rel.noisy_weights.shape == report.weights.shape
+            assert rel.noisy_weights[0].T.tobytes() == want.tobytes()
+
+    def test_fixed_noise_serves_every_epsilon(self):
+        S, spec, noise = one_split_stack(), elastic_spec(), Noise(0.25)
+        rels = release(spec, S, (1.0, 4.0), noise, seed=2)
+        assert all(isinstance(r, Release) for r in rels)
+        assert [r.noise for r in rels] == [noise, noise]
+        assert not np.array_equal(rels[0].noisy_weights, rels[1].noisy_weights)
+        (none,) = release(spec, S, (1.0,), Noise(0.0), seed=2)
+        assert none.noisy_weights.tobytes() == none.report.weights.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            none.noise = noise
+
+    def test_kappa_premise_checked_on_a_stack_before_any_solve(self, monkeypatch):
+        S = one_split_stack()
+        X = S.features.copy()
+        X[0, 7] *= 3.0 / np.linalg.norm(X[0, 7])
+        monkeypatch.setattr(privacy_mod, "solve_erm", lambda *a, **k: pytest.fail("solved"))
+        for noise in ("verbatim", Noise(0.25)):
+            with pytest.raises(ValueError, match="kappa"):
+                release(elastic_spec(), _Stack(X, S.labels), (1.0,), noise, seed=0)
 
     def test_l2_spec_releases_with_the_derived_calibration(self):
         S = elastic_fixture()
         spec = ObjectiveSpec("logistic", 0.1, penalty="l2")
-        rel = release(spec, S, 1.0, calibration="derived", rng=derive_rng(0))
+        (rel,) = release(spec, S, (1.0,), "derived", seed=0)
         # beta = 2 / (100 * 0.1) with lambda_sc = 0.1: L2 bound 2, L1 bound 2 sqrt(d)
         assert rel.noise.scale == pytest.approx(2.0 * math.sqrt(S.d), rel=1e-12)
 
-    def test_convergence_error_propagates(self, monkeypatch):
-        monkeypatch.setattr(privacy_mod, "solve_erm", functools.partial(solve_erm, max_iters=1))
+    def test_convergence_error_propagates(self):
         with pytest.raises(ConvergenceError):
-            release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim",
-                    rng=derive_rng(0))
+            release(elastic_spec(), elastic_fixture(), (1.0,), "verbatim", seed=0, max_iters=1)
 
 
 class TestOutputPerturb:
@@ -207,8 +239,8 @@ class TestOutputPerturb:
 
     def test_deterministic_given_seed(self):
         S, spec = elastic_fixture(), elastic_spec()
-        r1 = release(spec, S, 2.0, calibration="derived", rng=derive_rng(7))
-        r2 = release(spec, S, 2.0, calibration="derived", rng=derive_rng(7))
+        (r1,) = release(spec, S, (2.0,), "derived", seed=7)
+        (r2,) = release(spec, S, (2.0,), "derived", seed=7)
         np.testing.assert_array_equal(r1.noisy_weights, r2.noisy_weights)
 
     def test_coordinate_exchangeability(self):
@@ -234,32 +266,31 @@ class TestPrivateElasticNet:
         noise = calibrate(beta_elastic_net(1.0, 1.0, 100, 0.1, 0.85), 3, 1.0, "verbatim")
         assert noise.sensitivity == pytest.approx(40.0 / 17.0, rel=1e-12)
         assert noise.scale == pytest.approx(2.3529411764705883, rel=1e-12)
-        rel = release(elastic_spec(), elastic_fixture(), 1.0, calibration="verbatim",
-                      rng=derive_rng(0))
+        (rel,) = release(elastic_spec(), elastic_fixture(), (1.0,), "verbatim", seed=0)
         assert rel.noise.scale == pytest.approx(40.0 / 17.0, rel=1e-12)
 
     def test_huge_epsilon_recovers_nonprivate_weights(self):
         S, spec = elastic_fixture(), elastic_spec()
         w = solve_erm(spec, S, 1e-8).weights
-        rel = release(spec, S, 1e6, calibration="verbatim", rng=derive_rng(3))
+        (rel,) = release(spec, S, (1e6,), "verbatim", seed=3)
         assert rel.noise.scale == pytest.approx(2.3529411764705883e-06, rel=1e-9)
         assert np.max(np.abs(rel.noisy_weights - w)) < 1e-4
 
     def test_gamma_one_degenerates_to_l2_release(self):
         S, spec = elastic_fixture(), elastic_spec(gamma=1.0, eta=0.0)
-        rel = release(spec, S, 1.0, calibration="verbatim", rng=derive_rng(4))
+        (rel,) = release(spec, S, (1.0,), "verbatim", seed=4)
         beta = 2.0 / (S.n * 0.1)
         assert rel.noise.sensitivity == pytest.approx(math.sqrt(2 * beta / 0.1), rel=1e-12)
         # the trained weights under gamma=1, eta=0 equal the lam||w||^2 L2 fit
         w_l2 = solve_erm(ObjectiveSpec("logistic", 0.2, penalty="l2"),
                          S, 1e-8).weights
-        rel2 = release(spec, S, 1e9, calibration="verbatim", rng=derive_rng(4))
+        (rel2,) = release(spec, S, (1e9,), "verbatim", seed=4)
         assert np.max(np.abs(rel2.noisy_weights - w_l2)) < 1e-6
 
     def test_derived_mode_applies_sqrt_d_over_sqrt_2(self):
         S, spec = elastic_fixture(), elastic_spec()
-        v = release(spec, S, 1.0, calibration="verbatim", rng=derive_rng(0))
-        d = release(spec, S, 1.0, calibration="derived", rng=derive_rng(0))
+        (v,) = release(spec, S, (1.0,), "verbatim", seed=0)
+        (d,) = release(spec, S, (1.0,), "derived", seed=0)
         # verbatim: sqrt(2 beta/(lam gamma)); derived: sqrt(d) * sqrt(2 beta/(2 lam gamma))
         assert d.noise.scale / v.noise.scale == pytest.approx(
             math.sqrt(S.d) / math.sqrt(2.0), rel=1e-12
@@ -268,7 +299,7 @@ class TestPrivateElasticNet:
     def test_kappa_violation_rejected(self):
         S = Dataset(np.array([[3.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="kappa"):
-            release(elastic_spec(), S, 1.0, calibration="verbatim", rng=derive_rng(0))
+            release(elastic_spec(), S, (1.0,), "verbatim", seed=0)
 
 
 def _bounded_mean_release(scale):
