@@ -311,7 +311,8 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
         train, tests = split(S, cfg.split)
     except ValueError as exc:  # a side left empty
         raise ConfigError(f"split.train_fraction: {exc}") from exc
-    classes = np.unique(S.labels)
+    # sorted distinct labels; np.unique would import numpy.ma mid-pass
+    classes = np.array(sorted(set(S.labels.tolist())))
     train = _Stack(train.features, as_signed_labels(
         train.labels[..., 0], positive=classes[1:] if classes.size == 2 else classes))
     noise = (cfg.scale_mode if cfg.noise_mode == "stability_optimal" else

@@ -356,22 +356,32 @@ def _check_labels(spec: ObjectiveSpec, labels, name: str = "labels") -> None:
         raise ValueError(f"logistic loss needs {name} in {{-1, +1}}, got {float(bad[0])}")
 
 
-def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> float:
+def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float):
     """Loss of the model w on a single item (x, y). No penalty term.
 
     Logistic: log(1 + exp(-y <w, x>)) with y in {-1, +1}.
     Squared:  (<w, x> - y)^2.
+
+    ``w`` is one (d,) model, giving a float, or a (k, d) block of k models,
+    giving k losses. Either way each margin is a (1, d) @ (d, 1) slice of
+    one ``np.matmul``, the dot product a lone model's call runs, so a
+    block's losses are the k one-model losses bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    w = _check_dims(w, x.shape[:1])
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1:] != x.shape:
+        raise ValueError(f"weight shape {w.shape} does not match x's {x.shape} "
+                         f"as (d,) or (k, d)")
     _check_labels(spec, y, "y")
-    return float(_loss_values(spec, w, x[None, :], np.array([y]))[0])
+    z = np.matmul(x[None, :], w[..., None])[..., 0]
+    return _per_column(_margin_loss(spec, z, np.array([y]))[..., 0])
 
 
 def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Gradient in w of the per-example loss (smooth part only, no penalty)."""
     x = np.asarray(x, dtype=float)
     w = _check_dims(w, x.shape[:1])
+    _check_labels(spec, y, "y")
     return _loss_derivative(spec, np.array([x @ w]), np.array([float(y)]))[0] * x
 
 

@@ -39,6 +39,12 @@ The stability oracles score probe loss gaps with one kernel,
 weight pairs. A batched matmul runs the same per-slice product as one
 pair's ``X @ column_stack([w_S, w_S'])``, so every gap is the float a
 pair-at-a-time loop gives (``np.einsum`` rounds differently).
+
+``gradient_check`` takes its central differences the same way: a
+fixture's 2d difference points are one (2d, d) block, scored in one
+batched product per function, whose every slice runs the dot or
+matrix-vector product a lone point's call runs. ``X @ V.T`` would be one
+gemm, which rounds differently from those.
 """
 
 from __future__ import annotations
@@ -332,13 +338,16 @@ def privacy_error_scaling(spec: ObjectiveSpec, S: Dataset, epsilons,
 
 
 def _central_difference(f, w: np.ndarray, h: float) -> np.ndarray:
-    """Central finite-difference gradient of the scalar function f at w."""
-    g = np.empty(w.shape[0])
-    for j in range(w.shape[0]):
-        e = np.zeros(w.shape[0])
-        e[j] = h
-        g[j] = (f(w + e) - f(w - e)) / (2 * h)
-    return g
+    """Central finite-difference gradient at w of f, which scores a block of points.
+
+    f takes the (2d, d) block ``[w + hE; w - hE]``, E = ``np.eye(d)``, and
+    returns its 2d values; row j of each half is w with coordinate j moved
+    by h, the point a one-coordinate-at-a-time loop would score.
+    """
+    d = w.shape[0]
+    step = h * np.eye(d)
+    values = f(np.concatenate([w + step, w - step]))
+    return (values[:d] - values[d:]) / (2 * h)
 
 
 def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100,
@@ -349,6 +358,13 @@ def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100,
     objective gradient on small random datasets in d = 5, by central
     differences of step h = 1e-6; the report value is the max relative
     error seen, and the check passes below 1e-5.
+
+    Each fixture's 2d difference points are scored in one batched product
+    per function: one :func:`per_example_loss` call on the (2d, d) block,
+    and one :func:`smooth_objective` call on a stack that repeats the
+    fixture 2d times, with (2d, d, 1) weights. Every slice runs the product
+    a lone point's call runs, so the report is the one a point-at-a-time
+    loop gives.
     """
     h, d, tol = 1e-6, 5, 1e-5
     rng = derive_rng(seed, 24)
@@ -357,9 +373,12 @@ def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100,
         w = rng.standard_normal(d)
         (x,), (y,) = _fresh_rows(spec, d, 1, rng)
         Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
+        copies = _Stack(np.broadcast_to(Sf.features, (2 * d, Sf.n, d)),
+                        np.broadcast_to(Sf.labels[:, None], (2 * d, Sf.n, 1)))
         for ga, f in ((per_example_grad(spec, w, x, y),
-                       lambda v: per_example_loss(spec, v, x, y)),
-                      (gradient(spec, w, Sf), lambda v: smooth_objective(spec, v, Sf))):
+                       lambda V: per_example_loss(spec, V, x, y)),
+                      (gradient(spec, w, Sf),
+                       lambda V: smooth_objective(spec, V[:, :, None], copies)[:, 0])):
             gf = _central_difference(f, w, h)
             worst = max(worst, float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8)))
     return OracleReport(

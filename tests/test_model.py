@@ -169,6 +169,24 @@ class TestPerExampleLoss:
         with pytest.raises(ValueError, match="-1"):
             per_example_loss(spec, np.zeros(2), np.zeros(2), 0.5)
 
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_block_is_the_one_model_calls_bit_for_bit(self, kind, y):
+        spec = ObjectiveSpec(kind, 0.1, lipschitz_L=1.0)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(5)
+        # margins from about 1e-3 to 1e3, both signs, so both softplus branches run
+        W = rng.standard_normal((12, 5)) * np.logspace(-3, 3, 12)[:, None]
+        block = per_example_loss(spec, W, x, y)
+        assert block.shape == (12,)
+        assert block.tolist() == [per_example_loss(spec, w, x, y) for w in W]
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 5), ()])
+    def test_bad_block_shape_named(self, shape):
+        spec = ObjectiveSpec("logistic", 0.1)
+        with pytest.raises(ValueError, match=re.escape(f"weight shape {shape}")):
+            per_example_loss(spec, np.zeros(shape), np.zeros(5), 1.0)
+
 
 class TestObjective:
     def test_zero_weights_logistic(self):
@@ -198,6 +216,12 @@ class TestGradient:
         x = np.array([0.4, -0.6])
         for y in (1.0, -1.0):
             np.testing.assert_allclose(per_example_grad(spec, np.zeros(2), x, y), -y * x / 2)
+
+    def test_logistic_label_domain(self):
+        # the same check as the loss: L = kappa assumes |sigmoid - label| <= 1
+        spec = ObjectiveSpec("logistic", 0.1)
+        with pytest.raises(ValueError, match=re.escape("logistic loss needs y in {-1, +1}")):
+            per_example_grad(spec, np.zeros(2), np.ones(2), 0.5)
 
     def test_matches_central_differences(self):
         # independent oracle: central differences, h = 1e-6

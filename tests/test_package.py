@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,36 @@ def test_cli_import_leaves_fetch_modules_unloaded():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_measured_passes_leave_numpy_ma_unloaded(tmp_path):
+    # numpy 2.x imports numpy.ma on first use, and np.median and np.unique
+    # use it: 12-16 ms in the middle of a pass
+    probe = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(Path(stabledp.__file__).parents[1])!r})
+        import numpy
+        if "numpy.ma" in sys.modules:
+            print("preloaded")
+            raise SystemExit
+        from pathlib import Path
+        from stabledp.cli import DatasetConfig, SweepConfig, cmd_select, cmd_sweep, cmd_verify
+        from stabledp.data_io import SplitPlan
+        cfg = SweepConfig(
+            dataset=DatasetConfig(kind="synthetic", n=120, d=12, classes=2, sparsity=4,
+                                  noise=0.3, structured_noise=False, seed=3, reduce_to=6),
+            split=SplitPlan(seed=0, repeats=2), lambda_grid=(0.05, 0.2),
+            epsilon_grid=(1.0, 4.0), tolerance=1e-7)
+        out = Path({str(tmp_path)!r})
+        cmd_sweep(cfg, out / "sweep")
+        cmd_select(cfg, out / "select")
+        cmd_verify("all", trials=5, probes=5, samples=20_000, draws=5_000)
+        print("numpy.ma" in sys.modules)
+    """)
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = run.stdout.strip().splitlines()[-1]
+    if last == "preloaded":
+        pytest.skip("import numpy loads numpy.ma itself (numpy < 2)")
+    assert last == "False"

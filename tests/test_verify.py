@@ -8,8 +8,18 @@ import pytest
 from stabledp import verify
 from stabledp.data_io import synth_classification
 from stabledp.features import lemma_noise
-from stabledp.model import Dataset, ObjectiveSpec, _loss_values, _stack, per_example_loss
+from stabledp.model import (
+    Dataset,
+    ObjectiveSpec,
+    _loss_values,
+    _stack,
+    gradient,
+    per_example_grad,
+    per_example_loss,
+    smooth_objective,
+)
 from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
+from stabledp.privacy import OracleReport
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
@@ -556,6 +566,35 @@ class TestGradientCheck:
                              n_fixtures=50, seed=1)
         assert rep.passed
         assert rep.empirical_value < 1e-7
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("seed", [0, 1111])
+    def test_report_is_the_point_at_a_time_loop(self, kind, seed):
+        spec = ObjectiveSpec(kind, 0.1, lipschitz_L=1.0)
+        assert gradient_check(spec, seed=seed) == point_loop_gradient_check(spec, seed=seed)
+
+
+def point_loop_gradient_check(spec, n_fixtures=100, seed=0):
+    """The reference for the batched ``gradient_check``: one call per difference point."""
+    h, d, tol = 1e-6, 5, 1e-5
+    rng = derive_rng(seed, 24)
+    worst = 0.0
+    for _ in range(n_fixtures):
+        w = rng.standard_normal(d)
+        x, y = fresh_record(spec, d, rng)
+        Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
+        for ga, f in ((per_example_grad(spec, w, x, y),
+                       lambda v: per_example_loss(spec, v, x, y)),
+                      (gradient(spec, w, Sf), lambda v: smooth_objective(spec, v, Sf))):
+            gf = np.empty(d)
+            for j in range(d):
+                e = np.zeros(d)
+                e[j] = h
+                gf[j] = (f(w + e) - f(w - e)) / (2 * h)
+            worst = max(worst, float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8)))
+    return OracleReport(name="gradients", bound_value=tol, empirical_value=worst,
+                        trials=2 * n_fixtures, margin=tol - worst, passed=worst < tol,
+                        details={"h": h, "d": d})
 
 
 class TestFlipRateCheck:
