@@ -52,7 +52,15 @@ from .model import (
     as_signed_labels,
 )
 from .optimizer import ConvergenceError, solve_erm
-from .privacy import Noise, calibrate, dp_micro_check, laplace_sample, perturb, release
+from .privacy import (
+    CALIBRATIONS,
+    Noise,
+    calibrate,
+    dp_micro_check,
+    laplace_sample,
+    perturb,
+    release,
+)
 from .rng import derive_rng
 from .stability import sensitivity_via_strong_convexity, spec_cert
 
@@ -73,7 +81,6 @@ SELECT_FLIP_COLUMNS = [
 ]
 
 NOISE_MODES = ("stability_optimal", "fixed_scale", "none")
-SCALE_MODES = ("verbatim", "derived")
 THRESHOLD_MODES = ("dynamic", "static")
 DATASET_KINDS = ("synthetic", "csv")
 
@@ -84,7 +91,7 @@ DATASET_RANGES = {
 }
 SWEEP_RANGES = {
     "gamma": _UNIT, "eta": _NONNEGATIVE, "noise_mode": _one_of(NOISE_MODES),
-    "fixed_scale_b": _POSITIVE, "scale_mode": _one_of(SCALE_MODES),
+    "fixed_scale_b": _POSITIVE, "scale_mode": _one_of(CALIBRATIONS),
     "loss_kind": _one_of(LOSS_KINDS), "lipschitz_L": _POSITIVE, "tolerance": _POSITIVE,
     "max_iters": _COUNT, "threshold_mode": _one_of(THRESHOLD_MODES), "threshold_k": _POSITIVE,
     "static_T": _NONNEGATIVE,
@@ -510,7 +517,7 @@ def cmd_verify(suite: str, out_path=None, **sizes) -> int:
 # static_T is --static-T, and a *_grid flag takes comma-separated values
 CONFIG_FLAGS = (
     ("lambda_grid", str), ("epsilon_grid", str), ("noise_mode", NOISE_MODES),
-    ("fixed_scale_b", float), ("scale_mode", SCALE_MODES), ("gamma", float),
+    ("fixed_scale_b", float), ("scale_mode", CALIBRATIONS), ("gamma", float),
     ("eta", float), ("master_seed", int), ("split.repeats", int), ("tolerance", float),
     ("threshold_mode", THRESHOLD_MODES), ("static_T", float),
 )

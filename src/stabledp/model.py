@@ -309,8 +309,13 @@ def _sample_axis(S: Dataset | _Stack) -> int:
     return S.features.ndim - 2
 
 
-def _margin_loss(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Loss at the margins z = <w, x>, elementwise; z, a fresh product, is overwritten."""
+def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example losses at the margins ``X @ w``, the package's one loss kernel.
+
+    A (d, k) ``w`` with (n, 1) ``y`` gives one column per model; stacked
+    operands run one batched ``np.matmul``, each slice its own product.
+    """
+    z = X @ w
     if spec.loss_kind == "logistic":
         # softplus(-y z) = log(1 + exp(-|y z|)) + max(-y z, 0), stable for large |y z|
         np.multiply(y, z, out=z)
@@ -323,11 +328,6 @@ def _margin_loss(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarra
         return a
     np.subtract(z, y, out=z)
     return np.square(z, out=z)
-
-
-def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example losses; a (d, k) ``w`` with (n, 1) ``y`` gives one column per model."""
-    return _margin_loss(spec, X @ w, y)
 
 
 def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -373,8 +373,7 @@ def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
         raise ValueError(f"weight shape {w.shape} does not match x's {x.shape} "
                          f"as (d,) or (k, d)")
     _check_labels(spec, y, "y")
-    z = np.matmul(x[None, :], w[..., None])[..., 0]
-    return _per_column(_margin_loss(spec, z, np.array([y]))[..., 0])
+    return _per_column(_loss_values(spec, w[..., None], x[None, :], np.array([y]))[..., 0, 0])
 
 
 def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:

@@ -120,12 +120,16 @@ class Noise:
 
     def __post_init__(self):
         _require("scale", self.scale, *_NONNEGATIVE)
-        if self.calibration is not None:
+        calibrated = self.calibration is not None
+        if calibrated:
             _require("calibration", self.calibration, *_one_of(CALIBRATIONS))
+        # a stated epsilon or sensitivity is checked, calibrated or not
+        if calibrated or self.epsilon is not None:
             _require("epsilon", self.epsilon, *_POSITIVE)
+        if calibrated or self.sensitivity is not None:
             _require("sensitivity", self.sensitivity, *_NONNEGATIVE)
-            if self.scale != self.sensitivity / self.epsilon:
-                raise ValueError("scale must equal sensitivity / epsilon")
+        if calibrated and self.scale != self.sensitivity / self.epsilon:
+            raise ValueError("scale must equal sensitivity / epsilon")
 
     def threshold(self, k: float = 1.0) -> float:
         """k standard deviations of one coordinate: k * sqrt(2) * scale."""
@@ -217,11 +221,16 @@ def release(spec: ObjectiveSpec, S: Dataset | _Stack, epsilons, noise: str | Noi
     """Train ``spec`` on S once; release its weights, one ``Release`` per epsilon.
 
     ``noise`` is a calibration name, calibrated per epsilon, or one ``Noise``
-    for all. The kappa premise (no feature row above the spec's kappa), the
-    certificate and every calibration are checked before the solve. Dataset
-    r of S (a ``Dataset`` is dataset 0) draws noise over its (K, d) model
-    rows from the stream keyed (seed, stream, lambda bits, epsilon bits, r).
+    for all. The epsilons (a non-empty grid, each finite and > 0), the kappa
+    premise (no feature row above the spec's kappa), the certificate and
+    every calibration are checked before the solve. Dataset r of S (a
+    ``Dataset`` is dataset 0) draws noise over its (K, d) model rows from
+    the stream keyed (seed, stream, lambda bits, epsilon bits, r).
     """
+    epsilons = tuple(epsilons)
+    _require("epsilons", epsilons, len, "a non-empty grid", tuple)
+    for eps in epsilons:
+        _require("epsilon", eps, *_POSITIVE)
     if (max_norm := S.max_row_norm()) > spec.kappa * (1.0 + 1e-9):
         raise ValueError(f"feature rows violate the kappa bound: max norm {max_norm:.6g} > "
                          f"kappa={spec.kappa}")

@@ -170,7 +170,7 @@ def privacy_error_bound(L: float, d: int, epsilon: float, cert: StabilityCert) -
     """
     _require_each(_POSITIVE, L=L, epsilon=epsilon)
     _require("d", d, *_COUNT)
-    return (L * d / epsilon) * math.sqrt(2.0 * cert.beta / cert.lambda_sc)
+    return (L * d / epsilon) * sensitivity_via_strong_convexity(cert)
 
 
 def stability_knob_scaling(knob: str, old_value: float, new_value: float,

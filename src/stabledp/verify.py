@@ -33,11 +33,15 @@ eigenvalues are taken once per grid, and each spec gets its own
 draws inside it. Calls with the same seed draw the same neighbors, so the
 reports of two calls (two SGD knob settings, say) stay paired.
 
-The stability oracles score probe loss gaps with one kernel,
-``_loss_gaps``: every (S, neighbor) pair's probes in one batched
-``np.matmul`` of a (t, k, d) probe stack against a (t, d, 2) stack of
-weight pairs. A batched matmul runs the same per-slice product as one
-pair's ``X @ column_stack([w_S, w_S'])``, so every gap is the float a
+The sensitivity and stability oracles bring only their draws and scores
+to one solve-and-verdict loop, ``_grid_reports``, which counts the solver
+failures and judges every report by one rule.
+
+Every loss an oracle takes comes from ``model._loss_values``, the one loss
+kernel. ``_loss_gaps`` scores every (S, neighbor) pair's probes in one such
+call on a (t, k, d) probe stack and a (t, d, 2) stack of weight pairs;
+its batched matmul runs the per-slice product of one pair's
+``X @ column_stack([w_S, w_S'])``, so every gap is the float a
 pair-at-a-time loop gives (``np.einsum`` rounds differently).
 
 ``gradient_check`` takes its central differences the same way: a
@@ -64,7 +68,6 @@ from .model import (
     _Stack,
     _check_labels,
     _loss_values,
-    _margin_loss,
     _require,
     _require_each,
     _stack,
@@ -147,41 +150,55 @@ def _grid(specs: Sequence[ObjectiveSpec]) -> tuple:
     return specs
 
 
-def _solve_with_neighbors(spec: ObjectiveSpec, block: _Stack):
-    """Solve the stack of S and its t neighbors (S first) in one :func:`solve_erm`.
-
-    Returns S's (d,) weights, the (t, d) weight rows of the neighbors, and
-    a (t,) mask of the neighbors whose column reached ``SOLVE_TOLERANCE``.
-    A ConvergenceError on S's own column propagates.
-    """
-    try:
-        report = solve_erm(spec, block, SOLVE_TOLERANCE)
-    except ConvergenceError as exc:
-        report = exc.report
-        if report.residuals[0, 0] > SOLVE_TOLERANCE:
-            raise
-    W = report.weights[..., 0]
-    return W[0], W[1:], report.residuals[1:, 0] <= SOLVE_TOLERANCE
-
-
 def _loss_gaps(spec: ObjectiveSpec, w_base: np.ndarray, W: np.ndarray,
                X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per pair t, max_i |loss(w_base; x_ti, y_ti) - loss(W[t]; x_ti, y_ti)|.
 
     ``X`` is a (t, k, d) stack of probe rows and ``y`` their (t, k) labels,
-    one slice per row of the (t, d) ``W``; no rows give 0. The margins of
-    each pair come from one batched ``np.matmul`` of X against a (t, d, 2)
-    stack of (w_base, W[t]) pairs, which runs the per-slice product of a
-    lone ``X[t] @ column_stack([w_base, W[t]])``, so each gap is the float
-    a pair-at-a-time loop gives. Labels are checked as
-    :func:`per_example_loss` checks them.
+    one slice per row of the (t, d) ``W``; no rows give 0. The losses of
+    each pair come from one ``model._loss_values`` call on a (t, d, 2)
+    stack of (w_base, W[t]) pairs, whose batched ``np.matmul`` runs the
+    per-slice product of a lone ``X[t] @ column_stack([w_base, W[t]])``,
+    so each gap is the float a pair-at-a-time loop gives. Labels are
+    checked as :func:`per_example_loss` checks them.
     """
     _check_labels(spec, y, "y")
     pairs = np.empty(W.shape + (2,))
     pairs[:, :, 0] = w_base
     pairs[:, :, 1] = W
-    losses = _margin_loss(spec, np.matmul(X, pairs), y[:, :, None])
+    losses = _loss_values(spec, pairs, X, y[:, :, None])
     return np.max(np.abs(losses[..., 0] - losses[..., 1]), axis=1, initial=0.0)
+
+
+def _grid_reports(name: str, specs: tuple, block: _Stack, trials: int,
+                  score) -> list[OracleReport]:
+    """The one solve-and-verdict loop: one report per spec, in grid order.
+
+    Each spec solves ``block`` (S, then its ``trials`` neighbors) in one
+    :func:`solve_erm` to ``SOLVE_TOLERANCE``; a neighbor column left above
+    it is a solver failure, and a failure on S's own column raises.
+    ``score(spec, base, W_kept, kept)`` takes S's weights, the converged
+    neighbors' weight rows and the (trials,) mask that picks them, and
+    returns (bound, worst, details). A report passes when worst <= bound
+    and at most 1% of the solves failed.
+    """
+    reports = []
+    for spec in specs:
+        try:
+            solved = solve_erm(spec, block, SOLVE_TOLERANCE)
+        except ConvergenceError as exc:
+            solved = exc.report
+            if solved.residuals[0, 0] > SOLVE_TOLERANCE:
+                raise
+        W = solved.weights[..., 0]
+        kept = solved.residuals[1:, 0] <= SOLVE_TOLERANCE
+        bound, worst, details = score(spec, W[0], W[1:][kept], kept)
+        failures = trials - int(kept.sum())
+        reports.append(OracleReport(
+            name=name, bound_value=bound, empirical_value=worst, trials=trials,
+            margin=bound - worst, passed=worst <= bound and failures <= trials * 0.01,
+            details={**details, "solver_failures": failures}))
+    return reports
 
 
 def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
@@ -201,34 +218,16 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
     specs = _grid(specs)
     rng = derive_rng(seed, 21)
     block = _stack([S, *(_neighbor(specs[0], S, rng) for _ in range(trials))])
-    reports = []
-    for spec in specs:
-        base, W, converged = _solve_with_neighbors(spec, block)
-        cert = spec_cert(spec, S.n)
-        sc_bound = sensitivity_via_strong_convexity(cert)
+
+    def score(spec, base, W, kept):
+        sc_bound = sensitivity_via_strong_convexity(spec_cert(spec, S.n))
         direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
-
-        found = [float(np.linalg.norm(base - w)) for w in W[converged]]
-        worst = max(found, default=0.0)
-        failures = trials - len(found)
-
         bound = min(sc_bound, direct)
-        passed = worst <= bound and failures <= trials * 0.01
-        reports.append(OracleReport(
-            name="sensitivity",
-            bound_value=bound,
-            empirical_value=worst,
-            trials=trials,
-            margin=bound - worst,
-            passed=passed,
-            details={
-                "strong_convexity_bound": sc_bound,
-                "direct_bound": direct,
-                "solver_failures": failures,
-                "bound_ratio": worst / bound if bound > 0 else float("nan"),
-            },
-        ))
-    return reports
+        worst = max((float(np.linalg.norm(base - w)) for w in W), default=0.0)
+        return bound, worst, {"strong_convexity_bound": sc_bound, "direct_bound": direct,
+                              "bound_ratio": worst / bound if bound > 0 else float("nan")}
+
+    return _grid_reports("sensitivity", specs, block, trials, score)
 
 
 def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int = 200,
@@ -257,35 +256,18 @@ def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int 
         fresh_y.append(y)
     block = _stack([S, *neighbors])
     idx, fresh_X, fresh_y = np.stack(idx), np.stack(fresh_X), np.stack(fresh_y)
-    reports = []
-    for spec in specs:
-        base, W, kept = _solve_with_neighbors(spec, block)
-        beta = spec_cert(spec, S.n).beta
 
-        failures = trials - int(kept.sum())
-        W, rows = W[kept], idx[kept]
+    def score(spec, base, W, kept):
+        rows = idx[kept]
         # max() from 0.0 over the pairs in order, as a pair-at-a-time loop takes it
         worst_in = max([0.0, *_loss_gaps(spec, base, W, S.features[rows],
                                          S.labels[rows]).tolist()])
         worst_fresh = max([0.0, *_loss_gaps(spec, base, W, fresh_X[kept],
                                             fresh_y[kept]).tolist()])
+        return spec_cert(spec, S.n).beta, max(worst_in, worst_fresh), {
+            "in_sample_max": worst_in, "fresh_point_max": worst_fresh}
 
-        worst = max(worst_in, worst_fresh)
-        passed = worst <= beta and failures <= trials * 0.01
-        reports.append(OracleReport(
-            name="stability",
-            bound_value=beta,
-            empirical_value=worst,
-            trials=trials,
-            margin=beta - worst,
-            passed=passed,
-            details={
-                "in_sample_max": worst_in,
-                "fresh_point_max": worst_fresh,
-                "solver_failures": failures,
-            },
-        ))
-    return reports
+    return _grid_reports("stability", specs, block, trials, score)
 
 
 def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
@@ -366,6 +348,7 @@ def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100,
     a lone point's call runs, so the report is the one a point-at-a-time
     loop gives.
     """
+    _require("n_fixtures", n_fixtures, *_COUNT)
     h, d, tol = 1e-6, 5, 1e-5
     rng = derive_rng(seed, 24)
     worst = 0.0

@@ -102,6 +102,9 @@ class TestNoise:
         assert Noise(0.3, sensitivity=0.4, epsilon=2.0).calibration is None
         with pytest.raises(ValueError, match="sensitivity"):
             Noise(0.3, epsilon=1.0, calibration="derived")
+        for sensitivity in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sensitivity"):
+                Noise(1.0, sensitivity=sensitivity)
 
     def test_scale_invariant_enforced(self):
         with pytest.raises(ValueError, match="scale"):
@@ -110,6 +113,10 @@ class TestNoise:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
             Noise(0.0, sensitivity=0.0, epsilon=0.0, calibration="derived")
+        # a stated epsilon is checked without a calibration too
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                Noise(1.0, epsilon=epsilon)
 
     def test_unknown_calibration_rejected(self):
         with pytest.raises(ValueError, match="calibration"):
@@ -199,6 +206,15 @@ class TestRelease:
         for noise in ("verbatim", Noise(0.25)):
             with pytest.raises(ValueError, match="kappa"):
                 release(elastic_spec(), _Stack(X, S.labels), (1.0,), noise, seed=0)
+
+    @pytest.mark.parametrize("noise", [Noise(0.25), "verbatim"], ids=["fixed", "verbatim"])
+    @pytest.mark.parametrize("epsilons", [(), (0.0,), (1.0, -1.0), (math.nan,)],
+                             ids=["empty", "zero", "negative", "nan"])
+    def test_epsilons_checked_before_the_solve(self, monkeypatch, noise, epsilons):
+        # an epsilon a release would state must be one it can back up
+        monkeypatch.setattr(privacy_mod, "solve_erm", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="epsilon"):
+            release(elastic_spec(), elastic_fixture(), epsilons, noise, seed=0)
 
     def test_l2_spec_releases_with_the_derived_calibration(self):
         S = elastic_fixture()

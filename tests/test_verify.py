@@ -466,11 +466,11 @@ class TestOracleSolverFailures:
         assert rep.details["solver_failures"] == failures
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
 
-    def test_marked_columns_are_failures(self, monkeypatch):
-        # a fake solver leaves chosen neighbour columns above tolerance, whatever
-        # the real solver's iteration counts, and moves their weights far off
-        _, S = fixture()
-        trials, probes, seed, marked = 20, 5, 0, [3, 7, 12]
+    @staticmethod
+    def mark(monkeypatch, marked):
+        """Install a fake solver that leaves the ``marked`` stack columns above
+        tolerance, whatever the real solver's iteration counts, and moves their
+        weights far off; returns the list each solve's true weights go to."""
         solved = []
 
         def fake(spec, S, tolerance):
@@ -483,6 +483,12 @@ class TestOracleSolverFailures:
                                                      residuals=residuals))
 
         monkeypatch.setattr(verify, "solve_erm", fake)
+        return solved
+
+    def test_marked_columns_are_failures(self, monkeypatch):
+        _, S = fixture()
+        trials, probes, seed, marked = 20, 5, 0, [3, 7, 12]
+        solved = self.mark(monkeypatch, marked)
         kept = [j for j in range(1, trials + 1) if j not in marked]
         rep = empirical_sensitivity([self.SPEC], S, trials=trials, seed=seed)[0]
         W = solved.pop()
@@ -505,6 +511,18 @@ class TestOracleSolverFailures:
         assert rep.details["solver_failures"] == len(marked)
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
         assert not rep.passed
+
+    @pytest.mark.parametrize("marked, passed", [([40], True), ([40, 77], False)],
+                             ids=["one-failure", "two-failures"])
+    def test_one_percent_allowance_at_its_edge(self, monkeypatch, marked, passed):
+        # at 100 trials one failed solve is within the 1% allowance, two are not
+        _, S = fixture()
+        self.mark(monkeypatch, marked)
+        for rep in (empirical_sensitivity([self.SPEC], S, trials=100, seed=0)[0],
+                    empirical_stability([self.SPEC], S, trials=100, probes=5, seed=0)[0]):
+            assert rep.details["solver_failures"] == len(marked)
+            assert rep.empirical_value <= rep.bound_value
+            assert rep.passed is passed
 
     def test_every_neighbour_failed(self, monkeypatch):
         # no neighbour column converges: nothing is scored, and every solve is a failure
@@ -635,6 +653,11 @@ class TestSampleCounts:
         cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
         with pytest.raises(ValueError, match=name):
             empirical_sgd_stability(spec, S, cfg, **kwargs)
+
+    @pytest.mark.parametrize("n_fixtures", [0, -3, True])
+    def test_gradient_check(self, n_fixtures):
+        with pytest.raises(ValueError, match="n_fixtures"):
+            gradient_check(ObjectiveSpec("logistic", 0.1), n_fixtures=n_fixtures)
 
     def test_flip_rate_draws(self):
         with pytest.raises(ValueError, match="draws"):
