@@ -51,18 +51,17 @@ from .model import (
     _Stack,
     as_signed_labels,
 )
-from .optimizer import ConvergenceError, solve_erm
+from .optimizer import ConvergenceError
 from .privacy import (
     CALIBRATIONS,
     Noise,
-    calibrate,
     dp_micro_check,
     laplace_sample,
     perturb,
     release,
 )
 from .rng import derive_rng
-from .stability import sensitivity_via_strong_convexity, spec_cert
+from .stability import sensitivity_via_strong_convexity
 
 SCHEMA_VERSION = 1
 
@@ -176,6 +175,10 @@ class SweepConfig:
         if self.loss_kind == "squared" and self.lipschitz_L is None:
             # kappa is the logistic loss's constant; the squared loss has none
             raise ConfigError("lipschitz_L: must be set for the squared loss")
+        try:  # the spec checks lipschitz_L against dataset.kappa
+            _objective(self, self.lambda_grid[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -436,13 +439,14 @@ def _dp_checks(samples: int, seed: int) -> list:
     ]
 
     (spec,), S_erm = _oracle_fixture((0.5,))
-    rng = derive_rng(seed, 55)
-    Sp_erm = verify_mod._neighbor(spec, S_erm, rng)
-    noise = calibrate(spec_cert(spec, S_erm.n), S_erm.d, 1.0, "derived")
+    Sp_erm = verify_mod._neighbor(spec, S_erm, derive_rng(seed, 55))
 
     def erm_release(ds: Dataset, rng_, size):
-        w = solve_erm(spec, ds, verify_mod.SOLVE_TOLERANCE).weights
-        return perturb(np.broadcast_to(w[0], size), noise, rng_)
+        # the CLI's release at the oracles' tolerance: its certificate,
+        # derived noise and weights, drawn ``size`` times on coordinate 0
+        (rel,) = release(spec, ds, (1.0,), "derived", seed=seed,
+                         tolerance=verify_mod.SOLVE_TOLERANCE)
+        return perturb(np.broadcast_to(rel.report.weights[0], size), rel.noise, rng_)
 
     checks.append(("dp_erm_release", dp_micro_check(
         erm_release, S_erm, Sp_erm, 1.0, samples=samples, seed=seed + 2), True))

@@ -234,8 +234,9 @@ class ObjectiveSpec:
 
     ``lipschitz_L`` is the Lipschitz constant of the per-example loss in w
     over the feasible region. For logistic loss with row norms bounded by
-    kappa it defaults to kappa (|sigmoid - label| <= 1). For squared loss
-    it must be supplied when a stability bound needs it.
+    kappa it defaults to kappa (|sigmoid - label| <= 1), and a smaller
+    value raises, as the gradient reaches kappa. For squared loss it must
+    be supplied when a stability bound needs it.
     """
 
     loss_kind: str
@@ -259,7 +260,11 @@ class ObjectiveSpec:
         if self.lipschitz_L is None and self.loss_kind == "logistic":
             object.__setattr__(self, "lipschitz_L", self.kappa)
         if self.lipschitz_L is not None:
-            _require("lipschitz_L", self.lipschitz_L, *_POSITIVE)
+            rule = _POSITIVE
+            if self.loss_kind == "logistic":  # its gradient reaches ||x|| = kappa
+                rule = (lambda v: self.kappa <= v < math.inf,
+                        f"finite and >= kappa={self.kappa} for the logistic loss", float)
+            _require("lipschitz_L", self.lipschitz_L, *rule)
 
     @property
     def l2_coefficient(self) -> float:

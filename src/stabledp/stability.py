@@ -1,15 +1,21 @@
 """Closed-form uniform-stability and output-sensitivity calculators.
 
-Two absolute stability constants are implemented:
+One constructor, ``spec_cert``, certifies every ``ObjectiveSpec``. It reads
+lambda_sc once, from ``model.strong_convexity_constant``, and states beta
+by the spec's penalty:
 
-* ``beta_l2_erm``:      beta = 2 L^2 kappa^2 / (n lam)   (L2-penalized ERM)
-* ``beta_elastic_net``: beta = 2 L^2 kappa   / (n lam gamma)
+* ``l2``:      beta = L * 2 L / (n lambda_sc) = 2 L^2 / (n lambda_sc), the
+               loss's Lipschitz constant times the direct replace-one bound.
+* ``elastic``: beta = 2 L^2 kappa / (n lam gamma), the recipe of Chaudhuri,
+               Monteleoni & Sarwate (2011) as written.
 
-Note the asymmetry: the elastic-net constant scales with kappa, the L2
-constant with kappa^2. Both are implemented exactly as stated by their
-sources; the asymmetry is surfaced here rather than silently normalized.
-
-``spec_cert`` picks the constant that matches an ``ObjectiveSpec``.
+L is the loss's Lipschitz constant in w, for the logistic loss already
+kappa, so the L2 constant counts kappa once: for every z,
+|loss(w_S; z) - loss(w_S'; z)| <= L ||w_S - w_S'|| <= 2 L^2 / (n lambda_sc).
+The elastic recipe counts kappa again, so below kappa = 1/2 it is under
+that sound value and a correct solver can exceed it. It stays as written
+because ``verbatim`` calibrates with it and the sweep's ``beta`` column
+reports it: moving it moves every elastic release.
 
 Sensitivity bounds on the trained weights are plain floats, the L2 distance
 ||w_S - w_S'|| can reach over neighboring datasets. They come in two
@@ -24,7 +30,7 @@ move; turning that into a Laplace scale is ``privacy.calibrate``'s job.
 Table 1's relative scalings for optimizer knobs (steps, step size, batch
 size, dropout rate, clipping bound) are big-O rows without constants, so
 ``stability_knob_scaling`` gives a multiplier, never a certificate; every
-certificate comes from the two formulas above or ``user_cert``.
+certificate comes from ``spec_cert`` or ``user_cert``.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .model import (
     _COUNT,
     _NONNEGATIVE,
     _POSITIVE,
-    _UNIT,
     ObjectiveSpec,
     _one_of,
     _require,
@@ -48,8 +53,6 @@ __all__ = [
     "StabilityCert",
     "user_cert",
     "spec_cert",
-    "beta_l2_erm",
-    "beta_elastic_net",
     "sensitivity_l2_direct",
     "sensitivity_via_strong_convexity",
     "privacy_enhancement",
@@ -84,44 +87,20 @@ def user_cert(beta: float, lambda_sc: float) -> StabilityCert:
     return StabilityCert(beta=beta, lambda_sc=lambda_sc, provenance="user_supplied")
 
 
-def beta_l2_erm(L: float, kappa: float, n: int, lam: float) -> StabilityCert:
-    """beta = 2 L^2 kappa^2 / (n lam) for L2-penalized ERM.
-
-    ``lam`` here is the strong-convexity constant of the penalized
-    objective (equal to the regularization weight under the (lam/2)||w||^2
-    convention), and the certificate pairs with it as its ``lambda_sc``.
-    """
-    _require_each(_POSITIVE, L=L, kappa=kappa, lam=lam)
-    _require("n", n, *_COUNT)
-    beta = 2.0 * L * L * kappa * kappa / (n * lam)
-    return StabilityCert(beta=beta, lambda_sc=lam, provenance="l2_erm")
-
-
-def beta_elastic_net(L: float, kappa: float, n: int, lam: float,
-                     gamma: float) -> StabilityCert:
-    """beta = 2 L^2 kappa / (n lam gamma) for elastic-net penalized ERM.
-
-    The certificate pairs with the strong-convexity constant 2 lam gamma,
-    the second derivative of the lam gamma ||w||^2 term.
-    """
-    _require_each(_POSITIVE, L=L, kappa=kappa, lam=lam)
-    _require("n", n, *_COUNT)
-    _require("gamma", gamma, *_UNIT)
-    beta = 2.0 * L * L * kappa / (n * lam * gamma)
-    return StabilityCert(beta=beta, lambda_sc=2.0 * lam * gamma, provenance="elastic_net")
-
-
 def spec_cert(spec: ObjectiveSpec, n: int) -> StabilityCert:
-    """Closed-form stability certificate matching an objective spec.
+    """The closed-form stability certificate of ``spec`` on n records.
 
-    L2 mode passes the strong-convexity constant (lam, under the
-    (lam/2)||w||^2 penalty) as the formula's lambda; elastic mode uses the
-    raw (lam, gamma) pair its formula is stated in.
+    The spec has checked its constants, so only ``n`` is checked here.
+    See the module docstring for the two formulas.
     """
+    _require("n", n, *_COUNT)
+    lambda_sc = strong_convexity_constant(spec)
     L = spec.L
     if spec.penalty == "elastic":
-        return beta_elastic_net(L, spec.kappa, n, spec.lam, spec.gamma)
-    return beta_l2_erm(L, spec.kappa, n, strong_convexity_constant(spec))
+        beta = 2.0 * L * L * spec.kappa / (n * spec.lam * spec.gamma)
+        return StabilityCert(beta=beta, lambda_sc=lambda_sc, provenance="elastic_net")
+    return StabilityCert(beta=L * sensitivity_l2_direct(L, n, lambda_sc), lambda_sc=lambda_sc,
+                         provenance="l2_erm")
 
 
 def sensitivity_l2_direct(L: float, n: int, lambda_sc: float) -> float:

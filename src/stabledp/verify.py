@@ -75,7 +75,6 @@ from .model import (
     per_example_grad,
     per_example_loss,
     smooth_objective,
-    strong_convexity_constant,
 )
 from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
 from .privacy import Noise, OracleReport, perturb
@@ -220,8 +219,9 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
     block = _stack([S, *(_neighbor(specs[0], S, rng) for _ in range(trials))])
 
     def score(spec, base, W, kept):
-        sc_bound = sensitivity_via_strong_convexity(spec_cert(spec, S.n))
-        direct = sensitivity_l2_direct(spec.L, S.n, strong_convexity_constant(spec))
+        cert = spec_cert(spec, S.n)
+        sc_bound = sensitivity_via_strong_convexity(cert)
+        direct = sensitivity_l2_direct(spec.L, S.n, cert.lambda_sc)
         bound = min(sc_bound, direct)
         worst = max((float(np.linalg.norm(base - w)) for w in W), default=0.0)
         return bound, worst, {"strong_convexity_bound": sc_bound, "direct_bound": direct,
@@ -308,7 +308,12 @@ def empirical_privacy_error(spec: ObjectiveSpec, S: Dataset, epsilon: float,
 
 def privacy_error_scaling(spec: ObjectiveSpec, S: Dataset, epsilons,
                           draws: int = 10_000, seed: int = 0) -> dict:
-    """Log-log slope of the Monte-Carlo privacy error against epsilon."""
+    """Log-log slope of the Monte-Carlo privacy error over two or more distinct epsilons."""
+    epsilons = tuple(epsilons)  # each finite and > 0, checked before any solve or draw
+    for eps in epsilons:
+        _require("epsilon", eps, *_POSITIVE)
+    _require("epsilons", epsilons, lambda e: len(set(e)) >= 2,
+             "two or more distinct values", tuple)
     means = []
     for j, eps in enumerate(epsilons):
         rep = empirical_privacy_error(spec, S, eps, draws=draws, seed=seed + 1000 * j)

@@ -115,6 +115,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dataset.sparsity"):
             build_dataset(config_from_dict({"dataset": {"d": 6, "reduce_to": None}}))
 
+    def test_logistic_lipschitz_below_kappa_refused(self):
+        # the spec makes the check; the config reports it on its field
+        with pytest.raises(ConfigError, match=r"^lipschitz_L must be finite and >= kappa=1.0"):
+            load_config(None, {"lipschitz_L": 0.01})
+        with pytest.raises(ConfigError, match="kappa=0.5"):
+            load_config(None, {"lipschitz_L": 0.4, "dataset.kappa": 0.5})
+        for overrides in ({"lipschitz_L": 1.0}, {"lipschitz_L": 2.0},
+                          {"lipschitz_L": 0.5, "dataset.kappa": 0.5}):
+            assert load_config(None, overrides).lipschitz_L == overrides["lipschitz_L"]
+
     def test_json_round_trip_with_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
         # every field annotated "| None" may be null
@@ -451,10 +461,11 @@ class TestMainEntrypoint:
          "split.train_fraction"),
         ('{"dataset": {"n": 1, "reduce_to": null}}', [], "dataset.n"),
         ('{"dataset": {"n": 20}}', [], "dataset.reduce_to"),
+        ('{"lipschitz_L": 0.01}', [], "lipschitz_L must be finite and >= kappa=1.0"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
             "split_not_object", "grid_not_list", "missing_file", "bool_number",
             "csv_missing", "csv_malformed", "select_eta_0", "split_empty_side",
-            "one_row", "reduce_to_above_n"])
+            "one_row", "reduce_to_above_n", "lipschitz_below_kappa"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"

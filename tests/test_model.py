@@ -108,6 +108,20 @@ class TestObjectiveSpec:
         spec = ObjectiveSpec("logistic", 0.1, kappa=2.0)
         assert spec.L == 2.0
 
+    @pytest.mark.parametrize("penalty", ["l2", "elastic"])
+    @pytest.mark.parametrize("L", [0.01, 0.999, math.nan])
+    def test_logistic_lipschitz_below_kappa_refused(self, penalty, L):
+        # the logistic gradient reaches ||x|| = kappa: L = 0.01 would release
+        # a hundredth of the provable noise
+        with pytest.raises(ValueError, match=r"lipschitz_L must be finite and >= kappa=1.0"):
+            ObjectiveSpec("logistic", 0.1, penalty=penalty, gamma=0.85, lipschitz_L=L)
+
+    def test_logistic_lipschitz_at_or_above_kappa_accepted(self):
+        for kappa, L in ((1.0, 1.0), (1.0, 2.0), (0.25, 0.25), (0.25, 0.3)):
+            assert ObjectiveSpec("logistic", 0.1, kappa=kappa, lipschitz_L=L).L == L
+        # the squared loss has no kappa floor
+        assert ObjectiveSpec("squared", 0.1, kappa=2.0, lipschitz_L=0.5).L == 0.5
+
     def test_l2_coefficients(self):
         assert ObjectiveSpec("logistic", 0.1).l2_coefficient == pytest.approx(0.05)
         assert ObjectiveSpec("logistic", 0.2).l2_coefficient == pytest.approx(0.1)

@@ -20,12 +20,7 @@ from stabledp.privacy import (
     wilson_interval,
 )
 from stabledp.rng import derive_rng, float_key
-from stabledp.stability import (
-    beta_elastic_net,
-    beta_l2_erm,
-    spec_cert,
-    user_cert,
-)
+from stabledp.stability import spec_cert, user_cert
 
 
 class TestLaplaceSample:
@@ -137,12 +132,12 @@ class TestCalibrate:
         for lam in (1e-3, 0.03, 0.2, 1.0):
             for gamma in (0.1, 0.85, 1.0):
                 for n in (37, 1600, 10_000):
-                    cert = beta_elastic_net(1.0, 1.0, n, lam, gamma)
+                    cert = spec_cert(elastic_spec(lam=lam, gamma=gamma), n)
                     sens = calibrate(cert, 32, 1.0, "verbatim").sensitivity
                     assert sens == math.sqrt(2.0 * cert.beta / (lam * gamma))
 
     def test_bad_inputs_rejected(self):
-        cert = beta_elastic_net(1, 1, 100, 0.1, 0.85)
+        cert = spec_cert(elastic_spec(), 100)
         for eps in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 calibrate(cert, 4, eps, "derived")
@@ -238,7 +233,8 @@ class TestOutputPerturb:
         assert noise.sensitivity == noise.scale == 0.0
 
     def test_l1_calibration_default_and_verbatim(self):
-        cert = beta_l2_erm(1, 1, 100, 0.1)  # sqrt(2 beta / lambda_sc) = 2, so L1 = 4 in d = 4
+        # sqrt(2 beta / lambda_sc) = 2, so L1 = 4 in d = 4
+        cert = spec_cert(ObjectiveSpec("logistic", 0.1), 100)
         noise = calibrate(cert, 4, 2.0, "derived")
         assert (noise.sensitivity, noise.scale) == (pytest.approx(4.0), pytest.approx(2.0))
         # verbatim is stated for the elastic-net constant and nothing else
@@ -279,7 +275,7 @@ class TestPrivateElasticNet:
 
     def test_release_scale_matches_hand_value(self):
         # beta = 2/(100*0.1*0.85) = 0.23529..., scale = sqrt(2 beta/(lam gamma)) = 40/17
-        noise = calibrate(beta_elastic_net(1.0, 1.0, 100, 0.1, 0.85), 3, 1.0, "verbatim")
+        noise = calibrate(spec_cert(elastic_spec(), 100), 3, 1.0, "verbatim")
         assert noise.sensitivity == pytest.approx(40.0 / 17.0, rel=1e-12)
         assert noise.scale == pytest.approx(2.3529411764705883, rel=1e-12)
         (rel,) = release(elastic_spec(), elastic_fixture(), (1.0,), "verbatim", seed=0)

@@ -5,28 +5,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabledp.model import ObjectiveSpec
 from stabledp.privacy import calibrate
 from stabledp.stability import (
     StabilityCert,
-    beta_elastic_net,
-    beta_l2_erm,
     privacy_enhancement,
     privacy_error_bound,
     sensitivity_l2_direct,
     sensitivity_via_strong_convexity,
+    spec_cert,
     stability_knob_scaling,
     user_cert,
 )
 
 
+def l2(lam=0.1, **kw):
+    return ObjectiveSpec("logistic", lam, penalty="l2", **kw)
+
+
+def elastic(lam=0.1, gamma=0.85, **kw):
+    return ObjectiveSpec("logistic", lam, penalty="elastic", gamma=gamma, **kw)
+
+
 class TestBetaL2:
     def test_hand_value(self):
-        # 2 * 1 * 1 / (100 * 0.1) = 0.2
-        assert beta_l2_erm(1, 1, 100, 0.1).beta == pytest.approx(0.2)
+        # L * 2 L / (n lambda_sc) = 2 * 1 * 1 / (100 * 0.1) = 0.2
+        assert spec_cert(l2(), 100).beta == pytest.approx(0.2)
 
     def test_doubling_n_halves(self):
-        assert beta_l2_erm(1, 1, 200, 0.1).beta == pytest.approx(0.1)
-        assert beta_l2_erm(1, 1, np.int64(200), 0.1).beta == pytest.approx(0.1)
+        assert spec_cert(l2(), 200).beta == pytest.approx(0.1)
+        assert spec_cert(l2(), np.int64(200)).beta == pytest.approx(0.1)
+
+    def test_kappa_counted_once(self):
+        # L = kappa = 0.5 for the logistic loss: 2 * 0.25 / (100 * 0.1) = 0.05,
+        # where 2 L^2 kappa^2 / (n lam) counted kappa twice and gave 0.0125
+        assert spec_cert(l2(kappa=0.5), 100).beta == pytest.approx(0.05, rel=1e-15)
+        # the squared loss's declared L alone sets beta: 2 * 4 / (100 * 0.1)
+        squared = ObjectiveSpec("squared", 0.1, kappa=0.5, lipschitz_L=2.0)
+        assert spec_cert(squared, 100).beta == pytest.approx(0.8, rel=1e-15)
+
+    def test_is_lipschitz_times_the_direct_bound(self):
+        for spec in (l2(kappa=0.3, lam=0.7), l2(lipschitz_L=2.5, lam=0.02)):
+            assert spec_cert(spec, 37).beta == spec.L * sensitivity_l2_direct(spec.L, 37, spec.lam)
+
+    def test_default_lambda_sc(self):
+        assert spec_cert(l2(), 100).lambda_sc == 0.1
 
     @pytest.mark.parametrize("kwargs", [
         dict(L=0, kappa=1, n=10, lam=0.1),
@@ -40,32 +63,39 @@ class TestBetaL2:
         dict(L=1, kappa=1, n=2.5, lam=0.1),
     ])
     def test_nonpositive_rejected(self, kwargs):
+        # the spec checks L, kappa and lam; spec_cert checks n and strong convexity
         with pytest.raises(ValueError):
-            beta_l2_erm(**kwargs)
+            spec_cert(ObjectiveSpec("squared", kwargs["lam"], kappa=kwargs["kappa"],
+                                    lipschitz_L=kwargs["L"]), kwargs["n"])
 
-    def test_default_lambda_sc(self):
-        assert beta_l2_erm(1, 1, 100, 0.1).lambda_sc == pytest.approx(0.1)
+    def test_squared_loss_needs_lipschitz(self):
+        with pytest.raises(ValueError, match="lipschitz_L"):
+            spec_cert(ObjectiveSpec("squared", 0.1), 10)
 
 
 class TestBetaElasticNet:
     def test_hand_value(self):
         # 2 / (100 * 0.1 * 0.85) = 0.23529411764705882
-        cert = beta_elastic_net(1, 1, 100, 0.1, 0.85)
+        cert = spec_cert(elastic(), 100)
         assert cert.beta == pytest.approx(0.23529411764705882, rel=1e-12)
-        assert cert.lambda_sc == pytest.approx(0.17)
+        # (2 lam) gamma and 2 (lam gamma) are the same float: doubling is exact
+        assert cert.lambda_sc == 2.0 * 0.1 * 0.85
+
+    def test_recipe_counts_kappa_as_written(self):
+        # 2 L^2 kappa / (n lam gamma) with L = kappa = 0.5
+        assert spec_cert(elastic(kappa=0.5), 100).beta == pytest.approx(
+            2 * 0.25 * 0.5 / (100 * 0.1 * 0.85), rel=1e-15)
 
     def test_gamma_one_reduces_to_l2_form(self):
-        assert beta_elastic_net(1, 1, 100, 0.1, 1.0).beta == pytest.approx(
-            2.0 / (100 * 0.1)
-        )
+        assert spec_cert(elastic(gamma=1.0), 100).beta == pytest.approx(2.0 / (100 * 0.1))
 
     def test_monotone_decreasing_in_gamma(self):
-        betas = [beta_elastic_net(1, 1, 100, 0.1, g).beta for g in (0.2, 0.5, 0.85, 1.0)]
+        betas = [spec_cert(elastic(gamma=g), 100).beta for g in (0.2, 0.5, 0.85, 1.0)]
         assert all(a > b for a, b in zip(betas, betas[1:]))
 
     def test_gamma_above_one_rejected(self):
         with pytest.raises(ValueError):
-            beta_elastic_net(1, 1, 100, 0.1, 1.2)
+            spec_cert(elastic(gamma=1.2), 100)
 
 
 class TestSensitivityThm1:
