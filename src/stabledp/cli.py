@@ -41,8 +41,6 @@ from .model import (
     _COUNT,
     _NONNEGATIVE,
     _POSITIVE,
-    _UNIT,
-    LOSS_KINDS,
     Dataset,
     ObjectiveSpec,
     _at_least,
@@ -88,11 +86,11 @@ DATASET_RANGES = {
     "sparsity": _COUNT, "reduce_to": _COUNT, "noise": _NONNEGATIVE,
     "label_flips": (lambda v: 0 <= v < 1, "in [0, 1)", float), "kappa": _POSITIVE,
 }
+# gamma, eta, loss_kind and lipschitz_L: the ObjectiveSpec SweepConfig builds checks them
 SWEEP_RANGES = {
-    "gamma": _UNIT, "eta": _NONNEGATIVE, "noise_mode": _one_of(NOISE_MODES),
-    "fixed_scale_b": _POSITIVE, "scale_mode": _one_of(CALIBRATIONS),
-    "loss_kind": _one_of(LOSS_KINDS), "lipschitz_L": _POSITIVE, "tolerance": _POSITIVE,
-    "max_iters": _COUNT, "threshold_mode": _one_of(THRESHOLD_MODES), "threshold_k": _POSITIVE,
+    "noise_mode": _one_of(NOISE_MODES), "fixed_scale_b": _POSITIVE,
+    "scale_mode": _one_of(CALIBRATIONS), "tolerance": _POSITIVE, "max_iters": _COUNT,
+    "threshold_mode": _one_of(THRESHOLD_MODES), "threshold_k": _POSITIVE,
     "static_T": _NONNEGATIVE,
 }
 
@@ -256,13 +254,17 @@ def _objective(cfg: SweepConfig, lam: float) -> ObjectiveSpec:
 
 
 def predict(W: np.ndarray, classes: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (m, n) labels of an (m, n, d) stack under its (m, d, K) weights, in one
+    batched product whose every slice is its split's own (gemv when K = 1)."""
+    Z = X @ W
     if classes.size == 2:
-        return np.where(X @ W[0] >= 0, classes[1], classes[0])
-    return classes[np.argmax(X @ W.T, axis=1)]
+        return np.where(Z[..., 0] >= 0, classes[1], classes[0])
+    return classes[np.argmax(Z, axis=-1)]
 
 
-def accuracy(W: np.ndarray, classes: np.ndarray, S: Dataset) -> float:
-    return float(np.mean(predict(W, classes, S.features) == S.labels))
+def accuracy(W: np.ndarray, classes: np.ndarray, S: _Stack) -> np.ndarray:
+    """One accuracy per dataset of the stack S, whose labels are (m, n, 1)."""
+    return np.mean(predict(W, classes, S.features) == S.labels[..., 0], axis=1)
 
 
 def _fmt(v) -> str:
@@ -302,23 +304,26 @@ def _write_outputs(out_dir, command: str, cfg: SweepConfig, columns: list, rows:
     return csv_path
 
 
-def _std(values: list) -> float:
-    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+def _split_rows(cell: list, *columns) -> list:
+    """``cell`` with each split's index and column values, one row per split, then
+    the aggregate row: -1, each column's mean and the sample std of the first."""
+    first = columns[0]
+    std = float(np.std(first, ddof=1)) if len(first) > 1 else 0.0
+    return ([cell + [r, *vals, None] for r, vals in enumerate(zip(*columns))]
+            + [cell + [-1, *(float(np.mean(c)) for c in columns), std]])
 
 
 def _cells(cfg: SweepConfig, epsilons, stream: int):
-    """Yield ``(spec, eps, rel, classes, n_train, runs)`` per lambda x epsilon cell.
+    """The test stack, sorted labels and training size, and a generator of
+    ``(spec, eps, rel)`` per lambda x epsilon cell, ``rel`` its ``privacy.Release``.
 
-    ``rel`` is the cell's ``privacy.Release`` and ``runs`` holds one
-    ``(test, W, noisy W)`` tuple per split, W with one row per model (a
-    single row for binary labels). The splits' signed training labels are
-    built once; each lambda's ``release`` call makes one block solve over
-    every split, shared by every epsilon, with split r's noise drawn from
-    the stream keyed (master seed, ``stream``, lambda bits, epsilon bits, r).
+    Each lambda's ``release`` call makes one block solve over every split,
+    shared by every epsilon, with split r's noise drawn from the stream
+    keyed (master seed, ``stream``, lambda bits, epsilon bits, r).
     """
     S = build_dataset(cfg)
     try:
-        train, tests = split(S, cfg.split)
+        train, test = split(S, cfg.split)
     except ValueError as exc:  # a side left empty
         raise ConfigError(f"split.train_fraction: {exc}") from exc
     # sorted distinct labels; np.unique would import numpy.ma mid-pass
@@ -327,24 +332,20 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
         train.labels[..., 0], positive=classes[1:] if classes.size == 2 else classes))
     noise = (cfg.scale_mode if cfg.noise_mode == "stability_optimal" else
              Noise(float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0))
-    for lam in cfg.lambda_grid:
-        spec = _objective(cfg, lam)
-        for eps, rel in zip(epsilons, release(
-                spec, train, epsilons, noise, seed=cfg.master_seed, stream=stream,
-                tolerance=cfg.tolerance, max_iters=cfg.max_iters)):
-            runs = list(zip(tests, (W.T for W in rel.report.weights),
-                            (W.T for W in rel.noisy_weights)))
-            yield spec, eps, rel, classes, train.n, runs
+    specs = (_objective(cfg, lam) for lam in cfg.lambda_grid)
+    cells = ((spec, eps, rel) for spec in specs for eps, rel in zip(epsilons, release(
+        spec, train, epsilons, noise, seed=cfg.master_seed, stream=stream,
+        tolerance=cfg.tolerance, max_iters=cfg.max_iters)))
+    return test, classes, train.n, cells
 
 
 def _accuracy_rows(cfg: SweepConfig, epsilons) -> list:
+    test, classes, _, cells = _cells(cfg, epsilons, 31)
     rows = []
-    for spec, eps, rel, classes, _, runs in _cells(cfg, epsilons, 31):
+    for spec, eps, rel in cells:
         cell = [spec.lam, eps, cfg.noise_mode, rel.noise.scale, rel.cert.beta,
                 sensitivity_via_strong_convexity(rel.cert)]
-        accs = [accuracy(noisy, classes, test) for test, _, noisy in runs]
-        rows += [cell + [r, acc, None] for r, acc in enumerate(accs)]
-        rows.append(cell + [-1, float(np.mean(accs)), _std(accs)])
+        rows += _split_rows(cell, accuracy(rel.noisy_weights, classes, test))
     return rows
 
 
@@ -363,29 +364,27 @@ def cmd_sweep(cfg: SweepConfig, out_dir) -> Path:
 def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     """Feature-selection agreement between private and non-private models.
 
-    A cell's splits form one (splits x weights) block: per-split rates are
-    its row means, per-feature rates its column means.
+    A cell's splits form one (splits x weights) block, each row a split's
+    weights in class-major order, the order of the ``feature`` index:
+    per-split rates are its row means, per-feature rates its column means.
     """
     # a cell takes the flip lemma, which divides by eta, wherever T > 0 and there is noise
     if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
         _require("eta", cfg.eta, *_POSITIVE, ConfigError)
+    _, _, n_train, cells = _cells(cfg, cfg.epsilon_grid, 41)
     rows, flip_rows = [], []
-    for spec, eps, rel, _, n_train, runs in _cells(cfg, cfg.epsilon_grid, 41):
+    for spec, eps, rel in cells:
         lam, noise = spec.lam, rel.noise
         T = noise.threshold(cfg.threshold_k) if cfg.threshold_mode == "dynamic" else cfg.static_T
         cell = [lam, eps, cfg.noise_mode, noise.scale, cfg.threshold_mode, T]
-        W = np.stack([w.ravel() for _, w, _ in runs])
-        keep = select_features(W, 0.0)
-        keep_priv = select_features(np.stack([noisy.ravel() for *_, noisy in runs]), T)
+        W, W_priv = (w.swapaxes(1, 2).reshape(len(w), -1)
+                     for w in (rel.report.weights, rel.noisy_weights))
+        keep, keep_priv = select_features(W, 0.0), select_features(W_priv, T)
         f1s, flips = f1_similarity(keep, keep_priv), keep != keep_priv
         pred = (flip_probability(T, W, lemma_noise(eps, lam, spec.eta, n_train, spec.L,
                                                    spec.kappa))
                 if T > 0 and noise.scale > 0 else np.zeros(W.shape))
-        obs_rates, pred_rates = flips.mean(axis=1), pred.mean(axis=1)
-        rows += [cell + [r, *vals, None]
-                 for r, vals in enumerate(zip(f1s, obs_rates, pred_rates))]
-        rows.append(cell + [-1, float(np.mean(f1s)), float(np.mean(obs_rates)),
-                            float(np.mean(pred_rates)), _std(f1s)])
+        rows += _split_rows(cell, f1s, flips.mean(axis=1), pred.mean(axis=1))
         flip_rows += [[lam, eps, j, *vals] for j, vals in enumerate(
             zip(np.abs(W).mean(axis=0), pred.mean(axis=0), flips.mean(axis=0)))]
 
@@ -439,7 +438,8 @@ def _dp_checks(samples: int, seed: int) -> list:
     ]
 
     (spec,), S_erm = _oracle_fixture((0.5,))
-    Sp_erm = verify_mod._neighbor(spec, S_erm, derive_rng(seed, 55))
+    block, *_ = verify_mod._neighbors(spec, S_erm, 1, derive_rng(seed, 55))
+    Sp_erm = Dataset(block.features[1], block.labels[1, :, 0])
 
     def erm_release(ds: Dataset, rng_, size):
         # the CLI's release at the oracles' tolerance: its certificate,

@@ -193,12 +193,12 @@ def preprocess(S: Dataset, k: int | None, seed: int = 0, kappa: float = 1.0) -> 
     return S
 
 
-def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, list[Dataset]]:
+def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, _Stack]:
     """Seeded repeated 80/20-style splits; fresh permutation per repeat.
 
-    Returns the training sides as one stack, gathered in one pass: (repeats,
-    n_train, d) features and their (repeats, n_train, 1) raw labels. The
-    test sides are one ``Dataset`` per repeat.
+    Returns ``(train, test)``, each side one stack gathered in one pass from
+    the repeats' permutations: (repeats, n_side, d) features and their
+    (repeats, n_side, 1) raw labels.
     """
     n_train = int(math.floor(plan.train_fraction * S.n))
     if n_train < 1 or n_train >= S.n:
@@ -206,8 +206,8 @@ def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, list[Dataset]]:
             f"split of n={S.n} at fraction {plan.train_fraction} leaves an empty side"
         )
     P = np.stack([derive_rng(plan.seed, 11, r).permutation(S.n) for r in range(plan.repeats)])
-    train = _Stack(S.features[P[:, :n_train]], S.labels[P[:, :n_train], None])
-    return train, [S.subset(p) for p in P[:, n_train:]]
+    return tuple(_Stack(S.features[side], S.labels[side, None])
+                 for side in (P[:, :n_train], P[:, n_train:]))
 
 
 def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None = None,

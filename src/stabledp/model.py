@@ -144,10 +144,6 @@ class Dataset:
     def max_row_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.features, axis=1)))
 
-    def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(self.features[idx], self.labels[idx])
-
     def replace_record(self, i: int, x: np.ndarray, y) -> "Dataset":
         """Neighboring dataset: record i swapped for (x, y).
 
@@ -171,9 +167,9 @@ class Dataset:
 class _Stack:
     """m same-shape datasets: (m, n, d) features and (m, n, K) labels.
 
-    K label columns share each dataset's features: K = 1 for datasets
-    stacked by :func:`_stack`, one one-vs-rest column per class for a
-    config's signed training splits.
+    K label columns share each dataset's features: K = 1 for raw labels
+    (:func:`_stack`, ``data_io.split``, an oracle's neighbours), one
+    one-vs-rest column per class for a config's signed training splits.
     """
 
     features: np.ndarray
@@ -359,6 +355,13 @@ def _check_labels(spec: ObjectiveSpec, labels, name: str = "labels") -> None:
     if spec.loss_kind == "logistic" and not (np.abs(labels) == 1.0).all():
         bad = labels[np.abs(labels) != 1.0]
         raise ValueError(f"logistic loss needs {name} in {{-1, +1}}, got {float(bad[0])}")
+
+
+def _check_kappa(spec: ObjectiveSpec, S: Dataset | _Stack) -> None:
+    """Raise unless every row of S is within kappa (1e-9 slack), every bound's premise."""
+    if (max_norm := S.max_row_norm()) > spec.kappa * (1.0 + 1e-9):
+        raise ValueError(f"feature rows violate the kappa bound: max norm {max_norm:.6g} > "
+                         f"kappa={spec.kappa}")
 
 
 def per_example_loss(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float):

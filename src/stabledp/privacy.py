@@ -45,6 +45,7 @@ from .model import (
     _POSITIVE,
     Dataset,
     ObjectiveSpec,
+    _check_kappa,
     _one_of,
     _require,
     _Stack,
@@ -231,9 +232,7 @@ def release(spec: ObjectiveSpec, S: Dataset | _Stack, epsilons, noise: str | Noi
     _require("epsilons", epsilons, len, "a non-empty grid", tuple)
     for eps in epsilons:
         _require("epsilon", eps, *_POSITIVE)
-    if (max_norm := S.max_row_norm()) > spec.kappa * (1.0 + 1e-9):
-        raise ValueError(f"feature rows violate the kappa bound: max norm {max_norm:.6g} > "
-                         f"kappa={spec.kappa}")
+    _check_kappa(spec, S)
     cert = spec_cert(spec, S.n)
     noises = [calibrate(cert, S.d, eps, noise) if isinstance(noise, str) else noise
               for eps in epsilons]

@@ -1,11 +1,12 @@
 """Brute-force oracles that empirically stress every closed-form bound.
 
-Each oracle samples neighboring datasets (one record swapped for a fresh
-one), stacks S and every sampled neighbor with ``model._stack`` and trains
-that one stack (one ``solve_erm`` call per objective to ``SOLVE_TOLERANCE``,
-well below the margins being asserted, or one coupled ``sgd_run``), and
-compares the observed quantity against its bound. A stack of m datasets of
-shape (n, d) holds m*n*d floats.
+Each oracle draws S and its sampled neighbors (one record swapped for a
+fresh one) into one stack with ``_neighbors``, trains that stack (one
+``solve_erm`` call per objective to ``SOLVE_TOLERANCE``, well below the
+margins being asserted, or one coupled ``sgd_run``), and compares the
+observed quantity against its bound. A stack of m datasets of shape
+(n, d) holds m*n*d floats. Like ``privacy.release``, ``_neighbors``
+refuses an S with a row above kappa, the premise of every bound.
 Sampling gives a sound one-sided check: an empirical value below the bound
 is necessary for the bound's correctness, not sufficient. Oracles never
 share random streams with the mechanisms they test, and every report is
@@ -65,12 +66,12 @@ from .model import (
     Dataset,
     ObjectiveSpec,
     _at_least,
-    _Stack,
+    _check_kappa,
     _check_labels,
     _loss_values,
     _require,
     _require_each,
-    _stack,
+    _Stack,
     gradient,
     per_example_grad,
     per_example_loss,
@@ -125,15 +126,25 @@ def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
     return X, y
 
 
-def _neighbor(spec: ObjectiveSpec, S: Dataset, rng: np.random.Generator) -> Dataset:
-    """Neighboring dataset: one uniformly chosen record replaced by a fresh one.
+def _neighbors(spec: ObjectiveSpec, S: Dataset, trials: int, rng: np.random.Generator,
+               in_sample: int = 0, fresh: int = 0) -> tuple:
+    """(stack, probe indices, fresh probe rows, their labels) of S and ``trials`` neighbors.
 
-    The neighbor relation is symmetric; replacing the fresh record back
-    recovers S, so each sampled pair covers both replacement directions.
+    The stack holds S, then each neighbor: S with one uniformly chosen record swapped
+    for a fresh one (swapping back recovers S, so a pair covers both directions). Each
+    draws its index, its record, ``min(in_sample, n)`` distinct probe indices, then
+    ``fresh`` probe rows. S's rows are checked against kappa before any draw.
     """
-    i = int(rng.integers(S.n))
-    (x,), (y,) = _fresh_rows(spec, S.d, 1, rng)
-    return S.replace_record(i, x, y)
+    _check_kappa(spec, S)
+    X, y = (np.repeat(a[None], trials + 1, axis=0) for a in (S.features, S.labels[:, None]))
+    idx = np.empty((trials, min(in_sample, S.n)), dtype=np.int64)
+    fresh_X, fresh_y = np.empty((trials, fresh, S.d)), np.empty((trials, fresh))
+    for t in range(trials):
+        i = int(rng.integers(S.n))
+        (X[t + 1, i],), (y[t + 1, i],) = _fresh_rows(spec, S.d, 1, rng)
+        idx[t] = rng.choice(S.n, size=idx.shape[1], replace=False)  # size 0 draws nothing
+        fresh_X[t], fresh_y[t] = _fresh_rows(spec, S.d, fresh, rng)
+    return _Stack(X, y), idx, fresh_X, fresh_y
 
 
 def _grid(specs: Sequence[ObjectiveSpec]) -> tuple:
@@ -215,8 +226,7 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
     specs = _grid(specs)
-    rng = derive_rng(seed, 21)
-    block = _stack([S, *(_neighbor(specs[0], S, rng) for _ in range(trials))])
+    block, *_ = _neighbors(specs[0], S, trials, derive_rng(seed, 21))
 
     def score(spec, base, W, kept):
         cert = spec_cert(spec, S.n)
@@ -239,23 +249,15 @@ def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int 
     kappa-bounded points, reported separately; the verdict uses the larger
     of the two.
 
-    Each neighbor is drawn followed by its probes, then S and every
-    neighbor are stacked once, (trials + 1)*n*d floats, and solved as one
-    block per spec; a neighbor whose column fails to converge counts as a
-    solver failure and its probes go unscored.
+    Each neighbor is drawn followed by its probes into one stack of S and
+    every neighbor, (trials + 1)*n*d floats, solved as one block per spec;
+    a neighbor whose column fails to converge counts as a solver failure
+    and its probes go unscored.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
     specs = _grid(specs)
-    rng = derive_rng(seed, 22)
-    neighbors, idx, fresh_X, fresh_y = [], [], [], []
-    for _ in range(trials):
-        neighbors.append(_neighbor(specs[0], S, rng))
-        idx.append(rng.choice(S.n, size=min(probes, S.n), replace=False))
-        X, y = _fresh_rows(specs[0], S.d, probes, rng)
-        fresh_X.append(X)
-        fresh_y.append(y)
-    block = _stack([S, *neighbors])
-    idx, fresh_X, fresh_y = np.stack(idx), np.stack(fresh_X), np.stack(fresh_y)
+    block, idx, fresh_X, fresh_y = _neighbors(specs[0], S, trials, derive_rng(seed, 22),
+                                              in_sample=probes, fresh=probes)
 
     def score(spec, base, W, kept):
         rows = idx[kept]
@@ -416,24 +418,19 @@ def empirical_sgd_stability(spec: ObjectiveSpec, S: Dataset, cfg: SgdConfig,
                             seed: int = 0) -> OracleReport:
     """Observed uniform stability of an SGD configuration (coupled runs).
 
-    Draws each sampled neighbor followed by its fresh probe points, then
-    trains the ``model._stack`` of S and every neighbor in one
-    :func:`sgd_run`, so all runs share the batch order and the per-step
-    dropout streams, and records the max loss difference between S's
-    weights and each neighbor's over that neighbor's probes. There is no
-    closed-form constant here; the report's bound field repeats the
-    empirical value and the result is meant for directional comparisons
-    across knob settings: a call takes one config, and calls with the same
-    seed draw the same neighbors and probes, so two settings are compared
-    on one sample.
+    Draws each sampled neighbor followed by its fresh probe points into one
+    stack with S, trained in one :func:`sgd_run`, so all runs share the
+    batch order and the per-step dropout streams, and records the max loss
+    difference between S's weights and each neighbor's over that
+    neighbor's probes. There is no closed-form constant here; the report's
+    bound field repeats the empirical value and the result is meant for
+    directional comparisons across knob settings: a call takes one config,
+    and calls with the same seed draw the same neighbors and probes, so two
+    settings are compared on one sample.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
-    rng = derive_rng(seed, 26)
-    pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
-             for _ in range(trials)]
-    W = sgd_run(spec, _stack([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
-    X = np.stack([rows[0] for _, rows in pairs])
-    y = np.stack([rows[1] for _, rows in pairs])
+    block, _, X, y = _neighbors(spec, S, trials, derive_rng(seed, 26), fresh=probes)
+    W = sgd_run(spec, block, cfg)[..., 0]
     worst = max(_loss_gaps(spec, W[0], W[1:], X, y).tolist())
     return OracleReport(
         name="sgd_stability",

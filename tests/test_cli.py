@@ -5,12 +5,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabledp.cli import (
     ConfigError,
     DatasetConfig,
     SweepConfig,
+    _cells,
+    accuracy,
     build_dataset,
     cmd_select,
     cmd_sweep,
@@ -19,6 +22,7 @@ from stabledp.cli import (
     config_from_dict,
     load_config,
     main,
+    predict,
 )
 from stabledp.data_io import SplitPlan, synth_classification, write_csv
 from stabledp.features import lemma_noise
@@ -125,6 +129,23 @@ class TestConfig:
                           {"lipschitz_L": 0.5, "dataset.kappa": 0.5}):
             assert load_config(None, overrides).lipschitz_L == overrides["lipschitz_L"]
 
+    def test_objective_fields_checked_by_the_spec(self):
+        # gamma, eta, loss_kind and lipschitz_L take their ranges from the
+        # ObjectiveSpec the config builds, and their types from their annotations
+        for raw, message in (
+                ({"gamma": 2.0}, "gamma must be in (0, 1], got 2.0"),
+                ({"gamma": "x"}, "gamma must be a number, got 'x'"),
+                ({"eta": -1.0}, "eta must be finite and >= 0, got -1.0"),
+                ({"loss_kind": "hinge"},
+                 "loss_kind must be one of ('logistic', 'squared'), got 'hinge'"),
+                ({"lipschitz_L": -1.0}, "lipschitz_L must be finite and >= kappa=1.0 for the "
+                                        "logistic loss, got -1.0"),
+                ({"loss_kind": "squared", "lipschitz_L": -1.0},
+                 "lipschitz_L must be finite and > 0, got -1.0")):
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(raw)
+            assert str(err.value) == message
+
     def test_json_round_trip_with_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
         # every field annotated "| None" may be null
@@ -143,6 +164,35 @@ class TestConfig:
         assert paths
         for path in paths:
             assert isinstance(load_config(path), SweepConfig), path
+
+
+def split_predict(W, classes, X):
+    """The per-split reference: one split's (K, d) model rows on its (n, d) test rows."""
+    if classes.size == 2:
+        return np.where(X @ W[0] >= 0, classes[1], classes[0])
+    return classes[np.argmax(X @ W.T, axis=1)]
+
+
+class TestStackedScoring:
+    """One batched product scores every split as the split's own product would."""
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_predict_and_accuracy_equal_the_per_split_calls(self, classes):
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset,
+                                                                   classes=classes))
+        test, labels, _, cells = _cells(cfg, cfg.epsilon_grid, 31)
+        for _, _, rel in cells:
+            W, X = rel.noisy_weights, test.features
+            assert W.shape == (3, 6, 1 if classes == 2 else classes)
+            pred, acc, Z = predict(W, labels, X), accuracy(W, labels, test), X @ W
+            for r in range(len(W)):
+                ref = split_predict(W[r].T, labels, X[r])
+                assert pred[r].tobytes() == ref.tobytes()
+                assert acc[r] == float(np.mean(ref == test.labels[r, :, 0]))
+                # each slice runs its split's product: the gemv of X @ W[0] when binary
+                want = X[r] @ W[r].T[0] if classes == 2 else X[r] @ W[r]
+                assert Z[r].reshape(want.shape).tobytes() == want.tobytes()
 
 
 class TestSweep:

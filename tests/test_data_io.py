@@ -22,6 +22,7 @@ from stabledp.data_io import (
 )
 from stabledp.model import Dataset, ObjectiveSpec
 from stabledp.optimizer import solve_erm
+from stabledp.rng import derive_rng
 
 
 class TestLoadCsv:
@@ -188,23 +189,31 @@ class TestSplit:
 
     def test_partition(self):
         S, _ = synth_classification(50, 4, classes=2, sparsity=4, noise=0.5, seed=1)
-        train, tests = split(S, SplitPlan(seed=3, repeats=4))
+        train, test = split(S, SplitPlan(seed=3, repeats=4))
         assert train.features.shape == (4, 40, 4) and train.labels.shape == (4, 40, 1)
-        assert len(tests) == 4
-        for X, y, test in zip(train.features, train.labels[..., 0], tests):
-            assert test.n == 10
-            combined = np.vstack([X, test.features])
+        assert test.features.shape == (4, 10, 4) and test.labels.shape == (4, 10, 1)
+        for X, X_test in zip(train.features, test.features):
+            combined = np.vstack([X, X_test])
             assert np.unique(np.round(combined, 12), axis=0).shape[0] == 50
-            # each training label travels with its row
-            rows = [np.flatnonzero((S.features == x).all(axis=1))[0] for x in X]
-            np.testing.assert_array_equal(y, S.labels[rows])
+
+    def test_sides_are_each_permutations_rows(self):
+        # the reference: one permutation per repeat, its head the training
+        # side and its tail the test side, each row with its own label
+        S, _ = synth_classification(47, 3, classes=3, sparsity=3, noise=0.5, seed=4)
+        plan = SplitPlan(seed=6, train_fraction=0.7, repeats=5)
+        train, test = split(S, plan)
+        for r in range(plan.repeats):
+            p = derive_rng(plan.seed, 11, r).permutation(S.n)
+            for side, rows in ((train, p[:32]), (test, p[32:])):
+                assert side.features[r].tobytes() == S.features[rows].tobytes()
+                assert side.labels[r, :, 0].tobytes() == S.labels[rows].tobytes()
 
     def test_deterministic(self):
         S, _ = synth_classification(30, 3, classes=2, sparsity=3, noise=0.5, seed=2)
-        (ta, a), (tb, b) = (split(S, SplitPlan(seed=5, repeats=3)) for _ in range(2))
-        assert ta.features.tobytes() == tb.features.tobytes()
+        a, b = (split(S, SplitPlan(seed=5, repeats=3)) for _ in range(2))
         for A, B in zip(a, b):
-            np.testing.assert_array_equal(A.features, B.features)
+            assert A.features.tobytes() == B.features.tobytes()
+            assert A.labels.tobytes() == B.labels.tobytes()
 
     def test_empty_side_rejected(self):
         S, _ = synth_classification(3, 2, classes=2, sparsity=2, noise=0.5, seed=0)

@@ -283,7 +283,7 @@ class TestSolveErmBlock:
     def test_invalid_blocks_rejected(self):
         spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
         bad_blocks = {
-            "fewer rows": [S, S.subset(np.arange(S.n - 1))],
+            "fewer rows": [S, Dataset(S.features[:-1], S.labels[:-1])],
             "more columns": [S, Dataset(np.hstack([S.features, S.features[:, :1]]), S.labels)],
             "empty": [],
         }
@@ -613,7 +613,7 @@ class TestSgdBlock:
         spec, (S, Sp) = SPECS["logistic-l2"], sgd_block(1)
         cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
         bad_blocks = {
-            "fewer rows": [S, S.subset(np.arange(S.n - 1))],
+            "fewer rows": [S, Dataset(S.features[:-1], S.labels[:-1])],
             "more columns": [S, Dataset(np.hstack([S.features, S.features[:, :1]]), S.labels)],
             "empty": [],
         }

@@ -24,7 +24,6 @@ from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
     _fresh_rows,
-    _neighbor,
     empirical_privacy_error,
     empirical_sensitivity,
     empirical_sgd_stability,
@@ -44,6 +43,12 @@ def fresh_record(spec, d, rng):
     """One fresh record drawn alone, for the scalar reference loops."""
     (x,), (y,) = _fresh_rows(spec, d, 1, rng)
     return x, y
+
+
+def neighbor(spec, S, rng):
+    """One neighbour drawn alone, for the reference loops: an index, then a fresh record."""
+    i = int(rng.integers(S.n))
+    return S.replace_record(i, *fresh_record(spec, S.d, rng))
 
 
 def record_loop(spec, d, k, rng):
@@ -200,6 +205,66 @@ class TestGridInputs:
                      r"the specs' kappas must be equal, as the draw reads kappa, got \(1.0, 0.5\)")
 
 
+class TestNeighbors:
+    """``_neighbors`` writes the one-at-a-time draw of S's neighbours into one stack."""
+
+    @pytest.mark.parametrize("in_sample, fresh", [(0, 0), (7, 0), (0, 5), (7, 5), (80, 3)])
+    def test_equals_the_one_at_a_time_draw(self, in_sample, fresh):
+        spec, S = fixture()
+        trials = 6
+        rng, ref = derive_rng(3, 22), derive_rng(3, 22)
+        block, idx, X, y = verify._neighbors(spec, S, trials, rng, in_sample, fresh)
+        k = min(in_sample, S.n)
+        assert block.features.shape == (trials + 1, S.n, S.d)
+        assert block.labels.shape == (trials + 1, S.n, 1)
+        assert idx.shape == (trials, k) and X.shape == (trials, fresh, S.d)
+        assert y.shape == (trials, fresh)
+        assert block.features[0].tobytes() == S.features.tobytes()
+        assert block.labels[0, :, 0].tobytes() == S.labels.tobytes()
+        for t in range(trials):
+            # the reference: each neighbour by replace_record, then its probes
+            Sp = neighbor(spec, S, ref)
+            assert block.features[t + 1].tobytes() == Sp.features.tobytes()
+            assert block.labels[t + 1, :, 0].tobytes() == Sp.labels.tobytes()
+            if in_sample:
+                assert idx[t].tolist() == ref.choice(S.n, size=k, replace=False).tolist()
+            for x_t, y_t in zip(X[t], y[t]):
+                x_ref, y_ref = fresh_record(spec, S.d, ref)
+                assert x_t.tobytes() == x_ref.tobytes() and y_t == y_ref
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestKappaPremise:
+    """Every bound assumes rows within kappa: an oracle refuses an S that breaks it,
+    with ``release``'s message, before it draws or solves anything."""
+
+    ORACLES = {
+        "sensitivity": lambda specs, S: empirical_sensitivity(specs, S, trials=50),
+        "stability": lambda specs, S: empirical_stability(specs, S, trials=50),
+        "sgd_stability": lambda specs, S: empirical_sgd_stability(
+            specs[0], S, SgdConfig(steps_T=10, step_size=0.1, batch_size_b=5), trials=50),
+    }
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_rows_above_kappa_refused(self, monkeypatch, oracle):
+        # the verify fixture, rows at norm 1, against kappa 0.1
+        S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5)
+        specs = [ObjectiveSpec("logistic", lam, penalty="l2", kappa=0.1) for lam in (0.1, 0.5)]
+        for name in ("solve_erm", "sgd_run", "_fresh_rows"):
+            monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("drew or solved"))
+        with pytest.raises(ValueError, match=r"feature rows violate the kappa bound: "
+                                             r"max norm 1 > kappa=0.1"):
+            self.ORACLES[oracle](specs, S)
+
+    def test_rows_a_rounding_above_kappa_accepted(self):
+        # the verify fixture's largest row has norm 1.0000000000000002
+        spec, _ = fixture()
+        S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5)
+        assert S.max_row_norm() > spec.kappa
+        block, *_ = verify._neighbors(spec, S, 1, derive_rng(0))
+        assert block.features.shape == (2, S.n, S.d)
+
+
 class TestEmpiricalSensitivity:
     def test_bound_respected_on_fixture(self):
         spec, S = fixture()
@@ -322,7 +387,7 @@ class TestBatchedProbesMatchScalarLoop:
         base = solve_erm(spec, S, 1e-9).weights
         worst_in = worst_fresh = 0.0
         for _ in range(trials):
-            other = solve_erm(spec, _neighbor(spec, S, rng), 1e-9).weights
+            other = solve_erm(spec, neighbor(spec, S, rng), 1e-9).weights
             for i in rng.choice(S.n, size=min(probes, S.n), replace=False):
                 worst_in = max(worst_in, self.gap(spec, base, other, S.features[i],
                                                   float(S.labels[i])))
@@ -345,7 +410,7 @@ class TestBatchedProbesMatchScalarLoop:
         def distance(D):
             return float(np.linalg.norm(base - solve_erm(spec, D, 1e-9).weights))
 
-        worst = max(distance(_neighbor(spec, S, rng)) for _ in range(trials))
+        worst = max(distance(neighbor(spec, S, rng)) for _ in range(trials))
         rep = empirical_sensitivity([spec], S, trials=trials, seed=seed)[0]
         assert worst > 0
         assert rep.empirical_value == pytest.approx(worst, rel=1e-12)
@@ -360,7 +425,7 @@ class TestBatchedProbesMatchScalarLoop:
         base = sgd_run(spec, S, cfg)
         worst = 0.0
         for _ in range(trials):
-            other = sgd_run(spec, _neighbor(spec, S, rng), cfg)
+            other = sgd_run(spec, neighbor(spec, S, rng), cfg)
             for _ in range(probes):
                 worst = max(worst, self.gap(spec, base, other, *fresh_record(spec, S.d, rng)))
         rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
@@ -417,7 +482,7 @@ class TestLossGapsBitForBit:
         rep = empirical_stability([spec], S, trials=trials, probes=probes, seed=seed)[0]
         W, rng, worst_in, worst_fresh = solved.pop(), derive_rng(seed, 22), 0.0, 0.0
         for j in range(1, trials + 1):
-            _neighbor(spec, S, rng)
+            neighbor(spec, S, rng)
             idx = rng.choice(S.n, size=probes, replace=False)
             X, y = _fresh_rows(spec, S.d, probes, rng)
             if j != marked:
@@ -434,7 +499,7 @@ class TestLossGapsBitForBit:
         cfg = SgdConfig(steps_T=30, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=2)
         trials, probes, seed = 6, 5, 6
         rng = derive_rng(seed, 26)
-        pairs = [(_neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
+        pairs = [(neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
                  for _ in range(trials)]
         W = sgd_run(spec, _stack([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
         worst = max(max_loss_gap(spec, W[0], W[j], *rows)
@@ -459,7 +524,7 @@ class TestOracleSolverFailures:
         base = solve_erm(self.SPEC, S, 1e-9).weights
         converged = []
         for _ in range(trials):
-            rep = solve_erm(self.SPEC, _neighbor(self.SPEC, S, rng), 1e-9)
+            rep = solve_erm(self.SPEC, neighbor(self.SPEC, S, rng), 1e-9)
             if rep.iterations_used <= cap:
                 converged.append(float(np.linalg.norm(base - rep.weights)))
         assert 0 < trials - len(converged) < trials
@@ -478,7 +543,7 @@ class TestOracleSolverFailures:
         base = solve_erm(self.SPEC, S, 1e-9).weights
         failures, worst = 0, 0.0
         for _ in range(trials):
-            other = solve_erm(self.SPEC, _neighbor(self.SPEC, S, rng), 1e-9)
+            other = solve_erm(self.SPEC, neighbor(self.SPEC, S, rng), 1e-9)
             # probes are drawn for every neighbour, scored only for converged ones
             rows = [(S.features[i], float(S.labels[i]))
                     for i in rng.choice(S.n, size=probes, replace=False)]
@@ -528,7 +593,7 @@ class TestOracleSolverFailures:
         rep = empirical_stability([self.SPEC], S, trials=trials, probes=probes, seed=seed)[0]
         W, rng, worst = solved.pop(), derive_rng(seed, 22), 0.0
         for j in range(1, trials + 1):
-            _neighbor(self.SPEC, S, rng)
+            neighbor(self.SPEC, S, rng)
             # probes are drawn for every neighbour, scored only for the kept ones
             rows = [(S.features[i], float(S.labels[i]))
                     for i in rng.choice(S.n, size=probes, replace=False)]
