@@ -376,15 +376,16 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | _Stack, cfg: SgdConfig) -> np.ndar
     avg = np.zeros_like(W) if cfg.averaging is not None else None
 
     batch_rng = derive_rng(cfg.seed, 0)
-    order = batch_rng.permutation(n)
-    cursor = 0
+    cursor = n
     for t in range(cfg.steps_T):
         if cursor >= n:
+            # one gather per epoch; each batch below is a view of it
             order = batch_rng.permutation(n)
+            X, Y = block.features[:, order], block.labels[:, order]
             cursor = 0
-        batch_idx = order[cursor:cursor + cfg.batch_size_b]
+        batch = slice(cursor, cursor + cfg.batch_size_b)
         cursor += cfg.batch_size_b
-        g = gradient(spec, W, _Stack(block.features[:, batch_idx], block.labels[:, batch_idx]))
+        g = gradient(spec, W, _Stack(X[:, batch], Y[:, batch]))
         # clipping and dropout act on each dataset's gradient, a row of g[..., 0]
         if cfg.clip_bound_G is not None:
             g = clip_gradient(g[..., 0], cfg.clip_bound_G)[..., None]

@@ -24,11 +24,12 @@ calibrates, trains and perturbs, and returns one ``Release`` per epsilon.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
-proof. It returns the ``OracleReport`` every empirical check returns. It
-holds its two releases once and never joins them: the bins' window is
-placed by one subsample, every 64th value of each release, whose median
-is the window's centre and whose mean absolute deviation from it is the
-estimated noise scale.
+proof. It returns the ``OracleReport`` every empirical check returns. The
+bins' window is placed by held-out pilot draws, 1/64 of the sample count
+from each dataset on streams of their own: their median is the window's
+centre and their mean absolute deviation from it the estimated noise
+scale. The counted releases are then drawn one at a time, each binned and
+dropped before the next is drawn.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ _LAPLACE_BLOCK = 32_768
 
 # ``dp_micro_check``'s bins, their half-width in estimated noise scales, the
 # count a bin needs on both sides to be checked, the slack on exp(epsilon),
-# and the stride of the subsample of each release that places the bins
+# and the divisor of the sample count that gives each dataset's pilot draw
 _BINS = 20
 _RANGE_SCALES = 4.0
 _MIN_COUNT = 25
@@ -257,11 +258,11 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 
 
 def _release_of(release_fn, name: str, S: Dataset, seed_key: int, seed: int,
-                samples: int) -> np.ndarray:
-    """``release_fn(S, rng, samples)`` as floats, checked 1-D, ``samples`` long and finite."""
-    r = np.asarray(release_fn(S, derive_rng(seed, seed_key), samples), dtype=float)
-    if r.shape != (samples,):
-        raise ValueError(f"{name} must return a 1-D array of samples={samples} values, "
+                size: int) -> np.ndarray:
+    """``release_fn(S, rng, size)`` as floats, checked 1-D, ``size`` long and finite."""
+    r = np.asarray(release_fn(S, derive_rng(seed, seed_key), size), dtype=float)
+    if r.shape != (size,):
+        raise ValueError(f"{name} must return a 1-D array of size={size} values, "
                          f"got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError(f"{name} must return finite values, got "
@@ -277,12 +278,16 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     scalar releases, as a 1-D array of finite values; any other return
     raises ValueError. Frequencies are compared over 20 equal bins that
     span 4 estimated noise scales either side of a centre. Both come from
-    one subsample, every 64th value of each release joined: the centre is
-    its median, and the scale its mean absolute deviation from the centre
-    (the Laplace MLE), floored at 1e-12. At 1M samples the subsample holds
-    31 250 values, and its centre lies about 0.6% of a noise scale from the
-    pooled median, against bins 0.4 scales wide. The check passes when every
-    adequately-populated bin has a frequency ratio at most
+    a pilot, ceil(samples / 64) values drawn from each dataset on streams
+    the counted samples never use, joined: the centre is its median, and
+    the scale its mean absolute deviation from the centre (the Laplace
+    MLE), floored at 1e-12. At 1M samples the pilot holds 31 250 values,
+    and its centre lies about 0.6% of a noise scale from the median of the
+    two laws pooled, against bins 0.4 scales wide. Both pilots are drawn
+    and checked first; then S's ``samples`` values are drawn, checked,
+    binned and dropped before S_neighbor's are drawn, so one full release
+    is alive at a time (about 8 MB at 1M samples). The check passes when
+    every adequately-populated bin has a frequency ratio at most
     exp(epsilon) * (1 + 0.05), the slack. Bins with fewer than 25 samples
     on either side are reported as inconclusive, not failed.
 
@@ -295,19 +300,24 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     # an infinite epsilon gives an infinite threshold, which any release passes
     _require("epsilon", epsilon, *_POSITIVE)
     _require("samples", samples, *_COUNT)
-    a = _release_of(release_fn, "release_fn(S)", S, 101, seed, samples)
-    b = _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 202, seed, samples)
-    sub = np.concatenate([a[::_WINDOW_STRIDE], b[::_WINDOW_STRIDE]])
-    # sub joins two equal-length releases, so its median is the mean of its
-    # middle pair; np.median's NaN check would import numpy.ma mid-pass
-    h = sub.size // 2
-    p = np.partition(sub, (h - 1, h))
+    size = -(-samples // _WINDOW_STRIDE)
+    pilots = np.concatenate([
+        _release_of(release_fn, "release_fn(S)", S, 103, seed, size),
+        _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 204, seed, size)])
+    # two equal-length pilots, so the median is the mean of the middle pair;
+    # np.median's NaN check would import numpy.ma mid-pass
+    h = pilots.size // 2
+    p = np.partition(pilots, (h - 1, h))
     center = float((p[h - 1] + p[h]) / 2)
-    scale_hat = max(float(np.mean(np.abs(sub - center))), 1e-12)  # Laplace MLE scale
+    scale_hat = max(float(np.mean(np.abs(pilots - center))), 1e-12)  # Laplace MLE scale
     edges = np.linspace(center - _RANGE_SCALES * scale_hat,
                         center + _RANGE_SCALES * scale_hat, _BINS + 1)
-    count_a, _ = np.histogram(a, bins=edges)
-    count_b, _ = np.histogram(b, bins=edges)
+    # each full release is a temporary: binned, then freed before the next is drawn
+    count_a, _ = np.histogram(
+        _release_of(release_fn, "release_fn(S)", S, 101, seed, samples), bins=edges)
+    count_b, _ = np.histogram(
+        _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 202, seed, samples),
+        bins=edges)
 
     limit = math.exp(epsilon)
     threshold = limit * (1.0 + _SLACK)

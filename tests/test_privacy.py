@@ -385,19 +385,25 @@ class TestDpMicroCheck:
         assert rep.details["bins_inconclusive"] > 0
 
     @pytest.mark.parametrize("release, samples", [
-        ("laplace", 200_001), ("laplace", 1_000), ("discrete", 50_000)])
+        ("laplace", 200_001), ("laplace", 1_000), ("discrete", 50_000),
+        ("shifted", 20_000)])
     def test_bins_span_the_window_of_every_64th_value(self, release, samples):
         S, Sp = self.datasets()
         laplace, seed = _bounded_mean_release(1 / 40), 4
 
         def release_fn(ds, rng, size):
             r = laplace(ds, rng, size)
+            if release == "shifted" and size != samples:
+                return r + 0.05  # the pilots only, two noise scales up: the window follows
             return np.round(r * 20) / 20 if release == "discrete" else r  # many ties
 
         rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=seed)
+        # the window comes from one pilot value per 64 samples, on streams of its own
+        pilot = -(-samples // 64)
+        sub = np.concatenate([release_fn(S, derive_rng(seed, 103), pilot),
+                              release_fn(Sp, derive_rng(seed, 204), pilot)])
         a = release_fn(S, derive_rng(seed, 101), samples)
         b = release_fn(Sp, derive_rng(seed, 202), samples)
-        sub = np.concatenate([a[::64], b[::64]])
         center = np.median(sub)
         scale = np.mean(np.abs(sub - center))
         edges = np.linspace(center - 4 * scale, center + 4 * scale, 21)
@@ -429,14 +435,16 @@ class TestDpMicroCheck:
 
 
 class TestDpMicroCheckGuards:
-    """Both releases are checked before a bin is counted."""
+    """Both pilots are checked before the window is placed, and each full
+    release before it is binned."""
 
     def datasets(self):
         return TestDpMicroCheck().datasets()
 
     @pytest.mark.parametrize("bad, match", [
-        (lambda r: r[: r.size // 2], r"shape \(50,\)"),  # once read as a bin ratio of 5.9
-        (lambda r: r[:, None], r"shape \(100, 1\)"),
+        # samples=100 gives 2-value pilots, checked first; index 7 is in the full release only
+        (lambda r: r[: r.size // 2], r"size=2 values, got shape \(1,\)"),  # once a ratio of 5.9
+        (lambda r: r[:, None], r"shape \(2, 1\)"),
         (lambda r: np.where(np.arange(r.size) == 7, np.nan, r), "1 non-finite"),
         (lambda r: np.where(np.arange(r.size) < 2, -np.inf, r), "2 non-finite"),
     ], ids=["half_length", "two_d", "nan", "inf"])
@@ -454,8 +462,9 @@ class TestDpMicroCheckGuards:
 
 
 def test_one_million_sample_check_holds_each_release_once():
-    # tracemalloc sees numpy's buffers; the two releases alone are 15.3 MiB. Pooling
-    # them into one more array, and perturb's W + noise, once read 35.3 MiB here.
+    # tracemalloc sees numpy's buffers; one full release is 7.6 MiB, and each is
+    # binned and freed before the next is drawn. Holding both read 17.5 MiB here;
+    # pooling them into one more array, and perturb's W + noise, read 35.3 MiB.
     S, Sp = TestDpMicroCheck().datasets()
 
     def release_fn(ds, rng, size):
@@ -468,7 +477,7 @@ def test_one_million_sample_check_holds_each_release_once():
     finally:
         tracemalloc.stop()
     assert rep.passed, rep.summary()
-    assert peak < 20 * 2**20, peak / 2**20
+    assert peak < 11 * 2**20, peak / 2**20
     # nothing outlives the call: a reference cycle once kept both releases alive
     # until the garbage collector ran, and a verify run's RSS grew 16 MB a check
     assert current < 2**20, current / 2**20
