@@ -12,17 +12,22 @@ is necessary for the bound's correctness, not sufficient. Oracles never
 share random streams with the mechanisms they test, and every report is
 reproducible from (inputs, seed).
 
-Fresh records (neighbors' replacements and probe points) come from one
-sampler, ``_fresh_rows``: record by record, in a fixed order (normal
-direction, radius uniform, label), into one preallocated block, so a block
-of k records is the stream of k single-record draws. The order is fixed
-because the benchmark reference pins SGD-stability values drawn from it.
-The direction is ``rng.standard_normal(out=row)``. The radius uniform and
-the label come from the bit generator's ``ctypes`` interface:
-``next_double``, and the top bit of ``next_uint32``. Those are the very
-words ``rng.random()`` and ``rng.integers(2)`` consume, PCG64's cached
-upper half-word included, so the stream is the one the Generator's
-methods draw, without their per-call overhead.
+Fresh records (neighbors' replacements, probe points and gradient-check
+fixtures) all go through one writer, ``_write_records``: record by record,
+in a fixed order (normal direction, radius uniform, label), into blocks
+the caller owns, so a block of k records is the stream of k single-record
+draws. The order is fixed because the benchmark reference pins
+SGD-stability values drawn from it. The direction is
+``rng.standard_normal(out=row)``. The radius uniform and the label come
+from the bit generator's ``ctypes`` interface: ``next_double``, and the top
+bit of ``next_uint32``. Those are the very words ``rng.random()`` and
+``rng.integers(2)`` consume, PCG64's cached upper half-word included, so
+the stream is the one the Generator's methods draw, without their
+per-call overhead. The writer leaves each direction raw; one batched
+norm-and-scale pass, ``_scale_rows``, then puts every row of a block at
+its radius. ``_neighbors`` writes every neighbor's record and probes, and
+``gradient_check`` every fixture's rows, into one block each, so a call
+pays that pass's fixed cost once, not once per record.
 
 An oracle's draws (its neighbors, probe indices and fresh probe rows) read
 (kappa, S, trials, probes, seed), never lambda. So the sensitivity and
@@ -45,11 +50,12 @@ its batched matmul runs the per-slice product of one pair's
 ``X @ column_stack([w_S, w_S'])``, so every gap is the float a
 pair-at-a-time loop gives (``np.einsum`` rounds differently).
 
-``gradient_check`` takes its central differences the same way: a
-fixture's 2d difference points are one (2d, d) block, scored in one
-batched product per function, whose every slice runs the dot or
-matrix-vector product a lone point's call runs. ``X @ V.T`` would be one
-gemm, which rounds differently from those.
+``gradient_check`` takes its central differences the same way: it draws
+every fixture first, and a fixture's 2d difference points are one (2d, d)
+block. The full objective's points and gradients are scored in one call
+per fixture size, on a stack of that size's fixtures, whose every slice
+runs the dot or matrix-vector product a lone point's call runs. ``X @ V.T``
+would be one gemm, which rounds differently from those.
 """
 
 from __future__ import annotations
@@ -102,29 +108,51 @@ __all__ = [
 SOLVE_TOLERANCE = 1e-9
 
 
-def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
-    """k fresh records as (X, y): kappa-bounded rows (uniform in the ball), +/-1 labels.
+def _write_records(spec: ObjectiveSpec, rng: np.random.Generator, X: np.ndarray,
+                   y: np.ndarray, radius: np.ndarray) -> None:
+    """Draw len(X) fresh records into the caller's blocks, record by record.
 
-    Drawn in the fixed per-record order of the module docstring, the radius
-    uniform and the label as bit generator words. Those calls skip the
-    generator's lock, so ``rng`` must not be drawn from by another thread.
+    Row i of the (k, d) ``X`` gets its raw normal direction, ``radius[i]``
+    its radius and ``y[i]`` its +/-1 label, in the fixed per-record order of
+    the module docstring; :func:`_scale_rows` then puts every direction at
+    its radius. Every fresh record of the module goes through this one
+    writer. The radius uniform and the label are bit generator words, and
+    those calls skip the generator's lock, so ``rng`` must not be drawn
+    from by another thread.
     """
-    X, y, radius = np.empty((k, d)), np.empty(k), np.empty(k)
     bits = rng.bit_generator.ctypes
     next_double, next_uint32, state = bits.next_double, bits.next_uint32, bits.state
+    power = 1.0 / X.shape[-1]
     for i, v in enumerate(X):
         rng.standard_normal(out=v)
         # the very double of rng.random(), at half its cost
-        radius[i] = spec.kappa * next_double(state) ** (1.0 / d)
+        radius[i] = spec.kappa * next_double(state) ** power
         # rng.integers(2) is Lemire's bounded draw on one 32-bit word, which
         # for a range of 2 is the word's top bit; PCG64 serves the word from
         # the same cached upper half either way
         y[i] = (-1.0, 1.0)[next_uint32(state) >> 31]
-    # each (1, d) @ (d, 1) slice runs its row's own v.dot(v), so every norm is
-    # bit-identical to np.linalg.norm(v) on the 1-D row; in a 50-row draw the
-    # one product costs a tenth of a per-row dot
-    norm = np.sqrt((X[:, None, :] @ X[:, :, None]).reshape(k))
-    X *= (radius / np.maximum(norm, 1e-300))[:, None]
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """The L2 norm of every row of A, in an array of shape ``A.shape[:-1]``.
+
+    Each (1, d) @ (d, 1) slice of the one batched product runs its row's own
+    ``v.dot(v)``, so every norm is bit-identical to ``np.linalg.norm(v)`` on
+    the 1-D row; over 50 rows the one product costs a tenth of a per-row dot.
+    """
+    return np.sqrt((A[..., None, :] @ A[..., :, None]).reshape(A.shape[:-1]))
+
+
+def _scale_rows(X: np.ndarray, radius: np.ndarray) -> None:
+    """Scale every raw direction of :func:`_write_records` to its radius, in place."""
+    X *= (radius / np.maximum(_row_norms(X), 1e-300))[..., None]
+
+
+def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
+    """k fresh records as (X, y): kappa-bounded rows (uniform in the ball), +/-1 labels."""
+    X, y, radius = np.empty((k, d)), np.empty(k), np.empty(k)
+    _write_records(spec, rng, X, y, radius)
+    _scale_rows(X, radius)
     return X, y
 
 
@@ -135,19 +163,26 @@ def _neighbors(spec: ObjectiveSpec, S: Dataset, trials: int, rng: np.random.Gene
     The stack holds S, then each neighbor: S with one uniformly chosen record swapped
     for a fresh one (swapping back recovers S, so a pair covers both directions). Each
     draws its index, its record, ``min(in_sample, n)`` distinct probe indices, then
-    ``fresh`` probe rows. S's rows are checked against kappa before any draw.
+    ``fresh`` probe rows. S's rows are checked against kappa before any draw. Every
+    neighbor's record and probe rows are written into one block, scaled once.
     """
     _check_kappa(spec, S)
     X, y = (np.repeat(a[None], trials + 1, axis=0) for a in (S.features, S.labels[:, None]))
     idx = np.empty((trials, min(in_sample, S.n)), dtype=np.int64)
-    fresh_X, fresh_y = np.empty((trials, fresh, S.d)), np.empty((trials, fresh))
+    # row 0 of each neighbor's slice is its swapped record, the rest its probes
+    rows = np.empty((trials, 1 + fresh, S.d))
+    labels, radius = np.empty((2, trials, 1 + fresh))
+    swapped = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        i = int(rng.integers(S.n))
-        (X[t + 1, i],), (y[t + 1, i],) = _fresh_rows(spec, S.d, 1, rng)
+        swapped[t] = rng.integers(S.n)
+        _write_records(spec, rng, rows[t, :1], labels[t, :1], radius[t, :1])
         if idx.shape[1]:  # a size-0 choice draws nothing, at a full call's cost
             idx[t] = rng.choice(S.n, size=idx.shape[1], replace=False)
-        fresh_X[t], fresh_y[t] = _fresh_rows(spec, S.d, fresh, rng)
-    return _Stack(X, y), idx, fresh_X, fresh_y
+        _write_records(spec, rng, rows[t, 1:], labels[t, 1:], radius[t, 1:])
+    _scale_rows(rows, radius)
+    neighbor = np.arange(1, trials + 1)
+    X[neighbor, swapped], y[neighbor, swapped, 0] = rows[:, 0], labels[:, 0]
+    return _Stack(X, y), idx, rows[:, 1:], labels[:, 1:]
 
 
 def _grid(specs: Sequence[ObjectiveSpec]) -> tuple:
@@ -236,7 +271,7 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
         sc_bound = sensitivity_via_strong_convexity(cert)
         direct = sensitivity_l2_direct(spec.L, S.n, cert.lambda_sc)
         bound = min(sc_bound, direct)
-        worst = max((float(np.linalg.norm(base - w)) for w in W), default=0.0)
+        worst = max(_row_norms(base - W).tolist(), default=0.0)
         return bound, worst, {"strong_convexity_bound": sc_bound, "direct_bound": direct,
                               "bound_ratio": worst / bound if bound > 0 else float("nan")}
 
@@ -329,19 +364,6 @@ def privacy_error_scaling(spec: ObjectiveSpec, S: Dataset, epsilons,
     return {"epsilons": list(epsilons), "means": means, "slope": slope}
 
 
-def _central_difference(f, w: np.ndarray, h: float) -> np.ndarray:
-    """Central finite-difference gradient at w of f, which scores a block of points.
-
-    f takes the (2d, d) block ``[w + hE; w - hE]``, E = ``np.eye(d)``, and
-    returns its 2d values; row j of each half is w with coordinate j moved
-    by h, the point a one-coordinate-at-a-time loop would score.
-    """
-    d = w.shape[0]
-    step = h * np.eye(d)
-    values = f(np.concatenate([w + step, w - step]))
-    return (values[:d] - values[d:]) / (2 * h)
-
-
 def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100,
                    seed: int = 0) -> OracleReport:
     """Analytic gradients vs. central finite differences on random fixtures.
@@ -351,29 +373,58 @@ def gradient_check(spec: ObjectiveSpec, n_fixtures: int = 100,
     differences of step h = 1e-6; the report value is the max relative
     error seen, and the check passes below 1e-5.
 
-    Each fixture's 2d difference points are scored in one batched product
-    per function: one :func:`per_example_loss` call on the (2d, d) block,
-    and one :func:`smooth_objective` call on a stack that repeats the
-    fixture 2d times, with (2d, d, 1) weights. Every slice runs the product
-    a lone point's call runs, so the report is the one a point-at-a-time
-    loop gives.
+    Every fixture is drawn first, in the per-fixture stream order (its
+    point w, its record, its row count in [3, 8), its rows), through one
+    writer into one block of records, scaled once. A fixture's 2d
+    difference points are the (2d, d) block ``[w + hE; w - hE]``. The
+    per-example half takes one :func:`per_example_grad` and one
+    :func:`per_example_loss` call per fixture, on that block. The full half
+    takes one :func:`gradient` and one :func:`smooth_objective` call per
+    fixture size, on a stack of that size's fixtures (each repeated 2d
+    times for the objective). Every slice of those products runs the dot or
+    matrix-vector product a lone fixture's lone point runs, so the report
+    is the one a point-at-a-time loop gives.
     """
     _require("n_fixtures", n_fixtures, *_COUNT)
     h, d, tol = 1e-6, 5, 1e-5
     rng = derive_rng(seed, 24)
-    worst = 0.0
-    for _ in range(n_fixtures):
-        w = rng.standard_normal(d)
-        (x,), (y,) = _fresh_rows(spec, d, 1, rng)
-        Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
-        copies = _Stack(np.broadcast_to(Sf.features, (2 * d, Sf.n, d)),
-                        np.broadcast_to(Sf.labels[:, None], (2 * d, Sf.n, 1)))
-        for ga, f in ((per_example_grad(spec, w, x, y),
-                       lambda V: per_example_loss(spec, V, x, y)),
-                      (gradient(spec, w, Sf),
-                       lambda V: smooth_objective(spec, V[:, :, None], copies)[:, 0])):
-            gf = _central_difference(f, w, h)
-            worst = max(worst, float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8)))
+    W = np.empty((n_fixtures, d))
+    # a fixture's record at rows[start], its k <= 7 rows right after it
+    rows = np.empty((8 * n_fixtures, d))
+    labels, radius = np.empty((2, 8 * n_fixtures))
+    starts, sizes, at = [], [], 0
+    for w in W:
+        rng.standard_normal(out=w)
+        _write_records(spec, rng, *(a[at:at + 1] for a in (rows, labels, radius)))
+        k = int(rng.integers(3, 8))
+        _write_records(spec, rng, *(a[at + 1:at + 1 + k] for a in (rows, labels, radius)))
+        starts.append(at)
+        sizes.append(k)
+        at += 1 + k
+    _scale_rows(rows[:at], radius[:at])
+
+    step = h * np.eye(d)
+    V = np.concatenate([W[:, None] + step, W[:, None] - step], axis=1)
+    # [per-example, full] analytic gradients and difference-point values
+    ga, values = np.empty((2, n_fixtures, d)), np.empty((2, n_fixtures, 2 * d))
+    for f, start in enumerate(starts):
+        x, y = rows[start], labels[start]
+        ga[0, f] = per_example_grad(spec, W[f], x, y)
+        values[0, f] = per_example_loss(spec, V[f], x, y)
+    # sorted(set()), as np.unique would import numpy.ma mid-pass
+    for k in sorted(set(sizes)):
+        group = [f for f, size in enumerate(sizes) if size == k]
+        at_k = np.array([starts[f] for f in group])[:, None] + np.arange(1, k + 1)
+        fixtures = _Stack(rows[at_k], labels[at_k][:, :, None])
+        ga[1, group] = gradient(spec, W[group][:, :, None], fixtures)[..., 0]
+        copies = _Stack(*(np.repeat(a, 2 * d, axis=0)
+                          for a in (fixtures.features, fixtures.labels)))
+        values[1, group] = smooth_objective(spec, V[group].reshape(-1, d, 1),
+                                            copies).reshape(len(group), 2 * d)
+    gf = (values[..., :d] - values[..., d:]) / (2 * h)
+    errors = _row_norms(ga - gf) / np.maximum(_row_norms(ga), 1e-8)
+    # max() from 0.0 over each fixture's two errors in turn, as a fixture loop takes it
+    worst = max([0.0, *errors.T.ravel().tolist()])
     return OracleReport(
         name="gradients",
         bound_value=tol,

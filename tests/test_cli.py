@@ -443,6 +443,66 @@ class TestVerifyCommand:
         assert "[FAIL] stub" in capsys.readouterr().out
 
 
+def releasing_dp_checks(samples, seed):
+    """The reference for ``cli._dp_checks``: its ERM release trains on every call."""
+    from stabledp import verify
+    from stabledp.cli import _oracle_fixture
+    from stabledp.privacy import dp_micro_check, laplace_sample, perturb, release
+    from stabledp.rng import derive_rng
+
+    n = 40
+    S = Dataset(np.linspace(0.0, 1.0, n)[:, None], np.zeros(n))
+    Sp = S.replace_record(0, np.array([0.8]), 0.0)
+    delta, epsilon = 1.0 / n, 1.0
+
+    def mean_release(scale):
+        def fn(ds, rng, size):
+            r = laplace_sample(scale, size, rng)
+            r += float(np.mean(ds.features))
+            return r
+        return fn
+
+    (spec,), S_erm = _oracle_fixture((0.5,))
+    block, *_ = verify._neighbors(spec, S_erm, 1, derive_rng(seed, 55))
+    Sp_erm = Dataset(block.features[1], block.labels[1, :, 0])
+
+    def erm_release(ds, rng, size):
+        (rel,) = release(spec, ds, (1.0,), "derived", seed=seed,
+                         tolerance=verify.SOLVE_TOLERANCE)
+        return perturb(np.broadcast_to(rel.report.weights[0], size), rel.noise, rng)
+
+    return [("dp_known_sensitivity", dp_micro_check(
+                mean_release(delta / epsilon), S, Sp, epsilon, samples=samples, seed=seed),
+             True),
+            ("dp_negative_control", dp_micro_check(
+                mean_release(delta / epsilon / 2.0), S, Sp, epsilon, samples=samples,
+                seed=seed + 1), False),
+            ("dp_erm_release", dp_micro_check(erm_release, S_erm, Sp_erm, 1.0,
+                                              samples=samples, seed=seed + 2), True)]
+
+
+class TestDpChecks:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_erm_check_trains_each_dataset_once(self, monkeypatch, seed):
+        from stabledp import cli as cli_mod
+        from stabledp import privacy
+
+        solves, solve = [0], privacy.solve_erm
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, "solve_erm", counted)
+        checks = cli_mod._dp_checks(samples=2000, seed=seed)
+        assert solves[0] == 2
+        solves[0] = 0
+        reference = releasing_dp_checks(samples=2000, seed=seed)
+        assert solves[0] == 4  # each dataset's pilot and full draw train it anew
+        assert [(name, rep.to_dict(), expected) for name, rep, expected in checks] == [
+            (name, rep.to_dict(), expected) for name, rep, expected in reference]
+
+
 class TestMainEntrypoint:
     def test_verify_exit_code(self, capsys):
         assert main(["verify", "gradients"]) == 0

@@ -13,6 +13,7 @@ from stabledp.model import (
     ObjectiveSpec,
     _loss_values,
     _stack,
+    _Stack,
     gradient,
     per_example_grad,
     per_example_loss,
@@ -146,14 +147,15 @@ def run_oracle(oracle, specs, S, trials=4, probes=3, seed=0):
 
 
 def count_fresh_rows(monkeypatch):
-    """Patch ``verify._fresh_rows`` to count its calls; returns the one-item counter."""
-    calls = [0]
+    """Patch ``verify._write_records``, the writer every fresh record goes through,
+    to count its calls; returns the one-item counter."""
+    calls, write = [0], verify._write_records
 
     def counted(*args):
         calls[0] += 1
-        return _fresh_rows(*args)
+        return write(*args)
 
-    monkeypatch.setattr(verify, "_fresh_rows", counted)
+    monkeypatch.setattr(verify, "_write_records", counted)
     return calls
 
 
@@ -250,7 +252,7 @@ class TestKappaPremise:
         # the verify fixture, rows at norm 1, against kappa 0.1
         S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5)
         specs = [ObjectiveSpec("logistic", lam, penalty="l2", kappa=0.1) for lam in (0.1, 0.5)]
-        for name in ("solve_erm", "sgd_run", "_fresh_rows"):
+        for name in ("solve_erm", "sgd_run", "_write_records"):
             monkeypatch.setattr(verify, name, lambda *a, **k: pytest.fail("drew or solved"))
         with pytest.raises(ValueError, match=r"feature rows violate the kappa bound: "
                                              r"max norm 1 > kappa=0.1"):
@@ -696,6 +698,25 @@ class TestGradientCheck:
         spec = ObjectiveSpec(kind, 0.1, lipschitz_L=1.0)
         assert gradient_check(spec, seed=seed) == point_loop_gradient_check(spec, seed=seed)
 
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_fixtures", [1, 7, 100])
+    def test_report_is_the_fixture_loop(self, monkeypatch, kind, seed, n_fixtures):
+        spec = ObjectiveSpec(kind, 0.1, lipschitz_L=1.0)
+        calls, loss = [0], verify.per_example_loss
+
+        def counted(*args):
+            calls[0] += 1
+            return loss(*args)
+
+        monkeypatch.setattr(verify, "per_example_loss", counted)
+        rep = gradient_check(spec, n_fixtures=n_fixtures, seed=seed)
+        # the public per-example loss is still what the check differences
+        assert calls[0] == n_fixtures
+        ref = fixture_loop_gradient_check(spec, n_fixtures=n_fixtures, seed=seed)
+        assert rep == ref
+        assert rep.empirical_value.hex() == ref.empirical_value.hex()
+
 
 def point_loop_gradient_check(spec, n_fixtures=100, seed=0):
     """The reference for the batched ``gradient_check``: one call per difference point."""
@@ -714,6 +735,30 @@ def point_loop_gradient_check(spec, n_fixtures=100, seed=0):
                 e = np.zeros(d)
                 e[j] = h
                 gf[j] = (f(w + e) - f(w - e)) / (2 * h)
+            worst = max(worst, float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8)))
+    return OracleReport(name="gradients", bound_value=tol, empirical_value=worst,
+                        trials=2 * n_fixtures, margin=tol - worst, passed=worst < tol,
+                        details={"h": h, "d": d})
+
+
+def fixture_loop_gradient_check(spec, n_fixtures=100, seed=0):
+    """The reference for the fixture-batched ``gradient_check``: one fixture at a
+    time, each drawn alone and its 2d difference points scored in one block."""
+    h, d, tol = 1e-6, 5, 1e-5
+    rng = derive_rng(seed, 24)
+    worst = 0.0
+    for _ in range(n_fixtures):
+        w = rng.standard_normal(d)
+        x, y = fresh_record(spec, d, rng)
+        Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
+        copies = _Stack(np.broadcast_to(Sf.features, (2 * d, Sf.n, d)),
+                        np.broadcast_to(Sf.labels[:, None], (2 * d, Sf.n, 1)))
+        step = h * np.eye(d)
+        V = np.concatenate([w + step, w - step])
+        for ga, values in ((per_example_grad(spec, w, x, y), per_example_loss(spec, V, x, y)),
+                           (gradient(spec, w, Sf),
+                            smooth_objective(spec, V[:, :, None], copies)[:, 0])):
+            gf = (values[:d] - values[d:]) / (2 * h)
             worst = max(worst, float(np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), 1e-8)))
     return OracleReport(name="gradients", bound_value=tol, empirical_value=worst,
                         trials=2 * n_fixtures, margin=tol - worst, passed=worst < tol,
