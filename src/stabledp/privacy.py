@@ -28,8 +28,15 @@ proof. It returns the ``OracleReport`` every empirical check returns. The
 bins' window is placed by held-out pilot draws, 1/64 of the sample count
 from each dataset on streams of their own: their median is the window's
 centre and their mean absolute deviation from it the estimated noise
-scale. The counted releases are then drawn one at a time, each binned and
-dropped before the next is drawn.
+scale. Each dataset's counted release is then drawn from its one
+generator in blocks of at most 16 384 values, each checked, binned and
+dropped before the next is drawn, so the memory the check holds follows
+the pilot, not the sample count. A ``release_fn`` is therefore called
+several times per dataset on one generator, with sizes up to the block;
+the shipped releases, ``laplace_sample`` or ``perturb`` over it, draw one
+generator word per value in order, so their joined blocks are the values
+of one ``samples``-sized call. ``verify.flip_rate_check`` counts its flips
+through the same blocks.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .model import (
     _POSITIVE,
     Dataset,
     ObjectiveSpec,
+    _at_least,
     _check_kappa,
     _one_of,
     _require,
@@ -72,6 +80,12 @@ CALIBRATIONS = ("verbatim", "derived")
 # uniforms ``laplace_sample`` transforms per block: a block and its slice of
 # the output are 512 KiB together, so both stay in L2 cache while it works
 _LAPLACE_BLOCK = 32_768
+
+# values per block of a counted draw; ``_count_blocks`` holds one at a time.
+# At 128 KiB glibc's malloc reuses a block's buffers for the next block: a
+# fresh `verify dp` took 1 023 minor page faults at this size, and 18 311 at
+# 32 768 values or 20 952 at 65 536, where they went back to the kernel
+_DRAW_BLOCK = 16_384
 
 # ``dp_micro_check``'s bins, their half-width in estimated noise scales, the
 # count a bin needs on both sides to be checked, the slack on exp(epsilon),
@@ -167,6 +181,7 @@ def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.n
     slice of the one ``count``-float output.
     """
     _require("scale_b", scale_b, *_POSITIVE)
+    _require("count", count, *_at_least(0))
     out = np.empty(count)
     for start in range(0, count, _LAPLACE_BLOCK):
         u = rng.random(min(_LAPLACE_BLOCK, count - start))
@@ -257,10 +272,19 @@ def wilson_interval(successes: int, trials: int) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _release_of(release_fn, name: str, S: Dataset, seed_key: int, seed: int,
+def _count_blocks(total: int, draw, count):
+    """The sum of ``count(draw(size))`` over blocks of at most ``_DRAW_BLOCK``
+    values whose sizes sum to ``total``, each dropped before the next is drawn."""
+    acc = 0
+    for start in range(0, total, _DRAW_BLOCK):
+        acc += count(draw(min(_DRAW_BLOCK, total - start)))
+    return acc
+
+
+def _release_of(release_fn, name: str, S: Dataset, rng: np.random.Generator,
                 size: int) -> np.ndarray:
     """``release_fn(S, rng, size)`` as floats, checked 1-D, ``size`` long and finite."""
-    r = np.asarray(release_fn(S, derive_rng(seed, seed_key), size), dtype=float)
+    r = np.asarray(release_fn(S, rng, size), dtype=float)
     if r.shape != (size,):
         raise ValueError(f"{name} must return a 1-D array of size={size} values, "
                          f"got shape {r.shape}")
@@ -276,7 +300,11 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
 
     ``release_fn(dataset, rng, size)`` must return ``size`` independent
     scalar releases, as a 1-D array of finite values; any other return
-    raises ValueError. Frequencies are compared over 20 equal bins that
+    raises ValueError. It is called several times per dataset on one
+    generator, with sizes up to a block of 16 384 values; when it draws
+    its values in order from ``rng``, as ``laplace_sample`` and
+    ``perturb`` do, the joined blocks equal one ``samples``-sized call.
+    Frequencies are compared over 20 equal bins that
     span 4 estimated noise scales either side of a centre. Both come from
     a pilot, ceil(samples / 64) values drawn from each dataset on streams
     the counted samples never use, joined: the centre is its median, and
@@ -284,9 +312,10 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     MLE), floored at 1e-12. At 1M samples the pilot holds 31 250 values,
     and its centre lies about 0.6% of a noise scale from the median of the
     two laws pooled, against bins 0.4 scales wide. Both pilots are drawn
-    and checked first; then S's ``samples`` values are drawn, checked,
-    binned and dropped before S_neighbor's are drawn, so one full release
-    is alive at a time (about 8 MB at 1M samples). The check passes when
+    and checked first; then S's ``samples`` values, and after them
+    S_neighbor's, are drawn block by block, each block checked, binned
+    and dropped before the next is drawn, so one block (128 KiB) is alive
+    at a time whatever the sample count. The check passes when
     every adequately-populated bin has a frequency ratio at most
     exp(epsilon) * (1 + 0.05), the slack. Bins with fewer than 25 samples
     on either side are reported as inconclusive, not failed.
@@ -302,8 +331,9 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     _require("samples", samples, *_COUNT)
     size = -(-samples // _WINDOW_STRIDE)
     pilots = np.concatenate([
-        _release_of(release_fn, "release_fn(S)", S, 103, seed, size),
-        _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 204, seed, size)])
+        _release_of(release_fn, "release_fn(S)", S, derive_rng(seed, 103), size),
+        _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, derive_rng(seed, 204),
+                    size)])
     # two equal-length pilots, so the median is the mean of the middle pair;
     # np.median's NaN check would import numpy.ma mid-pass
     h = pilots.size // 2
@@ -312,12 +342,11 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     scale_hat = max(float(np.mean(np.abs(pilots - center))), 1e-12)  # Laplace MLE scale
     edges = np.linspace(center - _RANGE_SCALES * scale_hat,
                         center + _RANGE_SCALES * scale_hat, _BINS + 1)
-    # each full release is a temporary: binned, then freed before the next is drawn
-    count_a, _ = np.histogram(
-        _release_of(release_fn, "release_fn(S)", S, 101, seed, samples), bins=edges)
-    count_b, _ = np.histogram(
-        _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, 202, seed, samples),
-        bins=edges)
+    count_a, count_b = (
+        _count_blocks(samples, lambda n: _release_of(release_fn, name, ds, rng, n),
+                      lambda r: np.histogram(r, bins=edges)[0])
+        for name, ds, rng in (("release_fn(S)", S, derive_rng(seed, 101)),
+                              ("release_fn(S_neighbor)", S_neighbor, derive_rng(seed, 202))))
 
     limit = math.exp(epsilon)
     threshold = limit * (1.0 + _SLACK)

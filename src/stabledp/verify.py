@@ -84,7 +84,7 @@ from .model import (
     smooth_objective,
 )
 from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
-from .privacy import Noise, OracleReport, perturb
+from .privacy import Noise, OracleReport, _count_blocks, perturb
 from .rng import derive_rng
 from .stability import (
     privacy_error_bound,
@@ -441,7 +441,9 @@ def flip_rate_check(T: float, w_i: float, noise: Noise, draws: int = 100_000,
     """Monte-Carlo feature-decision flip rate vs. the closed-form probability.
 
     Draws ``noise`` (the flip lemma's, ``features.lemma_noise``) and counts
-    actual decision flips; the check passes within three Monte-Carlo
+    actual decision flips, block by block as ``privacy.dp_micro_check``
+    counts its releases, so a call holds one block whatever ``draws``; the
+    check passes within three Monte-Carlo
     standard errors of the formula. For w_i = 0 the observed rate matches
     the formula exactly in distribution; for 0 < |w_i| the formula ignores
     sign-crossing events and the report quantifies the discrepancy instead
@@ -449,9 +451,11 @@ def flip_rate_check(T: float, w_i: float, noise: Noise, draws: int = 100_000,
     """
     _require("draws", draws, *_COUNT)
     predicted = flip_probability(T, w_i, noise)
-    noisy = perturb(np.broadcast_to(w_i, draws), noise, derive_rng(seed, 25))
-    flips = select_features(noisy, T) != select_features(w_i, 0.0)
-    observed = float(np.mean(flips))
+    rng, decision = derive_rng(seed, 25), select_features(w_i, 0.0)
+    flips = _count_blocks(
+        draws, lambda n: perturb(np.broadcast_to(w_i, n), noise, rng),
+        lambda noisy: np.count_nonzero(select_features(noisy, T) != decision))
+    observed = float(flips / draws)  # the bool mean: an exact count, one rounded divide
     se = math.sqrt(max(predicted * (1 - predicted), 1e-12) / draws)
     gap = abs(observed - predicted)
     passed = gap <= 3.0 * se

@@ -22,6 +22,8 @@ from stabledp.privacy import (
 from stabledp.rng import derive_rng, float_key
 from stabledp.stability import spec_cert, user_cert
 
+_BLOCK = privacy_mod._DRAW_BLOCK
+
 
 class TestLaplaceSample:
     def test_moments(self):
@@ -47,6 +49,16 @@ class TestLaplaceSample:
         for b in (0.0, -1.0, math.nan, math.inf, True):
             with pytest.raises(ValueError):
                 laplace_sample(b, 10, derive_rng(0))
+
+    @pytest.mark.parametrize("count", [-3, 2.5, True, "3", None])
+    def test_bad_count_rejected(self, count):
+        # numpy's own errors for these never named the count
+        with pytest.raises(ValueError, match=r"count must be an integer >= 0, got"):
+            laplace_sample(1.0, count, derive_rng(0))
+
+    def test_numpy_integer_count_accepted(self):
+        assert laplace_sample(1.0, np.int64(3), derive_rng(0)).tobytes() == \
+            laplace_sample(1.0, 3, derive_rng(0)).tobytes()
 
     def test_bit_for_bit_inverse_cdf(self):
         # the out-of-place inverse CDF, rounding b * log1p(...) once as the in-place one does
@@ -320,6 +332,30 @@ def _bounded_mean_release(scale):
     return fn
 
 
+def _perturbed_mean_release(scale):
+    def fn(ds, rng, size):
+        return perturb(np.broadcast_to(float(np.mean(ds.features)), size), Noise(scale), rng)
+    return fn
+
+
+def _one_call_counts(release_fn, S, Sp, samples, seed):
+    """Each dataset's bin counts from one ``samples``-sized call, on the pilots' window."""
+    # the window comes from one pilot value per 64 samples, on streams of its own
+    pilot = -(-samples // 64)
+    sub = np.concatenate([release_fn(S, derive_rng(seed, 103), pilot),
+                          release_fn(Sp, derive_rng(seed, 204), pilot)])
+    center = np.median(sub)
+    scale = np.mean(np.abs(sub - center))
+    edges = np.linspace(center - 4 * scale, center + 4 * scale, 21)
+    return [np.histogram(release_fn(ds, derive_rng(seed, key), samples), edges)[0].tolist()
+            for ds, key in ((S, 101), (Sp, 202))]
+
+
+def _bin_counts(rep):
+    table = rep.details["bin_table"]
+    return [[row["count_a"] for row in table], [row["count_b"] for row in table]]
+
+
 class TestPerturb:
     def test_adds_laplace_draws_in_row_major_order(self):
         W = np.arange(6.0).reshape(2, 3)
@@ -386,30 +422,38 @@ class TestDpMicroCheck:
 
     @pytest.mark.parametrize("release, samples", [
         ("laplace", 200_001), ("laplace", 1_000), ("discrete", 50_000),
-        ("shifted", 20_000)])
+        ("shifted", 20_000), ("shifted", 200_001)])
     def test_bins_span_the_window_of_every_64th_value(self, release, samples):
         S, Sp = self.datasets()
         laplace, seed = _bounded_mean_release(1 / 40), 4
+        pilot = -(-samples // 64)
 
         def release_fn(ds, rng, size):
             r = laplace(ds, rng, size)
-            if release == "shifted" and size != samples:
+            if release == "shifted" and size == pilot:
                 return r + 0.05  # the pilots only, two noise scales up: the window follows
             return np.round(r * 20) / 20 if release == "discrete" else r  # many ties
 
         rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=seed)
-        # the window comes from one pilot value per 64 samples, on streams of its own
-        pilot = -(-samples // 64)
-        sub = np.concatenate([release_fn(S, derive_rng(seed, 103), pilot),
-                              release_fn(Sp, derive_rng(seed, 204), pilot)])
-        a = release_fn(S, derive_rng(seed, 101), samples)
-        b = release_fn(Sp, derive_rng(seed, 202), samples)
-        center = np.median(sub)
-        scale = np.mean(np.abs(sub - center))
-        edges = np.linspace(center - 4 * scale, center + 4 * scale, 21)
-        table = rep.details["bin_table"]
-        assert [row["count_a"] for row in table] == np.histogram(a, edges)[0].tolist()
-        assert [row["count_b"] for row in table] == np.histogram(b, edges)[0].tolist()
+        assert _bin_counts(rep) == _one_call_counts(release_fn, S, Sp, samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+    @pytest.mark.parametrize("release", [_bounded_mean_release, _perturbed_mean_release],
+                             ids=["bounded_mean", "perturb"])
+    def test_blocks_count_as_one_call(self, release, samples):
+        # each dataset's release is drawn in blocks from its one generator,
+        # and the blocks' counts are those of one samples-sized call
+        S, Sp = self.datasets()
+        release_fn, sizes = release(1 / 40), []
+
+        def recording(ds, rng, size):
+            sizes.append(size)
+            return release_fn(ds, rng, size)
+
+        rep = dp_micro_check(recording, S, Sp, epsilon=1.0, samples=samples, seed=6)
+        assert _bin_counts(rep) == _one_call_counts(release_fn, S, Sp, samples, 6)
+        blocks = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
+        assert sizes == [-(-samples // 64)] * 2 + blocks * 2
 
     def test_constant_release_gets_the_floor_width(self, monkeypatch):
         # a zero mean absolute deviation means every value sits on the centre
@@ -460,26 +504,57 @@ class TestDpMicroCheckGuards:
         with pytest.raises(ValueError, match=rf"release_fn\({side}\) must .*{match}"):
             dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=100, seed=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        (lambda r: r[:-1], r"size=10 values, got shape \(9,\)"),
+        (lambda r: np.where(np.arange(r.size) == 3, np.nan, r), "1 non-finite"),
+    ], ids=["short", "nan"])
+    @pytest.mark.parametrize("side", ["S", "S_neighbor"])
+    def test_bad_second_block_rejected(self, bad, match, side):
+        # every block is checked: at one block plus 10 samples only the
+        # second, 10-value block of a release is bad
+        S, Sp = self.datasets()
+        good = _bounded_mean_release(1 / 40)
 
-def test_one_million_sample_check_holds_each_release_once():
-    # tracemalloc sees numpy's buffers; one full release is 7.6 MiB, and each is
-    # binned and freed before the next is drawn. Holding both read 17.5 MiB here;
-    # pooling them into one more array, and perturb's W + noise, read 35.3 MiB.
+        def release_fn(ds, rng, size):
+            r = good(ds, rng, size)
+            return bad(r) if ds is (S if side == "S" else Sp) and size == 10 else r
+
+        with pytest.raises(ValueError, match=rf"release_fn\({side}\) must .*{match}"):
+            dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=_BLOCK + 10, seed=0)
+
+
+def _traced_check(samples):
+    """A calibrated ``perturb`` release's check at ``samples``, and its
+    tracemalloc (current, peak) bytes."""
     S, Sp = TestDpMicroCheck().datasets()
-
-    def release_fn(ds, rng, size):
-        return perturb(np.broadcast_to(float(np.mean(ds.features)), size), Noise(1 / 40), rng)
-
     tracemalloc.start()
     try:
-        rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=1_000_000, seed=0)
+        rep = dp_micro_check(_perturbed_mean_release(1 / 40), S, Sp, epsilon=1.0,
+                             samples=samples, seed=0)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.passed, rep.summary()
-    assert peak < 11 * 2**20, peak / 2**20
+    return current, peak
+
+
+def test_one_million_sample_check_holds_each_release_once():
+    # tracemalloc sees numpy's buffers; each release is drawn, binned and freed
+    # one 128 KiB block at a time, and the pilots (31 250 values) set the rest.
+    # Holding one full release (7.6 MiB) read 9.8 MiB here, both 17.5 MiB, and
+    # pooling them into one more array, with perturb's W + noise, 35.3 MiB.
+    current, peak = _traced_check(1_000_000)
+    assert peak < 3 * 2**20, peak / 2**20
     # nothing outlives the call: a reference cycle once kept both releases alive
     # until the garbage collector ran, and a verify run's RSS grew 16 MB a check
+    assert current < 2**20, current / 2**20
+
+
+def test_four_million_sample_check_holds_one_block_at_a_time():
+    # what the check holds follows the pilot (samples / 64), not the sample
+    # count: one full release at a time read 36.2 MiB here
+    current, peak = _traced_check(4_000_000)
+    assert peak < 6 * 2**20, peak / 2**20
     assert current < 2**20, current / 2**20
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from stabledp import verify
 from stabledp.data_io import synth_classification
-from stabledp.features import lemma_noise
+from stabledp.features import lemma_noise, select_features
 from stabledp.model import (
     Dataset,
     ObjectiveSpec,
@@ -20,7 +20,7 @@ from stabledp.model import (
     smooth_objective,
 )
 from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
-from stabledp.privacy import OracleReport
+from stabledp.privacy import OracleReport, perturb
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
@@ -780,6 +780,18 @@ class TestFlipRateCheck:
                                                     L=1.0, kappa=1.0), draws=50_000, seed=1)
         assert rep.trials == 50_000
         assert "mc_stderr" in rep.details
+
+    @pytest.mark.parametrize("draws", [1, 65_535, 65_537, 300_001])
+    @pytest.mark.parametrize("w_i", [0.0, 0.5])
+    def test_blocks_count_as_one_draw(self, w_i, draws):
+        # the block-by-block count is the one-shot mean over one draws-sized
+        # perturb, bit for bit
+        noise = lemma_noise(1.0, lam=0.1, eta=0.15, n=10_000, L=1.0, kappa=1.0)
+        rep = flip_rate_check(0.6, w_i, noise, draws=draws, seed=7)
+        noisy = perturb(np.broadcast_to(w_i, draws), noise, derive_rng(7, 25))
+        observed = float(np.mean(select_features(noisy, 0.6) != select_features(w_i, 0.0)))
+        assert type(rep.empirical_value) is float
+        assert rep.empirical_value.hex() == observed.hex()
 
 
 class TestSampleCounts:
