@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .data_io import SplitPlan, fetch_dataset, load_csv, preprocess, split, synth_classification
+from .data_io import (DataFormatError, SplitPlan, fetch_dataset, load_csv, preprocess, split,
+                      synth_classification)
 from .features import f1_similarity, flip_probability, lemma_noise, select_features
 from .model import (
     _COUNT,
@@ -244,6 +245,8 @@ def build_dataset(cfg: SweepConfig) -> Dataset:
         raise ConfigError(f"dataset.n: preprocessing needs at least 2 rows, got {S.n}")
     try:
         return preprocess(S, ds.reduce_to, seed=ds.seed, kappa=ds.kappa)
+    except DataFormatError as exc:  # a column too large to standardize
+        raise ConfigError(f"dataset.path: {ds.path}: {exc}") from exc
     except ValueError as exc:  # reduce_to above the row count
         raise ConfigError(f"dataset.reduce_to: {exc}") from exc
 

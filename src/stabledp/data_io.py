@@ -3,11 +3,12 @@
 Canonical CSV format: UTF-8, one header row, comma-separated, '.' decimal
 separator, label in a named column (default: the last column).
 
-The experiment preprocessing pipeline is dimensionality reduction by
-randomized truncated SVD, then column-wise standardization, then rescaling
-of any row whose norm exceeds the declared kappa bound. Reduction and
-standardization are fit on the full matrix before splitting, matching the
-protocol the sweep commands reproduce.
+Preprocessing is one fitted transform: ``fit_preprocess(S, k, seed)`` fits a
+randomized truncated SVD to k columns and the column standardization on S,
+and its ``apply(S', kappa)`` projects, standardizes and rebounds rows to kappa.
+The CLI fits on every record before splitting, so each stated epsilon covers a
+neighbour differing in one *preprocessed* row, not one raw record (one raw
+record has moved the released weights 91-237 times the direct bound).
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ __all__ = [
     "FetchError",
     "load_csv",
     "write_csv",
-    "standardize",
-    "reduce_dim",
-    "bound_row_norms",
+    "Preprocessing",
+    "fit_preprocess",
     "preprocess",
     "split",
     "synth_classification",
@@ -136,61 +136,62 @@ def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -
     return path
 
 
-def standardize(S: Dataset) -> Dataset:
-    """Center and scale every column to sample mean 0 and sample variance 1.
+@dataclass(frozen=True)
+class Preprocessing:
+    """A fitted preprocessing: ``basis``, the (d, k) kept right singular vectors (None
+    when nothing is reduced), then the standardized columns' means and floored scales."""
 
-    Zero-variance columns map to all-zeros.
-    """
+    basis: np.ndarray | None
+    mean: np.ndarray
+    scale: np.ndarray
+
+    def apply(self, S: Dataset, kappa: float = 1.0) -> Dataset:
+        """Project, standardize, then rescale each row of norm above kappa to kappa."""
+        _require("kappa", kappa, *_POSITIVE)
+        X = (S.features if self.basis is None else S.features @ self.basis) - self.mean
+        X /= self.scale
+        X *= (kappa / np.maximum(np.linalg.norm(X, axis=1), kappa))[:, None]
+        return Dataset(X, S.labels)
+
+
+def _column_stats(X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sample deviations; a column whose sum or square overflows raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, scale = X.mean(axis=0), X.std(axis=0, ddof=1)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+    if bad.size:
+        raise DataFormatError(f"{what} {bad[0]} (0-based) overflows its mean or deviation")
+    return mean, scale
+
+
+def fit_preprocess(S: Dataset, k: int | None, seed: int = 0) -> Preprocessing:
+    """Fit on S the reduction to k columns when k < d (a randomized range finder, 8 extra
+    directions, 2 QR-re-orthonormalized power iterations, deterministic given the seed),
+    then the standardization of the reduced columns."""
     if S.n < 2:
-        raise ValueError(f"standardize needs n >= 2, got n={S.n}")
-    mean = S.features.mean(axis=0)
-    scale = S.features.std(axis=0, ddof=1)
+        raise ValueError(f"fit_preprocess needs n >= 2, got n={S.n}")
+    X, basis = S.features, None
+    # the raw columns' sums also guard the range finder's products
+    mean, scale = _column_stats(X, "feature column")
+    if k is not None and k < S.d:
+        top = min(S.n, S.d)  # the range finder spans at most min(n, d) directions
+        _require("k", k, lambda v: 1 <= v <= top, f"an integer in [1, min(n, d)={top}]", int)
+        omega = derive_rng(seed, 7).standard_normal((S.d, min(k + 8, S.d)))
+        Q, _ = np.linalg.qr(X @ omega)
+        for _ in range(2):
+            Z, _ = np.linalg.qr(X.T @ Q)
+            Q, _ = np.linalg.qr(X @ Z)
+        basis = np.linalg.svd(Q.T @ X, full_matrices=False)[2][:k].T
+        mean, scale = _column_stats(X @ basis, "reduced column")
     # constant columns map to zeros; the threshold is relative so columns
     # that are constant up to float rounding are not amplified into noise
     floor = 1e-12 * max(float(scale.max(initial=0.0)), 1.0)
-    scale = np.where(scale <= floor, 1.0, scale)
-    return Dataset((S.features - mean) / scale, S.labels)
-
-
-def reduce_dim(S: Dataset, k: int, seed: int = 0) -> Dataset:
-    """Project features onto the top-k right singular subspace.
-
-    Randomized range finder with 8 extra directions and 2 power iterations
-    (QR re-orthonormalized); deterministic given the seed.
-    """
-    top = min(S.n, S.d)  # the range finder spans at most min(n, d) directions
-    _require("k", k, lambda v: 1 <= v <= top, f"an integer in [1, min(n, d)={top}]", int)
-    X = S.features
-    rng = derive_rng(seed, 7)
-    p = min(k + 8, S.d)
-    omega = rng.standard_normal((S.d, p))
-    Y = X @ omega
-    Q, _ = np.linalg.qr(Y)
-    for _ in range(2):
-        Z, _ = np.linalg.qr(X.T @ Q)
-        Q, _ = np.linalg.qr(X @ Z)
-    B = Q.T @ X
-    _, _, Vt = np.linalg.svd(B, full_matrices=False)
-    return Dataset(X @ Vt[:k].T, S.labels)
-
-
-def bound_row_norms(S: Dataset, kappa: float) -> tuple[Dataset, int]:
-    """Rescale rows with norm > kappa down to kappa; returns the count touched."""
-    _require("kappa", kappa, *_POSITIVE)
-    norms = np.linalg.norm(S.features, axis=1)
-    over = norms > kappa
-    if not np.any(over):
-        return S, 0
-    factors = np.where(over, kappa / np.maximum(norms, 1e-300), 1.0)
-    return Dataset(S.features * factors[:, None], S.labels), int(np.sum(over))
+    return Preprocessing(basis, mean, np.where(scale <= floor, 1.0, scale))
 
 
 def preprocess(S: Dataset, k: int | None, seed: int = 0, kappa: float = 1.0) -> Dataset:
-    """Reduction to k columns (when k < d) -> standardization -> kappa rebound."""
-    if k is not None and k < S.d:
-        S = reduce_dim(S, k, seed=seed)
-    S, _ = bound_row_norms(standardize(S), kappa)
-    return S
+    """Reduction to k columns (when k < d) -> standardization -> kappa rebound, fit on S."""
+    return fit_preprocess(S, k, seed).apply(S, kappa)
 
 
 def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, _Stack]:
@@ -265,14 +266,12 @@ def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None 
     else:
         deviations = noise * rng.standard_normal((n, d))
     X = means[cls] + deviations
-    norms = np.linalg.norm(X, axis=1)
-    X = X * (kappa / np.maximum(norms, kappa))[:, None]
+    X *= (kappa / np.maximum(np.linalg.norm(X, axis=1), kappa))[:, None]
     y = labels[cls]
     if label_flips > 0:
         n_flip = int(round(label_flips * n))
         flip_idx = rng.choice(n, size=n_flip, replace=False)
         shift = rng.integers(1, means.shape[0], size=n_flip)
-        y = y.copy()
         if classes == 2:
             y[flip_idx] = -y[flip_idx]
         else:
@@ -330,10 +329,7 @@ def convert_adult(raw_path, out_path) -> dict:
             if not line:
                 continue
             cells = [c.strip() for c in line.split(",")]
-            if len(cells) != len(ADULT_COLUMNS):
-                dropped += 1
-                continue
-            if "?" in cells:
+            if len(cells) != len(ADULT_COLUMNS) or "?" in cells:
                 dropped += 1
                 continue
             rows.append(cells)

@@ -566,6 +566,8 @@ class TestMainEntrypoint:
         ('{"gamma": true}', [], "gamma"),
         ('{"dataset": {"kind": "csv", "path": "TMP/missing.csv"}}', [], "dataset.path"),
         ('{"dataset": {"kind": "csv", "path": "TMP/bad.csv"}}', [], "dataset.path"),
+        ('{"dataset": {"kind": "csv", "path": "TMP/huge200.csv"}}', [], "dataset.path"),
+        ('{"dataset": {"kind": "csv", "path": "TMP/huge308.csv"}}', [], "dataset.path"),
         (None, ["select", "--eta", "0"], "eta"),
         ('{"dataset": {"n": 10, "reduce_to": null}, "split": {"train_fraction": 0.05}}', [],
          "split.train_fraction"),
@@ -574,12 +576,16 @@ class TestMainEntrypoint:
         ('{"lipschitz_L": 0.01}', [], "lipschitz_L must be finite and >= kappa=1.0"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
             "split_not_object", "grid_not_list", "missing_file", "bool_number",
-            "csv_missing", "csv_malformed", "select_eta_0", "split_empty_side",
-            "one_row", "reduce_to_above_n", "lipschitz_below_kappa"])
+            "csv_missing", "csv_malformed", "csv_1e200", "csv_1e308", "select_eta_0",
+            "split_empty_side", "one_row", "reduce_to_above_n", "lipschitz_below_kappa"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"
         (tmp_path / "bad.csv").write_text("x0,label\n1.0,abc\n2.0\n")
+        # finite cells whose column deviation (1e200) or sum (1e308) overflows
+        for e in (200, 308):
+            (tmp_path / f"huge{e}.csv").write_text(
+                "x0,x1,label\n" + "".join(f"{i},{1 + i % 2 / 2}e{e},{i % 2}\n" for i in range(6)))
         if text is not None:
             cfg.write_text(text.replace("TMP", str(tmp_path)))
             flags = ["--config", str(cfg), *flags]

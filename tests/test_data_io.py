@@ -8,15 +8,14 @@ import pytest
 from stabledp.data_io import (
     DataFormatError,
     FetchError,
+    Preprocessing,
     SplitPlan,
-    bound_row_norms,
     convert_adult,
     fetch_dataset,
+    fit_preprocess,
     load_csv,
     preprocess,
-    reduce_dim,
     split,
-    standardize,
     synth_classification,
     write_csv,
 )
@@ -83,45 +82,51 @@ class TestLoadCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _standardized(S):
+    # kappa far above every standardized row norm here, so no row is rebounded
+    return fit_preprocess(S, None).apply(S, kappa=1e6)
+
+
 class TestStandardize:
     def test_moments(self):
         rng = np.random.default_rng(0)
         S = Dataset(rng.standard_normal((50, 4)) * 3 + 1, np.zeros(50))
-        Z = standardize(S)
+        Z = _standardized(S)
         assert np.abs(Z.features.mean(axis=0)).max() < 1e-10
         np.testing.assert_allclose(Z.features.std(axis=0, ddof=1), 1.0, atol=1e-10)
 
     def test_constant_column_maps_to_zeros(self):
         S = Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), np.zeros(3))
-        Z = standardize(S)
+        Z = _standardized(S)
         np.testing.assert_array_equal(Z.features[:, 0], 0.0)
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            standardize(Dataset(np.ones((1, 2)), np.ones(1)))
+            fit_preprocess(Dataset(np.ones((1, 2)), np.ones(1)), None)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         S = Dataset(rng.standard_normal((30, 3)), np.zeros(30))
-        once = standardize(S)
-        twice = standardize(once)
+        once = _standardized(S)
+        twice = _standardized(once)
         np.testing.assert_allclose(twice.features, once.features, atol=1e-10)
 
     def test_near_constant_column_not_amplified(self):
         X = np.ones((10, 2))
         X[:, 1] = np.arange(10)
         X[:, 0] += 1e-14 * np.arange(10)
-        Z = standardize(Dataset(X, np.zeros(10)))
+        Z = _standardized(Dataset(X, np.zeros(10)))
         assert np.abs(Z.features[:, 0]).max() < 1e-9
 
 
 class TestReduceDim:
     def test_full_rank_preserves_geometry(self):
+        # rank 6 in 8 ambient columns: the 6 kept directions span every row
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((10, 6))
-        S = Dataset(X, np.zeros(10))
-        R = reduce_dim(S, 6, seed=0)
-        np.testing.assert_allclose(R.features @ R.features.T, X @ X.T, atol=1e-8)
+        X = rng.standard_normal((10, 6)) @ rng.standard_normal((6, 8))
+        basis = fit_preprocess(Dataset(X, np.zeros(10)), 6, seed=0).basis
+        R = X @ basis
+        np.testing.assert_allclose(R @ R.T, X @ X.T, atol=1e-8)
 
     def test_rank2_capture_vs_exact_svd_oracle(self):
         rng = np.random.default_rng(4)
@@ -129,49 +134,92 @@ class TestReduceDim:
         V = rng.standard_normal((2, 6))
         X = U @ V
         S = Dataset(X, np.zeros(10))
-        R = reduce_dim(S, 2, seed=0)
-        captured = np.sum(R.features**2) / np.sum(X**2)
+        R = X @ fit_preprocess(S, 2, seed=0).basis
+        captured = np.sum(R**2) / np.sum(X**2)
         sv = np.linalg.svd(X, compute_uv=False)
         exact = np.sum(sv[:2] ** 2) / np.sum(sv**2)
         assert captured >= 0.999 * exact
         assert captured >= 0.999
 
     def test_k_larger_than_d_rejected(self):
+        # k >= d asks for no reduction: nothing is fit, every column is kept
+        S = Dataset(np.random.default_rng(2).standard_normal((4, 3)), np.zeros(4))
+        fit = fit_preprocess(S, 5, seed=0)
+        assert fit.basis is None and fit.apply(S).d == 3
         with pytest.raises(ValueError, match="k must be"):
-            reduce_dim(Dataset(np.ones((4, 3)), np.zeros(4)), 5, seed=0)
+            fit_preprocess(S, 0, seed=0)
 
     def test_k_larger_than_n_rejected(self):
         # the range finder of 4 rows spans 4 directions, not 5
         S = Dataset(np.random.default_rng(6).standard_normal((4, 6)), np.zeros(4))
         with pytest.raises(ValueError, match="k must be"):
-            reduce_dim(S, 5, seed=0)
-        assert reduce_dim(S, 4, seed=0).d == 4
+            fit_preprocess(S, 5, seed=0)
+        assert fit_preprocess(S, 4, seed=0).basis.shape == (6, 4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         S = Dataset(rng.standard_normal((12, 8)), np.zeros(12))
-        np.testing.assert_array_equal(reduce_dim(S, 3, seed=9).features,
-                                      reduce_dim(S, 3, seed=9).features)
+        np.testing.assert_array_equal(fit_preprocess(S, 3, seed=9).basis,
+                                      fit_preprocess(S, 3, seed=9).basis)
+
+
+# zero means and unit scales: applying this record only rebounds the rows
+_REBOUND_ONLY = Preprocessing(None, np.zeros(2), np.ones(2))
 
 
 class TestBoundRowNorms:
     def test_count_and_bound(self):
         S = Dataset(np.array([[3.0, 4.0], [0.1, 0.0]]), np.zeros(2))
-        out, touched = bound_row_norms(S, 1.0)
-        assert touched == 1
+        out = _REBOUND_ONLY.apply(S, 1.0)
         assert out.max_row_norm() <= 1.0 + 1e-12
         np.testing.assert_array_equal(out.features[1], S.features[1])
 
     def test_noop_when_within_bound(self):
         S = Dataset(np.array([[0.1, 0.0]]), np.zeros(1))
-        out, touched = bound_row_norms(S, 1.0)
-        assert touched == 0
+        out = _REBOUND_ONLY.apply(S, 1.0)
+        assert out.features.tobytes() == S.features.tobytes()
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
     def test_bad_kappa_rejected(self, kappa):
         S = Dataset(np.array([[3.0, 4.0]]), np.zeros(1))
         with pytest.raises(ValueError, match="kappa"):
-            bound_row_norms(S, kappa)
+            _REBOUND_ONLY.apply(S, kappa)
+
+
+def _three_stage_reference(S, k, seed, kappa):
+    """The earlier pipeline, written out stage by stage: reduce_dim, then
+    standardize, then bound_row_norms, each returning a new Dataset."""
+    if k is not None and k < S.d:
+        X = S.features
+        rng = derive_rng(seed, 7)
+        p = min(k + 8, S.d)
+        omega = rng.standard_normal((S.d, p))
+        Y = X @ omega
+        Q, _ = np.linalg.qr(Y)
+        for _ in range(2):
+            Z, _ = np.linalg.qr(X.T @ Q)
+            Q, _ = np.linalg.qr(X @ Z)
+        B = Q.T @ X
+        _, _, Vt = np.linalg.svd(B, full_matrices=False)
+        S = Dataset(X @ Vt[:k].T, S.labels)
+    mean = S.features.mean(axis=0)
+    scale = S.features.std(axis=0, ddof=1)
+    floor = 1e-12 * max(float(scale.max(initial=0.0)), 1.0)
+    scale = np.where(scale <= floor, 1.0, scale)
+    S = Dataset((S.features - mean) / scale, S.labels)
+    norms = np.linalg.norm(S.features, axis=1)
+    over = norms > kappa
+    if not np.any(over):
+        return S, 0
+    factors = np.where(over, kappa / np.maximum(norms, 1e-300), 1.0)
+    return Dataset(S.features * factors[:, None], S.labels), int(np.sum(over))
+
+
+def _default_shape_task():
+    # the default config's dataset: 2000 x 48, structured noise, reduced to 32
+    S, _ = synth_classification(2000, 48, classes=4, sparsity=8, noise=0.3, seed=7,
+                                structured_noise=True)
+    return S
 
 
 class TestPreprocess:
@@ -180,6 +228,61 @@ class TestPreprocess:
         out = preprocess(S, 8, seed=1, kappa=1.0)
         assert out.d == 8
         assert out.max_row_norm() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("k", [None, 1, 4, 9, 10, 14])
+    @pytest.mark.parametrize("quantile", [0.2, 0.8])
+    def test_equals_the_three_stage_reference(self, k, quantile):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((60, 10)) * rng.uniform(0.1, 5.0, 10) + rng.standard_normal(10)
+        X[:, 2] = 4.0  # constant
+        X[:, 7] = 1.0 + 1e-14 * np.arange(60)  # constant up to rounding
+        S = Dataset(X, np.arange(60) % 3)
+        # a kappa between the standardized row norms, so rows fall on both sides
+        unbounded, _ = _three_stage_reference(S, k, 5, 1e6)
+        kappa = float(np.quantile(np.linalg.norm(unbounded.features, axis=1), quantile))
+        want, over = _three_stage_reference(S, k, 5, kappa)
+        assert 0 < over < S.n
+        for got in (preprocess(S, k, seed=5, kappa=kappa),
+                    fit_preprocess(S, k, seed=5).apply(S, kappa)):
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.labels.tobytes() == S.labels.tobytes()
+
+    def test_equals_the_three_stage_reference_at_the_default_shape(self):
+        S = _default_shape_task()
+        want, _ = _three_stage_reference(S, 32, 7, 1.0)
+        assert preprocess(S, 32, seed=7, kappa=1.0).features.tobytes() == \
+            want.features.tobytes()
+
+    @pytest.mark.parametrize("i", [0, 1234, 1999])
+    def test_fit_applied_to_a_neighbour_moves_only_its_row(self, i):
+        S = _default_shape_task()
+        fit = fit_preprocess(S, 32, seed=7)
+        x = 5.0 * np.random.default_rng(i).standard_normal(S.d)
+        base = fit.apply(S, 1.0).features
+        moved = fit.apply(S.replace_record(i, x, 2), 1.0).features
+        keep = np.arange(S.n) != i
+        assert base[keep].tobytes() == moved[keep].tobytes()
+        assert not np.array_equal(base[i], moved[i])
+
+    @pytest.mark.parametrize("k", [None, 2])
+    @pytest.mark.parametrize("magnitude", [1e200, 1e308])
+    def test_overflowing_column_is_a_format_error(self, k, magnitude):
+        # the deviation (1e200) or the mean (1e308) overflows; standardizing
+        # used to map every row to zeros, or fail on non-finite features
+        X = np.random.default_rng(9).standard_normal((20, 4))
+        X[:, 1] = magnitude * np.linspace(0.5, 1.5, 20)
+        with pytest.raises(DataFormatError, match="feature column 1 "):
+            fit_preprocess(Dataset(X, np.zeros(20)), k)
+
+    def test_overflowing_reduced_column_is_a_format_error(self):
+        # two equal columns whose deviations are each finite, but the reduced
+        # column along their shared direction has a squared deviation sum past
+        # the float range
+        X = np.random.default_rng(9).standard_normal((20, 4))
+        X[:, 1] = X[:, 2] = 4e153 * np.linspace(-1.0, 1.0, 20)
+        fit_preprocess(Dataset(X, np.zeros(20)), None)
+        with pytest.raises(DataFormatError, match="reduced column 0 "):
+            fit_preprocess(Dataset(X, np.zeros(20)), 2)
 
 
 class TestSplit:
