@@ -5,7 +5,8 @@ separator, label in a named column (default: the last column).
 
 Preprocessing is one fitted transform: ``fit_preprocess(S, k, seed)`` fits a
 randomized truncated SVD to k columns and the column standardization on S,
-and its ``apply(S', kappa)`` projects, standardizes and rebounds rows to kappa.
+and its ``apply(S', kappa)`` projects, standardizes, and maps every finite row
+into the kappa ball along its own direction, as ``synth_classification`` does.
 The CLI fits on every record before splitting, so each stated epsilon covers a
 neighbour differing in one *preprocessed* row, not one raw record (one raw
 record has moved the released weights 91-237 times the direct bound).
@@ -150,8 +151,24 @@ class Preprocessing:
         _require("kappa", kappa, *_POSITIVE)
         X = (S.features if self.basis is None else S.features @ self.basis) - self.mean
         X /= self.scale
-        X *= (kappa / np.maximum(np.linalg.norm(X, axis=1), kappa))[:, None]
+        _rebound(X, kappa)
         return Dataset(X, S.labels)
+
+
+def _rebound(X: np.ndarray, kappa: float) -> None:
+    """Rescale in place each row of X of norm above kappa to norm kappa, along its
+    direction; a finite row whose squared norm overflows is measured as
+    max|x| * ||x / max|x|||. A row with an inf or NaN entry comes out non-finite,
+    for ``Dataset``'s non-finite check to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+        huge = np.flatnonzero(np.isinf(norms))
+        huge = huge[np.isfinite(X[huge]).all(axis=1)]
+        peak = np.abs(X[huge]).max(axis=1, keepdims=True)
+        unit = X[huge] / peak  # a largest entry of +-1: its norm cannot overflow
+        X *= (kappa / np.maximum(norms, kappa))[:, None]
+    # the row's factor kappa / max(peak * ||unit||, kappa), applied to unit = row / peak
+    X[huge] = unit * np.minimum(peak, kappa / np.linalg.norm(unit, axis=1, keepdims=True))
 
 
 def _column_stats(X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +283,7 @@ def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None 
     else:
         deviations = noise * rng.standard_normal((n, d))
     X = means[cls] + deviations
-    X *= (kappa / np.maximum(np.linalg.norm(X, axis=1), kappa))[:, None]
+    _rebound(X, kappa)
     y = labels[cls]
     if label_flips > 0:
         n_flip = int(round(label_flips * n))

@@ -275,11 +275,6 @@ def _solve_report(spec: ObjectiveSpec, S: _Stack, unpack, w: np.ndarray,
                        residual if residual.ndim else None)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """The norm of each row; a 1-D input is one row."""
-    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
-
-
 def clip_gradient(g: np.ndarray, G: float) -> np.ndarray:
     """Rescale g to norm G when ||g|| > G; direction preserved, else unchanged.
 
@@ -288,7 +283,7 @@ def clip_gradient(g: np.ndarray, G: float) -> np.ndarray:
     _require("G", G, *_POSITIVE)  # g * (inf / inf) would be NaN
     g = np.asarray(g, dtype=float)
     # an unclipped row is multiplied by G / G, exactly 1.0
-    return g * (G / np.maximum(_row_norms(g), G))
+    return g * (G / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), G))
 
 
 def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
@@ -313,7 +308,7 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     _require("s", s, *_UNIT)
     v = np.asarray(v, dtype=float)
     out = np.array(np.atleast_2d(v))
-    target = s * _row_norms(out)[:, 0]
+    target = s * np.linalg.norm(out, axis=-1)
     counts = (out != 0).sum(axis=1)
     groups = sorted(set(counts.tolist()) - {0})
     start = rng.bit_generator.state
@@ -332,7 +327,7 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
         zeroed_from = np.where(nonzero, (1 + np.argsort(order))[rank], c0 + 1)  # zeros never
         copies = np.where(np.arange(c0 + 1)[:, None, None] >= zeroed_from, 0.0, block)
         # each row stops at its first copy at target; the all-zero copy c0 always is
-        stop = np.argmin(np.sqrt((copies * copies).sum(axis=-1)) > target[rows], axis=0)
+        stop = np.argmin(np.linalg.norm(copies, axis=-1) > target[rows], axis=0)
         out[rows] = copies[stop, np.arange(stop.size)]
     if groups and (drawn := int(stop.max())) < c0:
         # rewind to the end of the last group's longest prefix

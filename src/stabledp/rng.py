@@ -1,10 +1,10 @@
 """Seed-stream derivation helpers.
 
 Every randomized routine in this package takes an explicit
-``numpy.random.Generator`` or draws its own from a seed key. Independent
-streams are derived from structured keys (master seed plus context
-integers) so that parallel sweep cells, oracle trials, and mechanism noise
-never share a stream.
+``numpy.random.Generator`` or draws its own from a seed key. Streams are
+derived from structured keys (master seed plus context integers); the tuples
+the package's commands use give one stream each (``tests/test_rng.py``), so
+sweep cells, oracle trials and mechanism noise share none.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ def float_key(x: float) -> int:
 def derive_rng(*keys: int) -> np.random.Generator:
     """Generator seeded from a tuple of integer keys.
 
-    Distinct key tuples yield statistically independent streams; identical
-    tuples yield bit-identical streams.
+    Identical tuples yield bit-identical streams, and distinct ones independent
+    streams unless ``numpy.random.SeedSequence`` reads them as one word list:
+    keys wrap modulo 2**64 (``(-1,)`` is ``(2**64 - 1,)``), a key of 2**32 or
+    more splits into 32-bit words (``(5, 2**32 + 1)`` is ``(5, 1, 1)``), and
+    the list is zero-padded to four words (``(5, 1)`` is ``(5, 1, 0, 0)``).
     """
     return np.random.default_rng([int(k) & 0xFFFFFFFFFFFFFFFF for k in keys])

@@ -27,10 +27,10 @@ with a beta is always the strong-convexity constant of the full objective,
 not the raw regularization weight. This module states how far weights can
 move; turning that into a Laplace scale is ``privacy.calibrate``'s job.
 
-Table 1's relative scalings for optimizer knobs (steps, step size, batch
-size, dropout rate, clipping bound) are big-O rows without constants, so
-``stability_knob_scaling`` gives a multiplier, never a certificate; every
-certificate comes from ``spec_cert`` or ``user_cert``.
+Table 1's knobs (steps, step size, batch size, dropout rate, clipping bound)
+scale beta by big-O rows without constants, so no certificate comes from them:
+every certificate comes from ``spec_cert`` or ``user_cert`` until a planned
+``sgd_cert`` states an SGD certificate with its constants.
 """
 
 from __future__ import annotations
@@ -57,12 +57,9 @@ __all__ = [
     "sensitivity_via_strong_convexity",
     "privacy_enhancement",
     "privacy_error_bound",
-    "stability_knob_scaling",
-    "SCALING_KNOBS",
 ]
 
 PROVENANCES = ("l2_erm", "elastic_net", "user_supplied")
-SCALING_KNOBS = ("steps", "step_size", "batch", "dropout", "clip")
 
 
 @dataclass(frozen=True)
@@ -150,20 +147,3 @@ def privacy_error_bound(L: float, d: int, epsilon: float, cert: StabilityCert) -
     _require_each(_POSITIVE, L=L, epsilon=epsilon)
     _require("d", d, *_COUNT)
     return (L * d / epsilon) * sensitivity_via_strong_convexity(cert)
-
-
-def stability_knob_scaling(knob: str, old_value: float, new_value: float,
-                           lipschitz_L: float | None = None) -> float:
-    """Table 1's multiplier on beta when one optimizer knob moves.
-
-    A big-O ratio without constants: steps, step_size, and dropout scale
-    beta by new/old; batch by old/new; clip by min(G_new, L) / min(G_old, L).
-    """
-    _require("knob", knob, *_one_of(SCALING_KNOBS))
-    _require_each(_POSITIVE, old_value=old_value, new_value=new_value)
-    if knob in ("steps", "step_size", "dropout"):
-        return new_value / old_value
-    if knob == "batch":
-        return old_value / new_value
-    _require("lipschitz_L", lipschitz_L, *_POSITIVE)  # clip
-    return min(new_value, lipschitz_L) / min(old_value, lipschitz_L)

@@ -10,6 +10,7 @@ from stabledp.data_io import (
     FetchError,
     Preprocessing,
     SplitPlan,
+    _rebound,
     convert_adult,
     fetch_dataset,
     fit_preprocess,
@@ -264,6 +265,18 @@ class TestPreprocess:
         assert base[keep].tobytes() == moved[keep].tobytes()
         assert not np.array_equal(base[i], moved[i])
 
+    def test_record_whose_squared_norm_overflows_lands_on_kappa(self):
+        # 1e200 squared overflows; the norm used to read inf and zero the row
+        S, _ = synth_classification(200, 8, classes=2, seed=1)
+        fit = fit_preprocess(S, None)
+        base = fit.apply(S, 1.0).features
+        moved = fit.apply(S.replace_record(0, np.full(8, 1e200), 1.0), 1.0).features
+        assert np.linalg.norm(moved[0]) == pytest.approx(1.0, abs=1e-15)
+        # along the record's own direction: equal raw entries, so standardized
+        # entries in the ratio of the inverse column scales
+        np.testing.assert_allclose(moved[0] * fit.scale, moved[0, 0] * fit.scale[0], rtol=1e-12)
+        assert moved[1:].tobytes() == base[1:].tobytes()
+
     @pytest.mark.parametrize("k", [None, 2])
     @pytest.mark.parametrize("magnitude", [1e200, 1e308])
     def test_overflowing_column_is_a_format_error(self, k, magnitude):
@@ -328,6 +341,34 @@ class TestSynthClassification:
     def test_row_norm_bound(self):
         S, _ = synth_classification(100, 10, classes=3, sparsity=4, noise=1.0, seed=3)
         assert S.max_row_norm() <= 1.0 + 1e-9
+
+    def test_noise_whose_squared_norm_overflows_lands_on_kappa(self):
+        S, _ = synth_classification(50, 5, classes=2, noise=1e200, seed=3)
+        np.testing.assert_allclose(np.linalg.norm(S.features, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kappa", [1e-300, 1.0, 1e200])
+    def test_overflowing_rows_keep_their_direction(self, kappa):
+        X = np.array([[1e200, -2e200, 0.0], [3e-300, 1e308, 1e308], [1e160, 1e150, 0.0],
+                      [0.5, 0.5, 0.0]])
+        out = X.copy()
+        _rebound(out, kappa)
+        # the third row's norm, 1e160, is inside the ball at kappa = 1e200
+        inside = [False, False, kappa > 1e160, kappa >= 1.0]
+        for x, y, keep in zip(X, out, inside):
+            if keep:
+                np.testing.assert_allclose(y, x, rtol=1e-15)
+            else:
+                assert np.linalg.norm(y / kappa) == pytest.approx(1.0, abs=1e-15)
+                np.testing.assert_allclose(y / kappa, x / np.max(np.abs(x)) / np.linalg.norm(
+                    x / np.max(np.abs(x))), rtol=1e-12)  # y is subnormal at kappa=1e-300
+
+    def test_row_with_an_inf_entry_is_refused_by_dataset(self):
+        X = np.array([[1.0, np.inf], [0.5, 0.5]])
+        _rebound(X, 1.0)
+        assert not np.isfinite(X[0]).all()
+        assert X[1].tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(X, np.zeros(2))
 
     def test_truth_sparsity(self):
         _, w = synth_classification(10, 20, classes=2, sparsity=7, noise=0.1, seed=4)

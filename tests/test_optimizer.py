@@ -818,6 +818,39 @@ class TestSDropout:
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
+class TestNormsAreTheExplicitSumOfSquares:
+    """clip_gradient and s_dropout take ``np.linalg.norm(..., axis=-1)``, which numpy
+    computes as sqrt(add.reduce(x * x)): the floats of the explicit
+    ``np.sqrt((v * v).sum(axis=-1, keepdims=True))`` they were written with, in C and
+    F order alike, also from d = 8 on, where the row sums go pairwise."""
+
+    @staticmethod
+    def inputs(d):
+        rng = np.random.default_rng(d)
+        V = rng.standard_normal((17, d)) * 10.0 ** rng.integers(-3, 3, size=(17, 1))
+        V[rng.random(V.shape) < 0.2] = 0.0
+        return [V, np.asfortranarray(V), V[3]]
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_clip_gradient(self, d):
+        for g in self.inputs(d):
+            for G in (0.01, 1.0):
+                want = g * (G / np.maximum(np.sqrt((g * g).sum(axis=-1, keepdims=True)), G))
+                got = clip_gradient(g, G)
+                assert got.shape == g.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_s_dropout(self, d):
+        # TestSDropout.draw_loop tests each norm as sqrt((v * v).sum(axis=-1))
+        for i, v in enumerate(self.inputs(d)):
+            for s in (0.3, 0.9):
+                new_rng, old_rng = derive_rng(d, i, 3), derive_rng(d, i, 3)
+                got = s_dropout(v, s, new_rng)
+                want = TestSDropout.draw_loop(v, s, old_rng)
+                assert got.shape == v.shape and got.tobytes() == want.tobytes()
+                assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
 class TestClipGradientRows:
     def test_rows_equal_per_row_calls(self):
         rng = np.random.default_rng(6)

@@ -1,0 +1,122 @@
+"""derive_rng's key-to-stream mapping: the aliases its docstring states, and one
+stream per key tuple among the tuples the package's commands ask for.
+
+``spy_streams`` and ``assert_distinct_streams`` also serve a run outside
+pytest, e.g. a benchmark workload at full size:
+
+    with spy_streams() as streams:
+        run_figures(0, False, out_dir)
+    assert_distinct_streams(streams)
+"""
+
+import contextlib
+import importlib
+import pkgutil
+import sys
+
+import numpy as np
+import pytest
+
+import stabledp
+from stabledp import rng as rng_mod
+from stabledp.cli import DatasetConfig, SweepConfig, cmd_select, cmd_sweep, run_verify_suite
+from stabledp.data_io import SplitPlan, synth_classification
+from stabledp.model import ObjectiveSpec
+from stabledp.optimizer import SgdConfig
+from stabledp.rng import derive_rng
+from stabledp.verify import empirical_sgd_stability
+
+
+def stream_state(gen: np.random.Generator) -> tuple:
+    """The first four words of the SeedSequence that seeded ``gen``."""
+    bg = gen.bit_generator
+    seq = bg.seed_seq if hasattr(bg, "seed_seq") else bg._seed_seq  # public from numpy 1.25
+    return tuple(seq.generate_state(4).tolist())
+
+
+@contextlib.contextmanager
+def spy_streams():
+    """Map the keys, as an int tuple, of every derive_rng call made through a
+    ``stabledp`` module's own binding of it, while the context is open, to the
+    :func:`stream_state` of the generator it returned."""
+    for info in pkgutil.iter_modules(stabledp.__path__):
+        importlib.import_module(f"stabledp.{info.name}")
+    original = rng_mod.derive_rng
+    bound = [m for name, m in list(sys.modules.items())
+             if name.startswith("stabledp") and getattr(m, "derive_rng", None) is original]
+    streams = {}
+
+    def spy(*keys):
+        gen = original(*keys)
+        streams[tuple(int(k) for k in keys)] = stream_state(gen)
+        return gen
+
+    for m in bound:
+        m.derive_rng = spy
+    try:
+        yield streams
+    finally:
+        for m in bound:
+            m.derive_rng = original
+
+
+def assert_distinct_streams(streams: dict) -> int:
+    """Fail when two distinct key tuples share a stream; return the tuple count."""
+    seen = {}
+    for keys, state in sorted(streams.items()):
+        other = seen.setdefault(state, keys)
+        assert other == keys, f"key tuples {other} and {keys} give one stream"
+    return len(seen)
+
+
+class TestAliases:
+    """The three ways distinct key tuples share a stream, as the docstring states."""
+
+    @staticmethod
+    def same_stream(a, b):
+        return stream_state(derive_rng(*a)) == stream_state(derive_rng(*b))
+
+    def test_trailing_zeros_up_to_four_words(self):
+        assert self.same_stream((5, 1), (5, 1, 0))
+        assert self.same_stream((5, 1), (5, 1, 0, 0))
+        assert not self.same_stream((5, 1), (5, 1, 0, 0, 0))
+
+    def test_wide_key_splits_into_32_bit_words(self):
+        assert self.same_stream((5, 2**32 + 1), (5, 1, 1))
+
+    def test_negative_key_wraps_modulo_2_64(self):
+        assert self.same_stream((-1,), (2**64 - 1,))
+
+    def test_one_state_is_one_stream(self):
+        a, b, c = derive_rng(5, 1), derive_rng(5, 1, 0), derive_rng(5, 2)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.bit_generator.state != c.bit_generator.state
+        assert stream_state(a) != stream_state(c)
+
+
+def test_spy_sees_an_alias():
+    with spy_streams() as streams:
+        derive_rng(1, 2)  # not through a stabledp module: unseen
+        stabledp.data_io.derive_rng(5, 1)
+        stabledp.verify.derive_rng(5, 1, 0)
+    assert set(streams) == {(5, 1), (5, 1, 0)}
+    assert stabledp.data_io.derive_rng is derive_rng
+    with pytest.raises(AssertionError, match="give one stream"):
+        assert_distinct_streams(streams)
+
+
+def test_commands_use_one_stream_per_key_tuple(tmp_path):
+    cfg = SweepConfig(dataset=DatasetConfig(n=120, d=12, classes=2, sparsity=4, seed=3,
+                                            reduce_to=6),
+                      split=SplitPlan(seed=0, repeats=2), lambda_grid=(0.05, 0.2),
+                      epsilon_grid=(1.0, 4.0))
+    S, _ = synth_classification(60, 5, classes=2, sparsity=5, noise=0.5, seed=9)
+    spec = ObjectiveSpec("logistic", 0.2, penalty="l2")
+    sgd = SgdConfig(steps_T=20, step_size=0.1, batch_size_b=5, seed=3, dropout_rate_s=0.5)
+    with spy_streams() as streams:
+        cmd_sweep(cfg, tmp_path / "sweep")
+        cmd_select(cfg, tmp_path / "select")
+        run_verify_suite("all", trials=4, probes=5, samples=20_000, draws=2_000, seed=0)
+        empirical_sgd_stability(spec, S, sgd, trials=3, probes=5, seed=0)
+    # every command above draws: splits, noise, neighbours, probes, SGD batches
+    assert assert_distinct_streams(streams) > 50

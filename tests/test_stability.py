@@ -14,7 +14,6 @@ from stabledp.stability import (
     sensitivity_l2_direct,
     sensitivity_via_strong_convexity,
     spec_cert,
-    stability_knob_scaling,
     user_cert,
 )
 
@@ -182,39 +181,6 @@ class TestPrivacyErrorBound:
         assert privacy_error_bound(1, 2, 2.0, cert) == pytest.approx(
             privacy_error_bound(1, 2, 1.0, cert) / 2
         )
-
-
-class TestTable1Scaling:
-    """The multiplier on beta, a float and never a certificate."""
-
-    def test_dropout_halves(self):
-        assert stability_knob_scaling("dropout", 1.0, 0.5) == pytest.approx(0.5)
-
-    def test_batch_doubling_halves(self):
-        assert stability_knob_scaling("batch", 32, 64) == pytest.approx(0.5)
-
-    def test_steps_and_step_size_linear(self):
-        assert stability_knob_scaling("steps", 100, 300) == pytest.approx(3.0)
-        assert stability_knob_scaling("step_size", 0.1, 0.05) == pytest.approx(0.5)
-
-    def test_identity(self):
-        assert stability_knob_scaling("steps", 7, 7) == 1.0
-
-    def test_clip_uses_min_with_lipschitz(self):
-        # below L: linear in G; above L: saturates
-        assert stability_knob_scaling("clip", 0.5, 0.25, lipschitz_L=1.0) == pytest.approx(0.5)
-        assert stability_knob_scaling("clip", 2.0, 3.0, lipschitz_L=1.0) == 1.0
-
-    def test_clip_requires_lipschitz(self):
-        for L in (None, 0.0, math.nan):
-            with pytest.raises(ValueError, match="lipschitz"):
-                stability_knob_scaling("clip", 1.0, 0.5, lipschitz_L=L)
-
-    def test_unsupported_knob_lists_supported(self):
-        with pytest.raises(ValueError) as err:
-            stability_knob_scaling("momentum", 1, 2)
-        for knob in ("steps", "step_size", "batch", "dropout", "clip"):
-            assert knob in str(err.value)
 
 
 class TestCertValidation:
