@@ -424,38 +424,36 @@ def _dp_checks(samples: int, seed: int) -> list:
     delta = 1.0 / n
     epsilon = 1.0
 
-    def mean_release(scale):
-        def fn(ds: Dataset, rng, size):
+    def mean_release(scale, ds: Dataset):
+        def sample(rng, size):
             r = laplace_sample(scale, size, rng)
             r += float(np.mean(ds.features))
             return r
-        return fn
+        return sample
 
     checks = [
         ("dp_known_sensitivity", dp_micro_check(
-            mean_release(delta / epsilon), S, Sp, epsilon,
+            mean_release(delta / epsilon, S), mean_release(delta / epsilon, Sp), epsilon,
             samples=samples, seed=seed), True),
         ("dp_negative_control", dp_micro_check(
-            mean_release(delta / epsilon / 2.0), S, Sp, epsilon,
-            samples=samples, seed=seed + 1), False),
+            mean_release(delta / epsilon / 2.0, S), mean_release(delta / epsilon / 2.0, Sp),
+            epsilon, samples=samples, seed=seed + 1), False),
     ]
 
+    # the CLI's release at the oracles' tolerance, one solve for S and its
+    # neighbour as the stack ``_neighbors`` draws: each sampler draws the kept
+    # certificate's derived noise ``size`` times on its dataset's coordinate 0
     (spec,), S_erm = _oracle_fixture((0.5,))
     block, *_ = verify_mod._neighbors(spec, S_erm, 1, derive_rng(seed, 55))
-    Sp_erm = Dataset(block.features[1], block.labels[1, :, 0])
+    (rel,) = release(spec, block, (1.0,), "derived", seed=seed,
+                     tolerance=verify_mod.SOLVE_TOLERANCE)
 
-    # the CLI's release at the oracles' tolerance, one solve per dataset: each
-    # call draws its kept certificate's derived noise ``size`` times on coordinate 0
-    kept = {id(ds): release(spec, ds, (1.0,), "derived", seed=seed,
-                            tolerance=verify_mod.SOLVE_TOLERANCE)[0]
-            for ds in (S_erm, Sp_erm)}
+    def erm_release(w0: float):
+        return lambda rng, size: perturb(np.broadcast_to(w0, size), rel.noise, rng)
 
-    def erm_release(ds: Dataset, rng_, size):
-        rel = kept[id(ds)]
-        return perturb(np.broadcast_to(rel.report.weights[0], size), rel.noise, rng_)
-
+    w0_S, w0_Sp = rel.report.weights[:, 0, 0]
     checks.append(("dp_erm_release", dp_micro_check(
-        erm_release, S_erm, Sp_erm, 1.0, samples=samples, seed=seed + 2), True))
+        erm_release(w0_S), erm_release(w0_Sp), 1.0, samples=samples, seed=seed + 2), True))
     return checks
 
 

@@ -147,8 +147,14 @@ class Preprocessing:
     scale: np.ndarray
 
     def apply(self, S: Dataset, kappa: float = 1.0) -> Dataset:
-        """Project, standardize, then rescale each row of norm above kappa to kappa."""
+        """Project, standardize, then rescale each row of norm above kappa to kappa.
+
+        S must have the width of the dataset the fit was made on."""
         _require("kappa", kappa, *_POSITIVE)
+        width = self.mean.size if self.basis is None else self.basis.shape[0]
+        if S.d != width:
+            raise ValueError(f"the preprocessing was fit on {width} columns, "
+                             f"but S has {S.d}")
         X = (S.features if self.basis is None else S.features @ self.basis) - self.mean
         X /= self.scale
         _rebound(X, kappa)
@@ -277,11 +283,17 @@ def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None 
         labels = np.arange(classes, dtype=float)
 
     cls = np.arange(n) % means.shape[0]
-    if structured_noise:
-        basis = np.linalg.qr(means.T)[0].T  # orthonormal rows spanning the means
-        deviations = noise * rng.standard_normal((n, basis.shape[0])) @ basis
-    else:
-        deviations = noise * rng.standard_normal((n, d))
+    # a huge noise overflows a deviation to inf (or, in the product with a
+    # basis, inf * 0 to nan): refused by name below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if structured_noise:
+            basis = np.linalg.qr(means.T)[0].T  # orthonormal rows spanning the means
+            deviations = noise * rng.standard_normal((n, basis.shape[0])) @ basis
+        else:
+            deviations = noise * rng.standard_normal((n, d))
+    if not np.isfinite(deviations).all():
+        raise ValueError(f"noise={noise} overflows the Gaussian deviations; "
+                         f"a smaller noise is needed")
     X = means[cls] + deviations
     _rebound(X, kappa)
     y = labels[cls]

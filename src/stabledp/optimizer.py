@@ -15,15 +15,15 @@ downstream feature selection relies on. Both solvers step on
 ``solve_erm`` takes ``model.objective`` once, at the end.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
-step size, batch size, gradient clipping, norm-contracting dropout, and
-iterate averaging. Batch order and dropout randomness come from streams
-derived per purpose (and per step, for dropout) from the config seed. It
+step size, batch size, gradient clipping and norm-contracting dropout.
+Batch order and dropout randomness come from streams derived per purpose
+(and per step, for dropout) from the config seed. It
 trains a stack, such as S and its neighbours, as the slices of one
 iterate: every slice sees the same batch indices and the same per-step
 dropout stream, which is the coupling of the uniform stability argument
 (Hardt, Recht & Singer 2016), and each slice equals its own
-single-dataset run bit for bit. It returns its weights alone: a run of
-T steps certifies no residual, so it makes no ``SolveReport``.
+single-dataset run bit for bit. It returns its last iterate alone: a run
+of T steps certifies no residual, so it makes no ``SolveReport``.
 """
 
 from __future__ import annotations
@@ -73,19 +73,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Minibatch SGD configuration.
-
-    ``averaging``, when given, is a weight per step (nonnegative, summing
-    to 1); the returned iterate is the weighted average of the post-step
-    iterates instead of the final one.
-    """
+    """Minibatch SGD configuration."""
 
     steps_T: int
     step_size: float
     batch_size_b: int
     clip_bound_G: float | None = None
     dropout_rate_s: float | None = None
-    averaging: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -96,17 +90,6 @@ class SgdConfig:
             _require("clip_bound_G", self.clip_bound_G, *_POSITIVE)
         if self.dropout_rate_s is not None:
             _require("dropout_rate_s", self.dropout_rate_s, *_UNIT)
-        if self.averaging is not None:
-            w = np.asarray(self.averaging, dtype=float)
-            if w.shape != (self.steps_T,):
-                raise ValueError(
-                    f"averaging needs one weight per step ({self.steps_T}), got {w.shape}"
-                )
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"averaging weights must be finite, got {self.averaging}")
-            if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-                raise ValueError("averaging weights must be nonnegative and sum to 1")
-            object.__setattr__(self, "averaging", tuple(float(v) for v in w))
 
 
 @dataclass
@@ -342,9 +325,8 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | _Stack, cfg: SgdConfig) -> np.ndar
 
     Per step: draw the next without-replacement batch, compute the smooth
     gradient, clip to G if configured, apply s-dropout if configured, step,
-    then soft-threshold for the L1 term. With ``averaging`` set, the
-    weighted average of post-step iterates is returned instead of the final
-    iterate.
+    then soft-threshold for the L1 term. The iterate after the last step is
+    returned.
 
     ``S`` is a dataset, giving (d,) weights, or a stack of m datasets (S
     and its neighbours by ``model._stack``, say), giving (m, d, 1) weights
@@ -368,7 +350,6 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | _Stack, cfg: SgdConfig) -> np.ndar
     if cfg.batch_size_b > n:
         raise ValueError(f"batch_size_b={cfg.batch_size_b} exceeds n={n}")
     W = np.zeros((m, d, 1))  # one slice per dataset
-    avg = np.zeros_like(W) if cfg.averaging is not None else None
 
     batch_rng = derive_rng(cfg.seed, 0)
     cursor = n
@@ -391,10 +372,8 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | _Stack, cfg: SgdConfig) -> np.ndar
             W = soft_threshold(W, cfg.step_size * spec.l1_coefficient)
         if not np.isfinite(W).all():
             raise FloatingPointError(f"non-finite iterate at step {t}")
-        if avg is not None:
-            avg += cfg.averaging[t] * W
 
-    return unpack(avg if avg is not None else W)
+    return unpack(W)
 
 
 def convergence_sensitivity_correction(base_sensitivity: float, loss_gap_bound: float,

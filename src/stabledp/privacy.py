@@ -24,18 +24,19 @@ calibrates, trains and perturbs, and returns one ``Release`` per epsilon.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
-proof. It returns the ``OracleReport`` every empirical check returns. The
-bins' window is placed by held-out pilot draws, 1/64 of the sample count
-from each dataset on streams of their own: their median is the window's
-centre and their mean absolute deviation from it the estimated noise
-scale. Each dataset's counted release is then drawn from its one
+proof. It takes the release's two samplers, one on S and one on its
+neighbour, and returns the ``OracleReport`` every empirical check returns.
+The bins' window is placed by held-out pilot draws, 1/64 of the sample
+count from each sampler on streams of their own: their median is the
+window's centre and their mean absolute deviation from it the estimated
+noise scale. Each sampler's counted release is then drawn from its one
 generator in blocks of at most 16 384 values, each checked, binned and
 dropped before the next is drawn, so the memory the check holds follows
-the pilot, not the sample count. A ``release_fn`` is therefore called
-several times per dataset on one generator, with sizes up to the block;
-the shipped releases, ``laplace_sample`` or ``perturb`` over it, draw one
-generator word per value in order, so their joined blocks are the values
-of one ``samples``-sized call. ``verify.flip_rate_check`` counts its flips
+the pilot, not the sample count. A sampler is therefore called several
+times on its one generator, with sizes up to the block; the shipped
+releases, ``laplace_sample`` or ``perturb`` over it, draw one generator
+word per value in order, so their joined blocks are the values of one
+``samples``-sized call. ``verify.flip_rate_check`` counts its flips
 through the same blocks.
 """
 
@@ -281,10 +282,9 @@ def _count_blocks(total: int, draw, count):
     return acc
 
 
-def _release_of(release_fn, name: str, S: Dataset, rng: np.random.Generator,
-                size: int) -> np.ndarray:
-    """``release_fn(S, rng, size)`` as floats, checked 1-D, ``size`` long and finite."""
-    r = np.asarray(release_fn(S, rng, size), dtype=float)
+def _release_of(release, name: str, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``release(rng, size)`` as floats, checked 1-D, ``size`` long and finite."""
+    r = np.asarray(release(rng, size), dtype=float)
     if r.shape != (size,):
         raise ValueError(f"{name} must return a 1-D array of size={size} values, "
                          f"got shape {r.shape}")
@@ -294,19 +294,20 @@ def _release_of(release_fn, name: str, S: Dataset, rng: np.random.Generator,
     return r
 
 
-def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
+def dp_micro_check(release_S, release_S_neighbor, epsilon: float,
                    samples: int = 1_000_000, seed: int = 0) -> OracleReport:
     """Empirical test of the DP inequality on a 1-D release.
 
-    ``release_fn(dataset, rng, size)`` must return ``size`` independent
-    scalar releases, as a 1-D array of finite values; any other return
-    raises ValueError. It is called several times per dataset on one
+    ``release_S(rng, size)`` and ``release_S_neighbor(rng, size)`` sample
+    the release on S and on its neighbour: each must return ``size``
+    independent scalar releases, as a 1-D array of finite values; any
+    other return raises ValueError. Each is called several times on one
     generator, with sizes up to a block of 16 384 values; when it draws
     its values in order from ``rng``, as ``laplace_sample`` and
     ``perturb`` do, the joined blocks equal one ``samples``-sized call.
     Frequencies are compared over 20 equal bins that
     span 4 estimated noise scales either side of a centre. Both come from
-    a pilot, ceil(samples / 64) values drawn from each dataset on streams
+    a pilot, ceil(samples / 64) values drawn from each sampler on streams
     the counted samples never use, joined: the centre is its median, and
     the scale its mean absolute deviation from the centre (the Laplace
     MLE), floored at 1e-12. At 1M samples the pilot holds 31 250 values,
@@ -321,7 +322,7 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     on either side are reported as inconclusive, not failed.
 
     The report's bound is that threshold, its empirical value the largest
-    bin ratio, and its trials the sample count per dataset. ``details``
+    bin ratio, and its trials the sample count per sampler. ``details``
     counts the bins checked and inconclusive, and ``confident_violations``
     the bins whose Wilson-interval ratio lower bound already exceeds
     exp(epsilon).
@@ -330,10 +331,9 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     _require("epsilon", epsilon, *_POSITIVE)
     _require("samples", samples, *_COUNT)
     size = -(-samples // _WINDOW_STRIDE)
-    pilots = np.concatenate([
-        _release_of(release_fn, "release_fn(S)", S, derive_rng(seed, 103), size),
-        _release_of(release_fn, "release_fn(S_neighbor)", S_neighbor, derive_rng(seed, 204),
-                    size)])
+    sides = (("release_S", release_S), ("release_S_neighbor", release_S_neighbor))
+    pilots = np.concatenate([_release_of(fn, name, derive_rng(seed, key), size)
+                             for (name, fn), key in zip(sides, (103, 204))])
     # two equal-length pilots, so the median is the mean of the middle pair;
     # np.median's NaN check would import numpy.ma mid-pass
     h = pilots.size // 2
@@ -343,10 +343,9 @@ def dp_micro_check(release_fn, S: Dataset, S_neighbor: Dataset, epsilon: float,
     edges = np.linspace(center - _RANGE_SCALES * scale_hat,
                         center + _RANGE_SCALES * scale_hat, _BINS + 1)
     count_a, count_b = (
-        _count_blocks(samples, lambda n: _release_of(release_fn, name, ds, rng, n),
+        _count_blocks(samples, lambda n: _release_of(fn, name, rng, n),
                       lambda r: np.histogram(r, bins=edges)[0])
-        for name, ds, rng in (("release_fn(S)", S, derive_rng(seed, 101)),
-                              ("release_fn(S_neighbor)", S_neighbor, derive_rng(seed, 202))))
+        for (name, fn), rng in zip(sides, (derive_rng(seed, 101), derive_rng(seed, 202))))
 
     limit = math.exp(epsilon)
     threshold = limit * (1.0 + _SLACK)

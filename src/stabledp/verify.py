@@ -148,14 +148,6 @@ def _scale_rows(X: np.ndarray, radius: np.ndarray) -> None:
     X *= (radius / np.maximum(_row_norms(X), 1e-300))[..., None]
 
 
-def _fresh_rows(spec: ObjectiveSpec, d: int, k: int, rng: np.random.Generator):
-    """k fresh records as (X, y): kappa-bounded rows (uniform in the ball), +/-1 labels."""
-    X, y, radius = np.empty((k, d)), np.empty(k), np.empty(k)
-    _write_records(spec, rng, X, y, radius)
-    _scale_rows(X, radius)
-    return X, y
-
-
 def _neighbors(spec: ObjectiveSpec, S: Dataset, trials: int, rng: np.random.Generator,
                in_sample: int = 0, fresh: int = 0) -> tuple:
     """(stack, probe indices, fresh probe rows, their labels) of S and ``trials`` neighbors.

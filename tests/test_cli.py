@@ -444,7 +444,8 @@ class TestVerifyCommand:
 
 
 def releasing_dp_checks(samples, seed):
-    """The reference for ``cli._dp_checks``: its ERM release trains on every call."""
+    """The reference for ``cli._dp_checks``: its ERM samplers train S and its
+    neighbour as lone datasets, anew on every call."""
     from stabledp import verify
     from stabledp.cli import _oracle_fixture
     from stabledp.privacy import dp_micro_check, laplace_sample, perturb, release
@@ -455,8 +456,8 @@ def releasing_dp_checks(samples, seed):
     Sp = S.replace_record(0, np.array([0.8]), 0.0)
     delta, epsilon = 1.0 / n, 1.0
 
-    def mean_release(scale):
-        def fn(ds, rng, size):
+    def mean_release(scale, ds):
+        def fn(rng, size):
             r = laplace_sample(scale, size, rng)
             r += float(np.mean(ds.features))
             return r
@@ -466,18 +467,20 @@ def releasing_dp_checks(samples, seed):
     block, *_ = verify._neighbors(spec, S_erm, 1, derive_rng(seed, 55))
     Sp_erm = Dataset(block.features[1], block.labels[1, :, 0])
 
-    def erm_release(ds, rng, size):
-        (rel,) = release(spec, ds, (1.0,), "derived", seed=seed,
-                         tolerance=verify.SOLVE_TOLERANCE)
-        return perturb(np.broadcast_to(rel.report.weights[0], size), rel.noise, rng)
+    def erm_release(ds):
+        def fn(rng, size):
+            (rel,) = release(spec, ds, (1.0,), "derived", seed=seed,
+                             tolerance=verify.SOLVE_TOLERANCE)
+            return perturb(np.broadcast_to(rel.report.weights[0], size), rel.noise, rng)
+        return fn
 
     return [("dp_known_sensitivity", dp_micro_check(
-                mean_release(delta / epsilon), S, Sp, epsilon, samples=samples, seed=seed),
-             True),
+                mean_release(delta / epsilon, S), mean_release(delta / epsilon, Sp), epsilon,
+                samples=samples, seed=seed), True),
             ("dp_negative_control", dp_micro_check(
-                mean_release(delta / epsilon / 2.0), S, Sp, epsilon, samples=samples,
-                seed=seed + 1), False),
-            ("dp_erm_release", dp_micro_check(erm_release, S_erm, Sp_erm, 1.0,
+                mean_release(delta / epsilon / 2.0, S), mean_release(delta / epsilon / 2.0, Sp),
+                epsilon, samples=samples, seed=seed + 1), False),
+            ("dp_erm_release", dp_micro_check(erm_release(S_erm), erm_release(Sp_erm), 1.0,
                                               samples=samples, seed=seed + 2), True)]
 
 
@@ -495,10 +498,10 @@ class TestDpChecks:
 
         monkeypatch.setattr(privacy, "solve_erm", counted)
         checks = cli_mod._dp_checks(samples=2000, seed=seed)
-        assert solves[0] == 2
+        assert solves[0] == 1  # S and its neighbour, as the one stack they are drawn as
         solves[0] = 0
         reference = releasing_dp_checks(samples=2000, seed=seed)
-        assert solves[0] == 4  # each dataset's pilot and full draw train it anew
+        assert solves[0] == 4  # each sampler's pilot and full draw train its dataset anew
         assert [(name, rep.to_dict(), expected) for name, rep, expected in checks] == [
             (name, rep.to_dict(), expected) for name, rep, expected in reference]
 

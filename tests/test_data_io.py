@@ -287,6 +287,15 @@ class TestPreprocess:
         with pytest.raises(DataFormatError, match="feature column 1 "):
             fit_preprocess(Dataset(X, np.zeros(20)), k)
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_apply_refuses_another_width(self, k):
+        # numpy's broadcast (no basis) or matmul (a basis) error named no width
+        S, _ = synth_classification(40, 6, classes=2, seed=1)
+        fit = fit_preprocess(S, k)
+        with pytest.raises(ValueError, match=r"^the preprocessing was fit on 6 columns, "
+                                             r"but S has 5$"):
+            fit.apply(Dataset(S.features[:, :5], S.labels))
+
     def test_overflowing_reduced_column_is_a_format_error(self):
         # two equal columns whose deviations are each finite, but the reduced
         # column along their shared direction has a squared deviation sum past
@@ -345,6 +354,14 @@ class TestSynthClassification:
     def test_noise_whose_squared_norm_overflows_lands_on_kappa(self):
         S, _ = synth_classification(50, 5, classes=2, noise=1e200, seed=3)
         np.testing.assert_allclose(np.linalg.norm(S.features, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_noise_that_overflows_the_deviations_is_refused_by_name(self, structured):
+        # noise * N(0, 1) overflows; numpy's overflow warning came first, then a
+        # non-finite-features error from Dataset that named no field
+        with pytest.raises(ValueError, match=r"^noise=1e\+308 overflows"):
+            synth_classification(50, 5, classes=2, noise=1e308, seed=3,
+                                 structured_noise=structured)
 
     @pytest.mark.parametrize("kappa", [1e-300, 1.0, 1e200])
     def test_overflowing_rows_keep_their_direction(self, kappa):

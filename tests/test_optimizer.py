@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -528,19 +527,6 @@ class TestSgdRun:
         # mean is summed in permuted order), so compare at rounding level
         np.testing.assert_allclose(w_sgd, w, rtol=0, atol=1e-14)
 
-    def test_averaging_beats_worst_trajectory_point(self):
-        spec = ObjectiveSpec("squared", 0.2, lipschitz_L=5.0)
-        S = self.small_problem()
-        T = 30
-        cfg = SgdConfig(steps_T=T, step_size=0.05, batch_size_b=4,
-                        averaging=tuple([1.0 / T] * T), seed=3)
-        w_avg = sgd_run(spec, S, cfg)
-        # step t's iterate: a t-step run on the same seed draws the same
-        # batches and dropout streams up to step t
-        objs = [objective(spec, sgd_run(spec, S, replace(cfg, steps_T=t, averaging=None)), S)
-                for t in range(1, T + 1)]
-        assert objective(spec, w_avg, S) <= max(objs) + 1e-12
-
     def test_bit_reproducible(self):
         spec = ObjectiveSpec("logistic", 0.1)
         S = self.small_problem()
@@ -582,7 +568,6 @@ SGD_KNOBS = {
     "dropout": {"dropout_rate_s": 0.5},
     "clip": {"clip_bound_G": 0.05},
     "large_batch": {"batch_size_b": 30},
-    "averaging": {"averaging": tuple([1.0 / 120] * 120)},
 }
 
 
@@ -696,8 +681,6 @@ class TestSgdConfig:
         dict(steps_T=1, step_size=0.1, batch_size_b=1, clip_bound_G=0.0),
         dict(steps_T=1, step_size=0.1, batch_size_b=1, dropout_rate_s=0.0),
         dict(steps_T=1, step_size=0.1, batch_size_b=1, dropout_rate_s=1.5),
-        dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(0.5, 0.6)),
-        dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(1.5, -0.5)),
         dict(steps_T=10, step_size=math.nan, batch_size_b=5),
         dict(steps_T=10, step_size=0.1, batch_size_b=5, clip_bound_G=math.nan),
         dict(steps_T=math.nan, step_size=0.1, batch_size_b=5),
@@ -706,7 +689,6 @@ class TestSgdConfig:
         dict(steps_T=10, step_size=0.1, batch_size_b=math.nan),
         dict(steps_T=10, step_size=0.1, batch_size_b=2.5),
         dict(steps_T=2.5, step_size=0.1, batch_size_b=1),
-        dict(steps_T=2, step_size=0.1, batch_size_b=1, averaging=(0.5, math.nan)),
         dict(steps_T=True, step_size=0.1, batch_size_b=1),
         dict(steps_T=1, step_size=0.1, batch_size_b=True),
         # clip_gradient would return g * (inf / inf), NaN

@@ -326,29 +326,34 @@ class TestPrivateElasticNet:
             release(elastic_spec(), S, (1.0,), "verbatim", seed=0)
 
 
-def _bounded_mean_release(scale):
-    def fn(ds, rng, size):
-        return float(np.mean(ds.features)) + laplace_sample(scale, size, rng)
-    return fn
+def _bounded_mean_release(scale, ds):
+    """The sampler of ds's feature mean plus Laplace(scale) noise."""
+    mean = float(np.mean(ds.features))
+    return lambda rng, size: mean + laplace_sample(scale, size, rng)
 
 
-def _perturbed_mean_release(scale):
-    def fn(ds, rng, size):
-        return perturb(np.broadcast_to(float(np.mean(ds.features)), size), Noise(scale), rng)
-    return fn
+def _perturbed_mean_release(scale, ds):
+    """The same release as :func:`_bounded_mean_release`, drawn by ``perturb``."""
+    mean = float(np.mean(ds.features))
+    return lambda rng, size: perturb(np.broadcast_to(mean, size), Noise(scale), rng)
 
 
-def _one_call_counts(release_fn, S, Sp, samples, seed):
-    """Each dataset's bin counts from one ``samples``-sized call, on the pilots' window."""
+def _pair(release, scale, S, Sp):
+    """``release``'s samplers at ``scale`` on S and on Sp."""
+    return release(scale, S), release(scale, Sp)
+
+
+def _one_call_counts(release_S, release_Sp, samples, seed):
+    """Each sampler's bin counts from one ``samples``-sized call, on the pilots' window."""
     # the window comes from one pilot value per 64 samples, on streams of its own
     pilot = -(-samples // 64)
-    sub = np.concatenate([release_fn(S, derive_rng(seed, 103), pilot),
-                          release_fn(Sp, derive_rng(seed, 204), pilot)])
+    sub = np.concatenate([release_S(derive_rng(seed, 103), pilot),
+                          release_Sp(derive_rng(seed, 204), pilot)])
     center = np.median(sub)
     scale = np.mean(np.abs(sub - center))
     edges = np.linspace(center - 4 * scale, center + 4 * scale, 21)
-    return [np.histogram(release_fn(ds, derive_rng(seed, key), samples), edges)[0].tolist()
-            for ds, key in ((S, 101), (Sp, 202))]
+    return [np.histogram(fn(derive_rng(seed, key), samples), edges)[0].tolist()
+            for fn, key in ((release_S, 101), (release_Sp, 202))]
 
 
 def _bin_counts(rep):
@@ -381,21 +386,21 @@ class TestDpMicroCheck:
 
     def test_identical_datasets_ratio_near_one(self):
         S, _ = self.datasets()
-        rep = dp_micro_check(_bounded_mean_release(0.025), S, S, epsilon=1.0,
+        rep = dp_micro_check(*_pair(_bounded_mean_release, 0.025, S, S), epsilon=1.0,
                              samples=200_000, seed=0)
         assert rep.empirical_value < 1.1
         assert rep.passed
 
     def test_calibrated_release_passes(self):
         S, Sp = self.datasets()
-        rep = dp_micro_check(_bounded_mean_release(1 / 40 / 1.0), S, Sp, epsilon=1.0,
-                             samples=400_000, seed=1)
+        rep = dp_micro_check(*_pair(_bounded_mean_release, 1 / 40 / 1.0, S, Sp),
+                             epsilon=1.0, samples=400_000, seed=1)
         assert rep.passed, rep.summary()
 
     def test_half_noise_negative_control_fails(self):
         S, Sp = self.datasets()
-        rep = dp_micro_check(_bounded_mean_release(1 / 40 / 2.0), S, Sp, epsilon=1.0,
-                             samples=400_000, seed=2)
+        rep = dp_micro_check(*_pair(_bounded_mean_release, 1 / 40 / 2.0, S, Sp),
+                             epsilon=1.0, samples=400_000, seed=2)
         assert not rep.passed, rep.summary()
         assert rep.details["confident_violations"] >= 1
 
@@ -404,19 +409,19 @@ class TestDpMicroCheck:
         # an infinite epsilon once passed even the half-noise release
         S, Sp = self.datasets()
         with pytest.raises(ValueError, match="epsilon"):
-            dp_micro_check(_bounded_mean_release(1 / 40 / 2.0), S, Sp, epsilon=epsilon,
-                           samples=1_000, seed=2)
+            dp_micro_check(*_pair(_bounded_mean_release, 1 / 40 / 2.0, S, Sp),
+                           epsilon=epsilon, samples=1_000, seed=2)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_rejected(self, samples):
         S, Sp = self.datasets()
         with pytest.raises(ValueError, match="samples"):
-            dp_micro_check(_bounded_mean_release(1 / 40), S, Sp, epsilon=1.0,
+            dp_micro_check(*_pair(_bounded_mean_release, 1 / 40, S, Sp), epsilon=1.0,
                            samples=samples, seed=2)
 
     def test_low_sample_bins_inconclusive_not_failed(self):
         S, Sp = self.datasets()
-        rep = dp_micro_check(_bounded_mean_release(0.025), S, Sp, epsilon=1.0,
+        rep = dp_micro_check(*_pair(_bounded_mean_release, 0.025, S, Sp), epsilon=1.0,
                              samples=100, seed=3)
         assert rep.details["bins_inconclusive"] > 0
 
@@ -425,33 +430,37 @@ class TestDpMicroCheck:
         ("shifted", 20_000), ("shifted", 200_001)])
     def test_bins_span_the_window_of_every_64th_value(self, release, samples):
         S, Sp = self.datasets()
-        laplace, seed = _bounded_mean_release(1 / 40), 4
-        pilot = -(-samples // 64)
+        seed, pilot = 4, -(-samples // 64)
 
-        def release_fn(ds, rng, size):
-            r = laplace(ds, rng, size)
-            if release == "shifted" and size == pilot:
-                return r + 0.05  # the pilots only, two noise scales up: the window follows
-            return np.round(r * 20) / 20 if release == "discrete" else r  # many ties
+        def shaped(laplace):
+            def sample(rng, size):
+                r = laplace(rng, size)
+                if release == "shifted" and size == pilot:
+                    return r + 0.05  # the pilots only, two noise scales up: the window follows
+                return np.round(r * 20) / 20 if release == "discrete" else r  # many ties
+            return sample
 
-        rep = dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=samples, seed=seed)
-        assert _bin_counts(rep) == _one_call_counts(release_fn, S, Sp, samples, seed)
+        samplers = [shaped(laplace) for laplace in _pair(_bounded_mean_release, 1 / 40, S, Sp)]
+        rep = dp_micro_check(*samplers, epsilon=1.0, samples=samples, seed=seed)
+        assert _bin_counts(rep) == _one_call_counts(*samplers, samples, seed)
 
     @pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
     @pytest.mark.parametrize("release", [_bounded_mean_release, _perturbed_mean_release],
                              ids=["bounded_mean", "perturb"])
     def test_blocks_count_as_one_call(self, release, samples):
-        # each dataset's release is drawn in blocks from its one generator,
+        # each sampler's release is drawn in blocks from its one generator,
         # and the blocks' counts are those of one samples-sized call
         S, Sp = self.datasets()
-        release_fn, sizes = release(1 / 40), []
+        samplers, sizes = _pair(release, 1 / 40, S, Sp), []
 
-        def recording(ds, rng, size):
-            sizes.append(size)
-            return release_fn(ds, rng, size)
+        def recording(sample):
+            def recorded(rng, size):
+                sizes.append(size)
+                return sample(rng, size)
+            return recorded
 
-        rep = dp_micro_check(recording, S, Sp, epsilon=1.0, samples=samples, seed=6)
-        assert _bin_counts(rep) == _one_call_counts(release_fn, S, Sp, samples, 6)
+        rep = dp_micro_check(*map(recording, samplers), epsilon=1.0, samples=samples, seed=6)
+        assert _bin_counts(rep) == _one_call_counts(*samplers, samples, 6)
         blocks = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
         assert sizes == [-(-samples // 64)] * 2 + blocks * 2
 
@@ -461,8 +470,10 @@ class TestDpMicroCheck:
         seen, linspace = [], np.linspace
         monkeypatch.setattr(np, "linspace",
                             lambda *args: seen.append(linspace(*args)) or seen[-1])
-        rep = dp_micro_check(lambda ds, rng, size: np.full(size, 0.5), S, Sp,
-                             epsilon=1.0, samples=1_000, seed=0)
+        def constant(rng, size):
+            return np.full(size, 0.5)
+
+        rep = dp_micro_check(constant, constant, epsilon=1.0, samples=1_000, seed=0)
         monkeypatch.undo()
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.linspace(0.5 - 4e-12, 0.5 + 4e-12, 21))
@@ -472,7 +483,7 @@ class TestDpMicroCheck:
     @pytest.mark.parametrize("samples", [1, 60])
     def test_fewer_samples_than_the_stride(self, samples):
         S, Sp = self.datasets()
-        rep = dp_micro_check(_bounded_mean_release(1 / 40), S, Sp, epsilon=1.0,
+        rep = dp_micro_check(*_pair(_bounded_mean_release, 1 / 40, S, Sp), epsilon=1.0,
                              samples=samples, seed=5)
         assert rep.trials == samples and len(rep.details["bin_table"]) == 20
         assert rep.details["bins_inconclusive"] == 20 and not rep.passed
@@ -481,6 +492,9 @@ class TestDpMicroCheck:
 class TestDpMicroCheckGuards:
     """Both pilots are checked before the window is placed, and each full
     release before it is binned."""
+
+    # the sides in dp_micro_check's argument order
+    SIDES = ("S", "S_neighbor")
 
     def datasets(self):
         return TestDpMicroCheck().datasets()
@@ -492,35 +506,37 @@ class TestDpMicroCheckGuards:
         (lambda r: np.where(np.arange(r.size) == 7, np.nan, r), "1 non-finite"),
         (lambda r: np.where(np.arange(r.size) < 2, -np.inf, r), "2 non-finite"),
     ], ids=["half_length", "two_d", "nan", "inf"])
-    @pytest.mark.parametrize("side", ["S", "S_neighbor"])
+    @pytest.mark.parametrize("side", SIDES)
     def test_bad_release_rejected(self, bad, match, side):
         S, Sp = self.datasets()
-        good = _bounded_mean_release(1 / 40)
+        samplers = list(_pair(_bounded_mean_release, 1 / 40, S, Sp))
+        i = self.SIDES.index(side)
+        good = samplers[i]
+        samplers[i] = lambda rng, size: bad(good(rng, size))
 
-        def release_fn(ds, rng, size):
-            r = good(ds, rng, size)
-            return bad(r) if ds is (S if side == "S" else Sp) else r
-
-        with pytest.raises(ValueError, match=rf"release_fn\({side}\) must .*{match}"):
-            dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=100, seed=0)
+        with pytest.raises(ValueError, match=rf"release_{side} must .*{match}"):
+            dp_micro_check(*samplers, epsilon=1.0, samples=100, seed=0)
 
     @pytest.mark.parametrize("bad, match", [
         (lambda r: r[:-1], r"size=10 values, got shape \(9,\)"),
         (lambda r: np.where(np.arange(r.size) == 3, np.nan, r), "1 non-finite"),
     ], ids=["short", "nan"])
-    @pytest.mark.parametrize("side", ["S", "S_neighbor"])
+    @pytest.mark.parametrize("side", SIDES)
     def test_bad_second_block_rejected(self, bad, match, side):
         # every block is checked: at one block plus 10 samples only the
         # second, 10-value block of a release is bad
         S, Sp = self.datasets()
-        good = _bounded_mean_release(1 / 40)
+        samplers = list(_pair(_bounded_mean_release, 1 / 40, S, Sp))
+        i = self.SIDES.index(side)
+        good = samplers[i]
 
-        def release_fn(ds, rng, size):
-            r = good(ds, rng, size)
-            return bad(r) if ds is (S if side == "S" else Sp) and size == 10 else r
+        def release(rng, size):
+            r = good(rng, size)
+            return bad(r) if size == 10 else r
 
-        with pytest.raises(ValueError, match=rf"release_fn\({side}\) must .*{match}"):
-            dp_micro_check(release_fn, S, Sp, epsilon=1.0, samples=_BLOCK + 10, seed=0)
+        samplers[i] = release
+        with pytest.raises(ValueError, match=rf"release_{side} must .*{match}"):
+            dp_micro_check(*samplers, epsilon=1.0, samples=_BLOCK + 10, seed=0)
 
 
 def _traced_check(samples):
@@ -529,7 +545,7 @@ def _traced_check(samples):
     S, Sp = TestDpMicroCheck().datasets()
     tracemalloc.start()
     try:
-        rep = dp_micro_check(_perturbed_mean_release(1 / 40), S, Sp, epsilon=1.0,
+        rep = dp_micro_check(*_pair(_perturbed_mean_release, 1 / 40, S, Sp), epsilon=1.0,
                              samples=samples, seed=0)
         current, peak = tracemalloc.get_traced_memory()
     finally:

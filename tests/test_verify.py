@@ -24,7 +24,8 @@ from stabledp.privacy import OracleReport, perturb
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
-    _fresh_rows,
+    _scale_rows,
+    _write_records,
     empirical_privacy_error,
     empirical_sensitivity,
     empirical_sgd_stability,
@@ -40,9 +41,18 @@ def fixture(n=50, d=5, lam=0.5, seed=5):
     return ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0), S
 
 
+def fresh_rows(spec, d, k, rng):
+    """k fresh records as (X, y), kappa-bounded rows (uniform in the ball) and +/-1
+    labels, through the module's one writer and its one scaling pass."""
+    X, y, radius = np.empty((k, d)), np.empty(k), np.empty(k)
+    _write_records(spec, rng, X, y, radius)
+    _scale_rows(X, radius)
+    return X, y
+
+
 def fresh_record(spec, d, rng):
     """One fresh record drawn alone, for the scalar reference loops."""
-    (x,), (y,) = _fresh_rows(spec, d, 1, rng)
+    (x,), (y,) = fresh_rows(spec, d, 1, rng)
     return x, y
 
 
@@ -53,7 +63,7 @@ def neighbor(spec, S, rng):
 
 
 def record_loop(spec, d, k, rng):
-    """The record-at-a-time sampler that ``_fresh_rows`` must reproduce bit for bit."""
+    """The record-at-a-time sampler that ``fresh_rows`` must reproduce bit for bit."""
     rows = []
     for _ in range(k):
         v = rng.standard_normal(d)
@@ -80,7 +90,7 @@ class TestFreshRows:
 
     def test_draws_pinned(self):
         rng = derive_rng(0, 26)
-        X, y = _fresh_rows(self.SPEC, 5, 4, rng)
+        X, y = fresh_rows(self.SPEC, 5, 4, rng)
         assert X.shape == (4, 5) and y.shape == (4,)
         for x, label, (x_ref, y_ref) in zip(X, y, self.PINNED):
             assert x.tolist() == pytest.approx(x_ref, rel=1e-15, abs=0)
@@ -90,7 +100,7 @@ class TestFreshRows:
 
         # one block and four one-record blocks draw the same stream
         rng = derive_rng(0, 26)
-        singles = [_fresh_rows(self.SPEC, 5, 1, rng) for _ in range(4)]
+        singles = [fresh_rows(self.SPEC, 5, 1, rng) for _ in range(4)]
         assert np.concatenate([x for x, _ in singles]).tobytes() == X.tobytes()
         assert np.concatenate([y for _, y in singles]).tobytes() == y.tobytes()
         assert rng.random() == 0.9946670155919738
@@ -100,7 +110,7 @@ class TestFreshRows:
     def test_matches_record_loop(self, d, k):
         spec = ObjectiveSpec("logistic", 0.2, kappa=0.7)
         rng, ref_rng = derive_rng(3, d, k), derive_rng(3, d, k)
-        X, y = _fresh_rows(spec, d, k, rng)
+        X, y = fresh_rows(spec, d, k, rng)
         X_ref, y_ref = record_loop(spec, d, k, ref_rng)
         assert X.shape == X_ref.shape and X.dtype == X_ref.dtype == np.float64
         assert y.shape == y_ref.shape and y.dtype == y_ref.dtype == np.float64
@@ -111,7 +121,7 @@ class TestFreshRows:
 
     @pytest.mark.parametrize("labels", [999, 1000])
     def test_bit_generator_words_are_the_generator_draws(self, labels):
-        # _fresh_rows takes its radius uniforms and labels from the bit
+        # _write_records takes its radius uniforms and labels from the bit
         # generator's ctypes interface; that keeps every oracle stream only
         # while these two equivalences hold, interleaved with normals
         rng, ref_rng = derive_rng(8, labels), derive_rng(8, labels)
@@ -124,17 +134,17 @@ class TestFreshRows:
             u, u_ref = bits.next_double(bits.state), ref_rng.random()
             assert u == u_ref, (
                 f"draw {i}: next_double gave {u!r}, rng.random() {u_ref!r}; this numpy "
-                "changed rng.random(), so _fresh_rows would move every oracle stream")
+                "changed rng.random(), so _write_records would move every oracle stream")
             label, label_ref = bits.next_uint32(bits.state) >> 31, int(ref_rng.integers(2))
             assert label == label_ref, (
                 f"draw {i}: next_uint32 >> 31 gave {label}, rng.integers(2) {label_ref}; "
-                "this numpy changed rng.integers(2), so _fresh_rows would move every "
+                "this numpy changed rng.integers(2), so _write_records would move every "
                 "oracle stream")
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_rows_in_ball_labels_pm1(self):
         spec = ObjectiveSpec("logistic", 0.2, kappa=0.7)
-        X, y = _fresh_rows(spec, 32, 500, derive_rng(4))
+        X, y = fresh_rows(spec, 32, 500, derive_rng(4))
         assert np.all(np.linalg.norm(X, axis=1) <= 0.7 * (1 + 1e-15))
         assert set(np.unique(y)) == {-1.0, 1.0}
 
@@ -486,7 +496,7 @@ class TestLossGapsBitForBit:
         for j in range(1, trials + 1):
             neighbor(spec, S, rng)
             idx = rng.choice(S.n, size=probes, replace=False)
-            X, y = _fresh_rows(spec, S.d, probes, rng)
+            X, y = fresh_rows(spec, S.d, probes, rng)
             if j != marked:
                 worst_in = max(worst_in, max_loss_gap(spec, W[0], W[j],
                                                       S.features[idx], S.labels[idx]))
@@ -501,7 +511,7 @@ class TestLossGapsBitForBit:
         cfg = SgdConfig(steps_T=30, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=2)
         trials, probes, seed = 6, 5, 6
         rng = derive_rng(seed, 26)
-        pairs = [(neighbor(spec, S, rng), _fresh_rows(spec, S.d, probes, rng))
+        pairs = [(neighbor(spec, S, rng), fresh_rows(spec, S.d, probes, rng))
                  for _ in range(trials)]
         W = sgd_run(spec, _stack([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
         worst = max(max_loss_gap(spec, W[0], W[j], *rows)
@@ -726,7 +736,7 @@ def point_loop_gradient_check(spec, n_fixtures=100, seed=0):
     for _ in range(n_fixtures):
         w = rng.standard_normal(d)
         x, y = fresh_record(spec, d, rng)
-        Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
+        Sf = Dataset(*fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
         for ga, f in ((per_example_grad(spec, w, x, y),
                        lambda v: per_example_loss(spec, v, x, y)),
                       (gradient(spec, w, Sf), lambda v: smooth_objective(spec, v, Sf))):
@@ -750,7 +760,7 @@ def fixture_loop_gradient_check(spec, n_fixtures=100, seed=0):
     for _ in range(n_fixtures):
         w = rng.standard_normal(d)
         x, y = fresh_record(spec, d, rng)
-        Sf = Dataset(*_fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
+        Sf = Dataset(*fresh_rows(spec, d, int(rng.integers(3, 8)), rng))
         copies = _Stack(np.broadcast_to(Sf.features, (2 * d, Sf.n, d)),
                         np.broadcast_to(Sf.labels[:, None], (2 * d, Sf.n, 1)))
         step = h * np.eye(d)
