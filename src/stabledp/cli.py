@@ -55,7 +55,6 @@ from .privacy import (
     CALIBRATIONS,
     Noise,
     dp_micro_check,
-    laplace_sample,
     perturb,
     release,
 )
@@ -412,6 +411,8 @@ def _oracle_fixture(lams) -> tuple:
 def _dp_checks(samples: int, seed: int) -> list:
     """(name, OracleReport, expected_pass) triples for the dp suite.
 
+    Each check samples its release on S and on a neighbour through
+    ``perturb``, as its ``Noise`` drawn around the dataset's statistic.
     The bounded-mean release has exact sensitivity 1/n (the worst neighbor
     swaps a 0 for a 1). The checked pair realizes 80% of it, so a
     correctly calibrated mechanism sits safely inside the threshold while
@@ -419,42 +420,27 @@ def _dp_checks(samples: int, seed: int) -> list:
     """
     n = 40
     values = np.linspace(0.0, 1.0, n)
-    S = Dataset(values[:, None], np.zeros(n))
-    Sp = S.replace_record(0, np.array([0.8]), 0.0)
-    delta = 1.0 / n
-    epsilon = 1.0
-
-    def mean_release(scale, ds: Dataset):
-        def sample(rng, size):
-            r = laplace_sample(scale, size, rng)
-            r += float(np.mean(ds.features))
-            return r
-        return sample
-
-    checks = [
-        ("dp_known_sensitivity", dp_micro_check(
-            mean_release(delta / epsilon, S), mean_release(delta / epsilon, Sp), epsilon,
-            samples=samples, seed=seed), True),
-        ("dp_negative_control", dp_micro_check(
-            mean_release(delta / epsilon / 2.0, S), mean_release(delta / epsilon / 2.0, Sp),
-            epsilon, samples=samples, seed=seed + 1), False),
-    ]
+    mean_S = float(np.mean(values))
+    values[0] = 0.8
+    means = (mean_S, float(np.mean(values)))
 
     # the CLI's release at the oracles' tolerance, one solve for S and its
-    # neighbour as the stack ``_neighbors`` draws: each sampler draws the kept
-    # certificate's derived noise ``size`` times on its dataset's coordinate 0
+    # neighbour as the stack ``_neighbors`` draws; its check samples the kept
+    # certificate's derived noise around each dataset's coordinate 0
     (spec,), S_erm = _oracle_fixture((0.5,))
     block, *_ = verify_mod._neighbors(spec, S_erm, 1, derive_rng(seed, 55))
     (rel,) = release(spec, block, (1.0,), "derived", seed=seed,
                      tolerance=verify_mod.SOLVE_TOLERANCE)
 
-    def erm_release(w0: float):
-        return lambda rng, size: perturb(np.broadcast_to(w0, size), rel.noise, rng)
+    def around(centre: float, noise: Noise):
+        return lambda rng, size: perturb(np.broadcast_to(centre, size), noise, rng)
 
-    w0_S, w0_Sp = rel.report.weights[:, 0, 0]
-    checks.append(("dp_erm_release", dp_micro_check(
-        erm_release(w0_S), erm_release(w0_Sp), 1.0, samples=samples, seed=seed + 2), True))
-    return checks
+    checks = (("dp_known_sensitivity", means, Noise(1.0 / n), True),
+              ("dp_negative_control", means, Noise(0.5 / n), False),
+              ("dp_erm_release", rel.report.weights[:, 0, 0], rel.noise, True))
+    return [(name, dp_micro_check(around(c_S, noise), around(c_Sp, noise), 1.0,
+                                  samples=samples, seed=seed + i), expected)
+            for i, (name, (c_S, c_Sp), noise, expected) in enumerate(checks)]
 
 
 def run_verify_suite(suite: str, trials: int = 200, probes: int = 50,

@@ -35,7 +35,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -168,8 +167,8 @@ class _Stack:
     """m same-shape datasets: (m, n, d) features and (m, n, K) labels.
 
     K label columns share each dataset's features: K = 1 for raw labels
-    (:func:`_stack`, ``data_io.split``, an oracle's neighbours), one
-    one-vs-rest column per class for a config's signed training splits.
+    (``data_io.split``, an oracle's neighbours), one one-vs-rest column per
+    class for a config's signed training splits.
     """
 
     features: np.ndarray
@@ -209,19 +208,6 @@ class _Stack:
         Xt = X.swapaxes(-1, -2)
         G = (Xt @ X if d <= n else X @ Xt) / n
         return np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0)
-
-
-def _stack(datasets: Sequence[Dataset]) -> _Stack:
-    """The stack of same-shape datasets, K = 1; it holds m*n*d floats."""
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("a block needs at least one dataset")
-    n, d = datasets[0].n, datasets[0].d
-    for D in datasets:
-        if D.features.shape != (n, d):
-            raise ValueError(f"every dataset needs features {(n, d)}, got {D.features.shape}")
-    return _Stack(np.stack([D.features for D in datasets]),
-                  np.stack([D.labels for D in datasets])[:, :, None])
 
 
 @dataclass(frozen=True)

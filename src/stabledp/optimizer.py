@@ -2,8 +2,8 @@
 
 Both solvers take ``S`` through one path, ``_block``: a ``Dataset`` gives
 (d,) weights, and a stack of m datasets with K label columns each (S and
-its neighbours by ``model._stack``, or a config's training splits with
-their signed one-vs-rest labels) (m, d, K) weights.
+its neighbours, or a config's training splits with their signed
+one-vs-rest labels) (m, d, K) weights.
 
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
 gradient-scheme restart) at a fixed step from a certain curvature bound, so
@@ -147,7 +147,7 @@ def _block(S: Dataset | _Stack):
     (1, n, 1) stack whose results unpack to (d,) weights. Any other S, a
     list included, raises ValueError."""
     _require("S's type", type(S), lambda t: issubclass(t, (Dataset, _Stack)),
-             "Dataset or _Stack (build a stack with model._stack)", type)
+             "Dataset or _Stack", type)
     if isinstance(S, _Stack):
         return S, lambda a: a
     return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
@@ -170,7 +170,7 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     Every input is solved as one (m, d, K) block: m datasets, each at its
     own step 1/L_j, with K label columns each. A stack (the training
     splits of one config with one one-vs-rest column per class, or S and
-    its neighbours stacked by ``model._stack``, say) gives (m, d, K)
+    its neighbours stacked by ``verify._neighbors``, say) gives (m, d, K)
     weights whose slice j is trained on the j-th dataset; its curvature
     bounds are taken once per stack. One dataset is the stack m = K = 1,
     giving (d,) weights.
@@ -329,9 +329,9 @@ def sgd_run(spec: ObjectiveSpec, S: Dataset | _Stack, cfg: SgdConfig) -> np.ndar
     returned.
 
     ``S`` is a dataset, giving (d,) weights, or a stack of m datasets (S
-    and its neighbours by ``model._stack``, say), giving (m, d, 1) weights
-    whose slice j is trained on the j-th dataset. The stack is one coupled
-    run: every slice takes the same batch indices from the one
+    and its neighbours by ``verify._neighbors``, say), giving (m, d, 1)
+    weights whose slice j is trained on the j-th dataset. The stack is one
+    coupled run: every slice takes the same batch indices from the one
     ``derive_rng(seed, 0)`` order, and its gradient row is clipped and
     dropped out by itself, with every row drawing from the step's fresh
     ``derive_rng(seed, 1, t)``. So each slice equals its own single-dataset

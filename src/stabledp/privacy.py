@@ -17,9 +17,11 @@ calibrations exist, and every release records which one it used:
                   certificates only, and in d > 1 it adds less noise than
                   the provable calibration.
 
-``perturb`` is the one place a ``Noise`` is drawn onto model weights, into
-the array it returns. ``release`` is the one path from an objective and its
-data to released weights, for the CLI and the library alike: it certifies,
+``perturb`` is the one place noise is drawn: it draws a ``Noise`` onto
+model weights, or onto any statistic, into the array it returns; the
+release, the ``verify`` oracles and the dp suite's samplers all go through
+it. ``release`` is the one path from an objective and its data to
+released weights, for the CLI and the library alike: it certifies,
 calibrates, trains and perturbs, and returns one ``Release`` per epsilon.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
@@ -34,10 +36,9 @@ generator in blocks of at most 16 384 values, each checked, binned and
 dropped before the next is drawn, so the memory the check holds follows
 the pilot, not the sample count. A sampler is therefore called several
 times on its one generator, with sizes up to the block; the shipped
-releases, ``laplace_sample`` or ``perturb`` over it, draw one generator
-word per value in order, so their joined blocks are the values of one
-``samples``-sized call. ``verify.flip_rate_check`` counts its flips
-through the same blocks.
+samplers, ``perturb`` over a statistic, draw one generator word per value
+in order, so their joined blocks are the values of one ``samples``-sized
+call. ``verify.flip_rate_check`` counts its flips through the same blocks.
 """
 
 from __future__ import annotations
@@ -78,14 +79,11 @@ __all__ = [
 
 CALIBRATIONS = ("verbatim", "derived")
 
-# uniforms ``laplace_sample`` transforms per block: a block and its slice of
-# the output are 512 KiB together, so both stay in L2 cache while it works
-_LAPLACE_BLOCK = 32_768
-
-# values per block of a counted draw; ``_count_blocks`` holds one at a time.
-# At 128 KiB glibc's malloc reuses a block's buffers for the next block: a
-# fresh `verify dp` took 1 023 minor page faults at this size, and 18 311 at
-# 32 768 values or 20 952 at 65 536, where they went back to the kernel
+# values per block of a draw: ``laplace_sample`` transforms its uniforms in
+# blocks of this size, and ``_count_blocks`` holds one block of a counted draw
+# at a time. At 128 KiB glibc's malloc reuses a block's buffers for the next
+# block: a fresh `verify dp` took 1 023 minor page faults at this size, and
+# 18 311 at 32 768 values or 20 952 at 65 536, where they went back to the kernel
 _DRAW_BLOCK = 16_384
 
 # ``dp_micro_check``'s bins, their half-width in estimated noise scales, the
@@ -177,15 +175,16 @@ def laplace_sample(scale_b: float, count: int, rng: np.random.Generator) -> np.n
     generator, so draws are reproducible. The value is
     sign(u) * b * -log1p(-2 |u|) for u uniform in [-0.5, 0.5); u = 0 gives
     +0.0. The uniforms come from ``rng.random`` in blocks of at most
-    ``_LAPLACE_BLOCK``, which together draw the stream of one
+    ``_DRAW_BLOCK``, which together draw the stream of one
     ``rng.random(count)``; each block is transformed in place into its
-    slice of the one ``count``-float output.
+    slice of the one ``count``-float output. The package draws it through
+    :func:`perturb` alone.
     """
     _require("scale_b", scale_b, *_POSITIVE)
     _require("count", count, *_at_least(0))
     out = np.empty(count)
-    for start in range(0, count, _LAPLACE_BLOCK):
-        u = rng.random(min(_LAPLACE_BLOCK, count - start))
+    for start in range(0, count, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, count - start))
         u -= 0.5  # in [-0.5, 0.5)
         mag = np.abs(u, out=out[start:start + u.size])
         # guard the measure-zero u = -0.5 endpoint so log1p never sees -1
@@ -303,8 +302,8 @@ def dp_micro_check(release_S, release_S_neighbor, epsilon: float,
     independent scalar releases, as a 1-D array of finite values; any
     other return raises ValueError. Each is called several times on one
     generator, with sizes up to a block of 16 384 values; when it draws
-    its values in order from ``rng``, as ``laplace_sample`` and
-    ``perturb`` do, the joined blocks equal one ``samples``-sized call.
+    its values in order from ``rng``, as ``perturb`` does, the joined
+    blocks equal one ``samples``-sized call.
     Frequencies are compared over 20 equal bins that
     span 4 estimated noise scales either side of a centre. Both come from
     a pilot, ceil(samples / 64) values drawn from each sampler on streams

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stabledp.model import (
     Dataset,
     ObjectiveSpec,
-    _stack,
     _Stack,
     as_signed_labels,
     gradient,
@@ -20,6 +19,8 @@ from stabledp.model import (
     smooth_objective,
     strong_convexity_constant,
 )
+
+from stacks import stack_of
 
 LN2 = math.log(2.0)
 
@@ -328,7 +329,7 @@ class TestStackEvaluation:
         # bit for bit: each slice of a batched product is that dataset's own product
         spec = ObjectiveSpec(kind, 0.2, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
         datasets, W = self.stack()
-        S = _stack(datasets)
+        S = stack_of(datasets)
         G, f, F = gradient(spec, W, S), smooth_objective(spec, W, S), objective(spec, W, S)
         assert G.shape == (3, 4, 1) and f.shape == (3, 1) and F.shape == (3, 1)
         for j, Sj in enumerate(datasets):
@@ -342,7 +343,7 @@ class TestStackEvaluation:
         datasets, W = self.stack()
         for weights in (W[0], W[:2], W[..., 0], W[..., 0].T):
             with pytest.raises(ValueError, match="does not match"):
-                fn(spec, weights, _stack(datasets))
+                fn(spec, weights, stack_of(datasets))
 
     @pytest.mark.parametrize("features,labels", [
         ((2, 12, 4), (2, 12, 1, 1)),
@@ -360,7 +361,7 @@ class TestStackEvaluation:
 
     def test_max_row_norm_is_the_largest_of_its_datasets(self):
         datasets, _ = self.stack()
-        S = _stack(datasets)
+        S = stack_of(datasets)
         assert S.max_row_norm() == pytest.approx(max(D.max_row_norm() for D in datasets),
                                                  rel=1e-12)
         assert S.max_row_norm() is S.max_row_norm()  # taken once per stack

@@ -13,7 +13,6 @@ from stabledp.data_io import SplitPlan, split, synth_classification
 from stabledp.model import (
     Dataset,
     ObjectiveSpec,
-    _stack,
     _Stack,
     as_signed_labels,
     gradient,
@@ -33,6 +32,8 @@ from stabledp.optimizer import (
     solve_erm,
 )
 from stabledp.rng import derive_rng
+
+from stacks import stack_of
 
 
 def one_point_problem():
@@ -205,7 +206,7 @@ class TestSolveErm:
 
 def erm_block():
     """S, two one-record neighbours, and three variants whose steps and paths differ,
-    as a list of datasets; ``_stack`` makes it a solver input."""
+    as a list of datasets; ``stack_of`` makes it a solver input."""
     S, *neighbours = sgd_block(2)
     return [S, *neighbours, Dataset(0.3 * S.features, S.labels),
             Dataset(2.0 * S.features, S.labels), Dataset(S.features, -S.labels)]
@@ -231,7 +232,7 @@ class TestSolveErmBlock:
     @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
     def test_columns_equal_their_own_solves(self, name):
         spec, datasets, tol = BLOCK_SPECS[name], erm_block(), 1e-9
-        stack = _stack(datasets)
+        stack = stack_of(datasets)
         block = solve_erm(spec, stack, tol)
         singles = [solve_erm(spec, D, tol) for D in datasets]
         assert block.weights.shape == (len(datasets), 5, 1)
@@ -253,7 +254,7 @@ class TestSolveErmBlock:
 
     def test_block_of_one(self):
         spec, (S,) = SPECS["logistic-elastic"], sgd_block(0)
-        block = solve_erm(spec, _stack([S]), 1e-9)
+        block = solve_erm(spec, stack_of([S]), 1e-9)
         single = solve_erm(spec, S, 1e-9)
         assert block.weights.shape == (1, 5, 1)
         assert block.weights[0, :, 0].tobytes() == single.weights.tobytes()
@@ -268,7 +269,7 @@ class TestSolveErmBlock:
         assert 0 < len(late) < len(datasets)
         pattern = re.escape(f"in (dataset, column) pairs {[(j, 0) for j in late]}")
         with pytest.raises(ConvergenceError, match=pattern) as err:
-            solve_erm(spec, _stack(datasets), tol, max_iters=k)
+            solve_erm(spec, stack_of(datasets), tol, max_iters=k)
         rep = err.value.report
         assert rep.iterations_used == k
         assert rep.weights.shape == (len(datasets), 5, 1)
@@ -288,17 +289,17 @@ class TestSolveErmBlock:
         }
         for block in bad_blocks.values():
             with pytest.raises(ValueError, match="every dataset needs|at least one dataset"):
-                solve_erm(spec, _stack(block), 1e-6)
+                solve_erm(spec, stack_of(block), 1e-6)
 
     def test_zero_features_get_the_regulariser_curvature(self):
         spec, (S, Sp) = SPECS["squared-elastic"], sgd_block(1)
         zero = Dataset(np.zeros_like(S.features), S.labels)
         with np.errstate(all="raise"):
-            L = _smooth_curvature(spec, _stack([S, zero, Sp]))
-            block = solve_erm(spec, _stack([S, zero, Sp]), 1e-9)
+            L = _smooth_curvature(spec, stack_of([S, zero, Sp]))
+            block = solve_erm(spec, stack_of([S, zero, Sp]), 1e-9)
         assert L[1] == 2.0 * spec.l2_coefficient
-        assert L[0] == _smooth_curvature(spec, _stack([S]))[0]
-        assert L[2] == _smooth_curvature(spec, _stack([Sp]))[0]
+        assert L[0] == _smooth_curvature(spec, stack_of([S]))[0]
+        assert L[2] == _smooth_curvature(spec, stack_of([Sp]))[0]
         assert block.weights[1, :, 0].tobytes() == solve_erm(spec, zero, 1e-9).weights.tobytes()
 
 
@@ -368,7 +369,7 @@ class TestSplitStack:
         assert len(calls) == 1
         # a minibatch stack of sgd_run never asks for it
         S, *neighbours = sgd_block(2)
-        sgd_run(SPECS["logistic-l2"], _stack([S, *neighbours]),
+        sgd_run(SPECS["logistic-l2"], stack_of([S, *neighbours]),
                 SgdConfig(steps_T=10, step_size=0.1, batch_size_b=5))
         assert len(calls) == 1
 
@@ -383,7 +384,7 @@ class TestLabelsTheLossCanBack:
         labels[7] = bad
         D = Dataset(S.features, labels)
         cfg = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)
-        stack = _stack([S, D])
+        stack = stack_of([S, D])
         for run in (lambda: solve_erm(spec, D, 1e-6), lambda: solve_erm(spec, stack, 1e-6),
                     lambda: sgd_run(spec, D, cfg), lambda: sgd_run(spec, stack, cfg)):
             with pytest.raises(ValueError, match="labels"):
@@ -414,7 +415,7 @@ class TestReportObjective:
         return [("single", Dataset(X, Y[:, 0]), [Dataset(X, Y[:, 0])]),
                 ("one-vs-rest", _Stack(X[None], Y[None]),
                  [Dataset(X, Y[:, j]) for j in range(Y.shape[1])]),
-                ("neighbour stack", _stack(datasets), datasets)]
+                ("neighbour stack", stack_of(datasets), datasets)]
 
     @staticmethod
     def check(spec, rep, S, columns):
@@ -483,7 +484,7 @@ class TestSmoothCurvature:
         S = Dataset(X, np.ones(X.shape[0]))
         lam_max = float(np.linalg.eigvalsh(X.T @ X / X.shape[0])[-1])
         exact = factor * lam_max + 2.0 * spec.l2_coefficient
-        (L,) = _smooth_curvature(spec, _stack([S]))
+        (L,) = _smooth_curvature(spec, stack_of([S]))
         assert L >= exact
         # tight: at most the trace bound, and at most 1.1x on these inputs
         trace = factor * float(np.sum(X * X)) / X.shape[0] + 2.0 * spec.l2_coefficient
@@ -578,7 +579,7 @@ class TestSgdBlock:
         spec, datasets = SPECS[name], sgd_block()
         cfg = SgdConfig(**{"steps_T": 120, "step_size": 0.1, "batch_size_b": 5, "seed": 4,
                            **SGD_KNOBS[knob]})
-        block = sgd_run(spec, _stack(datasets), cfg)
+        block = sgd_run(spec, stack_of(datasets), cfg)
         singles = [sgd_run(spec, D, cfg) for D in datasets]
         assert block.shape == (len(datasets), 5, 1)
         for j, w in enumerate(singles):
@@ -590,7 +591,7 @@ class TestSgdBlock:
     def test_block_of_one(self):
         spec, (S,) = SPECS["logistic-l2"], sgd_block(0)
         cfg = SgdConfig(steps_T=50, step_size=0.1, batch_size_b=5, dropout_rate_s=0.5, seed=1)
-        block = sgd_run(spec, _stack([S]), cfg)
+        block = sgd_run(spec, stack_of([S]), cfg)
         assert block.shape == (1, 5, 1)
         np.testing.assert_array_equal(block[0, :, 0], sgd_run(spec, S, cfg))
 
@@ -604,7 +605,7 @@ class TestSgdBlock:
         }
         for blocks in bad_blocks.values():
             with pytest.raises(ValueError, match="every dataset needs|at least one dataset"):
-                sgd_run(spec, _stack(blocks), cfg)
+                sgd_run(spec, stack_of(blocks), cfg)
 
 
 class TestEvaluationPath:
@@ -626,7 +627,7 @@ class TestEvaluationPath:
         spec, datasets = BLOCK_SPECS["logistic-elastic-0.1"], erm_block()
         grads = self.count(monkeypatch, "gradient")
         values = self.count(monkeypatch, "smooth_objective", model_mod)
-        k = solve_erm(spec, _stack(datasets), 1e-9).iterations_used
+        k = solve_erm(spec, stack_of(datasets), 1e-9).iterations_used
         # one gradient per iteration; the objective once, at the returned weights
         assert len(grads) == k
         assert len(values) == 1
@@ -637,14 +638,14 @@ class TestEvaluationPath:
         spec, datasets = SPECS["logistic-l2"], sgd_block(3)
         grads = self.count(monkeypatch, "gradient")
         cfg = SgdConfig(steps_T=40, step_size=0.1, batch_size_b=5, seed=2)
-        sgd_run(spec, _stack(datasets), cfg)
+        sgd_run(spec, stack_of(datasets), cfg)
         # one per step, on the batch, and none on the full stack
         assert len(grads) == cfg.steps_T
         assert all(S.features.shape == (4, 5, 5) for S in grads)
 
 
 class TestBlockInput:
-    """Both solvers take S through ``_block``: a Dataset or a ``_stack`` stack alone."""
+    """Both solvers take S through ``_block``: a Dataset or a ``stack_of`` stack alone."""
 
     SPEC = SPECS["logistic-l2"]
     CFG = SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5)

@@ -75,7 +75,7 @@ class TestLaplaceSample:
 
         # the uniforms are drawn block by block: counts B - 1, B, B + 1 and
         # 3B + 5 draw and leave behind the stream of one rng.random(count)
-        B = privacy_mod._LAPLACE_BLOCK
+        B = privacy_mod._DRAW_BLOCK
         for count in (0, 1, 7, 100_000, B - 1, B, B + 1, 3 * B + 5):
             for b in (0.4, 1.0):
                 ref_rng, rng = derive_rng(5, count), derive_rng(5, count)

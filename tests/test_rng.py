@@ -1,5 +1,6 @@
 """derive_rng's key-to-stream mapping: the aliases its docstring states, and one
-stream per key tuple among the tuples the package's commands ask for.
+stream per key tuple among the tuples the package's commands ask for; and the
+one path, ``privacy.perturb``, through which those commands draw their noise.
 
 ``spy_streams`` and ``assert_distinct_streams`` also serve a run outside
 pytest, e.g. a benchmark workload at full size:
@@ -12,6 +13,7 @@ pytest, e.g. a benchmark workload at full size:
 import contextlib
 import importlib
 import pkgutil
+import re
 import sys
 
 import numpy as np
@@ -22,9 +24,10 @@ from stabledp import rng as rng_mod
 from stabledp.cli import DatasetConfig, SweepConfig, cmd_select, cmd_sweep, run_verify_suite
 from stabledp.data_io import SplitPlan, synth_classification
 from stabledp.model import ObjectiveSpec
-from stabledp.optimizer import SgdConfig
+from stabledp.optimizer import SgdConfig, sgd_run
+from stabledp.privacy import laplace_sample, perturb
 from stabledp.rng import derive_rng
-from stabledp.verify import empirical_sgd_stability
+from stabledp.verify import empirical_sensitivity, empirical_sgd_stability
 
 
 def stream_state(gen: np.random.Generator) -> tuple:
@@ -94,6 +97,29 @@ class TestAliases:
         assert stream_state(a) != stream_state(c)
 
 
+class TestKeys:
+    """Every key is an integer; any other is refused, not truncated."""
+
+    def test_numpy_integers_are_keys(self):
+        assert stream_state(derive_rng(np.int64(5), np.uint32(1))) == \
+            stream_state(derive_rng(5, 1))
+
+    @pytest.mark.parametrize("key", [1.9, 2.0, np.float64(1.0), True, "x", None])
+    def test_other_keys_raise_naming_their_position(self, key):
+        want = rf"^key 1 must be an integer, got {re.escape(repr(key))}$"
+        with pytest.raises(ValueError, match=want):
+            derive_rng(3, key)
+
+    def test_a_float_seed_trains_nothing(self):
+        # seed=1.9 once trained exactly as seed=1, and seed=2.7 reported what seed 2 did
+        S, _ = synth_classification(30, 4, classes=2, sparsity=4, noise=0.5, seed=9)
+        spec = ObjectiveSpec("logistic", 0.2, penalty="l2")
+        with pytest.raises(ValueError, match=r"^key 0 must be an integer, got 1\.9$"):
+            sgd_run(spec, S, SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5, seed=1.9))
+        with pytest.raises(ValueError, match=r"^key 0 must be an integer, got 2\.7$"):
+            empirical_sensitivity([spec], S, trials=2, seed=2.7)
+
+
 def test_spy_sees_an_alias():
     with spy_streams() as streams:
         derive_rng(1, 2)  # not through a stabledp module: unseen
@@ -105,18 +131,42 @@ def test_spy_sees_an_alias():
         assert_distinct_streams(streams)
 
 
-def test_commands_use_one_stream_per_key_tuple(tmp_path):
+def run_commands(tmp_path):
+    """A small sweep and select, then every verify suite at small sizes."""
     cfg = SweepConfig(dataset=DatasetConfig(n=120, d=12, classes=2, sparsity=4, seed=3,
                                             reduce_to=6),
                       split=SplitPlan(seed=0, repeats=2), lambda_grid=(0.05, 0.2),
                       epsilon_grid=(1.0, 4.0))
+    cmd_sweep(cfg, tmp_path / "sweep")
+    cmd_select(cfg, tmp_path / "select")
+    run_verify_suite("all", trials=4, probes=5, samples=20_000, draws=2_000, seed=0)
+
+
+def test_commands_use_one_stream_per_key_tuple(tmp_path):
     S, _ = synth_classification(60, 5, classes=2, sparsity=5, noise=0.5, seed=9)
     spec = ObjectiveSpec("logistic", 0.2, penalty="l2")
     sgd = SgdConfig(steps_T=20, step_size=0.1, batch_size_b=5, seed=3, dropout_rate_s=0.5)
     with spy_streams() as streams:
-        cmd_sweep(cfg, tmp_path / "sweep")
-        cmd_select(cfg, tmp_path / "select")
-        run_verify_suite("all", trials=4, probes=5, samples=20_000, draws=2_000, seed=0)
+        run_commands(tmp_path)
         empirical_sgd_stability(spec, S, sgd, trials=3, probes=5, seed=0)
     # every command above draws: splits, noise, neighbours, probes, SGD batches
     assert assert_distinct_streams(streams) > 50
+
+
+def test_commands_draw_noise_through_perturb_alone(monkeypatch, tmp_path):
+    # a spy in place of each stabledp module's binding of laplace_sample
+    # records the code of its caller; the dp suite's bounded-mean samplers
+    # once drew through laplace_sample directly
+    for info in pkgutil.iter_modules(stabledp.__path__):
+        importlib.import_module(f"stabledp.{info.name}")
+    callers = []
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code)
+        return laplace_sample(*args)
+
+    for name, m in list(sys.modules.items()):
+        if name.startswith("stabledp") and getattr(m, "laplace_sample", None) is laplace_sample:
+            monkeypatch.setattr(m, "laplace_sample", spy)
+    run_commands(tmp_path)
+    assert callers and set(callers) == {perturb.__code__}

@@ -12,7 +12,6 @@ from stabledp.model import (
     Dataset,
     ObjectiveSpec,
     _loss_values,
-    _stack,
     _Stack,
     gradient,
     per_example_grad,
@@ -34,6 +33,8 @@ from stabledp.verify import (
     gradient_check,
     privacy_error_scaling,
 )
+
+from stacks import stack_of
 
 
 def fixture(n=50, d=5, lam=0.5, seed=5):
@@ -513,7 +514,7 @@ class TestLossGapsBitForBit:
         rng = derive_rng(seed, 26)
         pairs = [(neighbor(spec, S, rng), fresh_rows(spec, S.d, probes, rng))
                  for _ in range(trials)]
-        W = sgd_run(spec, _stack([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
+        W = sgd_run(spec, stack_of([S, *(Sp for Sp, _ in pairs)]), cfg)[..., 0]
         worst = max(max_loss_gap(spec, W[0], W[j], *rows)
                     for j, (_, rows) in enumerate(pairs, start=1))
         rep = empirical_sgd_stability(spec, S, cfg, trials=trials, probes=probes, seed=seed)
