@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .data_io import (DataFormatError, SplitPlan, fetch_dataset, load_csv, preprocess, split,
-                      synth_classification)
+from .data_io import (DataFormatError, SplitPlan, _write_rows, fetch_dataset, load_csv,
+                      preprocess, split, synth_classification)
 from .features import f1_similarity, flip_probability, lemma_noise, select_features
 from .model import (
     _COUNT,
@@ -178,9 +178,6 @@ class SweepConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def config_from_dict(raw: dict) -> SweepConfig:
     """Build a config from a JSON dict, reporting bad fields by path."""
@@ -269,21 +266,6 @@ def accuracy(W: np.ndarray, classes: np.ndarray, S: _Stack) -> np.ndarray:
     return np.mean(predict(W, classes, S.features) == S.labels[..., 0], axis=1)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_rows(path: Path, columns: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented, key-sorted JSON, making the parent directory."""
     path = Path(path)
@@ -300,7 +282,7 @@ def _write_outputs(out_dir, command: str, cfg: SweepConfig, columns: list, rows:
     # the sidecar goes first: its writer makes out_dir
     _write_json(out_dir / f"{command}.meta.json", {
         "schema_version": SCHEMA_VERSION, "command": command, "columns": columns,
-        "config": cfg.to_dict(), **(extra or {})})
+        "config": dataclasses.asdict(cfg), **(extra or {})})
     csv_path = out_dir / f"{command}.csv"
     _write_rows(csv_path, columns, rows)
     return csv_path

@@ -1,7 +1,9 @@
 """Dataset ingestion, preprocessing, seeded splits, and synthetic generators.
 
 Canonical CSV format: UTF-8, one header row, comma-separated, '.' decimal
-separator, label in a named column (default: the last column).
+separator, label in a named column (default: the last column). Datasets and
+the CLI's result tables share one writer, ``_write_rows``: ``repr`` floats,
+``\n`` line ends.
 
 Preprocessing is one fitted transform: ``fit_preprocess(S, k, seed)`` fits a
 randomized truncated SVD to k columns and the column standardization on S,
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _COUNT, _NONNEGATIVE, _POSITIVE, Dataset, _at_least, _require, _Stack
+from .model import (_COUNT, _INTEGER, _NONNEGATIVE, _POSITIVE, Dataset, _at_least,
+                    _require, _Stack)
 from .rng import derive_rng
 
 __all__ = [
@@ -59,8 +62,7 @@ class SplitPlan:
     repeats: int = 10
 
     def __post_init__(self):
-        # a float seed would be truncated by derive_rng
-        _require("seed", self.seed, lambda v: True, "an integer", int)
+        _require("seed", self.seed, *_INTEGER)
         _require("train_fraction", self.train_fraction, lambda v: 0 < v < 1, "in (0, 1)")
         _require("repeats", self.repeats, *_COUNT)
 
@@ -75,12 +77,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    lines = [ln for ln in lines if ln.strip() != ""]
+    with open(path, encoding="utf-8") as fh:  # numbered before the blank lines go
+        lines = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: no rows")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     if label_column is None:
         label_idx = len(header) - 1
     else:
@@ -93,7 +94,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         raise DataFormatError(f"{path}: no rows")
 
     rows, labels, bad = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             bad.append(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
@@ -123,17 +124,32 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _fmt(v) -> str:
+    """A CSV cell: "" for None, ``repr`` of a float (numpy's included), else ``str``."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_rows(path, columns: list, rows) -> None:
+    """The package's one CSV writer: the ``columns`` header, then one line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -> Path:
     """Write a Dataset in canonical CSV form (label last, repr-exact floats)."""
     path = Path(path)
     names = feature_names or [f"f{i}" for i in range(S.d)]
     if len(names) != S.d:
         raise ValueError(f"need {S.d} feature names, got {len(names)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([*names, label_name]) + "\n")
-        for i in range(S.n):
-            cells = [repr(float(v)) for v in S.features[i]] + [repr(float(S.labels[i]))]
-            fh.write(",".join(cells) + "\n")
+    # one record at a time, as Python floats: their repr is the numpy values' repr
+    _write_rows(path, [*names, label_name],
+                (x.tolist() + [y] for x, y in zip(S.features, S.labels.tolist())))
     return path
 
 
@@ -365,26 +381,19 @@ def convert_adult(raw_path, out_path) -> dict:
     if not rows:
         raise FetchError(f"{raw_path}: no usable rows")
 
-    categories = {
-        c: sorted({row[i] for row in rows})
-        for i, c in enumerate(ADULT_COLUMNS) if c in ADULT_CATEGORICAL
-    }
-    names, encoders = [], []
-    for i, col in enumerate(ADULT_COLUMNS[:-1]):
+    names, blocks = [], []
+    *features, income = zip(*rows)
+    for col, cells in zip(ADULT_COLUMNS, features):
         if col in ADULT_CATEGORICAL:
-            for val in categories[col]:
-                names.append(f"{col}={val}")
-                encoders.append((i, val))
+            values = sorted(set(cells))
+            names += [f"{col}={v}" for v in values]
+            blocks.append(np.array(cells)[:, None] == np.array(values))
         else:
             names.append(col)
-            encoders.append((i, None))
-
-    feats = np.empty((len(rows), len(names)))
-    for r, row in enumerate(rows):
-        for j, (i, val) in enumerate(encoders):
-            feats[r, j] = (1.0 if row[i] == val else 0.0) if val is not None else float(row[i])
-    labels = np.array([1.0 if row[-1].startswith(">") else 0.0 for row in rows])
-    write_csv(Dataset(feats, labels), out_path, feature_names=names, label_name="income_high")
+            blocks.append(np.array(cells, dtype=float)[:, None])
+    labels = np.char.startswith(np.array(income), ">").astype(float)
+    write_csv(Dataset(np.hstack(blocks), labels), out_path, feature_names=names,
+              label_name="income_high")
     return {"rows": len(rows), "dropped": dropped, "columns": len(names)}
 
 

@@ -82,6 +82,7 @@ def _require_each(rule: tuple, **values) -> None:
 _POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0", float)
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0", float)
 _UNIT = (lambda v: 0 < v <= 1, "in (0, 1]", float)
+_INTEGER = (lambda v: True, "an integer", int)
 
 
 def _at_least(low: int) -> tuple:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .model import (
     _COUNT,
+    _INTEGER,
     _NONNEGATIVE,
     _POSITIVE,
     _UNIT,
@@ -83,6 +84,7 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require("seed", self.seed, *_INTEGER)
         _require("steps_T", self.steps_T, *_at_least(0))
         _require("batch_size_b", self.batch_size_b, *_COUNT)
         _require("step_size", self.step_size, *_POSITIVE)

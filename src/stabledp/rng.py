@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .model import _require
+from .model import _INTEGER, _require
 
 __all__ = ["derive_rng", "float_key"]
 
@@ -29,7 +29,8 @@ def derive_rng(*keys: int) -> np.random.Generator:
     """Generator seeded from a tuple of integer keys.
 
     Each key must be an integer, numpy's included; any other key, a bool,
-    a float or a string, raises ValueError naming its position.
+    a float or a string, raises ValueError naming its position, key 0 as
+    ``seed``: every call in the package passes its seed first.
 
     Identical tuples yield bit-identical streams, and distinct ones independent
     streams unless ``numpy.random.SeedSequence`` reads them as one word list:
@@ -38,5 +39,5 @@ def derive_rng(*keys: int) -> np.random.Generator:
     the list is zero-padded to four words (``(5, 1)`` is ``(5, 1, 0, 0)``).
     """
     for i, k in enumerate(keys):
-        _require(f"key {i}", k, lambda v: True, "an integer", int)
+        _require(f"key {i}" if i else "seed", k, *_INTEGER)
     return np.random.default_rng([int(k) & 0xFFFFFFFFFFFFFFFF for k in keys])

@@ -90,6 +90,8 @@ class TestConfig:
             config_from_dict({"dataset": {"bogus_field": 1}})
         with pytest.raises(ConfigError, match="split"):
             config_from_dict({"split": {"repeats": 0}})
+        with pytest.raises(ConfigError, match="'foo'"):
+            config_from_dict({"foo": 1})
         # fields that used to exit with a traceback, or that a seed stream truncated
         for raw, path in (({"dataset": {"sparsity": 0}}, "dataset.sparsity"),
                           ({"dataset": {"noise": -0.1}}, "dataset.noise"),
@@ -509,6 +511,7 @@ class TestDpChecks:
 class TestMainEntrypoint:
     def test_verify_exit_code(self, capsys):
         assert main(["verify", "gradients"]) == 0
+        assert main(["verify", "gradients", "--trials", "3"]) == 0
 
     def test_verify_out_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "new" / "r.json"
@@ -577,10 +580,13 @@ class TestMainEntrypoint:
         ('{"dataset": {"n": 1, "reduce_to": null}}', [], "dataset.n"),
         ('{"dataset": {"n": 20}}', [], "dataset.reduce_to"),
         ('{"lipschitz_L": 0.01}', [], "lipschitz_L must be finite and >= kappa=1.0"),
+        ('{"foo": 1}', [], "unexpected keyword argument 'foo'"),
+        ('{"dataset": {"kind": "csv"}}', [], "dataset.path: required for kind 'csv'"),
     ], ids=["lambda_flag", "epsilon_flag", "list_top_level", "malformed_json",
             "split_not_object", "grid_not_list", "missing_file", "bool_number",
             "csv_missing", "csv_malformed", "csv_1e200", "csv_1e308", "select_eta_0",
-            "split_empty_side", "one_row", "reduce_to_above_n", "lipschitz_below_kappa"])
+            "split_empty_side", "one_row", "reduce_to_above_n", "lipschitz_below_kappa",
+            "unknown_key", "csv_without_path"])
     def test_bad_config_or_flag_exit_code(self, tmp_path, capsys, text, flags, path):
         # each of these used to exit 1 with a traceback
         cfg = tmp_path / "cfg.json"
@@ -596,6 +602,7 @@ class TestMainEntrypoint:
         argv = flags if flags[:1] == ["select"] else ["sweep", *flags]
         assert main([*argv, "--out", str(tmp_path / "res")]) == 2
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("flags", [["sensitivity", "--trials", "0"],
                                        ["sensitivity", "--trials", "-3"],

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from stabledp.data_io import (
+    ADULT_CATEGORICAL,
+    ADULT_COLUMNS,
     DataFormatError,
     FetchError,
     Preprocessing,
     SplitPlan,
     _rebound,
+    _write_rows,
     convert_adult,
     fetch_dataset,
     fit_preprocess,
@@ -75,12 +78,46 @@ class TestLoadCsv:
                      "line 8: non-finite cell '-Infinity'"):
             assert line in msg
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        # the lines were once numbered after the blank ones were dropped: "line 3"
+        p = tmp_path / "f.csv"
+        p.write_text("a,b,label\n\n1.0,2.0,1\n\n1.0,x,0\n")
+        with pytest.raises(DataFormatError, match=r"1 malformed row\(s\): line 5: "
+                                                  r"non-numeric cell 'x'$"):
+            load_csv(p)
+
     def test_round_trip_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         S = Dataset(np.array([[0.1, -2.5], [1e-7, 3.25]]), np.array([1.0, 0.0]))
         write_csv(S, p1, feature_names=["a", "b"])
         write_csv(load_csv(p1), p2, feature_names=["a", "b"])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteCsv:
+    def test_bytes_are_each_values_repr(self, tmp_path):
+        S, _ = synth_classification(200, 12, classes=4, sparsity=5, noise=0.3, seed=7,
+                                    structured_noise=True)
+        X = S.features.copy()
+        X[0, :4] = (-0.0, 1e-7, 1e300, 0.1)
+        S = Dataset(X, S.labels)
+        p = tmp_path / "s.csv"
+        write_csv(S, p, feature_names=[f"x{i}" for i in range(12)], label_name="y")
+        lines = [",".join([*(f"x{i}" for i in range(12)), "y"])]
+        lines += [",".join([repr(float(v)) for v in S.features[i]] + [repr(float(S.labels[i]))])
+                  for i in range(S.n)]
+        assert p.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_one_name_per_column(self, tmp_path):
+        with pytest.raises(ValueError, match="^need 2 feature names, got 1$"):
+            write_csv(Dataset(np.ones((2, 2)), np.ones(2)), tmp_path / "s.csv",
+                      feature_names=["a"])
+
+    def test_result_rows_mix_numbers_none_and_text(self, tmp_path):
+        p = tmp_path / "r.csv"
+        _write_rows(p, ["a", "b", "c", "d", "e", "f"],
+                    [[0.1, np.float64(1e-7), 3, np.int64(-4), None, "none"]])
+        assert p.read_bytes() == b"a,b,c,d,e,f\n0.1,1e-07,3,-4,,none\n"
 
 
 def _standardized(S):
@@ -445,7 +482,74 @@ ADULT_FIXTURE = """39, State-gov, 77516, Bachelors, 13, Never-married, Adm-cleri
 """
 
 
+# blank lines, a '?' row, '>50K.' labels, decimal numbers and a category seen once
+ADULT_MIXED = ADULT_FIXTURE + """
+28.5, Private, 338409, Bachelors, 13, Married-civ-spouse, Prof-specialty, Wife, Black, Female, 0, 0, 40.25, Cuba, <=50K.
+
+37, Private, 284582, Masters, 14, Married-civ-spouse, Exec-managerial, Wife, White, Female, 0, 0, 40, United-States, >50K.
+49, ?, 160187, 9th, 5, Married-spouse-absent, ?, Not-in-family, Black, Female, 0, 0, 16, Jamaica, <=50K
+
+52, Self-emp-not-inc, 209642, HS-grad, 9, Married-civ-spouse, Exec-managerial, Husband, White, Male, 0, 0, 45, United-States, >50K
+"""
+
+
+def per_cell_adult_csv(text: str) -> tuple[str, int]:
+    """The canonical CSV text and dropped-row count of the per-cell encoder that
+    ``convert_adult`` replaced, each value written as ``repr(float(v))``."""
+    rows, dropped = [], 0
+    for line in text.splitlines():
+        line = line.strip().rstrip(".")
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(ADULT_COLUMNS) or "?" in cells:
+            dropped += 1
+            continue
+        rows.append(cells)
+    categories = {c: sorted({row[i] for row in rows})
+                  for i, c in enumerate(ADULT_COLUMNS) if c in ADULT_CATEGORICAL}
+    names, encoders = [], []
+    for i, col in enumerate(ADULT_COLUMNS[:-1]):
+        if col in ADULT_CATEGORICAL:
+            for val in categories[col]:
+                names.append(f"{col}={val}")
+                encoders.append((i, val))
+        else:
+            names.append(col)
+            encoders.append((i, None))
+    lines = [",".join([*names, "income_high"])]
+    for row in rows:
+        cells = [(1.0 if row[i] == val else 0.0) if val is not None else float(row[i])
+                 for i, val in encoders]
+        cells.append(1.0 if row[-1].startswith(">") else 0.0)
+        lines.append(",".join(repr(float(v)) for v in cells))
+    return "\n".join(lines) + "\n", dropped
+
+
 class TestConvertAdult:
+    @pytest.mark.parametrize("text", [ADULT_FIXTURE, ADULT_MIXED], ids=["fixture", "mixed"])
+    def test_bytes_equal_the_per_cell_encoder(self, tmp_path, text):
+        raw, out = tmp_path / "adult.raw", tmp_path / "adult.csv"
+        raw.write_text(text)
+        report = convert_adult(raw, out)
+        want, dropped = per_cell_adult_csv(text)
+        assert out.read_bytes() == want.encode()
+        header, *rows = want.splitlines()
+        assert report == {"rows": len(rows), "dropped": dropped, "columns": header.count(",")}
+
+    def test_no_usable_rows(self, tmp_path):
+        raw = tmp_path / "adult.raw"
+        raw.write_text("\n".join(ln for ln in ADULT_MIXED.splitlines() if "?" in ln) + "\n")
+        with pytest.raises(FetchError, match="no usable rows"):
+            convert_adult(raw, tmp_path / "adult.csv")
+        assert not (tmp_path / "adult.csv").exists()
+
+    def test_non_numeric_cell_keeps_floats_message(self, tmp_path):
+        raw = tmp_path / "adult.raw"
+        raw.write_text(ADULT_FIXTURE.replace("39,", "abc,", 1))
+        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+            convert_adult(raw, tmp_path / "adult.csv")
+
     def test_one_hot_and_binary_label(self, tmp_path):
         raw = tmp_path / "adult.raw"
         raw.write_text(ADULT_FIXTURE)
@@ -486,6 +590,13 @@ class TestFetchDataset:
                           cache_dir=tmp_path / "cache2")
         assert not dest.exists()
         assert not list((tmp_path / "cache2").glob("*.part"))
+
+    def test_failed_conversion_leaves_no_file(self, tmp_path):
+        url, digest = self._serve(tmp_path, ADULT_FIXTURE.replace("39,", "abc,", 1).encode())
+        dest = tmp_path / "out" / "adult.csv"
+        with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+            fetch_dataset("adult", dest, url=url, sha256=digest, cache_dir=tmp_path / "cache")
+        assert list(dest.parent.iterdir()) == []
 
     def test_unknown_dataset(self, tmp_path):
         with pytest.raises(FetchError, match="unknown dataset"):

@@ -40,6 +40,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="does not match"):
             Dataset(np.ones((3, 2)), np.ones(2))
 
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            Dataset(np.zeros(3), np.zeros(3))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((0, 2)), np.ones(0))

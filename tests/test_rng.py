@@ -114,10 +114,20 @@ class TestKeys:
         # seed=1.9 once trained exactly as seed=1, and seed=2.7 reported what seed 2 did
         S, _ = synth_classification(30, 4, classes=2, sparsity=4, noise=0.5, seed=9)
         spec = ObjectiveSpec("logistic", 0.2, penalty="l2")
-        with pytest.raises(ValueError, match=r"^key 0 must be an integer, got 1\.9$"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.9$"):
             sgd_run(spec, S, SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5, seed=1.9))
-        with pytest.raises(ValueError, match=r"^key 0 must be an integer, got 2\.7$"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.7$"):
             empirical_sensitivity([spec], S, trials=2, seed=2.7)
+
+    def test_key_0_is_named_seed(self):
+        # every call in the package passes its seed first
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.7$"):
+            derive_rng(2.7, 1)
+
+    def test_a_float_seed_is_refused_when_the_sgd_config_is_built(self):
+        # it once built, and failed only at sgd_run's first draw
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.9$"):
+            SgdConfig(steps_T=5, step_size=0.1, batch_size_b=5, seed=1.9)
 
 
 def test_spy_sees_an_alias():
