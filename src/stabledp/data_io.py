@@ -364,7 +364,8 @@ def convert_adult(raw_path, out_path) -> dict:
 
     Numeric columns pass through; categoricals are one-hot encoded; rows
     with missing cells ('?') are dropped and counted; income becomes the
-    binary label (1 = high bracket).
+    binary label (1 = high bracket). A numeric cell that does not parse
+    raises ``FetchError`` naming its column, before any file is written.
     """
     raw_path, out_path = Path(raw_path), Path(out_path)
     rows, dropped = [], 0
@@ -390,7 +391,10 @@ def convert_adult(raw_path, out_path) -> dict:
             blocks.append(np.array(cells)[:, None] == np.array(values))
         else:
             names.append(col)
-            blocks.append(np.array(cells, dtype=float)[:, None])
+            try:
+                blocks.append(np.array(cells, dtype=float)[:, None])
+            except ValueError as err:
+                raise FetchError(f"{raw_path}: column {col!r}: {err}") from err
     labels = np.char.startswith(np.array(income), ">").astype(float)
     write_csv(Dataset(np.hstack(blocks), labels), out_path, feature_names=names,
               label_name="income_high")

@@ -183,7 +183,11 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     columns follow the path of its lone solve bit for bit, whatever the
     other datasets do; the K columns of one dataset share its products, so
     each equals a lone solve of that label column to rounding (about
-    1e-15). The block runs until its slowest column converges.
+    1e-15). The block steps the range from the first to the last dataset
+    with a column above tolerance, a view of the stack and never a copy:
+    the datasets at either end whose every column has converged take no
+    more steps, and a converged dataset inside the range keeps stepping,
+    its first iterate at tolerance kept.
 
     The residual of a step x+ = prox(y - alpha grad f(y)) is the gradient
     mapping norm ||G(y)|| = ||y - x+|| / alpha at the point y the step is
@@ -211,25 +215,37 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     S, unpack = _block(S)
     _check_labels(spec, S.labels)
     m, _, K = S.labels.shape
-    # the step of each dataset, against its (m, K) columns and its (m, d, K) weights
+    # the step of each dataset in the live range, against its columns and weights
     alpha = 1.0 / np.maximum(_smooth_curvature(spec, S), 1e-12)[:, None]
     alpha_w = alpha[:, :, None]
     x = np.zeros((m, S.d, K))
     y, t = x, np.ones((m, K))
     # per column: the first iterate at tolerance and its residual
-    w_out, r_out = x, np.full((m, K), math.inf)
+    w_out, r_out = np.zeros_like(x), np.full((m, K), math.inf)
+    # the live range [lo, hi): the datasets from the first to the last with a
+    # column above tolerance, a view of S; the iterates and steps cover it alone
+    lo, hi, live = 0, m, S
     for it in range(1, max_iters + 1):
-        x_next = y - alpha_w * gradient(spec, y, S)
+        x_next = y - alpha_w * gradient(spec, y, live)
         if spec.l1_coefficient > 0:
             x_next = soft_threshold(x_next, alpha_w * spec.l1_coefficient)
         step, move = x_next - y, x_next - x
         residual = np.sqrt((step * step).sum(axis=1)) / alpha
         if (residual <= tolerance).any():
-            first = (residual <= tolerance) & (r_out > tolerance)
-            w_out = np.where(first[:, None], x_next, w_out)
-            r_out = np.where(first, residual, r_out)
-            if (r_out <= tolerance).all():
+            first = (residual <= tolerance) & (r_out[lo:hi] > tolerance)
+            np.copyto(w_out[lo:hi], x_next, where=first[:, None])
+            np.copyto(r_out[lo:hi], residual, where=first)
+            open_ = np.flatnonzero((r_out > tolerance).any(axis=1))
+            if not open_.size:
                 return _solve_report(spec, S, unpack, w_out, r_out, it, lam_sc)
+            # the converged datasets at either end of the range take no more steps
+            if (open_[0], open_[-1] + 1) != (lo, hi):
+                keep = slice(open_[0] - lo, open_[-1] + 1 - lo)
+                x_next, step, move, residual, t, alpha = (
+                    a[keep] for a in (x_next, step, move, residual, t, alpha))
+                alpha_w = alpha[:, :, None]
+                lo, hi = int(open_[0]), int(open_[-1]) + 1
+                live = _Stack(S.features[lo:hi], S.labels[lo:hi])
         # restart (no momentum this step) where the step turns against the move
         t = np.where(-(step * move).sum(axis=1)
                      > 1e-12 * alpha * residual * np.sqrt((move * move).sum(axis=1)), 1.0, t)
@@ -237,10 +253,11 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
         y = x_next + ((t - 1.0) / t_next)[:, None] * move
         x, t = x_next, t_next
 
-    # the columns still above tolerance carry their last iterate
+    # the columns still above tolerance, all in the live range, carry their last iterate
     done = r_out <= tolerance
-    report = _solve_report(spec, S, unpack, np.where(done[:, None], w_out, x),
-                           np.where(done, r_out, residual), max_iters, lam_sc)
+    np.copyto(w_out[lo:hi], x, where=~done[lo:hi, None])
+    np.copyto(r_out[lo:hi], residual, where=~done[lo:hi])
+    report = _solve_report(spec, S, unpack, w_out, r_out, max_iters, lam_sc)
     failed = unpack(~done)  # a dataset's one column is 0-d, and needs no name
     columns = (f" in (dataset, column) pairs {[tuple(c) for c in np.argwhere(failed).tolist()]}"
                if failed.ndim else "")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -547,8 +548,12 @@ class TestConvertAdult:
     def test_non_numeric_cell_keeps_floats_message(self, tmp_path):
         raw = tmp_path / "adult.raw"
         raw.write_text(ADULT_FIXTURE.replace("39,", "abc,", 1))
-        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        # a FetchError naming the path and column, ending in float's own message
+        with pytest.raises(FetchError, match=re.escape(
+                f"{raw}: column 'age': could not convert string to float: 'abc'") + "$") as err:
             convert_adult(raw, tmp_path / "adult.csv")
+        assert isinstance(err.value.__cause__, ValueError)
+        assert not (tmp_path / "adult.csv").exists()
 
     def test_one_hot_and_binary_label(self, tmp_path):
         raw = tmp_path / "adult.raw"
@@ -594,8 +599,10 @@ class TestFetchDataset:
     def test_failed_conversion_leaves_no_file(self, tmp_path):
         url, digest = self._serve(tmp_path, ADULT_FIXTURE.replace("39,", "abc,", 1).encode())
         dest = tmp_path / "out" / "adult.csv"
-        with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+        with pytest.raises(FetchError, match="column 'age': could not convert string to "
+                                             "float: 'abc'") as err:
             fetch_dataset("adult", dest, url=url, sha256=digest, cache_dir=tmp_path / "cache")
+        assert isinstance(err.value.__cause__, ValueError)
         assert list(dest.parent.iterdir()) == []
 
     def test_unknown_dataset(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabledp import model as model_mod
 from stabledp.model import (
     Dataset,
     ObjectiveSpec,
@@ -380,6 +381,36 @@ class TestStackEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < S.features.nbytes / 8
+
+
+class TestGradientRuns:
+    """A stack's gradient is taken in runs of datasets; every schedule gives the same bytes."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("penalty", ["l2", "elastic"])
+    def test_runs_equal_the_whole_stack_and_each_dataset(self, kind, penalty, monkeypatch):
+        spec = ObjectiveSpec(kind, 0.2, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
+        rng = np.random.default_rng(21)
+        datasets = [Dataset(rng.standard_normal((12, 4)), rng.choice([-1.0, 1.0], size=12))
+                    for _ in range(7)]
+        S, W = stack_of(datasets), rng.standard_normal((7, 4, 1))
+        runs = []
+        derivative = model_mod._loss_derivative
+
+        def spy(spec, z, y):
+            runs.append(len(z))
+            return derivative(spec, z, y)
+
+        monkeypatch.setattr(model_mod, "_loss_derivative", spy)
+        # three datasets' features a run: runs of 3, 3 and an uneven 1
+        monkeypatch.setattr(model_mod, "_RUN_BYTES", 3 * S.features[0].nbytes + 8)
+        G = gradient(spec, W, S)
+        assert runs == [3, 3, 1]
+        monkeypatch.setattr(model_mod, "_RUN_BYTES", 1 << 40)
+        assert G.tobytes() == gradient(spec, W, S).tobytes()
+        assert runs[3:] == [7]
+        for j, Sj in enumerate(datasets):
+            assert G[j, :, 0].tobytes() == gradient(spec, W[j, :, 0], Sj).tobytes()
 
 
 class TestStrongConvexity:

@@ -212,6 +212,34 @@ def erm_block():
             Dataset(2.0 * S.features, S.labels), Dataset(S.features, -S.labels)]
 
 
+def edge_block():
+    """Datasets whose rows are scaled down at either end of the block: those converge
+    first, from the left end and then the right."""
+    S, *neighbours = sgd_block(2)
+    return [Dataset(0.05 * S.features, S.labels), Dataset(0.3 * S.features, S.labels), S,
+            *neighbours, Dataset(0.1 * S.features, S.labels)]
+
+
+def live_range(S, stack):
+    """(lo, hi) of a gradient's stack S, a view of datasets lo to hi - 1 of ``stack``."""
+    assert isinstance(S, _Stack)
+    lo = (S.features.ctypes.data - stack.features.ctypes.data) // stack.features.strides[0]
+    hi = lo + len(S.features)
+    # the very memory, shape and strides of the slice: a view, never a copy
+    for a, whole in ((S.features, stack.features), (S.labels, stack.labels)):
+        assert a.__array_interface__ == whole[lo:hi].__array_interface__
+    return lo, hi
+
+
+def expected_ranges(counts):
+    """Iteration i's range: the first to the last dataset whose lone solve takes i or more."""
+    ranges = []
+    for i in range(1, max(counts) + 1):
+        left = [j for j, c in enumerate(counts) if c >= i]
+        ranges.append((left[0], left[-1] + 1))
+    return ranges
+
+
 def solve_allowing_failure(spec, S, tolerance, max_iters):
     """The report of a solve, or of the ConvergenceError it raised."""
     try:
@@ -251,6 +279,26 @@ class TestSolveErmBlock:
             assert at_k.weights[j, :, 0].tobytes() == singles[j].weights.tobytes()
             if k > 1:
                 assert solve_allowing_failure(spec, stack, tol, k - 1).residuals[j, 0] > tol
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_converged_ends_stop_stepping(self, name, monkeypatch):
+        spec, datasets, tol = BLOCK_SPECS[name], edge_block(), 1e-9
+        singles = [solve_erm(spec, D, tol) for D in datasets]
+        counts = [rep.iterations_used for rep in singles]
+        assert counts[0] < min(counts[2:-1]) and counts[-1] < min(counts[1:-1])
+        grads = TestEvaluationPath.count(monkeypatch, "gradient")
+        stack = stack_of(datasets)
+        block = solve_erm(spec, stack, tol)
+        # the range shrinks from both ends, each gradient a view of the block
+        ranges = [live_range(S, stack) for S in grads]
+        assert ranges == expected_ranges(counts)
+        assert ranges[0] == (0, len(datasets)) and ranges[-1][0] > 0
+        assert min(hi for _, hi in ranges) < len(datasets)
+        for j, rep in enumerate(singles):
+            assert block.weights[j, :, 0].tobytes() == rep.weights.tobytes()
+            assert block.residuals[j, 0] == rep.final_gradient_norm
+            assert block.objective[j, 0] == rep.objective
+        assert block.iterations_used == max(counts)
 
     def test_block_of_one(self):
         spec, (S,) = SPECS["logistic-elastic"], sgd_block(0)
@@ -625,14 +673,16 @@ class TestEvaluationPath:
 
     def test_block_solve(self, monkeypatch):
         spec, datasets = BLOCK_SPECS["logistic-elastic-0.1"], erm_block()
+        counts = [solve_erm(spec, D, 1e-9).iterations_used for D in datasets]
         grads = self.count(monkeypatch, "gradient")
         values = self.count(monkeypatch, "smooth_objective", model_mod)
-        k = solve_erm(spec, stack_of(datasets), 1e-9).iterations_used
-        # one gradient per iteration; the objective once, at the returned weights
+        stack = stack_of(datasets)
+        k = solve_erm(spec, stack, 1e-9).iterations_used
+        # one gradient per iteration, on the live range; the objective once, at the
+        # returned weights, on the whole stack
         assert len(grads) == k
-        assert len(values) == 1
-        for S in grads + values:
-            assert isinstance(S, _Stack) and S.features.shape == (len(datasets), 60, 5)
+        assert [live_range(S, stack) for S in grads] == expected_ranges(counts)
+        assert len(values) == 1 and values[0] is stack
 
     def test_sgd_run(self, monkeypatch):
         spec, datasets = SPECS["logistic-l2"], sgd_block(3)
