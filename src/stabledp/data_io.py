@@ -144,7 +144,7 @@ def _write_rows(path, columns: list, rows) -> None:
 def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -> Path:
     """Write a Dataset in canonical CSV form (label last, repr-exact floats)."""
     path = Path(path)
-    names = feature_names or [f"f{i}" for i in range(S.d)]
+    names = [f"f{i}" for i in range(S.d)] if feature_names is None else feature_names
     if len(names) != S.d:
         raise ValueError(f"need {S.d} feature names, got {len(names)}")
     # one record at a time, as Python floats: their repr is the numpy values' repr

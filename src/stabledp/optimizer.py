@@ -298,44 +298,34 @@ def s_dropout(v: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
     A 2-D v is dropped out row by row, each row as if it alone were passed
     with ``rng`` in its current state: coupled rows see the same random
     stream, as neighbouring SGD runs on one seed do. Rows with the same
-    number c of nonzeros share one draw sequence, which fixes the order in
-    which their nonzeros go; each row keeps the shortest prefix of that
-    order after which its norm is at most its target. All prefixes of a
-    group are tested in one pass over a (c + 1, rows, d) stack of masked
-    copies, each norm summed over a full row with zeros in place, as a
-    draw-at-a-time loop would sum it. The generator is left where the rows
-    with the most nonzeros left it, after the draws their longest prefix
-    took; for a 1-D v, after its last draw.
+    number c of nonzeros share one draw sequence, restarted from the one
+    saved generator state: each draw zeroes one remaining rank (a row's
+    k-th nonzero, in column order) in every row of the group still above
+    its target, and the group stops when none is. Each norm is summed over
+    a full row with zeros in place. The generator is left where the rows
+    with the most nonzeros left it, after the draws their longest run took;
+    for a 1-D v, after its last draw.
     """
     _require("s", s, *_UNIT)
     v = np.asarray(v, dtype=float)
     out = np.array(np.atleast_2d(v))
     target = s * np.linalg.norm(out, axis=-1)
     counts = (out != 0).sum(axis=1)
-    groups = sorted(set(counts.tolist()) - {0})
     start = rng.bit_generator.state
-    for c0 in groups:
+    for c0 in sorted(set(counts.tolist()) - {0}):
         rng.bit_generator.state = start
         rows = np.flatnonzero(counts == c0)
         # a C-ordered copy whatever the order of v: from d = 8 on, a row's
         # sum rounds by its memory layout
         block = out[rows]
-        # draw k removes one rank (the k-th nonzero of a row, in column order)
-        # of the c0 - k left; rank q is zeroed from copy 1 + argsort(order)[q] on
+        positions = np.nonzero(block)[1].reshape(rows.size, c0)  # [j, k]: row j's rank k
+        live = np.flatnonzero(np.linalg.norm(block, axis=-1) > target[rows])
         ranks = list(range(c0))
-        order = [ranks.pop(rng.integers(c0 - k)) for k in range(c0)]
-        nonzero = block != 0
-        rank = np.cumsum(nonzero, axis=1) - 1
-        zeroed_from = np.where(nonzero, (1 + np.argsort(order))[rank], c0 + 1)  # zeros never
-        copies = np.where(np.arange(c0 + 1)[:, None, None] >= zeroed_from, 0.0, block)
-        # each row stops at its first copy at target; the all-zero copy c0 always is
-        stop = np.argmin(np.linalg.norm(copies, axis=-1) > target[rows], axis=0)
-        out[rows] = copies[stop, np.arange(stop.size)]
-    if groups and (drawn := int(stop.max())) < c0:
-        # rewind to the end of the last group's longest prefix
-        rng.bit_generator.state = start
-        for k in range(drawn):
-            rng.integers(c0 - k)
+        while live.size:
+            rank = ranks.pop(rng.integers(len(ranks)))
+            block[live, positions[live, rank]] = 0.0
+            live = live[np.linalg.norm(block[live], axis=-1) > target[rows[live]]]
+        out[rows] = block
     return out.reshape(v.shape)
 
 

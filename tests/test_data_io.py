@@ -110,9 +110,12 @@ class TestWriteCsv:
         assert p.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_one_name_per_column(self, tmp_path):
-        with pytest.raises(ValueError, match="^need 2 feature names, got 1$"):
-            write_csv(Dataset(np.ones((2, 2)), np.ones(2)), tmp_path / "s.csv",
-                      feature_names=["a"])
+        # an empty list is a list of no names, not the default names
+        for names in (["a"], []):
+            with pytest.raises(ValueError, match=f"^need 2 feature names, got {len(names)}$"):
+                write_csv(Dataset(np.ones((2, 2)), np.ones(2)), tmp_path / "s.csv",
+                          feature_names=names)
+            assert not (tmp_path / "s.csv").exists()
 
     def test_result_rows_mix_numbers_none_and_text(self, tmp_path):
         p = tmp_path / "r.csv"

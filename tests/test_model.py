@@ -372,15 +372,15 @@ class TestStackEvaluation:
         assert S.max_row_norm() is S.max_row_norm()  # taken once per stack
 
     def test_max_row_norm_makes_no_stack_sized_temporary(self):
-        S = _Stack(np.random.default_rng(3).standard_normal((10, 1600, 32)),
-                   np.ones((10, 1600, 1)))
-        tracemalloc.start()
-        try:
-            S.max_row_norm()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < S.features.nbytes / 8
+        X = np.random.default_rng(3).standard_normal((10, 1600, 32))
+        for S in (_Stack(X, np.ones((10, 1600, 1))), Dataset(X.reshape(-1, 32), np.ones(16000))):
+            tracemalloc.start()
+            try:
+                S.max_row_norm()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < S.features.nbytes / 8
 
 
 class TestGradientRuns:

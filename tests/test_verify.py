@@ -270,10 +270,11 @@ class TestKappaPremise:
             self.ORACLES[oracle](specs, S)
 
     def test_rows_a_rounding_above_kappa_accepted(self):
-        # the verify fixture's largest row has norm 1.0000000000000002
+        # one row of norm 1.0000000000000002, the double after kappa, in any summation order
         spec, _ = fixture()
         S, _ = synth_classification(50, 5, classes=2, sparsity=5, noise=0.3, seed=5)
-        assert S.max_row_norm() > spec.kappa
+        S = S.replace_record(0, np.eye(S.d)[0] * np.nextafter(spec.kappa, 2.0), S.labels[0])
+        assert S.max_row_norm() == np.nextafter(spec.kappa, 2.0)
         block, *_ = verify._neighbors(spec, S, 1, derive_rng(0))
         assert block.features.shape == (2, S.n, S.d)
 
