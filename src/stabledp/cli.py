@@ -301,9 +301,10 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
     """The test stack, sorted labels and training size, and a generator of
     ``(spec, eps, rel)`` per lambda x epsilon cell, ``rel`` its ``privacy.Release``.
 
-    Each lambda's ``release`` call makes one block solve over every split,
-    shared by every epsilon, with split r's noise drawn from the stream
-    keyed (master seed, ``stream``, lambda bits, epsilon bits, r).
+    One ``release`` call trains the whole lambda grid in one block solve
+    over every split, shared by every epsilon, with split r's noise drawn
+    from the stream keyed (master seed, ``stream``, lambda bits, epsilon
+    bits, r).
     """
     S = build_dataset(cfg)
     try:
@@ -312,14 +313,16 @@ def _cells(cfg: SweepConfig, epsilons, stream: int):
         raise ConfigError(f"split.train_fraction: {exc}") from exc
     # sorted distinct labels; np.unique would import numpy.ma mid-pass
     classes = np.array(sorted(set(S.labels.tolist())))
+    del S  # the stacks hold every row from here: the solve runs without the dataset's copy
     train = _Stack(train.features, as_signed_labels(
         train.labels[..., 0], positive=classes[1:] if classes.size == 2 else classes))
     noise = (cfg.scale_mode if cfg.noise_mode == "stability_optimal" else
              Noise(float(cfg.fixed_scale_b) if cfg.noise_mode == "fixed_scale" else 0.0))
-    specs = (_objective(cfg, lam) for lam in cfg.lambda_grid)
-    cells = ((spec, eps, rel) for spec in specs for eps, rel in zip(epsilons, release(
-        spec, train, epsilons, noise, seed=cfg.master_seed, stream=stream,
-        tolerance=cfg.tolerance, max_iters=cfg.max_iters)))
+    specs = [_objective(cfg, lam) for lam in cfg.lambda_grid]
+    releases = release(specs, train, epsilons, noise, seed=cfg.master_seed, stream=stream,
+                       tolerance=cfg.tolerance, max_iters=cfg.max_iters)
+    cells = ((spec, eps, rel) for spec, rels in zip(specs, releases)
+             for eps, rel in zip(epsilons, rels))
     return test, classes, train.n, cells
 
 

@@ -36,6 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -355,6 +356,20 @@ def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> tuple
     return z, 1.0
 
 
+def _grid_of(spec) -> tuple:
+    """The specs of ``spec`` as a tuple: one ``ObjectiveSpec`` is a grid of one.
+
+    A grid is a non-empty sequence of specs of one loss kind, which may
+    differ in every other field; any other ``spec`` raises ValueError.
+    """
+    specs = (spec,) if isinstance(spec, ObjectiveSpec) else tuple(spec)
+    _require("specs", specs, lambda g: g and all(isinstance(s, ObjectiveSpec) for s in g),
+             "a non-empty sequence of ObjectiveSpecs", tuple)
+    _require("the specs' loss_kind", tuple(s.loss_kind for s in specs),
+             lambda k: len(set(k)) == 1, "one, as a grid steps one loss", tuple)
+    return specs
+
+
 def _check_labels(spec: ObjectiveSpec, labels, name: str = "labels") -> None:
     """Raise unless the loss can back every label: the logistic loss needs +/-1.
 
@@ -424,11 +439,19 @@ def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
     return val
 
 
-def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack) -> np.ndarray:
+def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
+             S: Dataset | _Stack) -> np.ndarray:
     """Gradient of the smooth part (mean loss + L2 term).
 
     The L1 term contributes no gradient here; solvers handle it through a
     proximal step.
+
+    ``spec`` may be a grid of specs of one loss kind (see ``_grid_of``)
+    when S is a stack: w is then the (m, L, d, K) iterate of its L specs,
+    slice [:, l] spec l's weights, and each slice takes its own spec's L2
+    term. Each dataset's features broadcast against the grid axis, so one
+    read of a dataset's X serves every spec from cache, and each
+    (dataset, spec) slice runs the products of its lone call, bit for bit.
 
     A stack with more than ``_RUN_BYTES`` of features is taken in runs of
     consecutive datasets, as many as fit in ``_RUN_BYTES`` and at least
@@ -438,20 +461,32 @@ def gradient(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack) -> np.ndar
     slice's products are its own, so every run schedule gives the same
     bytes.
     """
-    w = _weights_for(w, S)
     X, Y = S.features, S.labels
+    if isinstance(spec, ObjectiveSpec):
+        w, l2 = _weights_for(w, S), 2.0 * spec.l2_coefficient
+    else:
+        _require("S's type", type(S), lambda t: t is _Stack, "_Stack for a grid of specs",
+                 type)
+        specs = _grid_of(spec)
+        spec = specs[0]  # the grid's one loss kind
+        w = _check_dims(w, (len(X), len(specs), S.d, Y.shape[-1]))
+        l2 = np.array([2.0 * s.l2_coefficient for s in specs])[:, None, None]
+        X, Y = X[:, None], Y[:, None]  # every dataset against every spec of the grid
     if X.ndim == 2 or X.nbytes <= _RUN_BYTES:  # one run, with no per-run views
         c, sign = _loss_derivative(spec, X @ w, Y)
         g = X.swapaxes(-1, -2) @ c
     else:
         size = max(1, _RUN_BYTES // X[0].nbytes)
         g = np.empty(w.shape)
+        # one margin buffer, which every run's forward product overwrites
+        z = np.empty((min(size, len(X)),) + w.shape[1:-2] + Y.shape[-2:])
         for lo in range(0, len(X), size):
             run = slice(lo, lo + size)
-            c, sign = _loss_derivative(spec, X[run] @ w[run], Y[run])
+            c, sign = _loss_derivative(
+                spec, np.matmul(X[run], w[run], out=z[:len(w[run])]), Y[run])
             np.matmul(X[run].swapaxes(-1, -2), c, out=g[run])
     g /= sign * S.n
-    g += 2.0 * spec.l2_coefficient * w
+    g += l2 * w
     return g
 
 

@@ -8,11 +8,13 @@ one-vs-rest labels) (m, d, K) weights.
 ``solve_erm`` is accelerated proximal gradient descent (FISTA with
 gradient-scheme restart) at a fixed step from a certain curvature bound, so
 no step is ever retried. One call solves every label column of every
-dataset of its input, each dataset at its own step. The L1 term is handled
-by soft-thresholding so elastic-net solutions reach exact zeros, which
+dataset of its input for every spec of a grid (a lambda grid, say), each
+(dataset, spec) pair at its own step, so each gradient reads a dataset's
+features once for the whole grid. The L1 term is handled by
+soft-thresholding so elastic-net solutions reach exact zeros, which
 downstream feature selection relies on. Both solvers step on
 ``model.gradient`` alone, which takes a stack as it takes one dataset;
-``solve_erm`` takes ``model.objective`` once, at the end.
+``solve_erm`` takes ``model.objective`` once per spec, at the end.
 
 ``sgd_run`` exposes the knobs that control uniform stability: step count,
 step size, batch size, gradient clipping and norm-contracting dropout.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .model import (
     ObjectiveSpec,
     _at_least,
     _check_labels,
+    _grid_of,
     _require,
     _Stack,
     gradient,
@@ -155,7 +159,7 @@ def _block(S: Dataset | _Stack):
     return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]
 
 
-def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
+def solve_erm(spec: ObjectiveSpec | Sequence[ObjectiveSpec], S: Dataset | _Stack,
               tolerance: float = 1e-8, max_iters: int = 100_000) -> SolveReport:
     """Minimize the regularized objective to a given optimality residual.
 
@@ -165,29 +169,36 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     against the move, <y - x+, x+ - x> > 1e-12 ||y - x+|| ||x+ - x||: the
     gradient scheme of O'Donoghue & Candes (2015), with a relative floor
     so that no decision, and so no column's path, rests on how a product
-    rounds. An iteration takes one gradient; the objective is taken once,
-    at the returned weights. The L1 term is handled by soft-thresholding;
-    with no L1 term the proximal step is the identity.
+    rounds. An iteration takes one gradient; the objective is taken once
+    per spec, at the returned weights. The L1 term is handled by
+    soft-thresholding; with no L1 term the proximal step is the identity.
 
-    Every input is solved as one (m, d, K) block: m datasets, each at its
-    own step 1/L_j, with K label columns each. A stack (the training
-    splits of one config with one one-vs-rest column per class, or S and
-    its neighbours stacked by ``verify._neighbors``, say) gives (m, d, K)
+    Every input is solved as one (m, L, d, K) block: m datasets, each at its
+    own step 1/L_j, by L specs, with K label columns each. A stack (the
+    training splits of one config with one one-vs-rest column per class,
+    or S and its neighbours stacked by ``verify._neighbors``, say) gives
     weights whose slice j is trained on the j-th dataset; its curvature
-    bounds are taken once per stack. One dataset is the stack m = K = 1,
-    giving (d,) weights.
+    bounds are taken once per stack. One dataset is the stack m = K = 1.
+    ``spec`` is one ``ObjectiveSpec``, or a grid of specs of one loss kind
+    (a lambda grid, say; see ``model._grid_of``), solved together: each
+    gradient reads a dataset's X once for every spec of the grid. A grid
+    puts its axis after the datasets', giving (m, L, d, K) weights, or
+    (L, d) for a dataset; one spec gives (m, d, K), or (d,).
 
-    Momentum, restart and stopping are per (dataset, column), and each
-    column keeps the first iterate at which it reaches ``tolerance``. A
-    batched product runs each dataset's own product, so every dataset's
-    columns follow the path of its lone solve bit for bit, whatever the
-    other datasets do; the K columns of one dataset share its products, so
-    each equals a lone solve of that label column to rounding (about
-    1e-15). The block steps the range from the first to the last dataset
-    with a column above tolerance, a view of the stack and never a copy:
-    the datasets at either end whose every column has converged take no
-    more steps, and a converged dataset inside the range keeps stepping,
-    its first iterate at tolerance kept.
+    Momentum, restart and stopping are per (dataset, spec, column), and
+    each column keeps the first iterate at which it reaches ``tolerance``.
+    A batched product runs each (dataset, spec) slice's own product, so
+    every slice follows the path of its lone solve bit for bit, whatever
+    the others do; the K columns of one slice share its products, so each
+    equals a lone solve of that label column to rounding (about 1e-15).
+    The block steps a live rectangle: the range from the first to the last
+    dataset with a column above tolerance, a view of the stack and never a
+    copy, by the range from the first to the last spec with one, a view of
+    the iterates. The datasets and the specs at either end whose every
+    column has converged take no more steps; a converged pair inside the
+    rectangle keeps stepping, its first iterate at tolerance kept. A lambda
+    grid in order usually converges from its large-lambda end, so its
+    specs stop stepping at or near their own counts.
 
     The residual of a step x+ = prox(y - alpha grad f(y)) is the gradient
     mapping norm ||G(y)|| = ||y - x+|| / alpha at the point y the step is
@@ -199,68 +210,42 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     ``loss_gap_bound = residual^2 / (2 lambda_sc)`` holds at the returned
     x+. Deterministic given (spec, S, tolerance): no randomness anywhere.
 
-    A logistic solve needs every label in {-1, +1}, and raises ValueError
-    before its first iteration otherwise.
+    A logistic solve needs every label in {-1, +1}, and a grid one loss
+    kind; either raises ValueError before the first iteration otherwise.
 
     Raises :class:`ConvergenceError` if a column's residual is still above
     ``tolerance`` after ``max_iters`` block iterations; its message names
-    those columns, as (dataset, column) pairs for a stack, and its report
+    those columns, as (dataset, column) pairs for a stack and (lambda,
+    dataset, column) triples for a grid on a stack, and its report
     carries each such column's last iterate, with the gap bound of that
     iterate, and every column's residual, so the converged columns stay
     usable.
     """
     _require("tolerance", tolerance, *_POSITIVE)
     _require("max_iters", max_iters, *_COUNT)
-    lam_sc = strong_convexity_constant(spec)  # raises if not strongly convex
-    S, unpack = _block(S)
-    _check_labels(spec, S.labels)
-    m, _, K = S.labels.shape
-    # the step of each dataset in the live range, against its columns and weights
-    alpha = 1.0 / np.maximum(_smooth_curvature(spec, S), 1e-12)[:, None]
-    alpha_w = alpha[:, :, None]
-    x = np.zeros((m, S.d, K))
-    y, t = x, np.ones((m, K))
-    # per column: the first iterate at tolerance and its residual
-    w_out, r_out = np.zeros_like(x), np.full((m, K), math.inf)
-    # the live range [lo, hi): the datasets from the first to the last with a
-    # column above tolerance, a view of S; the iterates and steps cover it alone
-    lo, hi, live = 0, m, S
-    for it in range(1, max_iters + 1):
-        x_next = y - alpha_w * gradient(spec, y, live)
-        if spec.l1_coefficient > 0:
-            x_next = soft_threshold(x_next, alpha_w * spec.l1_coefficient)
-        step, move = x_next - y, x_next - x
-        residual = np.sqrt((step * step).sum(axis=1)) / alpha
-        if (residual <= tolerance).any():
-            first = (residual <= tolerance) & (r_out[lo:hi] > tolerance)
-            np.copyto(w_out[lo:hi], x_next, where=first[:, None])
-            np.copyto(r_out[lo:hi], residual, where=first)
-            open_ = np.flatnonzero((r_out > tolerance).any(axis=1))
-            if not open_.size:
-                return _solve_report(spec, S, unpack, w_out, r_out, it, lam_sc)
-            # the converged datasets at either end of the range take no more steps
-            if (open_[0], open_[-1] + 1) != (lo, hi):
-                keep = slice(open_[0] - lo, open_[-1] + 1 - lo)
-                x_next, step, move, residual, t, alpha = (
-                    a[keep] for a in (x_next, step, move, residual, t, alpha))
-                alpha_w = alpha[:, :, None]
-                lo, hi = int(open_[0]), int(open_[-1]) + 1
-                live = _Stack(S.features[lo:hi], S.labels[lo:hi])
-        # restart (no momentum this step) where the step turns against the move
-        t = np.where(-(step * move).sum(axis=1)
-                     > 1e-12 * alpha * residual * np.sqrt((move * move).sum(axis=1)), 1.0, t)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_next + ((t - 1.0) / t_next)[:, None] * move
-        x, t = x_next, t_next
+    specs, grid = _grid_of(spec), not isinstance(spec, ObjectiveSpec)
+    lam_sc = [strong_convexity_constant(s) for s in specs]  # raises if not strongly convex
+    stack = isinstance(S, _Stack)
+    S, unpack_block = _block(S)
 
-    # the columns still above tolerance, all in the live range, carry their last iterate
-    done = r_out <= tolerance
-    np.copyto(w_out[lo:hi], x, where=~done[lo:hi, None])
-    np.copyto(r_out[lo:hi], residual, where=~done[lo:hi])
-    report = _solve_report(spec, S, unpack, w_out, r_out, max_iters, lam_sc)
-    failed = unpack(~done)  # a dataset's one column is 0-d, and needs no name
-    columns = (f" in (dataset, column) pairs {[tuple(c) for c in np.argwhere(failed).tolist()]}"
-               if failed.ndim else "")
+    def unpack(a):  # one spec's results carry no grid axis
+        return unpack_block(a if grid else a[:, 0])
+
+    _check_labels(specs[0], S.labels)
+    w, residual, iterations = _fista(specs, S, tolerance, max_iters)
+    report = _solve_report(specs, S, unpack, w, residual, iterations, lam_sc)
+    if not (residual > tolerance).any():
+        return report
+    failed = np.argwhere(residual.swapaxes(0, 1) > tolerance).tolist()  # spec-major
+    if grid and stack:
+        triples = [(specs[j].lam, r, k) for j, r, k in failed]
+        columns = f" in (lambda, dataset, column) triples {triples}"
+    elif stack:
+        columns = f" in (dataset, column) pairs {[(r, k) for _, r, k in failed]}"
+    elif grid:
+        columns = f" at lambdas {[specs[j].lam for j, _, _ in failed]}"
+    else:  # a dataset's one column needs no name
+        columns = ""
     raise ConvergenceError(
         f"no convergence after {max_iters} iterations{columns} (residual "
         f"{report.final_gradient_norm:.3e} > tolerance {tolerance:.3e})",
@@ -268,13 +253,97 @@ def solve_erm(spec: ObjectiveSpec, S: Dataset | _Stack,
     )
 
 
-def _solve_report(spec: ObjectiveSpec, S: _Stack, unpack, w: np.ndarray,
-                  residual: np.ndarray, iterations: int, lam_sc: float) -> SolveReport:
-    worst = float(np.max(residual))
-    value, residual = unpack(objective(spec, w, S)), unpack(residual)
-    return SolveReport(unpack(w), worst, iterations, worst * worst / (2.0 * lam_sc),
+def _fista(specs: tuple, S: _Stack, tolerance: float, max_iters: int) -> tuple:
+    """``solve_erm``'s loop on the (m, L, d, K) block of the stack S by ``specs``.
+
+    Returns each column's first iterate at ``tolerance``, or its last one
+    after ``max_iters`` iterations, with that iterate's residual, and the
+    iteration count. The iterates are dropped on return, before any
+    objective is taken.
+    """
+    m, _, K = S.labels.shape
+    # the step of each (dataset, spec) pair, against its columns and weights
+    alpha = 1.0 / np.maximum(np.stack([_smooth_curvature(s, S) for s in specs], axis=1),
+                             1e-12)[:, :, None]
+    l1 = np.array([s.l1_coefficient for s in specs])[:, None, None]
+    x = np.zeros((m, len(specs), S.d, K))
+    y, t = x, np.ones((m, len(specs), K))
+    # per column: the first iterate at tolerance and its residual
+    w_out, r_out = np.zeros_like(x), np.full(t.shape, math.inf)
+    # the live rectangle: from the first to the last dataset with a column above
+    # tolerance, by the first to the last such spec; a view of S, and of every
+    # per-column array, which the iterates, steps and specs cover alone
+    live, live_specs, cell = S, specs, (slice(0, m), slice(0, len(specs)))
+    alpha_w, l1_live, shrink = alpha[..., None], l1, l1.any()
+    for it in range(1, max_iters + 1):
+        x_next = y - alpha_w * gradient(live_specs, y, live)
+        if shrink:
+            # a spec with no L1 term shrinks by 0: the identity on iterates that,
+            # like its lone solve's, never hold -0.0
+            x_next = soft_threshold(x_next, alpha_w * l1_live)
+        step, move = x_next - y, x_next - x
+        residual = np.sqrt((step * step).sum(axis=2)) / alpha
+        if (residual <= tolerance).any():
+            first = (residual <= tolerance) & (r_out[cell] > tolerance)
+            np.copyto(w_out[cell], x_next, where=first[:, :, None])
+            np.copyto(r_out[cell], residual, where=first)
+            open_ = r_out > tolerance
+            rows, cols = (np.flatnonzero(open_.any(axis=a)) for a in ((1, 2), (0, 2)))
+            if not rows.size:
+                return w_out, r_out, it
+            # the converged datasets and specs at either end take no more steps
+            rect = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+            if rect != cell:
+                keep = tuple(slice(new.start - old.start, new.stop - old.start)
+                             for new, old in zip(rect, cell))
+                x_next, step, move, residual, t, alpha = (
+                    a[keep] for a in (x_next, step, move, residual, t, alpha))
+                cell = rect
+                live = _Stack(S.features[rect[0]], S.labels[rect[0]])
+                live_specs, alpha_w, l1_live = specs[rect[1]], alpha[..., None], l1[rect[1]]
+                shrink = l1_live.any()
+        # restart (no momentum this step) where the step turns against the move
+        t = np.where(-(step * move).sum(axis=2)
+                     > 1e-12 * alpha * residual * np.sqrt((move * move).sum(axis=2)), 1.0, t)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_next + ((t - 1.0) / t_next)[:, :, None] * move
+        x, t = x_next, t_next
+
+    # the columns still above tolerance, all in the live rectangle, carry their last iterate
+    open_ = r_out[cell] > tolerance
+    np.copyto(w_out[cell], x, where=open_[:, :, None])
+    np.copyto(r_out[cell], residual, where=open_)
+    return w_out, r_out, max_iters
+
+
+def _solve_report(specs: tuple, S: _Stack, unpack, w: np.ndarray, residual: np.ndarray,
+                  iterations: int, lam_sc: list) -> SolveReport:
+    """The report of an (m, L, d, K) block, each spec's objective taken alone on S."""
+    worst = [float(np.max(residual[:, j])) for j in range(len(specs))]
+    value = unpack(np.stack([objective(s, w[:, j], S) for j, s in enumerate(specs)], axis=1))
+    residual = unpack(residual)
+    return SolveReport(unpack(w), max(worst), iterations,
+                       max(r * r / (2.0 * c) for r, c in zip(worst, lam_sc)),
                        float(value) if value.ndim == 0 else value,
                        residual if residual.ndim else None)
+
+
+def _spec_report(report: SolveReport, spec: ObjectiveSpec, j: int) -> SolveReport:
+    """The report of ``spec``, spec j of the grid whose solve gave ``report``.
+
+    It holds copies of spec j's weights, objective and residuals and its
+    worst residual with that residual's gap bound, each the value its lone
+    solve reports; ``iterations_used`` stays the block's count.
+    """
+    if report.weights.ndim == 2:  # a dataset's grid: (L, d) weights, (L,) values
+        worst = float(report.residuals[j])
+        w, value, residual = report.weights[j].copy(), float(report.objective[j]), None
+    else:
+        w, value, residual = (a[:, j].copy() for a in (report.weights, report.objective,
+                                                        report.residuals))
+        worst = float(np.max(residual))
+    return SolveReport(w, worst, report.iterations_used,
+                       worst * worst / (2.0 * strong_convexity_constant(spec)), value, residual)
 
 
 def clip_gradient(g: np.ndarray, G: float) -> np.ndarray:

@@ -20,9 +20,10 @@ calibrations exist, and every release records which one it used:
 ``perturb`` is the one place noise is drawn: it draws a ``Noise`` onto
 model weights, or onto any statistic, into the array it returns; the
 release, the ``verify`` oracles and the dp suite's samplers all go through
-it. ``release`` is the one path from an objective and its data to
-released weights, for the CLI and the library alike: it certifies,
-calibrates, trains and perturbs, and returns one ``Release`` per epsilon.
+it. ``release`` is the one path from an objective, or a grid of them, and
+its data to released weights, for the CLI and the library alike: it
+certifies, calibrates, trains the grid in one solve and perturbs, and
+returns one ``Release`` per spec and epsilon.
 
 ``dp_micro_check`` is an empirical histogram likelihood-ratio test of the
 DP inequality on a 1-D release; it is a necessary-condition check, not a
@@ -46,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -57,11 +59,12 @@ from .model import (
     ObjectiveSpec,
     _at_least,
     _check_kappa,
+    _grid_of,
     _one_of,
     _require,
     _Stack,
 )
-from .optimizer import SolveReport, solve_erm
+from .optimizer import SolveReport, _spec_report, solve_erm
 from .rng import derive_rng, float_key
 from .stability import StabilityCert, sensitivity_via_strong_convexity, spec_cert
 
@@ -233,31 +236,41 @@ def calibrate(cert: StabilityCert, d: int, epsilon: float, calibration: str) -> 
     return Noise(sens / epsilon, sens, epsilon, calibration)
 
 
-def release(spec: ObjectiveSpec, S: Dataset | _Stack, epsilons, noise: str | Noise, *,
-            seed: int, stream: int = 0, tolerance=1e-8, max_iters=100_000) -> list[Release]:
+def release(spec: ObjectiveSpec | Sequence[ObjectiveSpec], S: Dataset | _Stack, epsilons,
+            noise: str | Noise, *, seed: int, stream: int = 0, tolerance=1e-8,
+            max_iters=100_000) -> list:
     """Train ``spec`` on S once; release its weights, one ``Release`` per epsilon.
 
-    ``noise`` is a calibration name, calibrated per epsilon, or one ``Noise``
-    for all. The epsilons (a non-empty grid, each finite and > 0), the kappa
-    premise (no feature row above the spec's kappa), the certificate and
-    every calibration are checked before the solve. Dataset r of S (a
-    ``Dataset`` is dataset 0) draws noise over its (K, d) model rows from
-    the stream keyed (seed, stream, lambda bits, epsilon bits, r).
+    ``spec`` is one ``ObjectiveSpec``, or a grid of them (a lambda grid, say),
+    trained in one ``solve_erm`` call; a grid gives one list of Releases per
+    spec, in grid order, each spec's the list its lone call gives, bit for
+    bit. ``noise`` is a calibration name, calibrated per spec and epsilon,
+    or one ``Noise`` for all. The epsilons (a non-empty grid, each finite
+    and > 0), the kappa premise (no feature row above a spec's kappa), every
+    certificate and every calibration are checked before the solve. Dataset
+    r of S (a ``Dataset`` is dataset 0) draws noise over its (K, d) model
+    rows from the stream keyed (seed, stream, lambda bits, epsilon bits, r).
     """
+    specs = _grid_of(spec)
     epsilons = tuple(epsilons)
     _require("epsilons", epsilons, len, "a non-empty grid", tuple)
     for eps in epsilons:
         _require("epsilon", eps, *_POSITIVE)
-    _check_kappa(spec, S)
-    cert = spec_cert(spec, S.n)
-    noises = [calibrate(cert, S.d, eps, noise) if isinstance(noise, str) else noise
-              for eps in epsilons]
-    report = solve_erm(spec, S, tolerance, max_iters)
-    W = np.atleast_3d(report.weights)  # a Dataset's (d,) weights as (1, d, 1)
-    return [Release(report, cert, nz, np.stack(
-        [perturb(w.T, nz, derive_rng(seed, stream, float_key(spec.lam), float_key(eps), r))
-         for r, w in enumerate(W)]).swapaxes(1, 2).reshape(report.weights.shape))
-        for eps, nz in zip(epsilons, noises)]
+    for s in specs:
+        _check_kappa(s, S)
+    certs = [spec_cert(s, S.n) for s in specs]
+    noises = [[calibrate(cert, S.d, eps, noise) if isinstance(noise, str) else noise
+               for eps in epsilons] for cert in certs]
+    solved = solve_erm(specs, S, tolerance, max_iters)
+    releases = []
+    for j, (s, cert, nzs) in enumerate(zip(specs, certs, noises)):
+        report = _spec_report(solved, s, j)
+        W = np.atleast_3d(report.weights)  # a Dataset's (d,) weights as (1, d, 1)
+        releases.append([Release(report, cert, nz, np.stack(
+            [perturb(w.T, nz, derive_rng(seed, stream, float_key(s.lam), float_key(eps), r))
+             for r, w in enumerate(W)]).swapaxes(1, 2).reshape(report.weights.shape))
+            for eps, nz in zip(epsilons, nzs)])
+    return releases[0] if isinstance(spec, ObjectiveSpec) else releases
 
 
 def wilson_interval(successes: int, trials: int) -> tuple:

@@ -2,11 +2,12 @@
 
 Each oracle draws S and its sampled neighbors (one record swapped for a
 fresh one) into one stack with ``_neighbors``, trains that stack (one
-``solve_erm`` call per objective to ``SOLVE_TOLERANCE``, well below the
-margins being asserted, or one coupled ``sgd_run``), and compares the
-observed quantity against its bound. A stack of m datasets of shape
-(n, d) holds m*n*d floats. Like ``privacy.release``, ``_neighbors``
-refuses an S with a row above kappa, the premise of every bound.
+``solve_erm`` call per grid of objectives to ``SOLVE_TOLERANCE``, well
+below the margins being asserted, or one coupled ``sgd_run``), and
+compares the observed quantity against its bound. A stack of m datasets
+of shape (n, d) holds m*n*d floats. Like ``privacy.release``,
+``_neighbors`` refuses an S with a row above kappa, the premise of every
+bound.
 Sampling gives a sound one-sided check: an empirical value below the bound
 is necessary for the bound's correctness, not sufficient. Oracles never
 share random streams with the mechanisms they test, and every report is
@@ -32,11 +33,12 @@ pays that pass's fixed cost once, not once per record.
 An oracle's draws (its neighbors, probe indices and fresh probe rows) read
 (kappa, S, trials, probes, seed), never lambda. So the sensitivity and
 stability oracles take a grid: a sequence of ``ObjectiveSpec``s that share
-kappa. A call draws once, and every spec of its grid is scored on that
-draw: S and the neighbors are stacked once, so the curvature bound's Gram
-eigenvalues are taken once per grid, and each spec gets its own
-``solve_erm``. The SGD-stability oracle takes one config per call and
-draws inside it. Calls with the same seed draw the same neighbors, so the
+kappa and the loss kind. A call draws once, and every spec of its grid is
+scored on that draw: S and the neighbors are stacked once, and the whole
+grid is trained in one ``solve_erm`` call, so the curvature bound's Gram
+eigenvalues are taken once per grid and each gradient reads the stack
+once for every spec. The SGD-stability oracle takes one config per call
+and draws inside it. Calls with the same seed draw the same neighbors, so the
 reports of two calls (two SGD knob settings, say) stay paired.
 
 The sensitivity and stability oracles bring only their draws and scores
@@ -74,6 +76,7 @@ from .model import (
     _at_least,
     _check_kappa,
     _check_labels,
+    _grid_of,
     _loss_values,
     _require,
     _require_each,
@@ -169,13 +172,12 @@ def _neighbors(spec: ObjectiveSpec, S: Dataset, trials: int, rng: np.random.Gene
 
 
 def _grid(specs: Sequence[ObjectiveSpec]) -> tuple:
-    """``specs`` as a tuple, once the grid is fit to share one draw.
+    """``specs`` as a tuple, once the grid is fit to share one draw and one solve.
 
-    The draw reads kappa, so every spec needs the same kappa. Checked
-    before any draw.
+    The draw reads kappa, so every spec needs the same kappa, and the one
+    ``solve_erm`` call steps one loss kind. Checked before any draw.
     """
-    specs = tuple(specs)
-    _require("specs", specs, len, "a non-empty sequence of ObjectiveSpecs", tuple)
+    specs = _grid_of(specs)
     _require("the specs' kappas", tuple(spec.kappa for spec in specs),
              lambda k: len(set(k)) == 1, "equal, as the draw reads kappa", tuple)
     return specs
@@ -205,24 +207,24 @@ def _grid_reports(name: str, specs: tuple, block: _Stack, trials: int,
                   score) -> list[OracleReport]:
     """The one solve-and-verdict loop: one report per spec, in grid order.
 
-    Each spec solves ``block`` (S, then its ``trials`` neighbors) in one
-    :func:`solve_erm` to ``SOLVE_TOLERANCE``; a neighbor column left above
-    it is a solver failure, and a failure on S's own column raises.
-    ``score(spec, base, W_kept, kept)`` takes S's weights, the converged
-    neighbors' weight rows and the (trials,) mask that picks them, and
-    returns (bound, worst, details). A report passes when worst <= bound
-    and at most 1% of the solves failed.
+    The grid solves ``block`` (S, then its ``trials`` neighbors) in one
+    :func:`solve_erm` to ``SOLVE_TOLERANCE``; a spec's neighbor column left
+    above it is a solver failure of that spec's report, and a failure on
+    S's own column raises. ``score(spec, base, W_kept, kept)`` takes S's
+    weights, the converged neighbors' weight rows and the (trials,) mask
+    that picks them, and returns (bound, worst, details). A report passes
+    when worst <= bound and at most 1% of its solves failed.
     """
+    try:
+        solved = solve_erm(specs, block, SOLVE_TOLERANCE)
+    except ConvergenceError as exc:
+        solved = exc.report
+        if (solved.residuals[0, :, 0] > SOLVE_TOLERANCE).any():
+            raise
     reports = []
-    for spec in specs:
-        try:
-            solved = solve_erm(spec, block, SOLVE_TOLERANCE)
-        except ConvergenceError as exc:
-            solved = exc.report
-            if solved.residuals[0, 0] > SOLVE_TOLERANCE:
-                raise
-        W = solved.weights[..., 0]
-        kept = solved.residuals[1:, 0] <= SOLVE_TOLERANCE
+    for j, spec in enumerate(specs):
+        W = solved.weights[:, j, :, 0]
+        kept = solved.residuals[1:, j, 0] <= SOLVE_TOLERANCE
         bound, worst, details = score(spec, W[0], W[1:][kept], kept)
         failures = trials - int(kept.sum())
         reports.append(OracleReport(
@@ -242,7 +244,7 @@ def empirical_sensitivity(specs: Sequence[ObjectiveSpec], S: Dataset,
     2 L / (n lambda_sc), which holds for either penalty; passes only if
     every sampled pair respects both bounds and at most 1% of the solves
     failed. S and the sampled neighbors are stacked once, (trials + 1)*n*d
-    floats, and solved as one block per spec.
+    floats, and the grid solved as one block.
     """
     # an oracle that samples nothing would pass empty
     _require("trials", trials, *_COUNT)
@@ -271,9 +273,9 @@ def empirical_stability(specs: Sequence[ObjectiveSpec], S: Dataset, trials: int 
     of the two.
 
     Each neighbor is drawn followed by its probes into one stack of S and
-    every neighbor, (trials + 1)*n*d floats, solved as one block per spec;
-    a neighbor whose column fails to converge counts as a solver failure
-    and its probes go unscored.
+    every neighbor, (trials + 1)*n*d floats, with the grid solved as one
+    block; a neighbor whose column fails to converge counts as a solver
+    failure of that spec, and its probes go unscored.
     """
     _require_each(_COUNT, trials=trials, probes=probes)
     specs = _grid(specs)

@@ -235,8 +235,10 @@ class TestSweep:
         cfg = tiny_config()
         assert len(cfg.epsilon_grid) == 2
         cmd_sweep(cfg, tmp_path)
-        # one block solve per lambda over every split, whatever the number of epsilons
-        assert len(calls) == len(cfg.lambda_grid)
+        # one block solve of the whole lambda grid over every split, whatever the
+        # number of epsilons
+        assert len(calls) == 1
+        assert [spec.lam for spec in calls[0][0]] == list(cfg.lambda_grid)
 
     @pytest.mark.parametrize("noise_mode", ["stability_optimal", "fixed_scale", "none"])
     def test_kappa_premise_checked_before_any_solve(self, tmp_path, monkeypatch, noise_mode):
@@ -279,6 +281,26 @@ class TestSweep:
         assert len(single) == len(pick)
         for r in single:
             assert r == pick[(r["lambda"], r["epsilon"], r["repeat"])]
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_grid_release_writes_the_per_lambda_bytes(self, tmp_path, monkeypatch, classes):
+        # the grid's one release against the recipe it replaced, one release per lambda
+        from stabledp import cli as cli_mod
+        from stabledp.privacy import release
+
+        base = tiny_config(lambda_grid=(0.2, 0.002, 0.05))
+        cfg = dataclasses.replace(base, dataset=dataclasses.replace(base.dataset,
+                                                                    classes=classes))
+        names = ("sweep.csv", "select.csv", "select_flips.csv")
+        for command in (cmd_sweep, cmd_select):
+            command(cfg, tmp_path / "grid")
+        monkeypatch.setattr(cli_mod, "release", lambda specs, *a, **k: [
+            release(spec, *a, **k) for spec in specs])
+        for command in (cmd_sweep, cmd_select):
+            command(cfg, tmp_path / "per_lambda")
+        for name in names:
+            assert (tmp_path / "grid" / name).read_bytes() == \
+                (tmp_path / "per_lambda" / name).read_bytes(), name
 
     def test_csv_input_equals_the_synthetic_run(self, tmp_path):
         # the default synthetic task written as a CSV file is the same input, end to end

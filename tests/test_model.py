@@ -413,6 +413,56 @@ class TestGradientRuns:
             assert G[j, :, 0].tobytes() == gradient(spec, W[j, :, 0], Sj).tobytes()
 
 
+class TestGradientGrid:
+    """A grid of specs takes one gradient of its (m, L, d, K) iterate, each slice its
+    lone call's."""
+
+    @staticmethod
+    def problem(m=5, n=12, d=4, K=3, L=3, seed=22):
+        rng = np.random.default_rng(seed)
+        S = _Stack(rng.standard_normal((m, n, d)), rng.choice([-1.0, 1.0], size=(m, n, K)))
+        return S, rng.standard_normal((m, L, d, K))
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("run_bytes", [1 << 40, 2 * 12 * 4 * 8 + 8],
+                             ids=["one-run", "runs-of-two"])
+    def test_slices_equal_their_lone_calls(self, kind, run_bytes, monkeypatch):
+        # an l2 and two elastic specs, each with its own L2 coefficient
+        specs = [ObjectiveSpec(kind, 0.3, lipschitz_L=1.0),
+                 ObjectiveSpec(kind, 0.05, penalty="elastic", gamma=0.85, lipschitz_L=1.0),
+                 ObjectiveSpec(kind, 2.0, penalty="elastic", gamma=0.5, lipschitz_L=1.0)]
+        S, W = self.problem()
+        monkeypatch.setattr(model_mod, "_RUN_BYTES", run_bytes)
+        G = gradient(specs, W, S)
+        assert G.shape == W.shape
+        for j, spec in enumerate(specs):
+            assert G[:, j].tobytes() == gradient(spec, W[:, j], S).tobytes()
+
+    def test_grid_of_one(self):
+        spec = ObjectiveSpec("logistic", 0.1)
+        S, W = self.problem(L=1)
+        assert gradient((spec,), W, S)[:, 0].tobytes() == gradient(spec, W[:, 0], S).tobytes()
+
+    def test_mixed_loss_kinds_refused(self):
+        S, W = self.problem(L=2)
+        specs = [ObjectiveSpec("logistic", 0.1), ObjectiveSpec("squared", 0.1, lipschitz_L=1.0)]
+        with pytest.raises(ValueError, match=r"the specs' loss_kind must be one, as a grid "
+                                             r"steps one loss, got \('logistic', 'squared'\)"):
+            gradient(specs, W, S)
+
+    def test_bad_grids_refused(self):
+        S, W = self.problem(L=2)
+        spec = ObjectiveSpec("logistic", 0.1)
+        for bad in ([], [spec, "logistic"]):
+            with pytest.raises(ValueError, match="specs must be a non-empty sequence"):
+                gradient(bad, W, S)
+        with pytest.raises(ValueError, match="weight shape"):
+            gradient([spec], W, S)  # a grid of one against a grid of two
+        D = Dataset(S.features[0], S.labels[0, :, 0])
+        with pytest.raises(ValueError, match="S's type must be _Stack for a grid of specs"):
+            gradient([spec, spec], W[0, :, :, 0], D)
+
+
 class TestStrongConvexity:
     def test_l2_half_convention(self):
         assert strong_convexity_constant(ObjectiveSpec("logistic", 0.1)) == pytest.approx(0.1)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,9 +352,9 @@ class TestSolveErmBlock:
         assert block.weights[1, :, 0].tobytes() == solve_erm(spec, zero, 1e-9).weights.tobytes()
 
 
-def split_stack(classes, repeats=3, seed=4):
+def split_stack(classes, repeats=3, seed=4, d=6):
     """The signed training stack of ``repeats`` splits of a noisy synthetic problem."""
-    S, _ = synth_classification(150, 6, classes=classes, sparsity=4, noise=0.5, seed=seed,
+    S, _ = synth_classification(150, d, classes=classes, sparsity=4, noise=0.5, seed=seed,
                                 label_flips=0.1)
     train, _ = split(S, SplitPlan(seed=seed, repeats=repeats))
     labels = np.unique(S.labels)
@@ -420,6 +421,168 @@ class TestSplitStack:
         sgd_run(SPECS["logistic-l2"], stack_of([S, *neighbours]),
                 SgdConfig(steps_T=10, step_size=0.1, batch_size_b=5))
         assert len(calls) == 1
+
+
+# lambdas from 1e-3 to 1, out of order; on ``split_stack(classes, d=32)`` the lone
+# solves of every grid below take counts at least 5x apart
+GRID_LAMBDAS = (0.1, 1e-3, 1.0, 0.01)
+GRID_SPECS = {
+    f"{loss}-{penalty}": [ObjectiveSpec(loss, lam, penalty=penalty, gamma=0.85,
+                                        lipschitz_L=1.0) for lam in GRID_LAMBDAS]
+    for loss in ("logistic", "squared") for penalty in ("l2", "elastic")
+}
+
+
+def assert_slices_are_lone_solves(block, specs, S, tol):
+    """Every spec's slice of a grid report is its lone solve's bytes; returns the lone counts."""
+    counts = []
+    for j, spec in enumerate(specs):
+        lone = solve_erm(spec, S, tol)
+        assert block.weights[:, j].tobytes() == lone.weights.tobytes()
+        assert block.residuals[:, j].tobytes() == lone.residuals.tobytes()
+        assert block.objective[:, j].tobytes() == lone.objective.tobytes()
+        counts.append(lone.iterations_used)
+    assert block.iterations_used == max(counts)
+    return counts
+
+
+class TestLambdaGrid:
+    """A grid of specs is one (m, L, d, K) solve whose every slice is its lone solve,
+    bit for bit."""
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    @pytest.mark.parametrize("name", sorted(GRID_SPECS))
+    def test_slices_equal_their_lone_solves(self, name, classes):
+        specs, stack, tol = GRID_SPECS[name], split_stack(classes, d=32), 1e-8
+        block = solve_erm(specs, stack, tol)
+        K = 1 if classes == 2 else classes
+        assert block.weights.shape == (3, len(specs), 32, K)
+        assert block.residuals.shape == block.objective.shape == (3, len(specs), K)
+        counts = assert_slices_are_lone_solves(block, specs, stack, tol)
+        assert max(counts) >= 5 * min(counts)
+        assert block.final_gradient_norm == block.residuals.max()
+        assert block.loss_gap_bound == max(
+            solve_erm(spec, stack, tol).loss_gap_bound for spec in specs)
+
+    def test_penalties_mixed_in_one_grid(self):
+        # an l2 spec shrinks by 0 in an elastic grid's step, leaving its path as it was
+        specs = [*GRID_SPECS["logistic-elastic"][:2], *GRID_SPECS["logistic-l2"][2:],
+                 ObjectiveSpec("logistic", 0.05, penalty="elastic", gamma=1.0, eta=0.0)]
+        stack = split_stack(4)
+        assert_slices_are_lone_solves(solve_erm(specs, stack, 1e-8), specs, stack, 1e-8)
+
+    def test_dataset_grid(self):
+        specs, (S,) = GRID_SPECS["logistic-elastic"], sgd_block(0)
+        block = solve_erm(specs, S, 1e-9)
+        assert block.weights.shape == (len(specs), S.d)
+        assert block.residuals.shape == block.objective.shape == (len(specs),)
+        for j, spec in enumerate(specs):
+            lone = solve_erm(spec, S, 1e-9)
+            assert block.weights[j].tobytes() == lone.weights.tobytes()
+            assert block.residuals[j] == lone.final_gradient_norm
+            assert block.objective[j] == lone.objective
+
+    @pytest.mark.parametrize("shape", ["stack", "dataset"])
+    def test_grid_of_one(self, shape):
+        S = split_stack(4) if shape == "stack" else sgd_block(0)[0]
+        spec = GRID_SPECS["squared-elastic"][1]
+        lone, block = solve_erm(spec, S, 1e-9), solve_erm([spec], S, 1e-9)
+        # the grid axis of one, after the datasets' axis
+        assert block.weights.shape == ((3, 1, 6, 4) if shape == "stack" else (1, S.d))
+        assert block.iterations_used == lone.iterations_used
+        # a spec's report taken from its grid is the lone report, field by field
+        for grid, j in ((block, 0), (solve_erm(GRID_SPECS["squared-elastic"], S, 1e-9), 1)):
+            sliced = optimizer_mod._spec_report(grid, spec, j)
+            assert sliced.weights.tobytes() == lone.weights.tobytes()
+            assert sliced.weights.flags.c_contiguous
+            assert (sliced.final_gradient_norm, sliced.loss_gap_bound) == (
+                lone.final_gradient_norm, lone.loss_gap_bound)
+            if shape == "stack":
+                assert sliced.objective.tobytes() == lone.objective.tobytes()
+                assert sliced.residuals.tobytes() == lone.residuals.tobytes()
+            else:
+                assert sliced.objective == lone.objective and sliced.residuals is None
+
+    def test_mixed_loss_kinds_refused_before_the_first_iteration(self, monkeypatch):
+        grads = TestEvaluationPath.count(monkeypatch, "gradient")
+        specs = [GRID_SPECS["logistic-l2"][0], GRID_SPECS["squared-l2"][1]]
+        with pytest.raises(ValueError, match="the specs' loss_kind must be one"):
+            solve_erm(specs, split_stack(2), 1e-8)
+        assert grads == []
+
+    def test_converged_specs_and_datasets_stop_stepping(self, monkeypatch):
+        specs, datasets, tol = GRID_SPECS["logistic-l2"], edge_block(), 1e-9
+        # counts[j][l]: dataset j's lone count at spec l
+        counts = np.array([[solve_erm(spec, D, tol).iterations_used for spec in specs]
+                           for D in datasets])
+        seen = []
+        gradient_fn = optimizer_mod.gradient
+
+        def spy(specs_, w, S):
+            seen.append((w.shape[:2], [s.lam for s in specs_]))
+            return gradient_fn(specs_, w, S)
+
+        monkeypatch.setattr(optimizer_mod, "gradient", spy)
+        block = solve_erm(specs, stack_of(datasets), tol)
+        expected = []
+        for i in range(1, counts.max() + 1):
+            rows, cols = (np.flatnonzero((counts >= i).any(axis=a)) for a in (1, 0))
+            expected.append(((rows[-1] + 1 - rows[0], cols[-1] + 1 - cols[0]),
+                             [specs[c].lam for c in range(cols[0], cols[-1] + 1)]))
+        assert seen == expected
+        # the large lambdas at either end drop out long before the smallest converges
+        assert len(seen[-1][1]) == 1 and seen[0][0][1] == len(specs)
+        for j, spec in enumerate(specs):
+            for r, D in enumerate(datasets):
+                assert block.weights[r, j, :, 0].tobytes() == solve_erm(spec, D, tol) \
+                    .weights.tobytes()
+
+    def test_failure_names_the_lambda_dataset_column_triples(self):
+        specs, stack, tol = GRID_SPECS["logistic-elastic"], split_stack(4), 1e-8
+        lone = [solve_erm(spec, stack, tol) for spec in specs]
+        k = sorted(rep.iterations_used for rep in lone)[1]
+        late = [(spec.lam, *c) for spec in specs
+                for c in np.argwhere(solve_allowing_failure(spec, stack, tol, k).residuals > tol)
+                .tolist()]
+        assert 0 < len({lam for lam, *_ in late}) < len(specs)
+        pattern = re.escape(f"in (lambda, dataset, column) triples {late}")
+        with pytest.raises(ConvergenceError, match=pattern) as err:
+            solve_erm(specs, stack, tol, max_iters=k)
+        rep = err.value.report
+        assert rep.iterations_used == k and rep.weights.shape == (3, len(specs), 6, 4)
+        for j, spec in enumerate(specs):
+            # every column, converged or not, is the one its lone solve reaches by k
+            capped = solve_allowing_failure(spec, stack, tol, k)
+            assert rep.weights[:, j].tobytes() == capped.weights.tobytes()
+            assert rep.residuals[:, j].tobytes() == capped.residuals.tobytes()
+            if lone[j].iterations_used <= k:
+                assert rep.weights[:, j].tobytes() == lone[j].weights.tobytes()
+        # a grid on one dataset names its lambdas
+        S = sgd_block(0)[0]
+        k = min(solve_erm(spec, S, tol).iterations_used for spec in specs)
+        with pytest.raises(ConvergenceError, match=r"at lambdas \["):
+            solve_erm(specs, S, tol, max_iters=k)
+
+    def test_memory_stays_below_the_stack(self):
+        # the figures' training stack shape, (10, 1600, 32) with K = 4: the margins of
+        # every (dataset, lambda) pair at once, (10, 8, 1600, 4), would be 3.9 MiB alone
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((10, 1600, 32))
+        X /= np.maximum(np.linalg.norm(X, axis=2, keepdims=True), 1.0)
+        Y = np.where(X @ rng.standard_normal((32, 4)) + 0.3 * rng.standard_normal(
+            (10, 1600, 4)) > 0, 1.0, -1.0)
+        stack = _Stack(X, Y)
+        stack.gram_top  # taken once per stack, before the measured solve
+        specs = [ObjectiveSpec("logistic", lam, penalty="elastic", gamma=0.85)
+                 for lam in (0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.5, 1.0)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_erm(specs, stack, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestLabelsTheLossCanBack:

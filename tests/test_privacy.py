@@ -194,6 +194,43 @@ class TestRelease:
             assert rel.noisy_weights.shape == report.weights.shape
             assert rel.noisy_weights[0].T.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("noise", ["verbatim", "derived", Noise(0.25)],
+                             ids=["verbatim", "derived", "fixed"])
+    @pytest.mark.parametrize("shape", ["stack", "dataset"])
+    def test_grid_is_the_per_lambda_releases_byte_for_byte(self, noise, shape):
+        S = one_split_stack() if shape == "stack" else elastic_fixture()
+        specs, epsilons = [elastic_spec(lam=lam) for lam in (0.3, 0.001, 0.03)], (0.5, 2.0)
+        grid = release(specs, S, epsilons, noise, seed=4, stream=31, tolerance=1e-6)
+        assert len(grid) == len(specs)
+        for spec, rels in zip(specs, grid):
+            lone = release(spec, S, epsilons, noise, seed=4, stream=31, tolerance=1e-6)
+            assert len(rels) == len(epsilons)
+            for rel, ref in zip(rels, lone):
+                assert rel.noisy_weights.tobytes() == ref.noisy_weights.tobytes()
+                assert rel.noisy_weights.shape == ref.noisy_weights.shape
+                assert rel.report.weights.tobytes() == ref.report.weights.tobytes()
+                assert rel.report.final_gradient_norm == ref.report.final_gradient_norm
+                assert rel.noise == ref.noise and rel.cert == ref.cert
+
+    def test_grid_certified_before_its_one_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(privacy_mod, "solve_erm",
+                            lambda *a, **k: solves.append(a) or solve_erm(*a, **k))
+        S = one_split_stack()
+        # the verbatim recipe is stated for elastic-net certificates alone
+        l2 = ObjectiveSpec("logistic", 0.1, penalty="l2")
+        with pytest.raises(ValueError, match="verbatim calibration"):
+            release([elastic_spec(), l2], S, (1.0,), "verbatim", seed=0)
+        with pytest.raises(ValueError, match="kappa"):
+            release([elastic_spec(), elastic_spec(kappa=0.5, lipschitz_L=0.5)], S, (1.0,),
+                    "derived", seed=0)
+        with pytest.raises(ValueError, match="loss_kind"):
+            release([elastic_spec(), ObjectiveSpec("squared", 0.1, lipschitz_L=1.0)], S,
+                    (1.0,), Noise(0.25), seed=0)
+        assert solves == []
+        release([elastic_spec(), l2], S, (1.0, 2.0), "derived", seed=0)
+        assert len(solves) == 1
+
     def test_fixed_noise_serves_every_epsilon(self):
         S, spec, noise = one_split_stack(), elastic_spec(), Noise(0.25)
         rels = release(spec, S, (1.0, 4.0), noise, seed=2)

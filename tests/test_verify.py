@@ -187,6 +187,30 @@ class TestGridDraw:
         assert reports == [run_oracle(oracle, [spec], S)[0].to_dict() for spec in specs]
 
     @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_grid_solves_once(self, monkeypatch, oracle):
+        spec, S = fixture()
+        calls = []
+        monkeypatch.setattr(verify, "solve_erm",
+                            lambda *a, **k: calls.append(a[0]) or solve_erm(*a, **k))
+        specs = [replace(spec, lam=lam) for lam in GRID_LAMBDAS]
+        run_oracle(oracle, specs, S)
+        assert calls == [tuple(specs)]
+
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_failures_counted_per_spec_in_a_failed_grid(self, monkeypatch, oracle):
+        # capped at S's own count at lambda 0.1, the grid's one solve raises for some
+        # of that lambda's neighbours alone; each report still counts its own failures
+        spec, S = fixture()
+        specs = [replace(spec, lam=lam) for lam in GRID_LAMBDAS]
+        cap = solve_erm(replace(spec, lam=0.1), S, verify.SOLVE_TOLERANCE).iterations_used
+        monkeypatch.setattr(verify, "solve_erm", partial(solve_erm, max_iters=cap))
+        reports = run_oracle(oracle, specs, S, trials=20, seed=8)
+        failures = [rep.details["solver_failures"] for rep in reports]
+        assert failures[GRID_LAMBDAS.index(0.1)] > 0 and failures.count(0) == 2
+        assert [rep.to_dict() for rep in reports] == [
+            run_oracle(oracle, [s], S, trials=20, seed=8)[0].to_dict() for s in specs]
+
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
     def test_grid_draws_as_often_as_one_spec(self, monkeypatch, oracle):
         spec, S = fixture()
         calls = count_fresh_rows(monkeypatch)
@@ -216,6 +240,15 @@ class TestGridInputs:
         spec, S = fixture()
         self.refused(monkeypatch, oracle, [spec, replace(spec, kappa=0.5)], S,
                      r"the specs' kappas must be equal, as the draw reads kappa, got \(1.0, 0.5\)")
+
+    @pytest.mark.parametrize("oracle", GRID_ORACLES)
+    def test_loss_kinds_differ(self, monkeypatch, oracle):
+        # the grid's one solve steps one loss
+        spec, S = fixture()
+        squared = ObjectiveSpec("squared", 0.5, penalty="l2", kappa=1.0, lipschitz_L=1.0)
+        self.refused(monkeypatch, oracle, [spec, squared], S,
+                     r"the specs' loss_kind must be one, as a grid steps one loss, "
+                     r"got \('logistic', 'squared'\)")
 
 
 class TestNeighbors:
@@ -482,13 +515,14 @@ class TestLossGapsBitForBit:
         trials, probes, seed, marked = 8, 6, 3, 5
         solved = []
 
-        def fake(spec, S, tolerance):
+        def fake(specs, S, tolerance):
             # the marked column is left above tolerance, its weights far off
-            # S and its neighbors come as one stack, so the weights are (m, d, 1)
-            report = solve_erm(spec, S, tolerance)
+            # S and its neighbors come as one stack, solved for a grid of one
+            # spec, so the weights are (m, 1, d, 1)
+            report = solve_erm(specs, S, tolerance)
             weights, residuals = report.weights.copy(), report.residuals.copy()
             weights[marked], residuals[marked] = 1e3, 2 * tolerance
-            solved.append(weights[..., 0])
+            solved.append(weights[:, 0, :, 0])
             raise ConvergenceError("marked", replace(report, weights=weights,
                                                      residuals=residuals))
 
@@ -580,10 +614,11 @@ class TestOracleSolverFailures:
         weights far off; returns the list each solve's true weights go to."""
         solved = []
 
-        def fake(spec, S, tolerance):
-            # S and its neighbors come as one stack, so the weights are (m, d, 1)
-            report = solve_erm(spec, S, tolerance)
-            solved.append(report.weights[..., 0])
+        def fake(specs, S, tolerance):
+            # S and its neighbors come as one stack, solved for a grid of one
+            # spec, so the weights are (m, 1, d, 1)
+            report = solve_erm(specs, S, tolerance)
+            solved.append(report.weights[:, 0, :, 0])
             weights, residuals = report.weights.copy(), report.residuals.copy()
             weights[marked], residuals[marked] = 1e3, 2 * tolerance
             raise ConvergenceError("marked", replace(report, weights=weights,
@@ -635,8 +670,8 @@ class TestOracleSolverFailures:
         # no neighbour column converges: nothing is scored, and every solve is a failure
         _, S = fixture()
 
-        def fake(spec, S, tolerance):
-            report = solve_erm(spec, S, tolerance)
+        def fake(specs, S, tolerance):
+            report = solve_erm(specs, S, tolerance)
             residuals = report.residuals.copy()
             residuals[1:] = 2 * tolerance
             raise ConvergenceError("marked", replace(report, residuals=residuals))
@@ -652,9 +687,11 @@ class TestOracleSolverFailures:
     def test_base_failure_raises(self, monkeypatch):
         _, S = fixture()
         self.cap(monkeypatch, solve_erm(self.SPEC, S, 1e-9).iterations_used - 1)
-        with pytest.raises(ConvergenceError, match=r"in \(dataset, column\) pairs \[\(0, 0\)"):
+        # the grid's one solve names S's column by its lambda, dataset 0 and column 0
+        match = r"in \(lambda, dataset, column\) triples \[\(0.5, 0, 0\)"
+        with pytest.raises(ConvergenceError, match=match):
             empirical_sensitivity([self.SPEC], S, trials=5, seed=0)
-        with pytest.raises(ConvergenceError, match=r"in \(dataset, column\) pairs \[\(0, 0\)"):
+        with pytest.raises(ConvergenceError, match=match):
             empirical_stability([self.SPEC], S, trials=5, probes=3, seed=0)
 
 
