@@ -22,7 +22,8 @@ one value per (dataset, column) pair. Margins are ``X @ w`` and gradients
 ``X.swapaxes(-1, -2) @ c`` for a dataset and a stack alike: a batched
 ``np.matmul`` runs each slice's own product, so every slice of a stack
 evaluates bit for bit as its dataset would alone, and ``gradient`` may take
-a stack in runs of datasets that fit in cache.
+a stack in runs of datasets that fit in cache, shared between the caller
+and one worker thread.
 
 Every type and range check of the package's inputs goes through one rule,
 ``_require``: the type first (a real number, an integer, numpy's included,
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -57,10 +60,14 @@ PENALTIES = ("l2", "elastic")
 
 # features per run of a stack's ``gradient``, in bytes. Measured on a 2-vCPU
 # Xeon with 2 MiB of L2 per core, at one BLAS thread, on the benchmark's
-# ``figures`` workload, whose training stack is (10, 1600, 32): the median of
-# 30 interleaved in-process passes took 0.214 s at 1 MiB (two datasets a run),
-# 0.218 s at 512 KiB (one), and 0.233 s both at 2 MiB (five) and whole-stack
-_RUN_BYTES = 1 << 20
+# ``figures`` workload, whose training stack is (10, 1600, 32): on one thread,
+# the median of 30 interleaved in-process passes took 0.214 s at 1 MiB (two
+# datasets a run), 0.218 s at 512 KiB (one), and 0.233 s both at 2 MiB (five)
+# and whole-stack. With the runs shared by two threads, 512 KiB keeps the two
+# margin buffers at the one 1 MiB-run buffer's size; 1 MiB runs on two threads
+# were no faster on the benchmark (wall_s 0.324-0.339 s against 0.330-0.334 s)
+# and took 0.85 MB more peak RSS
+_RUN_BYTES = 1 << 19
 
 
 # the builtin types first, as an isinstance test against an ABC is slow
@@ -439,6 +446,113 @@ def objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
     return val
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """One daemon thread that runs the jobs callers hand it, one at a time.
+
+    Two locks serve as binary semaphores: a caller sets ``job`` and releases
+    ``start``; the thread runs the job, drops it, so that no array of the
+    call outlives the call, and releases ``done``. The caller that holds
+    ``busy`` owns the worker until ``finish``.
+    """
+
+    def __init__(self):
+        self.busy, self.start, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.start.acquire()
+        self.done.acquire()
+        self.job = self.error = None
+        threading.Thread(target=self._serve, name="stabledp-runs", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.start.acquire()
+            job, self.job = self.job, None
+            try:
+                job()
+            except BaseException as e:  # the caller raises it again, so the thread lives
+                self.error = e
+            del job
+            self.done.release()
+
+    def finish(self) -> BaseException | None:
+        """Wait for the job, free the worker, and return what the job raised, if anything."""
+        self.done.acquire()
+        error, self.error = self.error, None
+        self.busy.release()
+        return error
+
+
+_worker = None  # the runs' worker, started by the first call that hands it runs
+_worker_made = threading.Lock()
+
+
+def _free_worker() -> _Worker | None:
+    """The worker, now held by this caller; None on one usable CPU or while another
+    thread's call holds it."""
+    global _worker
+    if _usable_cpus() < 2:
+        return None
+    with _worker_made:
+        if _worker is None:
+            _worker = _Worker()
+        worker = _worker
+    return worker if worker.busy.acquire(blocking=False) else None
+
+
+def _forget_worker() -> None:
+    """In a forked child, which has no copy of the parent's worker thread."""
+    global _worker, _worker_made
+    _worker, _worker_made = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_runs(count: int, size: int, step, buffers: np.ndarray):
+    """``step(run, buffer)`` for each run ``slice(lo, lo + size)`` of ``count`` datasets.
+
+    With more than one run and a free worker, the caller takes runs 0, 2,
+    4, ... with ``buffers[0]`` while the worker takes runs 1, 3, ... with
+    ``buffers[1]``, under the caller's numpy error state; otherwise the
+    caller takes every run with ``buffers[0]``. A step writes only its own
+    run's slice of the result, so the bytes do not depend on the schedule.
+    An exception of either thread is raised here, once both have stopped.
+    Returns the value of the caller's last step.
+    """
+    runs = [slice(lo, lo + size) for lo in range(0, count, size)]
+    worker = _free_worker() if len(runs) > 1 else None
+    if worker is None:
+        for run in runs:
+            value = step(run, buffers[0])
+        return value
+    state = np.geterr()
+    call = np.geterrcall()
+
+    def job():
+        with np.errstate(call=call, **state):
+            for run in runs[1::2]:
+                step(run, buffers[1])
+
+    worker.job = job
+    worker.start.release()
+    try:
+        for run in runs[::2]:
+            value = step(run, buffers[0])
+    finally:
+        error = worker.finish()
+    if error is not None:
+        raise error
+    return value
+
+
 def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
              S: Dataset | _Stack) -> np.ndarray:
     """Gradient of the smooth part (mean loss + L2 term).
@@ -457,9 +571,12 @@ def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
     consecutive datasets, as many as fit in ``_RUN_BYTES`` and at least
     one: each run's forward product, loss derivative and backward product
     follow one another, so the backward product reads the run's features
-    from cache. Runs split the stack only between datasets, and each
-    slice's products are its own, so every run schedule gives the same
-    bytes.
+    from cache. When two or more CPUs are usable, the caller takes every
+    other run and one worker thread the rest (``_in_runs``), each thread
+    with its own margin buffer. Runs split the stack only between datasets,
+    each run writes only its own slice of the gradient, and each slice's
+    products are its own, so every run schedule, threaded or not, gives the
+    same bytes.
     """
     X, Y = S.features, S.labels
     if isinstance(spec, ObjectiveSpec):
@@ -478,13 +595,16 @@ def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
     else:
         size = max(1, _RUN_BYTES // X[0].nbytes)
         g = np.empty(w.shape)
-        # one margin buffer, which every run's forward product overwrites
-        z = np.empty((min(size, len(X)),) + w.shape[1:-2] + Y.shape[-2:])
-        for lo in range(0, len(X), size):
-            run = slice(lo, lo + size)
+
+        def step(run, z):  # writes g[run] alone
             c, sign = _loss_derivative(
                 spec, np.matmul(X[run], w[run], out=z[:len(w[run])]), Y[run])
             np.matmul(X[run].swapaxes(-1, -2), c, out=g[run])
+            return sign
+
+        # one margin buffer per thread, which each of its runs' forward products overwrites
+        z = np.empty((2, min(size, len(X))) + w.shape[1:-2] + Y.shape[-2:])
+        sign = _in_runs(len(X), size, step, z)
     g /= sign * S.n
     g += l2 * w
     return g

@@ -1,6 +1,11 @@
 import math
+import multiprocessing
 import re
+import sys
+import threading
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -402,15 +407,184 @@ class TestGradientRuns:
             return derivative(spec, z, y)
 
         monkeypatch.setattr(model_mod, "_loss_derivative", spy)
-        # three datasets' features a run: runs of 3, 3 and an uneven 1
+        # three datasets' features a run: runs of 3, 3 and an uneven 1, which two
+        # threads may take in either order
         monkeypatch.setattr(model_mod, "_RUN_BYTES", 3 * S.features[0].nbytes + 8)
         G = gradient(spec, W, S)
-        assert runs == [3, 3, 1]
+        assert sorted(runs) == [1, 3, 3]
         monkeypatch.setattr(model_mod, "_RUN_BYTES", 1 << 40)
         assert G.tobytes() == gradient(spec, W, S).tobytes()
         assert runs[3:] == [7]
         for j, Sj in enumerate(datasets):
             assert G[j, :, 0].tobytes() == gradient(spec, W[j, :, 0], Sj).tobytes()
+
+
+class TestGradientThreads:
+    """The caller and one worker thread share a large stack's runs, each thread its own
+    margin buffer and each run its own slice of g, so every schedule gives the serial
+    bytes."""
+
+    @staticmethod
+    def problem(monkeypatch, m=5, per_run=1, n=12, d=4, K=2, L=3, seed=23):
+        """A stack of m datasets in runs of ``per_run``, with the worker in use."""
+        rng = np.random.default_rng(seed)
+        S = _Stack(rng.standard_normal((m, n, d)), rng.choice([-1.0, 1.0], size=(m, n, K)))
+        monkeypatch.setattr(model_mod, "_RUN_BYTES", per_run * S.features[0].nbytes)
+        monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+        return S, rng.standard_normal((m, L, d, K))
+
+    @staticmethod
+    def threads(monkeypatch) -> list:
+        """The thread of every run's loss derivative, in the order they ran."""
+        seen, derivative = [], model_mod._loss_derivative
+
+        def spy(spec, z, y):
+            seen.append(threading.current_thread())
+            return derivative(spec, z, y)
+
+        monkeypatch.setattr(model_mod, "_loss_derivative", spy)
+        return seen
+
+    @staticmethod
+    def serial(monkeypatch, *args):
+        """The gradient with one usable CPU, where the caller takes every run."""
+        with monkeypatch.context() as mp:
+            mp.setattr(model_mod, "_usable_cpus", lambda: 1)
+            return gradient(*args)
+
+    @pytest.mark.parametrize("kind", ["logistic", "squared"])
+    @pytest.mark.parametrize("penalty", ["l2", "elastic"])
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "lone"])
+    @pytest.mark.parametrize("m, per_run", [(5, 1), (7, 2)], ids=["5-runs", "uneven-4-runs"])
+    def test_threaded_schedule_is_the_serial_one(self, kind, penalty, grid, m, per_run,
+                                                 monkeypatch):
+        S, W = self.problem(monkeypatch, m, per_run)
+        specs = [ObjectiveSpec(kind, lam, penalty=penalty, gamma=0.85, lipschitz_L=1.0)
+                 for lam in (0.05, 0.2, 1.0)]
+        spec, w = (specs, W) if grid else (specs[1], W[:, 1])
+        seen = self.threads(monkeypatch)
+        G = gradient(spec, w, S)
+        caller = threading.current_thread()
+        assert len(seen) == -(-m // per_run)
+        assert {t is caller for t in seen} == {True, False}  # both threads took runs
+        seen.clear()
+        assert G.tobytes() == self.serial(monkeypatch, spec, w, S).tobytes()
+        assert seen == [caller] * -(-m // per_run)
+
+    def test_a_held_worker_leaves_every_run_to_the_caller(self, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        spec = ObjectiveSpec("logistic", 0.2)
+        G = gradient(spec, W[:, 0], S)  # the worker now exists
+        worker, seen = model_mod._worker, self.threads(monkeypatch)
+        assert worker.busy.acquire(blocking=False)  # as another thread's call holds it
+        try:
+            assert gradient(spec, W[:, 0], S).tobytes() == G.tobytes()
+        finally:
+            worker.busy.release()
+        assert seen == [threading.current_thread()] * 5
+
+    def test_calling_threads_each_get_their_serial_bytes(self, monkeypatch):
+        S, W = self.problem(monkeypatch, m=6, n=200, d=16, L=4)
+        specs = [ObjectiveSpec("logistic", lam) for lam in (0.01, 0.1, 0.3, 1.0)]
+        iterates = [W * scale for scale in (1.0, -0.5, 2.0, 0.25)]  # more callers than CPUs
+        want = [self.serial(monkeypatch, specs, w, S).tobytes() for w in iterates]
+        got = [[] for _ in iterates]
+
+        def call(k):
+            for _ in range(25):
+                got[k].append(gradient(specs, iterates[k], S).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,), daemon=True)
+                       for k in range(len(iterates))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for k, results in enumerate(got):
+            assert results == [want[k]] * 25
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this OS")
+    # Python 3.12 warns on any fork of a process with threads; the child here runs
+    # only numpy, which the at-fork hook leaves without the parent's worker
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        spec = ObjectiveSpec("squared", 0.2, lipschitz_L=1.0)
+        G = gradient(spec, W[:, 0], S)
+        assert model_mod._worker is not None  # the child inherits a worker with no thread
+        seen = self.threads(monkeypatch)
+        results, sender = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            seen.clear()
+            G = gradient(spec, W[:, 0], S)
+            sender.send((G.tobytes(), sum(t is not threading.current_thread() for t in seen)))
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        try:
+            assert results.poll(30), "the child's gradient did not return"
+            got, worker_runs = results.recv()
+        finally:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        assert process.exitcode == 0
+        assert got == G.tobytes()
+        assert worker_runs == 2  # runs 1 and 3 of 5, on the child's own worker
+
+    @pytest.mark.parametrize("fail", ["exception", "warning"])
+    def test_a_worker_failure_is_raised_by_the_caller(self, fail, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        spec = ObjectiveSpec("logistic", 0.2)
+        want = self.serial(monkeypatch, spec, W[:, 0], S).tobytes()
+        caller, derivative = threading.current_thread(), model_mod._loss_derivative
+
+        def fail_on_the_worker(spec, z, y):
+            if threading.current_thread() is not caller:
+                if fail == "exception":
+                    raise ArithmeticError("a worker run failed")
+                warnings.warn("a worker run warned", RuntimeWarning)
+            return derivative(spec, z, y)
+
+        monkeypatch.setattr(model_mod, "_loss_derivative", fail_on_the_worker)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ArithmeticError, RuntimeWarning), match="a worker run"):
+                gradient(spec, W[:, 0], S)
+        worker = model_mod._worker
+        assert not worker.busy.locked() and worker.error is None
+        monkeypatch.setattr(model_mod, "_loss_derivative", derivative)
+        seen = self.threads(monkeypatch)
+        assert gradient(spec, W[:, 0], S).tobytes() == want
+        assert model_mod._worker is worker and sum(t is not caller for t in seen) == 2
+
+    def test_the_worker_takes_the_callers_error_state(self, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        spec, w = ObjectiveSpec("logistic", 0.2), W[:, 0].copy()
+        w[[1, 3]] *= 1e4  # exp(y z) overflows in the worker's runs alone
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            gradient(spec, w, S)
+        with np.errstate(over="ignore"):
+            G = gradient(spec, w, S)  # no warning, which the test run makes an error
+            assert G.tobytes() == self.serial(monkeypatch, spec, w, S).tobytes()
+
+    def test_the_worker_keeps_no_array_of_a_finished_call(self, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        w = W[:, 0].copy()
+        alive = weakref.ref(w)
+        gradient(ObjectiveSpec("logistic", 0.2), w, S)
+        del w
+        assert alive() is None
+        assert model_mod._worker.job is None
 
 
 class TestGradientGrid:
