@@ -1,7 +1,8 @@
 """Dataset ingestion, preprocessing, seeded splits, and synthetic generators.
 
-Canonical CSV format: UTF-8, one header row, comma-separated, '.' decimal
-separator, label in a named column (default: the last column). Datasets and
+Canonical CSV format: UTF-8 (a leading byte-order mark is read past), one
+header row of distinct names, comma-separated, '.' decimal separator, label
+in a named column (default: the last column). Datasets and
 the CLI's result tables share one writer, ``_write_rows``: ``repr`` floats,
 ``\n`` line ends.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,14 +72,16 @@ class SplitPlan:
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Parse a canonical CSV into a Dataset.
 
-    The label is taken from ``label_column`` (or the last column when not
-    given); every cell, the label's included, must be a finite number. All
-    malformed lines are reported together, with their 1-based line numbers.
+    The label is taken from ``label_column``, which must name exactly one
+    header cell (or the last column when not given); every cell, the label's
+    included, must be a finite number. All malformed lines are reported
+    together, with their 1-based line numbers.
     """
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:  # numbered before the blank lines go
+    # a byte-order mark would otherwise open the first header cell
+    with open(path, encoding="utf-8-sig") as fh:  # numbered before the blank lines go
         lines = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: no rows")
@@ -89,6 +93,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             raise DataFormatError(
                 f"{path}: label column {label_column!r} not in header {header}"
             )
+        if header.count(label_column) > 1:
+            raise DataFormatError(f"{path}: label column {label_column!r} names "
+                                  f"{header.count(label_column)} header cells")
         label_idx = header.index(label_column)
     if len(lines) == 1:
         raise DataFormatError(f"{path}: no rows")
@@ -142,13 +149,25 @@ def _write_rows(path, columns: list, rows) -> None:
 
 
 def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -> Path:
-    """Write a Dataset in canonical CSV form (label last, repr-exact floats)."""
+    """Write a Dataset in canonical CSV form (label last, repr-exact floats).
+
+    The feature and label names must be distinct and hold no ',', '\\r' or
+    '\\n', so that ``load_csv`` reads the header back one name a cell and
+    finds the label by its name alone.
+    """
     path = Path(path)
     names = [f"f{i}" for i in range(S.d)] if feature_names is None else feature_names
     if len(names) != S.d:
         raise ValueError(f"need {S.d} feature names, got {len(names)}")
+    columns = [*names, label_name]
+    for name in columns:
+        if any(c in name for c in ",\r\n"):
+            raise ValueError(f"column name {name!r} holds ',', '\\r' or '\\n'")
+    twice = [name for name, k in Counter(columns).items() if k > 1]
+    if twice:
+        raise ValueError(f"column name {twice[0]!r} appears {columns.count(twice[0])} times")
     # one record at a time, as Python floats: their repr is the numpy values' repr
-    _write_rows(path, [*names, label_name],
+    _write_rows(path, columns,
                 (x.tolist() + [y] for x, y in zip(S.features, S.labels.tolist())))
     return path
 
@@ -410,7 +429,9 @@ def fetch_dataset(name: str, destination, url: str | None = None,
     STABLEDP_FETCH_URL / STABLEDP_FETCH_SHA256 environment variables, then
     the built-in registry. A cached raw file (in ``cache_dir`` or
     STABLEDP_CACHE_DIR) that matches the checksum is used without any
-    network access. Failures never leave a partial destination file.
+    network access; with no checksum (``allow_unverified``) nothing can
+    tell the cached file's source, so the raw file is downloaded again.
+    Failures never leave a partial destination file.
     """
     if name not in DATASETS:
         raise FetchError(f"unknown dataset {name!r}; known: {sorted(DATASETS)}")
@@ -431,7 +452,7 @@ def fetch_dataset(name: str, destination, url: str | None = None,
     def checksum_ok(p: Path) -> bool:
         return sha256 is None or _sha256_of(p) == sha256
 
-    if not (raw_cached.exists() and checksum_ok(raw_cached)):
+    if sha256 is None or not (raw_cached.exists() and checksum_ok(raw_cached)):
         import urllib.request  # slow to import, and only a download needs it
         part = raw_cached.with_suffix(".part")
         try:

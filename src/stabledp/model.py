@@ -23,7 +23,8 @@ one value per (dataset, column) pair. Margins are ``X @ w`` and gradients
 ``np.matmul`` runs each slice's own product, so every slice of a stack
 evaluates bit for bit as its dataset would alone, and ``gradient`` may take
 a stack in runs of datasets that fit in cache, shared between the caller
-and one worker thread.
+and one worker thread that serves every caller's jobs from one queue, in
+turn.
 
 Every type and range check of the package's inputs goes through one rule,
 ``_require``: the type first (a real number, an integer, numpy's included,
@@ -454,56 +455,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Worker:
-    """One daemon thread that runs the jobs callers hand it, one at a time.
-
-    Two locks serve as binary semaphores: a caller sets ``job`` and releases
-    ``start``; the thread runs the job, drops it, so that no array of the
-    call outlives the call, and releases ``done``. The caller that holds
-    ``busy`` owns the worker until ``finish``.
-    """
-
-    def __init__(self):
-        self.busy, self.start, self.done = threading.Lock(), threading.Lock(), threading.Lock()
-        self.start.acquire()
-        self.done.acquire()
-        self.job = self.error = None
-        threading.Thread(target=self._serve, name="stabledp-runs", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self.start.acquire()
-            job, self.job = self.job, None
-            try:
-                job()
-            except BaseException as e:  # the caller raises it again, so the thread lives
-                self.error = e
-            del job
-            self.done.release()
-
-    def finish(self) -> BaseException | None:
-        """Wait for the job, free the worker, and return what the job raised, if anything."""
-        self.done.acquire()
-        error, self.error = self.error, None
-        self.busy.release()
-        return error
-
-
-_worker = None  # the runs' worker, started by the first call that hands it runs
+_worker = None  # (thread, jobs) of the runs' worker, started by the first call that hands it runs
 _worker_made = threading.Lock()
 
 
-def _free_worker() -> _Worker | None:
-    """The worker, now held by this caller; None on one usable CPU or while another
-    thread's call holds it."""
+def _serve(jobs) -> None:
+    """The worker's loop: run each (job, done) pair of ``jobs`` in turn and put on
+    ``done`` what the job raised, or None. It drops the job, the exception and
+    ``done`` before it waits for the next, so no array of a call outlives the call."""
+    while True:
+        job, done = jobs.get()
+        try:
+            job()
+            done.put(None)
+        except BaseException as e:  # the caller raises it again, so the thread lives
+            done.put(e)
+        del job, done
+
+
+def _worker_jobs():
+    """The worker's queue of (job, done) pairs; None on one usable CPU, and on the
+    worker's own thread, which would wait on itself."""
     global _worker
     if _usable_cpus() < 2:
         return None
     with _worker_made:
         if _worker is None:
-            _worker = _Worker()
-        worker = _worker
-    return worker if worker.busy.acquire(blocking=False) else None
+            import queue  # only the worker needs it: not imported with the package
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(jobs,), name="stabledp-runs",
+                                      daemon=True)
+            thread.start()
+            _worker = thread, jobs
+        thread, jobs = _worker
+    return None if threading.current_thread() is thread else jobs
 
 
 def _forget_worker() -> None:
@@ -519,20 +504,23 @@ if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
 def _in_runs(count: int, size: int, step, buffers: np.ndarray):
     """``step(run, buffer)`` for each run ``slice(lo, lo + size)`` of ``count`` datasets.
 
-    With more than one run and a free worker, the caller takes runs 0, 2,
-    4, ... with ``buffers[0]`` while the worker takes runs 1, 3, ... with
-    ``buffers[1]``, under the caller's numpy error state; otherwise the
-    caller takes every run with ``buffers[0]``. A step writes only its own
-    run's slice of the result, so the bytes do not depend on the schedule.
-    An exception of either thread is raised here, once both have stopped.
-    Returns the value of the caller's last step.
+    With more than one run and a worker (``_worker_jobs``), the caller puts a
+    job of runs 1, 3, ... with ``buffers[1]`` on the worker's queue, under
+    the caller's numpy error state, takes runs 0, 2, 4, ... with
+    ``buffers[0]`` itself, then waits for its job; a job put while the worker
+    runs another caller's waits its turn. Otherwise the caller takes every run
+    with ``buffers[0]``. A step writes only its own run's slice of the result,
+    so the bytes do not depend on the schedule. An exception of either thread
+    is raised here, once both have stopped. Returns the value of the caller's
+    last step.
     """
     runs = [slice(lo, lo + size) for lo in range(0, count, size)]
-    worker = _free_worker() if len(runs) > 1 else None
-    if worker is None:
+    jobs = _worker_jobs() if len(runs) > 1 else None
+    if jobs is None:
         for run in runs:
             value = step(run, buffers[0])
         return value
+    import queue  # loaded by the worker's start
     state = np.geterr()
     call = np.geterrcall()
 
@@ -541,13 +529,13 @@ def _in_runs(count: int, size: int, step, buffers: np.ndarray):
             for run in runs[1::2]:
                 step(run, buffers[1])
 
-    worker.job = job
-    worker.start.release()
+    done = queue.SimpleQueue()
+    jobs.put((job, done))
     try:
         for run in runs[::2]:
             value = step(run, buffers[0])
     finally:
-        error = worker.finish()
+        error = done.get()
     if error is not None:
         raise error
     return value

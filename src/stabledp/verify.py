@@ -87,7 +87,7 @@ from .model import (
     per_example_loss,
     smooth_objective,
 )
-from .optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
+from .optimizer import ConvergenceError, SgdConfig, _spec_report, sgd_run, solve_erm
 from .privacy import Noise, OracleReport, _count_blocks, perturb
 from .rng import derive_rng
 from .stability import (
@@ -219,12 +219,14 @@ def _grid_reports(name: str, specs: tuple, block: _Stack, trials: int,
         solved = solve_erm(specs, block, SOLVE_TOLERANCE)
     except ConvergenceError as exc:
         solved = exc.report
-        if (solved.residuals[0, :, 0] > SOLVE_TOLERANCE).any():
+        if any(_spec_report(solved, spec, j).residuals[0, 0] > SOLVE_TOLERANCE  # S's own
+               for j, spec in enumerate(specs)):
             raise
     reports = []
     for j, spec in enumerate(specs):
-        W = solved.weights[:, j, :, 0]
-        kept = solved.residuals[1:, j, 0] <= SOLVE_TOLERANCE
+        own = _spec_report(solved, spec, j)
+        W = own.weights[..., 0]  # S's weights, then each neighbor's
+        kept = own.residuals[1:, 0] <= SOLVE_TOLERANCE
         bound, worst, details = score(spec, W[0], W[1:][kept], kept)
         failures = trials - int(kept.sum())
         reports.append(OracleReport(

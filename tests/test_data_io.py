@@ -87,6 +87,22 @@ class TestLoadCsv:
                                                   r"non-numeric cell 'x'$"):
             load_csv(p)
 
+    def test_label_column_naming_two_cells(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("x,a,x\n1,2,3\n")
+        with pytest.raises(DataFormatError, match="label column 'x' names 2 header cells"):
+            load_csv(p, label_column="x")
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # the mark once stuck to the first header cell, and label column 'a' was not found
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        S = Dataset(np.array([[0.1, -2.5], [1e-7, 3.25]]), np.array([1.0, 0.0]))
+        write_csv(S, plain, feature_names=["a", "b"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain, "a"), load_csv(marked, "a")
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
     def test_round_trip_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         S = Dataset(np.array([[0.1, -2.5], [1e-7, 3.25]]), np.array([1.0, 0.0]))
@@ -116,6 +132,24 @@ class TestWriteCsv:
                 write_csv(Dataset(np.ones((2, 2)), np.ones(2)), tmp_path / "s.csv",
                           feature_names=names)
             assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("bad", [",", "\r", "\n"], ids=["comma", "cr", "lf"])
+    @pytest.mark.parametrize("where", ["feature", "label"])
+    def test_a_name_holding_a_separator(self, tmp_path, bad, where):
+        S, name = Dataset(np.ones((2, 2)), np.ones(2)), f"x{bad}y"
+        names, label = (["a", name], "label") if where == "feature" else (["a", "b"], name)
+        with pytest.raises(ValueError, match=re.escape(f"column name {name!r} holds")):
+            write_csv(S, tmp_path / "s.csv", feature_names=names, label_name=label)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("names, label", [(["x", "y"], "x"), (["a", "a"], "label")],
+                             ids=["label-as-feature", "two-features"])
+    def test_a_name_given_twice(self, tmp_path, names, label):
+        # a label named as a feature was loaded back from the feature's column
+        with pytest.raises(ValueError, match=f"column name {names[0]!r} appears 2 times"):
+            write_csv(Dataset(np.ones((2, 2)), np.ones(2)), tmp_path / "s.csv",
+                      feature_names=names, label_name=label)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_result_rows_mix_numbers_none_and_text(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -621,6 +655,18 @@ class TestFetchDataset:
         got = fetch_dataset("adult", tmp_path / "y.csv", url=url,
                             cache_dir=tmp_path / "cache3", allow_unverified=True)
         assert got.exists()
+
+    def test_unverified_fetch_downloads_again(self, tmp_path, monkeypatch):
+        # with no checksum, the cached raw file of an earlier source was converted
+        monkeypatch.delenv("STABLEDP_FETCH_SHA256", raising=False)
+        cache, outputs = tmp_path / "cache", []
+        for k, text in enumerate((ADULT_FIXTURE, ADULT_FIXTURE.replace(">50K", "<=50K"))):
+            src = tmp_path / f"source{k}.data"
+            src.write_text(text)
+            dest = fetch_dataset("adult", tmp_path / f"out{k}.csv", url=src.as_uri(),
+                                 cache_dir=cache, allow_unverified=True)
+            outputs.append(load_csv(dest, label_column="income_high").labels.tolist())
+        assert outputs == [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
 
     def test_env_overrides(self, tmp_path, monkeypatch):
         url, digest = self._serve(tmp_path, ADULT_FIXTURE.encode())

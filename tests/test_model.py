@@ -1,3 +1,4 @@
+import gc
 import math
 import multiprocessing
 import re
@@ -471,17 +472,68 @@ class TestGradientThreads:
         assert G.tobytes() == self.serial(monkeypatch, spec, w, S).tobytes()
         assert seen == [caller] * -(-m // per_run)
 
-    def test_a_held_worker_leaves_every_run_to_the_caller(self, monkeypatch):
+    def test_a_job_queued_behind_another_callers_gets_its_serial_bytes(self, monkeypatch):
         S, W = self.problem(monkeypatch)
         spec = ObjectiveSpec("logistic", 0.2)
-        G = gradient(spec, W[:, 0], S)  # the worker now exists
-        worker, seen = model_mod._worker, self.threads(monkeypatch)
-        assert worker.busy.acquire(blocking=False)  # as another thread's call holds it
-        try:
-            assert gradient(spec, W[:, 0], S).tobytes() == G.tobytes()
-        finally:
-            worker.busy.release()
-        assert seen == [threading.current_thread()] * 5
+        want = [self.serial(monkeypatch, spec, W[:, k], S).tobytes() for k in (0, 1)]
+        first_on_worker, second_started = threading.Event(), threading.Event()
+        seen, derivative = [], model_mod._loss_derivative
+
+        def spy(spec, z, y):
+            me = threading.current_thread()
+            seen.append(me.name)
+            if me.name == "second":
+                second_started.set()  # its job is on the queue before its own runs
+            elif me.name != "first" and not second_started.is_set():
+                first_on_worker.set()  # the worker holds the first caller's job
+                assert second_started.wait(30)
+            return derivative(spec, z, y)
+
+        monkeypatch.setattr(model_mod, "_loss_derivative", spy)
+        got = {}
+
+        def call(k):
+            got[k] = gradient(spec, W[:, k], S).tobytes()
+
+        first = threading.Thread(target=call, args=(0,), name="first", daemon=True)
+        first.start()
+        assert first_on_worker.wait(30)
+        second = threading.Thread(target=call, args=(1,), name="second", daemon=True)
+        second.start()
+        for t in (first, second):
+            t.join(timeout=30)
+        assert not first.is_alive() and not second.is_alive()
+        assert [got[0], got[1]] == want
+        # runs 0, 2 and 4 of each on its caller, runs 1 and 3 of each on the worker
+        assert sorted(seen) == ["first"] * 3 + ["second"] * 3 + ["stabledp-runs"] * 4
+
+    def test_a_gradient_inside_a_worker_run_takes_every_run_itself(self, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        # a worker of this test's own, so that one waiting on itself fails no later test
+        monkeypatch.setattr(model_mod, "_worker", None)
+        spec = ObjectiveSpec("squared", 0.2, lipschitz_L=1.0)
+        want = [self.serial(monkeypatch, spec, W[:, k], S).tobytes() for k in (0, 1)]
+        seen = self.threads(monkeypatch)
+        spy, got = model_mod._loss_derivative, {}
+
+        def nested(spec_, z, y):
+            if threading.current_thread().name == "stabledp-runs" and 1 not in got:
+                got[1] = None  # so that the inner call's own runs do not nest again
+                got[1] = gradient(spec, W[:, 1], S).tobytes()
+            return spy(spec_, z, y)
+
+        def call():
+            got[0] = gradient(spec, W[:, 0], S).tobytes()
+
+        monkeypatch.setattr(model_mod, "_loss_derivative", nested)
+        outer = threading.Thread(target=call, name="outer", daemon=True)
+        outer.start()
+        outer.join(timeout=30)
+        assert not outer.is_alive(), "a gradient on the worker's thread waited on itself"
+        assert [got[0], got[1]] == want
+        # the outer call's runs 0, 2 and 4 on its caller; its runs 1 and 3 and all
+        # five of the inner call's on the worker
+        assert sorted(t.name for t in seen) == ["outer"] * 3 + ["stabledp-runs"] * 7
 
     def test_calling_threads_each_get_their_serial_bytes(self, monkeypatch):
         S, W = self.problem(monkeypatch, m=6, n=200, d=16, L=4)
@@ -517,9 +569,10 @@ class TestGradientThreads:
     def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
         S, W = self.problem(monkeypatch)
         spec = ObjectiveSpec("squared", 0.2, lipschitz_L=1.0)
-        G = gradient(spec, W[:, 0], S)
-        assert model_mod._worker is not None  # the child inherits a worker with no thread
         seen = self.threads(monkeypatch)
+        G = gradient(spec, W[:, 0], S)
+        # the child inherits the worker's queue, but not its thread
+        assert sum(t is not threading.current_thread() for t in seen) == 2
         results, sender = multiprocessing.Pipe(duplex=False)
 
         def child():
@@ -547,9 +600,11 @@ class TestGradientThreads:
         spec = ObjectiveSpec("logistic", 0.2)
         want = self.serial(monkeypatch, spec, W[:, 0], S).tobytes()
         caller, derivative = threading.current_thread(), model_mod._loss_derivative
+        failed_on = []
 
         def fail_on_the_worker(spec, z, y):
             if threading.current_thread() is not caller:
+                failed_on.append(threading.current_thread())
                 if fail == "exception":
                     raise ArithmeticError("a worker run failed")
                 warnings.warn("a worker run warned", RuntimeWarning)
@@ -560,12 +615,12 @@ class TestGradientThreads:
             warnings.simplefilter("error")
             with pytest.raises((ArithmeticError, RuntimeWarning), match="a worker run"):
                 gradient(spec, W[:, 0], S)
-        worker = model_mod._worker
-        assert not worker.busy.locked() and worker.error is None
+        assert len(failed_on) == 1  # the worker's first run failed, and it took no more
         monkeypatch.setattr(model_mod, "_loss_derivative", derivative)
         seen = self.threads(monkeypatch)
         assert gradient(spec, W[:, 0], S).tobytes() == want
-        assert model_mod._worker is worker and sum(t is not caller for t in seen) == 2
+        # the same worker, alive, took runs 1 and 3
+        assert [t for t in seen if t is not caller] == failed_on * 2
 
     def test_the_worker_takes_the_callers_error_state(self, monkeypatch):
         S, W = self.problem(monkeypatch)
@@ -584,7 +639,26 @@ class TestGradientThreads:
         gradient(ObjectiveSpec("logistic", 0.2), w, S)
         del w
         assert alive() is None
-        assert model_mod._worker.job is None
+
+    def test_the_worker_keeps_no_array_of_a_failed_call(self, monkeypatch):
+        S, W = self.problem(monkeypatch)
+        w = W[:, 0].copy()
+        alive = weakref.ref(w)
+        caller, derivative = threading.current_thread(), model_mod._loss_derivative
+
+        def fail_on_the_worker(spec, z, y):
+            if threading.current_thread() is not caller:
+                raise ArithmeticError("a worker run failed")
+            return derivative(spec, z, y)
+
+        monkeypatch.setattr(model_mod, "_loss_derivative", fail_on_the_worker)
+        with pytest.raises(ArithmeticError):
+            gradient(ObjectiveSpec("logistic", 0.2), w, S)
+        del w
+        # the raised exception's frames hold the call's arrays in a cycle, which the
+        # collector frees unless the worker still holds the job or the exception
+        gc.collect()
+        assert alive() is None
 
 
 class TestGradientGrid:

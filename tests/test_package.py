@@ -22,10 +22,13 @@ def test_every_export_resolves(name):
 
 
 def test_cli_import_leaves_fetch_modules_unloaded():
-    # urllib.request took 37-54 ms of a 190-250 ms import, for fetch alone
+    # urllib.request took 37-54 ms of a 190-250 ms import, for fetch alone; the
+    # gradient's worker imports queue when it starts, and concurrent.futures
+    # would bring logging
     probe = (f"import sys; sys.path.insert(0, {str(Path(stabledp.__file__).parents[1])!r}); "
              "import stabledp.cli; "
-             "print(sorted({'urllib.request', 'hashlib'} & set(sys.modules)))")
+             "print(sorted({'urllib.request', 'hashlib', 'queue', 'logging', "
+             "'concurrent.futures'} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
