@@ -151,9 +151,10 @@ def _write_rows(path, columns: list, rows) -> None:
 def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -> Path:
     """Write a Dataset in canonical CSV form (label last, repr-exact floats).
 
-    The feature and label names must be distinct and hold no ',', '\\r' or
-    '\\n', so that ``load_csv`` reads the header back one name a cell and
-    finds the label by its name alone.
+    The feature and label names must be distinct, hold no ',', '\\r' or
+    '\\n' and start and end with no whitespace, so that ``load_csv``, which
+    strips each header cell, reads the header back one name a cell, each
+    as given, and finds the label by its name alone.
     """
     path = Path(path)
     names = [f"f{i}" for i in range(S.d)] if feature_names is None else feature_names
@@ -163,6 +164,8 @@ def write_csv(S: Dataset, path, feature_names=None, label_name: str = "label") -
     for name in columns:
         if any(c in name for c in ",\r\n"):
             raise ValueError(f"column name {name!r} holds ',', '\\r' or '\\n'")
+        if name != name.strip():
+            raise ValueError(f"column name {name!r} starts or ends with whitespace")
     twice = [name for name, k in Counter(columns).items() if k > 1]
     if twice:
         raise ValueError(f"column name {twice[0]!r} appears {columns.count(twice[0])} times")

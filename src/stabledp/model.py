@@ -346,9 +346,13 @@ def _loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarra
     return np.square(z, out=z)
 
 
-def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> tuple:
-    """(c, sign) with d loss / d z = sign * c at the margins z = <w, x>, elementwise,
-    c in z's buffer: z, a fresh product, is overwritten.
+# the sign of d loss / d z against ``_loss_derivative``'s c, per loss kind
+_DERIVATIVE_SIGN = {"logistic": -1.0, "squared": 1.0}
+
+
+def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c with d loss / d z = _DERIVATIVE_SIGN[loss kind] * c at the margins
+    z = <w, x>, elementwise, in z's buffer: z, a fresh product, is overwritten.
 
     The sign is left to the caller, who puts it on a smaller array: negating
     either factor of a product rounds to the negated product.
@@ -358,10 +362,10 @@ def _loss_derivative(spec: ObjectiveSpec, z: np.ndarray, y: np.ndarray) -> tuple
         np.multiply(y, z, out=z)
         np.exp(z, out=z)
         z += 1.0
-        return np.divide(y, z, out=z), -1.0
+        return np.divide(y, z, out=z)
     np.subtract(z, y, out=z)
     z *= 2.0
-    return z, 1.0
+    return z
 
 
 def _grid_of(spec) -> tuple:
@@ -421,8 +425,8 @@ def per_example_grad(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float
     x = np.asarray(x, dtype=float)
     w = _check_dims(w, x.shape[:1])
     _check_labels(spec, y, "y")
-    c, sign = _loss_derivative(spec, np.array([x @ w]), np.array([float(y)]))
-    return (sign * c[0]) * x
+    c = _loss_derivative(spec, np.array([x @ w]), np.array([float(y)]))
+    return (_DERIVATIVE_SIGN[spec.loss_kind] * c[0]) * x
 
 
 def _per_column(v):
@@ -511,15 +515,14 @@ def _in_runs(count: int, size: int, step, buffers: np.ndarray):
     runs another caller's waits its turn. Otherwise the caller takes every run
     with ``buffers[0]``. A step writes only its own run's slice of the result,
     so the bytes do not depend on the schedule. An exception of either thread
-    is raised here, once both have stopped. Returns the value of the caller's
-    last step.
+    is raised here, once both have stopped.
     """
     runs = [slice(lo, lo + size) for lo in range(0, count, size)]
     jobs = _worker_jobs() if len(runs) > 1 else None
     if jobs is None:
         for run in runs:
-            value = step(run, buffers[0])
-        return value
+            step(run, buffers[0])
+        return
     import queue  # loaded by the worker's start
     state = np.geterr()
     call = np.geterrcall()
@@ -533,12 +536,11 @@ def _in_runs(count: int, size: int, step, buffers: np.ndarray):
     jobs.put((job, done))
     try:
         for run in runs[::2]:
-            value = step(run, buffers[0])
+            step(run, buffers[0])
     finally:
         error = done.get()
     if error is not None:
         raise error
-    return value
 
 
 def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
@@ -578,22 +580,19 @@ def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
         l2 = np.array([2.0 * s.l2_coefficient for s in specs])[:, None, None]
         X, Y = X[:, None], Y[:, None]  # every dataset against every spec of the grid
     if X.ndim == 2 or X.nbytes <= _RUN_BYTES:  # one run, with no per-run views
-        c, sign = _loss_derivative(spec, X @ w, Y)
-        g = X.swapaxes(-1, -2) @ c
+        g = X.swapaxes(-1, -2) @ _loss_derivative(spec, X @ w, Y)
     else:
         size = max(1, _RUN_BYTES // X[0].nbytes)
         g = np.empty(w.shape)
 
         def step(run, z):  # writes g[run] alone
-            c, sign = _loss_derivative(
-                spec, np.matmul(X[run], w[run], out=z[:len(w[run])]), Y[run])
+            c = _loss_derivative(spec, np.matmul(X[run], w[run], out=z[:len(w[run])]), Y[run])
             np.matmul(X[run].swapaxes(-1, -2), c, out=g[run])
-            return sign
 
         # one margin buffer per thread, which each of its runs' forward products overwrites
         z = np.empty((2, min(size, len(X))) + w.shape[1:-2] + Y.shape[-2:])
-        sign = _in_runs(len(X), size, step, z)
-    g /= sign * S.n
+        _in_runs(len(X), size, step, z)
+    g /= _DERIVATIVE_SIGN[spec.loss_kind] * S.n
     g += l2 * w
     return g
 

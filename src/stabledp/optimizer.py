@@ -113,7 +113,12 @@ class SolveReport:
     counts block iterations, ``final_gradient_norm`` and ``loss_gap_bound``
     are the maxima over the (dataset, column) pairs, and ``objective`` and
     ``residuals`` hold each pair's own value, of shape (m, K), so a failed
-    block tells which columns stayed above tolerance.
+    block tells which columns stayed above tolerance. A grid's report puts
+    the grid axis after the datasets': (m, L, d, K) weights with (m, L, K)
+    values, or (L, d) weights with (L,) values on one dataset, its maxima
+    taken over every spec. The report of one spec is the slice of its grid
+    of one (``_spec_report``): (m, d, K) weights, or (d,) weights with a
+    float ``objective`` and no ``residuals`` on one dataset.
     """
 
     weights: np.ndarray
@@ -150,8 +155,8 @@ def _smooth_curvature(spec: ObjectiveSpec, S: _Stack) -> np.ndarray:
 def _block(S: Dataset | _Stack):
     """The stack that a solver iterates on, with the map of its (m, ..., K)
     results back to the layout of S: a stack as it is, and a dataset as a
-    (1, n, 1) stack whose results unpack to (d,) weights. Any other S, a
-    list included, raises ValueError."""
+    (1, n, 1) stack whose results drop their first and last axes, (d,)
+    weights for one model. Any other S, a list included, raises ValueError."""
     _require("S's type", type(S), lambda t: issubclass(t, (Dataset, _Stack)),
              "Dataset or _Stack", type)
     if isinstance(S, _Stack):
@@ -183,7 +188,9 @@ def solve_erm(spec: ObjectiveSpec | Sequence[ObjectiveSpec], S: Dataset | _Stack
     (a lambda grid, say; see ``model._grid_of``), solved together: each
     gradient reads a dataset's X once for every spec of the grid. A grid
     puts its axis after the datasets', giving (m, L, d, K) weights, or
-    (L, d) for a dataset; one spec gives (m, d, K), or (d,).
+    (L, d) for a dataset. One spec is solved as its grid of one, and its
+    report is that grid's slice by ``_spec_report``, as every per-spec
+    report is: (m, d, K) weights, or (d,).
 
     Momentum, restart and stopping are per (dataset, spec, column), and
     each column keeps the first iterate at which it reaches ``tolerance``.
@@ -215,39 +222,28 @@ def solve_erm(spec: ObjectiveSpec | Sequence[ObjectiveSpec], S: Dataset | _Stack
 
     Raises :class:`ConvergenceError` if a column's residual is still above
     ``tolerance`` after ``max_iters`` block iterations; its message names
-    those columns, as (dataset, column) pairs for a stack and (lambda,
-    dataset, column) triples for a grid on a stack, and its report
-    carries each such column's last iterate, with the gap bound of that
-    iterate, and every column's residual, so the converged columns stay
-    usable.
+    each such column by one rule, its (lambda, dataset, column) triple,
+    with a dataset as dataset 0 and column 0 of its (1, n, 1) stack. Its
+    report, the one a converged solve would return, carries each such
+    column's last iterate, with the gap bound of that iterate, and every
+    column's residual, so the converged columns stay usable.
     """
     _require("tolerance", tolerance, *_POSITIVE)
     _require("max_iters", max_iters, *_COUNT)
-    specs, grid = _grid_of(spec), not isinstance(spec, ObjectiveSpec)
+    specs = _grid_of(spec)
     lam_sc = [strong_convexity_constant(s) for s in specs]  # raises if not strongly convex
-    stack = isinstance(S, _Stack)
-    S, unpack_block = _block(S)
-
-    def unpack(a):  # one spec's results carry no grid axis
-        return unpack_block(a if grid else a[:, 0])
-
+    S, unpack = _block(S)
     _check_labels(specs[0], S.labels)
     w, residual, iterations = _fista(specs, S, tolerance, max_iters)
     report = _solve_report(specs, S, unpack, w, residual, iterations, lam_sc)
+    if isinstance(spec, ObjectiveSpec):  # one spec's report is its grid of one's slice
+        report = _spec_report(report, spec, 0)
     if not (residual > tolerance).any():
         return report
     failed = np.argwhere(residual.swapaxes(0, 1) > tolerance).tolist()  # spec-major
-    if grid and stack:
-        triples = [(specs[j].lam, r, k) for j, r, k in failed]
-        columns = f" in (lambda, dataset, column) triples {triples}"
-    elif stack:
-        columns = f" in (dataset, column) pairs {[(r, k) for _, r, k in failed]}"
-    elif grid:
-        columns = f" at lambdas {[specs[j].lam for j, _, _ in failed]}"
-    else:  # a dataset's one column needs no name
-        columns = ""
     raise ConvergenceError(
-        f"no convergence after {max_iters} iterations{columns} (residual "
+        f"no convergence after {max_iters} iterations in (lambda, dataset, column) triples "
+        f"{[(specs[j].lam, r, k) for j, r, k in failed]} (residual "
         f"{report.final_gradient_norm:.3e} > tolerance {tolerance:.3e})",
         report,
     )
@@ -320,16 +316,15 @@ def _solve_report(specs: tuple, S: _Stack, unpack, w: np.ndarray, residual: np.n
                   iterations: int, lam_sc: list) -> SolveReport:
     """The report of an (m, L, d, K) block, each spec's objective taken alone on S."""
     worst = [float(np.max(residual[:, j])) for j in range(len(specs))]
-    value = unpack(np.stack([objective(s, w[:, j], S) for j, s in enumerate(specs)], axis=1))
-    residual = unpack(residual)
+    value = np.stack([objective(s, w[:, j], S) for j, s in enumerate(specs)], axis=1)
     return SolveReport(unpack(w), max(worst), iterations,
                        max(r * r / (2.0 * c) for r, c in zip(worst, lam_sc)),
-                       float(value) if value.ndim == 0 else value,
-                       residual if residual.ndim else None)
+                       unpack(value), unpack(residual))
 
 
 def _spec_report(report: SolveReport, spec: ObjectiveSpec, j: int) -> SolveReport:
-    """The report of ``spec``, spec j of the grid whose solve gave ``report``.
+    """The report of ``spec``, spec j of the grid whose solve gave ``report``;
+    every per-spec report is made here, a one-spec ``solve_erm``'s included.
 
     It holds copies of spec j's weights, objective and residuals and its
     worst residual with that residual's gap bound, each the value its lone

@@ -142,6 +142,17 @@ class TestWriteCsv:
             write_csv(S, tmp_path / "s.csv", feature_names=names, label_name=label)
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("names, label, name", [(["a", "b"], "y ", "y "),
+                                                     ([" a", "a"], "label", " a")],
+                             ids=["label-trailing", "feature-leading"])
+    def test_a_name_with_outer_whitespace(self, tmp_path, names, label, name):
+        # load_csv strips each header cell: "y " would not be found by its name, and
+        # " a" would load back as a second "a"
+        with pytest.raises(ValueError, match=f"column name {name!r} starts or ends with"):
+            write_csv(Dataset(np.ones((2, 2)), np.ones(2)), tmp_path / "s.csv",
+                      feature_names=names, label_name=label)
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("names, label", [(["x", "y"], "x"), (["a", "a"], "label")],
                              ids=["label-as-feature", "two-features"])
     def test_a_name_given_twice(self, tmp_path, names, label):

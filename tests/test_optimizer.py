@@ -131,15 +131,17 @@ class TestSolveErm:
         spec = ObjectiveSpec("logistic", 0.01)
         rng = np.random.default_rng(1)
         S = Dataset(rng.standard_normal((50, 4)), rng.choice([-1.0, 1.0], size=50))
-        with pytest.raises(ConvergenceError) as err:
+        # a dataset is dataset 0, column 0 of its (1, n, 1) stack
+        with pytest.raises(ConvergenceError,
+                           match=r"in \(lambda, dataset, column\) triples \[\(0\.01, 0, 0\)\] \(") \
+                as err:
             solve_erm(spec, S, 1e-14, max_iters=3)
         assert err.value.report.iterations_used == 3
         assert err.value.report.weights.shape == (4,)
         # a stack of (1, n, K) labels carries (1, d, K) weights and the worst column's residual
         Y = np.stack([S.labels, -S.labels, np.sign(S.features[:, 0])], axis=1)
-        with pytest.raises(ConvergenceError,
-                           match=r"in \(dataset, column\) pairs \[\(0, 0\), \(0, 1\), \(0, 2\)\] \(") \
-                as err:
+        with pytest.raises(ConvergenceError, match=r"in \(lambda, dataset, column\) triples "
+                           r"\[\(0\.01, 0, 0\), \(0\.01, 0, 1\), \(0\.01, 0, 2\)\] \(") as err:
             solve_erm(spec, _Stack(S.features[None], Y[None]), 1e-14, max_iters=3)
         rep = err.value.report
         assert rep.iterations_used == 3
@@ -316,7 +318,8 @@ class TestSolveErmBlock:
         k = sorted(counts)[len(counts) // 2]
         late = [j for j, c in enumerate(counts) if c > k]
         assert 0 < len(late) < len(datasets)
-        pattern = re.escape(f"in (dataset, column) pairs {[(j, 0) for j in late]}")
+        pattern = re.escape(
+            f"in (lambda, dataset, column) triples {[(spec.lam, j, 0) for j in late]}")
         with pytest.raises(ConvergenceError, match=pattern) as err:
             solve_erm(spec, stack_of(datasets), tol, max_iters=k)
         rep = err.value.report
@@ -402,7 +405,8 @@ class TestSplitStack:
         at_k = np.array([solve_allowing_failure(spec, D, tol, k).residuals[0] for D in splits])
         late = [tuple(c) for c in np.argwhere(at_k > tol).tolist()]
         assert 0 < len(late) < at_k.size
-        pattern = re.escape(f"in (dataset, column) pairs {late}")
+        pattern = re.escape(
+            f"in (lambda, dataset, column) triples {[(spec.lam, *c) for c in late]}")
         with pytest.raises(ConvergenceError, match=pattern) as err:
             solve_erm(spec, stack, tol, max_iters=k)
         rep = err.value.report
@@ -557,10 +561,11 @@ class TestLambdaGrid:
             assert rep.residuals[:, j].tobytes() == capped.residuals.tobytes()
             if lone[j].iterations_used <= k:
                 assert rep.weights[:, j].tobytes() == lone[j].weights.tobytes()
-        # a grid on one dataset names its lambdas
+        # a grid on one dataset names its lambdas, each column as dataset 0, column 0
         S = sgd_block(0)[0]
         k = min(solve_erm(spec, S, tol).iterations_used for spec in specs)
-        with pytest.raises(ConvergenceError, match=r"at lambdas \["):
+        with pytest.raises(ConvergenceError,
+                           match=r"in \(lambda, dataset, column\) triples \[\([\d.e-]+, 0, 0\)"):
             solve_erm(specs, S, tol, max_iters=k)
 
     def test_memory_stays_below_the_stack(self):
