@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .data_io import (DataFormatError, SplitPlan, _write_rows, fetch_dataset, load_csv,
-                      preprocess, split, synth_classification)
+from .data_io import (DataFormatError, SplitPlan, _gather, _split_indices, _write_rows,
+                      fetch_dataset, load_csv, preprocess, synth_classification)
 from .features import f1_similarity, flip_probability, lemma_noise, select_features
 from .model import (
     _COUNT,
@@ -297,23 +297,29 @@ def _split_rows(cell: list, *columns) -> list:
             + [cell + [-1, *(float(np.mean(c)) for c in columns), std]])
 
 
-def _cells(cfg: SweepConfig, epsilons, stream: int):
+def _cells(cfg: SweepConfig, epsilons, stream: int, test: bool = True):
     """The test stack, sorted labels and training size, and a generator of
     ``(spec, eps, rel)`` per lambda x epsilon cell, ``rel`` its ``privacy.Release``.
 
-    One ``release`` call trains the whole lambda grid in one block solve
-    over every split, shared by every epsilon, with split r's noise drawn
-    from the stream keyed (master seed, ``stream``, lambda bits, epsilon
-    bits, r).
+    The splits are ``data_io.split``'s. Only the accuracy callers read the
+    test side; ``cmd_select`` passes ``test=False``, which gathers no test
+    stack and returns None in its place, so its solve holds no array it
+    does not read. One ``release`` call trains the whole lambda grid in one
+    block solve over every split, shared by every epsilon, with split r's
+    noise drawn from the stream keyed (master seed, ``stream``, lambda bits,
+    epsilon bits, r).
     """
     S = build_dataset(cfg)
     try:
-        train, test = split(S, cfg.split)
+        sides = _split_indices(S, cfg.split)
     except ValueError as exc:  # a side left empty
         raise ConfigError(f"split.train_fraction: {exc}") from exc
+    train = _gather(S, sides[0])
+    test = _gather(S, sides[1]) if test else None
     # sorted distinct labels; np.unique would import numpy.ma mid-pass
     classes = np.array(sorted(set(S.labels.tolist())))
-    del S  # the stacks hold every row from here: the solve runs without the dataset's copy
+    # the stacks hold every row from here: the solve runs without the dataset's copy
+    del S, sides
     train = _Stack(train.features, as_signed_labels(
         train.labels[..., 0], positive=classes[1:] if classes.size == 2 else classes))
     noise = (cfg.scale_mode if cfg.noise_mode == "stability_optimal" else
@@ -358,7 +364,7 @@ def cmd_select(cfg: SweepConfig, out_dir) -> Path:
     # a cell takes the flip lemma, which divides by eta, wherever T > 0 and there is noise
     if cfg.noise_mode != "none" and (cfg.threshold_mode == "dynamic" or cfg.static_T > 0):
         _require("eta", cfg.eta, *_POSITIVE, ConfigError)
-    _, _, n_train, cells = _cells(cfg, cfg.epsilon_grid, 41)
+    _, _, n_train, cells = _cells(cfg, cfg.epsilon_grid, 41, test=False)
     rows, flip_rows = [], []
     for spec, eps, rel in cells:
         lam, noise = spec.lam, rel.noise

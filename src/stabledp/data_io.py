@@ -262,14 +262,23 @@ def split(S: Dataset, plan: SplitPlan) -> tuple[_Stack, _Stack]:
     the repeats' permutations: (repeats, n_side, d) features and their
     (repeats, n_side, 1) raw labels.
     """
+    return tuple(_gather(S, rows) for rows in _split_indices(S, plan))
+
+
+def _split_indices(S: Dataset, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The (repeats, n_side) row indices of ``split``'s train and test sides."""
     n_train = int(math.floor(plan.train_fraction * S.n))
     if n_train < 1 or n_train >= S.n:
         raise ValueError(
             f"split of n={S.n} at fraction {plan.train_fraction} leaves an empty side"
         )
     P = np.stack([derive_rng(plan.seed, 11, r).permutation(S.n) for r in range(plan.repeats)])
-    return tuple(_Stack(S.features[side], S.labels[side, None])
-                 for side in (P[:, :n_train], P[:, n_train:]))
+    return P[:, :n_train], P[:, n_train:]
+
+
+def _gather(S: Dataset, rows: np.ndarray) -> _Stack:
+    """The stack of one side of ``split``: S's records at the (repeats, n_side) ``rows``."""
+    return _Stack(S.features[rows], S.labels[rows, None])
 
 
 def synth_classification(n: int, d: int, classes: int = 2, sparsity: int | None = None,

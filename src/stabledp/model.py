@@ -21,10 +21,10 @@ weights, and the loss functions take it in place of a ``Dataset``, giving
 one value per (dataset, column) pair. Margins are ``X @ w`` and gradients
 ``X.swapaxes(-1, -2) @ c`` for a dataset and a stack alike: a batched
 ``np.matmul`` runs each slice's own product, so every slice of a stack
-evaluates bit for bit as its dataset would alone, and ``gradient`` may take
-a stack in runs of datasets that fit in cache, shared between the caller
-and one worker thread that serves every caller's jobs from one queue, in
-turn.
+evaluates bit for bit as its dataset would alone, and ``gradient`` and
+``smooth_objective`` both take a large stack in runs of datasets that fit
+in cache, shared between the caller and one worker thread that serves
+every caller's jobs from one queue, in turn.
 
 Every type and range check of the package's inputs goes through one rule,
 ``_require``: the type first (a real number, an integer, numpy's included,
@@ -59,15 +59,16 @@ __all__ = [
 LOSS_KINDS = ("logistic", "squared")
 PENALTIES = ("l2", "elastic")
 
-# features per run of a stack's ``gradient``, in bytes. Measured on a 2-vCPU
-# Xeon with 2 MiB of L2 per core, at one BLAS thread, on the benchmark's
-# ``figures`` workload, whose training stack is (10, 1600, 32): on one thread,
-# the median of 30 interleaved in-process passes took 0.214 s at 1 MiB (two
-# datasets a run), 0.218 s at 512 KiB (one), and 0.233 s both at 2 MiB (five)
-# and whole-stack. With the runs shared by two threads, 512 KiB keeps the two
-# margin buffers at the one 1 MiB-run buffer's size; 1 MiB runs on two threads
-# were no faster on the benchmark (wall_s 0.324-0.339 s against 0.330-0.334 s)
-# and took 0.85 MB more peak RSS
+# features per run of a stack's ``gradient`` and ``smooth_objective``, in
+# bytes. Measured on a 2-vCPU Xeon with 2 MiB of L2 per core, at one BLAS
+# thread, on the benchmark's ``figures`` workload, whose training stack is
+# (10, 1600, 32): on one thread, the median of 30 interleaved in-process
+# passes took 0.214 s at 1 MiB (two datasets a run), 0.218 s at 512 KiB
+# (one), and 0.233 s both at 2 MiB (five) and whole-stack. With the runs
+# shared by two threads, 512 KiB keeps the two margin buffers at the one
+# 1 MiB-run buffer's size; 1 MiB runs on two threads were no faster on the
+# benchmark (wall_s 0.324-0.339 s against 0.330-0.334 s) and took 0.85 MB
+# more peak RSS
 _RUN_BYTES = 1 << 19
 
 
@@ -393,8 +394,16 @@ def _check_labels(spec: ObjectiveSpec, labels, name: str = "labels") -> None:
         raise ValueError(f"logistic loss needs {name} in {{-1, +1}}, got {float(bad[0])}")
 
 
+def _check_data(S) -> None:
+    """Raise ValueError unless S is a ``Dataset`` or a ``_Stack``: a list of them is neither."""
+    _require("S's type", type(S), lambda t: issubclass(t, (Dataset, _Stack)),
+             "Dataset or _Stack", type)
+
+
 def _check_kappa(spec: ObjectiveSpec, S: Dataset | _Stack) -> None:
-    """Raise unless every row of S is within kappa (1e-9 slack), every bound's premise."""
+    """Raise unless S is a dataset or a stack (``_check_data``) whose every row is
+    within kappa (1e-9 slack), every bound's premise."""
+    _check_data(S)
     if (max_norm := S.max_row_norm()) > spec.kappa * (1.0 + 1e-9):
         raise ValueError(f"feature rows violate the kappa bound: max norm {max_norm:.6g} > "
                          f"kappa={spec.kappa}")
@@ -435,9 +444,27 @@ def _per_column(v):
 
 
 def smooth_objective(spec: ObjectiveSpec, w: np.ndarray, S: Dataset | _Stack):
-    """Mean loss plus the smooth (L2) penalty; excludes any L1 term."""
+    """Mean loss plus the smooth (L2) penalty; excludes any L1 term.
+
+    A stack with more than ``_RUN_BYTES`` of features is taken in
+    ``gradient``'s runs of datasets, shared with its worker thread
+    (``_in_runs``), so only a run's per-example losses are held at once,
+    never the whole stack's. Each run writes only its own datasets' loss
+    means, each from its own slice's products, so the values are the whole
+    stack's bit for bit.
+    """
     w, axis = _weights_for(w, S), _sample_axis(S)
-    mean_loss = _loss_values(spec, w, S.features, S.labels).mean(axis=axis)
+    X, Y = S.features, S.labels
+    size = _run_size(X)
+    if not size:
+        mean_loss = _loss_values(spec, w, X, Y).mean(axis=axis)
+    else:
+        mean_loss = np.empty(w.shape[:1] + w.shape[2:])
+
+        def step(run, _):  # writes mean_loss[run] alone
+            mean_loss[run] = _loss_values(spec, w[run], X[run], Y[run]).mean(axis=axis)
+
+        _in_runs(len(X), size, step, (None, None))
     return _per_column(mean_loss + spec.l2_coefficient * (w * w).sum(axis=axis))
 
 
@@ -505,17 +532,27 @@ if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _in_runs(count: int, size: int, step, buffers: np.ndarray):
+def _run_size(X: np.ndarray) -> int:
+    """Datasets per run of the stacked features X: as many as fit in ``_RUN_BYTES``
+    and at least one, or 0 for a dataset's X or a stack that fits whole."""
+    if X.ndim == 2 or X.nbytes <= _RUN_BYTES:
+        return 0
+    return max(1, _RUN_BYTES // X[0].nbytes)
+
+
+def _in_runs(count: int, size: int, step, buffers):
     """``step(run, buffer)`` for each run ``slice(lo, lo + size)`` of ``count`` datasets.
 
-    With more than one run and a worker (``_worker_jobs``), the caller puts a
-    job of runs 1, 3, ... with ``buffers[1]`` on the worker's queue, under
-    the caller's numpy error state, takes runs 0, 2, 4, ... with
-    ``buffers[0]`` itself, then waits for its job; a job put while the worker
-    runs another caller's waits its turn. Otherwise the caller takes every run
-    with ``buffers[0]``. A step writes only its own run's slice of the result,
-    so the bytes do not depend on the schedule. An exception of either thread
-    is raised here, once both have stopped.
+    ``buffers`` holds one work buffer per thread, or a None each for a
+    step that keeps none. With more than one run and a worker
+    (``_worker_jobs``), the caller puts a job of runs 1, 3, ... with
+    ``buffers[1]`` on the worker's queue, under the caller's numpy error
+    state, takes runs 0, 2, 4, ... with ``buffers[0]`` itself, then waits
+    for its job; a job put while the worker runs another caller's waits its
+    turn. Otherwise the caller takes every run with ``buffers[0]``. A step
+    writes only its own run's slice of the result, so the bytes do not
+    depend on the schedule. An exception of either thread is raised here,
+    once both have stopped.
     """
     runs = [slice(lo, lo + size) for lo in range(0, count, size)]
     jobs = _worker_jobs() if len(runs) > 1 else None
@@ -558,8 +595,8 @@ def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
     (dataset, spec) slice runs the products of its lone call, bit for bit.
 
     A stack with more than ``_RUN_BYTES`` of features is taken in runs of
-    consecutive datasets, as many as fit in ``_RUN_BYTES`` and at least
-    one: each run's forward product, loss derivative and backward product
+    consecutive datasets (``_run_size``), as ``smooth_objective`` takes
+    it: each run's forward product, loss derivative and backward product
     follow one another, so the backward product reads the run's features
     from cache. When two or more CPUs are usable, the caller takes every
     other run and one worker thread the rest (``_in_runs``), each thread
@@ -579,10 +616,10 @@ def gradient(spec: ObjectiveSpec | Sequence[ObjectiveSpec], w: np.ndarray,
         w = _check_dims(w, (len(X), len(specs), S.d, Y.shape[-1]))
         l2 = np.array([2.0 * s.l2_coefficient for s in specs])[:, None, None]
         X, Y = X[:, None], Y[:, None]  # every dataset against every spec of the grid
-    if X.ndim == 2 or X.nbytes <= _RUN_BYTES:  # one run, with no per-run views
+    size = _run_size(X)
+    if not size:  # one run, with no per-run views
         g = X.swapaxes(-1, -2) @ _loss_derivative(spec, X @ w, Y)
     else:
-        size = max(1, _RUN_BYTES // X[0].nbytes)
         g = np.empty(w.shape)
 
         def step(run, z):  # writes g[run] alone

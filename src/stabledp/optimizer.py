@@ -45,6 +45,7 @@ from .model import (
     Dataset,
     ObjectiveSpec,
     _at_least,
+    _check_data,
     _check_labels,
     _grid_of,
     _require,
@@ -157,8 +158,7 @@ def _block(S: Dataset | _Stack):
     results back to the layout of S: a stack as it is, and a dataset as a
     (1, n, 1) stack whose results drop their first and last axes, (d,)
     weights for one model. Any other S, a list included, raises ValueError."""
-    _require("S's type", type(S), lambda t: issubclass(t, (Dataset, _Stack)),
-             "Dataset or _Stack", type)
+    _check_data(S)
     if isinstance(S, _Stack):
         return S, lambda a: a
     return _Stack(S.features[None], S.labels[None, :, None]), lambda a: a[0, ..., 0]

@@ -246,7 +246,8 @@ def release(spec: ObjectiveSpec | Sequence[ObjectiveSpec], S: Dataset | _Stack, 
     spec, in grid order, each spec's the list its lone call gives, bit for
     bit. ``noise`` is a calibration name, calibrated per spec and epsilon,
     or one ``Noise`` for all. The epsilons (a non-empty grid, each finite
-    and > 0), the kappa premise (no feature row above a spec's kappa), every
+    and > 0), S's type (a ``Dataset`` or a ``_Stack``, as for the solvers),
+    the kappa premise (no feature row above a spec's kappa), every
     certificate and every calibration are checked before the solve. Dataset
     r of S (a ``Dataset`` is dataset 0) draws noise over its (K, d) model
     rows from the stream keyed (seed, stream, lambda bits, epsilon bits, r).

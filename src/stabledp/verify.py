@@ -149,8 +149,8 @@ def _neighbors(spec: ObjectiveSpec, S: Dataset, trials: int, rng: np.random.Gene
     The stack holds S, then each neighbor: S with one uniformly chosen record swapped
     for a fresh one (swapping back recovers S, so a pair covers both directions). Each
     draws its index, its record, ``min(in_sample, n)`` distinct probe indices, then
-    ``fresh`` probe rows. S's rows are checked against kappa before any draw. Every
-    neighbor's record and probe rows are written into one block, scaled once.
+    ``fresh`` probe rows. S's type and its rows against kappa are checked before any
+    draw. Every neighbor's record and probe rows are written into one block, scaled once.
     """
     _check_kappa(spec, S)
     X, y = (np.repeat(a[None], trials + 1, axis=0) for a in (S.features, S.labels[:, None]))

@@ -4,18 +4,21 @@ Run from the repository root with ``PYTHONPATH=src:.``:
 
     python tests/figures_bytes.py MODE OUT [OUT ...]
         runs ``bench.workloads.run_figures(0)`` into each OUT, each from its
-        own thread, all at once. MODE ``runs`` keeps ``model.gradient``'s
-        runs of datasets; ``whole`` takes every gradient over the whole
-        stack; ``serial`` asserts that one CPU is usable (run it under
-        ``taskset -c 0``), so the caller takes every run, and ``threaded``
-        that two or more are, so one worker thread takes every other run of
-        a large stack, and two callers at once queue their jobs for it.
+        own thread, all at once. MODE ``runs`` keeps the runs of datasets
+        of ``model.gradient`` and ``model.smooth_objective``; ``whole`` sets
+        ``model._RUN_BYTES`` past every stack, so each gradient and each
+        objective is taken over the whole stack; ``serial`` asserts that one
+        CPU is usable (run it under ``taskset -c 0``), so the caller takes
+        every run, and ``threaded`` that two or more are, so one worker
+        thread takes every other run of a large stack, and two callers at
+        once queue their jobs for it.
     python tests/figures_bytes.py same REF OUT [OUT ...]
         asserts that REF holds a file and that each OUT holds the same files,
         each byte-identical to REF's.
 
-Each run writes only its own slice of the gradient and matmul runs each
-slice's own product, so no run schedule may move a byte.
+Each run writes only its own slice of the gradient or of the objective's
+loss means, and matmul runs each slice's own product, so no run schedule
+may move a byte.
 """
 
 import sys

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stabledp import cli as cli_mod
 from stabledp.cli import (
     ConfigError,
     DatasetConfig,
@@ -406,6 +407,27 @@ class TestSelect:
         assert zero
         for r in zero:
             assert float(r["predicted_flip_rate"]) == pytest.approx(math.exp(-T / b), rel=1e-12)
+
+    def test_gathers_no_test_split(self, tmp_path, monkeypatch):
+        # select reads only the training side of its splits: the one gather is the
+        # training stack's, and the outputs are those of a run that gathers both sides
+        cfg = tiny_config(epsilon_grid=(2.0,))
+        gathered, gather = [], cli_mod._gather
+
+        def spy(S, rows):
+            gathered.append(rows.shape)
+            return gather(S, rows)
+
+        monkeypatch.setattr(cli_mod, "_gather", spy)
+        cmd_select(cfg, tmp_path / "train_only")
+        assert gathered == [(3, math.floor(cfg.split.train_fraction * cfg.dataset.n))]
+        cells = cli_mod._cells
+        monkeypatch.setattr(cli_mod, "_cells", lambda *args, test: cells(*args, test=True))
+        cmd_select(cfg, tmp_path / "both")
+        assert len(gathered) == 3
+        for name in ("select.csv", "select_flips.csv"):
+            assert (tmp_path / "train_only" / name).read_bytes() == \
+                (tmp_path / "both" / name).read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config(epsilon_grid=(2.0,))

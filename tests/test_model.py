@@ -390,7 +390,8 @@ class TestStackEvaluation:
 
 
 class TestGradientRuns:
-    """A stack's gradient is taken in runs of datasets; every schedule gives the same bytes."""
+    """A stack's gradient and smooth objective are taken in runs of datasets; every
+    schedule gives the same bytes."""
 
     @pytest.mark.parametrize("kind", ["logistic", "squared"])
     @pytest.mark.parametrize("penalty", ["l2", "elastic"])
@@ -400,24 +401,26 @@ class TestGradientRuns:
         datasets = [Dataset(rng.standard_normal((12, 4)), rng.choice([-1.0, 1.0], size=12))
                     for _ in range(7)]
         S, W = stack_of(datasets), rng.standard_normal((7, 4, 1))
-        runs = []
-        derivative = model_mod._loss_derivative
+        # each function's per-run kernel, whose first operand holds one slice a dataset
+        for fn, kernel in ((gradient, "_loss_derivative"), (smooth_objective, "_loss_values")):
+            runs, real = [], getattr(model_mod, kernel)
 
-        def spy(spec, z, y):
-            runs.append(len(z))
-            return derivative(spec, z, y)
+            def spy(spec, a, *rest):
+                runs.append(len(a))
+                return real(spec, a, *rest)
 
-        monkeypatch.setattr(model_mod, "_loss_derivative", spy)
-        # three datasets' features a run: runs of 3, 3 and an uneven 1, which two
-        # threads may take in either order
-        monkeypatch.setattr(model_mod, "_RUN_BYTES", 3 * S.features[0].nbytes + 8)
-        G = gradient(spec, W, S)
-        assert sorted(runs) == [1, 3, 3]
-        monkeypatch.setattr(model_mod, "_RUN_BYTES", 1 << 40)
-        assert G.tobytes() == gradient(spec, W, S).tobytes()
-        assert runs[3:] == [7]
-        for j, Sj in enumerate(datasets):
-            assert G[j, :, 0].tobytes() == gradient(spec, W[j, :, 0], Sj).tobytes()
+            monkeypatch.setattr(model_mod, kernel, spy)
+            # three datasets' features a run: runs of 3, 3 and an uneven 1, which two
+            # threads may take in either order
+            monkeypatch.setattr(model_mod, "_RUN_BYTES", 3 * S.features[0].nbytes + 8)
+            G = fn(spec, W, S)
+            assert sorted(runs) == [1, 3, 3], fn
+            monkeypatch.setattr(model_mod, "_RUN_BYTES", 1 << 40)
+            assert G.tobytes() == fn(spec, W, S).tobytes()
+            assert runs[3:] == [7]
+            for j, Sj in enumerate(datasets):
+                assert G[j, ..., 0].tobytes() == np.asarray(fn(spec, W[j, :, 0], Sj)).tobytes()
+            monkeypatch.setattr(model_mod, kernel, real)
 
 
 class TestGradientThreads:

@@ -19,7 +19,7 @@ from stabledp.model import (
     smooth_objective,
 )
 from stabledp.optimizer import ConvergenceError, SgdConfig, sgd_run, solve_erm
-from stabledp.privacy import OracleReport, perturb
+from stabledp.privacy import OracleReport, perturb, release
 from stabledp.rng import derive_rng
 from stabledp.stability import spec_cert
 from stabledp.verify import (
@@ -301,6 +301,17 @@ class TestKappaPremise:
         with pytest.raises(ValueError, match=r"feature rows violate the kappa bound: "
                                              r"max norm 1 > kappa=0.1"):
             self.ORACLES[oracle](specs, S)
+
+    @pytest.mark.parametrize("entry", sorted(ORACLES) + ["release"])
+    def test_anything_but_a_dataset_or_stack_refused(self, entry):
+        # a list of datasets has no max_row_norm: refused as the solvers refuse it
+        _, S = fixture()
+        specs = [ObjectiveSpec("logistic", lam, penalty="l2", kappa=1.0) for lam in (0.1, 0.5)]
+        run = self.ORACLES.get(entry, lambda specs, S: release(specs[0], S, (1.0,), "derived",
+                                                                 seed=0))
+        with pytest.raises(ValueError, match=r"^S's type must be Dataset or _Stack, "
+                                             r"got <class 'list'>$"):
+            run(specs, [S])
 
     def test_rows_a_rounding_above_kappa_accepted(self):
         # one row of norm 1.0000000000000002, the double after kappa, in any summation order
